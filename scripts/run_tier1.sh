@@ -114,6 +114,7 @@ for section, fields in {
     "sparse": ("speedup", "windows_per_s", "mean_prd"),
     "hybrid": (
         "speedup", "windows_per_s", "prd_gap",
+        "iterations_per_window", "restarts_per_window",
         "polish_rate", "corridor_pass",
     ),
     "workspace": ("steady_state", "arenas"),

@@ -1,9 +1,10 @@
 """Legacy setuptools shim.
 
-This workspace is offline and lacks the ``wheel`` package, so PEP 660
-editable installs cannot build; ``pip install -e .`` therefore goes
-through this classic ``setup.py`` entry point instead.  All metadata
-lives in ``pyproject.toml``.
+All metadata lives in ``pyproject.toml`` (name, version, the ``src/``
+layout, dependencies and the ``repro-ecg`` console script).  This file
+only keeps ``pip install -e .`` working where the ``wheel`` package is
+missing and PEP 660 editable installs cannot build: pip then falls back
+to the classic ``setup.py develop`` entry point.
 """
 
 from setuptools import setup

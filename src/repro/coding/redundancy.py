@@ -65,12 +65,6 @@ class DifferentialCodec:
         """Number of packets processed since the last :meth:`reset`."""
         return self._packet_index
 
-    @property
-    def has_reference(self) -> bool:
-        """Whether a keyframe has anchored the difference chain —
-        without one, difference payloads cannot be reconstructed."""
-        return self._reference is not None
-
     def reset(self) -> None:
         """Drop all state; the next packet becomes a keyframe."""
         self._reference = None

@@ -63,57 +63,10 @@ class PacketPayloadDecoder:
             keyframe_interval=config.keyframe_interval
         )
         self.quantizer = MeasurementQuantizer(d=config.d)
-        self._awaiting_keyframe = False
-        self._keyframe_admitted = False
 
     def reset(self) -> None:
         """Drop the inter-packet reference state."""
         self.codec.reset()
-        self._awaiting_keyframe = False
-        self._keyframe_admitted = False
-
-    # -- lossy-channel recovery ----------------------------------------
-    @property
-    def awaiting_keyframe(self) -> bool:
-        """Whether stage 2 is resyncing: difference packets are
-        undecodable until the next keyframe re-anchors the chain.
-
-        A keyframe re-anchors at *admission* time (the ``_keyframe_
-        admitted`` latch), not only once decoded: the recovery drain
-        admits a whole held run before the caller decodes any of it,
-        and the differences behind an admitted-but-not-yet-decoded
-        keyframe are decodable because the caller always decodes
-        accepted packets in admission order."""
-        return self._awaiting_keyframe or not (
-            self.codec.has_reference or self._keyframe_admitted
-        )
-
-    def resync(self) -> None:
-        """Enter the resync state after a sequence gap or corrupt frame.
-
-        The cumulative difference reference is now stale — applying
-        further diffs to it would silently corrupt every window until
-        the next keyframe — so the reference is discarded and
-        difference packets must be skipped (:meth:`skip_to_keyframe`)
-        until a keyframe arrives.
-        """
-        self.codec.reset()
-        self._awaiting_keyframe = True
-        self._keyframe_admitted = False
-
-    def skip_to_keyframe(self, packet: EncodedPacket) -> bool:
-        """Whether ``packet`` must be discarded to reach a keyframe.
-
-        ``True`` for a difference packet while resyncing (or before the
-        stream's first keyframe — joining mid-stream looks exactly like
-        a loss).  A keyframe ends the resync and returns ``False``: the
-        caller decodes it normally and the difference chain re-arms.
-        """
-        if packet.kind is PacketKind.KEYFRAME:
-            self._awaiting_keyframe = False
-            self._keyframe_admitted = True
-            return False
-        return self.awaiting_keyframe
 
     def decode_payload(self, packet: EncodedPacket) -> np.ndarray:
         """Decode one packet down to its quantized measurement vector."""
@@ -122,15 +75,8 @@ class PacketPayloadDecoder:
                 f"packet m={packet.m} does not match decoder m={self.config.m}"
             )
         if packet.kind is PacketKind.KEYFRAME:
-            self._awaiting_keyframe = False
-            self._keyframe_admitted = True
             values = unpack_keyframe_values(packet.payload, self.config.m)
             return self.codec.decode(True, values)
-        if self._awaiting_keyframe:
-            raise DecodingError(
-                "difference packet during resync: call skip_to_keyframe() "
-                "and wait for the next keyframe"
-            )
         reader = BitReader(packet.payload, bit_length=packet.payload_bits)
         symbols = self.codebook.code.decode(reader, self.config.m)
         if reader.remaining >= 8:

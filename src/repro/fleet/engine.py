@@ -176,6 +176,66 @@ def _scatter_columns(
         out.decode_seconds[rows] += seconds[mask]
 
 
+#: ``fleet_solve_iterations`` bounds: the paper point caps at 2000, the
+#: float64 reference sits around 1000 and restarted hybrid windows
+#: around 200-600
+ITERATION_BUCKETS: tuple[float, ...] = (
+    50, 100, 200, 300, 400, 600, 800, 1000, 1500, 2000,
+)
+
+
+def _solve_batch(
+    solver: BatchedFista,
+    transform: "WaveletTransform",
+    block: np.ndarray,
+    fractions: np.ndarray,
+    precision: str,
+    max_iterations: int,
+    tolerance: float,
+    registry: MetricsRegistry,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One batched solve + synthesis, publishing its solve telemetry.
+
+    The single solve step of every decode layout.  The ``"hybrid"``
+    backend solves through the structured pipeline (restarted float32
+    fast path + sparse residual gate + float64 polish), which owns
+    synthesis; the dense backends synthesize via the batched inverse
+    transform.  Returns ``(signals, iterations, elapsed_seconds)``.
+    """
+    width = block.shape[1]
+    started = time.perf_counter()
+    if precision == "hybrid":
+        result = solver.solve_structured(
+            block,
+            fractions,
+            max_iterations=max_iterations,
+            tolerance=tolerance,
+        )
+        signals = result.signals
+        registry.inc("fleet_hybrid_windows", width)
+        registry.inc(
+            "fleet_polish_windows", int(np.count_nonzero(result.polished))
+        )
+        registry.inc("fleet_solver_restarts", int(result.restarts.sum()))
+    else:
+        lams = solver.lambdas(block, fractions)
+        result = solver.solve(
+            block,
+            lams,
+            max_iterations=max_iterations,
+            tolerance=tolerance,
+        )
+        signals = transform.inverse_batch(result.coefficients)
+    elapsed = time.perf_counter() - started
+    registry.observe("fleet_solve_seconds", elapsed)
+    registry.observe("fleet_solve_width", width, buckets=DEFAULT_SIZE_BUCKETS)
+    for count in result.iterations:
+        registry.observe(
+            "fleet_solve_iterations", count, buckets=ITERATION_BUCKETS
+        )
+    return signals, result.iterations, elapsed
+
+
 def _decode_group(
     solver: BatchedFista,
     transform: "WaveletTransform",
@@ -187,15 +247,14 @@ def _decode_group(
     max_iterations: int,
     tolerance: float,
     precision: str,
+    registry: MetricsRegistry,
 ) -> list[_StreamDecode]:
     """Decode one operator group's pooled windows.
 
     Shared by the in-process path and the group-sharded workers;
     inputs are ordered like ``schedule.stream_ids`` (local group
-    order).  The ``"hybrid"`` backend solves through the structured
-    pipeline (float32 fast path + sparse residual gate + float64
-    polish), which owns synthesis; the dense backends synthesize via
-    the batched inverse transform as before.
+    order).  Solve telemetry goes to ``registry`` — the decoder's own
+    in-process, the task's delta registry in a pool worker.
     """
     dtype = np.float32 if precision == "float32" else np.float64
     pooled, fractions, payload_share = _pool_group_columns(
@@ -206,34 +265,24 @@ def _decode_group(
     )
 
     for start, stop in schedule.batches():
-        batch_started = time.perf_counter()
-        block = pooled[:, start:stop]
-        if precision == "hybrid":
-            result = solver.solve_structured(
-                block,
-                fractions[start:stop],
-                max_iterations=max_iterations,
-                tolerance=tolerance,
-            )
-            signals = result.signals
-        else:
-            lams = solver.lambdas(block, fractions[start:stop])
-            result = solver.solve(
-                block,
-                lams,
-                max_iterations=max_iterations,
-                tolerance=tolerance,
-            )
-            signals = transform.inverse_batch(result.coefficients)
-        batch_share = (time.perf_counter() - batch_started) / (stop - start)
+        signals, iterations, elapsed = _solve_batch(
+            solver,
+            transform,
+            pooled[:, start:stop],
+            fractions[start:stop],
+            precision,
+            max_iterations,
+            tolerance,
+            registry,
+        )
         _scatter_columns(
             outputs,
             schedule,
             start,
             stop,
             signals,
-            result.iterations,
-            np.full(stop - start, batch_share),
+            iterations,
+            np.full(stop - start, elapsed / (stop - start)),
             dc_offsets,
         )
     return outputs
@@ -336,6 +385,7 @@ def _worker_decode_group(group_task: dict) -> dict:
         [len(packets) for packets in packet_lists],
         group_task["batch_size"],
     )
+    registry = MetricsRegistry()
     outputs = _decode_group(
         solver,
         transform,
@@ -347,8 +397,8 @@ def _worker_decode_group(group_task: dict) -> dict:
         group_task["max_iterations"],
         group_task["tolerance"],
         precision,
+        registry,
     )
-    registry = MetricsRegistry()
     return {
         "streams": [
             {
@@ -405,40 +455,19 @@ def solve_measurement_block(task: dict) -> dict:
     seconds = np.zeros(total, dtype=np.float64)
     for start in range(0, total, batch_size):
         stop = min(start + batch_size, total)
-        started = time.perf_counter()
-        if task["precision"] == "hybrid":
-            result = solver.solve_structured(
-                block[:, start:stop],
-                fractions[start:stop],
-                max_iterations=task["max_iterations"],
-                tolerance=task["tolerance"],
-            )
-            batch_signals = result.signals
-            registry.inc("fleet_hybrid_windows", stop - start)
-            registry.inc(
-                "fleet_polish_windows",
-                int(np.count_nonzero(result.polished)),
-            )
-        else:
-            lams = solver.lambdas(
-                block[:, start:stop], fractions[start:stop]
-            )
-            result = solver.solve(
-                block[:, start:stop],
-                lams,
-                max_iterations=task["max_iterations"],
-                tolerance=task["tolerance"],
-            )
-            batch_signals = transform.inverse_batch(result.coefficients)
-        elapsed = time.perf_counter() - started
-        share = elapsed / (stop - start)
-        signals[:, start:stop] = np.asarray(batch_signals, dtype=np.float64)
-        iterations[start:stop] = result.iterations
-        seconds[start:stop] = share
-        registry.observe("fleet_solve_seconds", elapsed)
-        registry.observe(
-            "fleet_solve_width", stop - start, buckets=DEFAULT_SIZE_BUCKETS
+        batch_signals, batch_iterations, elapsed = _solve_batch(
+            solver,
+            transform,
+            block[:, start:stop],
+            fractions[start:stop],
+            task["precision"],
+            task["max_iterations"],
+            task["tolerance"],
+            registry,
         )
+        signals[:, start:stop] = np.asarray(batch_signals, dtype=np.float64)
+        iterations[start:stop] = batch_iterations
+        seconds[start:stop] = elapsed / (stop - start)
     return {
         "signals": signals,
         "iterations": iterations,
@@ -673,6 +702,7 @@ class FleetDecoder:
                 members[0].config.max_iterations,
                 members[0].config.tolerance,
                 members[0].precision,
+                self.telemetry,
             )
             for stream_id, out in zip(schedule.stream_ids, outputs):
                 decodes[stream_id] = out

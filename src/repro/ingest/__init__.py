@@ -20,10 +20,11 @@ path a telecardiology coordinator actually runs:
 - :mod:`~repro.ingest.channel` — the lossy-radio model: a seeded
   :class:`LossyLink` impairment wrapper (drops, reorders, duplicates,
   CRC-corrupting bit flips) plus the sequence-gap recovery state
-  machine (:class:`SequenceTracker`, :func:`admit_packet`, and the
-  two-tier :class:`StreamRecovery` parity/NACK front-end) the gateway
-  runs per session, and :func:`replay_survivors`, the offline
-  reference over a recorded delivered-frame sequence;
+  machine (:class:`SequenceTracker`, :class:`ResyncAnchor`,
+  :func:`admit_packet`, and the two-tier :class:`StreamRecovery`
+  parity/NACK front-end) the gateway runs per session, and
+  :func:`replay_survivors`, the offline reference over a recorded
+  delivered-frame sequence;
 - :mod:`~repro.ingest.federation` — :class:`FederationFrontDoor`, the
   multi-gateway scale-out tier: a seeded consistent-hash front door
   that routes each node link by its *operator key* to one of N
@@ -65,6 +66,7 @@ from .channel import (
     LossAccounting,
     LossyChannel,
     LossyLink,
+    ResyncAnchor,
     SequenceTracker,
     StreamRecovery,
     admit_packet,
@@ -119,6 +121,7 @@ __all__ = [
     "NodeClient",
     "NodeReport",
     "PROTOCOL_VERSION",
+    "ResyncAnchor",
     "SESSION_ID_STRIDE",
     "SUPPORTED_VERSIONS",
     "SequenceTracker",

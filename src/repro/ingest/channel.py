@@ -10,8 +10,9 @@ holds *both* sides of that reality:
   a real TCP ``StreamWriter``) and damages ``PACKET`` frames at
   configurable rates, recording the exact fate of every frame so a
   bench can replay the surviving packet set offline;
-- :class:`SequenceTracker` + :func:`admit_packet` — the receiver-side
-  sequence-gap recovery state machine the gateway runs per session:
+- :class:`SequenceTracker` + :class:`ResyncAnchor` +
+  :func:`admit_packet` — the receiver-side sequence-gap recovery
+  state machine the gateway runs per session:
   duplicates and stale reordered frames are dropped idempotently, a
   gap or a corrupt CRC triggers a *resync* (difference packets are
   discarded until the next keyframe re-anchors stage 2), and every
@@ -210,9 +211,43 @@ class SequenceTracker:
             self.expected = final
 
 
+class ResyncAnchor:
+    """Whether a stream's difference chain is anchored on a keyframe.
+
+    The resync half of gap recovery: a gap or a corrupt frame drops
+    the anchor (:meth:`resync`), difference packets are skipped while
+    it is down, and the next keyframe — or the stream's first; joining
+    mid-stream looks exactly like a loss — raises it again.
+
+    The state lives beside the :class:`SequenceTracker`, not in the
+    payload decoder, because admission runs *ahead of* decode: a
+    recovery drain admits a whole held run before the caller decodes
+    any of it.  Charging a gap mid-run must not reset the codec
+    reference under an already-accepted packet earlier in that run,
+    and decoding a drained keyframe must not clear the resync a later
+    gap of the run just set.  Accepted packets decode in admission
+    order, where every difference packet follows the keyframe or
+    difference it was encoded against, so the decoder needs no resync
+    flag of its own.
+    """
+
+    def __init__(self) -> None:
+        self.anchored = False
+
+    def resync(self) -> None:
+        """A gap or corrupt frame made the difference reference stale."""
+        self.anchored = False
+
+    def skip_to_keyframe(self, packet: EncodedPacket) -> bool:
+        """Whether ``packet`` must be discarded to reach a keyframe."""
+        if packet.kind is PacketKind.KEYFRAME:
+            self.anchored = True
+        return not self.anchored
+
+
 def admit_packet(
     tracker: SequenceTracker,
-    payload: PacketPayloadDecoder,
+    anchor: ResyncAnchor,
     body: bytes,
 ) -> tuple[FrameVerdict, EncodedPacket | None]:
     """Run one wire ``PACKET`` body through sequence-gap recovery.
@@ -220,8 +255,8 @@ def admit_packet(
     The single admission decision shared by the live gateway and the
     offline :func:`replay_survivors` reference — one implementation is
     what makes the two provably agree.  Updates ``tracker`` accounting
-    and the payload decoder's resync state; the caller decodes the
-    packet (stages 1-2) only on :attr:`FrameVerdict.ACCEPT`.
+    and the stream's ``anchor``; the caller decodes the packet (stages
+    1-2) only on :attr:`FrameVerdict.ACCEPT`, in admission order.
     """
     try:
         packet = EncodedPacket.from_bytes(body)
@@ -233,7 +268,7 @@ def admit_packet(
         # charged to windows_lost there.  The difference reference may
         # now be stale, so stage 2 resyncs to the next keyframe.
         tracker.count_corrupt()
-        payload.resync()
+        anchor.resync()
         return FrameVerdict.CORRUPT, None
     delta = tracker.delta(packet.sequence)
     if delta < 0:
@@ -241,9 +276,9 @@ def admit_packet(
         return FrameVerdict.STALE, packet
     if delta > 0:
         tracker.count_lost(delta)
-        payload.resync()
+        anchor.resync()
     tracker.advance(packet.sequence)
-    if payload.skip_to_keyframe(packet):
+    if anchor.skip_to_keyframe(packet):
         tracker.count_resynced()
         return FrameVerdict.RESYNC_SKIP, packet
     return FrameVerdict.ACCEPT, packet
@@ -303,10 +338,14 @@ class StreamRecovery:
         on_nack: Callable[[list[int]], None] | None = None,
     ) -> None:
         self.tracker = tracker
+        #: the stream's stage-2 decoder: identifies the stream to
+        #: observers (the e2e tracer keys spans by it) and supplies the
+        #: epoch length; recovery itself never touches stage-2 state
         self.payload = payload
         self.fec = bool(fec)
         self.nack_budget = int(nack_budget)
         self.on_nack = on_nack
+        self._anchor = ResyncAnchor()
         interval = payload.config.keyframe_interval
         self._hold_cap = HOLD_CAP_EPOCHS * interval
         self._body_window = 2 * interval
@@ -342,7 +381,7 @@ class StreamRecovery:
     ) -> list[tuple[FrameVerdict, EncodedPacket | None]]:
         """Route one wire ``PACKET`` body through recovery."""
         if not self.fec:
-            return [admit_packet(self.tracker, self.payload, body)]
+            return [admit_packet(self.tracker, self._anchor, body)]
         try:
             packet = EncodedPacket.from_bytes(body)
         except PacketFormatError:
@@ -482,7 +521,7 @@ class StreamRecovery:
         self, body: bytes
     ) -> tuple[FrameVerdict, EncodedPacket | None]:
         """Plain admission of one body + retention for parity math."""
-        verdict, packet = admit_packet(self.tracker, self.payload, body)
+        verdict, packet = admit_packet(self.tracker, self._anchor, body)
         if packet is not None and verdict in (
             FrameVerdict.ACCEPT,
             FrameVerdict.RESYNC_SKIP,
@@ -987,6 +1026,7 @@ __all__ = [
     "LossAccounting",
     "LossyChannel",
     "LossyLink",
+    "ResyncAnchor",
     "SequenceTracker",
     "StreamRecovery",
     "admit_packet",

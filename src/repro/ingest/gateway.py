@@ -419,7 +419,7 @@ class _Session:
         # a reconnecting node declares where it resumes (protocol.py:
         # Handshake.resume): baseline the tracker there so the prefix
         # an earlier session already carried is not charged as lost.
-        # The payload decoder still awaits a keyframe, so the *windows*
+        # The recovery anchor still awaits a keyframe, so the *windows*
         # resync exactly as a loss would — resume fixes the accounting.
         self.tracker.expected = handshake.resume
         #: the two-tier recovery front-end; wired by the gateway in

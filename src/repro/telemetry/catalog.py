@@ -208,6 +208,14 @@ CATALOG: dict[str, MetricSpec] = {
             "columns per batched solve inside a shard",
         ),
         _spec(
+            "fleet_solve_iterations", HISTOGRAM,
+            "FISTA iterations one window's solve took (every leg)",
+        ),
+        _spec(
+            "fleet_solver_restarts", COUNTER,
+            "momentum restarts taken on the hybrid float32 fast leg",
+        ),
+        _spec(
             "fleet_hybrid_windows", COUNTER,
             "windows solved on the hybrid float32 fast path",
         ),

@@ -432,6 +432,45 @@ class TestFleetTelemetry:
         assert snap.gauge_value("fleet_groups") == 1
         assert snap.counter_value("fleet_group_windows", group="g0") == 4
 
+    def test_inprocess_run_publishes_the_iteration_budget(
+        self, small_config, database
+    ):
+        """The in-process path publishes the solve series a pool
+        worker ships home: one ``fleet_solve_iterations`` observation
+        per window and one solve/width observation per batch on every
+        backend; restart/hybrid/polish counters only where the hybrid
+        legs ran."""
+        from repro.telemetry import MetricsRegistry
+
+        record = database.load("100")
+        for precision, restarted in (("float64", False), ("hybrid", True)):
+            registry = MetricsRegistry()
+            results = FleetDecoder(batch_size=3, telemetry=registry).run(
+                [
+                    StreamTask(
+                        EcgMonitorSystem(small_config, precision=precision),
+                        record,
+                        max_packets=4,
+                    )
+                ]
+            )
+            snap = registry.snapshot()
+            budget = snap.histogram_total("fleet_solve_iterations")
+            assert budget.total == 4
+            assert budget.sum == sum(p.iterations for p in results[0].packets)
+            assert (
+                snap.counter_total("fleet_solver_restarts") > 0
+            ) is restarted
+            assert snap.counter_total("fleet_hybrid_windows") == (
+                4 if restarted else 0
+            )
+            # 4 windows at batch_size=3: two solves, widths 3 + 1
+            assert snap.histogram_total("fleet_solve_seconds").total == 2
+            widths = snap.histogram_total("fleet_solve_width")
+            assert (widths.total, widths.sum) == (2, 4)
+            # easy windows: the residual gate re-solves none of them
+            assert snap.counter_total("fleet_polish_windows") == 0
+
     def test_worker_deltas_absorbed_across_pool(
         self, small_config, database
     ):

@@ -16,13 +16,14 @@ import pytest
 from repro.coding.fec import encode_parity_body
 from repro.core.decoder import PacketPayloadDecoder
 from repro.core.packets import EncodedPacket, PacketKind
-from repro.errors import ConfigurationError, DecodingError, PacketFormatError
+from repro.errors import ConfigurationError, PacketFormatError
 from repro.ingest import (
     HOLD_CAP_EPOCHS,
     FrameKind,
     FrameVerdict,
     LossyChannel,
     LossyLink,
+    ResyncAnchor,
     SequenceTracker,
     StreamRecovery,
     admit_packet,
@@ -130,15 +131,15 @@ class TestAdmitPacket:
         payload = PacketPayloadDecoder(
             system.config, codebook=system.encoder.codebook
         )
-        return SequenceTracker(), payload
+        return SequenceTracker(), ResyncAnchor(), payload
 
     def test_in_order_stream_all_accepted(self, stream):
         system, record = stream
         packets, _ = _packet_frames(system, record, 5)
-        tracker, payload = self._fresh(system)
+        tracker, anchor, payload = self._fresh(system)
         for packet in packets:
             verdict, parsed = admit_packet(
-                tracker, payload, packet.to_bytes()
+                tracker, anchor, packet.to_bytes()
             )
             assert verdict is FrameVerdict.ACCEPT
             payload.decode_payload(parsed)
@@ -147,63 +148,72 @@ class TestAdmitPacket:
     def test_corrupt_frame_triggers_resync(self, stream):
         system, record = stream
         packets, _ = _packet_frames(system, record, 5)
-        tracker, payload = self._fresh(system)
+        tracker, anchor, payload = self._fresh(system)
         verdict, parsed = admit_packet(
-            tracker, payload, packets[0].to_bytes()
+            tracker, anchor, packets[0].to_bytes()
         )
         payload.decode_payload(parsed)
         wire = bytearray(packets[1].to_bytes())
         wire[-1] ^= 0x01
-        verdict, parsed = admit_packet(tracker, payload, bytes(wire))
+        verdict, parsed = admit_packet(tracker, anchor, bytes(wire))
         assert verdict is FrameVerdict.CORRUPT
         assert parsed is None
         assert tracker.accounting.frames_corrupt == 1
-        assert payload.awaiting_keyframe
+        assert not anchor.anchored
         # next good diff reveals the gap and is itself unusable
-        verdict, _ = admit_packet(tracker, payload, packets[2].to_bytes())
+        verdict, _ = admit_packet(tracker, anchor, packets[2].to_bytes())
         assert verdict is FrameVerdict.RESYNC_SKIP
         assert tracker.accounting.windows_lost == 1
         assert tracker.accounting.windows_resynced == 1
         # the keyframe at sequence 4 re-arms the chain
-        verdict, _ = admit_packet(tracker, payload, packets[3].to_bytes())
+        verdict, _ = admit_packet(tracker, anchor, packets[3].to_bytes())
         assert verdict is FrameVerdict.RESYNC_SKIP
         verdict, parsed = admit_packet(
-            tracker, payload, packets[4].to_bytes()
+            tracker, anchor, packets[4].to_bytes()
         )
         assert verdict is FrameVerdict.ACCEPT
         assert parsed.kind is PacketKind.KEYFRAME
         payload.decode_payload(parsed)
-        assert not payload.awaiting_keyframe
+        assert anchor.anchored
 
     def test_duplicate_is_stale(self, stream):
         system, record = stream
         packets, _ = _packet_frames(system, record, 2)
-        tracker, payload = self._fresh(system)
+        tracker, anchor, payload = self._fresh(system)
         for packet in packets:
-            _, parsed = admit_packet(tracker, payload, packet.to_bytes())
+            _, parsed = admit_packet(tracker, anchor, packet.to_bytes())
             payload.decode_payload(parsed)
         verdict, _ = admit_packet(
-            tracker, payload, packets[0].to_bytes()
+            tracker, anchor, packets[0].to_bytes()
         )
         assert verdict is FrameVerdict.STALE
         assert tracker.accounting.frames_duplicate == 1
 
-    def test_decode_payload_guards_resync_misuse(self, stream):
+    def test_gap_charge_leaves_the_codec_reference_alone(self, stream):
+        """Admission runs ahead of decode: charging a gap must not
+        reset the reference an already-accepted packet still needs."""
         system, record = stream
-        packets, _ = _packet_frames(system, record, 2)
-        _, payload = self._fresh(system)
-        payload.decode_payload(packets[0])
-        payload.resync()
-        with pytest.raises(DecodingError, match="resync"):
-            payload.decode_payload(packets[1])
+        packets, _ = _packet_frames(system, record, 4)
+        tracker, anchor, payload = self._fresh(system)
+        accepted = []
+        for packet in (packets[0], packets[1], packets[3]):
+            verdict, parsed = admit_packet(
+                tracker, anchor, packet.to_bytes()
+            )
+            if verdict is FrameVerdict.ACCEPT:
+                accepted.append(parsed)
+        assert [p.sequence for p in accepted] == [0, 1]
+        assert not anchor.anchored
+        for parsed in accepted:  # decoded only after the gap charge
+            payload.decode_payload(parsed)
 
     def test_diff_before_any_keyframe_is_skipped(self, stream):
         """Joining mid-stream (first keyframe lost) must skip diffs,
         not crash."""
         system, record = stream
         packets, _ = _packet_frames(system, record, 3)
-        tracker, payload = self._fresh(system)
-        verdict, _ = admit_packet(tracker, payload, packets[1].to_bytes())
+        tracker, anchor, _ = self._fresh(system)
+        verdict, _ = admit_packet(tracker, anchor, packets[1].to_bytes())
         assert verdict is FrameVerdict.RESYNC_SKIP
         assert tracker.accounting.windows_lost == 1  # the keyframe
         assert tracker.accounting.windows_resynced == 1
@@ -225,12 +235,15 @@ class TestStreamRecovery:
         return tracker, payload, recovery, nacks
 
     @staticmethod
-    def _pump(payload, events):
-        """Decode ACCEPTs exactly as the gateway would; log verdicts."""
+    def _pump(payload, events, decoded=None):
+        """Decode ACCEPTs exactly as the gateway would; log verdicts
+        (and keep the stage-2 output by sequence in ``decoded``)."""
         log = []
         for verdict, packet in events:
             if verdict is FrameVerdict.ACCEPT:
-                payload.decode_payload(packet)
+                y_q = payload.decode_payload(packet)
+                if decoded is not None:
+                    decoded[packet.sequence] = y_q
             log.append(
                 (verdict, None if packet is None else packet.sequence)
             )
@@ -496,6 +509,82 @@ class TestStreamRecovery:
             + accounting.windows_resynced
             == len(packets)
         )
+
+    def _clean_reference(self, system, packets):
+        """Stage-2 output of the undamaged stream, by sequence."""
+        payload = PacketPayloadDecoder(
+            system.config, codebook=system.encoder.codebook
+        )
+        return [payload.decode_payload(packet) for packet in packets]
+
+    def test_give_up_behind_accepted_packets_keeps_the_stream(self, stream):
+        """Regression: a give-up drains the whole held run before the
+        caller decodes any of it.  Sequence 1 (a retransmit-filled
+        difference packet, accepted) sat ahead of the abandoned gap at
+        2; charging that gap used to reset the codec under it, and
+        decoding it then raised "difference packet received before any
+        keyframe" — ending the link and every window after it."""
+        system, record = stream
+        packets, _ = _packet_frames(system, record, 6)
+        reference = self._clean_reference(system, packets)
+        _, payload, recovery, _ = self._fresh(system)
+        decoded = {}
+
+        def pump(events):
+            return self._pump(payload, events, decoded)
+
+        # 1 and 2 lost; 3 opens the hold, the retransmit of 1 fills
+        # half the gap, the retransmit of 2 never arrives
+        log = []
+        for index in (0, 3, 1, 4, 5):
+            log += pump(recovery.on_packet(packets[index].to_bytes()))
+        assert log == [(FrameVerdict.ACCEPT, 0)]
+        log = pump(recovery.bye(len(packets))) + pump(recovery.close())
+        assert log == [
+            (FrameVerdict.ACCEPT, 1),
+            (FrameVerdict.RESYNC_SKIP, 3),
+            (FrameVerdict.ACCEPT, 4),
+            (FrameVerdict.ACCEPT, 5),
+        ]
+        accounting = recovery.tracker.accounting
+        assert accounting.windows_lost == 1
+        assert accounting.windows_resynced == 1
+        assert len(decoded) + accounting.windows_damaged == len(packets)
+        for sequence, y_q in decoded.items():
+            np.testing.assert_array_equal(y_q, reference[sequence])
+
+    def test_give_up_ending_on_a_gap_stays_resynced(self, stream):
+        """The same drain, ending on a fresh gap: the run's last
+        keyframe (16) is admitted *before* the gap at 17 is charged but
+        decoded *after* it.  Decoding it must not re-anchor the
+        stream — the next difference packet (19) would be accepted and
+        applied to the wrong reference, silently."""
+        system, record = stream
+        interval = system.config.keyframe_interval
+        total = HOLD_CAP_EPOCHS * interval + 4
+        packets, _ = _packet_frames(system, record, total)
+        reference = self._clean_reference(system, packets)
+        _, payload, recovery, _ = self._fresh(system)
+        decoded = {}
+        log = []
+        # 1 and 17 lost, no parity, no retransmit: 18 fills the hold cap
+        for index in [0, *range(2, 17), 18, 19]:
+            log += self._pump(
+                payload,
+                recovery.on_packet(packets[index].to_bytes()),
+                decoded,
+            )
+        assert not recovery.holding
+        assert log[-3:] == [
+            (FrameVerdict.ACCEPT, 16),
+            (FrameVerdict.RESYNC_SKIP, 18),
+            (FrameVerdict.RESYNC_SKIP, 19),
+        ]
+        accounting = recovery.tracker.accounting
+        assert accounting.windows_lost == 2
+        assert len(decoded) + accounting.windows_damaged == total
+        for sequence, y_q in decoded.items():
+            np.testing.assert_array_equal(y_q, reference[sequence])
 
 
 class TestLossyLink:
@@ -794,6 +883,72 @@ class TestReplaySurvivors:
         reference = payload.measurement_block(packets, np.float64)
         for index, (_, column) in enumerate(accepted):
             np.testing.assert_array_equal(column, reference[:, index])
+
+
+def test_give_up_scenario_live_matches_replay(paper_config):
+    """Regression, the scenario the e2e benchmark found: record 100,
+    48 paper-point windows, ``fec`` on, ``LossyChannel(loss=0.05,
+    reorder=0.1, seed=2011)``.  The retransmit of sequence 21 is lost,
+    so recovery gives up at BYE with the already-accepted 20 at the
+    head of the held run; the link used to end in a ``DecodingError``
+    after 20 acks, live and in :func:`replay_survivors` alike.  Now it
+    costs one keyframe resync and both sides keep identical books."""
+    import asyncio
+
+    from repro.core import EcgMonitorSystem
+    from repro.ecg import SyntheticMitBih
+    from repro.ingest import IngestGateway, NodeClient
+
+    windows = 48
+    record = SyntheticMitBih(duration_s=2.0 * windows + 4.0).load("100")
+    system = EcgMonitorSystem(paper_config, precision="hybrid")
+    system.calibrate(record)
+
+    async def run():
+        gateway = IngestGateway(batch_size=16, flush_ms=50.0)
+        reader, writer = gateway.connect_local()
+        client = NodeClient(
+            system,
+            record,
+            max_packets=windows,
+            interval_s=0.02,  # paced: NACKs are answered between sends
+            lossy_channel=LossyChannel(loss=0.05, reorder=0.1, seed=2011),
+            fec=True,
+        )
+        await asyncio.wait_for(client.run(reader, writer), timeout=60.0)
+        while gateway._conn_tasks:
+            await asyncio.gather(
+                *list(gateway._conn_tasks), return_exceptions=True
+            )
+        await gateway.close()
+        return gateway.results[0].ordered(), client.last_link
+
+    result, link = asyncio.run(run())
+    assert result.error is None
+    damaged = result.windows_lost + result.windows_resynced
+    assert result.windows_lost >= 1  # recovery did give up
+    assert damaged <= paper_config.keyframe_interval
+    assert result.num_windows + damaged == windows
+
+    accepted, accounting = replay_survivors(
+        paper_config,
+        system.encoder.codebook,
+        link.stats.delivered_frames,
+        windows_sent=windows,
+        fec=True,
+        nack_budget=8,
+    )
+    assert result.sequences == [sequence for sequence, _ in accepted]
+    assert result.windows_lost == accounting.windows_lost
+    assert result.windows_resynced == accounting.windows_resynced
+    assert (
+        result.windows_recovered_parity
+        == accounting.windows_recovered_parity
+    )
+    assert (
+        result.windows_recovered_retransmit
+        == accounting.windows_recovered_retransmit
+    )
 
 
 def test_lossy_link_exported():

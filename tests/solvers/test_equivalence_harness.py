@@ -467,10 +467,17 @@ class TestFleetEquivalence:
             series["name"]: series["value"]
             for series in out["telemetry"]["counters"]
         }
-        assert by_name["fleet_hybrid_windows"] == (
-            encoded_block["block"].shape[1]
-        )
+        windows = encoded_block["block"].shape[1]
+        assert by_name["fleet_hybrid_windows"] == windows
         assert "fleet_polish_windows" in by_name
+        assert by_name["fleet_solver_restarts"] > 0
+        (budget,) = [
+            series
+            for series in out["telemetry"]["histograms"]
+            if series["name"] == "fleet_solve_iterations"
+        ]
+        assert budget["total"] == windows
+        assert budget["sum"] == out["iterations"].sum()
 
     def test_fleet_hybrid_prd_matches_float64(self, database):
         config = SystemConfig(

@@ -45,6 +45,11 @@ class TestCatalogShape:
         assert spec_for("ingest_windows_decoded").kind == COUNTER
         assert spec_for("no_such_metric") is None
 
+    def test_solve_budget_series_are_pinned(self):
+        assert spec_for("fleet_solve_iterations").kind == HISTOGRAM
+        assert spec_for("fleet_solver_restarts").kind == COUNTER
+        assert not spec_for("fleet_solve_iterations").labels
+
 
 class TestHelpExposition:
     def test_help_lines_precede_type_lines(self):
