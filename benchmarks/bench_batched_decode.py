@@ -229,7 +229,7 @@ def test_raw_speed_levers(decode_workload, batched_bench):
     hybrid = EcgMonitorSystem(config, precision="hybrid")
     hybrid.decoder.codebook = system.encoder.codebook
     decoder = hybrid.decoder
-    solver = decoder.batched_solver()
+    solver = decoder.resources.solver
     structure = solver.structure
     block = decoder.payload.measurement_block(packets, np.float64)
     assert block.shape[1] == TOTAL_WINDOWS
@@ -272,7 +272,7 @@ def test_raw_speed_levers(decode_workload, batched_bench):
             )
             result = plain.solve(piece, lams, **kwargs)
             signals.append(
-                decoder.transform.inverse_batch(result.coefficients)
+                decoder.resources.transform.inverse_batch(result.coefficients)
             )
             iterations.append(result.iterations)
         return signals, np.concatenate(iterations)

@@ -43,13 +43,13 @@ def test_fig7_series(
     system.decoder.reset()
     measurements = system.decoder._decode_payload(packet)
     y = system.decoder.quantizer.dequantize(measurements)
-    a = system.decoder.system_matrix
+    a = system.decoder.resources.solver.operator
     lam = lambda_from_fraction(a, y, system.config.lam)
 
     def solve_100_iterations():
         return fista(
             a, y, lam, max_iterations=100, tolerance=1e-12,
-            lipschitz=system.decoder.lipschitz,
+            lipschitz=system.decoder.resources.solver.lipschitz,
         )
 
     benchmark.pedantic(solve_100_iterations, rounds=5, iterations=1)
@@ -86,7 +86,7 @@ def test_fig7_series(
 
 def test_fig7_iteration_kernel(benchmark, paper_point_system):
     """One matrix-vector pair (the per-iteration hot path)."""
-    a = paper_point_system.decoder.system_matrix
+    a = paper_point_system.decoder.resources.solver.operator
     n = a.shape[1]
     alpha = np.ones(n, dtype=a.dtype)
 

@@ -22,8 +22,8 @@ Two tentpole claims over the PR-1 batched engine
 
 A third claim rides along since the raw-speed solver pass: the
 **hybrid precision backend** (``precision="hybrid"``) decodes the same
-pooled fleet faster than float64 at equivalent PRD, and the per-worker
-solver cache (``_WORKER_RESOURCES``) hands repeated
+pooled fleet faster than float64 at equivalent PRD, and the per-process
+operator cache (``repro.core.decoder.resources_for``) hands repeated
 ``solve_measurement_block`` tasks the *same* solver instance with its
 workspace arenas at a fixed point — steady-state fleet serving
 allocates no new scratch per task.  These land as the ``hybrid``
@@ -48,8 +48,9 @@ from repro.core import EcgMonitorSystem
 from repro.core.batch import stream_batched
 from repro.ecg import RECORD_NAMES, SyntheticMitBih
 from repro.experiments import render_table
+from repro.core.decoder import resources_for
 from repro.fleet import FleetDecoder, StreamTask, operator_key
-from repro.fleet.engine import _group_resources, solve_measurement_block
+from repro.fleet.engine import solve_measurement_block
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -356,10 +357,10 @@ def test_fleet_hybrid_backend(pooled_workload, fleet_bench):
         "tolerance": config.tolerance,
     }
     first = solve_measurement_block(task)
-    solver, _transform = _group_resources(config, "hybrid")
+    solver = resources_for(config, "hybrid").solver
     arenas = {key: id(buf) for key, buf in solver.workspace._arenas.items()}
     second = solve_measurement_block(task)
-    cached_solver, _transform = _group_resources(config, "hybrid")
+    cached_solver = resources_for(config, "hybrid").solver
     worker_cache_reuse = cached_solver is solver and arenas == {
         key: id(buf) for key, buf in solver.workspace._arenas.items()
     }

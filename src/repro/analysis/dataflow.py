@@ -199,6 +199,11 @@ def annotation_kind(annotation: ast.expr | None) -> str | tuple:
             inner = annotation.slice
             if not isinstance(inner, ast.Tuple):
                 return annotation_kind(inner)
+        if tail in ("dict", "mapping") and isinstance(
+            annotation.slice, ast.Tuple
+        ):
+            # a mapping is tainted by its values, like a dict display
+            return annotation_kind(annotation.slice.elts[-1])
     if isinstance(annotation, ast.BinOp) and isinstance(
         annotation.op, ast.BitOr
     ):

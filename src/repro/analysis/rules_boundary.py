@@ -1,17 +1,16 @@
 """RL009: only rebuild-from-seed material crosses a process boundary.
 
 PR 2's fleet design — and the gateway's process-pool path after it —
-rests on one invariant: a worker never receives a matrix.  Group tasks
-carry wire bytes, scalar config dicts, Huffman codebooks and seeds;
-the worker rebuilds ``A = Phi Psi^-1`` from the seed and caches it.
-Ship an ndarray or a whole operator instead and the pickle cost
-quietly eats the sharding win (and a future non-picklable operator
-breaks the pool outright).  This rule checks it statically: at every
-process-dispatch site, each argument's inferred kind
-(:mod:`repro.analysis.dataflow`) must stay off the violation list
-(``f32-array``/``f64-array``/``ndarray-unknown``/``operator``), and
-the submitted callable must not be a lambda or a nested function (a
-closure does not pickle).
+rests on one invariant: a worker never receives a matrix.  Tasks carry
+scalar config dicts and seeds; the worker rebuilds ``A = Phi Psi^-1``
+from the seed and caches it.  Ship a whole operator (or an ndarray
+nobody sized) instead and the pickle cost quietly eats the sharding
+win (and a future non-picklable operator breaks the pool outright).
+This rule checks it statically: at every process-dispatch site, each
+argument's inferred kind (:mod:`repro.analysis.dataflow`) must stay
+off the violation list (``f32-array``/``f64-array``/
+``ndarray-unknown``/``operator``), and the submitted callable must not
+be a lambda or a nested function (a closure does not pickle).
 
 Dispatch sites recognized:
 
@@ -21,15 +20,18 @@ Dispatch sites recognized:
   containing ``pool``/``process`` (but not ``thread``);
 - ``loop.run_in_executor(executor, fn, *args)`` when the executor
   expression names a process pool (``None`` and ``*thread*``
-  executors do not pickle — exempt);
-- ``*._pool_map(fn, tasks, ...)`` — the fleet engine's dispatch
-  helper.
+  executors do not pickle — exempt).
 
-The column-sharded fleet layout and the gateway's batch hand-off
-intentionally ship pooled *measurement columns* (kilobytes of float
-data, stages 1–2 having run in the parent): those sites carry a
-justified ``disable=RL009`` rather than an allowlist hole, so every
-new array crossing is a conscious decision.
+The stack has exactly one such site:
+:meth:`repro.fleet.executor.SolveExecutor.submit`, the seam both the
+fleet engine and the live gateway dispatch through.  Its ``task``
+parameter is annotated with what a solve task holds (a ``dict`` whose
+values include ``np.ndarray`` — annotations seed the kind analysis),
+so the rule sees the pooled *measurement columns* (kilobytes of float
+data, stages 1-2 having run in the caller) that cross there by design;
+the site carries the stack's one justified ``disable=RL009``, and a
+second pool anywhere is a new finding — every new array crossing stays
+a conscious decision.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ _POOL_METHODS = frozenset(
 _POOL_FACTORY_TAILS = frozenset({"Pool", "ProcessPoolExecutor"})
 
 
-def _names_process_pool(name: str) -> bool:
+def _names_pool_of_processes(name: str) -> bool:
     lowered = name.lower()
     if "thread" in lowered:
         return False
@@ -128,15 +130,12 @@ class ProcessBoundaryRule(Rule):
             executor_name = dotted_name(executor) or ""
             if isinstance(executor, ast.Constant) and executor.value is None:
                 return None  # default thread pool: no pickling
-            if not _names_process_pool(executor_name):
+            if not _names_pool_of_processes(executor_name):
                 return None
             fn = call.args[1] if len(call.args) > 1 else None
             return fn, list(call.args[2:])
-        if method == "_pool_map":
-            fn = call.args[0] if call.args else None
-            return fn, list(call.args[1:2])
         if method in _POOL_METHODS:
-            if not (receiver in pools or _names_process_pool(receiver)):
+            if not (receiver in pools or _names_pool_of_processes(receiver)):
                 return None
             fn = call.args[0] if call.args else None
             return fn, list(call.args[1:])

@@ -130,13 +130,12 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "shard the decode across this many processes: whole operator "
-            "groups when there are >= 2, batch-aligned column slices "
-            "within the group when the fleet shares one matrix. Falls "
+            "solve batch-aligned column slices of every operator "
+            "group's pooled windows on this many processes. Falls "
             "back to a single process — with a warning naming the "
             "reason — when omitted/0/1, when the only group's windows "
             "fit a single batch, or when the platform cannot start a "
-            "multiprocessing pool"
+            "process pool"
         ),
     )
     fleet.add_argument(
@@ -460,8 +459,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     ]
     # --groups 1: every node ships the paper's shared fixed matrix ->
     # one operator group, the scheduler pools all streams into joint
-    # solves; --groups >= 2 spreads seeds so workers have groups to
-    # shard across
+    # solves; --groups >= 2 spreads seeds over that many operators
     tasks = []
     for index, name in enumerate(names):
         record = database.load(name)

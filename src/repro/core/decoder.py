@@ -10,18 +10,22 @@ Three stages mirroring the encoder:
 
 The decoder supports float64 (the paper's Matlab reference) and float32
 (the iPhone build); Figure 6 overlays the two.  The dense system
-operator and its Lipschitz constant are computed once on first use and
-cached for the decoder's lifetime (the sensing matrix is fixed),
-exactly as an embedded decoder would precompute them offline — lazily,
-so a fleet of per-stream decoders sharing one operator group does not
-pay the precompute per stream.
+operator and its Lipschitz constant depend only on the fixed sensing
+matrix and wavelet basis, so they are built once per
+:func:`operator_key` and shared process-wide through
+:func:`resources_for` — by every decoder, every fleet slice and every
+gateway flush — exactly as an embedded decoder would precompute them
+offline.  :func:`solve_block` is the one kernel that turns a measurement
+block into reconstructed signals against such a cached operator.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +35,13 @@ from ..errors import ConfigurationError, DecodingError
 from ..sensing import SparseBinaryMatrix
 from ..solvers import (
     BatchedFista,
+    BatchedSolverResult,
+    HybridSolveResult,
     SolverResult,
     StructuredOperator,
     fista,
     lambda_from_fraction,
 )
-from ..solvers.lipschitz import lipschitz_constant
 from ..wavelet import WaveletTransform
 from .packets import EncodedPacket, PacketKind, unpack_keyframe_values
 from .quantizer import MeasurementQuantizer
@@ -48,10 +53,9 @@ class PacketPayloadDecoder:
     Everything *before* the FISTA solve — Huffman decoding, closed-loop
     difference reconstruction and dequantization — is per-stream state
     (codebook, reference vector) that never touches the dense system
-    operator.  Splitting it out lets a fleet worker keep one of these
-    per stream while sharing a single operator/Lipschitz precomputation
-    per sensing-operator group (see :mod:`repro.fleet`), and lets the
-    worker be constructed without materializing ``A = Phi Psi`` at all.
+    operator.  Splitting it out lets the fleet and the gateway keep one
+    of these per stream and pool only their output columns into solves
+    shared per sensing-operator group (see :mod:`repro.fleet`).
     """
 
     def __init__(
@@ -119,6 +123,141 @@ class DecodedPacket:
         return self.solver.iterations
 
 
+# ----------------------------------------------------------------------
+# The shared solve path: operator identity, cache, kernel.
+# ----------------------------------------------------------------------
+
+def operator_key(config: SystemConfig, precision: str = "float64") -> tuple:
+    """Identity of the dense system operator a decoder iterates against.
+
+    Two streams with equal keys share ``A = Phi Psi^-1`` and therefore
+    its Lipschitz constant and contiguous-transpose precomputations.
+    Per-lead seeds (see
+    :class:`~repro.core.multichannel.MultiChannelMonitor`) land each
+    lead in its own group; a fleet of nodes shipping the paper's shared
+    fixed matrix all land in one.
+    """
+    return (
+        config.n,
+        config.m,
+        config.d,
+        config.seed,
+        config.wavelet,
+        config.levels,
+        precision,
+    )
+
+
+@dataclass
+class SolveResources:
+    """One operator's solver + synthesis pair, as cached.
+
+    ``lock`` enforces the one-caller rule of
+    :class:`~repro.solvers.batched.BatchedFista` (it iterates in an
+    instance-level workspace): :func:`solve_block` holds it for the
+    duration of a solve, and nothing else may call ``solver.solve*``
+    on a cached instance.
+    """
+
+    precision: str
+    solver: BatchedFista
+    transform: WaveletTransform
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+#: operators kept per process: a hybrid entry at the paper point is
+#: ~6 MB and a rebuild 10-16 ms, so a small cap bounds what distinct
+#: (node-supplied) configs can pin at no cost to a steady fleet
+OPERATOR_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def build_resources(
+    n: int,
+    m: int,
+    d: int,
+    seed: int,
+    wavelet: str,
+    levels: int | None,
+    precision: str,
+) -> SolveResources:
+    """The one operator builder, memoized on :func:`operator_key`.
+
+    Materializes ``A = Phi Psi`` densely (at N = 512 the fastest
+    representation for the numerical sweeps; the embedded cost models
+    account for the matrix-free structure instead) and binds a batched
+    solver to it — for ``"hybrid"`` through a
+    :class:`~repro.solvers.sparse_apply.StructuredOperator` (sparse
+    ``Phi`` gather kernels + both-precision dense pair), which makes
+    the structured pipeline available.  The bounded LRU is the
+    process-wide operator cache (each pool worker has its own;
+    ``build_resources.cache_info()`` counts its hits and builds): an
+    evicted entry stays valid for whoever still holds it, and the next
+    call rebuilds it bit-identically from the seed.
+    """
+    matrix = SparseBinaryMatrix(m, n, d=d, seed=seed)
+    transform = WaveletTransform(n, wavelet, levels)
+    if precision == "hybrid":
+        structure = StructuredOperator(matrix, transform.synthesis_matrix())
+        solver = BatchedFista(
+            structure.dense64,
+            lipschitz=structure.lipschitz,
+            structure=structure,
+        )
+    else:
+        dtype = np.float32 if precision == "float32" else np.float64
+        dense = (matrix.sparse() @ transform.synthesis_matrix()).astype(dtype)
+        solver = BatchedFista(dense)
+    return SolveResources(precision, solver, transform)
+
+
+def resources_for(config: SystemConfig, precision: str) -> SolveResources:
+    """The cached resources of ``config``'s operator: what every
+    :class:`CSDecoder`, fleet slice and gateway flush solves against,
+    so an operator pays its dense build and Lipschitz estimate once
+    however many streams share it."""
+    return build_resources(*operator_key(config, precision))
+
+
+def solve_block(
+    resources: SolveResources,
+    block: np.ndarray,
+    fractions: np.ndarray | float,
+    max_iterations: int,
+    tolerance: float,
+) -> tuple[np.ndarray, BatchedSolverResult | HybridSolveResult]:
+    """Reconstruct one ``(m, B)`` measurement block: the decode kernel.
+
+    ``block`` holds the float64 columns ``dequantize`` returns; the
+    cast to the operator's precision happens here, once.  ``"hybrid"``
+    solves through the structured pipeline (restarted float32 fast
+    path + sparse residual gate + float64 polish), which owns
+    synthesis; the dense backends synthesize via the batched inverse
+    transform.  Returns ``(n, B)`` float64 signals without dc offset
+    and the solver's per-column result.  Concurrent callers of one
+    cached operator serialize on its lock.
+    """
+    solver = resources.solver
+    with resources.lock:
+        if resources.precision == "hybrid":
+            result = solver.solve_structured(
+                block,
+                fractions,
+                max_iterations=max_iterations,
+                tolerance=tolerance,
+            )
+            return result.signals, result
+        ys = np.asarray(block, dtype=solver.operator.dtype)
+        result = solver.solve(
+            ys,
+            solver.lambdas(ys, fractions),
+            max_iterations=max_iterations,
+            tolerance=tolerance,
+        )
+        signals = resources.transform.inverse_batch(result.coefficients)
+        return np.asarray(signals, dtype=np.float64), result
+
+
 class CSDecoder:
     """Compressed-sensing ECG decoder for one lead.
 
@@ -137,11 +276,6 @@ class CSDecoder:
         column, and a float64 polish re-solve for any column whose
         relative residual leaves the fig-6 corridor (see
         :func:`~repro.solvers.batched.structured_batched_fista`).
-    warm_start:
-        Reuse the previous packet's wavelet coefficients as the FISTA
-        starting point (off by default: the paper decodes each packet
-        independently).  Not supported with ``"hybrid"`` (the polish
-        re-solve would break the per-stream coefficient chain).
     """
 
     def __init__(
@@ -149,44 +283,21 @@ class CSDecoder:
         config: SystemConfig,
         codebook: Codebook | None = None,
         precision: str = "float64",
-        warm_start: bool = False,
     ) -> None:
         if precision not in ("float64", "float32", "hybrid"):
             raise ConfigurationError(
                 f"precision must be 'float64', 'float32' or 'hybrid', "
                 f"got {precision!r}"
             )
-        if precision == "hybrid" and warm_start:
-            raise ConfigurationError(
-                "warm_start is not supported with precision='hybrid'"
-            )
         self.config = config
         self.precision = precision
-        self.warm_start = warm_start
         self.payload = PacketPayloadDecoder(config, codebook=codebook)
-
-        self._matrix = SparseBinaryMatrix(
-            config.m, config.n, d=config.d, seed=config.seed
-        )
-        self.transform = WaveletTransform(config.n, config.wavelet, config.levels)
-        # Dense materialization of A = Phi Psi (at N = 512 the fastest
-        # representation for the numerical sweeps; the embedded cost
-        # models account for the matrix-free structure instead) is
-        # *lazy*: it and its Lipschitz estimate are built on first use.
-        # A fleet run constructs one decoder per stream but iterates
-        # only one operator per group — eager per-decoder builds would
-        # pay the group's precompute once per stream.
-        self._system_cache: np.ndarray | None = None
-        self._lipschitz_cache: float | None = None
         self.dc_offset = 1 << (config.adc_bits - 1)
-        self._previous_alpha: np.ndarray | None = None
-        self._batched_solver: BatchedFista | None = None
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Drop stream state (reference vector and warm-start memory)."""
+        """Drop stream state (the inter-packet reference vector)."""
         self.payload.reset()
-        self._previous_alpha = None
 
     # stages 1-2 live on the payload decoder; these aliases keep the
     # historical attribute surface (tests and ablations poke them)
@@ -217,54 +328,17 @@ class CSDecoder:
     def quantizer(self, value: MeasurementQuantizer) -> None:
         self.payload.quantizer = value
 
+    # stage 3's operator is shared, not owned: fetched from the
+    # process-wide cache on use, so constructing a decoder builds
+    # nothing and a fleet of per-stream decoders on one operator group
+    # pays its precompute once
     @property
-    def system_matrix(self) -> np.ndarray:
-        """The dense system operator ``A = Phi Psi`` (decoder precision)."""
-        if self._system_cache is None:
-            dtype = np.float32 if self.precision == "float32" else np.float64
-            self._system_cache = (
-                self._matrix.sparse() @ self.transform.synthesis_matrix()
-            ).astype(dtype)
-        return self._system_cache
-
-    @property
-    def lipschitz(self) -> float:
-        """Precomputed Lipschitz constant of the data-fidelity gradient."""
-        if self._lipschitz_cache is None:
-            self._lipschitz_cache = lipschitz_constant(
-                self.system_matrix.astype(np.float64)
-            )
-        return self._lipschitz_cache
-
-    def batched_solver(self) -> BatchedFista:
-        """The (lazily built) batched solver for this decoder's backend.
-
-        For ``"hybrid"`` precision the solver is bound to a
-        :class:`~repro.solvers.sparse_apply.StructuredOperator` (sparse
-        ``Phi`` gather kernels + both-precision dense pair) so
-        :meth:`~repro.solvers.batched.BatchedFista.solve_structured`
-        is available; otherwise a plain dense-operator solver.  Shared
-        by :meth:`decode_batch` and the fleet's in-process group path,
-        so the operator/Lipschitz precompute is paid once per decoder.
-        """
-        if self._batched_solver is None:
-            if self.precision == "hybrid":
-                structure = StructuredOperator(
-                    self._matrix,
-                    self.transform.synthesis_matrix(),
-                    dense=self.system_matrix,
-                    lipschitz=self.lipschitz,
-                )
-                self._batched_solver = BatchedFista(
-                    structure.dense64,
-                    lipschitz=structure.lipschitz,
-                    structure=structure,
-                )
-            else:
-                self._batched_solver = BatchedFista(
-                    self.system_matrix, lipschitz=self.lipschitz
-                )
-        return self._batched_solver
+    def resources(self) -> SolveResources:
+        """This decoder's (shared, cached) solver + synthesis pair:
+        ``solver.operator`` is the dense ``A = Phi Psi`` in the
+        decoder's precision, ``solver.lipschitz`` its gradient's
+        precomputed Lipschitz constant."""
+        return resources_for(self.config, self.precision)
 
     # ------------------------------------------------------------------
     def _decode_payload(self, packet: EncodedPacket) -> np.ndarray:
@@ -273,52 +347,33 @@ class CSDecoder:
 
     def decode(self, packet: EncodedPacket) -> DecodedPacket:
         """Full decode of one packet into reconstructed adu samples."""
+        resources = self.resources
+        if resources.solver.structure is not None:
+            # the structured backend is inherently batched; a serial
+            # decode is a width-1 block through the same kernel
+            return self.decode_batch([packet])[0]
+        # the paper's serial reference (figs 6/7): scalar FISTA against
+        # the same cached operator, private buffers (no lock needed)
         started = time.perf_counter()
         y_q = self._decode_payload(packet)
-        y = self.quantizer.dequantize(y_q)
-        if self.precision == "hybrid":
-            # the structured backend is inherently batched; a serial
-            # decode is a width-1 block through the same pipeline
-            result = self.batched_solver().solve_structured(
-                np.asarray(y, dtype=np.float64)[:, None],
-                self.config.lam,
-                max_iterations=self.config.max_iterations,
-                tolerance=self.config.tolerance,
-            )
-            samples = result.signals[:, 0] + self.dc_offset
-            return DecodedPacket(
-                sequence=packet.sequence,
-                samples_adu=samples,
-                measurements=np.asarray(y, dtype=np.float64),
-                solver=result.per_column(0),
-                decode_seconds=time.perf_counter() - started,
-            )
-        dtype = np.float32 if self.precision == "float32" else np.float64
-        y = y.astype(dtype)
-
-        lam = lambda_from_fraction(self.system_matrix, y, self.config.lam)
-        x0 = self._previous_alpha if self.warm_start else None
+        operator = resources.solver.operator
+        y = self.quantizer.dequantize(y_q).astype(operator.dtype)
         result = fista(
-            self.system_matrix,
+            operator,
             y,
-            lam=lam,
+            lam=lambda_from_fraction(operator, y, self.config.lam),
             max_iterations=self.config.max_iterations,
             tolerance=self.config.tolerance,
-            lipschitz=self.lipschitz,
-            x0=x0,
+            lipschitz=resources.solver.lipschitz,
         )
-        if self.warm_start:
-            self._previous_alpha = result.coefficients
-
-        signal = self.transform.inverse(result.coefficients)
+        signal = resources.transform.inverse(result.coefficients)
         samples = np.asarray(signal, dtype=np.float64) + self.dc_offset
-        elapsed = time.perf_counter() - started
         return DecodedPacket(
             sequence=packet.sequence,
             samples_adu=samples,
             measurements=np.asarray(y, dtype=np.float64),
             solver=result,
-            decode_seconds=elapsed,
+            decode_seconds=time.perf_counter() - started,
         )
 
     def decode_batch(
@@ -329,77 +384,31 @@ class CSDecoder:
         Entropy decoding and redundancy re-insertion stay sequential
         (they are stateful and cheap); the measurement vectors are then
         stacked into an ``(m, B)`` matrix and reconstructed by
-        :class:`~repro.solvers.batched.BatchedFista` with per-column
-        regularization weights and convergence masking, followed by one
-        batched inverse wavelet synthesis.  Per-packet results match
-        :meth:`decode` to solver floating-point noise (identical
-        iteration counts, reconstructions equal to ~1e-9).
-
-        With ``warm_start`` enabled, every column starts from the last
-        coefficients solved before this batch (the serial path warm
-        starts each packet from its immediate predecessor, which a
-        parallel solve cannot reproduce), and the final column is
-        retained for the next batch.
+        :func:`solve_block` with per-column regularization weights and
+        convergence masking.  Per-packet results match :meth:`decode`
+        to solver floating-point noise (identical iteration counts,
+        reconstructions equal to ~1e-9).
         """
         packets = list(packets)
         if not packets:
             return []
         started = time.perf_counter()
-        dtype = np.float32 if self.precision == "float32" else np.float64
-        measurements = self.payload.measurement_block(packets, dtype)
-        solver = self.batched_solver()
-
-        if self.precision == "hybrid":
-            result = solver.solve_structured(
-                measurements,
-                self.config.lam,
-                max_iterations=self.config.max_iterations,
-                tolerance=self.config.tolerance,
-            )
-            samples = result.signals + self.dc_offset
-            elapsed = time.perf_counter() - started
-            per_packet_seconds = elapsed / len(packets)
-            return [
-                DecodedPacket(
-                    sequence=packet.sequence,
-                    samples_adu=samples[:, column].copy(),
-                    measurements=np.asarray(
-                        measurements[:, column], dtype=np.float64
-                    ),
-                    solver=result.per_column(column),
-                    decode_seconds=per_packet_seconds,
-                )
-                for column, packet in enumerate(packets)
-            ]
-
-        lams = solver.lambdas(measurements, self.config.lam)
-        x0 = None
-        if self.warm_start and self._previous_alpha is not None:
-            x0 = np.repeat(
-                self._previous_alpha[:, None], len(packets), axis=1
-            )
-        batch_result = solver.solve(
+        measurements = self.payload.measurement_block(packets, np.float64)
+        signals, result = solve_block(
+            self.resources,
             measurements,
-            lams,
-            max_iterations=self.config.max_iterations,
-            tolerance=self.config.tolerance,
-            x0=x0,
+            self.config.lam,
+            self.config.max_iterations,
+            self.config.tolerance,
         )
-        if self.warm_start:
-            self._previous_alpha = batch_result.coefficients[:, -1].copy()
-
-        signals = self.transform.inverse_batch(batch_result.coefficients)
-        samples = np.asarray(signals, dtype=np.float64) + self.dc_offset
-        elapsed = time.perf_counter() - started
-        per_packet_seconds = elapsed / len(packets)
+        samples = signals + self.dc_offset
+        per_packet_seconds = (time.perf_counter() - started) / len(packets)
         return [
             DecodedPacket(
                 sequence=packet.sequence,
                 samples_adu=samples[:, column].copy(),
-                measurements=np.asarray(
-                    measurements[:, column], dtype=np.float64
-                ),
-                solver=batch_result.per_column(column),
+                measurements=measurements[:, column],
+                solver=result.per_column(column),
                 decode_seconds=per_packet_seconds,
             )
             for column, packet in enumerate(packets)

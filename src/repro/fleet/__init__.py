@@ -1,4 +1,4 @@
-"""Fleet decode: operator-keyed cross-stream batching, sharded workers.
+"""Fleet decode: operator-keyed cross-stream batching on one solve path.
 
 The paper's phone-side decoder is the system bottleneck, and the
 batched engine of :mod:`repro.core.batch` only amortizes it *within*
@@ -14,40 +14,38 @@ Architecture
 **Operator-group keying.**  A batched FISTA solve iterates one dense
 operator ``A = Phi Psi^-1`` over an ``(m, B)`` block, so only streams
 with the *same* sensing matrix and wavelet basis can share a batch.
-:func:`~repro.fleet.scheduler.operator_key` captures that identity
+:func:`~repro.core.decoder.operator_key` captures that identity
 (``n``, ``m``, ``d``, seed, wavelet, levels, precision): per-lead
 sensing seeds put each lead of a
 :class:`~repro.core.multichannel.MultiChannelMonitor` in its own group,
 while a fleet of nodes shipping the paper's shared fixed matrix
-collapses into one.  Per group, the engine keeps exactly one operator,
+collapses into one.  Per group, a process keeps exactly one operator,
 one Lipschitz estimate, one contiguous transpose and one iteration
-workspace; batches are filled to the target width *across* the group's
-streams, so ragged per-stream tails merge into full-width solves.
+workspace (the shared bounded cache behind
+:func:`~repro.core.decoder.resources_for`); batches are filled to the
+target width *across* the group's streams, so ragged per-stream tails
+merge into full-width solves.
 Per-stream state that cannot be shared — Huffman codebook, closed-loop
 difference reference, lambda fraction, dc offset — stays with each
 stream's :class:`~repro.core.decoder.PacketPayloadDecoder`, and decoded
 windows are routed back to their originating
 :class:`~repro.core.system.StreamResult` in order.
 
-**No-matrix-pickling workers.**  With ``workers >= 2``, the work is
-partitioned across a ``multiprocessing`` pool in one of two layouts.
-With two or more operator groups, whole groups are sharded: a group
-task serializes only primitives — each stream's scalar config fields,
-its (kilobyte-scale) codebook and its packets as wire bytes, the same
-integer payloads the radio carries.  With exactly one group (the
-paper's fleet: every node ships the same fixed matrix), sharding
-whole groups would serialize on one process's BLAS, so the engine
-shards *within* the group instead: stages 1-2 run in the parent and
-the pooled column stream is split into batch-aligned contiguous
-slices, one per worker (:func:`~repro.fleet.engine.split_batches` /
-:func:`~repro.fleet.engine.solve_measurement_block`).  In both
-layouts workers rebuild the dense operator from the seed once per
-operator group and cache it for the life of the process, so no matrix
-is ever pickled in either direction; only decoded sample/iteration
-arrays come back.  The single-process fallback applies when
-``workers in (None, 0, 1)``, when the only group's windows fit a
-single batch (nothing to shard), or when the platform cannot start a
-pool — the latter two emit one ``RuntimeWarning`` naming the reason.
+**One layout, no-matrix-pickling workers.**  Stages 1-2 run in the
+parent; each group's pooled column stream is cut into batch-aligned
+contiguous slices (:func:`~repro.fleet.engine.split_batches`) and every
+slice is one :func:`~repro.fleet.engine.solve_measurement_block` task
+on a :class:`~repro.fleet.executor.SolveExecutor` — called inline when
+``workers in (None, 0, 1)``, mapped over a process pool when
+``workers >= 2``, where two or more groups simply contribute more
+slices to the same map (and the paper's fleet, every node on the one
+fixed matrix, no longer serializes on one process's BLAS).  A task
+serializes only scalar config fields and float measurement columns
+(kilobytes per batch); a worker rebuilds the dense operator from the
+seed once per operator group and caches it for the life of the
+process, so no matrix is ever pickled in either direction; only decoded
+sample/iteration arrays come back.  The same executor and the same
+task function serve the live gateway (:mod:`repro.ingest`).
 
 Equivalence contract: packets are produced by the unchanged integer
 encoder (bit-identical to the serial reference), and every pooled

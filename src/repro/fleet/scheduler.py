@@ -7,7 +7,7 @@ The scheduler answers two questions for the fleet engine:
    sensing matrix and wavelet basis coincide (same ``m``, ``n``, ``d``,
    seed, wavelet, levels and float precision) can stack their
    measurement columns into the same ``(m, B)`` block.
-   :func:`operator_key` captures exactly that identity;
+   :func:`~repro.core.decoder.operator_key` captures that identity;
    :func:`solve_key` additionally folds in the solver's stopping
    parameters, because a shared batched loop runs every column with one
    ``max_iterations``/``tolerance`` pair.
@@ -31,28 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import SystemConfig
+from ..core.decoder import operator_key
 from ..errors import ConfigurationError
-
-
-def operator_key(config: SystemConfig, precision: str = "float64") -> tuple:
-    """Identity of the dense system operator a decoder iterates against.
-
-    Two streams with equal keys share ``A = Phi Psi^-1`` and therefore
-    its Lipschitz constant and contiguous-transpose precomputations.
-    Per-lead seeds (see
-    :class:`~repro.core.multichannel.MultiChannelMonitor`) land each
-    lead in its own group; a fleet of nodes shipping the paper's shared
-    fixed matrix all land in one.
-    """
-    return (
-        config.n,
-        config.m,
-        config.d,
-        config.seed,
-        config.wavelet,
-        config.levels,
-        precision,
-    )
 
 
 def solve_key(config: SystemConfig, precision: str = "float64") -> tuple:

@@ -23,10 +23,12 @@ connected:
   always decodes;
 - each flushed block is solved by the same
   :func:`~repro.fleet.engine.solve_measurement_block` the offline
-  column-sharded fleet uses — in a thread when ``workers <= 1``, or
-  across a persistent process pool when ``workers >= 2``, which *is*
-  intra-group sharding: successive batches of one operator group
-  decode concurrently on different cores.
+  fleet maps its slices through, on the same
+  :class:`~repro.fleet.executor.SolveExecutor` — in a thread when
+  ``workers <= 1``, or across a persistent process pool when
+  ``workers >= 2``, which *is* intra-group sharding: successive
+  batches of one operator group decode concurrently on different
+  cores.
 
 Backpressure is per stream: a session may have at most
 ``max_pending`` windows in flight; past that its read loop stops
@@ -73,12 +75,11 @@ import dataclasses
 import time
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.decoder import PacketPayloadDecoder
+from ..core.decoder import PacketPayloadDecoder, operator_key
 from ..errors import (
     ConfigurationError,
     DecodingError,
@@ -86,6 +87,7 @@ from ..errors import (
     ProtocolError,
 )
 from ..fleet.engine import solve_measurement_block
+from ..fleet.executor import SolveExecutor
 from ..fleet.scheduler import solve_key
 from ..telemetry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from .adaptive import (
@@ -156,7 +158,7 @@ class _PendingWindow:
     session: "_Session"
     index: int  # window index within the session
     sequence: int
-    column: np.ndarray  # (m,) in the group's dtype
+    column: np.ndarray  # (m,) float64, as dequantized
     fraction: float  # the stream's lambda fraction
     t_submit: float  # loop time at frame arrival (before backpressure)
 
@@ -406,9 +408,6 @@ class _Session:
             handshake.config, codebook=handshake.codebook
         )
         self.dc_offset = 1 << (handshake.config.adc_bits - 1)
-        self.dtype = (
-            np.float32 if handshake.precision == "float32" else np.float64
-        )
         self.quota = asyncio.Semaphore(max_pending)
         self.group: "_GroupPool | None" = None  # set by the gateway
         # telemetry series are labeled by stream identity, not session
@@ -455,7 +454,8 @@ class _GroupPool:
         self.label = label  # short stable telemetry label ("g0", "g1")
         self.config = config
         self.precision = precision
-        self.dtype = np.float32 if precision == "float32" else np.float64
+        #: the cached solver its flushes run on (shared across tolerances)
+        self.operator = operator_key(config, precision)
         self.pending: deque[_PendingWindow] = deque()
         self.event = asyncio.Event()
         self.drain_task: asyncio.Task | None = None
@@ -481,10 +481,11 @@ class IngestGateway:
         full, so a lone real-time stream is never held hostage to
         batching.
     workers:
-        ``None``, ``0`` or ``1`` solves in a thread of this process;
-        ``>= 2`` dispatches flushed blocks to a persistent process
-        pool, decoding successive batches of one operator group
-        concurrently (live intra-group sharding).
+        ``None``, ``0`` or ``1`` solves on threads of this process
+        (one solve in flight per operator); ``>= 2`` dispatches
+        flushed blocks to a persistent process pool, decoding
+        successive batches of one operator group concurrently (live
+        intra-group sharding).
     max_pending:
         Per-stream backpressure bound: a session stops reading frames
         while this many of its windows await decoding.  Default
@@ -607,9 +608,7 @@ class IngestGateway:
         # session's drain: close() must not cancel these (see there)
         self._draining_tasks: set[asyncio.Task] = set()
         self._solve_tasks: set[asyncio.Task] = set()
-        self._thread_executor: ThreadPoolExecutor | None = None
-        self._process_pool: ProcessPoolExecutor | None = None
-        self._inflight: asyncio.Semaphore | None = None
+        self._executor: SolveExecutor | None = None  # started on first flush
         self.port: int | None = None
 
     # ------------------------------------------------------------------
@@ -728,10 +727,9 @@ class IngestGateway:
         ]
         if drains:
             await asyncio.gather(*drains, return_exceptions=True)
-        if self._thread_executor is not None:
-            self._thread_executor.shutdown(wait=True)
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=True)
+        if self._executor is not None:
+            self._executor.close()
+            self._executor = None
 
     async def _settle(
         self, tasks: set[asyncio.Task], deadline: float
@@ -956,9 +954,7 @@ class IngestGateway:
     def _pool_window(self, session: _Session, packet, arrived: float) -> None:
         """Stages 1-2 on one accepted packet, then pool its column."""
         y_q = session.payload.decode_payload(packet)
-        column = session.payload.quantizer.dequantize(y_q).astype(
-            session.dtype
-        )
+        column = session.payload.quantizer.dequantize(y_q)
         window = _PendingWindow(
             session=session,
             index=session.windows_submitted,
@@ -1080,7 +1076,7 @@ class IngestGateway:
             if group.pending:
                 reason, next_due = self._flush_plan(group, loop.time())
                 if reason is not None:
-                    await self._dispatch(group, reason)
+                    await self._dispatch(group)
                     continue
                 timeout = max(next_due - loop.time(), 0.0)
             else:
@@ -1091,8 +1087,35 @@ class IngestGateway:
                 pass
             group.event.clear()
 
-    async def _dispatch(self, group: _GroupPool, reason: str) -> None:
-        """Pop up to one batch of pending columns and solve it."""
+    async def _dispatch(self, group: _GroupPool) -> None:
+        """One flush: take a solve slot, *then* pop a batch and submit it.
+
+        The slot comes first so a batch is composed as late as possible:
+        while the group's previous solve runs the drain loop waits
+        here, windows keep pooling, and the flush decision (and its
+        reason) is made against what pends when the solver is free.
+        """
+        if self._executor is None:
+            self._executor = SolveExecutor(self.workers, threaded=True)
+            self.workers = self._executor.workers  # 1 after a fallback
+        slot = self._executor.slot(group.operator)
+        await slot.acquire()
+        if self._closing or self._executor is None:
+            # close() may have shut the executor down while this flush
+            # waited for its slot; submitting then raises outside the
+            # route path and silently kills the drain loop
+            slot.release()
+            batch = list(group.pending)
+            group.pending.clear()
+            self._fail_batch(batch, ConfigurationError("gateway is closed"))
+            return
+        loop = asyncio.get_running_loop()
+        reason, _ = self._flush_plan(group, loop.time())
+        if reason is None:
+            # the operating point moved while waiting (an adaptive
+            # controller widened the batch): nothing is due any more
+            slot.release()
+            return
         count = min(self.controller.effective_batch, len(group.pending))
         batch = [group.pending.popleft() for _ in range(count)]
         self.telemetry.inc("ingest_flushes", reason=reason)
@@ -1117,93 +1140,62 @@ class IngestGateway:
             "fractions": np.asarray(
                 [w.fraction for w in batch], dtype=np.float64
             ),
-            "batch_size": max(count, 1),
+            "batch_size": count,
             "max_iterations": group.config.max_iterations,
             "tolerance": group.config.tolerance,
         }
-        loop = asyncio.get_running_loop()
+        # stamped after the slot wait: the controller's solve-time
+        # signal must measure the solve, not executor contention — a
+        # queueing delay blamed on the width would shed spuriously
         started = loop.time()
-        if self.workers >= 2 and self._process_pool is None:
-            try:
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=self.workers
-                )
-                self._inflight = asyncio.Semaphore(self.workers)
-            except (ImportError, OSError, ValueError) as exc:
-                # platform fallback, mirroring FleetDecoder._pool_map:
-                # warn once and solve in-process from here on
-                warnings.warn(
-                    f"ingest gateway falling back to in-process solves: "
-                    f"process pool unavailable on this platform ({exc})",
-                    RuntimeWarning,
-                )
-                self.workers = 1
-        if self.workers >= 2:
-            await self._inflight.acquire()
-            if self._closing or self._process_pool is None:
-                # close() may have shut the pool down while this batch
-                # waited for a permit; submitting then raises outside
-                # the route path and silently kills the drain loop
-                self._inflight.release()
-                self._fail_batch(
-                    batch, ConfigurationError("gateway is closed")
-                )
-                return
-            # restamp after the slot wait: the controller's solve-time
-            # signal must measure the solve, not pool contention — a
-            # queueing delay blamed on the width would shed spuriously
-            started = loop.time()
-            future = loop.run_in_executor(
-                self._process_pool, solve_measurement_block, task  # repro-lint: disable=RL009 — designed hand-off: stages 1-2 ran in the gateway, so the task ships dequantized measurement columns (kilobytes), not operators; workers rebuild A from the config seed
-            )
-            solve = asyncio.create_task(
-                self._route_async(batch, future, group, reason, started)
-            )
-            self._solve_tasks.add(solve)
-            solve.add_done_callback(self._solve_tasks.discard)
-        else:
-            # the cached BatchedFista workspace is not reentrant:
-            # awaiting the solve here serializes this group's batches
-            if self._thread_executor is None:
-                self._thread_executor = ThreadPoolExecutor(
-                    max_workers=4, thread_name_prefix="ingest-solve"
-                )
-            try:
-                out = await loop.run_in_executor(
-                    self._thread_executor, solve_measurement_block, task
-                )
-            except Exception as exc:  # repro-lint: disable=RL005 — drain loop must survive any solver failure; errors are routed to sessions via _fail_batch
-                self._fail_batch(batch, exc)
-            else:
-                self._route(batch, out)
-                self._observe_flush(group, reason, len(batch), started)
+        # solve_measurement_block is looked up in this module at every
+        # dispatch, so a tracer (or a test) can wrap it here
+        future = asyncio.wrap_future(
+            self._executor.submit(solve_measurement_block, task)
+        )
+        solve = asyncio.create_task(
+            self._route_async(batch, future, slot, group, reason, started)
+        )
+        self._solve_tasks.add(solve)
+        solve.add_done_callback(self._solve_tasks.discard)
 
     async def _route_async(
-        self, batch, future, group: _GroupPool, reason: str, started: float
+        self,
+        batch: list[_PendingWindow],
+        future: asyncio.Future,
+        slot: asyncio.Semaphore,
+        group: _GroupPool,
+        reason: str,
+        started: float,
     ) -> None:
-        """Await a process-pool solve, then scatter the results."""
+        """Await one submitted solve, feed the completed flush back into
+        telemetry + controller, and scatter its results."""
+        error = None
         try:
             out = await future
         except Exception as exc:  # repro-lint: disable=RL005 — waiting sessions must unblock on any solve failure; _fail_batch propagates the error
-            self._inflight.release()
-            self._fail_batch(batch, exc)
+            error = exc
+        finally:
+            slot.release()
+        if error is not None:
+            self._fail_batch(batch, error)
             return
-        self._inflight.release()
-        self._route(batch, out)
-        self._observe_flush(group, reason, len(batch), started)
-
-    def _observe_flush(
-        self, group: _GroupPool, reason: str, width: int, started: float
-    ) -> None:
-        """Feed one completed flush back into telemetry + controller."""
         solve_seconds = asyncio.get_running_loop().time() - started
         self.telemetry.observe("ingest_solve_seconds", solve_seconds)
         self.controller.observe_flush(
-            width, solve_seconds, len(group.pending), reason
+            len(batch), solve_seconds, len(group.pending), reason
         )
         # the operating point may have moved: wake the drain loop so
         # waiting windows are re-planned against the new width/deadline
         group.event.set()
+        # one loop turn before routing: the drain loop (woken by the
+        # slot) submits the next batch first and the loop's select()
+        # hands that solve the GIL.  Routing first wakes the read
+        # loops (quota permits) into the drain loop's turn, and their
+        # stage 1-2 backlog — pure Python — holds the GIL while the
+        # solve thread waits: a measured 6 ms per saturated batch
+        await asyncio.sleep(0)
+        self._route(batch, out)
 
     def _fail_batch(self, batch: list[_PendingWindow], exc: Exception) -> None:
         """A solve died: unblock its windows so nothing deadlocks.

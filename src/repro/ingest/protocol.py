@@ -110,6 +110,13 @@ SUPPORTED_VERSIONS = (1, 2)
 #: length prefix and is rejected before allocation.
 MAX_FRAME_BYTES = 1 << 20
 
+#: Upper bound on a handshake's window length ``n`` (the paper's window
+#: is 512 samples).  The gateway rebuilds a dense ``n x n`` synthesis
+#: basis per operator a HELLO names — 8 MiB at this cap, 32 GiB at the
+#: ``n = 65536`` the config's power-of-two rule alone would admit — so
+#: a larger window is refused before anything is allocated.
+MAX_WINDOW_SAMPLES = 1024
+
 _LENGTH_BYTES = 4
 
 
@@ -292,8 +299,9 @@ class Handshake:
         """Parse and validate a ``HELLO`` body.
 
         Raises :class:`~repro.errors.ProtocolError` on an unsupported
-        protocol version, a malformed or invalid codec config, a bad
-        codebook table, or a bad precision — the gateway reports the
+        protocol version, a malformed or invalid codec config, a
+        window longer than :data:`MAX_WINDOW_SAMPLES`, a bad codebook
+        table, or a bad precision — the gateway reports the
         message back to the node in an ``ERROR`` frame.
         """
         payload = decode_json_body(body)
@@ -310,6 +318,11 @@ class Handshake:
             config = SystemConfig(**payload["config"])
         except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise ProtocolError(f"invalid handshake config: {exc}") from exc
+        if config.n > MAX_WINDOW_SAMPLES:
+            raise ProtocolError(
+                f"handshake window of {config.n} samples exceeds the "
+                f"{MAX_WINDOW_SAMPLES}-sample cap"
+            )
         codebook_payload = payload.get("codebook")
         codebook = None
         if codebook_payload is not None:

@@ -698,10 +698,10 @@ class BatchedFista:
     Not reentrant: :meth:`solve` hands its instance-level
     :class:`BatchWorkspace` to every call, so one instance serves one
     caller at a time — concurrent solves on a shared instance would
-    scribble over each other's scratch buffers.  The fleet executor
-    respects this by sharding across *processes* (one solver per
-    worker); threads must each own a solver (or call
-    :func:`batched_fista` directly, which allocates private buffers).
+    scribble over each other's scratch buffers.  The cached instances
+    of :mod:`repro.core.decoder` are solved on only under their cache
+    entry's lock (``solve_block``); any other caller must own its
+    solver (or call :func:`batched_fista`, which allocates its own).
     """
 
     def __init__(

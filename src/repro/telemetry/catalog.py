@@ -168,8 +168,7 @@ CATALOG: dict[str, MetricSpec] = {
         # -- fleet decode engine (repro.fleet.engine) ------------------
         _spec(
             "fleet_runs", COUNTER,
-            "fleet decode runs by shard mode "
-            "(in-process/groups/columns)", "mode",
+            "fleet decode runs by shard mode (in-process/columns)", "mode",
         ),
         _spec(
             "fleet_windows_decoded", COUNTER,

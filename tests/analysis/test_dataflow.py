@@ -232,6 +232,9 @@ class TestLattice:
             ("MonitorConfig", CONFIG),
             ("StructuredOperator", OPERATOR),
             ("np.ndarray | None", NDARRAY),
+            # a mapping is tainted by its values (a solve task dict)
+            ("dict[str, np.ndarray | dict | str | float]", NDARRAY),
+            ("dict[str, int]", SCALAR),
         ],
     )
     def test_annotation_kinds(self, annotation, expected):

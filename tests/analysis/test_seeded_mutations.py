@@ -70,19 +70,18 @@ class TestRL007SeededPromotion:
 class TestRL008SeededStaleGuard:
     SOURCE = SRC / "ingest" / "gateway.py"
     GUARD = (
-        "            if self._closing or self._process_pool is None:\n"
-        "                # close() may have shut the pool down while "
-        "this batch\n"
-        "                # waited for a permit; submitting then raises "
-        "outside\n"
-        "                # the route path and silently kills the drain "
-        "loop\n"
-        "                self._inflight.release()\n"
-        "                self._fail_batch(\n"
-        "                    batch, ConfigurationError(\"gateway is "
-        "closed\")\n"
-        "                )\n"
-        "                return\n"
+        "        if self._closing or self._executor is None:\n"
+        "            # close() may have shut the executor down while "
+        "this flush\n"
+        "            # waited for its slot; submitting then raises "
+        "outside the\n"
+        "            # route path and silently kills the drain loop\n"
+        "            slot.release()\n"
+        "            batch = list(group.pending)\n"
+        "            group.pending.clear()\n"
+        "            self._fail_batch(batch, ConfigurationError("
+        "\"gateway is closed\"))\n"
+        "            return\n"
     )
 
     def test_pristine_gateway_is_clean(self, tmp_path):
@@ -90,36 +89,37 @@ class TestRL008SeededStaleGuard:
 
     def test_removing_revalidation_caught(self, tmp_path):
         # PR 9's gateway fix: without the post-acquire re-check, a
-        # close() during the permit wait hands a shut-down pool to
-        # run_in_executor
+        # close() during the slot wait submits to a shut-down executor
         findings = mutate_and_lint(
             tmp_path, self.SOURCE, self.GUARD, "", "RL008"
         )
         assert [f.key for f in findings] == [
-            "stale-guard:_dispatch:self._process_pool:used"
+            "stale-guard:_dispatch:self._executor:used"
         ]
 
 
 class TestRL009SeededArrayShip:
-    SOURCE = SRC / "fleet" / "engine.py"
+    SOURCE = SRC / "fleet" / "executor.py"
     DISABLE = (
-        "  # repro-lint: disable=RL009 — column sharding intentionally "
-        "ships pooled measurement columns (stages 1-2 already ran "
-        "per-member in the parent); workers still rebuild the operator "
+        "  # repro-lint: disable=RL009 — the one designed hand-off: "
+        "stages 1-2 ran in the caller, so a task ships scalar config "
+        "fields plus pooled, dequantized measurement columns "
+        "(kilobytes per batch), never an operator; workers rebuild A "
         "from the config seed"
     )
 
-    def test_pristine_engine_is_clean(self, tmp_path):
+    def test_pristine_executor_is_clean(self, tmp_path):
         assert lint_pristine(tmp_path, self.SOURCE, "RL009") == []
 
     def test_unjustified_array_ship_caught(self, tmp_path):
         # the PR 2 invariant: stripping the justification exposes the
-        # ndarray-bearing column tasks crossing the pool boundary
+        # ndarray-bearing solve tasks crossing the pool boundary at
+        # the single executor submit site
         findings = mutate_and_lint(
             tmp_path, self.SOURCE, self.DISABLE, "", "RL009"
         )
         assert [f.key for f in findings] == [
-            "payload:_run_column_sharded:column_tasks:ndarray-unknown"
+            "payload:submit:task:ndarray-unknown"
         ]
 
 

@@ -208,19 +208,3 @@ class TestDecoderBatchApi:
         system = EcgMonitorSystem(small_config)
         assert system.decoder.decode_batch([]) == []
 
-    def test_warm_start_batch_carries_state(self, small_config, database):
-        """Batched warm start: columns start from the pre-batch solution."""
-        from repro.core.decoder import CSDecoder
-
-        record = database.load("100")
-        system = EcgMonitorSystem(small_config)
-        samples = system._prepare_samples(record, 0)
-        windows = window_record(samples, small_config.n, 4)
-        packets = system.encoder.encode_batch(windows)
-        decoder = CSDecoder(
-            small_config, codebook=system.encoder.codebook, warm_start=True
-        )
-        first = decoder.decode_batch(packets[:2])
-        assert decoder._previous_alpha is not None
-        second = decoder.decode_batch(packets[2:])
-        assert len(first) == len(second) == 2

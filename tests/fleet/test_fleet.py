@@ -213,27 +213,98 @@ class TestCrossSourceEquivalence:
             )
 
 
+#: fleet shapes for the one-path matrix: per group (seed offset), the
+#: per-stream window counts — ``batch_size=2`` throughout
+_SHAPES = {
+    "one_group": [(0, (5, 5))],
+    "two_groups_ragged": [(0, (3, 2)), (1, (3,))],
+    "three_groups": [(0, (4,)), (1, (4,)), (2, (4,))],
+}
+
+
 class TestShardedExecutor:
-    def test_workers_match_inprocess_bitwise(self, small_config, database):
-        """Workers rebuild operators from seeds: identical trajectories."""
-        other = small_config.replace(seed=small_config.seed + 1)
-        records = [database.load("100"), database.load("119")]
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    @pytest.mark.parametrize("precision", ["float64", "hybrid"])
+    @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+    def test_every_executor_matches_inline_bitwise(
+        self, small_config, database, monkeypatch, executor, precision, shape
+    ):
+        """One solve path: the same batch-aligned slices through an
+        inline call, solve threads or a 2-process pool give identical
+        bits — for one group, for ragged groups, and for more groups
+        than workers — and the serial ``stream()`` trajectory."""
+        import repro.fleet.engine as engine_module
+        from repro.fleet.executor import SolveExecutor
+
+        names = ["100", "119"]
+        plan = [
+            (small_config.replace(seed=small_config.seed + offset), count, name)
+            for offset, counts in _SHAPES[shape]
+            for count, name in zip(counts, names)
+        ]
         tasks_of = lambda: [
             StreamTask(
-                EcgMonitorSystem(cfg), record, max_packets=4,
+                EcgMonitorSystem(config, precision=precision),
+                database.load(name),
+                max_packets=count,
                 keep_signals=True,
             )
-            for cfg, record in zip((small_config, other), records)
+            for config, count, name in plan
         ]
-        inprocess = decode_fleet(tasks_of(), batch_size=3)
-        sharded = decode_fleet(tasks_of(), batch_size=3, workers=2)
-        for a, b in zip(inprocess, sharded):
+        inline = FleetDecoder(batch_size=2).run(tasks_of())
+        if executor == "thread":
+            # same slices, run concurrently on this process's cached
+            # solvers: slices of one operator meet on its lock
+            monkeypatch.setattr(
+                engine_module,
+                "SolveExecutor",
+                lambda workers: SolveExecutor(threaded=True),
+            )
+        engine = FleetDecoder(
+            batch_size=2, workers=None if executor == "inline" else 2
+        )
+        results = engine.run(tasks_of())
+        assert engine.last_num_groups == len(_SHAPES[shape])
+        if executor == "process" and engine.last_fallback_reason is None:
+            assert engine.last_shard_mode == "columns"
+            assert engine.last_effective_workers == 2
+        else:
+            assert engine.last_shard_mode == "in-process"
+        for (config, count, name), a, b in zip(plan, inline, results):
             assert [p.iterations for p in a.packets] == [
                 p.iterations for p in b.packets
             ]
             assert [p.packet_bits for p in a.packets] == [
                 p.packet_bits for p in b.packets
             ]
+            np.testing.assert_array_equal(
+                a.reconstructed_adu, b.reconstructed_adu
+            )
+            serial = EcgMonitorSystem(config, precision=precision).stream(
+                database.load(name), max_packets=count
+            )
+            assert [p.iterations for p in b.packets] == [
+                p.iterations for p in serial.packets
+            ]
+
+    def test_more_workers_than_groups_are_used(self, small_config, database):
+        """Slices, not groups, are the unit of work: 2 multi-batch
+        groups keep 4 workers busy, bit-identical to in-process."""
+        other = small_config.replace(seed=small_config.seed + 1)
+        tasks_of = lambda: [
+            StreamTask(
+                EcgMonitorSystem(cfg), database.load("100"), max_packets=6,
+                keep_signals=True,
+            )
+            for cfg in (small_config, other)
+        ]
+        engine = FleetDecoder(batch_size=2, workers=4)
+        sharded = engine.run(tasks_of())
+        assert engine.last_num_groups == 2
+        if engine.last_fallback_reason is None:
+            assert engine.last_effective_workers == 4
+        inprocess = FleetDecoder(batch_size=2).run(tasks_of())
+        for a, b in zip(inprocess, sharded):
             np.testing.assert_array_equal(
                 a.reconstructed_adu, b.reconstructed_adu
             )
@@ -311,6 +382,39 @@ class TestShardedExecutor:
             _serial_reference(small_config, record, max_packets=2),
         )
 
+    def test_platform_without_pools_falls_back_with_warning(
+        self, small_config, database, monkeypatch
+    ):
+        """A platform that cannot start a pool: one RuntimeWarning (the
+        executor's, shared with the gateway), then the same slices
+        decode in-process."""
+        import repro.fleet.executor as executor_module
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no sem_open here")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_pool)
+        record = database.load("100")
+        tasks_of = lambda: [
+            StreamTask(
+                EcgMonitorSystem(small_config), record, max_packets=4,
+                keep_signals=True,
+            )
+        ]
+        engine = FleetDecoder(batch_size=2, workers=2)
+        with pytest.warns(
+            RuntimeWarning, match="process pool unavailable"
+        ) as caught:
+            results = engine.run(tasks_of())
+        assert len(caught) == 1
+        assert engine.last_shard_mode == "in-process"
+        assert engine.last_effective_workers == 1
+        assert "no sem_open here" in engine.last_fallback_reason
+        inline = FleetDecoder(batch_size=2).run(tasks_of())
+        np.testing.assert_array_equal(
+            results[0].reconstructed_adu, inline[0].reconstructed_adu
+        )
+
     def test_split_batches_layout(self):
         from repro.fleet import split_batches
 
@@ -332,23 +436,100 @@ class TestShardedExecutor:
         engine = FleetDecoder(batch_size=2, workers=2)
         engine.run(tasks)
         assert engine.last_num_groups == 2
-        assert engine.last_shard_mode == "groups"
+        # two single-batch groups are two slices of the one layout
+        assert engine.last_shard_mode == "columns"
         assert engine.last_effective_workers == 2
 
-    def test_non_lead_streams_skip_operator_build(
+    def test_one_operator_build_per_key_per_process(
         self, small_config, database
     ):
-        """Lazy decoder materialization: only the group lead pays the
-        dense build + Lipschitz estimate in a single-process run."""
+        """A group's streams share one cached operator: the dense
+        build + Lipschitz estimate is paid once per key in a process,
+        however many decoders and runs use it."""
+        from repro.core.decoder import build_resources
+
         record = database.load("100")
-        systems = [EcgMonitorSystem(small_config) for _ in range(3)]
-        assert all(s.decoder._system_cache is None for s in systems)
+        config = small_config.replace(seed=424242)  # unseen by other tests
+        systems = [EcgMonitorSystem(config) for _ in range(3)]
         tasks = [
             StreamTask(system, record, max_packets=2) for system in systems
         ]
+        before = build_resources.cache_info()  # decoders built nothing
         decode_fleet(tasks, batch_size=4)
-        assert systems[0].decoder._system_cache is not None
-        assert all(s.decoder._system_cache is None for s in systems[1:])
+        assert build_resources.cache_info().misses == before.misses + 1
+        decode_fleet(tasks, batch_size=4)
+        systems[2].stream(record, max_packets=2)
+        after = build_resources.cache_info()
+        assert after.misses == before.misses + 1
+        assert after.hits > before.hits
+
+
+class TestOperatorCache:
+    def test_cache_is_bounded_and_rebuilds_bit_identically(self, small_config):
+        """The cap holds whatever configs arrive (a HELLO names the
+        key), and an evicted operator rebuilds to the same bits."""
+        from repro.core.decoder import (
+            OPERATOR_CACHE_SIZE,
+            build_resources,
+            resources_for,
+        )
+
+        config = small_config.replace(seed=515151)
+        first = resources_for(config, "hybrid")
+        kept = first.solver.operator.copy()
+        for offset in range(1, 2 * OPERATOR_CACHE_SIZE + 1):
+            resources_for(config.replace(seed=config.seed + offset), "float64")
+            assert build_resources.cache_info().currsize <= OPERATOR_CACHE_SIZE
+        builds = build_resources.cache_info().misses
+        rebuilt = resources_for(config, "hybrid")
+        assert rebuilt is not first  # evicted, then rebuilt
+        assert build_resources.cache_info().misses == builds + 1
+        np.testing.assert_array_equal(rebuilt.solver.operator, kept)
+        assert rebuilt.solver.lipschitz == first.solver.lipschitz
+        assert resources_for(config, "hybrid") is rebuilt
+
+    @pytest.mark.parametrize("precision", ["float64", "hybrid"])
+    def test_concurrent_solves_on_one_operator_serialize(
+        self, small_config, precision
+    ):
+        """One cached solver serves one caller at a time: blocks
+        solved from more threads than cores (two configs differing only
+        in ``tolerance`` — one operator key) equal their serial
+        solves exactly."""
+        import dataclasses
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.fleet.engine import solve_measurement_block
+
+        rng = np.random.default_rng(5)
+        tasks = [
+            {
+                "config": dataclasses.asdict(config),
+                "precision": precision,
+                "block": rng.normal(size=(config.m, 4)),
+                "fractions": np.full(4, config.lam),
+                "batch_size": 4,
+                "max_iterations": 60,
+                "tolerance": config.tolerance,
+            }
+            for _ in range(8)
+            for config in (small_config, small_config.replace(tolerance=3e-4))
+        ]
+        serial = [solve_measurement_block(task)["signals"] for task in tasks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(solve_measurement_block, task)
+                    for task in tasks
+                ]
+                threaded = [f.result(timeout=120)["signals"] for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for expected, got in zip(serial, threaded):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestFleetApi:
@@ -366,15 +547,6 @@ class TestFleetApi:
             EcgMonitorSystem(small_config), database.load("100"), max_packets=0
         )
         with pytest.raises(ValueError, match="max_packets"):
-            FleetDecoder(batch_size=2).run([task])
-
-    def test_warm_start_decoder_rejected(self, small_config, database):
-        """Pooled batches span streams: the per-stream warm-start chain
-        cannot be reproduced, so the engine refuses explicitly."""
-        system = EcgMonitorSystem(small_config)
-        system.decoder.warm_start = True
-        task = StreamTask(system, database.load("100"), max_packets=3)
-        with pytest.raises(ConfigurationError, match="warm_start"):
             FleetDecoder(batch_size=2).run([task])
 
     def test_multichannel_fleet_workers_needs_batching(
@@ -474,43 +646,33 @@ class TestFleetTelemetry:
     def test_worker_deltas_absorbed_across_pool(
         self, small_config, database
     ):
-        """Cross-process merge: every pool task's telemetry delta lands
-        in the parent registry exactly once, whatever the completion
-        order (group sharding and column sharding both)."""
+        """Cross-process merge: every slice's telemetry delta lands in
+        the parent registry exactly once, whatever the completion
+        order — windows are conserved for two operator groups and for
+        one group cut in two (in-process too, if no pool can start)."""
         from repro.telemetry import MetricsRegistry
 
         other = small_config.replace(seed=small_config.seed + 1)
         records = [database.load("100"), database.load("119")]
 
-        registry = MetricsRegistry()
-        decoder = FleetDecoder(batch_size=3, workers=2, telemetry=registry)
-        decoder.run(
-            [
-                StreamTask(EcgMonitorSystem(cfg), record, max_packets=4)
-                for cfg, record in zip((small_config, other), records)
-            ]
-        )
-        snap = registry.snapshot()
-        if decoder.last_shard_mode == "groups":  # pool actually started
-            # one delta per operator-group task, windows conserved
-            assert snap.counter_total("fleet_worker_tasks") == 2
+        for configs, batch_size in (
+            ((small_config, other), 3),
+            ((small_config, small_config), 2),
+        ):
+            registry = MetricsRegistry()
+            decoder = FleetDecoder(
+                batch_size=batch_size, workers=2, telemetry=registry
+            )
+            decoder.run(
+                [
+                    StreamTask(EcgMonitorSystem(cfg), record, max_packets=4)
+                    for cfg, record in zip(configs, records)
+                ]
+            )
+            snap = registry.snapshot()
             assert snap.counter_total("fleet_worker_windows") == 8
+            assert snap.counter_total("fleet_windows_decoded") == 8
+            assert snap.counter_total("fleet_worker_tasks") >= 2
             assert snap.label_values("fleet_worker_tasks", "worker")
-
-        registry = MetricsRegistry()
-        decoder = FleetDecoder(batch_size=2, workers=2, telemetry=registry)
-        decoder.run(
-            [
-                StreamTask(
-                    EcgMonitorSystem(small_config), record, max_packets=4
-                )
-                for record in records
-            ]
-        )
-        snap = registry.snapshot()
-        if decoder.last_shard_mode == "columns":
-            # one delta per column slice; solve histograms rode along
-            assert snap.counter_total("fleet_worker_tasks") == 2
-            assert snap.counter_total("fleet_worker_windows") == 8
             hist = snap.histogram_total("fleet_solve_seconds")
             assert hist is not None and hist.total >= 2

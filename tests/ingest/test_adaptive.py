@@ -13,9 +13,14 @@ from repro.ingest import (
     AdaptiveBatchController,
     AdaptiveConfig,
     FixedBatchController,
+    FrameKind,
+    Handshake,
     IngestGateway,
     NodeClient,
     SolveTimeModel,
+    encode_frame,
+    encoded_packets,
+    read_frame,
 )
 from repro.telemetry import MetricsRegistry
 
@@ -230,6 +235,48 @@ async def _run_clients(gateway, clients):
     return reports
 
 
+async def _run_acked_rounds(gateway, systems, records, windows):
+    """Drive the links by hand: one window per stream per round, the
+    next round (and finally the BYEs) sent only once the previous one
+    is acked.  Both windows of a round are pooled before the drain
+    loop next runs, so every batch leaves on the flush deadline with
+    one member per stream — no PACKET-vs-BYE arrival race between two
+    wall-clock-paced clients decides a composition."""
+    links = [gateway.connect_local() for _ in systems]
+    packets = []
+    for (_reader, writer), system, record in zip(links, systems, records):
+        writer.write(
+            Handshake(
+                record=record.name,
+                channel=0,
+                config=system.config,
+                codebook=system.encoder.codebook,
+            ).to_frame()
+        )
+        packets.append(encoded_packets(system, record, max_packets=windows))
+
+    async def expect(reader, kind):
+        frame = await asyncio.wait_for(read_frame(reader), timeout=60.0)
+        assert frame is not None and frame[0] is kind, frame
+
+    for reader, _writer in links:
+        await expect(reader, FrameKind.WELCOME)
+    for window in range(windows):
+        for (_reader, writer), stream_packets in zip(links, packets):
+            writer.write(
+                encode_frame(
+                    FrameKind.PACKET, stream_packets[window].to_bytes()
+                )
+            )
+        for reader, _writer in links:
+            await expect(reader, FrameKind.DECODED)
+    for _reader, writer in links:
+        writer.write(encode_frame(FrameKind.BYE))
+    while len(gateway.results) < len(links):
+        await asyncio.sleep(0.005)
+    await gateway.close()
+
+
 class TestAdaptiveGateway:
     def test_steady_state_schedule_identical_to_fixed(
         self, small_config, database
@@ -244,11 +291,7 @@ class TestAdaptiveGateway:
             gateway = IngestGateway(
                 batch_size=8, flush_ms=120.0, adaptive=adaptive
             )
-            clients = [
-                NodeClient(system, record, max_packets=3, interval_s=0.3)
-                for system, record in zip(systems, records)
-            ]
-            asyncio.run(_run_clients(gateway, clients))
+            asyncio.run(_run_acked_rounds(gateway, systems, records, 3))
             return gateway
 
         fixed = run(adaptive=False)
@@ -262,6 +305,9 @@ class TestAdaptiveGateway:
         ] == [
             (members, reason) for _key, members, reason in fixed.batch_log
         ]
+        assert [
+            (members, reason) for _key, members, reason in fixed.batch_log
+        ] == [([(0, w), (1, w)], "deadline") for w in range(3)]
         fixed_by_record = {r.record: r for r in fixed.results}
         for result in adaptive.results:
             reference = fixed_by_record[result.record]

@@ -232,6 +232,121 @@ class TestPooledDecode:
             result, _serial_reference(system, record, max_packets=4)
         )
 
+    def test_same_operator_groups_never_share_a_solve(
+        self, small_config, database
+    ):
+        """Regression: two streams on one sensing matrix that differ
+        only in ``tolerance`` land in two solve groups (each with its
+        own drain loop) but on ONE cached solver, whose workspace
+        serves one caller at a time.  Their flushes used to run
+        concurrently on the solve threads and scribble over each
+        other's iterates; every delivered window must equal the serial
+        replay of its logged batch."""
+        import dataclasses
+
+        from repro.core.decoder import PacketPayloadDecoder
+        from repro.fleet.engine import solve_measurement_block
+
+        windows = 20  # all of the session corpus's 20 s records
+        record = database.load("100")
+        configs = [small_config, small_config.replace(tolerance=3e-4)]
+        systems = [_system(config, record) for config in configs]
+
+        async def run():
+            gateway = IngestGateway(batch_size=4, flush_ms=5000.0)
+            clients = [
+                NodeClient(
+                    system, record, max_packets=windows, interval_s=0.0
+                )
+                for system in systems
+            ]
+            links = [gateway.connect_local() for _ in clients]
+            await asyncio.wait_for(
+                asyncio.gather(
+                    *[
+                        client.run(reader, writer)
+                        for client, (reader, writer) in zip(clients, links)
+                    ]
+                ),
+                timeout=120.0,
+            )
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway
+
+        gateway = asyncio.run(run())
+        assert len({key for key, _m, _r in gateway.batch_log}) == 2
+        results = {r.session_id: r.ordered() for r in gateway.results}
+        configs_of = {}
+        columns = {}
+        for result, system in zip(gateway.results, systems):
+            assert result.error is None and result.num_windows == windows
+            configs_of[result.session_id] = system.config
+            block = PacketPayloadDecoder(
+                system.config, codebook=system.encoder.codebook
+            ).measurement_block(
+                encoded_packets(system, record, max_packets=windows),
+                np.float64,
+            )
+            for index in range(windows):
+                columns[(result.session_id, index)] = block[:, index]
+        dc_offset = 1 << (small_config.adc_bits - 1)
+        for _key, members, _reason in gateway.batch_log:
+            config = configs_of[members[0][0]]
+            block = np.stack([columns[member] for member in members], axis=1)
+            out = solve_measurement_block(
+                {
+                    "config": dataclasses.asdict(config),
+                    "precision": "float64",
+                    "block": block,
+                    "fractions": np.full(block.shape[1], config.lam),
+                    "batch_size": block.shape[1],
+                    "max_iterations": config.max_iterations,
+                    "tolerance": config.tolerance,
+                }
+            )
+            for column, (session_id, index) in enumerate(members):
+                np.testing.assert_array_equal(
+                    results[session_id].samples_adu[index],
+                    out["signals"][:, column] + dc_offset,
+                )
+
+    def test_platform_without_pools_solves_on_threads(
+        self, small_config, database, monkeypatch
+    ):
+        """workers=2 on a platform that cannot start a pool: the
+        executor's one warning (the fleet's message), then the gateway
+        serves from its solve threads."""
+        import repro.fleet.executor as executor_module
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no sem_open here")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_pool)
+        record = database.load("100")
+        system = _system(small_config, record)
+
+        async def run():
+            gateway = IngestGateway(batch_size=2, flush_ms=100.0, workers=2)
+            reader, writer = gateway.connect_local()
+            client = NodeClient(
+                system, record, max_packets=4, interval_s=0.0
+            )
+            await asyncio.wait_for(client.run(reader, writer), timeout=60.0)
+            await gateway.close()
+            return gateway
+
+        with pytest.warns(
+            RuntimeWarning, match="process pool unavailable"
+        ) as caught:
+            gateway = asyncio.run(run())
+        assert len(caught) == 1
+        assert gateway.workers == 1
+        _assert_matches_serial(
+            gateway.results[0].ordered(),
+            _serial_reference(system, record, max_packets=4),
+        )
+
     def test_gateway_validation(self):
         with pytest.raises(ConfigurationError):
             IngestGateway(batch_size=0)
@@ -526,17 +641,18 @@ class TestFaults:
         ]
         assert error_bodies and "kaboom" in error_bodies[0]["error"]
 
-    def test_process_pool_solve_failure_releases_inflight(self):
-        """The process-pool twin of the test above: _route_async's
-        broad except (carrying a justified repro-lint RL005
-        suppression) must catch ANY failure a pooled solve raises,
-        fail the batch, and release the in-flight slot — a leaked slot
-        would wedge every later flush at the semaphore."""
+    def test_solve_failure_releases_the_slot(self):
+        """Whatever the executor (thread or process pool), a failed
+        solve takes one path: _route_async's broad except (carrying a
+        justified repro-lint RL005 suppression) must catch ANY failure
+        the future raises, fail the batch, and release the executor
+        slot — a leaked slot would wedge every later flush of that
+        operator at the semaphore."""
 
         async def run():
             gateway = IngestGateway(batch_size=2, flush_ms=100.0)
-            gateway._inflight = asyncio.Semaphore(1)
-            await gateway._inflight.acquire()
+            slot = asyncio.Semaphore(1)
+            await slot.acquire()
             failed = {}
             gateway._fail_batch = lambda batch, exc: failed.update(
                 batch=batch, exc=exc
@@ -544,21 +660,23 @@ class TestFaults:
             future = asyncio.get_running_loop().create_future()
             future.set_exception(RuntimeError("pool kaboom"))
             batch = [object(), object()]
-            await gateway._route_async(batch, future, None, "full", 0.0)
-            return failed, gateway._inflight.locked()
+            await gateway._route_async(
+                batch, future, slot, None, "full", 0.0
+            )
+            return failed, slot.locked()
 
         failed, still_locked = asyncio.run(run())
         assert isinstance(failed["exc"], RuntimeError)
         assert failed["batch"] and len(failed["batch"]) == 2
         assert not still_locked  # the slot came back
 
-    def test_dispatch_revalidates_pool_after_permit_wait(
+    def test_dispatch_revalidates_executor_after_slot_wait(
         self, small_config
     ):
-        """close() can shut the process pool down while _dispatch waits
-        on the in-flight semaphore.  The post-acquire re-check must
-        route the batch to _fail_batch and release the permit instead
-        of submitting to a dead pool — that RuntimeError would escape
+        """close() can shut the executor down while _dispatch waits
+        for its slot.  The post-acquire re-check must route the pending
+        windows to _fail_batch and release the slot instead of
+        submitting to a dead executor — that RuntimeError would escape
         the drain loop and silently stop all flushing."""
         from collections import deque
         from types import SimpleNamespace
@@ -567,10 +685,7 @@ class TestFaults:
             gateway = IngestGateway(
                 batch_size=1, flush_ms=100.0, workers=2
             )
-            # a pool existed when the batch was planned...
-            gateway._process_pool = object()
-            gateway._inflight = asyncio.Semaphore(1)
-            # ...but close() ran while we waited for the permit
+            # ...close() ran while the flush waited for its slot
             gateway._closing = True
             failed = {}
             gateway._fail_batch = lambda batch, exc: failed.update(
@@ -584,18 +699,22 @@ class TestFaults:
             )
             group = SimpleNamespace(
                 key=("k",),
+                operator=("k",),
                 label="g0",
                 config=small_config,
                 precision="float64",
                 pending=deque([window]),
             )
-            await gateway._dispatch(group, "full")
-            return failed, gateway._inflight.locked()
+            await gateway._dispatch(group)
+            executor = gateway._executor
+            executor.close()
+            free = executor.slot(group.operator)._value
+            return failed, group, free == executor.workers
 
-        failed, still_locked = asyncio.run(run())
+        failed, group, all_free = asyncio.run(run())
         assert isinstance(failed["exc"], ConfigurationError)
-        assert failed["batch"] == [failed["batch"][0]]
-        assert not still_locked  # the permit came back
+        assert len(failed["batch"]) == 1 and not group.pending
+        assert all_free  # the slot came back
 
     def test_packet_before_hello_rejected(self, small_config, database):
         record = database.load("100")
@@ -616,6 +735,37 @@ class TestFaults:
         kind, body = asyncio.run(run())
         assert kind is FrameKind.ERROR
         assert "expected HELLO" in json.loads(body)["error"]
+
+
+    def test_oversized_window_hello_refused_before_any_build(self):
+        """A HELLO names the operator the gateway will rebuild: a window
+        past the protocol's cap (here a 32 GiB dense basis) is answered
+        with an ERROR frame, and nothing was built for it."""
+        from repro.config import SystemConfig
+        from repro.core.decoder import build_resources
+        from repro.ingest.protocol import MAX_WINDOW_SAMPLES
+
+        config = SystemConfig(n=1 << 16, m=256, d=12)
+        assert config.n > MAX_WINDOW_SAMPLES
+        built = build_resources.cache_info().misses
+
+        async def run():
+            gateway = IngestGateway()
+            reader, writer = gateway.connect_local()
+            writer.write(
+                Handshake(record="100", channel=0, config=config).to_frame()
+            )
+            frame = await read_frame(reader)
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway, frame
+
+        gateway, (kind, body) = asyncio.run(run())
+        assert kind is FrameKind.ERROR
+        assert "exceeds" in json.loads(body)["error"]
+        assert gateway.stats.sessions_errored == 1
+        assert gateway.stats.sessions_opened == 0
+        assert build_resources.cache_info().misses == built
 
 
 class TestUnexpectedFrames:

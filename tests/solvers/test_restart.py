@@ -52,7 +52,7 @@ def paper_blocks(paper_config, database):
             system, record, max_packets=WINDOWS
         )
         decoder = system.decoder
-        structure = decoder.batched_solver().structure
+        structure = decoder.resources.solver.structure
         block = decoder.payload.measurement_block(packets, np.float64)
         blocks[name] = {
             "structure": structure,
