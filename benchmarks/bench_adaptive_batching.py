@@ -345,13 +345,11 @@ def _run_bursty(streams, events, scored, batch_size, adaptive, budget_s):
         adaptive=adaptive,
         adaptive_config=(
             # scenario tuning: converge on widths whose solve fits 75%
-            # of the budget, shed only when one solve eats it whole
+            # of the budget
             AdaptiveConfig(
                 budget_s=budget_s,
                 headroom_fraction=0.75,
-                shed_fraction=0.85,
                 safety_s=SAFETY_FRAC * budget_s,
-                max_batch_factor=8,
             )
             if adaptive
             else None

@@ -45,7 +45,6 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.core import EcgMonitorSystem
-from repro.core.batch import stream_batched
 from repro.ecg import RECORD_NAMES, SyntheticMitBih
 from repro.experiments import render_table
 from repro.core.decoder import resources_for
@@ -137,11 +136,8 @@ def test_fleet_pooled_vs_per_stream(pooled_workload, benchmark, fleet_bench):
 
     started = time.perf_counter()
     per_stream = [
-        stream_batched(
-            system,
-            record,
-            max_packets=WINDOWS_PER_STREAM,
-            batch_size=BATCH_SIZE,
+        system.stream(
+            record, max_packets=WINDOWS_PER_STREAM, batch_size=BATCH_SIZE
         )
         for system, record in zip(systems, records)
     ]

@@ -21,10 +21,9 @@ RL006     docs-drift          README tracks the CLI surface
 ========  ==================  ============================================
 
 Run it as ``repro-ecg lint`` or ``python -m repro.analysis``; see
-``docs/architecture.md`` for the suppression and baseline workflow.
+``docs/architecture.md`` for the suppression workflow.
 """
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .core import (
     FRAMEWORK_RULE,
     Finding,
@@ -43,11 +42,8 @@ __all__ = [
     "Rule",
     "SourceModule",
     "all_rules",
-    "apply_baseline",
     "discover_files",
-    "load_baseline",
     "main",
     "register",
     "run_lint",
-    "write_baseline",
 ]

@@ -10,8 +10,8 @@ checks those conventions with nothing but ``ast`` and ``tokenize``
 Vocabulary
 ----------
 - a :class:`Finding` is one violation: rule id + ``file:line`` +
-  message + a *key* that is stable across unrelated edits (used by the
-  baseline to recognize a grandfathered finding after lines move);
+  message + a *key* that is stable across unrelated edits (what
+  tests and CI annotations identify a finding by after lines move);
 - a :class:`Rule` inspects parsed modules (:meth:`Rule.check_module`)
   and/or the whole project after every module was seen
   (:meth:`Rule.finish` — for cross-module checks like catalog drift);
@@ -61,7 +61,7 @@ class Finding:
     line: int
     message: str
     #: line-independent fingerprint detail (attribute name, metric
-    #: name, call name, ...) — what the baseline matches on
+    #: name, call name, ...) — stable across unrelated edits
     key: str
 
     def render(self) -> str:

@@ -12,9 +12,7 @@ pipeline per run:
    :meth:`~repro.analysis.core.Rule.finish` hook;
 3. drop findings covered by an inline justified suppression, add
    ``RL000`` diagnostics for unjustified ones;
-4. subtract the checked-in baseline
-   (:mod:`repro.analysis.baseline`);
-5. render ``file:line: RLxxx message`` lines (or JSON, or
+4. render ``file:line: RLxxx message`` lines (or JSON, or
    ``--format github`` workflow annotations), optionally write the
    machine-readable report, and exit non-zero iff findings remain.
 
@@ -32,12 +30,6 @@ from pathlib import Path
 
 from ..errors import ConfigurationError
 from . import rules as _rules  # noqa: F401 — importing registers the rules
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .core import Finding, Project, SourceModule, all_rule_ids, all_rules
 
 REPORT_SCHEMA = 1
@@ -106,11 +98,10 @@ def run_lint(
     only_rels: set[str] | None = None,
 ) -> tuple[list[Finding], Project, int]:
     """Run every (selected) rule; returns (findings, project,
-    suppressed-count).  Findings are sorted by file, line, rule and
-    *not* yet baseline-filtered.  ``only_rels`` (from ``--changed``)
-    restricts the discovered set to those repo-relative paths — a
-    filter, not an expansion, so test fixtures stay out even when they
-    changed."""
+    suppressed-count).  Findings are sorted by file, line, rule.
+    ``only_rels`` (from ``--changed``) restricts the discovered set to
+    those repo-relative paths — a filter, not an expansion, so test
+    fixtures stay out even when they changed."""
     files = discover_files(root, paths)
     if only_rels is not None:
         files = [
@@ -150,10 +141,7 @@ def run_lint(
 
 
 def _report_dict(
-    findings: list[Finding],
-    suppressed: int,
-    baselined: int,
-    root: Path,
+    findings: list[Finding], suppressed: int, root: Path
 ) -> dict:
     counts: dict[str, int] = {}
     for finding in findings:
@@ -164,7 +152,6 @@ def _report_dict(
         "findings": [f.to_dict() for f in findings],
         "counts": counts,
         "suppressed": suppressed,
-        "baselined": baselined,
     }
 
 
@@ -187,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--root",
         default=".",
-        help="repository root (README.md, .repro-lint-baseline.json)",
+        help="repository root (README.md, src/)",
     )
     parser.add_argument(
         "--select",
@@ -221,25 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="also write the JSON findings report here",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=(
-            f"baseline file (default: <root>/{DEFAULT_BASELINE_NAME} "
-            f"when present)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report grandfathered findings too",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the new baseline and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -288,28 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    baseline_path = (
-        Path(args.baseline)
-        if args.baseline is not None
-        else root / DEFAULT_BASELINE_NAME
-    )
-    if args.write_baseline:
-        write_baseline(baseline_path, findings)
-        print(
-            f"baseline: recorded {len(findings)} finding(s) in "
-            f"{baseline_path}"
-        )
-        return 0
-    baselined = 0
-    if not args.no_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        findings, baselined = apply_baseline(findings, baseline)
-
-    report = _report_dict(findings, suppressed, baselined, root)
+    report = _report_dict(findings, suppressed, root)
     if args.report is not None:
         report_path = Path(args.report)
         report_path.parent.mkdir(parents=True, exist_ok=True)
@@ -330,14 +277,13 @@ def main(argv: list[str] | None = None) -> int:
             )
         print(
             f"repro-lint: {len(findings)} finding(s), "
-            f"{suppressed} suppressed, {baselined} baselined"
+            f"{suppressed} suppressed"
         )
     else:
         for finding in findings:
             print(finding.render())
-        summary = (
+        print(
             f"repro-lint: {len(findings)} finding(s), "
-            f"{suppressed} suppressed, {baselined} baselined"
+            f"{suppressed} suppressed"
         )
-        print(summary)
     return 1 if findings else 0

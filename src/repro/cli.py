@@ -550,29 +550,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         return 2
     registry = MetricsRegistry()
+    options = dict(
+        batch_size=args.batch_size,
+        flush_ms=args.flush_ms,
+        workers=args.fleet_workers,
+        telemetry=registry,
+        adaptive=args.adaptive,
+        nack_budget=args.nack_budget,
+    )
     try:
         if args.gateways > 1:
             # N-process scale-out: the front door owns the public port
             # and routes each node link by operator key to one of N
-            # supervised gateway worker processes
-            gateway = FederationFrontDoor(
-                gateways=args.gateways,
-                batch_size=args.batch_size,
-                flush_ms=args.flush_ms,
-                workers_per_gateway=args.fleet_workers or 1,
-                telemetry=registry,
-                adaptive=args.adaptive,
-                nack_budget=args.nack_budget,
-            )
+            # supervised gateway worker processes, each built from the
+            # same gateway options
+            gateway = FederationFrontDoor(gateways=args.gateways, **options)
         else:
-            gateway = IngestGateway(
-                batch_size=args.batch_size,
-                flush_ms=args.flush_ms,
-                workers=args.fleet_workers,
-                telemetry=registry,
-                adaptive=args.adaptive,
-                nack_budget=args.nack_budget,
-            )
+            gateway = IngestGateway(**options)
         # validates the --loss/--reorder/--dup/--corrupt probabilities
         channel_template = LossyChannel(
             loss=args.loss,

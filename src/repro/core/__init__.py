@@ -10,13 +10,13 @@
   (Huffman -> packet reconstruction -> FISTA -> inverse wavelet);
 - :mod:`repro.core.system` — :class:`EcgMonitorSystem`, streaming a
   record end-to-end and collecting CR/PRD/SNR/iteration statistics;
-- :mod:`repro.core.batch` — the batched decode engine: whole-record
-  windowing, vectorized sensing/differencing and multi-window
-  batched-FISTA reconstruction behind ``stream(batch_size=...)``.
+- :mod:`repro.core.batch` — whole-record windowing and vectorized
+  sensing/differencing, the front end of every batched driver.
 
-Cross-stream pooling of many records/leads lives one level up in
-:mod:`repro.fleet`, built on :class:`PacketPayloadDecoder` (the
-operator-free stages 1-2) and :func:`encode_record_windows`.
+Batched decoding — one stream behind ``stream(batch_size=...)`` or
+many records/leads pooled — lives one level up in :mod:`repro.fleet`,
+built on :class:`PacketPayloadDecoder` (the operator-free stages 1-2)
+and :func:`encode_record_windows`.
 """
 
 from .quantizer import MeasurementQuantizer
@@ -28,14 +28,12 @@ from .multichannel import MultiChannelMonitor, MultiChannelResult
 from .batch import (
     DEFAULT_BATCH_SIZE,
     encode_record_windows,
-    stream_batched,
     window_record,
 )
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "encode_record_windows",
-    "stream_batched",
     "window_record",
     "PacketPayloadDecoder",
     "MeasurementQuantizer",

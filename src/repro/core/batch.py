@@ -1,17 +1,19 @@
-"""Batched whole-record streaming: many windows per solver call.
+"""Whole-record batched encoding: the front end of every batched driver.
 
 The serial :meth:`~repro.core.system.EcgMonitorSystem.stream` loop is
 the paper's real-time story — one packet in, one packet out.  A
 production coordinator (or an offline re-analysis job) instead holds
 seconds-to-hours of signal and wants throughput: this module windows a
-whole record in one shot, runs the *same* three encoder stages with the
-block-vectorized kernels (``Phi @ windows`` sensing, batched
-quantization and differencing), and reconstructs ``batch_size`` windows
-per :class:`~repro.solvers.batched.BatchedFista` call.
+whole record in one shot and runs the *same* three encoder stages with
+the block-vectorized kernels (``Phi @ windows`` sensing, batched
+quantization and differencing).  The one whole-record batched decode
+driver is :class:`~repro.fleet.FleetDecoder`
+(``EcgMonitorSystem.stream(batch_size=B)`` is a one-stream fleet); a
+live node (:class:`~repro.ingest.client.NodeClient`) streams the same
+packets over the wire.
 
-The output is the same :class:`~repro.core.system.StreamResult` the
-serial path produces, with bit-identical packets (the encoder stages
-are integer-exact) and reconstructions matching to solver
+The packets are bit-identical to the serial path's (the encoder stages
+are integer-exact) and the fleet's reconstructions match it to solver
 floating-point noise — the serial path stays the reference
 implementation, and ``tests/core/test_batch.py`` pins the equivalence.
 """
@@ -25,7 +27,7 @@ import numpy as np
 from ..ecg.records import Record
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .system import EcgMonitorSystem, StreamResult
+    from .system import EcgMonitorSystem
 
 #: default reconstruction block width; past ~32 columns the GEMM pair
 #: dominates per-iteration cost and the speedup saturates (see
@@ -58,8 +60,8 @@ def encode_record_windows(
 ) -> tuple[np.ndarray, list]:
     """Window and batch-encode one record channel; reset stream state.
 
-    Shared front end of :func:`stream_batched` and the fleet engine
-    (:mod:`repro.fleet`): returns the ``(B, n)`` window block and the
+    Shared front end of the fleet engine (:mod:`repro.fleet`) and the
+    live node client: returns the ``(B, n)`` window block and the
     matching encoded packets, with both encoder and decoder codec state
     reset so decoding starts from the first keyframe.
     """
@@ -80,50 +82,3 @@ def encode_record_windows(
     system.decoder.reset()
     packets = system.encoder.encode_batch(windows)
     return windows, packets
-
-
-def stream_batched(
-    system: "EcgMonitorSystem",
-    record: Record,
-    channel: int = 0,
-    max_packets: int | None = None,
-    keep_signals: bool = False,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> "StreamResult":
-    """Stream one record channel using the batched decode engine.
-
-    Drop-in equivalent of ``system.stream(...)``: encodes the whole
-    record with the block-vectorized encoder, then reconstructs
-    ``batch_size`` windows per batched-FISTA call.  The per-packet
-    ``decode_seconds`` is the batch wall-clock amortized over its
-    columns (the quantity a throughput-oriented deployment budgets).
-    """
-    from .system import StreamResult, packet_result
-
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-
-    windows, packets = encode_record_windows(
-        system, record, channel=channel, max_packets=max_packets
-    )
-    offset = system.encoder.dc_offset
-
-    result = StreamResult(
-        record=record.name, channel=channel, config=system.config
-    )
-    reconstructed: list[np.ndarray] = []
-
-    for start in range(0, len(packets), batch_size):
-        chunk = packets[start : start + batch_size]
-        decoded_chunk = system.decoder.decode_batch(chunk)
-        for index, decoded in enumerate(decoded_chunk):
-            result.packets.append(
-                packet_result(windows[start + index], chunk[index], decoded, offset)
-            )
-            if keep_signals:
-                reconstructed.append(decoded.samples_adu)
-
-    if keep_signals:
-        result.original_adu = windows.astype(np.float64).reshape(-1)
-        result.reconstructed_adu = np.concatenate(reconstructed)
-    return result

@@ -19,7 +19,7 @@ from ..config import SystemConfig
 from ..ecg.records import Record
 from ..ecg.resample import resample_record
 from ..metrics import compression_ratio, prd, snr_from_prd
-from .decoder import CSDecoder, DecodedPacket
+from .decoder import CSDecoder
 from .encoder import CSEncoder
 from .packets import EncodedPacket, PacketKind
 
@@ -47,10 +47,10 @@ def window_metrics(
 ) -> PacketResult:
     """Per-window metrics from raw reconstruction arrays.
 
-    The lowest-level assembly step: the serial and batched streams feed
-    it via :func:`packet_result`; the fleet engine calls it directly
-    because a sharded worker ships back plain arrays, not
-    :class:`~repro.core.decoder.DecodedPacket` objects.
+    The one assembly step of a :class:`PacketResult`, shared by the
+    serial stream loop and the fleet engine (whose workers ship back
+    plain arrays, not :class:`~repro.core.decoder.DecodedPacket`
+    objects).
     """
     centered_original = window_adu.astype(np.float64) - dc_offset
     centered_reconstruction = samples_adu - dc_offset
@@ -63,23 +63,6 @@ def window_metrics(
         snr_db=snr_from_prd(packet_prd),
         iterations=iterations,
         decode_seconds=decode_seconds,
-    )
-
-
-def packet_result(
-    window_adu: np.ndarray,
-    packet: EncodedPacket,
-    decoded: DecodedPacket,
-    dc_offset: int,
-) -> PacketResult:
-    """Per-window metrics shared by the serial and batched streams."""
-    return window_metrics(
-        window_adu,
-        packet,
-        decoded.samples_adu,
-        decoded.iterations,
-        decoded.decode_seconds,
-        dc_offset,
     )
 
 
@@ -198,10 +181,10 @@ class EcgMonitorSystem:
         ``batch_size=None`` (or 1) runs the serial reference loop —
         one packet encoded and decoded at a time, exactly the paper's
         real-time pipeline.  ``batch_size=B`` hands the whole record to
-        the batched engine (:mod:`repro.core.batch`): vectorized
-        sensing, batched differencing and ``B`` windows per
-        batched-FISTA solve, with bit-identical packets and matching
-        metrics.
+        the fleet engine as a one-stream fleet
+        (:class:`~repro.fleet.FleetDecoder`): vectorized sensing,
+        batched differencing and ``B`` windows per batched-FISTA
+        solve, with bit-identical packets and matching metrics.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -211,16 +194,11 @@ class EcgMonitorSystem:
                 "need at least 1 packet to stream"
             )
         if batch_size is not None and batch_size > 1:
-            from .batch import stream_batched
+            # imported here: the fleet package builds on this module
+            from ..fleet import FleetDecoder, StreamTask
 
-            return stream_batched(
-                self,
-                record,
-                channel=channel,
-                max_packets=max_packets,
-                keep_signals=keep_signals,
-                batch_size=batch_size,
-            )
+            task = StreamTask(self, record, channel, max_packets, keep_signals)
+            return FleetDecoder(batch_size=batch_size).run([task])[0]
         samples = self._prepare_samples(record, channel)
         n = self.config.n
         num_windows = len(samples) // n
@@ -243,7 +221,16 @@ class EcgMonitorSystem:
             window = samples[index * n : (index + 1) * n]
             packet = self.encoder.encode(window)
             decoded = self.decoder.decode(packet)
-            result.packets.append(packet_result(window, packet, decoded, offset))
+            result.packets.append(
+                window_metrics(
+                    window,
+                    packet,
+                    decoded.samples_adu,
+                    decoded.iterations,
+                    decoded.decode_seconds,
+                    offset,
+                )
+            )
             if keep_signals:
                 originals.append(window.astype(np.float64))
                 reconstructed.append(decoded.samples_adu)

@@ -2,9 +2,9 @@
 
 The paper's deployment loop is a body-worn encoder streaming compressed
 ECG over a radio to a monitor that decodes in real time.  The offline
-engines (:mod:`repro.core.batch`, :mod:`repro.fleet`) are fed whole
-pre-read records; this package closes the loop with the *live* wire
-path a telecardiology coordinator actually runs:
+engine (:mod:`repro.fleet`) is fed whole pre-read records; this
+package closes the loop with the *live* wire path a telecardiology
+coordinator actually runs:
 
 - :mod:`~repro.ingest.protocol` — the length-prefixed frame format and
   JSON handshake a node link speaks (versioned; packet frames carry
@@ -77,7 +77,6 @@ from .federation import (
     SESSION_ID_STRIDE,
     FederationFrontDoor,
     FederationStats,
-    serve_federation,
 )
 from .gateway import (
     DEFAULT_FLUSH_MS,
@@ -85,7 +84,6 @@ from .gateway import (
     IngestGateway,
     IngestStreamResult,
     merge_stream_results,
-    serve_gateway,
 )
 from .protocol import (
     MAX_FRAME_BYTES,
@@ -133,6 +131,4 @@ __all__ = [
     "merge_stream_results",
     "read_frame",
     "replay_survivors",
-    "serve_federation",
-    "serve_gateway",
 ]

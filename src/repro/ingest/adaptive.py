@@ -49,14 +49,36 @@ from ..errors import ConfigurationError
 from ..telemetry import NULL_METER, Meter
 
 
+# The AIMD loop's fixed policy: deliberately conservative (widen
+# slowly, shed hard, a wide dead band so steady-state traffic never
+# oscillates the operating point), and constants because no bench or
+# deployment ever ran a second value.
+
+#: shed when one observed solve reaches this fraction of the budget (a
+#: width that eats the budget in a single flush is head-of-line
+#: blocking everything behind it)
+SHED_FRACTION = 0.85
+#: additive widen step (windows per observed flush)
+WIDEN_STEP = 4
+#: multiplicative shed factor for width and flush deadline
+SHED_FACTOR = 0.5
+#: hard bounds on the effective width: a factor of the base above, one
+#: window below
+MAX_BATCH_FACTOR = 8
+MIN_BATCH = 1
+#: floor of the effective flush deadline, as a factor of the base
+MIN_FLUSH_FACTOR = 0.1
+#: percentile of recent solve latencies steering the widen gate
+PERCENTILE = 95.0
+#: rolling window (flushes / windows) the percentiles are computed over
+LATENCY_WINDOW = 128
+
+
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Tuning constants of the AIMD loop.
-
-    The defaults are deliberately conservative: widen slowly, shed
-    hard, keep a wide dead band so steady-state traffic never
-    oscillates the operating point.
-    """
+    """What a deployment tunes of the AIMD loop: the budget and the two
+    margins inside it (the rest of the policy is the module constants
+    above)."""
 
     #: end-to-end per-window latency budget (the paper's 2 s window)
     budget_s: float = 2.0
@@ -65,24 +87,6 @@ class AdaptiveConfig:
     #: fraction of the budget.  The implied convergence point is the
     #: widest batch whose solve fits the headroom.
     headroom_fraction: float = 0.5
-    #: shed when one observed solve reaches this fraction of the
-    #: budget (a width that eats the budget in a single flush is
-    #: head-of-line blocking everything behind it)
-    shed_fraction: float = 0.85
-    #: additive widen step (windows per observed flush)
-    widen_step: int = 4
-    #: multiplicative shed factor for width and flush deadline
-    shed_factor: float = 0.5
-    #: hard bounds on the effective width, as factors of the base
-    max_batch_factor: int = 8
-    min_batch: int = 1
-    #: floor of the effective flush deadline, as a factor of the base
-    min_flush_factor: float = 0.1
-    #: percentile of recent solve latencies steering the widen gate
-    percentile: float = 95.0
-    #: rolling window (in flushes / windows) the percentiles are
-    #: computed over
-    latency_window: int = 128
     #: safety margin subtracted from the budget in the pressure rule
     safety_s: float = 0.1
 
@@ -91,23 +95,10 @@ class AdaptiveConfig:
             raise ConfigurationError(
                 f"budget_s must be positive, got {self.budget_s}"
             )
-        if not 0.0 < self.headroom_fraction < self.shed_fraction <= 1.0:
+        if not 0.0 < self.headroom_fraction < SHED_FRACTION:
             raise ConfigurationError(
-                "need 0 < headroom_fraction < shed_fraction <= 1, got "
-                f"{self.headroom_fraction}/{self.shed_fraction}"
-            )
-        if not 0.0 < self.shed_factor < 1.0:
-            raise ConfigurationError(
-                f"shed_factor must be in (0, 1), got {self.shed_factor}"
-            )
-        if self.widen_step < 1 or self.min_batch < 1:
-            raise ConfigurationError(
-                f"widen_step and min_batch must be >= 1, got "
-                f"{self.widen_step}/{self.min_batch}"
-            )
-        if self.max_batch_factor < 1:
-            raise ConfigurationError(
-                f"max_batch_factor must be >= 1, got {self.max_batch_factor}"
+                "need 0 < headroom_fraction < the shed fraction "
+                f"{SHED_FRACTION}, got {self.headroom_fraction}"
             )
 
 
@@ -174,7 +165,7 @@ class AdaptiveBatchController:
         The configured flush-on-idle deadline, likewise the resting
         value.
     config:
-        :class:`AdaptiveConfig` tuning constants.
+        :class:`AdaptiveConfig` (budget, headroom, safety margin).
     meter:
         Telemetry meter publishing the controller's state (effective
         width/deadline gauges, widen/shed counters) — the plane both
@@ -199,19 +190,15 @@ class AdaptiveBatchController:
         self.config = config or AdaptiveConfig()
         self.base_batch = base_batch
         self.base_flush_s = base_flush_s
-        self.max_batch = base_batch * self.config.max_batch_factor
-        self.min_flush_s = base_flush_s * self.config.min_flush_factor
+        self.max_batch = base_batch * MAX_BATCH_FACTOR
+        self.min_flush_s = base_flush_s * MIN_FLUSH_FACTOR
         self.effective_batch = base_batch
         self.effective_flush_s = base_flush_s
         self.model = SolveTimeModel()
         self.widen_count = 0
         self.shed_count = 0
-        self._recent_latency: deque[float] = deque(
-            maxlen=self.config.latency_window
-        )
-        self._recent_solves: deque[float] = deque(
-            maxlen=self.config.latency_window
-        )
+        self._recent_latency: deque[float] = deque(maxlen=LATENCY_WINDOW)
+        self._recent_solves: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._meter = meter
         self._publish()
 
@@ -237,11 +224,11 @@ class AdaptiveBatchController:
 
     def latency_percentile(self) -> float:
         """Steering percentile of recent end-to-end window latencies."""
-        return self._percentile(self._recent_latency, self.config.percentile)
+        return self._percentile(self._recent_latency, PERCENTILE)
 
     def solve_percentile(self) -> float:
         """Steering percentile of recent per-flush solve latencies."""
-        return self._percentile(self._recent_solves, self.config.percentile)
+        return self._percentile(self._recent_solves, PERCENTILE)
 
     def _headroom_cap(self) -> int:
         """Widest batch whose predicted solve fits the headroom."""
@@ -249,9 +236,7 @@ class AdaptiveBatchController:
         limit = self.config.headroom_fraction * self.config.budget_s
         if per_window <= 0.0:
             return self.max_batch
-        return max(
-            self.config.min_batch, int((limit - overhead) / per_window)
-        )
+        return max(MIN_BATCH, int((limit - overhead) / per_window))
 
     def observe_flush(
         self,
@@ -273,16 +258,14 @@ class AdaptiveBatchController:
         self._recent_solves.append(float(solve_seconds))
         budget = self.config.budget_s
         headroom = self.config.headroom_fraction * budget
-        threatened = solve_seconds >= self.config.shed_fraction * budget
+        threatened = solve_seconds >= SHED_FRACTION * budget
         if threatened:
             previous = (self.effective_batch, self.effective_flush_s)
             self.effective_batch = max(
-                self.config.min_batch,
-                int(self.effective_batch * self.config.shed_factor),
+                MIN_BATCH, int(self.effective_batch * SHED_FACTOR)
             )
             self.effective_flush_s = max(
-                self.min_flush_s,
-                self.effective_flush_s * self.config.shed_factor,
+                self.min_flush_s, self.effective_flush_s * SHED_FACTOR
             )
             if (self.effective_batch, self.effective_flush_s) != previous:
                 self.shed_count += 1
@@ -298,7 +281,7 @@ class AdaptiveBatchController:
             if backlog >= 2 * self.effective_batch:
                 candidate = 2 * self.effective_batch
             else:
-                candidate = self.effective_batch + self.config.widen_step
+                candidate = self.effective_batch + WIDEN_STEP
             widened = min(candidate, self.max_batch, self._headroom_cap())
             if widened > self.effective_batch:
                 self.effective_batch = widened

@@ -102,9 +102,15 @@ class FrameVerdict(enum.Enum):
     LATE_RETRANSMIT = "late_retransmit"
 
 
-@dataclass
+@dataclass(kw_only=True)
 class LossAccounting:
-    """Per-stream damage counters of the gap-recovery state machine."""
+    """Per-stream damage counters of the gap-recovery state machine.
+
+    The one declaration of the damage vocabulary: the gateway's
+    per-stream result and aggregate stats views inherit these fields
+    (keyword-only, so a subclass may lead with required fields of its
+    own) instead of re-typing them.
+    """
 
     #: windows that never arrived (sequence gaps, including the tail
     #: gap closed by a BYE frame that declares the sent-window count)

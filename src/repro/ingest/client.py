@@ -25,6 +25,7 @@ from ..errors import ProtocolError
 from ..telemetry import NULL_METER, MetricsRegistry
 from .channel import HOLD_CAP_EPOCHS, LossyChannel, LossyLink
 from .protocol import (
+    ACK_DAMAGE_FIELDS,
     FrameKind,
     Handshake,
     decode_json_body,
@@ -32,6 +33,14 @@ from .protocol import (
     encode_json_frame,
     read_frame,
 )
+
+#: reconnect backoff shape: delays double from ``backoff_base_s`` up to
+#: the cap, each stretched by up to this fraction of seeded jitter so
+#: nodes orphaned by one gateway death do not re-dial in lockstep.
+#: Fixed: the cap is one window period, and ``backoff_seed`` is what
+#: decorrelates a fleet.
+BACKOFF_CAP_S = 2.0
+BACKOFF_JITTER = 0.25
 
 
 @dataclass
@@ -133,10 +142,9 @@ class NodeClient:
         Maximum times :meth:`run_tcp` re-dials after a mid-stream
         connection loss (``0``, the default, keeps the old
         fail-fast behavior).  Each retry backs off exponentially
-        from ``backoff_base_s``, capped at ``backoff_cap_s``, with
-        up to ``backoff_jitter`` (fractional) seeded jitter so a
-        fleet of nodes orphaned by one gateway death does not
-        re-dial the front door in lockstep.  A resumed session
+        from ``backoff_base_s``, capped at :data:`BACKOFF_CAP_S`, with
+        up to :data:`BACKOFF_JITTER` (fractional) jitter seeded by
+        ``backoff_seed``.  A resumed session
         declares ``resume`` in its HELLO (the next sequence it will
         carry) so the receiving gateway baselines its loss
         accounting there; an fec node additionally replays from its
@@ -157,8 +165,6 @@ class NodeClient:
         fec: bool = False,
         reconnect: int = 0,
         backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
-        backoff_jitter: float = 0.25,
         backoff_seed: int | None = None,
     ) -> None:
         self.system = system
@@ -183,8 +189,6 @@ class NodeClient:
         self._ring_keyframes = HOLD_CAP_EPOCHS
         self.reconnect = int(reconnect)
         self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
-        self.backoff_jitter = float(backoff_jitter)
         self._backoff_rng = random.Random(backoff_seed)
         #: packets encoded once per client, so every (re)connected
         #: session replays byte-identical frames
@@ -220,10 +224,9 @@ class NodeClient:
         """Delay before reconnect ``attempt`` (1-based): capped
         exponential growth plus seeded proportional jitter."""
         base = min(
-            self.backoff_cap_s,
-            self.backoff_base_s * (2 ** max(attempt - 1, 0)),
+            BACKOFF_CAP_S, self.backoff_base_s * (2 ** max(attempt - 1, 0))
         )
-        return base * (1.0 + self.backoff_jitter * self._backoff_rng.random())
+        return base * (1.0 + BACKOFF_JITTER * self._backoff_rng.random())
 
     async def run(
         self,
@@ -502,19 +505,8 @@ class NodeClient:
                 )
                 report.iterations.append(int(payload.get("iterations", 0)))
                 # running damage counters (session-cumulative)
-                report.windows_lost = int(payload.get("windows_lost", 0))
-                report.windows_resynced = int(
-                    payload.get("windows_resynced", 0)
-                )
-                report.frames_corrupt = int(
-                    payload.get("frames_corrupt", 0)
-                )
-                report.frames_duplicate = int(
-                    payload.get("frames_duplicate", 0)
-                )
-                report.windows_recovered = int(
-                    payload.get("windows_recovered", 0)
-                )
+                for name in ACK_DAMAGE_FIELDS:
+                    setattr(report, name, int(payload.get(name, 0)))
             elif kind is FrameKind.NACK:
                 self._retransmit(writer, decode_json_body(body), report)
                 await writer.drain()

@@ -38,7 +38,7 @@ The design is a routing tier, not a decode tier:
 **Failover.**  The supervisor heartbeats every worker through the
 control pipe (the heartbeat doubles as the telemetry pull, below).  A
 worker that dies — process exit, pipe EOF, or
-``heartbeat_misses`` consecutive silent beats — is removed from the
+:data:`HEARTBEAT_MISSES` consecutive silent beats — is removed from the
 ring, which by the ring's segment property remaps *only the dead
 worker's key range*; every other stream's placement is untouched.
 The dead worker's live node links are cut (counted in
@@ -75,7 +75,6 @@ from ..fleet.scheduler import operator_key
 from ..telemetry import MetricsRegistry, MetricsSnapshot
 from ..utils.hashring import HashRing
 from .gateway import (
-    DEFAULT_FLUSH_MS,
     GatewayStats,
     IngestGateway,
     IngestStreamResult,
@@ -94,19 +93,37 @@ SESSION_ID_STRIDE = 1 << 20
 #: small enough that backpressure still propagates promptly
 _PUMP_CHUNK = 1 << 16
 
+#: the backend plane (front door -> gateway workers) is always loopback
+_BACKEND_HOST = "127.0.0.1"
+
+#: :class:`~repro.utils.hashring.HashRing` parameters.  Fixed: the seed
+#: *is* placement reproducibility across runs and machines, and 64
+#: virtual nodes per gateway balance the few operator groups a fleet has.
+RING_SEED = 2011
+RING_REPLICAS = 64
+
+#: supervision cadence: each ``HEARTBEAT_S`` the supervisor pulls a
+#: stats delta from every worker (liveness probe + telemetry roll-up);
+#: ``HEARTBEAT_MISSES`` consecutive failures declare it dead.  Fixed:
+#: a 3 s bound sits inside the node's reconnect backoff, and process
+#: exit / pipe EOF are noticed at once whatever the beat.
+HEARTBEAT_S = 1.0
+HEARTBEAT_MISSES = 3
+
 
 # ----------------------------------------------------------------------
 # worker side: one gateway process behind a control pipe
 # ----------------------------------------------------------------------
-def _gateway_worker_main(conn, spec: dict) -> None:
+def _gateway_worker_main(conn, gateway_options: dict) -> None:
     """Entry point of one gateway worker (process or fallback thread).
 
     Module-level so it pickles under every multiprocessing start
-    method.  ``spec`` carries only scalars (gateway kwargs, bind host,
-    session-id base) — the worker builds everything else itself.
+    method.  ``gateway_options`` are the gateway's constructor options
+    (scalars and a frozen config dataclass) — the worker builds
+    everything else itself.
     """
     try:
-        asyncio.run(_gateway_worker(conn, spec))
+        asyncio.run(_gateway_worker(conn, gateway_options))
     finally:
         try:
             conn.close()
@@ -114,7 +131,7 @@ def _gateway_worker_main(conn, spec: dict) -> None:
             pass
 
 
-async def _gateway_worker(conn, spec: dict) -> None:
+async def _gateway_worker(conn, gateway_options: dict) -> None:
     """Host one :class:`IngestGateway` and serve the control pipe.
 
     Control protocol (parent -> worker, each tagged with a
@@ -132,18 +149,8 @@ async def _gateway_worker(conn, spec: dict) -> None:
     (the front door died) closes the gateway and exits.
     """
     registry = MetricsRegistry()
-    gateway = IngestGateway(
-        batch_size=spec["batch_size"],
-        flush_ms=spec["flush_ms"],
-        workers=spec["workers"],
-        max_pending=spec["max_pending"],
-        telemetry=registry,
-        adaptive=spec["adaptive"],
-        nack_budget=spec["nack_budget"],
-        nack_deadline_ms=spec["nack_deadline_ms"],
-        session_id_base=spec["session_id_base"],
-    )
-    port = await gateway.start(spec["host"], 0)
+    gateway = IngestGateway(telemetry=registry, **gateway_options)
+    port = await gateway.start(_BACKEND_HOST, 0)
     loop = asyncio.get_running_loop()
     await loop.run_in_executor(None, conn.send, ("ready", port))
     shipped = MetricsSnapshot.empty()
@@ -195,7 +202,6 @@ class _GatewayWorker:
     """Front-door handle of one gateway worker."""
 
     gateway_id: str
-    index: int
     runner: object  # multiprocessing.Process | threading.Thread
     conn: object  # parent end of the control pipe
     in_process: bool  # thread fallback (no isolation, no kill)
@@ -301,69 +307,46 @@ class FederationFrontDoor:
         Worker process count.  ``1`` is a valid (supervised) fleet of
         one; the CLI keeps ``--gateways 1`` on the plain in-process
         gateway path instead, byte-identically to before.
-    batch_size / flush_ms / workers_per_gateway / max_pending /
-    adaptive / nack_budget / nack_deadline_ms:
-        Forwarded to each worker's
-        :class:`~repro.ingest.gateway.IngestGateway` unchanged.
-        ``workers_per_gateway`` defaults to 1: the federation already
-        scales across processes, so each gateway solves in-process
-        unless explicitly told to shard further.
     telemetry:
         The front door's own registry — the roll-up target.  Workers
         always build private registries; their deltas are absorbed
         here.
-    ring_seed / ring_replicas:
-        Consistent-hash ring parameters
-        (:class:`~repro.utils.hashring.HashRing`).  The seed makes
-        placement reproducible across runs and machines.
-    heartbeat_s / heartbeat_misses:
-        Supervision cadence: every ``heartbeat_s`` the supervisor
-        pulls a stats delta from each worker (liveness probe and
-        telemetry roll-up in one round trip); ``heartbeat_misses``
-        consecutive failures declare the worker dead.
     use_processes:
         ``False`` forces the thread fallback (used by tests on
         platforms where multiprocessing is unavailable; failover
         kill tests require real processes).
+    **gateway_options:
+        Every other keyword is an option of
+        :class:`~repro.ingest.gateway.IngestGateway` (``batch_size``,
+        ``flush_ms``, ``workers``, ``max_pending``, ``adaptive``,
+        ``adaptive_config``, ``nack_budget``), documented and
+        validated there and forwarded to each worker's gateway
+        untouched.  ``telemetry`` and ``session_id_base`` are the
+        front door's to assign (a private registry and a disjoint id
+        range per worker).
     """
 
     def __init__(
         self,
         gateways: int = 2,
         *,
-        batch_size: int = 32,
-        flush_ms: float = DEFAULT_FLUSH_MS,
-        workers_per_gateway: int = 1,
-        max_pending: int | None = None,
-        adaptive: bool = False,
-        nack_budget: int = 8,
-        nack_deadline_ms: float = 1000.0,
         telemetry: MetricsRegistry | None = None,
-        ring_seed: int = 2011,
-        ring_replicas: int = 64,
-        heartbeat_s: float = 1.0,
-        heartbeat_misses: int = 3,
         use_processes: bool = True,
+        **gateway_options,
     ) -> None:
         if gateways < 1:
             raise ConfigurationError(
                 f"gateways must be >= 1, got {gateways}"
             )
-        if heartbeat_s <= 0:
-            raise ConfigurationError(
-                f"heartbeat_s must be positive, got {heartbeat_s}"
-            )
-        if heartbeat_misses < 1:
-            raise ConfigurationError(
-                f"heartbeat_misses must be >= 1, got {heartbeat_misses}"
-            )
+        # validated by the constructor that owns them, in the parent (a
+        # gateway builds no executor or socket until started); naming
+        # session_id_base here makes a caller's own one a TypeError
+        IngestGateway(session_id_base=0, **gateway_options)
         self.gateways = gateways
         self.telemetry = (
             telemetry if telemetry is not None else MetricsRegistry()
         )
-        self.heartbeat_s = heartbeat_s
-        self.heartbeat_misses = heartbeat_misses
-        self.ring = HashRing(seed=ring_seed, replicas=ring_replicas)
+        self.ring = HashRing(seed=RING_SEED, replicas=RING_REPLICAS)
         #: ``(operator_key, gateway_id)`` per routed link, in arrival
         #: order — lets tests assert placement determinism
         self.route_log: list[tuple[tuple, str]] = []
@@ -376,16 +359,7 @@ class FederationFrontDoor:
         self.batch_logs: dict[str, list] = {}
         self.port: int | None = None
 
-        self._spec_base = {
-            "batch_size": batch_size,
-            "flush_ms": flush_ms,
-            "workers": workers_per_gateway,
-            "max_pending": max_pending,
-            "adaptive": adaptive,
-            "nack_budget": nack_budget,
-            "nack_deadline_ms": nack_deadline_ms,
-            "host": "127.0.0.1",  # backend plane is always loopback
-        }
+        self._gateway_options = gateway_options
         self._use_processes = use_processes
         self._workers: dict[str, _GatewayWorker] = {}
         self._server: asyncio.AbstractServer | None = None
@@ -448,15 +422,15 @@ class FederationFrontDoor:
         """Start gateway worker ``index`` and wait for its ready
         announcement (which carries the ephemeral backend port)."""
         parent_conn, child_conn = multiprocessing.Pipe()
-        spec = dict(
-            self._spec_base, session_id_base=index * SESSION_ID_STRIDE
+        options = dict(
+            self._gateway_options, session_id_base=index * SESSION_ID_STRIDE
         )
         runner = None
         if self._use_processes:
             try:
                 runner = multiprocessing.Process(
                     target=_gateway_worker_main,
-                    args=(child_conn, spec),
+                    args=(child_conn, options),
                     daemon=True,
                 )
                 runner.start()
@@ -474,7 +448,7 @@ class FederationFrontDoor:
         if runner is None:
             runner = threading.Thread(
                 target=_gateway_worker_main,
-                args=(child_conn, spec),
+                args=(child_conn, options),
                 daemon=True,
                 name=f"federation-gw{index}",
             )
@@ -483,7 +457,6 @@ class FederationFrontDoor:
             child_conn.close()  # the child process holds its own end
         worker = _GatewayWorker(
             gateway_id=f"gw{index}",
-            index=index,
             runner=runner,
             conn=parent_conn,
             in_process=not self._use_processes,
@@ -558,19 +531,19 @@ class FederationFrontDoor:
         """Heartbeat every worker; one round trip doubles as the
         telemetry roll-up pull (stats delta absorbed on success)."""
         while True:
-            await asyncio.sleep(self.heartbeat_s)
+            await asyncio.sleep(HEARTBEAT_S)
             for worker in self._alive_workers():
                 if not worker.runner.is_alive():
                     await self._declare_dead(worker, "worker exited")
                     continue
                 try:
                     reply = await self._request(
-                        worker, "stats", timeout=self.heartbeat_s
+                        worker, "stats", timeout=HEARTBEAT_S
                     )
                 except (TimeoutError, OSError, EOFError):
                     worker.missed_beats += 1
                     if (
-                        worker.missed_beats >= self.heartbeat_misses
+                        worker.missed_beats >= HEARTBEAT_MISSES
                         or not worker.runner.is_alive()
                     ):
                         await self._declare_dead(worker, "heartbeat lost")
@@ -728,7 +701,7 @@ class FederationFrontDoor:
             worker = self._workers[gateway_id]
             try:
                 backend_reader, backend_writer = await asyncio.open_connection(
-                    self._spec_base["host"], worker.port
+                    _BACKEND_HOST, worker.port
                 )
             except OSError:
                 await self._declare_dead(worker, "backend dial refused")
@@ -808,22 +781,8 @@ class FederationFrontDoor:
         return merge_stream_results(self.results)
 
 
-async def serve_federation(
-    front_door: FederationFrontDoor,
-    host: str = "127.0.0.1",
-    port: int = 9765,
-) -> None:
-    """Run a federation front door until cancelled."""
-    await front_door.start(host, port)
-    try:
-        await asyncio.Event().wait()  # serve until cancelled
-    finally:
-        await front_door.close()
-
-
 __all__ = [
     "SESSION_ID_STRIDE",
     "FederationFrontDoor",
     "FederationStats",
-    "serve_federation",
 ]

@@ -95,8 +95,14 @@ from .adaptive import (
     AdaptiveConfig,
     FixedBatchController,
 )
-from .channel import FrameVerdict, SequenceTracker, StreamRecovery
+from .channel import (
+    FrameVerdict,
+    LossAccounting,
+    SequenceTracker,
+    StreamRecovery,
+)
 from .protocol import (
+    ACK_DAMAGE_FIELDS,
     FrameKind,
     Handshake,
     decode_json_body,
@@ -108,6 +114,28 @@ from .protocol import (
 #: than this for batch-mates before decoding.  Chosen well inside the
 #: paper's 2-second real-time budget, leaving room for the solve.
 DEFAULT_FLUSH_MS = 250.0
+
+#: how long a link stays open after ``BYE`` for retransmissions still
+#: owed — the recovery layer's only wall-clock escape.  Fixed: it fires
+#: only when an awaited retransmit never arrives (live and offline
+#: accounting then give up identically), and one second covers several
+#: round trips of any link the 2 s window budget tolerates.
+NACK_DEADLINE_S = 1.0
+
+#: the :class:`~repro.ingest.channel.LossAccounting` counters every
+#: result/stats view carries, each an ``ingest_<name>`` counter family
+DAMAGE_COUNTERS = tuple(f.name for f in dataclasses.fields(LossAccounting))
+
+#: the positional per-window lists of :class:`IngestStreamResult`, row
+#: ``i`` of each describing the same decoded window
+WINDOW_LISTS = (
+    "indices",
+    "sequences",
+    "iterations",
+    "decode_seconds",
+    "latencies_s",
+    "samples_adu",
+)
 
 
 class _LoopbackWriter:
@@ -164,8 +192,17 @@ class _PendingWindow:
 
 
 @dataclass
-class IngestStreamResult:
-    """Everything the gateway retained about one completed stream."""
+class IngestStreamResult(LossAccounting):
+    """Everything the gateway retained about one completed stream.
+
+    The lossy-channel damage accounting (``windows_lost``,
+    ``windows_resynced``, ``frames_corrupt``, ``frames_duplicate``,
+    ``windows_recovered_parity`` / ``_retransmit``,
+    ``frames_late_retransmit`` — recovered windows are decoded, never
+    also counted lost) is the inherited
+    :class:`~repro.ingest.channel.LossAccounting` field set, copied
+    from the session's tracker at stream end.
+    """
 
     session_id: int
     record: str
@@ -197,21 +234,6 @@ class IngestStreamResult:
     decode_seconds: list[float] = field(default_factory=list)
     latencies_s: list[float] = field(default_factory=list)
     samples_adu: list[np.ndarray] = field(default_factory=list)
-    #: lossy-channel damage accounting (see repro.ingest.channel):
-    #: windows that never arrived (sequence gaps, incl. the BYE-closed
-    #: tail gap), diff windows discarded while resyncing to a keyframe,
-    #: frames failing the on-air CRC, and idempotently dropped
-    #: duplicate/stale frames
-    windows_lost: int = 0
-    windows_resynced: int = 0
-    frames_corrupt: int = 0
-    frames_duplicate: int = 0
-    #: windows the two-tier recovery layer saved (and decoded): from a
-    #: local parity reconstruction / from a NACKed retransmission
-    windows_recovered_parity: int = 0
-    windows_recovered_retransmit: int = 0
-    #: retransmitted frames arriving only after recovery gave up
-    frames_late_retransmit: int = 0
     #: NACK frames' worth of sequences requested from the node
     nacks_sent: int = 0
 
@@ -219,11 +241,6 @@ class IngestStreamResult:
     def num_windows(self) -> int:
         """Windows decoded for this stream (recovered ones included)."""
         return len(self.sequences)
-
-    @property
-    def windows_recovered(self) -> int:
-        """Windows that would have been damaged but were recovered."""
-        return self.windows_recovered_parity + self.windows_recovered_retransmit
 
     @property
     def stream_key(self) -> str:
@@ -257,14 +274,7 @@ class IngestStreamResult:
         """
         if self.indices != sorted(self.indices):
             order = np.argsort(self.indices, kind="stable")
-            for name in (
-                "indices",
-                "sequences",
-                "iterations",
-                "decode_seconds",
-                "latencies_s",
-                "samples_adu",
-            ):
+            for name in WINDOW_LISTS:
                 values = getattr(self, name)
                 setattr(self, name, [values[i] for i in order])
         return self
@@ -301,12 +311,7 @@ def merge_stream_results(
         if previous is None:
             merged[key] = dataclasses.replace(
                 result,
-                indices=list(result.indices),
-                sequences=list(result.sequences),
-                iterations=list(result.iterations),
-                decode_seconds=list(result.decode_seconds),
-                latencies_s=list(result.latencies_s),
-                samples_adu=list(result.samples_adu),
+                **{name: list(getattr(result, name)) for name in WINDOW_LISTS},
             )
             continue
         replayed = (
@@ -319,25 +324,13 @@ def merge_stream_results(
         ]
         offset = max(previous.indices, default=-1) + 1
         previous.indices.extend(offset + rank for rank in range(len(keep)))
-        previous.sequences.extend(result.sequences[p] for p in keep)
-        previous.iterations.extend(result.iterations[p] for p in keep)
-        previous.decode_seconds.extend(
-            result.decode_seconds[p] for p in keep
-        )
-        previous.latencies_s.extend(result.latencies_s[p] for p in keep)
-        previous.samples_adu.extend(result.samples_adu[p] for p in keep)
-        previous.windows_lost += result.windows_lost
-        previous.windows_resynced += result.windows_resynced
-        previous.frames_corrupt += result.frames_corrupt
-        previous.frames_duplicate += result.frames_duplicate
-        previous.windows_recovered_parity += (
-            result.windows_recovered_parity
-        )
-        previous.windows_recovered_retransmit += (
-            result.windows_recovered_retransmit
-        )
-        previous.frames_late_retransmit += result.frames_late_retransmit
-        previous.nacks_sent += result.nacks_sent
+        for name in WINDOW_LISTS[1:]:  # indices: re-based above
+            values = getattr(result, name)
+            getattr(previous, name).extend(values[p] for p in keep)
+        for name in (*DAMAGE_COUNTERS, "nacks_sent"):
+            setattr(
+                previous, name, getattr(previous, name) + getattr(result, name)
+            )
         previous.clean_close = result.clean_close
         if previous.error is None:
             previous.error = result.error
@@ -345,7 +338,7 @@ def merge_stream_results(
 
 
 @dataclass
-class GatewayStats:
+class GatewayStats(LossAccounting):
     """Aggregate view of one gateway's lifetime.
 
     Since the telemetry refactor this dataclass is a *read model*: the
@@ -359,7 +352,10 @@ class GatewayStats:
     ``streams`` counts distinct stream identities (``record:channel``)
     rather than sessions: a reconnecting stream id contributes one
     stream however many sessions it opened (``sessions_opened`` keeps
-    counting sessions).
+    counting sessions).  The inherited
+    :class:`~repro.ingest.channel.LossAccounting` fields are the
+    lossy-channel damage and two-tier recovery outcomes summed across
+    all sessions.
     """
 
     sessions_opened: int = 0
@@ -375,15 +371,6 @@ class GatewayStats:
     #: adaptive-mode flushes forced by the budget-pressure rule
     flushes_pressure: int = 0
     cross_stream_batches: int = 0
-    #: lossy-channel damage across all sessions (see channel.py)
-    windows_lost: int = 0
-    windows_resynced: int = 0
-    frames_corrupt: int = 0
-    frames_duplicate: int = 0
-    #: two-tier recovery outcomes across all sessions
-    windows_recovered_parity: int = 0
-    windows_recovered_retransmit: int = 0
-    frames_late_retransmit: int = 0
     nacks_sent: int = 0
     #: ``None`` until the first window decodes — "no data yet" must
     #: not be reported as a perfect 0.0 latency
@@ -507,17 +494,14 @@ class IngestGateway:
         schedule exactly.
     adaptive_config:
         Optional :class:`~repro.ingest.adaptive.AdaptiveConfig`
-        (budget, thresholds, step sizes) for ``adaptive=True``.
+        (budget, widen headroom, pressure safety margin) for
+        ``adaptive=True``.
     nack_budget:
         Per-stream tier-2 budget: at most this many sequences are ever
         NACKed for retransmission on one session; a gap that would
         exceed it falls back to keyframe resync immediately.
-    nack_deadline_ms:
-        How long the gateway keeps a link open after ``BYE`` waiting
-        for outstanding retransmissions before giving up.  The only
-        wall-clock escape of the recovery layer — it fires only when
-        an awaited retransmit never arrives, so live and offline
-        accounting still converge.
+        After ``BYE`` the link stays open :data:`NACK_DEADLINE_S` for
+        retransmissions still owed.
     session_id_base:
         First session id this gateway assigns.  A federation front
         door gives each gateway a disjoint range so stream ids stay
@@ -534,7 +518,6 @@ class IngestGateway:
         adaptive: bool = False,
         adaptive_config: AdaptiveConfig | None = None,
         nack_budget: int = 8,
-        nack_deadline_ms: float = 1000.0,
         session_id_base: int = 0,
     ) -> None:
         if batch_size < 1:
@@ -555,16 +538,11 @@ class IngestGateway:
             raise ConfigurationError(
                 f"nack_budget must be >= 0, got {nack_budget}"
             )
-        if nack_deadline_ms <= 0:
-            raise ConfigurationError(
-                f"nack_deadline_ms must be positive, got {nack_deadline_ms}"
-            )
         if session_id_base < 0:
             raise ConfigurationError(
                 f"session_id_base must be >= 0, got {session_id_base}"
             )
         self.nack_budget = nack_budget
-        self.nack_deadline_s = nack_deadline_ms / 1000.0
         self.batch_size = batch_size
         self.flush_s = flush_ms / 1000.0
         self.workers = workers if workers else 1
@@ -979,7 +957,7 @@ class IngestGateway:
         :meth:`_finalize` — the same :meth:`StreamRecovery.give_up`
         path an offline replay takes at end of stream."""
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.nack_deadline_s
+        deadline = loop.time() + NACK_DEADLINE_S
         while session.recovery.holding:
             timeout = deadline - loop.time()
             if timeout <= 0:
@@ -1020,16 +998,8 @@ class IngestGateway:
         # result view (the telemetry counters were published live by
         # the session's SequenceTracker meter)
         result = session.result.ordered()
-        accounting = session.tracker.accounting
-        result.windows_lost = accounting.windows_lost
-        result.windows_resynced = accounting.windows_resynced
-        result.frames_corrupt = accounting.frames_corrupt
-        result.frames_duplicate = accounting.frames_duplicate
-        result.windows_recovered_parity = accounting.windows_recovered_parity
-        result.windows_recovered_retransmit = (
-            accounting.windows_recovered_retransmit
-        )
-        result.frames_late_retransmit = accounting.frames_late_retransmit
+        for name in DAMAGE_COUNTERS:
+            setattr(result, name, getattr(session.tracker.accounting, name))
         result.nacks_sent = session.recovery.nacks_sent
         self.results.append(result)
         if session.result.error is None:
@@ -1262,11 +1232,10 @@ class IngestGateway:
                     # running damage accounting, so a node (and the
                     # serve --simulate table) sees channel losses
                     # without a side channel
-                    "windows_lost": accounting.windows_lost,
-                    "windows_resynced": accounting.windows_resynced,
-                    "frames_corrupt": accounting.frames_corrupt,
-                    "frames_duplicate": accounting.frames_duplicate,
-                    "windows_recovered": accounting.windows_recovered,
+                    **{
+                        name: getattr(accounting, name)
+                        for name in ACK_DAMAGE_FIELDS
+                    },
                 },
             )
             session.quota.release()
@@ -1328,39 +1297,20 @@ def gateway_stats_from(telemetry: MetricsRegistry) -> GatewayStats:
         flushes_drain=flushes("drain"),
         flushes_pressure=flushes("pressure"),
         cross_stream_batches=total("ingest_cross_stream_batches"),
-        windows_lost=total("ingest_windows_lost"),
-        windows_resynced=total("ingest_windows_resynced"),
-        frames_corrupt=total("ingest_frames_corrupt"),
-        frames_duplicate=total("ingest_frames_duplicate"),
-        windows_recovered_parity=total("ingest_windows_recovered_parity"),
-        windows_recovered_retransmit=total(
-            "ingest_windows_recovered_retransmit"
-        ),
-        frames_late_retransmit=total("ingest_frames_late_retransmit"),
         nacks_sent=total("ingest_nacks_sent"),
+        **{name: total(f"ingest_{name}") for name in DAMAGE_COUNTERS},
         max_latency_s=(
             latency.max if latency is not None and latency.total else None
         ),
     )
 
 
-async def serve_gateway(
-    gateway: IngestGateway, host: str = "127.0.0.1", port: int = 9765
-) -> None:
-    """Run a gateway's TCP listener until cancelled."""
-    await gateway.start(host, port)
-    try:
-        await asyncio.Event().wait()  # serve until cancelled
-    finally:
-        await gateway.close()
-
-
 __all__ = [
     "DEFAULT_FLUSH_MS",
+    "NACK_DEADLINE_S",
     "GatewayStats",
     "IngestGateway",
     "IngestStreamResult",
     "gateway_stats_from",
     "merge_stream_results",
-    "serve_gateway",
 ]

@@ -117,6 +117,27 @@ MAX_FRAME_BYTES = 1 << 20
 #: a larger window is refused before anything is allocated.
 MAX_WINDOW_SAMPLES = 1024
 
+#: Upper bound on a handshake's solver iteration cap (the paper budgets
+#: 2000).  A group's first flush builds a momentum schedule of this
+#: length in pure Python under the *shared* operator's lock — ms here,
+#: minutes and gigabytes at the 2 * 10^9 an unchecked HELLO could name,
+#: stalling every honest stream on that operator.
+MAX_SOLVER_ITERATIONS = 20_000
+
+#: Upper bound on a handshake's keyframe interval (the paper uses 16):
+#: recovery holds up to ``HOLD_CAP_EPOCHS * keyframe_interval`` frames.
+MAX_KEYFRAME_INTERVAL = 1024
+
+#: the running damage accounting every ``DECODED`` ack carries:
+#: :class:`~repro.ingest.channel.LossAccounting` attributes by name
+ACK_DAMAGE_FIELDS = (
+    "windows_lost",
+    "windows_resynced",
+    "frames_corrupt",
+    "frames_duplicate",
+    "windows_recovered",
+)
+
 _LENGTH_BYTES = 4
 
 
@@ -300,9 +321,11 @@ class Handshake:
 
         Raises :class:`~repro.errors.ProtocolError` on an unsupported
         protocol version, a malformed or invalid codec config, a
-        window longer than :data:`MAX_WINDOW_SAMPLES`, a bad codebook
-        table, or a bad precision — the gateway reports the
-        message back to the node in an ``ERROR`` frame.
+        window longer than :data:`MAX_WINDOW_SAMPLES`, an iteration cap
+        above :data:`MAX_SOLVER_ITERATIONS`, a keyframe interval above
+        :data:`MAX_KEYFRAME_INTERVAL`, a bad codebook table, or a bad
+        precision — the gateway reports the message back to the node
+        in an ``ERROR`` frame.
         """
         payload = decode_json_body(body)
         version = payload.get("protocol")
@@ -318,11 +341,16 @@ class Handshake:
             config = SystemConfig(**payload["config"])
         except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise ProtocolError(f"invalid handshake config: {exc}") from exc
-        if config.n > MAX_WINDOW_SAMPLES:
-            raise ProtocolError(
-                f"handshake window of {config.n} samples exceeds the "
-                f"{MAX_WINDOW_SAMPLES}-sample cap"
-            )
+        for name, cap in (
+            ("n", MAX_WINDOW_SAMPLES),
+            ("max_iterations", MAX_SOLVER_ITERATIONS),
+            ("keyframe_interval", MAX_KEYFRAME_INTERVAL),
+        ):
+            if getattr(config, name) > cap:
+                raise ProtocolError(
+                    f"handshake {name}={getattr(config, name)} exceeds "
+                    f"the cap of {cap}"
+                )
         codebook_payload = payload.get("codebook")
         codebook = None
         if codebook_payload is not None:

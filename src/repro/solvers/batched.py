@@ -458,7 +458,7 @@ def batched_fista(
     )
 
 
-#: default hybrid-precision polish gate: a column whose relative
+#: the hybrid-precision polish gate: a column whose relative
 #: residual ``||y - Phi s|| / ||y||`` exceeds this after the float32
 #: solve is re-solved in float64.  Calibrated against the fig-6
 #: corridor: on the paper-point workload the float32 and float64
@@ -536,7 +536,6 @@ def structured_batched_fista(
     max_iterations: int = 2000,
     tolerance: float = 1e-4,
     iterate_dtype: np.dtype | type = np.float32,
-    polish_corridor: float = DEFAULT_POLISH_CORRIDOR,
     workspace: BatchWorkspace | None = None,
 ) -> HybridSolveResult:
     """Solve a measurement block against a factored ``A = Phi Psi``.
@@ -557,10 +556,11 @@ def structured_batched_fista(
        :class:`~repro.solvers.sparse_apply.SparsePhiApply` (``n*d``
        adds instead of an ``m*n`` GEMM — this is where the sparse
        binary structure pays on the hot path);
-    5. columns whose relative residual leaves ``polish_corridor`` (or
-       is non-finite) are re-solved in float64, warm-started from
-       their float32 coefficients (non-finite warm starts reset to
-       zero), then re-synthesized and re-gated.
+    5. columns whose relative residual leaves
+       :data:`DEFAULT_POLISH_CORRIDOR` (or is non-finite) are re-solved
+       in float64, warm-started from their float32 coefficients
+       (non-finite warm starts reset to zero), then re-synthesized and
+       re-gated.
 
     ``structure`` is a
     :class:`~repro.solvers.sparse_apply.StructuredOperator`.  All
@@ -572,10 +572,6 @@ def structured_batched_fista(
     if iterate_dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise SolverError(
             f"iterate_dtype must be float32 or float64, got {iterate_dtype}"
-        )
-    if polish_corridor <= 0:
-        raise SolverError(
-            f"polish_corridor must be positive, got {polish_corridor}"
         )
     ys64 = np.asarray(
         check_measurement_matrix(structure.dense64, ys), dtype=np.float64
@@ -636,7 +632,9 @@ def structured_batched_fista(
     )
     rel_residuals = residual_norms / y_floor
     # NaN/inf-safe: only a finite residual inside the corridor passes
-    within = np.isfinite(rel_residuals) & (rel_residuals <= polish_corridor)
+    within = np.isfinite(rel_residuals) & (
+        rel_residuals <= DEFAULT_POLISH_CORRIDOR
+    )
 
     iterations = fast.iterations.copy()
     converged = fast.converged.copy()
@@ -756,7 +754,6 @@ class BatchedFista:
         max_iterations: int = 2000,
         tolerance: float = 1e-4,
         iterate_dtype: np.dtype | type = np.float32,
-        polish_corridor: float = DEFAULT_POLISH_CORRIDOR,
     ) -> HybridSolveResult:
         """Run the hybrid-precision structured pipeline on one block.
 
@@ -777,7 +774,6 @@ class BatchedFista:
             max_iterations=max_iterations,
             tolerance=tolerance,
             iterate_dtype=iterate_dtype,
-            polish_corridor=polish_corridor,
             workspace=self._workspace,
         )
 

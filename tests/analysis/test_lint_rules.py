@@ -17,7 +17,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def lint_fixture(name: str, rule_id: str):
     """Findings of one rule over one fixture file (suppressions and
-    framework diagnostics still apply; no baseline)."""
+    framework diagnostics still apply)."""
     findings, _, suppressed = run_lint(
         FIXTURES.parent, [str(FIXTURES / name)], {rule_id}
     )

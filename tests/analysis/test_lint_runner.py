@@ -1,4 +1,4 @@
-"""Runner end-to-end: exit codes, reports, baseline flow, the repo."""
+"""Runner end-to-end: exit codes, reports, the repo."""
 
 import json
 import os
@@ -163,29 +163,6 @@ class TestGithubFormat:
         root = _tree(tmp_path, "x = 1\n")
         assert main(["--root", str(root), "--format", "github"]) == 0
         assert "::error" not in capsys.readouterr().out
-
-
-class TestBaselineFlow:
-    def test_write_then_absorb_then_new_finding(self, tmp_path, capsys):
-        root = _tree(tmp_path, BAD_ASYNC)
-        # record today's findings
-        assert main(["--root", str(root), "--write-baseline"]) == 0
-        assert (root / ".repro-lint-baseline.json").exists()
-        # grandfathered: the same tree is now green
-        assert main(["--root", str(root)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-        # --no-baseline surfaces them again
-        assert main(["--root", str(root), "--no-baseline"]) == 1
-        # a second, new violation exceeds the recorded count and fails
-        mod = root / "src" / "pkg" / "mod.py"
-        mod.write_text(BAD_ASYNC + "\n\nasync def two():\n    time.sleep(2)\n")
-        assert main(["--root", str(root)]) == 1
-
-    def test_repo_baseline_is_checked_in_and_empty(self):
-        data = json.loads(
-            (REPO_ROOT / ".repro-lint-baseline.json").read_text()
-        )
-        assert data == {"schema": 1, "entries": []}
 
 
 class TestCliIntegration:

@@ -22,6 +22,7 @@ from repro.ingest import (
     encoded_packets,
     read_frame,
 )
+from repro.ingest.adaptive import MAX_BATCH_FACTOR, MIN_BATCH, SHED_FRACTION
 from repro.telemetry import MetricsRegistry
 
 
@@ -60,9 +61,7 @@ class TestSolveTimeModel:
 
 class TestControllerAimd:
     def _controller(self, **overrides) -> AdaptiveBatchController:
-        config = AdaptiveConfig(
-            budget_s=2.0, widen_step=4, latency_window=16, **overrides
-        )
+        config = AdaptiveConfig(budget_s=2.0, **overrides)
         return AdaptiveBatchController(16, 0.25, config=config)
 
     def test_holds_base_point_without_signals(self):
@@ -87,10 +86,10 @@ class TestControllerAimd:
         assert controller.effective_batch <= controller.max_batch
 
     def test_widening_caps_at_max_batch(self):
-        controller = self._controller(max_batch_factor=2)
+        controller = self._controller()
         for _ in range(10):
-            controller.observe_flush(16, 0.05, backlog=500, reason="full")
-        assert controller.effective_batch == 32  # 2 * base
+            controller.observe_flush(16, 0.05, backlog=5000, reason="full")
+        assert controller.effective_batch == 16 * MAX_BATCH_FACTOR
 
     def test_sheds_multiplicatively_when_budget_threatened(self):
         controller = self._controller()
@@ -113,7 +112,7 @@ class TestControllerAimd:
         controller = self._controller()
         for _ in range(30):
             controller.observe_flush(4, 1.9, backlog=0, reason="full")
-        assert controller.effective_batch >= controller.config.min_batch
+        assert controller.effective_batch >= MIN_BATCH
         assert controller.effective_flush_s >= controller.min_flush_s
 
     def test_recovery_returns_flush_deadline_to_base_only(self):
@@ -186,13 +185,8 @@ class TestControllerAimd:
         with pytest.raises(ConfigurationError):
             AdaptiveConfig(budget_s=0)
         with pytest.raises(ConfigurationError):
-            AdaptiveConfig(headroom_fraction=0.9, shed_fraction=0.8)
-        with pytest.raises(ConfigurationError):
-            AdaptiveConfig(shed_factor=1.5)
-        with pytest.raises(ConfigurationError):
-            AdaptiveConfig(widen_step=0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveConfig(max_batch_factor=0)
+            # widening up to the shed threshold would shed what it widened
+            AdaptiveConfig(headroom_fraction=SHED_FRACTION)
         with pytest.raises(ConfigurationError):
             AdaptiveBatchController(0, 0.25)
         with pytest.raises(ConfigurationError):

@@ -20,6 +20,8 @@ from repro.core import EcgMonitorSystem
 from repro.errors import ConfigurationError
 from repro.fleet.scheduler import operator_key
 from repro.ingest import FederationFrontDoor, NodeClient
+from repro.ingest import federation as federation_module
+from repro.ingest.federation import RING_REPLICAS, RING_SEED
 from repro.utils import HashRing
 
 
@@ -110,7 +112,9 @@ class TestRouting:
         reports, live, _ = _run_threaded(front_door, clients)
         assert all(report.error is None for report in reports)
 
-        oracle = HashRing(("gw0", "gw1"), seed=2011, replicas=64)
+        oracle = HashRing(
+            ("gw0", "gw1"), seed=RING_SEED, replicas=RING_REPLICAS
+        )
         routed = dict(front_door.route_log)
         assert len(front_door.route_log) == 4
         for client, (_, group) in zip(clients, specs):
@@ -305,14 +309,97 @@ class TestFailover:
             assert report.acked >= report.sent
 
 
+    def test_silent_worker_is_declared_dead_on_missed_heartbeats(
+        self, small_config, database, monkeypatch
+    ):
+        """A worker that stops answering its control pipe (alive, but
+        wedged) is ruled dead after HEARTBEAT_MISSES silent beats:
+        removed from the ring, its live links cut, its streams
+        re-routed to the survivor."""
+        import time
+
+        monkeypatch.setattr(federation_module, "HEARTBEAT_S", 0.1)
+
+        class SilentPipe:
+            """The parent end of a control pipe whose worker went
+            quiet: requests vanish, nothing ever comes back."""
+
+            def __init__(self, conn):
+                self.conn = conn
+
+            def send(self, message):
+                pass
+
+            def poll(self, timeout):
+                time.sleep(timeout)
+                return False
+
+            def close(self):
+                self.conn.close()  # EOF lets the worker thread exit
+
+        clients = _make_clients(
+            small_config,
+            database,
+            [("100", 0)],
+            max_packets=16,
+            interval_s=0.08,
+            fec=True,
+            reconnect=5,
+        )
+        front_door = FederationFrontDoor(
+            gateways=2, batch_size=4, flush_ms=100.0, use_processes=False
+        )
+
+        async def run():
+            port = await front_door.start("127.0.0.1", 0)
+            stream = asyncio.ensure_future(
+                clients[0].run_tcp("127.0.0.1", port)
+            )
+            await asyncio.sleep(0.2)
+            victim = max(
+                front_door._workers.values(),
+                key=lambda worker: len(worker.sessions),
+            )
+            assert victim.sessions, "no gateway had a live session yet"
+            victim.conn = SilentPipe(victim.conn)
+            report = await asyncio.wait_for(stream, 20.0)
+            live = front_door.federation_stats()
+            in_ring = victim.gateway_id in front_door.ring
+            await front_door.close()
+            return report, victim, live, in_ring
+
+        with pytest.warns(RuntimeWarning, match="heartbeat lost"):
+            report, victim, live, in_ring = asyncio.run(run())
+        assert not victim.alive and not in_ring
+        assert live.gateways_alive == 1
+        assert not victim.sessions  # its links were cut
+        assert report.error is None
+        assert report.reconnects >= 1
+        assert front_door.federation_stats().reroutes == 1
+        # the survivor decoded the replayed tail from the fec anchor
+        survivor = front_door.merged_results()["100:0"]
+        assert survivor.sequences[-1] == 15
+        assert survivor.windows_lost == 0
+
+
 class TestValidation:
     def test_constructor_rejects_bad_shapes(self):
         with pytest.raises(ConfigurationError, match="gateways"):
             FederationFrontDoor(gateways=0)
-        with pytest.raises(ConfigurationError, match="heartbeat"):
-            FederationFrontDoor(gateways=2, heartbeat_s=0.0)
-        with pytest.raises(ConfigurationError, match="heartbeat"):
-            FederationFrontDoor(gateways=2, heartbeat_misses=0)
+
+    def test_gateway_options_validated_by_the_gateway_constructor(self):
+        """Forwarded options are checked in the parent, by the one
+        constructor that owns them — not as N worker start-up
+        failures, and not by a second copy of the checks."""
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            FederationFrontDoor(gateways=2, batch_size=0)
+        with pytest.raises(ConfigurationError, match="nack_budget"):
+            FederationFrontDoor(gateways=2, nack_budget=-1)
+        with pytest.raises(TypeError, match="workers_per_gateway"):
+            FederationFrontDoor(gateways=2, workers_per_gateway=2)
+        # the id range is the front door's to assign
+        with pytest.raises(TypeError, match="session_id_base"):
+            FederationFrontDoor(gateways=2, session_id_base=7)
 
     def test_kill_unknown_gateway_rejected(self):
         front_door = FederationFrontDoor(gateways=2, use_processes=False)

@@ -737,17 +737,38 @@ class TestFaults:
         assert "expected HELLO" in json.loads(body)["error"]
 
 
-    def test_oversized_window_hello_refused_before_any_build(self):
-        """A HELLO names the operator the gateway will rebuild: a window
-        past the protocol's cap (here a 32 GiB dense basis) is answered
-        with an ERROR frame, and nothing was built for it."""
+    @pytest.mark.parametrize(
+        "hostile",
+        [
+            # a 32 GiB dense synthesis basis
+            {"n": 1 << 16},
+            # a minutes-long pure-Python momentum schedule (and a 16 GB
+            # array) built under the shared operator's lock
+            {"max_iterations": 2_000_000_000},
+            # an unbounded recovery hold cap (4 * keyframe_interval)
+            {"keyframe_interval": 10**9},
+        ],
+        ids=["window", "iterations", "keyframe_interval"],
+    )
+    def test_oversized_hello_refused_before_any_build(
+        self, hostile, monkeypatch
+    ):
+        """A HELLO names the operator the gateway will rebuild and the
+        budgets its solves and recovery holds run under: a field past
+        the protocol's caps is answered with an ERROR frame, and
+        nothing was built or scheduled for it."""
         from repro.config import SystemConfig
         from repro.core.decoder import build_resources
-        from repro.ingest.protocol import MAX_WINDOW_SAMPLES
+        from repro.solvers import batched
 
-        config = SystemConfig(n=1 << 16, m=256, d=12)
-        assert config.n > MAX_WINDOW_SAMPLES
+        config = SystemConfig(**{"n": 512, "m": 256, "d": 12, **hostile})
         built = build_resources.cache_info().misses
+        schedules = []
+        monkeypatch.setattr(
+            batched,
+            "_momentum_schedule",
+            lambda length: schedules.append(length),
+        )
 
         async def run():
             gateway = IngestGateway()
@@ -766,6 +787,7 @@ class TestFaults:
         assert gateway.stats.sessions_errored == 1
         assert gateway.stats.sessions_opened == 0
         assert build_resources.cache_info().misses == built
+        assert schedules == []
 
 
 class TestUnexpectedFrames:
@@ -946,6 +968,56 @@ class TestLossResilience:
         assert result.sequences == [0, 1]
         assert result.windows_lost == 2
         assert gateway.stats.windows_lost == 2
+
+    def test_unanswered_nack_gives_up_at_the_deadline(
+        self, small_config, database, monkeypatch
+    ):
+        """A fec node says BYE with a gap open and never answers the
+        NACK (nor hangs up): the post-BYE grace window times out, the
+        gap is given up and charged, and the session completes."""
+        from repro.ingest import gateway as gateway_module
+
+        monkeypatch.setattr(gateway_module, "NACK_DEADLINE_S", 0.05)
+        config = small_config.replace(keyframe_interval=4)
+        record = database.load("100")
+        system = _system(config, record)
+        packets = encoded_packets(system, record, max_packets=4)
+
+        async def run():
+            gateway = IngestGateway(batch_size=4, flush_ms=50.0)
+            reader, writer = gateway.connect_local()
+            writer.write(
+                Handshake(
+                    record=record.name,
+                    channel=0,
+                    config=config,
+                    codebook=system.encoder.codebook,
+                    fec=True,
+                ).to_frame()
+            )
+            for index in (0, 1, 3):  # diff 2 lost, and no parity sent
+                writer.write(
+                    encode_frame(FrameKind.PACKET, packets[index].to_bytes())
+                )
+            writer.write(encode_json_frame(FrameKind.BYE, {"windows": 4}))
+            await asyncio.sleep(0.02)  # let the session task start
+            # the link stays open: only the deadline can end the wait
+            await asyncio.wait_for(_drain_sessions(gateway), 5.0)
+            still_open = not writer.is_closing()
+            await gateway.close()
+            return gateway, still_open
+
+        gateway, still_open = asyncio.run(run())
+        assert still_open
+        result = gateway.results[0]
+        assert result.clean_close and result.error is None
+        assert result.nacks_sent == 1
+        # 2 given up as lost; 3 (a diff past the gap) resynced
+        assert result.sequences == [0, 1]
+        assert result.windows_lost == 1
+        assert result.windows_resynced == 1
+        assert result.windows_recovered == 0
+        assert gateway.stats.sessions_completed == 1
 
     def test_lossy_node_client_end_to_end(self, small_config, database):
         """NodeClient + LossyChannel over the loopback transport: the
@@ -1553,14 +1625,16 @@ class TestCloseDrain:
 class TestNodeReconnect:
     """Satellite of the federation PR: the node-side retry loop."""
 
-    def test_backoff_schedule_caps_and_grows(self, small_config, database):
+    def test_backoff_schedule_caps_and_grows(
+        self, small_config, database, monkeypatch
+    ):
+        from repro.ingest import client as client_module
+
+        # jitter off: the bare doubling-then-capped schedule
+        monkeypatch.setattr(client_module, "BACKOFF_JITTER", 0.0)
         record = database.load("100")
         client = NodeClient(
-            _system(small_config, record),
-            record,
-            backoff_base_s=0.05,
-            backoff_cap_s=2.0,
-            backoff_jitter=0.0,
+            _system(small_config, record), record, backoff_base_s=0.05
         )
         delays = [client.backoff_delay(attempt) for attempt in range(1, 9)]
         assert delays[:6] == pytest.approx(
@@ -1578,8 +1652,6 @@ class TestNodeReconnect:
                 _system(small_config, record),
                 record,
                 backoff_base_s=0.1,
-                backoff_cap_s=2.0,
-                backoff_jitter=0.25,
                 backoff_seed=7,
             )
 

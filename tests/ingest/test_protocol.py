@@ -156,6 +156,27 @@ class TestHandshake:
         with pytest.raises(ProtocolError, match="invalid handshake config"):
             Handshake.from_body(json.dumps(payload).encode())
 
+    @pytest.mark.parametrize(
+        "field, cap_name",
+        [
+            ("max_iterations", "MAX_SOLVER_ITERATIONS"),
+            ("keyframe_interval", "MAX_KEYFRAME_INTERVAL"),
+        ],
+    )
+    def test_node_supplied_budgets_capped(self, field, cap_name):
+        """A value at the cap parses; one past it is refused (the
+        hostile case: 2 * 10^9 iterations, a 10^9-window hold cap)."""
+        from repro.ingest import protocol
+
+        cap = getattr(protocol, cap_name)
+        payload = self._handshake().to_payload()
+        payload["config"][field] = cap
+        parsed = Handshake.from_body(json.dumps(payload).encode())
+        assert getattr(parsed.config, field) == cap
+        payload["config"][field] = cap + 1
+        with pytest.raises(ProtocolError, match=f"{field}.*exceeds the cap"):
+            Handshake.from_body(json.dumps(payload).encode())
+
     def test_bad_precision_rejected(self):
         payload = self._handshake().to_payload()
         payload["precision"] = "float16"

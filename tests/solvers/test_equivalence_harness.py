@@ -368,10 +368,6 @@ class TestStructuredSolver:
             structured_batched_fista(
                 structure, ys, FRACTION, iterate_dtype=np.int32
             )
-        with pytest.raises(SolverError):
-            structured_batched_fista(
-                structure, ys, FRACTION, polish_corridor=0.0
-            )
 
     def test_workspace_arenas_steady_state(self, structured_problem):
         """Repeated solves through one workspace allocate nothing new:
