@@ -26,6 +26,11 @@ On top of that sit the **raw-speed levers** of the structured solver
   the float64 baseline at unchanged packet bytes and <= 0.5x its
   iterations per window, with PRD inside the fig-6 corridor and the
   polish rate and restarts per window reported;
+- ``step``    — the fast leg's per-coefficient step against the same
+  restarted float32 leg at the one scalar ``L``: iterations per window
+  both ways (required <= 0.85x, so a split that silently degenerates
+  to the uniform step at the paper point fails the gate) beside the
+  constants ``(L, L_bulk, L_band, band_size)``;
 - ``workspace`` — persistent arenas: after the first solve the arena
   map must reach a fixed point (steady-state serve allocates no new
   scratch per batch).
@@ -53,6 +58,7 @@ from repro.metrics import prd
 from repro.solvers import (
     DEFAULT_POLISH_CORRIDOR,
     BatchedFista,
+    batched_fista,
     batched_lambda_from_fraction,
 )
 
@@ -77,6 +83,9 @@ MIN_HYBRID_SPEEDUP = 1.05 if SMOKE else 2.0
 LEVER_REPEATS = 1 if SMOKE else 2
 #: hybrid PRD must sit within this many percentage points of float64
 PRD_GAP_BOUND = 0.5
+#: the per-coefficient step must spend at most this share of the
+#: scalar-step restarted leg's iterations (observed ~0.78)
+MAX_SPLIT_STEP_RATIO = 0.85
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +321,27 @@ def test_raw_speed_levers(decode_workload, batched_bench):
         and np.all(rel_residuals <= DEFAULT_POLISH_CORRIDOR)
     )
 
+    # the same restarted float32 leg at the one scalar L: what the
+    # per-coefficient step is worth in iterations
+    scalar_iterations = np.concatenate(
+        [
+            batched_fista(
+                structure.dense32,
+                piece.astype(np.float32),
+                batched_lambda_from_fraction(
+                    structure.dense64, piece, config.lam
+                ),
+                lipschitz=structure.lipschitz,
+                operator_t=structure.dense32_t,
+                restart=True,
+                **kwargs,
+            ).iterations
+            for piece in slices()
+        ]
+    )
+    step_rows = structure.coefficient_lipschitz
+    band_size = int(np.count_nonzero(step_rows > step_rows.min()))
+
     # lever 3 — workspace arenas: the map must be at a fixed point now
     arenas = {
         key: id(buf) for key, buf in solver.workspace._arenas.items()
@@ -374,6 +404,16 @@ def test_raw_speed_levers(decode_workload, batched_bench):
             "polish_rate": polished / TOTAL_WINDOWS,
             "corridor_pass": corridor_pass,
         },
+        "step": {
+            "hybrid_iterations_per_window": float(hybrid_iterations.mean()),
+            "scalar_step_iterations_per_window": float(
+                scalar_iterations.mean()
+            ),
+            "L": float(structure.lipschitz),
+            "L_bulk": float(step_rows.min()),
+            "L_band": float(step_rows.max()),
+            "band_size": band_size,
+        },
         "workspace": {
             "steady_state": bool(steady_state),
             "arenas": len(arenas),
@@ -394,6 +434,14 @@ def test_raw_speed_levers(decode_workload, batched_bench):
     assert hybrid_iterations.mean() <= 0.5 * baseline_iterations.mean(), (
         f"hybrid ran {hybrid_iterations.mean():.0f} iterations/window vs "
         f"{baseline_iterations.mean():.0f} for the float64 baseline"
+    )
+    assert not polished  # else hybrid counts include float64 re-solves
+    assert hybrid_iterations.mean() <= (
+        MAX_SPLIT_STEP_RATIO * scalar_iterations.mean()
+    ), (
+        f"per-coefficient step ran {hybrid_iterations.mean():.0f} "
+        f"iterations/window vs {scalar_iterations.mean():.0f} at the "
+        f"scalar step (band of {band_size}, L_bulk {step_rows.min():.2f})"
     )
     # the sparse gate must be ~free on top of the float64 iteration
     assert baseline_s / sparse_s > 0.8

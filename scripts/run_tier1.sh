@@ -102,6 +102,11 @@ for section, fields in {
         "iterations_per_window", "restarts_per_window",
         "polish_rate", "corridor_pass",
     ),
+    "step": (
+        "hybrid_iterations_per_window",
+        "scalar_step_iterations_per_window",
+        "L", "L_bulk", "L_band", "band_size",
+    ),
     "workspace": ("steady_state", "arenas"),
 }.items():
     if section not in levers:

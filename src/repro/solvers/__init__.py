@@ -26,7 +26,11 @@ pair per step, per-column convergence masking and warm starts.
 
 from .base import SolverResult, as_operator
 from .prox import soft_threshold, soft_threshold_branchy, soft_threshold_if_converted
-from .lipschitz import power_iteration_norm, lipschitz_constant
+from .lipschitz import (
+    coefficient_lipschitz,
+    lipschitz_constant,
+    power_iteration_norm,
+)
 from .ista import ista
 from .fista import fista, lambda_from_fraction
 from .batched import (
@@ -65,6 +69,7 @@ __all__ = [
     "soft_threshold_if_converted",
     "power_iteration_norm",
     "lipschitz_constant",
+    "coefficient_lipschitz",
     "ista",
     "fista",
     "lambda_from_fraction",

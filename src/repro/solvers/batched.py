@@ -32,6 +32,14 @@ The test reads only the column's own iterates, so a column's restart
 pattern never depends on which other columns share the batch beyond
 BLAS rounding.
 
+``L`` may be an ``(n,)`` vector — a diagonal majorizer ``diag(L) >=
+2 A^T A`` — in which case coefficient ``i`` steps by ``1/L_i`` and
+thresholds at ``lam_b/L_i``: the same loop on an ``(n, 1)`` step
+column and an ``(n, B)`` threshold matrix.  The hybrid fast leg passes
+the operator's :func:`~repro.solvers.lipschitz.coefficient_lipschitz`,
+which keeps the DC outlier of the sparse binary ``Phi`` off every
+coefficient that does not carry it.
+
 Warm starts are supported through ``x0`` of shape ``(n, B)`` — e.g. the
 previous batch's solutions when streaming chunk by chunk.
 """
@@ -245,7 +253,7 @@ def batched_fista(
     lams: np.ndarray | float,
     max_iterations: int = 2000,
     tolerance: float = 1e-4,
-    lipschitz: float | None = None,
+    lipschitz: float | np.ndarray | None = None,
     x0: np.ndarray | None = None,
     operator_t: np.ndarray | None = None,
     workspace: BatchWorkspace | None = None,
@@ -263,7 +271,13 @@ def batched_fista(
         Per-column l1 weights ``(B,)``, or a scalar shared by all.
     max_iterations, tolerance, lipschitz:
         As in :func:`~repro.solvers.fista.fista`; the Lipschitz constant
-        is shared (same operator for every column).
+        is shared (same operator for every column).  An ``(n,)``
+        ``lipschitz`` is a diagonal majorizer ``diag(lipschitz) >=
+        2 A^T A`` (see :func:`~repro.solvers.lipschitz.
+        coefficient_lipschitz`): coefficient ``i`` steps by
+        ``1/lipschitz[i]`` and thresholds at ``lam_b/lipschitz[i]`` —
+        the proximal-gradient step in that metric, still a separable
+        soft threshold, same objective and minimiser.
     x0:
         Warm start, shape ``(n, B)`` — e.g. the previous chunk's
         coefficients when decoding a stream in consecutive batches.
@@ -300,9 +314,21 @@ def batched_fista(
 
     if lipschitz is None:
         lipschitz = lipschitz_constant(np.asarray(dense, dtype=np.float64))
-    if lipschitz <= 0:
-        raise SolverError(f"lipschitz must be positive, got {lipschitz}")
-    step = dtype(1.0 / lipschitz)
+    lipschitz = np.asarray(lipschitz, dtype=np.float64)
+    if lipschitz.ndim:
+        if lipschitz.shape != (n,):
+            raise SolverError(
+                f"lipschitz shape {lipschitz.shape} is neither scalar "
+                f"nor ({n},)"
+            )
+        lipschitz = lipschitz[:, None]
+    if np.any(lipschitz <= 0):
+        raise SolverError(
+            f"lipschitz must be positive, got {lipschitz.min()}"
+        )
+    # scalar, or an (n, 1) column against (n, B) thresholds; cast to
+    # the iterate dtype here so the loop never promotes
+    step = (1.0 / lipschitz).astype(dtype)
     thresholds = (lams / lipschitz).astype(dtype)
 
     if x0 is None:
@@ -423,7 +449,7 @@ def batched_fista(
                 work_y = np.ascontiguousarray(work_y[:, live])
                 work_prev = np.ascontiguousarray(work_prev[:, live])
                 work_mom = np.ascontiguousarray(work_mom[:, live])
-                work_thr = work_thr[live].copy()
+                work_thr = np.ascontiguousarray(work_thr[..., live])
                 prev_norms = prev_norms[live].copy()
                 age = age[live].copy()
                 work_restarts = work_restarts[live].copy()
@@ -593,19 +619,24 @@ def structured_batched_fista(
         else contextlib.nullcontext()
     )
     with fast_errstate:
+        # the float32 fast leg restarts its momentum and steps by the
+        # per-coefficient constants; the float64 lever is the textbook
+        # iteration at the one scalar L
         # repro-lint: f32
         if iterate_dtype == np.float32:
             ys_fast = workspace.arena("ys32", (m, batch), np.float32)
             np.copyto(ys_fast, ys64)
+            fast_lipschitz = structure.coefficient_lipschitz
         else:
             ys_fast = ys64
+            fast_lipschitz = structure.lipschitz
         fast = batched_fista(
             structure.operator(iterate_dtype),
             ys_fast,
             lams,
             max_iterations=max_iterations,
             tolerance=tolerance,
-            lipschitz=structure.lipschitz,
+            lipschitz=fast_lipschitz,
             operator_t=structure.operator_t(iterate_dtype),
             workspace=workspace,
             restart=iterate_dtype == np.float32,

@@ -34,7 +34,7 @@ about 20x less work at the paper point.
 :class:`StructuredOperator` packages the factored view for the solver:
 the sparse ``Phi`` kernels, the dense ``Psi`` in both precisions, and
 the fused dense ``A``/``A^T`` pair in both precisions, sharing one
-float64 Lipschitz constant.
+float64 Lipschitz constant and its per-coefficient refinement.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SolverError
-from .lipschitz import lipschitz_constant
+from .lipschitz import coefficient_lipschitz, lipschitz_constant
 
 
 class SparsePhiApply:
@@ -177,7 +177,11 @@ class StructuredOperator:
     - ``dense64``/``dense32`` (+ contiguous transposes): the fused
       ``A`` the FISTA iteration runs its GEMM pair against;
     - ``lipschitz``: one float64 constant shared by both precisions
-      (the step size is a float64 scalar either way).
+      (the step size is a float64 scalar either way);
+    - ``coefficient_lipschitz``: the ``(n,)`` diagonal majorizer of
+      :func:`~repro.solvers.lipschitz.coefficient_lipschitz` — the
+      restarted float32 fast leg steps by it; constant ``lipschitz``
+      when the operator has no DC outlier to split off.
     """
 
     def __init__(
@@ -210,6 +214,9 @@ class StructuredOperator:
             raise SolverError(
                 f"lipschitz must be positive, got {self.lipschitz}"
             )
+        self.coefficient_lipschitz = coefficient_lipschitz(
+            self.dense64, self.dense64_t, self.psi64, self.lipschitz
+        )
 
     @property
     def m(self) -> int:
