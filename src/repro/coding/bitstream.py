@@ -6,6 +6,11 @@ big-endian bit order wire format and matches how the reference C
 implementation packs codewords.  :class:`BitWriter` and :class:`BitReader`
 implement that layout exactly; a payload written by one is read back
 bit-for-bit by the other.
+
+Both move whole words: ``write_bits`` tops up the open byte and appends
+the rest as bytes, and the reader holds its payload as one Python int,
+so a multi-bit read is one shift and mask.  The single-bit calls remain
+for the MCU-style reference walks the tests compare against.
 """
 
 from __future__ import annotations
@@ -51,8 +56,21 @@ class BitWriter:
             raise BitstreamError(
                 f"value {value} does not fit in {width} unsigned bits"
             )
-        for shift in range(width - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
+        used = self._bit_position
+        if used:
+            free = 8 - used
+            if width <= free:
+                self._bytes[-1] |= value << (free - width)
+                self._bit_position = (used + width) & 7
+                return
+            width -= free
+            self._bytes[-1] |= value >> width
+            value &= (1 << width) - 1
+        padding = -width & 7
+        self._bytes += (value << padding).to_bytes(
+            (width + padding) >> 3, "big"
+        )
+        self._bit_position = width & 7
 
     def write_signed(self, value: int, width: int) -> None:
         """Append a two's-complement signed integer of the given width."""
@@ -76,8 +94,7 @@ class BitWriter:
 
     def align_to_byte(self) -> None:
         """Pad with zero bits up to the next byte boundary."""
-        while self._bit_position != 0:
-            self.write_bit(0)
+        self._bit_position = 0  # the open byte's unused bits are already zero
 
     def getvalue(self) -> bytes:
         """Return the buffer contents, zero-padded to a whole byte."""
@@ -88,14 +105,16 @@ class BitReader:
     """Consume bits MSB-first from a byte buffer produced by :class:`BitWriter`."""
 
     def __init__(self, data: bytes, bit_length: int | None = None) -> None:
-        self._data = bytes(data)
-        max_bits = 8 * len(self._data)
+        max_bits = 8 * len(data)
         if bit_length is None:
             bit_length = max_bits
         if not 0 <= bit_length <= max_bits:
             raise BitstreamError(
                 f"bit_length {bit_length} outside [0, {max_bits}]"
             )
+        # the first ``bit_length`` bits as one int; the padding bits of
+        # the last byte are dropped here and never looked at again
+        self._bits = int.from_bytes(data, "big") >> (max_bits - bit_length)
         self._bit_length = bit_length
         self._position = 0
 
@@ -113,19 +132,20 @@ class BitReader:
         """Read and return the next bit."""
         if self._position >= self._bit_length:
             raise BitstreamError("read past end of bitstream")
-        byte = self._data[self._position >> 3]
-        bit = (byte >> (7 - (self._position & 7))) & 1
         self._position += 1
-        return bit
+        return (self._bits >> (self._bit_length - self._position)) & 1
 
     def read_bits(self, width: int) -> int:
         """Read ``width`` bits as an unsigned integer (MSB first)."""
         if width < 0:
             raise BitstreamError(f"width must be >= 0, got {width}")
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read_bit()
-        return value
+        if width > self.remaining:
+            self._position = self._bit_length
+            raise BitstreamError("read past end of bitstream")
+        self._position += width
+        return (self._bits >> (self._bit_length - self._position)) & (
+            (1 << width) - 1
+        )
 
     def read_signed(self, width: int) -> int:
         """Read a two's-complement signed integer of the given width."""
@@ -143,6 +163,24 @@ class BitReader:
         while self.read_bit() == 1:
             count += 1
         return count
+
+    def unread(self) -> tuple[int, int]:
+        """The unread bits as one int, and how many of them there are.
+
+        For table-driven decoders that index on several bits at once:
+        they work on the returned int and report what they consumed
+        through :meth:`skip`.
+        """
+        remaining = self.remaining
+        return self._bits & ((1 << remaining) - 1), remaining
+
+    def skip(self, width: int) -> None:
+        """Consume ``width`` bits without returning them."""
+        if not 0 <= width <= self.remaining:
+            raise BitstreamError(
+                f"cannot skip {width} bits: {self.remaining} remain"
+            )
+        self._position += width
 
     def align_to_byte(self) -> None:
         """Skip forward to the next byte boundary."""

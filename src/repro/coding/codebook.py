@@ -107,6 +107,14 @@ class Codebook:
             lengths = [int(x) for x in data["lengths"]]
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise CodebookError(f"malformed codebook payload: {exc}") from exc
+        # a payload may come off the wire (the HELLO): the code tables
+        # are sized by the longest codeword, so it is capped before any
+        # is built
+        if max(lengths, default=0) > HUFFMAN_MAX_CODE_BITS:
+            raise CodebookError(
+                f"codeword length {max(lengths)} exceeds the "
+                f"{HUFFMAN_MAX_CODE_BITS}-bit cap"
+            )
         return cls(code=HuffmanCode(lengths), offset=offset)
 
 

@@ -54,11 +54,11 @@ def xor_fold(bodies: list[bytes]) -> bytes:
     if not bodies:
         raise PacketFormatError("cannot fold parity over zero bodies")
     width = max(len(body) for body in bodies)
-    folded = bytearray(width)
+    folded = 0
     for body in bodies:
-        for index, byte in enumerate(body):
-            folded[index] ^= byte
-    return bytes(folded)
+        # left-aligned: the zero padding goes below the body's last byte
+        folded ^= int.from_bytes(body, "big") << (8 * (width - len(body)))
+    return folded.to_bytes(width, "big")
 
 
 def encode_parity_body(base_sequence: int, bodies: list[bytes]) -> bytes:

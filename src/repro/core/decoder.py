@@ -87,9 +87,7 @@ class PacketPayloadDecoder:
             raise DecodingError(
                 f"{reader.remaining} unread payload bits after decoding"
             )
-        diffs = np.asarray(
-            [self.codebook.value_for(s) for s in symbols], dtype=np.int64
-        )
+        diffs = np.asarray(symbols, dtype=np.int64) + self.codebook.offset
         return self.codec.decode(False, diffs)
 
     def measurement_block(

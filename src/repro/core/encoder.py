@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..coding import BitWriter, Codebook, DifferentialCodec, train_codebook
+from ..coding import Codebook, DifferentialCodec, train_codebook
 from ..config import SystemConfig
 from ..errors import ConfigurationError
 from ..sensing import SparseBinaryMatrix
@@ -168,11 +168,8 @@ class CSEncoder:
         else:
             self.stats.saturated_symbols += int(clip_count)
             self.stats.total_symbols += len(payload_values)
-            writer = BitWriter()
-            for value in payload_values:
-                self.codebook.code.encode_symbol(
-                    self.codebook.symbol_for(int(value)), writer
-                )
+            symbols = payload_values - self.codebook.offset
+            writer = self.codebook.code.encode(symbols.tolist())
             payload_bits = writer.bit_length
             payload = writer.getvalue()
             kind = PacketKind.DIFFERENCE

@@ -22,6 +22,7 @@ history).  Difference packets carry the Huffman bitstream.
 
 from __future__ import annotations
 
+import binascii
 import enum
 from dataclasses import dataclass
 
@@ -35,16 +36,12 @@ CRC_BYTES = 2
 
 
 def crc16_ccitt(data: bytes, initial: int = 0xFFFF) -> int:
-    """CRC-16/CCITT-FALSE (poly 0x1021), the standard small-MCU CRC."""
-    crc = initial
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
+    """CRC-16/CCITT-FALSE (poly 0x1021), the standard small-MCU CRC.
+
+    ``binascii.crc_hqx`` is this CRC in C (polynomial 0x1021, MSB
+    first, no reflection, no final XOR).
+    """
+    return binascii.crc_hqx(data, initial)
 
 
 class PacketKind(enum.IntEnum):

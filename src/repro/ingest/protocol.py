@@ -323,9 +323,11 @@ class Handshake:
         protocol version, a malformed or invalid codec config, a
         window longer than :data:`MAX_WINDOW_SAMPLES`, an iteration cap
         above :data:`MAX_SOLVER_ITERATIONS`, a keyframe interval above
-        :data:`MAX_KEYFRAME_INTERVAL`, a bad codebook table, or a bad
-        precision — the gateway reports the message back to the node
-        in an ``ERROR`` frame.
+        :data:`MAX_KEYFRAME_INTERVAL`, a bad codebook table (one with a
+        codeword longer than ``config.HUFFMAN_MAX_CODE_BITS`` included:
+        the code tables are sized by it), or a bad precision — the
+        gateway reports the message back to the node in an ``ERROR``
+        frame.
         """
         payload = decode_json_body(body)
         version = payload.get("protocol")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from repro.coding import (
     BitReader,
     Codebook,
+    HuffmanCode,
     laplacian_frequencies,
     train_codebook,
 )
@@ -93,6 +96,17 @@ class TestSerialization:
             Codebook.from_json("{not json")
         with pytest.raises(CodebookError):
             Codebook.from_json('{"offset": 0}')
+
+    def test_payload_codeword_lengths_capped(self):
+        """``from_json`` is the wire entry: lengths past the paper's
+        16-bit cap are refused there; building an unbounded code
+        offline (the length-limit ablation) is not."""
+        at_cap = json.dumps({"offset": 0, "lengths": [1, 2, 16]})
+        assert Codebook.from_json(at_cap).code.max_length == 16
+        with pytest.raises(CodebookError, match="16-bit cap"):
+            Codebook.from_json(json.dumps({"offset": 0, "lengths": [1, 2, 17]}))
+        unbounded = HuffmanCode([1, 2, 40])
+        assert unbounded.max_length == 40
 
     def test_roundtripped_codebook_decodes(self):
         codebook = train_codebook()

@@ -790,6 +790,51 @@ class TestFaults:
         assert schedules == []
 
 
+    def test_codeword_length_bomb_refused_and_neighbour_unharmed(
+        self, small_config, database
+    ):
+        """A 40-odd-byte HELLO codebook naming one 10^7-bit codeword
+        used to size `HuffmanCode`'s tables (and an O(length) loop) on
+        the event loop, stalling every stream for minutes.  It is
+        answered with an ERROR at the handshake, promptly, and a
+        healthy stream sharing the loop completes."""
+        import time
+
+        record = database.load("100")
+        system = _system(small_config, record)
+        bomb = Handshake(
+            record="119", channel=0, config=small_config
+        ).to_payload()
+        bomb["codebook"] = {"offset": 0, "lengths": [1, 10**7]}
+
+        async def run():
+            gateway = IngestGateway(batch_size=2, flush_ms=50.0)
+            healthy = asyncio.create_task(
+                NodeClient(system, record, max_packets=2).run(
+                    *gateway.connect_local()
+                )
+            )
+            await asyncio.sleep(0)
+            reader, writer = gateway.connect_local()
+            started = time.perf_counter()
+            writer.write(encode_json_frame(FrameKind.HELLO, bomb))
+            frame = await read_frame(reader)
+            refused_s = time.perf_counter() - started
+            report = await asyncio.wait_for(healthy, timeout=30.0)
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway, frame, refused_s, report
+
+        gateway, (kind, body), refused_s, report = asyncio.run(run())
+        assert kind is FrameKind.ERROR
+        assert "invalid handshake codebook" in json.loads(body)["error"]
+        assert refused_s < 0.05
+        assert gateway.stats.sessions_errored == 1
+        assert gateway.stats.sessions_opened == 1
+        assert report.error is None and report.acked == 2
+        assert gateway.stats.windows_decoded == 2
+
+
 class TestUnexpectedFrames:
     def test_ack_loop_reports_unexpected_kind_and_exits(
         self, small_config, database

@@ -189,6 +189,31 @@ class TestHandshake:
         with pytest.raises(ProtocolError, match="codebook"):
             Handshake.from_body(json.dumps(payload).encode())
 
+    def test_node_supplied_codeword_lengths_capped(self):
+        """The code tables are sized by the longest codeword: 16 bits
+        (the paper's cap) parses, one more is refused before any table
+        is built — a single length of 10^7 used to stall the event
+        loop for minutes inside ``HuffmanCode.__init__``."""
+        import time
+
+        from repro.config import HUFFMAN_MAX_CODE_BITS
+
+        payload = self._handshake().to_payload()
+        payload["codebook"] = {
+            "offset": -256,
+            "lengths": [1] + [HUFFMAN_MAX_CODE_BITS] * 511,
+        }
+        parsed = Handshake.from_body(json.dumps(payload).encode())
+        assert parsed.codebook.code.max_length == HUFFMAN_MAX_CODE_BITS
+        for hostile in (HUFFMAN_MAX_CODE_BITS + 1, 20_000, 10**7):
+            payload["codebook"]["lengths"] = [1] + [hostile] * 511
+            started = time.perf_counter()
+            with pytest.raises(
+                ProtocolError, match="invalid handshake codebook.*16-bit cap"
+            ):
+                Handshake.from_body(json.dumps(payload).encode())
+            assert time.perf_counter() - started < 0.05
+
     def test_non_json_body_rejected(self):
         with pytest.raises(ProtocolError, match="malformed JSON"):
             Handshake.from_body(b"\xff\xfe not json")
