@@ -1,33 +1,24 @@
 """Adaptive batch control vs fixed batching, under bursty arrivals.
 
-The pins for the telemetry-plane PR:
+A bursty workload — cohort bursts (a block of windows lands at once,
+then the link idles) punctuated by a full surge wave — is driven
+through one gateway per configuration: a sweep of fixed batch sizes
+and the adaptive controller.  The score is *windows within the
+real-time budget*.  Required: adaptive >= 1.15x the best fixed batch
+size.  Fixed batching loses coming and going: a cohort smaller than
+the batch width sits out the idle-flush deadline, and the budget does
+not afford that wait plus the solve — the *pressure rule* flushes the
+cohort exactly when waiting longer would forfeit it, which no fixed
+deadline can do for every load; meanwhile unbatched (or tiny) widths
+survive the cohorts but serialize per-flush overhead under the surge
+wave and drown.  One knob setting cannot win both regimes; the
+controller retunes between them.
 
-1. **Bursty superiority.**  A bursty workload — cohort bursts (a
-   block of windows lands at once, then the link idles) punctuated by
-   a full surge wave — is driven through one gateway per
-   configuration: a sweep of fixed batch sizes and the adaptive
-   controller.  The score is *windows within the real-time budget*.
-   Required: adaptive >= 1.15x the best fixed batch size.  Fixed
-   batching loses coming and going: a cohort smaller than the batch
-   width sits out the idle-flush deadline, and the budget does not
-   afford that wait plus the solve — the *pressure rule* flushes the
-   cohort exactly when waiting longer would forfeit it, which no
-   fixed deadline can do for every load; meanwhile unbatched (or
-   tiny) widths survive the cohorts but serialize per-flush overhead
-   under the surge wave and drown.  One knob setting cannot win both
-   regimes; the controller retunes between them.
-
-2. **Steady-state equivalence.**  With no backlog and no budget
-   threat the controller must hold the configured operating point, so
-   adaptive batching costs nothing when it is not needed: on a paced
-   workload the adaptive gateway's batch compositions equal the fixed
-   gateway's flush for flush, decoded windows are **bit-identical**,
-   and throughput matches within 5%.
-
-3. **Telemetry round-trip.**  The gateway's registry survives its two
-   persistent sinks: the Prometheus exposition scraped over real HTTP
-   parses back to every sample, and the JSONL ring file replays to
-   the same final snapshot.
+This is the only evidence that the ``adaptive`` option earns its keep:
+no ``benchmarks/e2e`` workload is bursty.  The other side of the
+contract — with no backlog and no budget threat the controller holds
+the configured operating point, flush for flush and bit for bit — is
+``tests/ingest/test_adaptive.py::TestAdaptiveGateway``.
 
 Budget calibration: the paper's 2 s budget binds on its reference
 hardware; what defines the *regime* is how the budget relates to the
@@ -39,20 +30,17 @@ deadline + cohort solve), so the same scenario runs on any machine: a
 3x faster solver does not trivially hit every deadline, a 3x slower
 one does not miss them all.  On hardware so slow that the corridor
 closes (the cohort solve alone exceeds what the deadline leaves of
-the budget) the >= 1.15x assertion is skipped with a printed reason,
-exactly like the CPU-gated sharding benches.
+the budget) the >= 1.15x assertion is skipped with a printed reason.
 
-Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the cohort count and the
-sweep; the >= 1.15x pin is asserted in both modes because the
-scenario is calibrated, not wall-clock-bound.  Results aggregate into
-one ``BENCH_adaptive_batching.json``.
+One sizing: the scenario is calibrated, not wall-clock-bound, so there
+is no reduced mode.  The outcome lands in
+``BENCH_adaptive_batching.json``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import os
 import time
 
 import numpy as np
@@ -70,19 +58,9 @@ from repro.ingest import (
     FrameKind,
     Handshake,
     IngestGateway,
-    NodeClient,
     encode_frame,
     encode_json_frame,
 )
-from repro.telemetry import (
-    JsonlRingSink,
-    MetricsServer,
-    exposition_matches_snapshot,
-    replay_ring,
-    scrape_local,
-)
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 #: the paper's operating point.  The regime that decides the outcome —
 #: the ratio of per-flush overhead to per-window solve cost — is a
@@ -104,7 +82,7 @@ FIXED_SWEEP = (4, 16, 64)
 STREAMS = 4
 COHORT = 7
 WAVE_PER_STREAM = 8
-COHORTS_SCORED = 8 if SMOKE else 10
+COHORTS_SCORED = 8
 WAVES_SCORED = 1
 #: warmup (unscored, identical for every configuration): one wave to
 #: warm caches and let the controller learn the solve-time model,
@@ -118,22 +96,10 @@ SAFETY_FRAC = 0.3
 #: the acceptance pin
 MIN_RATIO = 1.15
 
-#: steady-state scenario
-STEADY_STREAMS = 3
-STEADY_ROUNDS = 3 if SMOKE else 5
-STEADY_BATCH = 8
-STEADY_FLUSH_MS = 80.0
-#: paced throughput comparison: the pacing span must dominate the
-#: decode tail, or wall-clock noise masquerades as a drift
-PACED_WINDOWS = 8
-PACED_INTERVAL_S = 0.3
-PACED_REPEATS = 2
-MAX_THROUGHPUT_DRIFT = 0.05
-
 
 @pytest.fixture(scope="module")
 def adaptive_bench(bench_json):
-    """Accumulate every section into one BENCH_adaptive_batching.json."""
+    """The scenario's outcome, written as BENCH_adaptive_batching.json."""
     payload: dict = {"params": {}, "timings": {}}
     yield payload
     bench_json(
@@ -173,9 +139,9 @@ def _calibrate(streams) -> dict:
 
     The budget lands mid-corridor between them.  ``corridor_ok`` is
     False when the machine is too slow for the corridor to exist; the
-    superiority assertion is then skipped (printed), mirroring the
-    CPU-gated benches.  The probe also warms the operator/Lipschitz
-    caches so no timed leg pays first-call costs.
+    superiority assertion is then skipped (printed).  The probe also
+    warms the operator/Lipschitz caches so no timed leg pays
+    first-call costs.
     """
     system, _record, packets = streams[0]
     payload = PacketPayloadDecoder(
@@ -487,210 +453,3 @@ def test_adaptive_beats_fixed_under_bursty_load(
         f"{best_fixed} for the best fixed batch "
         f"(ratio {ratio:.3f} < {MIN_RATIO})"
     )
-
-
-# ----------------------------------------------------------------------
-# steady state: identical schedule, bit-identical output, equal speed
-# ----------------------------------------------------------------------
-
-
-async def _run_steady_rounds(gateway, streams, rounds: int):
-    """One window per stream per round, drained between rounds: a
-    paced, unthreatened workload with deterministic flush content."""
-    sessions = [
-        await _open_session(gateway, system, record)
-        for system, record, _packets in streams
-    ]
-    for round_index in range(rounds):
-        for (reader, writer), (_s, _r, packets) in zip(sessions, streams):
-            writer.write(
-                encode_frame(
-                    FrameKind.PACKET, packets[round_index].to_bytes()
-                )
-            )
-        await _wait_decoded(gateway, (round_index + 1) * len(streams))
-    for (reader, writer), _stream in zip(sessions, streams):
-        writer.write(encode_json_frame(FrameKind.BYE, {"windows": rounds}))
-    while len(gateway.results) < len(streams):
-        await asyncio.sleep(0.01)
-    await gateway.close()
-
-
-def test_steady_state_matches_fixed_bitwise(calibration, adaptive_bench):
-    streams_all, probe = calibration
-    streams = streams_all[:STEADY_STREAMS]
-    budget = probe["budget_s"]
-
-    def run(adaptive: bool) -> IngestGateway:
-        gateway = IngestGateway(
-            batch_size=STEADY_BATCH,
-            flush_ms=STEADY_FLUSH_MS,
-            adaptive=adaptive,
-            adaptive_config=(
-                AdaptiveConfig(budget_s=budget) if adaptive else None
-            ),
-        )
-        asyncio.run(_run_steady_rounds(gateway, streams, STEADY_ROUNDS))
-        return gateway
-
-    fixed = run(adaptive=False)
-    adaptive = run(adaptive=True)
-
-    # the controller never left the configured operating point
-    assert adaptive.controller.at_base_point
-    assert adaptive.controller.widen_count == 0
-    assert adaptive.controller.shed_count == 0
-    # identical flush schedule: same compositions, same reasons
-    assert [
-        (members, reason) for _k, members, reason in adaptive.batch_log
-    ] == [(members, reason) for _k, members, reason in fixed.batch_log]
-    # bit-identical decoded windows, stream by stream
-    fixed_by_record = {r.record: r.ordered() for r in fixed.results}
-    for result in adaptive.results:
-        reference = fixed_by_record[result.record]
-        ordered = result.ordered()
-        assert ordered.iterations == reference.iterations
-        assert ordered.sequences == reference.sequences
-        for ours, theirs in zip(
-            ordered.samples_adu, reference.samples_adu
-        ):
-            np.testing.assert_array_equal(ours, theirs)
-
-    adaptive_bench["params"].update(
-        {
-            "steady_streams": STEADY_STREAMS,
-            "steady_rounds": STEADY_ROUNDS,
-            "steady_batch": STEADY_BATCH,
-        }
-    )
-    adaptive_bench["timings"]["steady_bit_identical"] = True
-    adaptive_bench["timings"]["steady_schedule_identical"] = True
-
-
-def test_steady_state_throughput_parity(adaptive_bench):
-    """Paced clients over the loopback: adaptive overhead must be
-    invisible (wall clock within 5% of fixed batching).  Best of two
-    runs per mode, so a scheduler hiccup in either leg does not read
-    as a structural drift."""
-    streams = _build_streams(STEADY_STREAMS, PACED_WINDOWS)
-
-    def run_once(adaptive: bool) -> float:
-        gateway = IngestGateway(
-            batch_size=STEADY_BATCH,
-            flush_ms=STEADY_FLUSH_MS,
-            adaptive=adaptive,
-        )
-
-        async def scenario():
-            clients = [
-                NodeClient(
-                    system,
-                    record,
-                    max_packets=PACED_WINDOWS,
-                    interval_s=PACED_INTERVAL_S,
-                )
-                for system, record, _packets in streams
-            ]
-            links = [gateway.connect_local() for _ in clients]
-            started = time.perf_counter()
-            await asyncio.gather(
-                *[
-                    client.run(reader, writer)
-                    for client, (reader, writer) in zip(clients, links)
-                ]
-            )
-            wall = time.perf_counter() - started
-            await gateway.close()
-            return wall
-
-        wall = asyncio.run(scenario())
-        total = STEADY_STREAMS * PACED_WINDOWS
-        assert gateway.stats.windows_decoded == total
-        return total / wall
-
-    def run(adaptive: bool) -> float:
-        return max(run_once(adaptive) for _ in range(PACED_REPEATS))
-
-    fixed_throughput = run(adaptive=False)
-    adaptive_throughput = run(adaptive=True)
-    drift = adaptive_throughput / fixed_throughput - 1.0
-    print(
-        f"\nsteady throughput: fixed {fixed_throughput:.2f} windows/s, "
-        f"adaptive {adaptive_throughput:.2f} windows/s "
-        f"(drift {100 * drift:+.2f}%)"
-    )
-    adaptive_bench["timings"].update(
-        {
-            "steady_fixed_windows_per_s": fixed_throughput,
-            "steady_adaptive_windows_per_s": adaptive_throughput,
-            "steady_throughput_drift": drift,
-        }
-    )
-    assert abs(drift) <= MAX_THROUGHPUT_DRIFT, (
-        f"adaptive throughput drifted {100 * drift:+.1f}% from fixed "
-        f"batching at steady state (allowed +/-5%)"
-    )
-
-
-# ----------------------------------------------------------------------
-# telemetry persistence round-trips
-# ----------------------------------------------------------------------
-
-
-def test_telemetry_exposition_and_ring_round_trip(
-    calibration, adaptive_bench, tmp_path
-):
-    streams_all, probe = calibration
-    streams = streams_all[:2]
-
-    async def scenario():
-        gateway = IngestGateway(
-            batch_size=4,
-            flush_ms=60.0,
-            adaptive=True,
-            adaptive_config=AdaptiveConfig(budget_s=probe["budget_s"]),
-        )
-        server = MetricsServer(gateway.telemetry)
-        port = await server.start()
-        ring = JsonlRingSink(tmp_path / "gateway_ring.jsonl", max_records=8)
-        sessions = [
-            await _open_session(gateway, system, record)
-            for system, record, _packets in streams
-        ]
-        for round_index in range(4):
-            for (reader, writer), (_s, _r, packets) in zip(
-                sessions, streams
-            ):
-                writer.write(
-                    encode_frame(
-                        FrameKind.PACKET, packets[round_index].to_bytes()
-                    )
-                )
-            await _wait_decoded(gateway, (round_index + 1) * len(streams))
-            ring.append(gateway.telemetry.snapshot())
-        for (reader, writer), _stream in zip(sessions, streams):
-            writer.write(encode_json_frame(FrameKind.BYE, {"windows": 4}))
-        while len(gateway.results) < len(streams):
-            await asyncio.sleep(0.01)
-        await gateway.close()
-        ring.append(gateway.telemetry.snapshot())
-        scraped = await scrape_local(port)
-        await server.close()
-        return gateway, ring, scraped
-
-    gateway, ring, scraped = asyncio.run(scenario())
-    final = gateway.telemetry.snapshot()
-    # the scrape parses back to every counter/gauge/bucket published
-    scrape_ok = exposition_matches_snapshot(scraped, final)
-    # the ring file replays to the same final snapshot
-    ring_ok = replay_ring(ring.path) == final
-    adaptive_bench["timings"].update(
-        {
-            "exposition_round_trip_ok": scrape_ok,
-            "ring_replay_ok": ring_ok,
-            "ring_records": 8,
-        }
-    )
-    assert scrape_ok
-    assert ring_ok
-    assert final.counter_total("ingest_windows_decoded") == 2 * 4

@@ -10,11 +10,11 @@ Run with::
     pytest benchmarks/ --benchmark-only
 
 Every bench module also writes a machine-readable ``BENCH_<name>.json``
-(via :func:`write_bench_json`) so the perf trajectory can be tracked
-across PRs by tooling instead of living only in stdout;
-``REPRO_BENCH_JSON_DIR`` overrides the output directory (default
-``benchmarks/results/``, gitignored — the files carry timestamps and
-per-machine timings, so CI/drivers collect them rather than git).
+(via :func:`write_bench_json`) to ``benchmarks/results/`` so a figure
+series can be read by tooling instead of living only in stdout
+(gitignored — the files carry timestamps and per-machine timings, so
+CI collects them rather than git).  The serving stack's throughput and
+latency trajectory is not kept here: that is ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import pytest
 
 #: schema version of the BENCH_<name>.json payload; bump when the
 #: envelope (not a bench's own series) changes shape
-BENCH_JSON_SCHEMA = 2
+BENCH_JSON_SCHEMA = 3
 
 
 def _git_commit() -> str | None:
@@ -85,24 +85,16 @@ def write_bench_json(
     """Persist one benchmark's machine-readable outcome.
 
     Writes ``BENCH_<name>.json`` with the workload parameters, wall
-    clock/speedup timings and any extra series the bench wants pinned,
-    plus enough provenance to make the perf trajectory comparable
-    across runs: schema version, UTC timestamp, the git commit the
-    numbers were measured at, CPU count, and whether the run was a
-    smoke (``REPRO_BENCH_SMOKE``) — a smoke number must never be
-    mistaken for a full-mode one by downstream tooling.  Returns the
-    written path.
+    clock timings and any extra series the bench wants pinned, plus
+    enough provenance to make runs comparable: schema version, UTC
+    timestamp, the git commit the numbers were measured at and the CPU
+    count.  Returns the written path.
     """
-    directory = Path(
-        os.environ.get(
-            "REPRO_BENCH_JSON_DIR", Path(__file__).parent / "results"
-        )
-    )
+    directory = Path(__file__).parent / "results"
     directory.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": BENCH_JSON_SCHEMA,
         "bench": name,
-        "smoke": os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0"),
         "unix_time": time.time(),
         "utc_time": datetime.now(timezone.utc).isoformat(
             timespec="seconds"

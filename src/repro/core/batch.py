@@ -30,8 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .system import EcgMonitorSystem
 
 #: default reconstruction block width; past ~32 columns the GEMM pair
-#: dominates per-iteration cost and the speedup saturates (see
-#: ``benchmarks/bench_batched_decode.py``)
+#: dominates per-iteration cost and the speedup saturates (see the
+#: width table in ``docs/architecture.md`` §2b)
 DEFAULT_BATCH_SIZE = 32
 
 

@@ -36,8 +36,10 @@ with no backlog and no budget threat, every signal is in its dead
 band, the effective width and deadline stay at the configured base
 values, and the gateway's flush schedule is *identical* to a
 non-adaptive run — which is what lets
-``benchmarks/bench_adaptive_batching.py`` pin bit-identical
-steady-state output against fixed batching.
+``tests/ingest/test_adaptive.py::TestAdaptiveGateway`` pin
+bit-identical steady-state output against fixed batching
+(``benchmarks/bench_adaptive_batching.py`` pins the other side: the
+controller beating every fixed width under bursty load).
 """
 
 from __future__ import annotations

@@ -29,7 +29,8 @@ holds *both* sides of that reality:
   offline replay make identical decisions from the same frame stream;
 - :func:`replay_survivors` — the offline reference: the same state
   machine applied to a recorded delivered-frame sequence, used by
-  ``benchmarks/bench_lossy_channel.py`` to pin that the live gateway's
+  ``tests/ingest/test_gateway_hybrid.py`` and every ``benchmarks/e2e``
+  run (``check_damage_accounting``) to pin that the live gateway's
   delivered-window output is bit-identical to an offline decode of the
   same surviving packet set.
 
@@ -726,8 +727,6 @@ class LinkStats:
     parity_dropped: int = 0
     #: sequence numbers of dropped frames (pre-impairment header read)
     dropped_sequences: list[int] = field(default_factory=list)
-    #: sequence numbers whose delivered copy was bit-flipped
-    corrupted_sequences: list[int] = field(default_factory=list)
     #: the exact post-impairment PACKET bodies, in delivery order —
     #: the surviving packet set an offline replay consumes
     delivered: list[bytes] = field(default_factory=list)
@@ -939,7 +938,6 @@ class LossyLink:
         if self.channel.corrupt and self._rng.random() < self.channel.corrupt:
             frame = self._flip_one_bit(frame)
             self.stats.frames_corrupted += 1
-            self.stats.corrupted_sequences.append(sequence)
             self.stats.fate_log.append("corrupted")
             self.meter.inc("link_frames", fate="corrupted")
         else:

@@ -26,7 +26,7 @@ The design is a routing tier, not a decode tier:
   from then on the front door is a pure byte pump in both directions
   — no mid-stream re-framing, no protocol state, so the decoded
   output is bit-identical to a node dialing the gateway directly
-  (``benchmarks/bench_federation.py`` pins this).
+  (``tests/ingest/test_federation.py::TestBitIdentity`` pins this).
 - Each worker is a separate OS process running a plain
   :class:`~repro.ingest.gateway.IngestGateway` on its own event loop
   and a fresh :class:`~repro.telemetry.MetricsRegistry`, supervised
@@ -81,7 +81,7 @@ from .gateway import (
     gateway_stats_from,
     merge_stream_results,
 )
-from .protocol import FrameKind, Handshake, encode_frame, encode_json_frame, read_frame
+from .protocol import FrameKind, Handshake, encode_frame, encode_json_frame, read_hello
 
 #: session-id range width per gateway: gateway ``i`` numbers its
 #: sessions from ``i * stride``, so ids stay unique fleet-wide and
@@ -551,19 +551,6 @@ class FederationFrontDoor:
                 worker.missed_beats = 0
                 self.telemetry.absorb(reply[2])
 
-    async def poll_stats(self) -> None:
-        """Pull a stats delta from every live worker right now (the
-        supervisor does this on its own cadence; callers wanting a
-        fresh :meth:`federation_stats` read model pull explicitly)."""
-        for worker in self._alive_workers():
-            try:
-                reply = await self._request(
-                    worker, "stats", timeout=self._spawn_timeout_s
-                )
-            except (TimeoutError, OSError, EOFError):
-                continue  # the supervisor will rule on its liveness
-            self.telemetry.absorb(reply[2])
-
     async def _declare_dead(
         self, worker: _GatewayWorker, reason: str
     ) -> None:
@@ -653,14 +640,9 @@ class FederationFrontDoor:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
         try:
-            frame = await read_frame(reader)
-            if frame is None:
+            body = await read_hello(reader)
+            if body is None:
                 return
-            kind, body = frame
-            if kind is not FrameKind.HELLO:
-                raise ProtocolError(
-                    f"expected HELLO as the first frame, got {kind.name}"
-                )
             handshake = Handshake.from_body(body)
             key = operator_key(handshake.config, handshake.precision)
             stream_key = f"{handshake.record}:{handshake.channel}"
@@ -673,6 +655,8 @@ class FederationFrontDoor:
             finally:
                 worker.sessions.discard(session)
         except ProtocolError as exc:
+            # refused before routing: no gateway will ever count it
+            self.telemetry.inc("ingest_sessions_errored")
             self._send_error(writer, str(exc))
         except LookupError:
             self._send_error(writer, "no federation gateway available")
@@ -750,8 +734,8 @@ class FederationFrontDoor:
         return gateway_stats_from(self.telemetry)
 
     def federation_stats(self) -> FederationStats:
-        """The roll-up view (fresh up to the last stats pull; call
-        :meth:`poll_stats` first for an up-to-the-moment read)."""
+        """The roll-up view (fresh up to the supervisor's last stats
+        pull; complete after :meth:`close`)."""
         snap = self.telemetry.snapshot()
         return FederationStats(
             gateways=len(self._workers) or self.gateways,

@@ -63,9 +63,10 @@ accounted separately (``windows_recovered_parity`` /
 
 The decoded output is bit-identical to the offline path: every flushed
 block runs the same batched solve the offline engine would run on the
-same columns, and ``benchmarks/bench_ingest_gateway.py`` replays the
+same columns; ``tests/ingest/test_gateway_hybrid.py`` replays the
 gateway's logged batch compositions through the offline solver to pin
-it.
+it, and every ``benchmarks/e2e`` run does the same at the paper point
+(``check_batch_replay``).
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ from .protocol import (
     decode_json_body,
     encode_json_frame,
     read_frame,
+    read_hello,
 )
 
 #: default flush-on-idle deadline: a pending window never waits longer
@@ -742,14 +744,9 @@ class IngestGateway:
             task.add_done_callback(self._conn_tasks.discard)
         session: _Session | None = None
         try:
-            frame = await read_frame(reader)
-            if frame is None:
+            body = await read_hello(reader)
+            if body is None:
                 return
-            kind, body = frame
-            if kind is not FrameKind.HELLO:
-                raise ProtocolError(
-                    f"expected HELLO as the first frame, got {kind.name}"
-                )
             handshake = Handshake.from_body(body)
             session = self._register(handshake, writer)
             self._send_json(

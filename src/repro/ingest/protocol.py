@@ -22,7 +22,9 @@ Node -> gateway frames
     seed the gateway needs to rebuild ``Phi``) and the node's trained
     Huffman codebook (canonical lengths only).  An unsupported
     ``protocol`` version or malformed config is answered with an
-    ``ERROR`` frame and the link is closed.
+    ``ERROR`` frame and the link is closed — and so is a link whose
+    ``HELLO`` has not arrived :data:`HANDSHAKE_TIMEOUT_S` after it
+    connected.
 ``PACKET``
     One encoded 2-second window, as the exact on-air bytes of
     :meth:`~repro.core.packets.EncodedPacket.to_bytes` (sync byte,
@@ -128,6 +130,15 @@ MAX_SOLVER_ITERATIONS = 20_000
 #: recovery holds up to ``HOLD_CAP_EPOCHS * keyframe_interval`` frames.
 MAX_KEYFRAME_INTERVAL = 1024
 
+#: How long a front door waits for a link's first frame.  A node sends
+#: its ``HELLO`` the moment it connects, so a link still silent (or
+#: still dribbling a partial frame) after this long is half-open or
+#: hostile: it is answered with an ``ERROR`` and closed instead of
+#: holding a connection task for the life of the process.  Only the
+#: handshake is bounded — mid-stream a paced node is legitimately
+#: silent for the whole 2 s between windows.
+HANDSHAKE_TIMEOUT_S = 10.0
+
 #: the running damage accounting every ``DECODED`` ack carries:
 #: :class:`~repro.ingest.channel.LossAccounting` attributes by name
 ACK_DAMAGE_FIELDS = (
@@ -219,6 +230,33 @@ async def read_frame(
     except ValueError as exc:
         raise ProtocolError(f"unknown frame kind {payload[0]}") from exc
     return kind, payload[1:]
+
+
+async def read_hello(reader: asyncio.StreamReader) -> bytes | None:
+    """Read a link's first frame: the ``HELLO`` body, or ``None`` when
+    the peer hung up before sending anything.
+
+    Raises :class:`~repro.errors.ProtocolError` when the whole frame
+    has not arrived within :data:`HANDSHAKE_TIMEOUT_S` of the call, or
+    when it is not a ``HELLO`` (plus everything :func:`read_frame`
+    raises).
+    """
+    try:
+        frame = await asyncio.wait_for(
+            read_frame(reader), HANDSHAKE_TIMEOUT_S
+        )
+    except asyncio.TimeoutError as exc:
+        raise ProtocolError(
+            f"no HELLO within {HANDSHAKE_TIMEOUT_S:g} s of connecting"
+        ) from exc
+    if frame is None:
+        return None
+    kind, body = frame
+    if kind is not FrameKind.HELLO:
+        raise ProtocolError(
+            f"expected HELLO as the first frame, got {kind.name}"
+        )
+    return body
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,23 @@ def stream(small_config, database):
     return system, record
 
 
+@pytest.fixture(scope="module")
+def paper_stream(paper_config):
+    """The paper's operating point (``keyframe_interval`` = 16): three
+    keyframe epochs and the keyframe after them, as encoded packets and
+    PACKET frames."""
+    from repro.core import EcgMonitorSystem
+    from repro.ecg import SyntheticMitBih
+
+    windows = 3 * paper_config.keyframe_interval + 1
+    record = SyntheticMitBih(
+        duration_s=windows * paper_config.packet_seconds + 4.0, seed=2011
+    ).load("100")
+    system = EcgMonitorSystem(paper_config)
+    system.calibrate(record)
+    return (system, *_packet_frames(system, record, windows))
+
+
 class TestSequenceDelta:
     def test_in_order(self):
         assert sequence_delta(5, 5) == 0
@@ -794,6 +811,79 @@ class TestReplaySurvivors:
                 + accounting.windows_resynced
                 == total
             ), f"seed {seed} violated conservation"
+            # a reordered frame can open a (transient) gap too: every
+            # impairment event costs at most one keyframe interval
+            events = (
+                link.stats.loss_events + link.stats.frames_reordered
+            )
+            assert (
+                accounting.windows_damaged
+                <= events * system.config.keyframe_interval
+            ), f"seed {seed} exceeded the per-event damage bound"
+
+    @pytest.mark.parametrize("rate", [0.01, 0.05, 0.1])
+    def test_iid_loss_damage_within_the_burst_bound(self, paper_stream, rate):
+        """The tight bound at the paper's keyframe interval: every lost
+        frame charges its own window and each *run* of adjacent losses
+        orphans at most one difference chain up to the next keyframe."""
+        system, packets, frames = paper_stream
+        interval = system.config.keyframe_interval
+        for seed in range(16):
+            link = LossyChannel(loss=rate, seed=seed).wrap(_SinkWriter())
+            for frame in frames:
+                link.write(frame)
+            accepted, accounting = replay_survivors(
+                system.config,
+                system.encoder.codebook,
+                link.stats.delivered,
+                windows_sent=len(packets),
+            )
+            assert len(accepted) + accounting.windows_damaged == len(
+                packets
+            ), f"seed {seed} violated conservation"
+            bound = link.stats.loss_events + link.stats.burst_events * (
+                interval - 1
+            )
+            assert accounting.windows_damaged <= bound, (
+                f"seed {seed}: damage {accounting.windows_damaged} exceeds "
+                f"{link.stats.loss_events} loss events + "
+                f"{link.stats.burst_events} bursts x (interval - 1)"
+            )
+
+    def test_lossy_reordering_link_never_kills_a_fec_stream(
+        self, paper_stream
+    ):
+        """40 seeds of the e2e benchmark's ``LossyChannel(0.05, 0.1)``
+        over a parity-carrying stream.  Before ``ResyncAnchor`` took
+        over the admission-time resync state a give-up with
+        already-accepted packets at the head of the held run ended the
+        stream in a ``DecodingError`` — seed 19 here, 6 of 40 in the
+        live sweep that found it.  None may raise, the books balance,
+        and every accepted column is the clean decode's."""
+        system, packets, _ = paper_stream
+        frames = _frames_with_parity(packets, system.config.keyframe_interval)
+        reference = PacketPayloadDecoder(
+            system.config, codebook=system.encoder.codebook
+        ).measurement_block(packets, np.float64)
+        for seed in range(40):
+            link = LossyChannel(loss=0.05, reorder=0.1, seed=seed).wrap(
+                _SinkWriter()
+            )
+            for frame in frames:
+                link.write(frame)
+            link.write(encode_frame(FrameKind.BYE))
+            accepted, accounting = replay_survivors(
+                system.config,
+                system.encoder.codebook,
+                link.stats.delivered_frames,
+                windows_sent=len(packets),
+                fec=True,
+            )
+            assert len(accepted) + accounting.windows_damaged == len(
+                packets
+            ), f"seed {seed} violated conservation"
+            for sequence, column in accepted:
+                np.testing.assert_array_equal(column, reference[:, sequence])
 
     def test_fec_replay_conserves_and_never_does_worse(self, stream):
         """With parity in the stream, every recovered window is

@@ -150,18 +150,82 @@ class TestRouting:
         assert report.error is None
         assert report.acked == report.sent == 4
 
+    def test_silent_link_closed_at_the_handshake_deadline(
+        self, small_config, database, monkeypatch
+    ):
+        """A TCP link that never says HELLO is answered with an ERROR
+        and closed at the handshake deadline instead of holding a
+        front-door task forever; a healthy stream is untouched."""
+        from repro.ingest import FrameKind, protocol, read_frame
+
+        monkeypatch.setattr(protocol, "HANDSHAKE_TIMEOUT_S", 0.2)
+        clients = _make_clients(small_config, database, [("100", 0)])
+        front_door = FederationFrontDoor(
+            gateways=2, batch_size=4, flush_ms=100.0, use_processes=False
+        )
+
+        async def settled():
+            while front_door._conn_tasks:
+                await asyncio.sleep(0.01)
+
+        async def silent_link(port):
+            loop = asyncio.get_running_loop()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port
+            )
+            connected = loop.time()
+            frames = [await read_frame(reader) for _ in range(2)]
+            elapsed = loop.time() - connected
+            writer.close()
+            return frames, elapsed
+
+        async def run():
+            port = await front_door.start("127.0.0.1", 0)
+            silent, report = await asyncio.wait_for(
+                asyncio.gather(
+                    silent_link(port),
+                    clients[0].run_tcp("127.0.0.1", port),
+                ),
+                timeout=30.0,
+            )
+            await asyncio.wait_for(settled(), timeout=5.0)
+            await front_door.close()
+            return silent, report
+
+        (((kind, body), eof), elapsed), report = asyncio.run(run())
+        assert kind is FrameKind.ERROR
+        assert b"no HELLO within 0.2 s" in body
+        assert eof is None  # the front door hung up
+        assert elapsed < 1.0  # closed at the deadline, not some time later
+        assert front_door.stats.sessions_errored == 1
+        assert report.error is None
+        assert report.acked == report.sent == 4
+
 
 class TestBitIdentity:
+    @pytest.mark.parametrize("batch_size", [4, 1])
     def test_federated_decode_matches_serial_reference(
-        self, small_config, database
+        self, small_config, database, batch_size
     ):
-        """Per-stream output through the front door is bit-identical
-        to the serial single-system decode (the same oracle the
-        single-gateway tests pin against)."""
+        """Per-stream output through the front door equals the serial
+        single-system decode (the oracle the single-gateway tests pin
+        against) and, at width 1, bit for bit a node dialing one
+        plain gateway.
+
+        Only width-1 batches on both legs make ``assert_array_equal``
+        a claim about the front door: pooled-batch *composition* is
+        arrival-timing dependent and BLAS reduction order varies with
+        block width."""
+        from repro.ingest import IngestGateway
+        from repro.ingest.gateway import merge_stream_results
+
         specs = [("100", 0), ("119", 1)]
         clients = _make_clients(small_config, database, specs)
         front_door = FederationFrontDoor(
-            gateways=2, batch_size=4, flush_ms=100.0, use_processes=False
+            gateways=2,
+            batch_size=batch_size,
+            flush_ms=100.0,
+            use_processes=False,
         )
         reports, _, _ = _run_threaded(front_door, clients)
         assert all(report.error is None for report in reports)
@@ -176,6 +240,25 @@ class TestBitIdentity:
                 result,
                 _serial_reference(client.system, client.record, 4),
             )
+        if batch_size != 1:
+            return
+
+        async def run_direct():
+            gateway = IngestGateway(batch_size=1, flush_ms=100.0)
+            port = await gateway.start("127.0.0.1", 0)
+            await asyncio.gather(
+                *[client.run_tcp("127.0.0.1", port) for client in clients]
+            )
+            await gateway.close()
+            return merge_stream_results(gateway.results)
+
+        direct = asyncio.run(run_direct())
+        assert set(direct) == set(merged)
+        for key, result in merged.items():
+            for ours, theirs in zip(
+                result.samples_adu, direct[key].samples_adu, strict=True
+            ):
+                np.testing.assert_array_equal(ours, theirs)
 
 
 class TestTelemetryRollup:

@@ -736,6 +736,50 @@ class TestFaults:
         assert kind is FrameKind.ERROR
         assert "expected HELLO" in json.loads(body)["error"]
 
+    def test_silent_link_closed_at_the_handshake_deadline(
+        self, small_config, database, monkeypatch
+    ):
+        """A link that connects and never says HELLO used to hold its
+        connection task for the life of the gateway.  It is answered
+        with an ERROR and closed at the handshake deadline, and a
+        healthy stream sharing the loop completes untouched."""
+        from repro.ingest import protocol
+
+        monkeypatch.setattr(protocol, "HANDSHAKE_TIMEOUT_S", 0.1)
+        record = database.load("100")
+        system = _system(small_config, record)
+
+        async def silent_link(gateway):
+            loop = asyncio.get_running_loop()
+            reader, _writer = gateway.connect_local()  # never written to
+            connected = loop.time()
+            frames = [await read_frame(reader) for _ in range(2)]
+            return frames, loop.time() - connected
+
+        async def run():
+            gateway = IngestGateway(batch_size=2, flush_ms=50.0)
+            silent, report = await asyncio.wait_for(
+                asyncio.gather(
+                    silent_link(gateway),
+                    NodeClient(system, record, max_packets=2).run(
+                        *gateway.connect_local()
+                    ),
+                ),
+                timeout=30.0,
+            )
+            await asyncio.wait_for(_drain_sessions(gateway), timeout=5.0)
+            await gateway.close()
+            return gateway, silent, report
+
+        gateway, (((kind, body), eof), elapsed), report = asyncio.run(run())
+        assert kind is FrameKind.ERROR
+        assert "no HELLO within 0.1 s" in json.loads(body)["error"]
+        assert eof is None  # the gateway hung up
+        assert elapsed < 1.0  # closed at the deadline, not some time later
+        assert not gateway._conn_tasks
+        assert gateway.stats.sessions_errored == 1
+        assert gateway.stats.sessions_opened == 1
+        assert report.error is None and report.acked == 2
 
     @pytest.mark.parametrize(
         "hostile",
@@ -1064,16 +1108,10 @@ class TestLossResilience:
         assert result.windows_recovered == 0
         assert gateway.stats.sessions_completed == 1
 
-    def test_lossy_node_client_end_to_end(self, small_config, database):
-        """NodeClient + LossyChannel over the loopback transport: the
-        gateway's accounting agrees with the link's ground truth and
-        the offline replay of the surviving packet set."""
-        from repro.ingest import LossyChannel, replay_survivors
-
-        config = small_config.replace(keyframe_interval=4)
-        record = database.load("100")
-        system = _system(config, record)
-        channel = LossyChannel(drop_sequences=(2, 4), seed=7)
+    def _run_lossy_client(
+        self, system, record, channel, windows=9, fec=False
+    ):
+        """One NodeClient through ``channel`` into a loopback gateway."""
 
         async def run():
             gateway = IngestGateway(batch_size=4, flush_ms=50.0)
@@ -1081,21 +1119,34 @@ class TestLossResilience:
             client = NodeClient(
                 system,
                 record,
-                max_packets=9,
+                max_packets=windows,
                 interval_s=0.0,
                 lossy_channel=channel,
+                fec=fec,
             )
             report = await asyncio.wait_for(
                 client.run(reader, writer), timeout=60.0
             )
             await _drain_sessions(gateway)
             await gateway.close()
-            return gateway, report, client.last_link
+            return gateway.results[0], report, client.last_link
 
-        gateway, report, link = asyncio.run(run())
+        return asyncio.run(run())
+
+    def test_lossy_node_client_end_to_end(self, small_config, database):
+        """NodeClient + LossyChannel over the loopback transport: the
+        gateway's accounting agrees with the link's ground truth and
+        the offline replay of the surviving packet set."""
+        from repro.ingest import LossyChannel
+
+        config = small_config.replace(keyframe_interval=4)
+        record = database.load("100")
+        system = _system(config, record)
+        result, report, link = self._run_lossy_client(
+            system, record, LossyChannel(drop_sequences=(2, 4), seed=7)
+        )
         assert link.stats.frames_dropped == 2
         assert link.stats.dropped_sequences == [2, 4]
-        result = gateway.results[0]
         assert result.error is None
         # drop of diff 2: window 3 resyncs; drop of keyframe 4: diffs
         # 5-7 resync; keyframe 8 recovers
@@ -1104,16 +1155,82 @@ class TestLossResilience:
         assert result.windows_resynced == 4
         assert report.acked == result.num_windows
         assert report.windows_lost == 2
-        # offline replay of the recorded surviving packet set agrees
+        self._assert_replay_agrees(system, result, link, windows=9)
+
+    def _assert_replay_agrees(self, system, result, link, windows):
+        """Offline replay of the recorded surviving packet set keeps
+        the same books as the live gateway did."""
+        from repro.ingest import replay_survivors
+
         accepted, accounting = replay_survivors(
-            config,
+            system.config,
             system.encoder.codebook,
             link.stats.delivered,
-            windows_sent=9,
+            windows_sent=windows,
         )
         assert [seq for seq, _ in accepted] == result.sequences
-        assert accounting.windows_lost == result.windows_lost
-        assert accounting.windows_resynced == result.windows_resynced
+        for counter in (
+            "windows_lost",
+            "windows_resynced",
+            "frames_corrupt",
+            "frames_duplicate",
+        ):
+            assert getattr(accounting, counter) == getattr(result, counter)
+
+    def test_mixed_impairments_live_equals_replay(
+        self, small_config, database
+    ):
+        """Drops, reorders, duplicates and bit flips together (this
+        seed deals at least one of each): the stream survives, nothing
+        leaves the books, and the replay agrees counter for counter."""
+        from repro.ingest import LossyChannel
+
+        config = small_config.replace(keyframe_interval=4)
+        record = database.load("100")
+        system = _system(config, record)
+        channel = LossyChannel(
+            loss=0.1, reorder=0.15, duplicate=0.15, corrupt=0.1, seed=3
+        )
+        result, _, link = self._run_lossy_client(
+            system, record, channel, windows=17
+        )
+        fates = link.stats
+        assert fates.frames_dropped and fates.frames_reordered
+        assert fates.frames_duplicated and fates.frames_corrupted
+        assert result.error is None
+        assert result.num_windows + result.windows_damaged == 17
+        self._assert_replay_agrees(system, result, link, windows=17)
+
+    def test_fec_node_client_recovers_what_the_plain_one_loses(
+        self, small_config, database
+    ):
+        """The same seeded iid-loss channel, fec off then on: parity
+        and NACKed retransmits leave at most 2 % of the plain stream's
+        damage (or one window), inside the byte-overhead budget of a
+        4-window epoch (one parity body per 4 packets, plus resends)."""
+        from repro.ingest import LossyChannel
+
+        config = small_config.replace(keyframe_interval=4)
+        record = database.load("100")
+        system = _system(config, record)
+        channel = LossyChannel(loss=0.1, seed=2011)
+        plain, _, _ = self._run_lossy_client(
+            system, record, channel, windows=17
+        )
+        result, report, _ = self._run_lossy_client(
+            system, record, channel, windows=17, fec=True
+        )
+        assert plain.error is None and result.error is None
+        assert plain.windows_damaged >= 2  # the channel does bite
+        assert result.windows_damaged <= max(
+            1, round(0.02 * plain.windows_damaged)
+        )
+        # both tiers worked: parity alone cannot cover this pattern
+        assert result.windows_recovered_parity > 0
+        assert result.windows_recovered_retransmit > 0
+        assert result.num_windows + result.windows_damaged == 17
+        assert report.parity_bytes > 0
+        assert report.overhead_ratio <= 0.6
 
 
 class TestOrderingRegression:

@@ -1,9 +1,9 @@
-"""Hybrid-precision live path: the gateway output is bit-identical to
+"""Live path, both backends: the gateway output is bit-identical to
 the offline replay of the same surviving packet set.
 
 The hybrid backend (float32 FISTA + sparse residual gate + float64
-polish) is deterministic for a given batch composition, so the wire
-path must add nothing: running a node with ``precision="hybrid"``
+polish) is as deterministic for a given batch composition as the
+float64 reference, so the wire path must add nothing: running a node
 through the real asyncio gateway — over a lossy channel, fec off and
 on — and then replaying the gateway's logged batch compositions
 through :func:`~repro.fleet.engine.solve_measurement_block` with the
@@ -41,13 +41,14 @@ async def _drain(gateway):
         )
 
 
+@pytest.mark.parametrize("precision", ["hybrid", "float64"])
 @pytest.mark.parametrize("fec", [False, True], ids=["fec_off", "fec_on"])
-def test_hybrid_live_gateway_matches_offline_replay(
-    small_config, database, fec
+def test_live_gateway_matches_offline_replay(
+    small_config, database, fec, precision
 ):
     config = small_config.replace(keyframe_interval=4)
     record = database.load("100")
-    system = EcgMonitorSystem(config, precision="hybrid")
+    system = EcgMonitorSystem(config, precision=precision)
     system.calibrate(record)
     channel = LossyChannel(drop_sequences=(2,), seed=7)
 
@@ -99,8 +100,8 @@ def test_hybrid_live_gateway_matches_offline_replay(
     assert result.windows_resynced == accounting.windows_resynced
 
     # bit-identity: replay the gateway's logged batch compositions
-    # through the offline hybrid solver — same columns, same widths,
-    # same backend => identical bits out
+    # through the offline solver — same columns, same widths, same
+    # backend => identical bits out
     columns = {
         (result.session_id, index): column
         for index, (_seq, column) in enumerate(accepted)
@@ -112,7 +113,7 @@ def test_hybrid_live_gateway_matches_offline_replay(
         out = solve_measurement_block(
             {
                 "config": dataclasses.asdict(config),
-                "precision": "hybrid",
+                "precision": precision,
                 "block": block,
                 "fractions": np.full(
                     block.shape[1], config.lam, dtype=np.float64

@@ -497,6 +497,7 @@ class TestFleetEquivalence:
             p.sequence for p in hybrid.packets
         ]
         for a, b in zip(pure.packets, hybrid.packets):
+            assert a.packet_bits == b.packet_bits  # decode-side lever only
             assert abs(a.prd_percent - b.prd_percent) < 0.5
         np.testing.assert_allclose(
             hybrid.reconstructed_adu,
