@@ -115,15 +115,43 @@ OPERATOR_FACTORIES = frozenset(
 _CONFIG_FRAGMENTS = ("config", "seed", "codebook")
 
 
-def join(a: str, b: str) -> str:
+def _taint(kinds: list) -> str:
+    """Worst element kind of a container display."""
+    flat: list[str] = []
+    for kind in kinds:
+        if isinstance(kind, tuple):
+            flat.append(_taint(list(kind[1])))
+        else:
+            flat.append(kind)
+    for worst in (OPERATOR, F64, F32, NDARRAY):
+        if worst in flat:
+            return worst
+    if flat and all(k in (CONFIG, SCALAR, OTHER) for k in flat):
+        if CONFIG in flat:
+            return CONFIG
+    return OTHER
+
+
+def join(a: object, b: object) -> object:
     """Lattice merge at a CFG join: equal kinds survive, arrays of
     conflicting dtype widen to ``ndarray-unknown``, and a *dangerous*
     kind (array/operator/config) survives a merge with ``other`` — a
     value that may be an ndarray on one path must still be treated as
     one at a process boundary (may-analysis).  Everything else falls
-    to ``other``."""
+    to ``other``.  Tuple shapes of equal length merge element-wise;
+    against anything else a tuple counts as its worst element."""
     if a == b:
         return a
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        if (
+            isinstance(a, tuple)
+            and isinstance(b, tuple)
+            and len(a[1]) == len(b[1])
+        ):
+            return ("tuple", [join(x, y) for x, y in zip(a[1], b[1])])
+        a = _taint(a[1]) if isinstance(a, tuple) else a
+        b = _taint(b[1]) if isinstance(b, tuple) else b
+        return join(a, b)
     if a in ARRAY_KINDS and b in ARRAY_KINDS:
         return NDARRAY
     survivors = BOUNDARY_VIOLATIONS | {CONFIG}
@@ -301,7 +329,7 @@ class KindAnalysis:
     def kind_of(self, node: ast.AST) -> str:
         kind = self.kinds.get(id(node), OTHER)
         if isinstance(kind, tuple):
-            return self._taint(list(kind[1]))
+            return _taint(list(kind[1]))
         return kind
 
     # ------------------------------------------------------------------
@@ -428,21 +456,21 @@ class KindAnalysis:
             if isinstance(value, str) and value in ARRAY_KINDS:
                 return value  # slicing keeps the array kind
             if isinstance(value, tuple):
-                return self._taint(list(value[1]))
+                return _taint(list(value[1]))
             return OTHER
         if isinstance(node, ast.Tuple):
             kinds = [self._infer(e, env, record) for e in node.elts]
             return ("tuple", kinds)
         if isinstance(node, (ast.List, ast.Set)):
             kinds = [self._infer(e, env, record) for e in node.elts]
-            return self._taint(kinds)
+            return _taint(kinds)
         if isinstance(node, ast.Dict):
             kinds = []
             for key, value in zip(node.keys, node.values):
                 if key is not None:
                     self._infer(key, env, record)
                 kinds.append(self._infer(value, env, record))
-            return self._taint(kinds)
+            return _taint(kinds)
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
             return OTHER  # comprehension scope: not tracked
         if isinstance(node, ast.Call):
@@ -454,22 +482,6 @@ class KindAnalysis:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
                 self._infer(child, env, record)
-        return OTHER
-
-    def _taint(self, kinds: list) -> str:
-        """Worst element kind of a container display."""
-        flat: list[str] = []
-        for kind in kinds:
-            if isinstance(kind, tuple):
-                flat.append(self._taint(list(kind[1])))
-            else:
-                flat.append(kind)
-        for worst in (OPERATOR, F64, F32, NDARRAY):
-            if worst in flat:
-                return worst
-        if flat and all(k in (CONFIG, SCALAR, OTHER) for k in flat):
-            if CONFIG in flat:
-                return CONFIG
         return OTHER
 
     def _attribute_kind(
@@ -582,7 +594,7 @@ class KindAnalysis:
                 # container mutation taints the container variable the
                 # same way a display would (how a task list built in a
                 # loop carries its dict payloads' kinds)
-                added = self._taint(list(arg_kinds))
+                added = _taint(list(arg_kinds))
                 if added in BOUNDARY_KINDS:
                     current = env.get(node.func.value.id, OTHER)
                     if not (
@@ -627,7 +639,7 @@ class KindAnalysis:
                     return NDARRAY
                 seed = arg_kinds[0] if arg_kinds else OTHER
                 if isinstance(seed, tuple):
-                    seed = self._taint(list(seed[1]))
+                    seed = _taint(list(seed[1]))
                 if seed in ARRAY_KINDS:
                     return seed
                 if seed == SCALAR and tail == "array":

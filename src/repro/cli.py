@@ -144,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="float64",
         help=(
             "decode backend: float64 (reference), float32, or hybrid — "
-            "float32 FISTA with a sparse scatter/gather residual gate "
+            "float32 ADMM with a sparse scatter/gather residual gate "
             "and per-column float64 polish when a window leaves the "
             "fig-6 PRD corridor"
         ),

@@ -128,15 +128,19 @@ class SystemConfig:
             )
         if self.levels is not None and self.levels < 1:
             raise ConfigurationError(f"levels must be >= 1, got {self.levels}")
-        if self.lam <= 0:
-            raise ConfigurationError(f"lam must be positive, got {self.lam}")
+        # NaN passes every ordered comparison, and json.loads reads the
+        # bare literal: a node-supplied lam/tolerance must be finite
+        if not 0 < self.lam < math.inf:
+            raise ConfigurationError(
+                f"lam must be positive and finite, got {self.lam}"
+            )
         if self.max_iterations < 1:
             raise ConfigurationError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
             )
-        if self.tolerance <= 0:
+        if not 0 < self.tolerance < math.inf:
             raise ConfigurationError(
-                f"tolerance must be positive, got {self.tolerance}"
+                f"tolerance must be positive and finite, got {self.tolerance}"
             )
         if self.sample_rate_hz <= 0:
             raise ConfigurationError(

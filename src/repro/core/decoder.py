@@ -164,8 +164,9 @@ class SolveResources:
 
 
 #: operators kept per process: a hybrid entry at the paper point is
-#: ~6 MB and a rebuild 10-16 ms, so a small cap bounds what distinct
-#: (node-supplied) configs can pin at no cost to a steady fleet
+#: ~3.5 MB plus 2 MB per cached resolvent pair (one in a steady fleet,
+#: at most four) and a rebuild ~25 ms, so a small cap bounds what
+#: distinct (node-supplied) configs can pin at no cost to a steady fleet
 OPERATOR_CACHE_SIZE = 8
 
 
@@ -228,7 +229,7 @@ def solve_block(
 
     ``block`` holds the float64 columns ``dequantize`` returns; the
     cast to the operator's precision happens here, once.  ``"hybrid"``
-    solves through the structured pipeline (restarted float32 fast
+    solves through the structured pipeline (float32 ADMM fast
     path + sparse residual gate + float64 polish), which owns
     synthesis; the dense backends synthesize via the batched inverse
     transform.  Returns ``(n, B)`` float64 signals without dc offset
@@ -268,9 +269,9 @@ class CSDecoder:
         Must be the same codebook the encoder used.
     precision:
         ``"float64"`` (Matlab reference), ``"float32"`` (iPhone), or
-        ``"hybrid"`` — the raw-speed backend: float32 FISTA iterations
-        against the fused dense operator, dense ``Psi`` GEMM synthesis,
-        a sparse scatter/gather residual gate ``||y - Phi s||`` per
+        ``"hybrid"`` — the raw-speed backend: float32 ADMM iterations
+        against the operator's cached resolvent, dense ``Psi`` GEMM
+        synthesis, a sparse scatter/gather residual gate ``||y - Phi s||`` per
         column, and a float64 polish re-solve for any column whose
         relative residual leaves the fig-6 corridor (see
         :func:`~repro.solvers.batched.structured_batched_fista`).

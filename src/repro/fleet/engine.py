@@ -150,8 +150,8 @@ def _scatter_columns(
 
 
 #: ``fleet_solve_iterations`` bounds: the paper point caps at 2000, the
-#: float64 reference sits around 1000 and restarted hybrid windows
-#: around 200-600
+#: float64 reference sits around 1000 and hybrid (ADMM) windows
+#: around 50-150
 ITERATION_BUCKETS: tuple[float, ...] = (
     50, 100, 200, 300, 400, 600, 800, 1000, 1500, 2000,
 )
@@ -212,7 +212,6 @@ def solve_measurement_block(task: dict) -> dict:
             registry.inc(
                 "fleet_polish_windows", int(np.count_nonzero(result.polished))
             )
-            registry.inc("fleet_solver_restarts", int(result.restarts.sum()))
         registry.observe("fleet_solve_seconds", elapsed)
         registry.observe("fleet_solve_width", width, buckets=DEFAULT_SIZE_BUCKETS)
         for count in result.iterations:

@@ -120,10 +120,10 @@ MAX_FRAME_BYTES = 1 << 20
 MAX_WINDOW_SAMPLES = 1024
 
 #: Upper bound on a handshake's solver iteration cap (the paper budgets
-#: 2000).  A group's first flush builds a momentum schedule of this
-#: length in pure Python under the *shared* operator's lock — ms here,
-#: minutes and gigabytes at the 2 * 10^9 an unchecked HELLO could name,
-#: stalling every honest stream on that operator.
+#: 2000).  A column that never converges runs this many iterations
+#: under the *shared* operator's lock — seconds here, days at the
+#: 2 * 10^9 an unchecked HELLO could name, stalling every honest stream
+#: on that operator.
 MAX_SOLVER_ITERATIONS = 20_000
 
 #: Upper bound on a handshake's keyframe interval (the paper uses 16):

@@ -26,11 +26,7 @@ pair per step, per-column convergence masking and warm starts.
 
 from .base import SolverResult, as_operator
 from .prox import soft_threshold, soft_threshold_branchy, soft_threshold_if_converted
-from .lipschitz import (
-    coefficient_lipschitz,
-    lipschitz_constant,
-    power_iteration_norm,
-)
+from .lipschitz import lipschitz_constant, power_iteration_norm
 from .ista import ista
 from .fista import fista, lambda_from_fraction
 from .batched import (
@@ -39,6 +35,8 @@ from .batched import (
     BatchedSolverResult,
     BatchWorkspace,
     HybridSolveResult,
+    admm_rho,
+    batched_admm,
     batched_fista,
     batched_lambda_from_fraction,
     structured_batched_fista,
@@ -59,6 +57,8 @@ __all__ = [
     "HybridSolveResult",
     "SparsePhiApply",
     "StructuredOperator",
+    "admm_rho",
+    "batched_admm",
     "batched_fista",
     "batched_lambda_from_fraction",
     "structured_batched_fista",
@@ -69,7 +69,6 @@ __all__ = [
     "soft_threshold_if_converted",
     "power_iteration_norm",
     "lipschitz_constant",
-    "coefficient_lipschitz",
     "ista",
     "fista",
     "lambda_from_fraction",

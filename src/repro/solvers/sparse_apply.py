@@ -32,17 +32,24 @@ re-checks, diagnostics) costs ``n*d`` adds instead of an ``m*n`` GEMM,
 about 20x less work at the paper point.
 
 :class:`StructuredOperator` packages the factored view for the solver:
-the sparse ``Phi`` kernels, the dense ``Psi`` in both precisions, and
-the fused dense ``A``/``A^T`` pair in both precisions, sharing one
-float64 Lipschitz constant and its per-coefficient refinement.
+the sparse ``Phi`` kernels, the dense ``Psi`` and fused dense ``A`` in
+both precisions, the float64 Lipschitz constant, and the cached
+resolvent pairs the float32 ADMM leg iterates against.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
 from ..errors import SolverError
-from .lipschitz import coefficient_lipschitz, lipschitz_constant
+from .lipschitz import lipschitz_constant
+
+#: resolvent pairs kept per operator (2 MB each at the paper point):
+#: one per distinct block-median ``lam``, so a steady fleet holds one
+#: and node-supplied ``lam`` values cannot pin more than this many
+ADMM_PAIR_CACHE_SIZE = 4
 
 
 class SparsePhiApply:
@@ -174,14 +181,11 @@ class StructuredOperator:
     - ``psi64``/``psi32``: the dense synthesis basis (``Psi``-side ops
       stay dense GEMM — ``Psi`` is a dense orthonormal matrix, so there
       is no structure to gather);
-    - ``dense64``/``dense32`` (+ contiguous transposes): the fused
-      ``A`` the FISTA iteration runs its GEMM pair against;
-    - ``lipschitz``: one float64 constant shared by both precisions
-      (the step size is a float64 scalar either way);
-    - ``coefficient_lipschitz``: the ``(n,)`` diagonal majorizer of
-      :func:`~repro.solvers.lipschitz.coefficient_lipschitz` — the
-      restarted float32 fast leg steps by it; constant ``lipschitz``
-      when the operator has no DC outlier to split off.
+    - ``dense64`` (+ contiguous transpose) / ``dense32``: the fused
+      ``A`` the float64 FISTA legs run their GEMM pair against, and
+      its float32 copy;
+    - ``lipschitz``: the float64 FISTA step constant;
+    - :meth:`admm_pair`: the float32 fast leg's cached resolvent.
     """
 
     def __init__(
@@ -204,7 +208,6 @@ class StructuredOperator:
         self.dense64 = np.ascontiguousarray(dense, dtype=np.float64)
         self.dense64_t = np.ascontiguousarray(self.dense64.T)
         self.dense32 = self.dense64.astype(np.float32)
-        self.dense32_t = np.ascontiguousarray(self.dense32.T)
         self.lipschitz = (
             lipschitz
             if lipschitz is not None
@@ -214,9 +217,7 @@ class StructuredOperator:
             raise SolverError(
                 f"lipschitz must be positive, got {self.lipschitz}"
             )
-        self.coefficient_lipschitz = coefficient_lipschitz(
-            self.dense64, self.dense64_t, self.psi64, self.lipschitz
-        )
+        self._admm_pairs: OrderedDict[float, tuple] = OrderedDict()
 
     @property
     def m(self) -> int:
@@ -233,17 +234,35 @@ class StructuredOperator:
         """Time-domain dimension (rows of ``Psi``)."""
         return self.psi64.shape[0]
 
-    def operator(self, dtype: np.dtype | type) -> np.ndarray:
-        """The fused dense ``A`` in the requested precision."""
-        return self.dense32 if np.dtype(dtype) == np.float32 else self.dense64
+    def admm_pair(self, rho: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(P, R^T)`` of :func:`~repro.solvers.batched.batched_admm`.
 
-    def operator_t(self, dtype: np.dtype | type) -> np.ndarray:
-        """Contiguous ``A^T`` in the requested precision."""
-        return (
-            self.dense32_t
-            if np.dtype(dtype) == np.float32
-            else self.dense64_t
-        )
+        ``P = rho (2 A^T A + rho I)^-1`` as ``(n, n)`` float32 and the
+        transpose of ``R = 2 (2 A^T A + rho I)^-1 A^T`` as ``(m, n)``
+        float64, through the ``m x m`` system of the push-through
+        identity: with ``K = A A^T + (rho / 2) I``, ``R^T = K^-1 A``
+        and ``P = I - R A`` — never the ``(n, n)`` Gram or its inverse.
+        Pairs are kept least-recently-used up to
+        :data:`ADMM_PAIR_CACHE_SIZE`; a rebuilt pair is bit-identical.
+        Not thread-safe: like every solve on a cached operator, called
+        under the owner's lock.
+        """
+        pair = self._admm_pairs.get(rho)
+        if pair is not None:
+            self._admm_pairs.move_to_end(rho)
+            return pair
+        kernel = self.dense64 @ self.dense64_t
+        kernel.flat[:: self.m + 1] += rho / 2.0
+        ridge_t64 = np.linalg.solve(kernel, self.dense64)
+        del kernel
+        resolvent = ridge_t64.T @ self.dense64
+        np.negative(resolvent, out=resolvent)
+        resolvent.flat[:: self.n_coefficients + 1] += 1.0
+        pair = (resolvent.astype(np.float32), ridge_t64)
+        if len(self._admm_pairs) >= ADMM_PAIR_CACHE_SIZE:
+            self._admm_pairs.popitem(last=False)
+        self._admm_pairs[rho] = pair
+        return pair
 
     def synthesis(self, dtype: np.dtype | type) -> np.ndarray:
         """Dense ``Psi`` in the requested precision."""

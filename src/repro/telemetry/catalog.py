@@ -208,11 +208,7 @@ CATALOG: dict[str, MetricSpec] = {
         ),
         _spec(
             "fleet_solve_iterations", HISTOGRAM,
-            "FISTA iterations one window's solve took (every leg)",
-        ),
-        _spec(
-            "fleet_solver_restarts", COUNTER,
-            "momentum restarts taken on the hybrid float32 fast leg",
+            "solver iterations one window's solve took (every leg)",
         ),
         _spec(
             "fleet_hybrid_windows", COUNTER,

@@ -26,3 +26,13 @@ def polish_exit(block, steps):
 def unmarked(block):
     # no hot/f32 marker: mixed precision is not RL007's business
     return np.asarray(block, dtype=np.float32) * np.float64(3.0)
+
+
+def cached_pair(cache, key, n):
+    # a tuple of arrays on the build path, ``other`` on the hit path:
+    # the join must reach a verdict, not raise
+    value = cache.get(key)
+    if value is None:
+        value = (np.zeros(n, dtype=np.float32), np.zeros(n, dtype=np.float64))
+        cache[key] = value
+    return value

@@ -218,6 +218,25 @@ class TestLattice:
             assert join(OTHER, kind) == kind
         assert join(SCALAR, OTHER) == OTHER
 
+    def test_tuple_shapes_join(self):
+        # a cached ``(P, R)`` pair is a tuple on the build path and
+        # ``other`` (``cache.get``) on the hit path: the join used to
+        # hash the shape's element list and raise
+        pair = ("tuple", [F32, F64])
+        assert join(pair, ("tuple", [F32, F32])) == ("tuple", [F32, NDARRAY])
+        assert join(pair, OTHER) == F64  # worst element survives
+        assert join(OTHER, pair) == F64
+        assert join(pair, ("tuple", [F32])) == NDARRAY
+        kinds = kinds_of(
+            "import numpy as np\n"
+            "def f(cache, key, n):\n"
+            "    value = cache.get(key)\n"
+            "    if value is None:\n"
+            "        value = (np.zeros(n, dtype=np.float32), np.zeros(n))\n"
+            "    use(value)\n"
+        )
+        assert kinds["value"] == F64
+
     def test_promote_models_numpy(self):
         assert promote(F32, F64) == F64
         assert promote(F32, SCALAR) == F32  # weak python scalar

@@ -45,26 +45,27 @@ class TestRL007SeededPromotion:
 
     def test_f64_promotion_in_f32_leg_caught(self, tmp_path):
         # the historical bug class: one float64 operand silently runs
-        # the fast leg at double precision
+        # part of the fast leg (here batched_admm's closing residual)
+        # at double precision
         findings = mutate_and_lint(
             tmp_path,
             self.SOURCE,
-            "np.copyto(ys_fast, ys64)",
-            "ys_fast = np.float32(1.0) * ys64",
+            "(structure.dense32 @ alpha).astype(np.float64) - ys64",
+            "structure.dense32 @ alpha - ys64",
             "RL007",
         )
-        assert any("promotion" in f.key for f in findings)
+        assert any("promotion:batched_admm" in f.key for f in findings)
         assert any("float64 promotion" in f.message for f in findings)
 
     def test_default_dtype_alloc_in_f32_leg_caught(self, tmp_path):
         findings = mutate_and_lint(
             tmp_path,
             self.SOURCE,
-            'ys_fast = workspace.arena("ys32", (m, batch), np.float32)',
-            "ys_fast = np.empty((m, batch))",
+            "alpha = np.zeros((n, batch), dtype=np.float32)",
+            "alpha = np.zeros((n, batch))",
             "RL007",
         )
-        assert any("alloc-no-dtype" in f.key for f in findings)
+        assert any("alloc-no-dtype:batched_admm" in f.key for f in findings)
 
 
 class TestRL008SeededStaleGuard:

@@ -610,12 +610,12 @@ class TestFleetTelemetry:
         """The in-process path publishes the solve series a pool
         worker ships home: one ``fleet_solve_iterations`` observation
         per window and one solve/width observation per batch on every
-        backend; restart/hybrid/polish counters only where the hybrid
-        legs ran."""
+        backend; hybrid/polish counters only where the hybrid legs
+        ran."""
         from repro.telemetry import MetricsRegistry
 
         record = database.load("100")
-        for precision, restarted in (("float64", False), ("hybrid", True)):
+        for precision in ("float64", "hybrid"):
             registry = MetricsRegistry()
             results = FleetDecoder(batch_size=3, telemetry=registry).run(
                 [
@@ -630,11 +630,8 @@ class TestFleetTelemetry:
             budget = snap.histogram_total("fleet_solve_iterations")
             assert budget.total == 4
             assert budget.sum == sum(p.iterations for p in results[0].packets)
-            assert (
-                snap.counter_total("fleet_solver_restarts") > 0
-            ) is restarted
             assert snap.counter_total("fleet_hybrid_windows") == (
-                4 if restarted else 0
+                4 if precision == "hybrid" else 0
             )
             # 4 windows at batch_size=3: two solves, widths 3 + 1
             assert snap.histogram_total("fleet_solve_seconds").total == 2

@@ -786,33 +786,24 @@ class TestFaults:
         [
             # a 32 GiB dense synthesis basis
             {"n": 1 << 16},
-            # a minutes-long pure-Python momentum schedule (and a 16 GB
-            # array) built under the shared operator's lock
+            # a solve that may run two billion iterations under the
+            # shared operator's lock
             {"max_iterations": 2_000_000_000},
             # an unbounded recovery hold cap (4 * keyframe_interval)
             {"keyframe_interval": 10**9},
         ],
         ids=["window", "iterations", "keyframe_interval"],
     )
-    def test_oversized_hello_refused_before_any_build(
-        self, hostile, monkeypatch
-    ):
+    def test_oversized_hello_refused_before_any_build(self, hostile):
         """A HELLO names the operator the gateway will rebuild and the
         budgets its solves and recovery holds run under: a field past
         the protocol's caps is answered with an ERROR frame, and
         nothing was built or scheduled for it."""
         from repro.config import SystemConfig
         from repro.core.decoder import build_resources
-        from repro.solvers import batched
 
         config = SystemConfig(**{"n": 512, "m": 256, "d": 12, **hostile})
         built = build_resources.cache_info().misses
-        schedules = []
-        monkeypatch.setattr(
-            batched,
-            "_momentum_schedule",
-            lambda length: schedules.append(length),
-        )
 
         async def run():
             gateway = IngestGateway()
@@ -831,8 +822,36 @@ class TestFaults:
         assert gateway.stats.sessions_errored == 1
         assert gateway.stats.sessions_opened == 0
         assert build_resources.cache_info().misses == built
-        assert schedules == []
 
+
+    @pytest.mark.parametrize("field", ["lam", "tolerance"])
+    def test_non_finite_hello_refused(self, field):
+        """A HELLO whose ``lam`` / ``tolerance`` is the bare JSON
+        ``NaN`` used to be accepted: every solve of its group then ran
+        to the iteration cap under the shared operator's lock and
+        delivered non-finite samples as DECODED."""
+        from repro.config import SystemConfig
+        from repro.ingest.protocol import encode_json_frame
+
+        payload = Handshake(
+            record="100", channel=0, config=SystemConfig()
+        ).to_payload()
+        payload["config"][field] = float("nan")
+
+        async def run():
+            gateway = IngestGateway()
+            reader, writer = gateway.connect_local()
+            writer.write(encode_json_frame(FrameKind.HELLO, payload))
+            frame = await read_frame(reader)
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway, frame
+
+        gateway, (kind, body) = asyncio.run(run())
+        assert kind is FrameKind.ERROR
+        assert "finite" in json.loads(body)["error"]
+        assert gateway.stats.sessions_errored == 1
+        assert gateway.stats.sessions_opened == 0
 
     def test_codeword_length_bomb_refused_and_neighbour_unharmed(
         self, small_config, database

@@ -150,6 +150,18 @@ class TestHandshake:
         with pytest.raises(ProtocolError, match="invalid handshake config"):
             Handshake.from_body(json.dumps(payload).encode())
 
+    @pytest.mark.parametrize("field", ["lam", "tolerance"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_config_literal_rejected(self, field, literal):
+        """``json.loads`` reads the bare ``NaN`` literal a hostile (or
+        buggy) node can put on the wire."""
+        payload = self._handshake().to_payload()
+        payload["config"][field] = float(literal.lower()[:3])
+        body = json.dumps(payload)
+        assert literal in body
+        with pytest.raises(ProtocolError, match="invalid handshake config"):
+            Handshake.from_body(body.encode())
+
     def test_unknown_config_field_rejected(self):
         payload = self._handshake().to_payload()
         payload["config"]["surprise"] = 1

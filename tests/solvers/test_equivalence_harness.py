@@ -466,7 +466,6 @@ class TestFleetEquivalence:
         windows = encoded_block["block"].shape[1]
         assert by_name["fleet_hybrid_windows"] == windows
         assert "fleet_polish_windows" in by_name
-        assert by_name["fleet_solver_restarts"] > 0
         (budget,) = [
             series
             for series in out["telemetry"]["histograms"]

@@ -47,7 +47,6 @@ class TestCatalogShape:
 
     def test_solve_budget_series_are_pinned(self):
         assert spec_for("fleet_solve_iterations").kind == HISTOGRAM
-        assert spec_for("fleet_solver_restarts").kind == COUNTER
         assert not spec_for("fleet_solve_iterations").labels
 
 

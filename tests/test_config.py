@@ -66,6 +66,14 @@ class TestSystemConfigValidation:
         with pytest.raises(ConfigurationError):
             SystemConfig(tolerance=0.0)
 
+    @pytest.mark.parametrize("field", ["lam", "tolerance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_solver_weights_rejected(self, field, value):
+        """NaN passes ``<= 0``: a NaN ``lam`` rode 16 columns through
+        4000 iterations and came back as non-finite samples."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            SystemConfig(**{field: value})
+
     def test_zero_levels_rejected(self):
         with pytest.raises(ConfigurationError):
             SystemConfig(levels=0)
