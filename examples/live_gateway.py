@@ -98,7 +98,8 @@ async def main() -> None:
     print(f"pooled batches:        {stats.batches} "
           f"({stats.cross_stream_batches} spanning streams)")
     print(f"flush triggers:        {stats.flushes_full} full, "
-          f"{stats.flushes_deadline} deadline, {stats.flushes_drain} drain")
+          f"{stats.flushes_deadline} deadline, {stats.flushes_drain} drain, "
+          f"{stats.flushes_idle} idle")
     worst = (
         "n/a (no window decoded)"
         if stats.max_latency_s is None

@@ -4,6 +4,9 @@
 #   scripts/run_tier1.sh          # lint + tests + benchmarks + examples
 #   scripts/run_tier1.sh --fast   # lint + tests only
 #
+# Full mode takes ~230 s on a 2-core Xeon at 2.1 GHz (tests ~110 s,
+# the paper-fidelity benchmarks ~105 s).
+#
 # repro-lint (python -m repro.analysis) statically enforces the stack's
 # invariants — event-loop blocking, lock discipline, hot-loop
 # allocations, the telemetry catalog, exception hygiene, README/CLI
@@ -17,13 +20,13 @@
 # each benchmarks/e2e workload with its in-run checks.
 #
 # Full mode then runs benchmarks/bench_*.py by glob, so a bench cannot
-# exist outside the gate: the paper-fidelity series (figs 2/6/7/8, the
-# ablations, the solver comparison — the fixed point the ROADMAP's
-# aims are measured against) and the bursty adaptive-batching scenario.
-# Each asserts the shape of its own series at one sizing; none gates on
-# a one-shot wall-clock ratio.  Throughput and latency of the serving
-# stack are measured by `python -m benchmarks.e2e` (repeats, medians,
-# a compare verb), not here.
+# exist outside the gate: the paper-fidelity series only (figs 2/6/7/8,
+# the ablations, the solver comparison — the fixed point the ROADMAP's
+# aims are measured against).  Each asserts the shape of its own series
+# at one sizing; none gates on a one-shot wall-clock ratio.  Throughput
+# and latency of the serving stack are measured by
+# `python -m benchmarks.e2e` (repeats, medians, a compare verb), not
+# here.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,7 +41,7 @@ echo "== tier-1: full test suite =="
 python -m pytest -x -q
 
 if [[ "${1:-}" != "--fast" ]]; then
-    echo "== benchmarks: paper fidelity + bursty adaptive batching =="
+    echo "== benchmarks: paper fidelity =="
     python -m pytest benchmarks/bench_*.py -q
 
     echo "== example smokes =="

@@ -26,7 +26,7 @@ The analysis is a forward worklist to fixpoint over
 allocator ``dtype=`` arguments, attribute loads, same-module annotated
 call returns), then one recording pass that annotates every expression
 node with its kind.  Known limits, by design (documented in
-docs/architecture.md §8): intra-procedural only — unannotated calls
+docs/architecture.md §7): intra-procedural only — unannotated calls
 and foreign attributes fall to ``other`` (silence, not noise); a name
 bound on only one branch keeps its bound kind at the join.
 """

@@ -5,7 +5,7 @@ Installed as ``repro-ecg``::
     repro-ecg quickstart --cr 50 --record 100
     repro-ecg fleet --streams 8 --batch-size 32 --groups 4 --fleet-workers 4
     repro-ecg serve --port 9765 --flush-ms 250 --fleet-workers 2
-    repro-ecg serve --adaptive --metrics-port 9100 --metrics-file ring.jsonl
+    repro-ecg serve --metrics-port 9100 --metrics-file ring.jsonl
     repro-ecg serve --simulate 4 --packets 6     # self-contained demo
     repro-ecg sweep --figure fig7 --records 3 --packets 6
     repro-ecg fig8
@@ -51,9 +51,9 @@ CHANNEL_FLAGS = (
     "--fec", "--nack-budget",
 )
 
-#: the telemetry/adaptive flags of ``serve``; drift-checked against
-#: README exactly like CHANNEL_FLAGS
-TELEMETRY_FLAGS = ("--adaptive", "--metrics-file", "--metrics-port")
+#: the telemetry flags of ``serve``; drift-checked against README
+#: exactly like CHANNEL_FLAGS
+TELEMETRY_FLAGS = ("--metrics-file", "--metrics-port")
 
 #: the decode-backend flags shared by ``fleet`` and ``serve``
 #: (``--simulate`` nodes request the backend in their handshake);
@@ -180,8 +180,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=250.0,
         help=(
-            "flush-on-idle deadline: a pending window decodes at most "
-            "this many ms after arrival even if the batch is not full"
+            "flush deadline: an idle solver takes whatever is pending "
+            "at once, so this only bounds how many ms after arrival a "
+            "window waits while another operator group's solve runs "
+            "(finite, > 0)"
         ),
     )
     serve.add_argument(
@@ -267,24 +269,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     telemetry = serve.add_argument_group(
-        "telemetry and adaptive batching",
+        "telemetry",
         description=(
             "the gateway publishes every counter/latency through the "
             "unified telemetry plane (repro.telemetry); these flags "
-            "turn on its persistent sinks and the AIMD batch "
-            "controller that steers the flush operating point against "
-            "the 2 s real-time budget"
-        ),
-    )
-    telemetry.add_argument(
-        "--adaptive",
-        action="store_true",
-        help=(
-            "adapt the effective batch width and flush deadline to "
-            "load (AIMD: widen under backlog with latency headroom, "
-            "shed multiplicatively when the 2 s budget is threatened); "
-            "at steady state the controller holds the configured "
-            "--batch-size/--flush-ms point exactly"
+            "turn on its persistent sinks"
         ),
     )
     telemetry.add_argument(
@@ -555,7 +544,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flush_ms=args.flush_ms,
         workers=args.fleet_workers,
         telemetry=registry,
-        adaptive=args.adaptive,
         nack_budget=args.nack_budget,
     )
     try:
@@ -638,11 +626,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             mode = (
                 f"{workers} worker processes" if workers > 1 else "in-process"
             )
-        batching = "adaptive batching" if args.adaptive else "fixed batching"
         print(
             f"ingest gateway listening on {args.host}:{port} "
             f"(batch {args.batch_size}, flush {args.flush_ms:.0f} ms, "
-            f"{batching}, {mode} decode); Ctrl-C to stop"
+            f"{mode} decode); Ctrl-C to stop"
         )
         try:
             await asyncio.Event().wait()
@@ -753,8 +740,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"live gateway: {args.simulate} nodes over TCP, "
             f"batch {args.batch_size}, flush {args.flush_ms:.0f} ms"
         )
-        if args.adaptive:
-            title += ", adaptive"
         if args.gateways > 1:
             title += f", {args.gateways}-gateway federation"
         if args.groups > 1:
@@ -773,7 +758,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"flushes: {stats.flushes_full} full, "
             f"{stats.flushes_deadline} deadline, "
             f"{stats.flushes_drain} drain, "
-            f"{stats.flushes_pressure} pressure)"
+            f"{stats.flushes_idle} idle)"
         )
         print(
             f"channel damage: {stats.windows_lost} windows lost, "
@@ -804,18 +789,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"across {fed.gateways} gateways ({per_gateway}); "
                 f"{fed.reroutes} reroute(s)"
             )
-        if args.adaptive:
-            # federation workers run their controllers in-process; the
-            # front door has none to summarise
-            controller = getattr(gateway, "controller", None)
-            if controller is not None:
-                print(
-                    f"adaptive controller: effective batch "
-                    f"{controller.effective_batch} (base {args.batch_size}), "
-                    f"flush {1000 * controller.effective_flush_s:.0f} ms, "
-                    f"{controller.widen_count} widen(s), "
-                    f"{controller.shed_count} shed(s)"
-                )
         if failures or any(report.error for report in reports):
             return 1
         return 0

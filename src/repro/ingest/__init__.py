@@ -12,9 +12,9 @@ coordinator actually runs:
 - :mod:`~repro.ingest.gateway` — :class:`IngestGateway`, the asyncio
   server: accepts TCP or in-process links, runs the stateful decode
   stages per stream, pools measurement columns per operator group
-  (same keying as the fleet scheduler), and flushes batched solves on
-  batch-full / idle-deadline / stream-end triggers with per-stream
-  backpressure;
+  (same keying as the fleet scheduler), and flushes batched solves the
+  moment the solver is idle — else on batch-full / deadline /
+  stream-end triggers — with per-stream backpressure;
 - :mod:`~repro.ingest.client` — :class:`NodeClient`, the node-side
   simulator replaying records at true (or accelerated) sample rate;
 - :mod:`~repro.ingest.channel` — the lossy-radio model: a seeded
@@ -31,12 +31,7 @@ coordinator actually runs:
   supervised gateway worker processes (keeping every group's shared
   ``A`` precompute and cross-stream batching on one gateway), remaps
   only the dead worker's ring segment on failure, and rolls worker
-  telemetry up through monoid snapshot deltas;
-- :mod:`~repro.ingest.adaptive` — the AIMD batch controller
-  (:class:`AdaptiveBatchController`): steers the gateway's effective
-  batch width and flush deadline against the real-time budget from
-  the telemetry plane's solve-latency signals, adding the
-  budget-aware *pressure flush* to the full/deadline/drain triggers.
+  telemetry up through monoid snapshot deltas.
 
 Every gateway event — sessions, flushes, solve and window latencies,
 channel damage — publishes through one
@@ -53,12 +48,6 @@ decode of the same surviving packet set, with the damage bounded by
 the keyframe interval and accounted per stream.
 """
 
-from .adaptive import (
-    AdaptiveBatchController,
-    AdaptiveConfig,
-    FixedBatchController,
-    SolveTimeModel,
-)
 from .channel import (
     HOLD_CAP_EPOCHS,
     FrameVerdict,
@@ -97,14 +86,10 @@ from .protocol import (
 )
 
 __all__ = [
-    "AdaptiveBatchController",
-    "AdaptiveConfig",
     "DEFAULT_FLUSH_MS",
     "FederationFrontDoor",
     "FederationStats",
-    "FixedBatchController",
     "FrameKind",
-    "SolveTimeModel",
     "FrameVerdict",
     "GatewayStats",
     "HOLD_CAP_EPOCHS",

@@ -318,8 +318,8 @@ class FederationFrontDoor:
     **gateway_options:
         Every other keyword is an option of
         :class:`~repro.ingest.gateway.IngestGateway` (``batch_size``,
-        ``flush_ms``, ``workers``, ``max_pending``, ``adaptive``,
-        ``adaptive_config``, ``nack_budget``), documented and
+        ``flush_ms``, ``workers``, ``max_pending``, ``nack_budget``),
+        documented and
         validated there and forwarded to each worker's gateway
         untouched.  ``telemetry`` and ``session_id_base`` are the
         front door's to assign (a private registry and a disjoint id

@@ -16,9 +16,12 @@ connected:
   (:func:`~repro.fleet.scheduler.solve_key`), exactly like the offline
   fleet scheduler: batches fill across whatever streams share the
   group, so ragged live streams merge into full-width solves;
-- a group flushes when ``batch_size`` columns are pending, when the
-  oldest pending column has waited ``flush_ms`` (so a lone stream
-  still meets the real-time latency budget), or when a stream ends
+- dispatch is work-conserving, the way Nagle's algorithm is: while
+  fewer than ``workers`` solves are in flight a group flushes whatever
+  is pending at once, so batches form only behind a busy solver.
+  Otherwise a group flushes when ``batch_size`` columns are pending,
+  when the oldest pending column has waited ``flush_ms`` (the bound on
+  a window held up by another group's solve), or when a stream ends
   (disconnect or ``BYE``) with columns still pending — a partial batch
   always decodes;
 - each flushed block is solved by the same
@@ -73,6 +76,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 import time
 import warnings
 from collections import deque
@@ -91,11 +95,6 @@ from ..fleet.engine import solve_measurement_block
 from ..fleet.executor import SolveExecutor
 from ..fleet.scheduler import solve_key
 from ..telemetry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
-from .adaptive import (
-    AdaptiveBatchController,
-    AdaptiveConfig,
-    FixedBatchController,
-)
 from .channel import (
     FrameVerdict,
     LossAccounting,
@@ -112,9 +111,9 @@ from .protocol import (
     read_hello,
 )
 
-#: default flush-on-idle deadline: a pending window never waits longer
-#: than this for batch-mates before decoding.  Chosen well inside the
-#: paper's 2-second real-time budget, leaving room for the solve.
+#: default flush deadline: a pending window held up by another group's
+#: solve waits at most this long before decoding.  Chosen well inside
+#: the paper's 2-second real-time budget, leaving room for the solve.
 DEFAULT_FLUSH_MS = 250.0
 
 #: how long a link stays open after ``BYE`` for retransmissions still
@@ -179,10 +178,8 @@ class _LoopbackWriter:
 class _PendingWindow:
     """One dequantized measurement column waiting for a solve.
 
-    Carries only its arrival stamp; flush deadlines are computed at
-    decision time from the controller's *current* effective flush
-    interval, so an adaptive gateway can tighten the deadline of
-    windows already waiting.
+    Its arrival stamp is what both the flush deadline and the
+    ``queue`` stage observation are measured from.
     """
 
     session: "_Session"
@@ -370,8 +367,8 @@ class GatewayStats(LossAccounting):
     flushes_full: int = 0
     flushes_deadline: int = 0
     flushes_drain: int = 0
-    #: adaptive-mode flushes forced by the budget-pressure rule
-    flushes_pressure: int = 0
+    #: partial batches taken at once by an idle solver
+    flushes_idle: int = 0
     cross_stream_batches: int = 0
     nacks_sent: int = 0
     #: ``None`` until the first window decodes — "no data yet" must
@@ -462,42 +459,35 @@ class IngestGateway:
     Parameters
     ----------
     batch_size:
-        Target solve width; batches fill across every stream currently
-        connected to the same operator group.
+        Widest solve; batches fill across every stream currently
+        connected to the same operator group.  They fill only behind
+        a busy solver: while fewer than ``workers`` solves are in
+        flight, a group flushes whatever is pending at once (the
+        ``idle`` trigger), so a lone real-time stream is never held
+        hostage to batching.
     flush_ms:
-        Flush-on-idle deadline: a pending window decodes at most this
-        many milliseconds after frame arrival even if the batch is not
-        full, so a lone real-time stream is never held hostage to
-        batching.
+        Flush deadline: the longest a pending window waits while
+        *another* operator group's solve holds the solver — after
+        this many milliseconds from frame arrival it flushes even
+        though the solver is busy and the batch is not full.  Finite
+        and positive.
     workers:
         ``None``, ``0`` or ``1`` solves on threads of this process
         (one solve in flight per operator); ``>= 2`` dispatches
         flushed blocks to a persistent process pool, decoding
         successive batches of one operator group concurrently (live
-        intra-group sharding).
+        intra-group sharding).  Also the ``idle`` trigger's bound:
+        a partial batch leaves at once only while fewer than this many
+        solves (one, in-process) are in flight gateway-wide.
     max_pending:
         Per-stream backpressure bound: a session stops reading frames
         while this many of its windows await decoding.  Default
-        ``4 * batch_size`` (``4 * max_batch`` in adaptive mode, so the
-        widened operating point can actually fill).
+        ``4 * batch_size``.
     telemetry:
         The :class:`~repro.telemetry.MetricsRegistry` every event is
         published to; a private registry is created when omitted.
         :attr:`stats` and each stream's damage accounting are read
         models over this registry.
-    adaptive:
-        Enable the AIMD batch controller
-        (:class:`~repro.ingest.adaptive.AdaptiveBatchController`):
-        the effective batch width and flush deadline track load
-        against the real-time budget instead of staying at the
-        configured values.  With no backlog and no budget threat the
-        controller holds the configured operating point, so a
-        steady-state adaptive run reproduces the fixed-batch flush
-        schedule exactly.
-    adaptive_config:
-        Optional :class:`~repro.ingest.adaptive.AdaptiveConfig`
-        (budget, widen headroom, pressure safety margin) for
-        ``adaptive=True``.
     nack_budget:
         Per-stream tier-2 budget: at most this many sequences are ever
         NACKed for retransmission on one session; a gap that would
@@ -517,8 +507,6 @@ class IngestGateway:
         workers: int | None = None,
         max_pending: int | None = None,
         telemetry: MetricsRegistry | None = None,
-        adaptive: bool = False,
-        adaptive_config: AdaptiveConfig | None = None,
         nack_budget: int = 8,
         session_id_base: int = 0,
     ) -> None:
@@ -526,9 +514,11 @@ class IngestGateway:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {batch_size}"
             )
-        if flush_ms <= 0:
+        # spelled so NaN fails too: a NaN deadline never expires, so a
+        # window pooled behind a busy solver would never be acked
+        if not 0.0 < flush_ms < math.inf:
             raise ConfigurationError(
-                f"flush_ms must be positive, got {flush_ms}"
+                f"flush_ms must be finite and positive, got {flush_ms}"
             )
         if workers is not None and workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
@@ -549,24 +539,9 @@ class IngestGateway:
         self.flush_s = flush_ms / 1000.0
         self.workers = workers if workers else 1
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
-        self.adaptive = bool(adaptive)
-        if self.adaptive:
-            self.controller: (
-                AdaptiveBatchController | FixedBatchController
-            ) = AdaptiveBatchController(
-                batch_size,
-                self.flush_s,
-                config=adaptive_config,
-                meter=self.telemetry.meter(),
-            )
-        else:
-            self.controller = FixedBatchController(batch_size, self.flush_s)
-        if max_pending is not None:
-            self.max_pending = max_pending
-        elif self.adaptive:
-            self.max_pending = 4 * self.controller.max_batch
-        else:
-            self.max_pending = 4 * batch_size
+        self.max_pending = (
+            max_pending if max_pending is not None else 4 * batch_size
+        )
         #: completed stream results, in session-open order
         self.results: list[IngestStreamResult] = []
         #: per-flush composition log: ``(group_key, [(session_id,
@@ -588,6 +563,9 @@ class IngestGateway:
         # session's drain: close() must not cancel these (see there)
         self._draining_tasks: set[asyncio.Task] = set()
         self._solve_tasks: set[asyncio.Task] = set()
+        #: solves submitted and not yet returned, across every group:
+        #: the idle trigger's signal
+        self._inflight = 0
         self._executor: SolveExecutor | None = None  # started on first flush
         self.port: int | None = None
 
@@ -1012,32 +990,28 @@ class IngestGateway:
 
         Returns ``(reason, next_due)``: a non-``None`` reason means
         flush immediately; otherwise ``next_due`` is the loop time at
-        which the earliest trigger fires.  Triggers, in precedence
-        order: batch full at the controller's *effective* width,
-        flush-on-idle deadline at the effective interval, orphaned
-        windows of an ended stream, and (adaptive mode) the
-        budget-pressure rule — flush now if waiting longer would,
-        per the solve-time model, push the oldest window past the
-        real-time budget.
+        which the deadline fires.  Triggers, in precedence order:
+        ``full`` (``batch_size`` columns pending), ``deadline`` (the
+        oldest has waited ``flush_ms``), ``drain`` (orphaned windows
+        of an ended stream) and ``idle`` (fewer than ``workers``
+        solves in flight gateway-wide: holding the batch would only
+        idle the solver).  With no trigger due the group waits for a
+        completing solve — which wakes every group with pending
+        windows — or for the deadline, whichever comes first.
         """
-        controller = self.controller
-        oldest = group.pending[0]
-        if len(group.pending) >= controller.effective_batch:
+        if len(group.pending) >= self.batch_size:
             return "full", now
-        deadline_at = oldest.t_submit + controller.effective_flush_s
+        deadline_at = group.pending[0].t_submit + self.flush_s
         if now >= deadline_at:
             return "deadline", now
         if group.has_orphans():
             return "drain", now
-        pressure_at = controller.pressure_due_at(
-            oldest.t_submit, len(group.pending)
-        )
-        if now >= pressure_at:
-            return "pressure", now
-        return None, min(deadline_at, pressure_at)
+        if self._inflight < self.workers:
+            return "idle", now
+        return None, deadline_at
 
     async def _drain(self, group: _GroupPool) -> None:
-        """Per-group flush loop: full / deadline / drain / pressure."""
+        """Per-group flush loop: full / deadline / drain / idle."""
         loop = asyncio.get_running_loop()
         while True:
             if group.pending:
@@ -1061,6 +1035,8 @@ class IngestGateway:
         while the group's previous solve runs the drain loop waits
         here, windows keep pooling, and the flush decision (and its
         reason) is made against what pends when the solver is free.
+        The queue wait of every member — frame arrival to submit — is
+        observed as ``ingest_stage_seconds{stage="queue"}``.
         """
         if self._executor is None:
             self._executor = SolveExecutor(self.workers, threaded=True)
@@ -1079,11 +1055,12 @@ class IngestGateway:
         loop = asyncio.get_running_loop()
         reason, _ = self._flush_plan(group, loop.time())
         if reason is None:
-            # the operating point moved while waiting (an adaptive
-            # controller widened the batch): nothing is due any more
+            # an idle flush lost its solver while waiting for the slot:
+            # another group's solve is in flight now, so these windows
+            # wait for it to complete (or for their deadline)
             slot.release()
             return
-        count = min(self.controller.effective_batch, len(group.pending))
+        count = min(self.batch_size, len(group.pending))
         batch = [group.pending.popleft() for _ in range(count)]
         self.telemetry.inc("ingest_flushes", reason=reason)
         self.telemetry.observe(
@@ -1111,32 +1088,37 @@ class IngestGateway:
             "max_iterations": group.config.max_iterations,
             "tolerance": group.config.tolerance,
         }
-        # stamped after the slot wait: the controller's solve-time
-        # signal must measure the solve, not executor contention — a
-        # queueing delay blamed on the width would shed spuriously
+        # stamped after the slot wait: ingest_solve_seconds measures
+        # the solve, not executor contention
         started = loop.time()
         # solve_measurement_block is looked up in this module at every
         # dispatch, so a tracer (or a test) can wrap it here
         future = asyncio.wrap_future(
             self._executor.submit(solve_measurement_block, task)
         )
+        self._inflight += 1
         solve = asyncio.create_task(
-            self._route_async(batch, future, slot, group, reason, started)
+            self._route_async(batch, future, slot, started)
         )
         self._solve_tasks.add(solve)
         solve.add_done_callback(self._solve_tasks.discard)
+        # observed once the solve is under way, off its critical path
+        for window in batch:
+            self.telemetry.observe(
+                "ingest_stage_seconds",
+                started - window.t_submit,
+                stage="queue",
+            )
 
     async def _route_async(
         self,
         batch: list[_PendingWindow],
         future: asyncio.Future,
         slot: asyncio.Semaphore,
-        group: _GroupPool,
-        reason: str,
         started: float,
     ) -> None:
-        """Await one submitted solve, feed the completed flush back into
-        telemetry + controller, and scatter its results."""
+        """Await one submitted solve, free its solver, and scatter its
+        results."""
         error = None
         try:
             out = await future
@@ -1144,17 +1126,17 @@ class IngestGateway:
             error = exc
         finally:
             slot.release()
+            self._inflight -= 1
+            # a solver came free: every group holding windows re-plans
+            # now (the idle trigger), not only the one this batch left
+            for group in self._groups.values():
+                if group.pending:
+                    group.event.set()
         if error is not None:
             self._fail_batch(batch, error)
             return
         solve_seconds = asyncio.get_running_loop().time() - started
         self.telemetry.observe("ingest_solve_seconds", solve_seconds)
-        self.controller.observe_flush(
-            len(batch), solve_seconds, len(group.pending), reason
-        )
-        # the operating point may have moved: wake the drain loop so
-        # waiting windows are re-planned against the new width/deadline
-        group.event.set()
         # one loop turn before routing: the drain loop (woken by the
         # slot) submits the next batch first and the loop's select()
         # hands that solve the GIL.  Routing first wakes the read
@@ -1219,7 +1201,6 @@ class IngestGateway:
             self.telemetry.observe(
                 "ingest_window_latency_seconds", latency
             )
-            self.controller.record_latency(latency)
             accounting = session.tracker.accounting
             self._send_json(
                 session,
@@ -1294,7 +1275,7 @@ def gateway_stats_from(telemetry: MetricsRegistry) -> GatewayStats:
         flushes_full=flushes("full"),
         flushes_deadline=flushes("deadline"),
         flushes_drain=flushes("drain"),
-        flushes_pressure=flushes("pressure"),
+        flushes_idle=flushes("idle"),
         cross_stream_batches=total("ingest_cross_stream_batches"),
         nacks_sent=total("ingest_nacks_sent"),
         **{name: total(f"ingest_{name}") for name in DAMAGE_COUNTERS},

@@ -14,12 +14,6 @@ text exposition served over HTTP by
 :class:`~repro.telemetry.exposition.MetricsServer`.  The shared table
 views (:mod:`~repro.telemetry.views`) render any snapshot — and any
 CLI result table — with ``n/a`` handling in exactly one place.
-
-The adaptive batch controller
-(:class:`~repro.ingest.adaptive.AdaptiveBatchController`) closes the
-loop: it reads the plane's solve-latency percentiles and queue depths
-and steers the gateway's effective batch width and flush deadline
-against the paper's 2-second real-time budget.
 """
 
 from importlib import import_module

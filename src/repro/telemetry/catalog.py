@@ -74,7 +74,7 @@ CATALOG: dict[str, MetricSpec] = {
         ),
         _spec(
             "ingest_flushes", COUNTER,
-            "batch flushes by trigger (full/deadline/drain/pressure)",
+            "batch flushes by trigger (full/deadline/drain/idle)",
             "reason",
         ),
         _spec(
@@ -97,6 +97,11 @@ CATALOG: dict[str, MetricSpec] = {
         _spec(
             "ingest_window_latency_seconds", HISTOGRAM,
             "frame arrival to reconstruction, per window",
+        ),
+        _spec(
+            "ingest_stage_seconds", HISTOGRAM,
+            "time one window spent in a pipeline stage (queue: frame "
+            "arrival to solve submit)", "stage",
         ),
         # -- lossy-channel accounting (repro.ingest.channel) -----------
         _spec(
@@ -147,23 +152,6 @@ CATALOG: dict[str, MetricSpec] = {
             "simulated radio-link frame fates (seen/dropped/corrupted/"
             "duplicated/reordered/delivered, plus parity_seen/"
             "parity_dropped/parity_delivered)", "fate", "stream",
-        ),
-        # -- adaptive batch controller (repro.ingest.adaptive) ---------
-        _spec(
-            "ingest_controller_widen", COUNTER,
-            "AIMD widen steps taken by the batch controller",
-        ),
-        _spec(
-            "ingest_controller_shed", COUNTER,
-            "AIMD multiplicative-decrease steps (budget threatened)",
-        ),
-        _spec(
-            "ingest_effective_batch", GAUGE,
-            "controller's current effective batch width",
-        ),
-        _spec(
-            "ingest_effective_flush_ms", GAUGE,
-            "controller's current flush-on-idle deadline (ms)",
         ),
         # -- fleet decode engine (repro.fleet.engine) ------------------
         _spec(

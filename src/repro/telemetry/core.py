@@ -9,8 +9,8 @@ one registry of three primitive instruments:
 
 - :class:`Counter` — monotonically increasing totals (windows decoded,
   frames dropped, flushes per reason);
-- :class:`Gauge` — last-written level signals (queue depth, effective
-  batch width), carrying an update *version* so merges are
+- :class:`Gauge` — last-written level signals (queue depth, live
+  gateway count), carrying an update *version* so merges are
   order-independent;
 - :class:`Histogram` — fixed-bucket latency/size distributions with
   percentile queries that survive merging exactly (bucket counts add).

@@ -16,8 +16,7 @@ process's stdout: this module provides the two standard shapes —
 - :func:`render_prometheus` / :func:`parse_prometheus` — the text
   exposition format scraped over HTTP (see
   :mod:`~repro.telemetry.exposition`) and its inverse.  The parser
-  exists so tests and the adaptive-batching benchmark can assert the
-  scrape round-trips: every counter, gauge and histogram bucket
+  exists so tests can assert the scrape round-trips: every counter, gauge and histogram bucket
   published is recovered exactly from the rendered text.
 """
 
@@ -273,8 +272,7 @@ def exposition_matches_snapshot(
 ) -> bool:
     """Whether scraped text recovers every sample of ``snapshot``.
 
-    The round-trip contract asserted by tests and the adaptive
-    benchmark: each counter and gauge value, every histogram's
+    The round-trip contract asserted by tests: each counter and gauge value, every histogram's
     cumulative bucket counts, sum and count parse back exactly.
     """
     samples = parse_prometheus(text)

@@ -484,6 +484,15 @@ class TestValidation:
         with pytest.raises(TypeError, match="session_id_base"):
             FederationFrontDoor(gateways=2, session_id_base=7)
 
+    def test_non_finite_flush_deadline_rejected(self):
+        """The front door inherits the gateway's flush_ms check: a NaN
+        or infinite deadline never fires, so it is refused up front."""
+        for flush_ms in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                FederationFrontDoor(
+                    gateways=2, flush_ms=flush_ms, use_processes=False
+                )
+
     def test_kill_unknown_gateway_rejected(self):
         front_door = FederationFrontDoor(gateways=2, use_processes=False)
 

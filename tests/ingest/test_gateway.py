@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
 
+import repro.ingest.gateway as gateway_module
 from repro.core import EcgMonitorSystem
 from repro.errors import ConfigurationError
 from repro.ingest import (
@@ -62,9 +64,134 @@ async def _drain_sessions(gateway):
         )
 
 
+def _hello(system, record):
+    return Handshake(
+        record=record.name,
+        channel=0,
+        config=system.config,
+        codebook=system.encoder.codebook,
+    ).to_frame()
+
+
+def _packet(packet):
+    return encode_frame(FrameKind.PACKET, packet.to_bytes())
+
+
+async def _next_decoded(reader, timeout=30.0):
+    """The body of the next DECODED ack on a node link."""
+    while True:
+        frame = await asyncio.wait_for(read_frame(reader), timeout)
+        assert frame is not None, "link closed before a DECODED ack"
+        kind, body = frame
+        if kind is FrameKind.DECODED:
+            return json.loads(body)
+
+
+async def _wait_until(predicate, timeout=30.0):
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, "condition not reached in time"
+        await asyncio.sleep(0.005)
+
+
+#: a parked solve gives up waiting after this long, so a failing test
+#: cannot wedge the executor's shutdown
+PARK_TIMEOUT_S = 60.0
+
+
+class _ParkedSolves:
+    """Hold the gateway's next ``remaining`` solves until released.
+
+    Wraps ``gateway.solve_measurement_block``, which the gateway looks
+    up on every dispatch.  A parked solve keeps its executor slot and
+    counts as in flight, so windows arriving meanwhile pool instead of
+    leaving at once on the ``idle`` trigger: this is how a test holds
+    windows in the pool.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        original = gateway_module.solve_measurement_block
+        self.gate = threading.Event()
+        self.remaining = 1
+        self.parked = 0
+        lock = threading.Lock()
+
+        def parked_solve(task):
+            with lock:
+                park = self.remaining > 0
+                if park:
+                    self.remaining -= 1
+                    self.parked += 1
+            if park:
+                self.gate.wait(PARK_TIMEOUT_S)
+            return original(task)
+
+        monkeypatch.setattr(
+            gateway_module, "solve_measurement_block", parked_solve
+        )
+
+    async def wait_parked(self, count=1):
+        await _wait_until(lambda: self.parked >= count)
+
+    def release(self):
+        self.gate.set()
+
+
+@pytest.fixture
+def parked(monkeypatch):
+    parking = _ParkedSolves(monkeypatch)
+    yield parking
+    parking.release()  # never leave a solve thread waiting
+
+
+@pytest.fixture(scope="module")
+def other_group(small_config, database):
+    """A calibrated node on another sensing seed, so its windows form a
+    second operator group, plus its first packet."""
+    record = database.load("119")
+    system = _system(small_config.replace(seed=small_config.seed + 1), record)
+    return system, record, encoded_packets(system, record, max_packets=1)[0]
+
+
+async def _occupy_solver(gateway, parked, other_group):
+    """Park one solve of *another* operator group: the solver is busy,
+    so windows of the group under test wait for that solve to complete
+    or for their deadline.  Returns the parked node's reader."""
+    system, record, packet = other_group
+    reader, writer = gateway.connect_local()
+    writer.write(_hello(system, record))
+    writer.write(_packet(packet))
+    await parked.wait_parked()
+    writer.write(encode_frame(FrameKind.BYE))
+    return reader
+
+
+def _flushes_of(gateway, record):
+    """``(reason, width)`` of every logged flush of ``record``'s group."""
+    session_ids = {
+        session.id
+        for session in gateway._sessions.values()
+        if session.handshake.record == record.name
+    } | {
+        result.session_id
+        for result in gateway.results
+        if result.record == record.name
+    }
+    return [
+        (reason, len(members))
+        for _key, members, reason in gateway.batch_log
+        if members[0][0] in session_ids
+    ]
+
+
+def _result_of(gateway, record):
+    return next(r for r in gateway.results if r.record == record.name)
+
+
 class TestPooledDecode:
     def test_two_clients_share_one_operator_group(
-        self, small_config, database
+        self, small_config, database, parked
     ):
         """Same seed + basis => one group; a batch spans both streams
         and each stream still decodes exactly like its serial run."""
@@ -74,34 +201,29 @@ class TestPooledDecode:
         async def run():
             gateway = IngestGateway(batch_size=2, flush_ms=5000.0)
             links = [gateway.connect_local() for _ in systems]
-            # interleave by hand: one window from each stream, then the
-            # batch of 2 must mix the two sessions
             writers = []
             for (reader, writer), system, record in zip(
                 links, systems, records
             ):
-                writer.write(
-                    Handshake(
-                        record=record.name,
-                        channel=0,
-                        config=system.config,
-                        codebook=system.encoder.codebook,
-                    ).to_frame()
-                )
+                writer.write(_hello(system, record))
                 writers.append(writer)
             packets = [
                 encoded_packets(system, record, max_packets=2)
                 for system, record in zip(systems, records)
             ]
-            for window in range(2):
-                for writer, stream_packets in zip(writers, packets):
-                    writer.write(
-                        encode_frame(
-                            FrameKind.PACKET,
-                            stream_packets[window].to_bytes(),
-                        )
-                    )
-                    await asyncio.sleep(0.01)  # let the session pool it
+            # stream 0's first window takes the idle solver and parks
+            # there; the rest arrive interleaved behind it, so the
+            # next batch of 2 must mix the two sessions
+            writers[0].write(_packet(packets[0][0]))
+            await parked.wait_parked()
+            for writer, packet in (
+                (writers[1], packets[1][0]),
+                (writers[0], packets[0][1]),
+                (writers[1], packets[1][1]),
+            ):
+                writer.write(_packet(packet))
+                await asyncio.sleep(0.01)  # let the session pool it
+            parked.release()
             for writer in writers:
                 writer.write(encode_frame(FrameKind.BYE))
             await _drain_sessions(gateway)
@@ -155,50 +277,45 @@ class TestPooledDecode:
                 result, _serial_reference(system, record, max_packets=2)
             )
 
-    def test_flush_on_idle_deadline(self, small_config, database):
+    def test_flush_on_idle_deadline(
+        self, small_config, database, parked, other_group
+    ):
         """A lone stream with a part-filled batch decodes within the
         flush deadline instead of waiting for batch-mates forever: the
-        link stays open (no BYE, no disconnect), so only the deadline
-        can trigger the flush."""
+        link stays open (no BYE, no disconnect) and another group's
+        solve keeps the solver busy, so only the deadline can trigger
+        the flush."""
         record = database.load("100")
         system = _system(small_config, record)
         packets = encoded_packets(system, record, max_packets=3)
 
         async def run():
             gateway = IngestGateway(batch_size=64, flush_ms=50.0)
+            await _occupy_solver(gateway, parked, other_group)
             reader, writer = gateway.connect_local()
-            writer.write(
-                Handshake(
-                    record=record.name,
-                    channel=0,
-                    config=system.config,
-                    codebook=system.encoder.codebook,
-                ).to_frame()
-            )
+            writer.write(_hello(system, record))
             for packet in packets:
-                writer.write(
-                    encode_frame(FrameKind.PACKET, packet.to_bytes())
-                )
-            decoded = []
-            while len(decoded) < 3:  # deadline-flushed DECODED acks
-                frame = await asyncio.wait_for(
-                    read_frame(reader), timeout=30.0
-                )
-                assert frame is not None
-                kind, body = frame
-                if kind is FrameKind.DECODED:
-                    decoded.append(json.loads(body))
+                writer.write(_packet(packet))
+            # deadline-flushed DECODED acks, while the solver stays busy
+            decoded = [await _next_decoded(reader) for _ in packets]
+            still_parked = not parked.gate.is_set()
+            parked.release()
             writer.write(encode_frame(FrameKind.BYE))
             await _drain_sessions(gateway)
             await gateway.close()
-            return gateway, decoded
+            return gateway, decoded, still_parked
 
-        gateway, decoded = asyncio.run(run())
+        gateway, decoded, still_parked = asyncio.run(run())
+        assert still_parked
         assert gateway.stats.flushes_deadline >= 1
-        assert gateway.stats.windows_decoded == 3
-        assert all(entry["latency_ms"] > 0.0 for entry in decoded)
+        assert {reason for reason, _ in _flushes_of(gateway, record)} == {
+            "deadline"
+        }
+        assert _result_of(gateway, record).num_windows == 3
+        # the oldest window waited out the whole deadline
+        assert decoded[0]["latency_ms"] >= 50.0
         _assert_matches_serial(
-            gateway.results[0],
+            _result_of(gateway, record),
             _serial_reference(system, record, max_packets=3),
         )
 
@@ -352,23 +469,402 @@ class TestPooledDecode:
             IngestGateway(batch_size=0)
         with pytest.raises(ConfigurationError):
             IngestGateway(flush_ms=0.0)
+        # regression: NaN passed the old `flush_ms <= 0` check, and a
+        # window pooled behind a busy solver was then never acked
+        for flush_ms in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                IngestGateway(flush_ms=flush_ms)
         with pytest.raises(ConfigurationError):
             IngestGateway(workers=-1)
         with pytest.raises(ConfigurationError):
             IngestGateway(max_pending=0)
 
 
-class TestFaults:
-    def _hello_frame(self, system, record):
-        return Handshake(
-            record=record.name,
-            channel=0,
-            config=system.config,
-            codebook=system.encoder.codebook,
-        ).to_frame()
+class TestIdleDispatch:
+    """The work-conserving rule: a group flushes whatever is pending the
+    moment fewer than ``workers`` solves are in flight; batches form only
+    behind a busy solver, and ``flush_ms`` bounds the wait behind another
+    group's solve."""
 
-    def test_mid_stream_disconnect_flushes_partial_batch(
+    def test_lone_window_on_an_idle_gateway_leaves_at_once(
         self, small_config, database
+    ):
+        record = database.load("100")
+        system = _system(small_config, record)
+        packet = encoded_packets(system, record, max_packets=1)[0]
+
+        async def run():
+            gateway = IngestGateway(batch_size=64, flush_ms=60_000.0)
+            reader, writer = gateway.connect_local()
+            writer.write(_hello(system, record))
+            writer.write(_packet(packet))
+            decoded = await _next_decoded(reader)
+            writer.write(encode_frame(FrameKind.BYE))
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway, decoded
+
+        gateway, decoded = asyncio.run(run())
+        # seconds at most (the first solve builds the operator), never
+        # the 60 s deadline
+        assert decoded["latency_ms"] < 10_000.0
+        assert [r for _k, _m, r in gateway.batch_log] == ["idle"]
+        assert gateway.stats.flushes_idle == 1
+
+    def test_windows_behind_a_parked_solve_leave_as_one_batch(
+        self, small_config, database, parked
+    ):
+        """Windows of two streams that arrive while the solver is busy
+        pool, then leave together — one cross-stream batch — when it
+        comes free."""
+        records = [database.load("100"), database.load("119")]
+        systems = [_system(small_config, record) for record in records]
+        packets = [
+            encoded_packets(system, record, max_packets=2)
+            for system, record in zip(systems, records)
+        ]
+
+        async def run():
+            gateway = IngestGateway(batch_size=64, flush_ms=60_000.0)
+            links = [gateway.connect_local() for _ in systems]
+            for (_reader, writer), system, record in zip(
+                links, systems, records
+            ):
+                writer.write(_hello(system, record))
+            writers = [writer for _reader, writer in links]
+            writers[0].write(_packet(packets[0][0]))
+            await parked.wait_parked()
+            writers[0].write(_packet(packets[0][1]))
+            writers[1].write(_packet(packets[1][0]))
+            await asyncio.sleep(0.05)  # both pooled behind the solve
+            held = len(gateway.batch_log)
+            parked.release()
+            for reader, _writer in links:
+                await _next_decoded(reader)
+            for writer in writers:
+                writer.write(encode_frame(FrameKind.BYE))
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway, held
+
+        gateway, held = asyncio.run(run())
+        assert held == 1  # only the parked solve had left
+        by_record = {r.record: r.session_id for r in gateway.results}
+        first, second = (by_record[record.name] for record in records)
+        assert [(m, r) for _k, m, r in gateway.batch_log] == [
+            ([(first, 0)], "idle"),
+            ([(first, 1), (second, 0)], "idle"),
+        ]
+        assert gateway.stats.cross_stream_batches == 1
+
+    def test_busy_solver_of_another_group_holds_until_the_deadline(
+        self, small_config, database, parked, other_group
+    ):
+        """Group B's lone window, behind group A's parked solve, leaves
+        on ``deadline`` at about ``flush_ms`` — not earlier."""
+        record = database.load("100")
+        system = _system(small_config, record)
+        packet = encoded_packets(system, record, max_packets=1)[0]
+        flush_ms = 200.0
+
+        async def run():
+            gateway = IngestGateway(batch_size=64, flush_ms=flush_ms)
+            await _occupy_solver(gateway, parked, other_group)
+            reader, writer = gateway.connect_local()
+            writer.write(_hello(system, record))
+            writer.write(_packet(packet))
+            decoded = await _next_decoded(reader)
+            still_parked = not parked.gate.is_set()
+            parked.release()
+            writer.write(encode_frame(FrameKind.BYE))
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway, decoded, still_parked
+
+        gateway, decoded, still_parked = asyncio.run(run())
+        assert still_parked
+        assert _flushes_of(gateway, record) == [("deadline", 1)]
+        # the deadline is measured from frame arrival, so the latency
+        # the ack reports cannot undercut it
+        assert flush_ms <= decoded["latency_ms"] < flush_ms + 5_000.0
+
+    def test_completing_solve_dispatches_another_group_at_once(
+        self, small_config, database, parked, other_group
+    ):
+        """Releasing group A's solve before group B's deadline wakes B,
+        which leaves at once with reason ``idle``."""
+        record = database.load("100")
+        system = _system(small_config, record)
+        packet = encoded_packets(system, record, max_packets=1)[0]
+
+        async def run():
+            gateway = IngestGateway(batch_size=64, flush_ms=60_000.0)
+            await _occupy_solver(gateway, parked, other_group)
+            reader, writer = gateway.connect_local()
+            writer.write(_hello(system, record))
+            writer.write(_packet(packet))
+            await asyncio.sleep(0.05)  # pooled behind A's solve
+            held = list(_flushes_of(gateway, record))
+            parked.release()
+            decoded = await _next_decoded(reader)
+            writer.write(encode_frame(FrameKind.BYE))
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway, decoded, held
+
+        gateway, decoded, held = asyncio.run(run())
+        assert held == []
+        assert _flushes_of(gateway, record) == [("idle", 1)]
+        assert decoded["latency_ms"] < 10_000.0
+
+    def test_two_workers_run_two_idle_flushes_concurrently(
+        self, small_config, database, monkeypatch, parked
+    ):
+        """``workers=2``: the idle rule admits a second flush while one
+        solve is in flight, and holds a third window behind the two."""
+        import concurrent.futures
+
+        import repro.fleet.executor as executor_module
+
+        # a two-worker pool in this process, so the parked wrapper is
+        # the one the workers call
+        monkeypatch.setattr(
+            executor_module,
+            "ProcessPoolExecutor",
+            concurrent.futures.ThreadPoolExecutor,
+        )
+        parked.remaining = 2
+        record = database.load("100")
+        system = _system(small_config, record)
+        packets = encoded_packets(system, record, max_packets=3)
+
+        async def run():
+            gateway = IngestGateway(
+                batch_size=64, flush_ms=60_000.0, workers=2
+            )
+            reader, writer = gateway.connect_local()
+            writer.write(_hello(system, record))
+            writer.write(_packet(packets[0]))
+            await parked.wait_parked(1)
+            writer.write(_packet(packets[1]))
+            await parked.wait_parked(2)  # both solves in flight at once
+            writer.write(_packet(packets[2]))
+            await asyncio.sleep(0.05)
+            held = [(r, len(m)) for _k, m, r in gateway.batch_log]
+            parked.release()
+            for _ in packets:
+                await _next_decoded(reader)
+            writer.write(encode_frame(FrameKind.BYE))
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway, held
+
+        gateway, held = asyncio.run(run())
+        assert gateway.workers == 2
+        assert held == [("idle", 1), ("idle", 1)]
+        assert [r for _k, _m, r in gateway.batch_log] == ["idle"] * 3
+        _assert_matches_serial(
+            gateway.results[0],
+            _serial_reference(system, record, max_packets=3),
+        )
+
+    def test_unpaced_stream_still_fills_every_batch(
+        self, small_config, database
+    ):
+        """Under load batching is untouched: an unpaced 64-window node
+        at ``batch_size=16`` flushes only full batches, apart from the
+        stream's tail."""
+        from repro.ecg import SyntheticMitBih
+
+        windows = 64
+        record = SyntheticMitBih(
+            duration_s=windows * small_config.packet_seconds + 4.0,
+            seed=2011,
+        ).load("100")
+        system = _system(small_config, record)
+
+        async def run():
+            gateway = IngestGateway(batch_size=16, flush_ms=250.0)
+            reader, writer = gateway.connect_local()
+            client = NodeClient(
+                system, record, max_packets=windows, interval_s=0.0
+            )
+            report = await asyncio.wait_for(
+                client.run(reader, writer), timeout=120.0
+            )
+            await gateway.close()
+            return gateway, report
+
+        gateway, report = asyncio.run(run())
+        assert report.acked == windows
+        flushes = [(r, len(m)) for _k, m, r in gateway.batch_log]
+        body = flushes[:-1] if flushes[-1][0] != "full" else flushes
+        assert body and all(flush == ("full", 16) for flush in body)
+        assert sum(width for _r, width in flushes) == windows
+
+    def test_queue_wait_is_published_per_window(
+        self, small_config, database
+    ):
+        """``ingest_stage_seconds{stage="queue"}`` gets one observation
+        per decoded window, and on a paced stream it sits far under
+        ``flush_ms`` — the wait the idle trigger removed."""
+        record = database.load("100")
+        system = _system(small_config, record)
+        flush_ms = 250.0
+
+        async def run():
+            gateway = IngestGateway(batch_size=16, flush_ms=flush_ms)
+            reader, writer = gateway.connect_local()
+            client = NodeClient(
+                system, record, max_packets=6, interval_s=0.05
+            )
+            await asyncio.wait_for(client.run(reader, writer), timeout=60.0)
+            await gateway.close()
+            return gateway
+
+        gateway = asyncio.run(run())
+        queue = gateway.telemetry.snapshot().histogram(
+            "ingest_stage_seconds", stage="queue"
+        )
+        assert queue.total == gateway.stats.windows_decoded == 6
+        assert queue.percentile(50) < 0.1 * flush_ms / 1000.0
+
+    def test_failed_solve_still_wakes_other_groups(
+        self, small_config, database, monkeypatch, other_group
+    ):
+        """A solve that dies frees the solver like one that returns:
+        group B's window, pooled behind group A's failing solve, leaves
+        on ``idle`` as soon as A fails, and no solve stays counted as
+        in flight."""
+        original = gateway_module.solve_measurement_block
+        gate = threading.Event()
+        entered = threading.Event()
+
+        def failing_first_solve(task):
+            if not entered.is_set():
+                entered.set()
+                gate.wait(PARK_TIMEOUT_S)
+                raise RuntimeError("kaboom")
+            return original(task)
+
+        monkeypatch.setattr(
+            gateway_module, "solve_measurement_block", failing_first_solve
+        )
+        record = database.load("100")
+        system = _system(small_config, record)
+        packet = encoded_packets(system, record, max_packets=1)[0]
+        a_system, a_record, a_packet = other_group
+
+        async def run():
+            # a deadline well past the idle path's few ms, yet short
+            # enough that a missed wake fails on "deadline", not a hang
+            gateway = IngestGateway(batch_size=64, flush_ms=10_000.0)
+            _a_reader, a_writer = gateway.connect_local()
+            a_writer.write(_hello(a_system, a_record))
+            a_writer.write(_packet(a_packet))
+            await _wait_until(entered.is_set)
+            reader, writer = gateway.connect_local()
+            writer.write(_hello(system, record))
+            writer.write(_packet(packet))
+            await asyncio.sleep(0.05)  # pooled behind A's solve
+            held = list(_flushes_of(gateway, record))
+            with pytest.warns(RuntimeWarning, match="dropped a batch"):
+                gate.set()
+                decoded = await _next_decoded(reader)
+            for link in (a_writer, writer):
+                link.write(encode_frame(FrameKind.BYE))
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway, decoded, held
+
+        try:
+            gateway, decoded, held = asyncio.run(run())
+        finally:
+            gate.set()  # never leave a solve thread waiting
+        assert held == []
+        assert _flushes_of(gateway, record) == [("idle", 1)]
+        assert decoded["latency_ms"] < 10_000.0
+        assert gateway._inflight == 0
+        assert _result_of(gateway, record).error is None
+        assert _result_of(gateway, a_record).error is not None
+
+
+class TestFlushPlan:
+    """``_flush_plan`` has exactly four triggers, in precedence order
+    ``full`` → ``deadline`` → ``drain`` → ``idle``; with none due it
+    waits for the deadline."""
+
+    FLUSH_MS = 100.0
+
+    def _plan(self, config, ages, *, inflight, workers=None, closed=False):
+        """Plan a group whose pending windows arrived ``ages`` seconds
+        before ``now``, with ``inflight`` solves running gateway-wide."""
+        from types import SimpleNamespace
+
+        gateway = IngestGateway(
+            batch_size=4, flush_ms=self.FLUSH_MS, workers=workers
+        )
+        gateway._inflight = inflight
+        group = gateway_module._GroupPool(("k",), config, "float64")
+        session = SimpleNamespace(closed=closed)
+        now = 1_000.0
+        for index, age in enumerate(ages):
+            group.pending.append(
+                gateway_module._PendingWindow(
+                    session=session,
+                    index=index,
+                    sequence=index,
+                    column=np.zeros(config.m),
+                    fraction=0.5,
+                    t_submit=now - age,
+                )
+            )
+        return gateway._flush_plan(group, now), now
+
+    def test_full_batch_leaves_behind_a_busy_solver(self, small_config):
+        (reason, due), now = self._plan(
+            small_config, [0.0] * 4, inflight=1, closed=True
+        )
+        assert (reason, due) == ("full", now)
+
+    def test_deadline_precedes_drain_and_idle(self, small_config):
+        (reason, due), now = self._plan(
+            small_config, [0.2, 0.0], inflight=0, closed=True
+        )
+        assert (reason, due) == ("deadline", now)
+
+    def test_ended_stream_drains_before_idle(self, small_config):
+        for inflight in (1, 0):
+            (reason, due), now = self._plan(
+                small_config, [0.01], inflight=inflight, closed=True
+            )
+            assert (reason, due) == ("drain", now)
+
+    def test_idle_solver_takes_a_partial_batch(self, small_config):
+        (reason, due), now = self._plan(small_config, [0.01], inflight=0)
+        assert (reason, due) == ("idle", now)
+
+    def test_busy_solver_holds_until_the_oldest_deadline(self, small_config):
+        (reason, due), now = self._plan(
+            small_config, [0.03, 0.01], inflight=1
+        )
+        assert reason is None
+        assert due == pytest.approx(now - 0.03 + self.FLUSH_MS / 1000.0)
+
+    def test_idle_bound_is_the_worker_count(self, small_config):
+        (reason, _), _ = self._plan(
+            small_config, [0.01], inflight=1, workers=2
+        )
+        assert reason == "idle"
+        (reason, _), _ = self._plan(
+            small_config, [0.01], inflight=2, workers=2
+        )
+        assert reason is None
+
+
+class TestFaults:
+    def test_mid_stream_disconnect_flushes_partial_batch(
+        self, small_config, database, parked, other_group
     ):
         """A dropped link's pending windows still decode: the partial
         batch drains instead of rotting in the pool."""
@@ -377,25 +873,29 @@ class TestFaults:
         packets = encoded_packets(system, record, max_packets=4)
 
         async def run():
-            # batch far larger than what arrives + long deadline: only
-            # the disconnect drain can flush these two windows
+            # batch far larger than what arrives + long deadline + a
+            # busy solver: only the disconnect drain can flush these
+            # two windows
             gateway = IngestGateway(batch_size=64, flush_ms=60_000.0)
+            await _occupy_solver(gateway, parked, other_group)
             reader, writer = gateway.connect_local()
-            writer.write(self._hello_frame(system, record))
+            writer.write(_hello(system, record))
             for packet in packets[:2]:
-                writer.write(
-                    encode_frame(FrameKind.PACKET, packet.to_bytes())
-                )
+                writer.write(_packet(packet))
             await asyncio.sleep(0.05)  # let the session pool them
             writer.close()  # abrupt: no BYE
+            # the stream finalizes with the other solve still parked
+            await _wait_until(lambda: len(gateway.results) == 1)
+            parked.release()
             await _drain_sessions(gateway)
             await gateway.close()
             return gateway
 
         gateway = asyncio.run(run())
         assert gateway.stats.flushes_drain >= 1
-        assert len(gateway.results) == 1
-        result = gateway.results[0]
+        assert _flushes_of(gateway, record) == [("drain", 2)]
+        assert len(gateway.results) == 2
+        result = _result_of(gateway, record)
         assert not result.clean_close
         assert result.error is None
         assert result.num_windows == 2
@@ -412,7 +912,7 @@ class TestFaults:
         async def run():
             gateway = IngestGateway(batch_size=1, flush_ms=100.0)
             reader, writer = gateway.connect_local()
-            writer.write(self._hello_frame(system, record))
+            writer.write(_hello(system, record))
             writer.write(
                 encode_frame(FrameKind.PACKET, packets[0].to_bytes())
             )
@@ -488,7 +988,7 @@ class TestFaults:
         async def run():
             gateway = IngestGateway(batch_size=1, flush_ms=50.0)
             reader, writer = gateway.connect_local()
-            writer.write(self._hello_frame(system, record))
+            writer.write(_hello(system, record))
             writer.write(encode_frame(FrameKind.PACKET, bytes(wire)))
             for packet in packets[1:]:
                 writer.write(
@@ -531,7 +1031,7 @@ class TestFaults:
         async def run():
             gateway = IngestGateway(batch_size=2, flush_ms=100.0)
             reader, writer = gateway.connect_local()
-            writer.write(self._hello_frame(system, record))
+            writer.write(_hello(system, record))
             writer.write(
                 encode_json_frame(FrameKind.BYE, {"windows": "abc"})
             )
@@ -554,7 +1054,7 @@ class TestFaults:
         assert not gateway.results[0].clean_close
 
     def test_zero_packet_close_leaves_group_batching_alone(
-        self, small_config, database
+        self, small_config, database, parked, other_group
     ):
         """A session that says HELLO and leaves without streaming must
         not force other streams' pending windows into early partial
@@ -566,31 +1066,34 @@ class TestFaults:
 
         async def run():
             gateway = IngestGateway(batch_size=2, flush_ms=60_000.0)
+            # a busy solver: the keeper's window can only wait
+            await _occupy_solver(gateway, parked, other_group)
             keeper_reader, keeper = gateway.connect_local()
-            keeper.write(self._hello_frame(system, record))
-            keeper.write(
-                encode_frame(FrameKind.PACKET, packets[0].to_bytes())
-            )
+            keeper.write(_hello(system, record))
+            keeper.write(_packet(packets[0]))
             await asyncio.sleep(0.05)  # window pooled, batch half full
             # a second node joins the group and leaves with no packets
             ghost_reader, ghost = gateway.connect_local()
-            ghost.write(self._hello_frame(system, record))
+            ghost.write(_hello(system, record))
             ghost.write(encode_frame(FrameKind.BYE))
             await asyncio.sleep(0.1)
-            flushed_early = gateway.stats.batches
+            flushed_early = list(_flushes_of(gateway, record))
             # the keeper's second window completes the batch normally
-            keeper.write(
-                encode_frame(FrameKind.PACKET, packets[1].to_bytes())
-            )
+            keeper.write(_packet(packets[1]))
             keeper.write(encode_frame(FrameKind.BYE))
+            await _wait_until(lambda: _flushes_of(gateway, record))
+            parked.release()
             await _drain_sessions(gateway)
             await gateway.close()
             return gateway, flushed_early
 
         gateway, flushed_early = asyncio.run(run())
-        assert flushed_early == 0  # ghost close triggered no flush
+        assert flushed_early == []  # ghost close triggered no flush
+        assert _flushes_of(gateway, record) == [("full", 2)]
         assert gateway.stats.flushes_full == 1
-        assert gateway.stats.windows_decoded == 2
+        assert sorted(  # ghost, keeper
+            r.num_windows for r in gateway.results if r.record == record.name
+        ) == [0, 2]
 
     def test_solve_failure_unblocks_sessions(
         self, small_config, database, monkeypatch
@@ -612,7 +1115,7 @@ class TestFaults:
         async def run():
             gateway = IngestGateway(batch_size=2, flush_ms=100.0)
             reader, writer = gateway.connect_local()
-            writer.write(self._hello_frame(system, record))
+            writer.write(_hello(system, record))
             for packet in packets:
                 writer.write(
                     encode_frame(FrameKind.PACKET, packet.to_bytes())
@@ -660,9 +1163,7 @@ class TestFaults:
             future = asyncio.get_running_loop().create_future()
             future.set_exception(RuntimeError("pool kaboom"))
             batch = [object(), object()]
-            await gateway._route_async(
-                batch, future, slot, None, "full", 0.0
-            )
+            await gateway._route_async(batch, future, slot, 0.0)
             return failed, slot.locked()
 
         failed, still_locked = asyncio.run(run())
@@ -933,21 +1434,13 @@ class TestLossResilience:
     """Sequence-gap recovery: drops, reorders, duplicates are survived
     with bounded, accounted damage (the PR-4 tentpole)."""
 
-    def _hello_frame(self, system, record):
-        return Handshake(
-            record=record.name,
-            channel=0,
-            config=system.config,
-            codebook=system.encoder.codebook,
-        ).to_frame()
-
     def _run_stream(self, system, record, wires, declared=None):
         """Drive one loopback session over an explicit wire sequence."""
 
         async def run():
             gateway = IngestGateway(batch_size=4, flush_ms=50.0)
             reader, writer = gateway.connect_local()
-            writer.write(self._hello_frame(system, record))
+            writer.write(_hello(system, record))
             for wire in wires:
                 writer.write(encode_frame(FrameKind.PACKET, wire))
             if declared is None:
@@ -1254,7 +1747,7 @@ class TestLossResilience:
 
 class TestOrderingRegression:
     def test_out_of_order_batch_completion_renormalized(
-        self, small_config, database
+        self, small_config, database, parked, other_group
     ):
         """Process-pool solves can complete out of order; the ordered()
         accessor (and finalize) must restore window order across every
@@ -1265,21 +1758,18 @@ class TestOrderingRegression:
 
         async def run():
             gateway = IngestGateway(batch_size=64, flush_ms=60_000.0)
+            await _occupy_solver(gateway, parked, other_group)
             reader, writer = gateway.connect_local()
-            writer.write(
-                Handshake(
-                    record=record.name,
-                    channel=0,
-                    config=system.config,
-                    codebook=system.encoder.codebook,
-                ).to_frame()
-            )
+            writer.write(_hello(system, record))
             for packet in packets:
-                writer.write(
-                    encode_frame(FrameKind.PACKET, packet.to_bytes())
-                )
-            await asyncio.sleep(0.05)  # pooled, nothing flushed yet
-            session = next(iter(gateway._sessions.values()))
+                writer.write(_packet(packet))
+            # pooled behind the busy solver, nothing flushed yet
+            await asyncio.sleep(0.05)
+            session = next(
+                s
+                for s in gateway._sessions.values()
+                if s.handshake.record == record.name
+            )
             pending = list(session.group.pending)
             session.group.pending.clear()
             assert [w.index for w in pending] == [0, 1]
@@ -1308,12 +1798,13 @@ class TestOrderingRegression:
                 )
             writer.write(encode_frame(FrameKind.BYE))
             await asyncio.sleep(0.05)
+            parked.release()
             await _drain_sessions(gateway)
             await gateway.close()
             return gateway
 
         gateway = asyncio.run(run())
-        result = gateway.results[0]
+        result = _result_of(gateway, record)
         assert result.indices == [0, 1]  # finalize normalized too
 
 
@@ -1378,8 +1869,8 @@ class TestBackpressure:
         self, small_config, database
     ):
         """With max_pending=2 no flush can hold more than 2 windows of
-        one stream, yet the paced deadline flushes keep the stream
-        live end to end."""
+        one stream, yet partial flushes keep the stream live end to
+        end."""
         record = database.load("100")
         system = _system(small_config, record)
 
@@ -1408,13 +1899,14 @@ class TestBackpressure:
         )
 
     def test_quota_gates_stage12_work(
-        self, small_config, database, monkeypatch
+        self, small_config, database, monkeypatch, parked, other_group
     ):
         """Regression: stages 1-2 must run *behind* the quota, so a
         flooding node cannot buy unbounded gateway CPU — with
-        max_pending=1 and nothing flushing, exactly one frame may be
-        parsed, and a disconnect that cancels the quota wait leaks
-        neither permits nor outstanding counts."""
+        max_pending=1 and nothing flushing (another group's solve
+        holds the solver), exactly one frame may be parsed, and a
+        disconnect that cancels the quota wait leaks neither permits
+        nor outstanding counts."""
         import repro.ingest.channel as channel_module
 
         parsed = {"count": 0}
@@ -1437,27 +1929,28 @@ class TestBackpressure:
             gateway = IngestGateway(
                 batch_size=64, flush_ms=60_000.0, max_pending=1
             )
+            await _occupy_solver(gateway, parked, other_group)
+            parsed["count"] = 0  # the busy group's own frame
             reader, writer = gateway.connect_local()
-            writer.write(
-                Handshake(
-                    record=record.name,
-                    channel=0,
-                    config=system.config,
-                    codebook=system.encoder.codebook,
-                ).to_frame()
-            )
+            writer.write(_hello(system, record))
             for packet in packets:
-                writer.write(
-                    encode_frame(FrameKind.PACKET, packet.to_bytes())
-                )
+                writer.write(_packet(packet))
             await asyncio.sleep(0.1)
-            session = next(iter(gateway._sessions.values()))
+            session = next(
+                s
+                for s in gateway._sessions.values()
+                if s.handshake.record == record.name
+            )
             # frame 1 parsed and pooled; frame 2's read loop is parked
             # in quota.acquire() with no work done; frame 3 unread
             parsed_under_pressure = parsed["count"]
             # gateway shutdown cancels the parked acquire mid-wait
-            # (the disconnect path _finalize must survive)
-            await asyncio.wait_for(gateway.close(), timeout=60.0)
+            # (the disconnect path _finalize must survive); the busy
+            # group's solve is let go once that cancel has landed
+            closing = asyncio.create_task(gateway.close())
+            await _wait_until(lambda: len(gateway.results) == 1)
+            parked.release()
+            await asyncio.wait_for(closing, timeout=60.0)
             return gateway, session, parsed_under_pressure
 
         gateway, session, parsed_under_pressure = asyncio.run(run())
@@ -1466,8 +1959,8 @@ class TestBackpressure:
         # released its permit; the cancelled waiter never held one
         assert session.outstanding == 0
         assert session.quota._value == 1
-        assert len(gateway.results) == 1
-        assert gateway.results[0].num_windows == 1
+        assert len(gateway.results) == 2
+        assert _result_of(gateway, record).num_windows == 1
 
 
 class TestTcpTransport:
@@ -1671,6 +2164,26 @@ class TestGatewayTelemetry:
         assert snap.histogram_total("ingest_solve_seconds").total >= 1
         # solve backend shipped its per-call delta into the same plane
         assert snap.counter_total("fleet_worker_tasks") >= 1
+
+    def test_stats_count_each_flush_reason(self):
+        """Each of the four ``ingest_flushes`` reasons lands in its own
+        field; ``batches`` counts every flush."""
+        from repro.ingest.gateway import gateway_stats_from
+        from repro.telemetry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        for reason, count in (
+            ("full", 5), ("deadline", 3), ("drain", 2), ("idle", 7)
+        ):
+            registry.inc("ingest_flushes", count, reason=reason)
+        stats = gateway_stats_from(registry)
+        assert (
+            stats.flushes_full,
+            stats.flushes_deadline,
+            stats.flushes_drain,
+            stats.flushes_idle,
+        ) == (5, 3, 2, 7)
+        assert stats.batches == 17
 
     def test_exposition_and_ring_round_trip_live_gateway(
         self, small_config, database, tmp_path

@@ -49,6 +49,17 @@ class TestCatalogShape:
         assert spec_for("fleet_solve_iterations").kind == HISTOGRAM
         assert not spec_for("fleet_solve_iterations").labels
 
+    def test_queue_stage_series_is_pinned(self):
+        spec = spec_for("ingest_stage_seconds")
+        assert spec.kind == HISTOGRAM
+        assert spec.labels == frozenset({"stage"})
+
+    def test_flush_reason_label_declared(self):
+        spec = spec_for("ingest_flushes")
+        assert spec.kind == COUNTER
+        assert spec.labels == frozenset({"reason"})
+        assert "idle" in spec.description
+
 
 class TestHelpExposition:
     def test_help_lines_precede_type_lines(self):

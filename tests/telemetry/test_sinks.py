@@ -29,7 +29,7 @@ def _busy_registry() -> MetricsRegistry:
     registry.inc("ingest_windows_decoded", 7, stream="100:0")
     registry.inc("ingest_windows_decoded", 3, stream="119:0")
     registry.inc("ingest_flushes", 2, reason="full")
-    registry.set_gauge("ingest_effective_batch", 24)
+    registry.set_gauge("federation_gateways", 4)
     for value in (0.01, 0.02, 0.3, 1.4):
         registry.observe("ingest_window_latency_seconds", value)
     return registry
@@ -104,7 +104,7 @@ class TestPrometheusExposition:
         assert samples[
             ("ingest_windows_decoded", (("stream", "100:0"),))
         ] == 7.0
-        assert samples[("ingest_effective_batch", ())] == 24.0
+        assert samples[("federation_gateways", ())] == 4.0
 
     def test_histogram_buckets_are_cumulative(self):
         registry = MetricsRegistry()
@@ -126,7 +126,7 @@ class TestPrometheusExposition:
     def test_type_headers_present(self):
         text = render_prometheus(_busy_registry().snapshot())
         assert "# TYPE ingest_windows_decoded counter" in text
-        assert "# TYPE ingest_effective_batch gauge" in text
+        assert "# TYPE federation_gateways gauge" in text
         assert "# TYPE ingest_window_latency_seconds histogram" in text
 
     def test_mismatch_detected(self):
@@ -204,7 +204,7 @@ class TestViews:
         snap = _busy_registry().snapshot()
         text = render_snapshot_table(snap, title="plane")
         assert "ingest_windows_decoded" in text
-        assert "ingest_effective_batch" in text
+        assert "federation_gateways" in text
         assert "ingest_window_latency_seconds" in text
         assert "stream=100:0" in text
 

@@ -1,0 +1,73 @@
+"""The claim rule ``scripts/ab_pairs.py`` prints beside each metric."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ab_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def verdict():
+    spec = importlib.util.spec_from_file_location("ab_pairs", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.verdict
+
+
+PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 100.2, 99.8, 100.1, 99.9]
+
+
+def test_gain_needs_nine_of_ten_wins_and_a_gap_past_the_spread(verdict):
+    faster = [p - 20.0 for p in PARENT]
+    assert verdict(PARENT, faster, "lower", 0.25) == "gain"
+    # eight wins of ten is not a claim, whatever the medians say
+    mixed = faster[:8] + [p + 1.0 for p in PARENT[8:]]
+    assert verdict(PARENT, mixed, "lower", 0.25) == "within bound"
+    # ten wins by less than the parent's interquartile range is noise
+    nudged = [p - 0.01 for p in PARENT]
+    assert verdict(PARENT, nudged, "lower", 0.25) == "within bound"
+
+
+def test_direction_follows_the_metric(verdict):
+    higher = [p + 20.0 for p in PARENT]
+    assert verdict(PARENT, higher, "higher", 0.25) == "gain"
+    assert verdict(PARENT, higher, "lower", 0.1) == "worse"
+
+
+def test_short_runs_need_every_pair_won(verdict):
+    # ⌈0.9 × 4⌉ = 4: three wins of four pairs is not a claim
+    parent = [100.0, 100.2, 99.8, 100.1]
+    faster = [p - 20.0 for p in parent]
+    assert verdict(parent, faster, "lower", 0.25) == "gain"
+    assert verdict(parent, faster[:3] + [101.0], "lower", 0.25) == (
+        "within bound"
+    )
+
+
+def test_throughput_drop_past_the_bound_is_worse(verdict):
+    slower = [p * 0.7 for p in PARENT]
+    assert verdict(PARENT, slower, "higher", 0.25) == "worse"
+    assert verdict(PARENT, [p * 0.8 for p in PARENT], "higher", 0.25) == (
+        "within bound"
+    )
+
+
+def test_worse_past_the_bound(verdict):
+    slower = [p * 1.3 for p in PARENT]
+    assert verdict(PARENT, slower, "lower", 0.25) == "worse"
+    assert verdict(PARENT, [p * 1.2 for p in PARENT], "lower", 0.25) == (
+        "within bound"
+    )
+
+
+def test_unresolved_when_the_parent_spreads_past_the_bound(verdict):
+    noisy = [50.0, 150.0, 60.0, 140.0, 100.0, 55.0, 145.0, 100.0, 65.0, 135.0]
+    assert verdict(noisy, list(noisy), "higher", 0.25) == "unresolved"
+
+
+def test_identical_runs_are_within_bound(verdict):
+    assert verdict([7.0] * 10, [7.0] * 10, "lower", 0.06) == "within bound"

@@ -131,13 +131,10 @@ class TestCli:
         assert "lost" in captured and "resynced" in captured
         assert "channel damage:" in captured
 
-    def test_serve_simulate_with_telemetry_and_adaptive(
-        self, capsys, tmp_path
-    ):
-        """--adaptive/--metrics-file/--metrics-port wire the telemetry
-        plane: the run exits cleanly, prints the controller summary,
-        and the ring file replays to a snapshot with the decoded
-        windows accounted."""
+    def test_serve_simulate_with_telemetry(self, capsys, tmp_path):
+        """--metrics-file/--metrics-port wire the telemetry plane: the
+        run exits cleanly, prints the flush summary, and the ring file
+        replays to a snapshot with the decoded windows accounted."""
         from repro.telemetry import replay_ring
 
         ring = tmp_path / "metrics.jsonl"
@@ -150,7 +147,6 @@ class TestCli:
                 "--batch-size", "2",
                 "--flush-ms", "150",
                 "--interval-ms", "20",
-                "--adaptive",
                 "--metrics-file", str(ring),
                 "--metrics-port", "0",
                 "--metrics-interval", "0.2",
@@ -158,9 +154,8 @@ class TestCli:
         )
         captured = capsys.readouterr().out
         assert code == 0
-        assert "adaptive controller:" in captured
         assert "metrics exposition on http://" in captured
-        assert "pressure)" in captured  # flush summary includes pressure
+        assert "idle)" in captured  # flush summary names the idle trigger
         snapshot = replay_ring(ring)
         assert snapshot.counter_total("ingest_windows_decoded") == 4
 
@@ -184,6 +179,13 @@ class TestCli:
         assert main(["serve", "--simulate", "1", "--packets", "0"]) == 2
         assert main(["serve", "--batch-size", "0"]) == 2
         assert main(["serve", "--flush-ms", "0"]) == 2
+        # regression: NaN slipped past the old `<= 0` check, and a
+        # window pooled behind a busy solver was then never acked
+        for flush_ms in ("nan", "inf"):
+            assert main(["serve", "--flush-ms", flush_ms]) == 2
+            assert main(
+                ["serve", "--gateways", "2", "--flush-ms", flush_ms]
+            ) == 2
         assert main(["serve", "--simulate", "1", "--loss", "1.5"]) == 2
         assert main(["serve", "--simulate", "1", "--corrupt", "-0.1"]) == 2
         # channel flags without --simulate would be silently ignored

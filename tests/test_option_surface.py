@@ -11,12 +11,10 @@ values.
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 
 from repro.analysis.runner import _build_parser
 from repro.ingest import (
-    AdaptiveConfig,
     FederationFrontDoor,
     IngestGateway,
     NodeClient,
@@ -39,8 +37,6 @@ def test_ingest_gateway_options():
         "workers",
         "max_pending",
         "telemetry",
-        "adaptive",
-        "adaptive_config",
         "nack_budget",
         "session_id_base",
     ]
@@ -57,14 +53,6 @@ def test_federation_front_door_declares_only_its_own_options():
     # everything else is the gateway's, forwarded untouched
     forwarded = signature.parameters["gateway_options"]
     assert forwarded.kind is inspect.Parameter.VAR_KEYWORD
-
-
-def test_adaptive_config_fields():
-    assert [field.name for field in dataclasses.fields(AdaptiveConfig)] == [
-        "budget_s",
-        "headroom_fraction",
-        "safety_s",
-    ]
 
 
 def test_node_client_options():
