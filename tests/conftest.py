@@ -9,9 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.config import SystemConfig
 from repro.ecg import SyntheticMitBih
+
+# One Hypothesis profile for every run, local or CI: a fixed example
+# sequence (a failure replays from the test id alone) and no per-example
+# deadline (a shared 2-core runner is not a timing oracle).  Tests set
+# their own ``max_examples`` on top of it.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")
