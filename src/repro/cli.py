@@ -357,8 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         help=(
-            "per-stream cap on NACKed sequences before the gateway "
-            "falls back to keyframe resync (with --fec)"
+            "per-hold cap on NACKed sequences (re-NACKs included) "
+            "before the gateway falls back to keyframe resync "
+            "(with --fec)"
         ),
     )
 

@@ -50,6 +50,7 @@ the keyframe interval and accounted per stream.
 
 from .channel import (
     HOLD_CAP_EPOCHS,
+    NACK_AFTER_FRAMES,
     FrameVerdict,
     LinkStats,
     LossAccounting,
@@ -101,6 +102,7 @@ __all__ = [
     "LossyChannel",
     "LossyLink",
     "MAX_FRAME_BYTES",
+    "NACK_AFTER_FRAMES",
     "NodeClient",
     "NodeReport",
     "PROTOCOL_VERSION",

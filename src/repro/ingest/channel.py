@@ -22,9 +22,10 @@ holds *both* sides of that reality:
   a sequence gap opens a *hold* instead of an immediate resync, the
   epoch's ``PARITY`` frame reconstructs a single missing body locally
   (tier 1, :mod:`repro.coding.fec`), a ``NACK`` solicits retransmission
-  of anything parity cannot cover (tier 2), and only when both tiers
-  fail does the held run drain through the untouched keyframe-resync
-  path.  Every trigger is frame-driven (parity arrival, next keyframe,
+  of a gap once :data:`NACK_AFTER_FRAMES` later frames have passed it
+  (tier 2), and only when both tiers fail does the held run drain
+  through the untouched keyframe-resync path.  Every trigger is
+  frame-driven (frames passing a gap, parity arrival, next keyframe,
   BYE, hold cap, retransmit budget), so the live gateway and the
   offline replay make identical decisions from the same frame stream;
 - :func:`replay_survivors` — the offline reference: the same state
@@ -291,10 +292,26 @@ def admit_packet(
     return FrameVerdict.ACCEPT, packet
 
 
+def header_sequence(body: bytes) -> int:
+    """Sequence field of a ``PACKET`` body read from its header (sync,
+    kind, seq-hi, seq-lo) without the CRC check; -1 if too short."""
+    if len(body) >= 4:
+        return (body[2] << 8) | body[3]
+    return -1
+
+
 #: hold cap in keyframe epochs: a gap still unfilled after this many
 #: epochs of held frames will never be (the node's retransmit ring has
 #: rolled past it), so recovery gives up frame-deterministically
 HOLD_CAP_EPOCHS = 4
+
+#: fast retransmit, after TCP's duplicate-ACK threshold (RFC 5681): a
+#: missing sequence is NACKed once this many frames have joined the
+#: hold ahead of it, and again after each further this-many, until it
+#: is filled or the hold's NACK budget is spent.  The lossy link
+#: reorders frames by up to two places, so a lower threshold NACKs —
+#: and the node retransmits — plain reorders.
+NACK_AFTER_FRAMES = 3
 
 #: how a held gap got filled (the tier that recovered the window)
 _VIA_PARITY = "parity"
@@ -312,23 +329,33 @@ class StreamRecovery:
 
     1. the epoch's ``PARITY`` frame XOR-reconstructs a single missing
        body locally (CRC-validated, zero round trips);
-    2. anything parity cannot cover (>= 2 losses in one epoch, a lost
-       parity, or a tail gap) is ``NACK``ed via ``on_nack`` and filled
-       by the node's retransmission — a retransmit-aware fill, not a
+    2. a missing sequence is ``NACK``ed via ``on_nack`` once
+       :data:`NACK_AFTER_FRAMES` frames have joined the hold ahead of
+       it, and again after each further :data:`NACK_AFTER_FRAMES` (a
+       lost retransmit), unless parity fills it first; a keyframe
+       arriving over the gap, a parity frame that cannot cover its
+       epoch and the ``BYE``-revealed tail NACK at once.  The node's
+       retransmission fills the gap — a retransmit-aware fill, not a
        duplicate;
-    3. when the retransmit budget is spent, the hold cap overflows, or
-       the stream closes with the gap still open, the held run drains
-       through the untouched :func:`admit_packet` keyframe-resync path
-       (PR 4 semantics), and any later copy of a given-up window is
-       classified :attr:`FrameVerdict.LATE_RETRANSMIT`.
+    3. when the hold's NACK budget is spent, the hold cap overflows,
+       or the stream closes with the gap still open, the held run
+       drains through the untouched :func:`admit_packet`
+       keyframe-resync path, and any later copy of a given-up window
+       is classified :attr:`FrameVerdict.LATE_RETRANSMIT`.
 
-    Every decision is frame-driven — parity arrival, next-keyframe
-    arrival, ``BYE``, hold-cap, budget — never wall-clock, so the live
-    gateway and the offline :func:`replay_survivors` reference reach
-    identical verdicts and accounting from the same delivered-frame
-    sequence.  (The gateway's post-``BYE`` read deadline only fires
-    when an awaited retransmit never arrives, in which case both sides
-    converge through the same :meth:`give_up`.)
+    ``nack_budget`` bounds the NACKs of one hold, re-NACKs included;
+    it refills when the hold drains or gives up, so a long lossy
+    stream keeps recovering.  :attr:`nacks_sent` counts the stream's
+    lifetime total.
+
+    Every decision is frame-driven — frames joining the hold, parity
+    and keyframe arrival, ``BYE``, hold cap, budget — never
+    wall-clock, so the live gateway and the offline
+    :func:`replay_survivors` reference reach identical verdicts and
+    accounting from the same delivered-frame sequence.  (The gateway's
+    post-``BYE`` read deadline only fires when an awaited retransmit
+    never arrives, in which case both sides converge through the same
+    :meth:`give_up`.)
 
     Each method returns the admission events it released, in decode
     order, as ``(verdict, packet)`` pairs; the caller decodes
@@ -358,17 +385,26 @@ class StreamRecovery:
         self._body_window = 2 * interval
         #: held frame bodies behind an open gap, keyed by sequence
         self._pending: dict[int, bytes] = {}
-        #: open-gap sequences still wanted (NACKable / parity targets)
-        self._missing: set[int] = set()
+        #: open-gap sequences still wanted (NACKable / parity targets),
+        #: each mapped to :attr:`_joined` when it went missing
+        self._missing: dict[int, int] = {}
         #: which tier filled a missing sequence, for accounting on drain
         self._via: dict[int, str] = {}
         #: highest sequence noted while holding (``None`` in flow state)
         self._horizon: int | None = None
+        #: frames that joined the current hold (each ahead of every
+        #: sequence then missing): the fast-retransmit clock
+        self._joined = 0
         #: recently admitted bodies, retained for parity reconstruction
         self._bodies: dict[int, bytes] = {}
-        self._nacked: set[int] = set()
+        #: NACKs per sequence, and in total, within the current hold
+        self._nacked: dict[int, int] = {}
         self._nack_spent = 0
-        self._given_up: set[int] = set()
+        self._nacks_total = 0
+        #: abandoned sequences in stream order, pruned once they fall
+        #: out of the node ring's reach (so a mod-2^16 wrap never
+        #: meets an old entry)
+        self._given_up: dict[int, None] = {}
         self._declared: int | None = None
 
     # -- observable state ------------------------------------------------
@@ -379,8 +415,12 @@ class StreamRecovery:
 
     @property
     def nacks_sent(self) -> int:
-        """Sequences NACKed so far (counts against the budget)."""
-        return self._nack_spent
+        """Sequences NACKed over the stream's life, re-NACKs included."""
+        return self._nacks_total
+
+    def held(self, sequence: int) -> bool:
+        """Whether ``sequence``'s body is held behind an open gap."""
+        return sequence in self._pending
 
     # -- frame entry points ----------------------------------------------
     def on_packet(
@@ -448,7 +488,7 @@ class StreamRecovery:
             if events is not None:
                 return events
         # >= 2 losses in the epoch (or reconstruction failed): tier 2
-        return self._nack(wanted)
+        return self._nack(self._not_nacked(wanted))
 
     def bye(
         self, declared: int | None
@@ -477,9 +517,7 @@ class StreamRecovery:
                 if sequence_delta(nxt, final) <= 0:
                     break
                 self._note_missing(nxt)
-        if self._missing:
-            return self._nack(sorted(self._missing, key=self._order))
-        return []
+        return self._nack(self._not_nacked(self._missing))
 
     def close(self) -> list[tuple[FrameVerdict, EncodedPacket | None]]:
         """Final flush at link end: give up whatever is still open."""
@@ -491,21 +529,26 @@ class StreamRecovery:
         keyframe-resync path (which charges the missing windows), and
         remember the abandoned sequences so late retransmits classify
         as :attr:`FrameVerdict.LATE_RETRANSMIT`.  Idempotent."""
-        if self._missing:
-            self._given_up.update(self._missing)
-            self._missing.clear()
+        for seq in sorted(self._missing, key=self._order):
+            self._given_up[seq] = None
+        self._missing.clear()
         self._via.clear()
         events = self._drain() if self._pending else []
-        self._horizon = None
+        self._end_hold()
         if self._declared is not None:
             final = self._declared % _SEQ_MOD
-            gap = self.tracker.delta(final)
-            if gap > 0:
-                self._given_up.update(
-                    (self.tracker.expected + i) % _SEQ_MOD for i in range(gap)
-                )
+            for i in range(self.tracker.delta(final)):
+                self._given_up[(self.tracker.expected + i) % _SEQ_MOD] = None
             self.tracker.close_stream(self._declared)
         return events
+
+    def _end_hold(self) -> None:
+        """Back to flow state: the next gap opens a fresh hold, with
+        its own NACK budget."""
+        self._horizon = None
+        self._joined = 0
+        self._nacked.clear()
+        self._nack_spent = 0
 
     def _order(self, seq: int) -> int:
         """Ascending stream order of ``seq`` (mod-2^16 safe)."""
@@ -536,37 +579,51 @@ class StreamRecovery:
             self._bodies[packet.sequence] = body
             while len(self._bodies) > self._body_window:
                 self._bodies.pop(next(iter(self._bodies)))
+        while self._given_up:
+            oldest = next(iter(self._given_up))
+            if self.tracker.delta(oldest) >= -self._hold_cap:
+                break
+            del self._given_up[oldest]
         return verdict, packet
 
     def _note_missing(self, seq: int) -> None:
         """Mark an unseen sequence at/ahead of the horizon as missing."""
         if self._horizon is None:
-            for i in range(self.tracker.delta(seq)):
-                self._missing.add((self.tracker.expected + i) % _SEQ_MOD)
-            self._missing.add(seq)
+            for i in range(self.tracker.delta(seq) + 1):  # expected..seq
+                self._missing[(self.tracker.expected + i) % _SEQ_MOD] = (
+                    self._joined
+                )
             self._horizon = seq
             return
         rel = sequence_delta(self._horizon, seq)
         for i in range(1, rel + 1):
-            self._missing.add((self._horizon + i) % _SEQ_MOD)
+            self._missing[(self._horizon + i) % _SEQ_MOD] = self._joined
         if rel > 0:
             self._horizon = seq
 
     def _note_ahead(self, seq: int, body: bytes) -> None:
         """Hold an ahead-of-expected body; open/extend the gap."""
         self._note_missing(seq)
-        self._missing.discard(seq)
+        self._missing.pop(seq, None)
         self._pending[seq] = body
+        self._joined += 1
 
     def _after_hold_grew(
         self, packet: EncodedPacket
     ) -> list[tuple[FrameVerdict, EncodedPacket | None]]:
         """Frame-driven triggers after a new frame joined the hold."""
-        events: list[tuple[FrameVerdict, EncodedPacket | None]] = []
-        if packet.kind is PacketKind.KEYFRAME and self._missing:
-            # a new epoch began: any still-missing earlier window will
-            # never see its parity frame again — NACK now
-            events.extend(self._nack(sorted(self._missing, key=self._order)))
+        # a new keyframe means a new epoch: a still-missing earlier
+        # window will never see its parity frame again — NACK it now
+        keyframe = packet.kind is PacketKind.KEYFRAME
+        due = []
+        for seq in sorted(self._missing, key=self._order):
+            nacks = self._nacked.get(seq, 0)
+            passed = self._joined - self._missing[seq]
+            if (keyframe and not nacks) or (
+                passed >= NACK_AFTER_FRAMES * (nacks + 1)
+            ):
+                due.append(seq)
+        events = self._nack(due)
         if len(self._pending) >= self._hold_cap:
             events.extend(self.give_up())
         return events
@@ -576,13 +633,13 @@ class StreamRecovery:
     ) -> list[tuple[FrameVerdict, EncodedPacket | None]]:
         """A wanted body arrived (retransmit, parity reconstruction, or
         a late-reordered original): close that part of the gap."""
-        self._missing.discard(seq)
+        del self._missing[seq]
         self._pending[seq] = body
         self._via[seq] = via
         if self._missing:
             return []
         events = self._drain()
-        self._horizon = None
+        self._end_hold()
         return events
 
     def _drain(self) -> list[tuple[FrameVerdict, EncodedPacket | None]]:
@@ -632,21 +689,29 @@ class StreamRecovery:
             return None
         return self._fill(missing, recovered, _VIA_PARITY)
 
+    def _not_nacked(self, sequences: Iterable[int]) -> list[int]:
+        """``sequences`` not yet NACKed in this hold, in stream order."""
+        return sorted(
+            (seq for seq in sequences if seq not in self._nacked),
+            key=self._order,
+        )
+
     def _nack(
-        self, sequences: Iterable[int]
+        self, sequences: list[int]
     ) -> list[tuple[FrameVerdict, EncodedPacket | None]]:
-        """Tier 2: request retransmission, one shot per sequence,
-        bounded by the budget; a blown budget abandons the gap."""
-        want = [seq for seq in sequences if seq not in self._nacked]
-        if not want:
+        """Tier 2: request retransmission of ``sequences``, bounded by
+        the hold's budget; a blown budget abandons the gap."""
+        if not sequences:
             return []
-        if self._nack_spent + len(want) > self.nack_budget:
+        if self._nack_spent + len(sequences) > self.nack_budget:
             return self.give_up()
-        self._nack_spent += len(want)
-        self._nacked.update(want)
-        self.tracker.meter.inc("ingest_nacks_sent", len(want))
+        self._nack_spent += len(sequences)
+        self._nacks_total += len(sequences)
+        for seq in sequences:
+            self._nacked[seq] = self._nacked.get(seq, 0) + 1
+        self.tracker.meter.inc("ingest_nacks_sent", len(sequences))
         if self.on_nack is not None:
-            self.on_nack(want)
+            self.on_nack(sequences)
         return []
 
 
@@ -914,17 +979,10 @@ class LossyLink:
                 self._writer.write(frame)
 
     # -- impairment ------------------------------------------------------
-    def _sequence_of(self, frame: bytes) -> int:
-        """Header peek (sync, kind, seq-hi, seq-lo) — no CRC check."""
-        body = frame[_FRAME_PREFIX + 1 :]
-        if len(body) >= 4:
-            return (body[2] << 8) | body[3]
-        return -1
-
     def _impair(self, frame: bytes) -> None:
         self.stats.frames_seen += 1
         self.meter.inc("link_frames", fate="seen")
-        sequence = self._sequence_of(frame)
+        sequence = header_sequence(frame[_FRAME_PREFIX + 1 :])
         forced = sequence in self._forced_drops
         if forced:
             self._forced_drops.discard(sequence)
@@ -1030,10 +1088,12 @@ __all__ = [
     "LossAccounting",
     "LossyChannel",
     "LossyLink",
+    "NACK_AFTER_FRAMES",
     "ResyncAnchor",
     "SequenceTracker",
     "StreamRecovery",
     "admit_packet",
+    "header_sequence",
     "replay_survivors",
     "sequence_delta",
 ]

@@ -56,8 +56,8 @@ Sessions that negotiate ``fec`` (protocol v2) run the two-tier
 :class:`~repro.ingest.channel.StreamRecovery` front-end instead of
 resyncing on the first gap: the epoch's ``PARITY`` frame reconstructs
 a single loss locally, and a ``NACK`` frame — sent over the existing
-ack channel, off the solve path — solicits retransmission of anything
-parity cannot cover.  The link stays open for a bounded deadline after
+ack channel, off the solve path — solicits retransmission of a gap
+three later frames have passed, unless parity filled it first.  The link stays open for a bounded deadline after
 ``BYE`` so even a trailing loss can be retransmitted; only when the
 budget, the hold cap, or the deadline runs out does the held run drain
 through the plain keyframe-resync path above.  Recovered windows are
@@ -100,6 +100,7 @@ from .channel import (
     LossAccounting,
     SequenceTracker,
     StreamRecovery,
+    header_sequence,
 )
 from .protocol import (
     ACK_DAMAGE_FIELDS,
@@ -178,8 +179,9 @@ class _LoopbackWriter:
 class _PendingWindow:
     """One dequantized measurement column waiting for a solve.
 
-    Its arrival stamp is what both the flush deadline and the
-    ``queue`` stage observation are measured from.
+    Its pool-entry stamp is what both the flush deadline and the
+    ``queue`` stage observation are measured from; its latency also
+    counts the time its own frame was held behind a recovery gap.
     """
 
     session: "_Session"
@@ -187,7 +189,10 @@ class _PendingWindow:
     sequence: int
     column: np.ndarray  # (m,) float64, as dequantized
     fraction: float  # the stream's lambda fraction
-    t_submit: float  # loop time at frame arrival (before backpressure)
+    #: loop time the frame that released it arrived (before backpressure)
+    t_submit: float
+    #: seconds its own frame waited behind a recovery gap before that
+    held_s: float = 0.0
 
 
 @dataclass
@@ -410,6 +415,9 @@ class _Session:
         #: the two-tier recovery front-end; wired by the gateway in
         #: _register (it owns the NACK send path and the budget)
         self.recovery: StreamRecovery | None = None
+        #: arrival time of each frame recovery holds behind a gap, by
+        #: sequence: the machine stays time-free, the gateway keeps it
+        self.held_since: dict[int, float] = {}
         self.windows_submitted = 0
         self.outstanding = 0
         self.closed = False
@@ -489,9 +497,10 @@ class IngestGateway:
         :attr:`stats` and each stream's damage accounting are read
         models over this registry.
     nack_budget:
-        Per-stream tier-2 budget: at most this many sequences are ever
-        NACKed for retransmission on one session; a gap that would
-        exceed it falls back to keyframe resync immediately.
+        Per-hold tier-2 budget: at most this many sequences (re-NACKs
+        included) are NACKed for retransmission while one recovery
+        hold is open; a gap that would exceed it falls back to
+        keyframe resync immediately.  It refills when the hold closes.
         After ``BYE`` the link stays open :data:`NACK_DEADLINE_S` for
         retransmissions still owed.
     session_id_base:
@@ -870,10 +879,15 @@ class IngestGateway:
         # window queued behind backpressure reports its true age
         arrived = asyncio.get_running_loop().time()
         await session.quota.acquire()
+        recovery = session.recovery
         if kind is FrameKind.PARITY:
-            events = session.recovery.on_parity(body)
+            events = recovery.on_parity(body)
         else:
-            events = session.recovery.on_packet(body)
+            events = recovery.on_packet(body)
+            if recovery.holding:
+                sequence = header_sequence(body)
+                if recovery.held(sequence):
+                    session.held_since.setdefault(sequence, arrived)
         await self._admit_events(
             session, events, arrived=arrived, permit_held=True
         )
@@ -887,24 +901,37 @@ class IngestGateway:
     ) -> None:
         """Pool every ACCEPTed window recovery released.  The caller's
         already-held permit (if any) covers the first accept; further
-        accepts from the same drain each acquire their own."""
+        accepts from the same drain each acquire their own.  A window
+        that waited behind a gap has its wait observed as
+        ``ingest_stage_seconds{stage="hold"}``."""
         if arrived is None:
             arrived = asyncio.get_running_loop().time()
         for verdict, packet in events:
+            if verdict is FrameVerdict.RESYNC_SKIP:
+                session.held_since.pop(packet.sequence, None)
             if verdict is not FrameVerdict.ACCEPT:
                 # discarded frame (corrupt / duplicate / stale / late
                 # retransmit / resync skip): accounted in the session
                 # tracker, never pooled
                 continue
+            if packet.sequence in session.held_since:
+                held_s = arrived - session.held_since.pop(packet.sequence)
+                self.telemetry.observe(
+                    "ingest_stage_seconds", held_s, stage="hold"
+                )
+            else:
+                held_s = 0.0
             if permit_held:
                 permit_held = False
             else:
                 await session.quota.acquire()
-            self._pool_window(session, packet, arrived)
+            self._pool_window(session, packet, arrived, held_s)
         if permit_held:
             session.quota.release()
 
-    def _pool_window(self, session: _Session, packet, arrived: float) -> None:
+    def _pool_window(
+        self, session: _Session, packet, arrived: float, held_s: float
+    ) -> None:
         """Stages 1-2 on one accepted packet, then pool its column."""
         y_q = session.payload.decode_payload(packet)
         column = session.payload.quantizer.dequantize(y_q)
@@ -915,6 +942,7 @@ class IngestGateway:
             column=column,
             fraction=session.handshake.config.lam,
             t_submit=arrived,
+            held_s=held_s,
         )
         session.windows_submitted += 1
         session.outstanding += 1
@@ -1189,7 +1217,7 @@ class IngestGateway:
             samples = out["signals"][:, column] + session.dc_offset
             iterations = int(out["iterations"][column])
             seconds = float(out["seconds"][column])
-            latency = t_done - window.t_submit
+            latency = t_done - window.t_submit + window.held_s
             result = session.result
             result.indices.append(window.index)
             result.sequences.append(window.sequence)

@@ -100,8 +100,9 @@ CATALOG: dict[str, MetricSpec] = {
         ),
         _spec(
             "ingest_stage_seconds", HISTOGRAM,
-            "time one window spent in a pipeline stage (queue: frame "
-            "arrival to solve submit)", "stage",
+            "time one window spent in a pipeline stage (hold: its "
+            "frame's arrival to its release from a recovery hold; "
+            "queue: pool entry to solve submit)", "stage",
         ),
         # -- lossy-channel accounting (repro.ingest.channel) -----------
         _spec(
@@ -140,7 +141,8 @@ CATALOG: dict[str, MetricSpec] = {
         ),
         _spec(
             "ingest_nacks_sent", COUNTER,
-            "sequences NACKed for retransmission (tier-2 budget spend)",
+            "sequences NACKed for retransmission, re-NACKs included "
+            "(tier-2 spend; the budget is per recovery hold)",
             "stream",
         ),
         _spec(

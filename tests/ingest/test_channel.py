@@ -19,6 +19,7 @@ from repro.core.packets import EncodedPacket, PacketKind
 from repro.errors import ConfigurationError, PacketFormatError
 from repro.ingest import (
     HOLD_CAP_EPOCHS,
+    NACK_AFTER_FRAMES,
     FrameKind,
     FrameVerdict,
     LossyChannel,
@@ -438,16 +439,27 @@ class TestStreamRecovery:
         assert accounting.windows_lost == 0
 
     def test_hold_cap_overflow_gives_up(self, stream):
+        """A gap that never fills is NACKed once ``NACK_AFTER_FRAMES``
+        frames are held ahead of it and again after each further
+        ``NACK_AFTER_FRAMES``; with a budget the hold cannot spend, the
+        hold cap is the backstop that gives it up."""
         system, record = stream
         total = HOLD_CAP_EPOCHS * system.config.keyframe_interval + 2
         packets, _ = _packet_frames(system, record, total)
-        _, payload, recovery, nacks = self._fresh(system)
+        _, payload, recovery, nacks = self._fresh(system, nack_budget=total)
         self._pump(payload, recovery.on_packet(packets[0].to_bytes()))
-        log = []
+        log, nacked_at = [], []
         for packet in packets[2:]:  # sequence 1 lost, no parity arrives
+            before = len(nacks)
             log += self._pump(payload, recovery.on_packet(packet.to_bytes()))
+            if len(nacks) > before:
+                nacked_at.append(packet.sequence)
         assert not recovery.holding  # the cap overflowed and drained
-        assert nacks == [[1]]  # NACKed once at the first epoch boundary
+        assert nacked_at == list(
+            range(1 + NACK_AFTER_FRAMES, total - 1, NACK_AFTER_FRAMES)
+        )
+        assert nacks == [[1]] * len(nacked_at)
+        assert recovery.nacks_sent == len(nacked_at)
         accounting = recovery.tracker.accounting
         accepted = sum(
             1 for verdict, _ in log if verdict is FrameVerdict.ACCEPT
@@ -494,6 +506,128 @@ class TestStreamRecovery:
         assert accounting.frames_duplicate == 0
         assert accounting.windows_lost == 0
         assert tracker.expected == 3
+
+    def test_given_up_sequence_expires_before_the_wrap(self, stream):
+        """A given-up sequence is forgotten once the stream is more than
+        the node ring's reach past it.  It used to be kept for the
+        stream's life, so one full 16-bit wrap later a plain duplicate
+        of the same number classified as a late retransmit."""
+        system, record = stream
+        packets, _ = _packet_frames(system, record, 1)
+        keyframe = packets[0]
+
+        def at(sequence):
+            return replace(keyframe, sequence=sequence % 65536).to_bytes()
+
+        tracker, payload, recovery, _ = self._fresh(system, nack_budget=0)
+        recovery.on_packet(at(0))
+        # 1 lost: the keyframe at 2 NACKs it, the empty budget gives up
+        assert self._pump(payload, recovery.on_packet(at(2))) == [
+            (FrameVerdict.ACCEPT, 2)
+        ]
+        assert self._pump(payload, recovery.on_packet(at(1))) == [
+            (FrameVerdict.LATE_RETRANSMIT, 1)
+        ]
+        for sequence in range(3, 65536 + 2):  # through the wrap to 1
+            recovery.on_packet(at(sequence))
+        assert tracker.expected == 2
+        assert self._pump(payload, recovery.on_packet(at(1))) == [
+            (FrameVerdict.STALE, 1)
+        ]
+        accounting = tracker.accounting
+        assert accounting.frames_late_retransmit == 1
+        assert accounting.frames_duplicate == 1
+        assert accounting.windows_lost == 1
+
+    def test_budget_refills_per_hold_on_a_long_stream(self, stream):
+        """Regression: the NACK budget was spent once for the stream's
+        life.  Two difference windows lost in every epoch (parity cannot
+        cover two) cost two NACKs each, so the 8-NACK budget gave up in
+        the fifth such epoch and every later one.  Per hold, every
+        epoch recovers, and ``nacks_sent`` still counts every NACK."""
+        system, record = stream
+        interval = system.config.keyframe_interval
+        epochs = 5
+        packets, _ = _packet_frames(system, record, epochs * interval)
+        assert len(packets) == epochs * interval
+        _, payload, recovery, nacks = self._fresh(system)
+        decoded = {}
+        for start in range(0, len(packets), interval):
+            epoch = packets[start : start + interval]
+            for packet in (epoch[0], *epoch[3:]):  # epoch[1:3] lost
+                self._pump(
+                    payload, recovery.on_packet(packet.to_bytes()), decoded
+                )
+            # the node folds the epoch's difference packets only
+            parity = encode_parity_body(
+                epoch[1].sequence, [p.to_bytes() for p in epoch[1:]]
+            )
+            self._pump(payload, recovery.on_parity(parity), decoded)
+            assert nacks[-1] == [epoch[1].sequence, epoch[2].sequence]
+            for sequence in nacks[-1]:  # the node answers from its ring
+                self._pump(
+                    payload,
+                    recovery.on_packet(packets[sequence].to_bytes()),
+                    decoded,
+                )
+        assert sorted(decoded) == list(range(len(packets)))
+        accounting = recovery.tracker.accounting
+        assert accounting.windows_damaged == 0
+        assert accounting.windows_recovered_retransmit == 2 * epochs
+        assert recovery.nacks_sent == 2 * epochs
+        assert not recovery.holding
+
+    def test_lost_retransmit_is_nacked_again(self, paper_stream):
+        """Two losses in one epoch (18, 19), then 19's retransmit is
+        lost and 23 goes missing too, so the epoch's parity could not
+        rebuild 19 either.  After ``NACK_AFTER_FRAMES`` more frames 19
+        is NACKed again together with 23, and both fill."""
+        system, packets, _ = paper_stream
+        _, payload, recovery, nacks = self._fresh(system)
+        decoded = {}
+
+        def feed(*sequences):
+            for sequence in sequences:
+                self._pump(
+                    payload,
+                    recovery.on_packet(packets[sequence].to_bytes()),
+                    decoded,
+                )
+
+        feed(*range(18), 20, 21, 22)
+        assert nacks == [[18, 19]]
+        feed(18)  # 19's retransmit is lost on the air
+        feed(24, 25, 26)  # 23 lost
+        assert nacks == [[18, 19], [19, 23]]
+        feed(19, 23)
+        assert sorted(decoded) == list(range(27))
+        accounting = recovery.tracker.accounting
+        assert accounting.windows_damaged == 0
+        assert accounting.windows_recovered_retransmit == 3
+        assert not recovery.holding
+
+    def test_unfilled_gap_spends_the_budget_before_the_cap(self, paper_stream):
+        """A gap that is never filled gives up once re-NACKs spend the
+        hold's budget (8 NACKs, one per ``NACK_AFTER_FRAMES`` frames),
+        well inside the 64-frame hold cap."""
+        system, packets, _ = paper_stream
+        budget = 8
+        _, payload, recovery, nacks = self._fresh(system, nack_budget=budget)
+        self._pump(payload, recovery.on_packet(packets[0].to_bytes()))
+        given_up_at = None
+        for packet in packets[2:]:  # sequence 1 never arrives
+            self._pump(payload, recovery.on_packet(packet.to_bytes()))
+            if not recovery.holding:
+                given_up_at = packet.sequence
+                break
+        assert nacks == [[1]] * budget
+        # the NACK after the budget's last one is the give-up
+        assert given_up_at == 1 + NACK_AFTER_FRAMES * (budget + 1)
+        assert given_up_at < HOLD_CAP_EPOCHS * system.config.keyframe_interval
+        accounting = recovery.tracker.accounting
+        assert accounting.windows_lost == 1
+        # diffs 2-15 wait out the chain to the keyframe at 16
+        assert accounting.windows_resynced == system.config.keyframe_interval - 2
 
     def test_late_retransmit_after_give_up(self, stream):
         """Satellite regression: a retransmit arriving after recovery
@@ -976,13 +1110,14 @@ class TestReplaySurvivors:
 
 
 def test_give_up_scenario_live_matches_replay(paper_config):
-    """Regression, the scenario the e2e benchmark found: record 100,
-    48 paper-point windows, ``fec`` on, ``LossyChannel(loss=0.05,
-    reorder=0.1, seed=2011)``.  The retransmit of sequence 21 is lost,
-    so recovery gives up at BYE with the already-accepted 20 at the
-    head of the held run; the link used to end in a ``DecodingError``
-    after 20 acks, live and in :func:`replay_survivors` alike.  Now it
-    costs one keyframe resync and both sides keep identical books."""
+    """Regression, the scenario the e2e benchmark found: a give-up with
+    an already-accepted packet at the head of the abandoned run used to
+    end the link in a ``DecodingError``, live and in
+    :func:`replay_survivors` alike.  Rebuilt deterministically: 20 and
+    22 are dropped, 20 is NACKed and its retransmit fills, and the NACK
+    22 needs would overspend a 1-NACK budget, so recovery gives up with
+    20 (and 21) at the head of the held run.  Now it costs one keyframe
+    resync and both sides keep identical books."""
     import asyncio
 
     from repro.core import EcgMonitorSystem
@@ -990,19 +1125,22 @@ def test_give_up_scenario_live_matches_replay(paper_config):
     from repro.ingest import IngestGateway, NodeClient
 
     windows = 48
+    budget = 1
     record = SyntheticMitBih(duration_s=2.0 * windows + 4.0).load("100")
     system = EcgMonitorSystem(paper_config, precision="hybrid")
     system.calibrate(record)
 
     async def run():
-        gateway = IngestGateway(batch_size=16, flush_ms=50.0)
+        gateway = IngestGateway(
+            batch_size=16, flush_ms=50.0, nack_budget=budget
+        )
         reader, writer = gateway.connect_local()
         client = NodeClient(
             system,
             record,
             max_packets=windows,
             interval_s=0.02,  # paced: NACKs are answered between sends
-            lossy_channel=LossyChannel(loss=0.05, reorder=0.1, seed=2011),
+            lossy_channel=LossyChannel(drop_sequences=(20, 22), seed=2011),
             fec=True,
         )
         await asyncio.wait_for(client.run(reader, writer), timeout=60.0)
@@ -1015,10 +1153,13 @@ def test_give_up_scenario_live_matches_replay(paper_config):
 
     result, link = asyncio.run(run())
     assert result.error is None
-    damaged = result.windows_lost + result.windows_resynced
-    assert result.windows_lost >= 1  # recovery did give up
-    assert damaged <= paper_config.keyframe_interval
-    assert result.num_windows + damaged == windows
+    assert result.nacks_sent == budget
+    # the retransmitted 20 and 21 left the held run ahead of the
+    # abandoned 22; 23-31 waited out the chain to the keyframe at 32
+    assert {20, 21} <= set(result.sequences)
+    assert result.windows_lost == 1  # recovery did give up
+    assert result.windows_resynced == 9
+    assert result.num_windows + result.windows_damaged == windows
 
     accepted, accounting = replay_survivors(
         paper_config,
@@ -1026,7 +1167,7 @@ def test_give_up_scenario_live_matches_replay(paper_config):
         link.stats.delivered_frames,
         windows_sent=windows,
         fec=True,
-        nack_budget=8,
+        nack_budget=budget,
     )
     assert result.sequences == [sequence for sequence, _ in accepted]
     assert result.windows_lost == accounting.windows_lost

@@ -1620,6 +1620,60 @@ class TestLossResilience:
         assert result.windows_recovered == 0
         assert gateway.stats.sessions_completed == 1
 
+    def test_held_window_latency_counts_its_hold(
+        self, small_config, database
+    ):
+        """A window held behind a gap is timed from its own frame's
+        arrival, not from the frame that released it: its latency, in
+        the result and in its DECODED ack, is at least its hold, and
+        the hold is observed as ``ingest_stage_seconds{stage="hold"}``."""
+        config = small_config.replace(keyframe_interval=4)
+        record = database.load("100")
+        system = _system(config, record)
+        packets = encoded_packets(system, record, max_packets=4)
+        hold_s = 0.2
+
+        async def run():
+            gateway = IngestGateway(batch_size=4, flush_ms=50.0)
+            reader, writer = gateway.connect_local()
+            writer.write(
+                Handshake(
+                    record=record.name,
+                    channel=0,
+                    config=config,
+                    codebook=system.encoder.codebook,
+                    fec=True,
+                ).to_frame()
+            )
+            for index in (0, 1, 3):  # 2 lost: 3 is held behind the gap
+                writer.write(_packet(packets[index]))
+            await asyncio.sleep(hold_s)
+            writer.write(_packet(packets[2]))  # the retransmit fills it
+            writer.write(encode_json_frame(FrameKind.BYE, {"windows": 4}))
+            await asyncio.wait_for(_drain_sessions(gateway), 30.0)
+            await gateway.close()
+            acks = {}
+            while (frame := await read_frame(reader)) is not None:
+                if frame[0] is FrameKind.DECODED:
+                    ack = json.loads(frame[1])
+                    acks[ack["sequence"]] = ack["latency_ms"]
+            return gateway, acks
+
+        gateway, acks = asyncio.run(run())
+        result = gateway.results[0]
+        assert result.sequences == [0, 1, 2, 3]
+        assert result.windows_recovered_retransmit == 1
+        hold = gateway.telemetry.snapshot().histogram(
+            "ingest_stage_seconds", stage="hold"
+        )
+        assert hold.total == 1  # only 3 waited behind the gap
+        assert hold.sum > 0.9 * hold_s
+        latency = dict(zip(result.sequences, result.latencies_s))
+        assert latency[3] >= hold.sum
+        assert acks[3] == pytest.approx(1000.0 * latency[3])
+        # the retransmit itself was never held
+        assert latency[2] < hold.sum
+
     def _run_lossy_client(
         self, system, record, channel, windows=9, fec=False
     ):

@@ -31,7 +31,7 @@ ahead of the ``BYE`` trigger; a post-``BYE`` answer is the gateway's
 deadline path, covered by ``test_gateway.py``.
 
 Time box: ``max_examples`` x ``stateful_step_count`` below keeps the
-model at ~10 s of the tier-1 run on a 2-core 2.1 GHz Xeon.
+model at ~5 s of the tier-1 run on a 2-core 2.1 GHz Xeon.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from repro.coding.fec import encode_parity_body
 from repro.ecg import SyntheticMitBih
 from repro.errors import PacketFormatError
 from repro.ingest import (
+    NACK_AFTER_FRAMES,
     FrameKind,
     FrameVerdict,
     SequenceTracker,
@@ -64,9 +65,6 @@ from repro.ingest import (
     encoded_packets,
     replay_survivors,
 )
-
-#: the fast-retransmit threshold the model holds the machine to
-NACK_AFTER_FRAMES = 3
 
 INTERVAL = 4
 WINDOWS = 48

@@ -54,6 +54,9 @@ class TestCatalogShape:
         assert spec.kind == HISTOGRAM
         assert spec.labels == frozenset({"stage"})
 
+    def test_hold_stage_is_declared(self):
+        assert "hold:" in spec_for("ingest_stage_seconds").description
+
     def test_flush_reason_label_declared(self):
         spec = spec_for("ingest_flushes")
         assert spec.kind == COUNTER
