@@ -4,8 +4,8 @@
 #   scripts/run_tier1.sh          # lint + tests + benchmarks + examples
 #   scripts/run_tier1.sh --fast   # lint + tests only
 #
-# Full mode takes ~230 s on a 2-core Xeon at 2.1 GHz (tests ~110 s,
-# the paper-fidelity benchmarks ~105 s).
+# Full mode takes ~195 s on a 2-core Xeon at 2.1 GHz (tests ~91 s,
+# the paper-fidelity benchmarks ~93 s).
 #
 # repro-lint (python -m repro.analysis) statically enforces the stack's
 # invariants — event-loop blocking, lock discipline, hot-loop
@@ -38,7 +38,9 @@ mkdir -p benchmarks/results
 python -m repro.analysis --root . --report benchmarks/results/LINT_report.json
 
 echo "== tier-1: full test suite =="
-python -m pytest -x -q
+# the ten slowest tests print in every log: a cold-path regression
+# (a table rebuilt per object) shows up there first
+python -m pytest -x -q --durations=10
 
 if [[ "${1:-}" != "--fast" ]]; then
     echo "== benchmarks: paper fidelity =="

@@ -14,6 +14,7 @@ frequency so the codebook is complete.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Iterable, Sequence
@@ -141,6 +142,11 @@ def laplacian_frequencies(
     return [int(f) for f in frequencies]
 
 
+#: default tables kept per process: one per distinct
+#: ``(offset, num_symbols, max_length, laplace_floor)``
+DEFAULT_CODEBOOK_CACHE_SIZE = 8
+
+
 def train_codebook(
     samples: Iterable[int] | None = None,
     offset: int = DIFF_MIN,
@@ -154,7 +160,9 @@ def train_codebook(
     ----------
     samples:
         Iterable of difference values in ``[offset, offset+num_symbols)``.
-        ``None`` trains on the synthetic Laplacian profile instead.
+        ``None`` trains on the synthetic Laplacian profile instead; that
+        table depends on the other arguments alone, so it is built once
+        per process and every caller shares the one (frozen) object.
     offset:
         Value encoded by symbol 0 (``-256`` in the paper).
     num_symbols:
@@ -166,19 +174,36 @@ def train_codebook(
     """
     if laplace_floor < 0:
         raise CodebookError(f"laplace_floor must be >= 0, got {laplace_floor}")
-    frequencies = [laplace_floor] * num_symbols
     if samples is None:
-        base = laplacian_frequencies(num_symbols=num_symbols)
-        frequencies = [f + b for f, b in zip(frequencies, base)]
-    else:
-        for value in samples:
-            index = int(value) - offset
-            if not 0 <= index < num_symbols:
-                raise CodebookError(
-                    f"training value {value} outside "
-                    f"[{offset}, {offset + num_symbols - 1}]"
-                )
-            frequencies[index] += 1
+        return _default_codebook(offset, num_symbols, max_length, laplace_floor)
+    values = np.asarray(
+        samples if isinstance(samples, np.ndarray) else list(samples)
+    ).ravel()
+    indices = values.astype(np.int64) - offset
+    outside = (indices < 0) | (indices >= num_symbols)
+    if outside.any():
+        raise CodebookError(
+            f"training value {values[np.argmax(outside)]} outside "
+            f"[{offset}, {offset + num_symbols - 1}]"
+        )
+    counts = np.bincount(indices, minlength=num_symbols)
+    frequencies = [laplace_floor + count for count in counts.tolist()]
+    return _codebook_from(frequencies, offset, max_length)
+
+
+@functools.lru_cache(maxsize=DEFAULT_CODEBOOK_CACHE_SIZE)
+def _default_codebook(
+    offset: int, num_symbols: int, max_length: int, laplace_floor: int
+) -> Codebook:
+    """The Laplacian-profile codebook, memoized on its arguments."""
+    base = laplacian_frequencies(num_symbols=num_symbols)
+    frequencies = [laplace_floor + b for b in base]
+    return _codebook_from(frequencies, offset, max_length)
+
+
+def _codebook_from(
+    frequencies: list[int], offset: int, max_length: int
+) -> Codebook:
     if all(f == 0 for f in frequencies):
         raise CodebookError(
             "no symbol has nonzero frequency; use laplace_floor >= 1"

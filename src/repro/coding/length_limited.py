@@ -4,13 +4,25 @@ The paper's codebook covers 512 symbols with a **maximum codeword length
 of 16 bits**.  Plain Huffman construction does not respect a length cap,
 so we implement the package-merge algorithm (Larmore & Hirschberg, 1990),
 which produces the optimal prefix code subject to ``length <= limit``.
+
+The algorithm runs on arrays.  A level is the stable merge of the
+sorted leaves with the pairwise sums of the level below, a leaf going
+first on equal weight.  Only which merged items are leaves needs
+keeping, because the items a solution takes are always prefixes: the
+first ``2(n-1)`` items of the last level, then, one level down, the
+first two items per package taken above.  A symbol's codeword length is
+the number of levels whose taken prefix reaches its leaf.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from ..errors import CodebookError
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def package_merge_lengths(frequencies: Sequence[int], max_length: int) -> list[int]:
@@ -19,7 +31,8 @@ def package_merge_lengths(frequencies: Sequence[int], max_length: int) -> list[i
     Zero-frequency symbols receive length 0.  Raises
     :class:`~repro.errors.CodebookError` when the alphabet cannot be coded
     within ``max_length`` bits (i.e. more than ``2**max_length`` active
-    symbols).
+    symbols).  Ties between equal weights break by symbol index, so the
+    lengths are a pure function of the table.
     """
     if max_length < 1:
         raise CodebookError(f"max_length must be >= 1, got {max_length}")
@@ -40,49 +53,37 @@ def package_merge_lengths(frequencies: Sequence[int], max_length: int) -> list[i
             f"{len(active)} symbols cannot be coded in <= {max_length} bits"
         )
 
-    # Package-merge.  Items are (weight, {symbol: multiplicity}); at each
-    # of the max_length levels we pair adjacent items into packages and
-    # merge with the original leaves.  After the final level, taking the
-    # first 2*(n-1) items gives each symbol's codeword length as its
-    # total multiplicity across taken items.
     leaves = sorted(active)
-    level: list[tuple[int, dict[int, int]]] = [
-        (weight, {symbol: 1}) for weight, symbol in leaves
-    ]
+    count = len(leaves)
+    # every item of level l weighs at most the sum of that level, which
+    # is at most (l + 1) times the leaves' total: exact in int64 below
+    # that bound, exact as Python ints (an object array) above it
+    total = sum(weight for weight, _ in leaves)
+    dtype = np.int64 if max_length * total <= _INT64_MAX else object
+    leaf_weights = np.array([weight for weight, _ in leaves], dtype=dtype)
+
+    level = leaf_weights
+    leaf_flags: list[np.ndarray] = []  # per merged level: is item i a leaf
     for _ in range(max_length - 1):
-        packages: list[tuple[int, dict[int, int]]] = []
-        for i in range(0, len(level) - 1, 2):
-            weight = level[i][0] + level[i + 1][0]
-            counts: dict[int, int] = dict(level[i][1])
-            for symbol, multiplicity in level[i + 1][1].items():
-                counts[symbol] = counts.get(symbol, 0) + multiplicity
-            packages.append((weight, counts))
-        merged: list[tuple[int, dict[int, int]]] = []
-        leaf_iter = iter(leaves)
-        package_iter = iter(packages)
-        next_leaf = next(leaf_iter, None)
-        next_package = next(package_iter, None)
-        while next_leaf is not None or next_package is not None:
-            take_leaf = next_package is None or (
-                next_leaf is not None and next_leaf[0] <= next_package[0]
-            )
-            if take_leaf:
-                assert next_leaf is not None
-                merged.append((next_leaf[0], {next_leaf[1]: 1}))
-                next_leaf = next(leaf_iter, None)
-            else:
-                assert next_package is not None
-                merged.append(next_package)
-                next_package = next(package_iter, None)
-        level = merged
+        pairs = len(level) // 2 * 2
+        packages = level[0:pairs:2] + level[1:pairs:2]
+        combined = np.concatenate((leaf_weights, packages))
+        order = np.argsort(combined, kind="stable")  # leaves first on ties
+        level = combined[order]
+        leaf_flags.append(order < count)
 
-    needed = 2 * (len(active) - 1)
-    if len(level) < needed:
+    taken = 2 * (count - 1)
+    if len(level) < taken:
         raise CodebookError("package-merge failed: not enough packages")
-    for _, counts in level[:needed]:
-        for symbol, multiplicity in counts.items():
-            lengths[symbol] += multiplicity
+    depth = np.zeros(count, dtype=np.int64)  # per leaf, in sorted order
+    for is_leaf in reversed(leaf_flags):
+        leaves_taken = int(np.count_nonzero(is_leaf[:taken]))
+        depth[:leaves_taken] += 1
+        taken = 2 * (taken - leaves_taken)
+    depth[:taken] += 1  # the first level is leaves only
 
+    for (_, symbol), length in zip(leaves, depth.tolist()):
+        lengths[symbol] = length
     if max(lengths) > max_length:
         raise CodebookError("package-merge produced an over-long codeword")
     return lengths

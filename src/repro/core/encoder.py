@@ -200,16 +200,16 @@ class CSEncoder:
         scratch = DifferentialCodec(
             keyframe_interval=self.config.keyframe_interval
         )
-        samples: list[int] = []
+        differences: list[np.ndarray] = []
         for window in windows_adu:
             y_q = self.measure(window)
             is_keyframe, values = scratch.encode(y_q)
             if not is_keyframe:
-                samples.extend(int(v) for v in values)
-        if not samples:
+                differences.append(values)
+        if not differences:
             raise ConfigurationError(
                 "calibration produced no difference symbols; "
                 "provide more than one window per keyframe interval"
             )
-        self.codebook = train_codebook(samples)
+        self.codebook = train_codebook(np.concatenate(differences))
         return self.codebook

@@ -15,6 +15,7 @@ is CS-sampled in 82 ms.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,13 +27,40 @@ from .base import SensingMatrix
 from .rng import XorShift32
 
 
+#: row draws kept per process (~24 KB each at the paper point)
+ROW_DRAW_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=ROW_DRAW_CACHE_SIZE)
+def draw_rows(m: int, n: int, d: int, seed: int) -> np.ndarray:
+    """The ``(n, d)`` read-only row indices of each column's ones.
+
+    A pure function of its arguments, so it is drawn once per process
+    and every matrix built on the same ``(m, n, d, seed)`` shares the
+    one array; it is read-only, so no holder can change another's.
+    """
+    generator = XorShift32(derive_seed(seed, "sparse-binary", m, n, d))
+    rows = np.empty((n, d), dtype=np.int32)
+    pool = np.arange(m, dtype=np.int32)
+    for column in range(n):
+        # partial Fisher–Yates: first d entries become this column's rows
+        for i in range(d):
+            j = i + generator.next_below(m - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        rows[column] = np.sort(pool[:d])
+    rows.setflags(write=False)
+    return rows
+
+
 class SparseBinaryMatrix(SensingMatrix):
     """Sparse binary ``Phi``: ``d`` ones per column, value ``1/sqrt(d)``.
 
     Row positions are drawn with an embedded-style
     :class:`~repro.sensing.rng.XorShift32` partial Fisher–Yates shuffle,
     exactly reproducible on the node and the coordinator from the shared
-    seed (the paper stores the same fixed matrix on both sides).
+    seed (the paper stores the same fixed matrix on both sides).  The
+    draw (:func:`draw_rows`) runs once per process per ``(m, n, d,
+    seed)``; each instance builds its own sparse forms from it.
     """
 
     def __init__(self, m: int, n: int, d: int = 12, seed: int = 2011) -> None:
@@ -42,17 +70,9 @@ class SparseBinaryMatrix(SensingMatrix):
         self.d = int(d)
         self.seed = int(seed)
 
-        generator = XorShift32(derive_seed(self.seed, "sparse-binary", m, n, d))
-        rows = np.empty((n, self.d), dtype=np.int32)
-        pool = np.arange(m, dtype=np.int32)
-        for column in range(n):
-            # partial Fisher–Yates: first d entries become this column's rows
-            for i in range(self.d):
-                j = i + generator.next_below(m - i)
-                pool[i], pool[j] = pool[j], pool[i]
-            rows[column] = np.sort(pool[: self.d])
-        self._rows_per_column = rows
-        self._rows_per_column.setflags(write=False)
+        rows = self._rows_per_column = draw_rows(
+            self.m, self.n, self.d, self.seed
+        )
 
         data = np.full(n * self.d, 1.0 / math.sqrt(self.d))
         col_indices = np.repeat(np.arange(n), self.d)

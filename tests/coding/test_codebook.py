@@ -46,6 +46,23 @@ class TestTraining:
         with pytest.raises(CodebookError):
             train_codebook([300])
 
+    def test_out_of_range_error_names_the_first_offending_value(self):
+        import numpy as np
+
+        for samples in ([5, 300, -300], np.array([5, 300, -300])):
+            with pytest.raises(
+                CodebookError, match=r"training value 300 outside \[-256, 255\]"
+            ):
+                train_codebook(samples)
+
+    def test_list_array_and_iterator_train_the_same_codebook(self):
+        import numpy as np
+
+        values = [0, 0, 1, -1, 3, 255, -256, 0]
+        want = train_codebook(values).to_json()
+        assert train_codebook(np.array(values)).to_json() == want
+        assert train_codebook(iter(values)).to_json() == want
+
     def test_negative_floor_rejected(self):
         with pytest.raises(CodebookError):
             train_codebook([0], laplace_floor=-1)

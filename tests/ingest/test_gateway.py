@@ -15,7 +15,9 @@ import threading
 import numpy as np
 import pytest
 
+import repro.coding.codebook as codebook_module
 import repro.ingest.gateway as gateway_module
+from repro.coding import Codebook, train_codebook
 from repro.core import EcgMonitorSystem
 from repro.errors import ConfigurationError
 from repro.ingest import (
@@ -1397,6 +1399,95 @@ class TestFaults:
         assert gateway.stats.sessions_opened == 1
         assert report.error is None and report.acked == 2
         assert gateway.stats.windows_decoded == 2
+
+
+class TestDefaultCodebookHello:
+    """``"codebook": null`` in a HELLO names the default codebook.  The
+    gateway used to train that table on the event loop for every such
+    session (9–30 ms of stall each); every session now shares the
+    process's one default codebook."""
+
+    @staticmethod
+    def _bare_node(config, database):
+        """An uncalibrated node's first windows: coded with the default
+        codebook, two of the three as Huffman difference packets."""
+        record = database.load("100")
+        return record, encoded_packets(
+            EcgMonitorSystem(config), record, max_packets=3
+        )
+
+    @staticmethod
+    async def _stream(gateway, config, record, packets, codebook, channel):
+        reader, writer = gateway.connect_local()
+        writer.write(
+            Handshake(
+                record=record.name,
+                channel=channel,
+                config=config,
+                codebook=codebook,
+            ).to_frame()
+        )
+        for packet in packets:
+            writer.write(_packet(packet))
+        for _ in packets:
+            await _next_decoded(reader)
+        writer.write(encode_frame(FrameKind.BYE))
+
+    def test_sessions_train_the_default_codebook_at_most_once(
+        self, small_config, database, monkeypatch
+    ):
+        record, packets = self._bare_node(small_config, database)
+        calls = []
+        original = codebook_module.package_merge_lengths
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(codebook_module, "package_merge_lengths", counted)
+
+        async def run():
+            gateway = IngestGateway(batch_size=1)
+            await asyncio.gather(
+                *[
+                    self._stream(
+                        gateway, small_config, record, packets, None, channel
+                    )
+                    for channel in range(4)
+                ]
+            )
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway
+
+        gateway = asyncio.run(run())
+        assert gateway.stats.sessions_opened == 4
+        assert gateway.stats.windows_decoded == 4 * len(packets)
+        assert len(calls) <= 1
+
+    def test_null_codebook_decodes_like_the_default_lengths(
+        self, small_config, database
+    ):
+        record, packets = self._bare_node(small_config, database)
+
+        def decode(codebook):
+            async def run():
+                # width-1 solves: both runs take the same solver path
+                gateway = IngestGateway(batch_size=1)
+                await self._stream(
+                    gateway, small_config, record, packets, codebook, 0
+                )
+                await _drain_sessions(gateway)
+                await gateway.close()
+                return gateway.results[0]
+
+            return asyncio.run(run())
+
+        bare = decode(None)
+        sent = decode(Codebook.from_json(train_codebook().to_json()))
+        assert bare.num_windows == sent.num_windows == len(packets)
+        for got, want in zip(bare.samples_adu, sent.samples_adu):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestUnexpectedFrames:
