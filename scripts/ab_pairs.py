@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of one ``benchmarks.e2e`` workload.
+"""Alternating parent/change pairs of ``benchmarks.e2e`` workloads.
 
-    scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed N [--pairs 10]
+    scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 ...]
+        --seed N [--pairs 10]
 
-Runs ``python3 -m benchmarks.e2e --workload W --seed N --seconds S
---trace 0`` (``S`` = ``run_seconds`` of the change's ``BENCHMARK.json``)
-once in each checkout per pair, alternating which side goes first, and
-prints every run, then per end-to-end metric each side's median and
-quartiles, how many pairs the change won, and a verdict (see
-:func:`verdict`) — the protocol a gain is claimed under: at least nine
-tenths of the pairs won (ties count for neither side) and medians
-further apart than the parent's own interquartile spread.  Stdlib
-only; each checkout measures itself with its own copy of the
+``--workload`` repeats; ``--workload all`` runs every workload the
+change's ``BENCHMARK.json`` declares.  For each workload in turn, runs
+``python3 -m benchmarks.e2e --workload W --seed N --seconds S --trace 0``
+(``S`` = ``run_seconds`` of the change's ``BENCHMARK.json``) once in
+each checkout per pair, alternating which side goes first, and prints
+every run; then one table per workload: per end-to-end metric each
+side's median and quartiles, how many pairs the change won, and a
+verdict (see :func:`verdict`) — the protocol a gain is claimed under:
+at least nine tenths of the pairs won (ties count for neither side) and
+medians further apart than the parent's own interquartile spread.
+Stdlib only; each checkout measures itself with its own copy of the
 benchmark.
 """
 
@@ -82,29 +85,46 @@ def verdict(
     return "within bound"
 
 
-def main() -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload",
+        action="append",
+        required=True,
+        help="a workload to pair (repeatable); 'all' = every declared one",
+    )
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    args = parser.parse_args()
+    return parser.parse_args(argv)
 
-    declared = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = declared["run_seconds"]
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    bound = {m["name"]: m["bound"] for m in declared["end_to_end"]}
-    sides = {"parent": args.parent, "change": args.change}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
-            metrics = run_once(sides[side], args.workload, args.seed, seconds)
-            runs[side].append(metrics)
-            print(f"pair {pair + 1} {side}: {json.dumps(metrics)}", flush=True)
 
-    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs")
+def selected_workloads(requested: list[str], declared: list[str]) -> list[str]:
+    """``requested`` in order without repeats, ``all`` expanded to
+    ``declared``; a name ``BENCHMARK.json`` does not declare exits."""
+    chosen: list[str] = []
+    for name in requested:
+        for workload in declared if name == "all" else [name]:
+            if workload not in declared:
+                raise SystemExit(
+                    f"unknown workload {workload!r}; BENCHMARK.json "
+                    f"declares {', '.join(declared)}"
+                )
+            if workload not in chosen:
+                chosen.append(workload)
+    return chosen
+
+
+def print_table(
+    workload: str,
+    seed: int,
+    runs: dict[str, list[dict]],
+    better: dict[str, str],
+    bound: dict[str, float],
+) -> None:
+    pairs = len(runs["parent"])
+    print(f"\n{workload} seed {seed}, {pairs} pairs")
     print(
         f"{'metric':<24}{'parent q1 / median / q3':>36}"
         f"{'change q1 / median / q3':>36}  wins  verdict"
@@ -124,6 +144,35 @@ def main() -> int:
             f"  {wins}-{losses} ({direction} is better)"
             f"  {verdict(parent, change, direction, bound[name])}"
         )
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
+    declared = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = declared["run_seconds"]
+    workloads = selected_workloads(
+        args.workload, [w["name"] for w in declared["workloads"]]
+    )
+    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in declared["end_to_end"]}
+    sides = {"parent": args.parent, "change": args.change}
+    results: dict[str, dict[str, list[dict]]] = {}
+    for workload in workloads:
+        runs = results[workload] = {"parent": [], "change": []}
+        for pair in range(args.pairs):
+            order = (
+                ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            )
+            for side in order:
+                metrics = run_once(sides[side], workload, args.seed, seconds)
+                runs[side].append(metrics)
+                print(
+                    f"{workload} pair {pair + 1} {side}: "
+                    f"{json.dumps(metrics)}",
+                    flush=True,
+                )
+    for workload, runs in results.items():
+        print_table(workload, args.seed, runs, better, bound)
     return 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import DIFF_MAX, DIFF_MIN, HUFFMAN_MAX_CODE_BITS
+from ..config import DIFF_MAX, DIFF_MIN, HUFFMAN_MAX_CODE_BITS, HUFFMAN_SYMBOLS
 from ..errors import CodebookError
 from .huffman import HuffmanCode
 from .length_limited import package_merge_lengths
@@ -104,13 +104,33 @@ class Codebook:
         """Rebuild a codebook from :meth:`to_json` output."""
         try:
             data = json.loads(payload)
-            offset = int(data["offset"])
-            lengths = [int(x) for x in data["lengths"]]
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except json.JSONDecodeError as exc:
             raise CodebookError(f"malformed codebook payload: {exc}") from exc
-        # a payload may come off the wire (the HELLO): the code tables
-        # are sized by the longest codeword, so it is capped before any
-        # is built
+        return cls.from_payload(data)
+
+    @classmethod
+    def from_payload(cls, data) -> "Codebook":
+        """Rebuild a codebook from :meth:`to_json`'s decoded object.
+
+        This is the wire entry (the HELLO), so everything that sizes
+        the work is bounded before any of it is done: the alphabet at
+        :data:`~repro.config.HUFFMAN_SYMBOLS` before a length is read,
+        the longest codeword at the 16-bit cap, and the Kraft sum,
+        which :class:`~repro.coding.huffman.HuffmanCode` checks before
+        it builds a table.
+        """
+        try:
+            offset = int(data["offset"])
+            raw = data["lengths"]
+            if len(raw) > HUFFMAN_SYMBOLS:
+                raise CodebookError(
+                    f"alphabet of {len(raw)} symbols exceeds the "
+                    f"{HUFFMAN_SYMBOLS}-symbol cap"
+                )
+            lengths = [int(x) for x in raw]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CodebookError(f"malformed codebook payload: {exc}") from exc
+        # the code tables are sized by the longest codeword
         if max(lengths, default=0) > HUFFMAN_MAX_CODE_BITS:
             raise CodebookError(
                 f"codeword length {max(lengths)} exceeds the "

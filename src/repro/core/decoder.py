@@ -205,7 +205,7 @@ def build_resources(
         )
     else:
         dtype = np.float32 if precision == "float32" else np.float64
-        dense = (matrix.sparse() @ transform.synthesis_matrix()).astype(dtype)
+        dense = matrix.product(transform.synthesis_matrix()).astype(dtype)
         solver = BatchedFista(dense)
     return SolveResources(precision, solver, transform)
 

@@ -18,9 +18,14 @@ realistic noise and rhythm disturbances):
 - :mod:`repro.ecg.records` / :mod:`repro.ecg.database` — MIT-BIH-style
   records (names, annotations, 11-bit ADC) and the 48-record corpus;
 - :mod:`repro.ecg.resample` — the 360 -> 256 Hz polyphase resampler the
-  paper applies before feeding the Shimmer;
+  paper applies before feeding the Shimmer (scipy's ``resample_poly``
+  filter, built and applied in numpy);
 - :mod:`repro.ecg.qrs` — a light Pan–Tompkins QRS detector used for
-  validation and diagnostic-quality checks.
+  validation and diagnostic-quality checks (it imports scipy's filter
+  design on its first call).
+
+Loading records, resampling and digitizing need numpy alone: the node
+-> gateway -> solve path imports no scipy.
 """
 
 from .synthesis import EcgSynParameters, WaveParameters, ecgsyn, rr_process

@@ -13,7 +13,6 @@ band-passed signal.
 from __future__ import annotations
 
 import numpy as np
-import scipy.signal
 
 from ..utils import check_positive
 
@@ -25,6 +24,8 @@ def detect_qrs(
     threshold_fraction: float = 0.35,
 ) -> np.ndarray:
     """Return R-peak sample indices of a single-lead ECG."""
+    import scipy.signal  # validation only: kept off the serving path
+
     x = np.asarray(signal_mv, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"signal must be 1-D, got shape {x.shape}")

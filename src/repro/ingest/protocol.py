@@ -395,7 +395,7 @@ class Handshake:
         codebook = None
         if codebook_payload is not None:
             try:
-                codebook = Codebook.from_json(json.dumps(codebook_payload))
+                codebook = Codebook.from_payload(codebook_payload)
             except CodebookError as exc:
                 raise ProtocolError(
                     f"invalid handshake codebook: {exc}"

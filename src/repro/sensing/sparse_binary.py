@@ -11,6 +11,16 @@ On the mote, measuring with this matrix costs only ``n * d`` integer
 *additions* (the ``1/sqrt(d)`` scale is folded into the decoder), which
 is what makes real-time CS possible on a 16-bit MCU: a 2-second packet
 is CS-sampled in 82 ms.
+
+The coordinator keeps the matrix as plain numpy CSR index arrays
+(:attr:`~SparseBinaryMatrix.indptr`, :attr:`~SparseBinaryMatrix.indices`)
+and forms every float product row by row in scipy's CSR order: row
+``i`` is ``((0 + s*v[j0]) + s*v[j1]) + ...`` over its columns in
+increasing order.  Numpy's ``add.reduce`` would sum pairwise along a
+contiguous axis, so the products accumulate one slot of every row at a
+time instead; the dense ``Phi Psi`` the decoder iterates against is
+then bit-identical to ``csr_matrix @ Psi``.  scipy is imported only by
+:meth:`~SparseBinaryMatrix.sparse`.
 """
 
 from __future__ import annotations
@@ -19,7 +29,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import SensingError
 from ..utils import check_integer_array, derive_seed
@@ -60,7 +69,7 @@ class SparseBinaryMatrix(SensingMatrix):
     exactly reproducible on the node and the coordinator from the shared
     seed (the paper stores the same fixed matrix on both sides).  The
     draw (:func:`draw_rows`) runs once per process per ``(m, n, d,
-    seed)``; each instance builds its own sparse forms from it.
+    seed)``; each instance derives its CSR index arrays from it.
     """
 
     def __init__(self, m: int, n: int, d: int = 12, seed: int = 2011) -> None:
@@ -73,19 +82,19 @@ class SparseBinaryMatrix(SensingMatrix):
         rows = self._rows_per_column = draw_rows(
             self.m, self.n, self.d, self.seed
         )
-
-        data = np.full(n * self.d, 1.0 / math.sqrt(self.d))
-        col_indices = np.repeat(np.arange(n), self.d)
-        self._csc = sp.csc_matrix(
-            (data, (rows.ravel(), col_indices)), shape=(m, n)
-        )
-        self._csr = self._csc.tocsr()
-        # unscaled 0/1 pattern with integer data: exact batched
-        # accumulation (matching measure_integer) via one sparse matmul
-        ones = np.ones(n * self.d, dtype=np.int64)
-        self._int_csr = sp.csr_matrix(
-            (ones, (rows.ravel(), col_indices)), shape=(m, n)
-        )
+        # a stable sort of the column-major draw by row lists each row's
+        # columns in increasing order: the CSR layout
+        flat = rows.ravel()
+        self._indices = np.argsort(flat, kind="stable") // self.d
+        counts = np.bincount(flat, minlength=self.m)
+        self._indptr = np.concatenate(([0], np.cumsum(counts)))
+        # slot table: column ``t`` of every row, or ``n`` (a zero pad
+        # appended to the operand) where the row has fewer entries
+        slot = np.arange(flat.size) - np.repeat(self._indptr[:-1], counts)
+        self._slots = np.full((counts.max(), self.m), self.n, dtype=np.intp)
+        self._slots[slot, np.repeat(np.arange(self.m), counts)] = self._indices
+        for array in (self._indices, self._indptr, self._slots):
+            array.setflags(write=False)
 
     # ------------------------------------------------------------------
     @property
@@ -94,23 +103,63 @@ class SparseBinaryMatrix(SensingMatrix):
         return self._rows_per_column
 
     @property
+    def indptr(self) -> np.ndarray:
+        """CSR row pointers: row ``i`` is ``indptr[i]:indptr[i + 1]``."""
+        return self._indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        """CSR column indices, increasing within each row."""
+        return self._indices
+
+    @property
     def scale(self) -> float:
         """The common nonzero value ``1/sqrt(d)``."""
         return 1.0 / math.sqrt(self.d)
 
     def matrix(self) -> np.ndarray:
-        return self._csr.toarray()
+        dense = np.zeros((self.m, self.n))
+        columns = np.repeat(np.arange(self.n), self.d)
+        dense[self._rows_per_column.ravel(), columns] = self.scale
+        return dense
 
-    def sparse(self) -> sp.csr_matrix:
-        """The CSR form (fast float measurements and analysis)."""
-        return self._csr
+    def sparse(self):
+        """The CSR form as a ``scipy.sparse.csr_matrix`` (analysis and
+        tests; the only method that imports scipy)."""
+        import scipy.sparse
+
+        data = np.full(self._indices.size, self.scale)
+        return scipy.sparse.csr_matrix(
+            (data, self._indices, self._indptr), shape=self.shape
+        )
+
+    def _row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Pattern row sums of ``values`` (``(n,)`` or ``(n, k)``), each
+        row accumulated from zero over its columns in increasing order."""
+        pad = np.zeros((1,) + values.shape[1:], dtype=values.dtype)
+        padded = np.concatenate((values, pad))
+        out = np.zeros((self.m,) + values.shape[1:], dtype=values.dtype)
+        for slot in self._slots:
+            out += padded[slot]
+        return out
+
+    def product(self, block: np.ndarray) -> np.ndarray:
+        """``Phi @ block`` for an ``(n,)`` or ``(n, k)`` float block,
+        bit-identical to scipy's CSR product (the module docstring's
+        order).  ``build_resources`` forms the dense ``Phi Psi`` here."""
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim not in (1, 2) or block.shape[0] != self.n:
+            raise SensingError(
+                f"expected a block of {self.n} rows, got shape {block.shape}"
+            )
+        return self._row_sums(self.scale * block)
 
     def measure(self, x: np.ndarray) -> np.ndarray:
         """Float measurement using the sparse structure."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise SensingError(f"expected signal shape ({self.n},), got {x.shape}")
-        return self._csr @ x
+        return self.product(x)
 
     def measure_integer(self, x: np.ndarray) -> np.ndarray:
         """Node-side integer measurement: pure accumulation, no scaling.
@@ -140,9 +189,9 @@ class SparseBinaryMatrix(SensingMatrix):
     def measure_integer_batch(self, x: np.ndarray) -> np.ndarray:
         """Integer sensing of many windows at once: ``(B, n) -> (B, m)``.
 
-        One sparse integer matmul replaces ``B`` accumulation passes.
-        Integer arithmetic is exact, so every row equals
-        ``measure_integer(x[b])`` bit for bit; the same 32-bit
+        One slot-wise pass over the whole block replaces ``B``
+        accumulation passes.  Integer arithmetic is exact, so every row
+        equals ``measure_integer(x[b])`` bit for bit; the same 32-bit
         accumulator headroom check applies to the whole batch.
         """
         x = check_integer_array(np.asarray(x), "x")
@@ -150,9 +199,7 @@ class SparseBinaryMatrix(SensingMatrix):
             raise SensingError(
                 f"expected batch shape (B, {self.n}), got {x.shape}"
             )
-        accumulator = np.asarray(
-            (self._int_csr @ x.astype(np.int64).T).T, dtype=np.int64
-        )
+        accumulator = self._row_sums(x.astype(np.int64).T).T
         if (
             accumulator.max(initial=0) > 2**31 - 1
             or accumulator.min(initial=0) < -(2**31)

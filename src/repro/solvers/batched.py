@@ -423,8 +423,19 @@ ADMM_RHO_SCALE = 6.7
 
 
 def admm_rho(fractions: np.ndarray | float) -> float:
-    """The penalty a block with these lambda fractions is solved at."""
-    return ADMM_RHO_SCALE * math.sqrt(float(np.median(fractions)))
+    """The penalty a block with these lambda fractions is solved at.
+
+    The median is taken by hand, as ``np.median`` would (the mean of the
+    middle pair of an even count): ``np.median`` imports ``numpy.ma`` on
+    its first call, ~10 ms on a gateway's first solve.
+    """
+    ordered = np.sort(np.asarray(fractions), axis=None)
+    middle = ordered.size // 2
+    if ordered.size % 2:
+        median = ordered[middle]
+    else:
+        median = (ordered[middle - 1] + ordered[middle]) / 2
+    return ADMM_RHO_SCALE * math.sqrt(float(median))
 
 
 # repro-lint: f32

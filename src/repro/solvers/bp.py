@@ -15,7 +15,6 @@ implementation on embedded platforms" (Section I).
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from ..errors import SolverError
 from ..wavelet.operator import LinearOperator
@@ -34,6 +33,8 @@ def basis_pursuit(
         min 0^T alpha + 1^T t
         s.t.  A alpha = y,   alpha - t <= 0,   -alpha - t <= 0.
     """
+    import scipy.optimize  # only this solver needs scipy
+
     operator = as_operator(a)
     y = np.asarray(check_measurements(operator, y), dtype=np.float64)
     dense = operator.to_dense()

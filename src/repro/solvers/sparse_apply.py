@@ -62,17 +62,16 @@ class SparsePhiApply:
     """
 
     def __init__(self, matrix) -> None:
-        csr = matrix.sparse()
-        self.m, self.n = csr.shape
+        self.m, self.n = matrix.shape
         self.d = int(matrix.d)
-        self.nnz = int(csr.nnz)
         #: the common nonzero value ``1/sqrt(d)``, applied as one final
         #: multiply after the exact pattern sum (the bit-identity
         #: contract of the module docstring)
         self.scale = float(matrix.scale)
         # forward CSR: row segments of column indices into the signal
-        indptr = np.asarray(csr.indptr, dtype=np.intp)
-        self.gather_index = np.ascontiguousarray(csr.indices, dtype=np.intp)
+        indptr = np.asarray(matrix.indptr, dtype=np.intp)
+        self.gather_index = np.ascontiguousarray(matrix.indices, dtype=np.intp)
+        self.nnz = int(self.gather_index.size)
         # reduceat over possibly-empty segments: a mid-array empty row
         # makes reduceat *repeat* a neighbour's element (zeroed after
         # the reduction), but a *trailing* empty run starts at nnz —
@@ -204,7 +203,7 @@ class StructuredOperator:
             )
         self.psi32 = self.psi64.astype(np.float32)
         if dense is None:
-            dense = matrix.sparse() @ self.psi64
+            dense = matrix.product(self.psi64)
         self.dense64 = np.ascontiguousarray(dense, dtype=np.float64)
         self.dense64_t = np.ascontiguousarray(self.dense64.T)
         self.dense32 = self.dense64.astype(np.float32)

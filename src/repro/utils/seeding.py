@@ -13,6 +13,9 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+# numpy loads its random package on first use; importing it here keeps
+# that cost at import time rather than on a first seeded draw
+import numpy.random  # noqa: F401
 
 
 def derive_seed(seed: int, *labels: object) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dwt import WaveletTransform
 
@@ -50,10 +49,18 @@ class LinearOperator(ABC):
 
 
 class DenseOperator(LinearOperator):
-    """Wrap a dense or scipy-sparse matrix as a :class:`LinearOperator`."""
+    """Wrap a dense or scipy-sparse matrix as a :class:`LinearOperator`.
 
-    def __init__(self, matrix: np.ndarray | sp.spmatrix) -> None:
-        if sp.issparse(matrix):
+    scipy is imported only for an input that is not an ndarray.
+    """
+
+    def __init__(self, matrix) -> None:
+        self._sparse = False
+        if not isinstance(matrix, np.ndarray):
+            import scipy.sparse
+
+            self._sparse = scipy.sparse.issparse(matrix)
+        if self._sparse:
             self._matrix = matrix.tocsr()
         else:
             self._matrix = np.asarray(matrix, dtype=np.float64)
@@ -66,7 +73,7 @@ class DenseOperator(LinearOperator):
         return self._matrix.T @ y
 
     def to_dense(self) -> np.ndarray:
-        if sp.issparse(self._matrix):
+        if self._sparse:
             return np.asarray(self._matrix.todense(), dtype=np.float64)
         return np.asarray(self._matrix, dtype=np.float64)
 

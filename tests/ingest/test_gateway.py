@@ -1400,6 +1400,56 @@ class TestFaults:
         assert report.error is None and report.acked == 2
         assert gateway.stats.windows_decoded == 2
 
+    @pytest.mark.parametrize("symbols", [65_536, 250_000])
+    def test_alphabet_bomb_refused_and_neighbour_unharmed(
+        self, small_config, database, symbols
+    ):
+        """A HELLO codebook of 16-bit codewords sized only by the 1 MiB
+        frame cap: 65,536 of them (a complete code) used to open a
+        session after ~90 ms of table building on the event loop, and
+        250,000 were refused by the Kraft check only after ~110 ms.
+        Both are refused at the alphabet cap, no session opens for
+        them, and a healthy stream sharing the loop completes."""
+        record = database.load("100")
+        system = _system(small_config, record)
+        bomb = Handshake(
+            record="119", channel=0, config=small_config
+        ).to_payload()
+        bomb["codebook"] = {"offset": -256, "lengths": [16] * symbols}
+        hello = encode_frame(
+            FrameKind.HELLO, json.dumps(bomb, separators=(",", ":")).encode()
+        )
+
+        async def run():
+            gateway = IngestGateway(batch_size=2, flush_ms=50.0)
+            healthy = asyncio.create_task(
+                NodeClient(system, record, max_packets=2).run(
+                    *gateway.connect_local()
+                )
+            )
+            await asyncio.sleep(0)
+            reader, writer = gateway.connect_local()
+            writer.write(hello)
+            try:
+                frame = await asyncio.wait_for(read_frame(reader), 10.0)
+            except asyncio.TimeoutError:
+                frame = None  # no answer: the session opened
+            report = await asyncio.wait_for(healthy, timeout=30.0)
+            await gateway.close()
+            return gateway, frame, report
+
+        gateway, frame, report = asyncio.run(run())
+        assert frame is not None, "the hostile HELLO opened a session"
+        kind, body = frame
+        assert kind is FrameKind.ERROR
+        error = json.loads(body)["error"]
+        assert "invalid handshake codebook" in error
+        assert "512-symbol cap" in error
+        assert gateway.stats.sessions_errored == 1
+        assert gateway.stats.sessions_opened == 1
+        assert report.error is None and report.acked == 2
+        assert gateway.stats.windows_decoded == 2
+
 
 class TestDefaultCodebookHello:
     """``"codebook": null`` in a HELLO names the default codebook.  The

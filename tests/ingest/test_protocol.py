@@ -226,6 +226,33 @@ class TestHandshake:
                 Handshake.from_body(json.dumps(payload).encode())
             assert time.perf_counter() - started < 0.05
 
+    @pytest.mark.parametrize(
+        "symbols", [65_536, 250_000], ids=["kraft-exact", "kraft-over"]
+    )
+    def test_node_supplied_alphabet_capped(self, symbols):
+        """A table of 16-bit codewords is bounded by the 1 MiB frame
+        alone unless the alphabet is: 65,536 of them (Kraft sum exactly
+        1, a 192 KiB HELLO) used to be accepted after ~90 ms of table
+        building on the event loop, 250,000 (732 KiB) refused by the
+        Kraft check only after ~110 ms.  More than the paper's 512
+        symbols is refused before a length is read."""
+        import time
+
+        from repro.config import HUFFMAN_SYMBOLS
+        from repro.ingest.protocol import MAX_FRAME_BYTES
+
+        payload = self._handshake().to_payload()
+        payload["codebook"] = {"offset": -256, "lengths": [16] * symbols}
+        body = json.dumps(payload, separators=(",", ":")).encode()
+        assert len(body) < MAX_FRAME_BYTES
+        started = time.perf_counter()
+        with pytest.raises(
+            ProtocolError,
+            match=f"invalid handshake codebook.*{HUFFMAN_SYMBOLS}-symbol cap",
+        ):
+            Handshake.from_body(body)
+        assert time.perf_counter() - started < 0.05
+
     def test_non_json_body_rejected(self):
         with pytest.raises(ProtocolError, match="malformed JSON"):
             Handshake.from_body(b"\xff\xfe not json")

@@ -9,6 +9,8 @@ float32 noise floor of the textbook update, a too-small ``rho``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from repro.solvers import (
     batched_lambda_from_fraction,
     structured_batched_fista,
 )
+from repro.solvers.batched import ADMM_RHO_SCALE
 from repro.solvers.sparse_apply import ADMM_PAIR_CACHE_SIZE
 from repro.wavelet import WaveletTransform
 
@@ -204,6 +207,15 @@ class TestPrototypeTraps:
         stalled = _fast(saturate_block, paper_config, columns, rho=0.01)
         assert small.iterations.mean() > 2 * ruled.iterations.mean()
         assert not stalled.converged.all()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 16])
+    def test_rho_median_is_np_median(self, size):
+        """``admm_rho`` sorts for its median (``np.median`` would import
+        ``numpy.ma`` on a gateway's first solve); the value is
+        ``np.median``'s, odd and even counts alike."""
+        fractions = np.random.default_rng(size).uniform(1e-4, 0.1, size)
+        expected = ADMM_RHO_SCALE * math.sqrt(float(np.median(fractions)))
+        assert admm_rho(fractions) == expected
 
 
 def _rel_l2(a, b):

@@ -1,4 +1,5 @@
-"""The claim rule ``scripts/ab_pairs.py`` prints beside each metric."""
+"""``scripts/ab_pairs.py``: its arguments and the claim rule it prints
+beside each metric."""
 
 from __future__ import annotations
 
@@ -11,11 +12,16 @@ _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ab_pairs.py"
 
 
 @pytest.fixture(scope="module")
-def verdict():
+def ab_pairs():
     spec = importlib.util.spec_from_file_location("ab_pairs", _SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.verdict
+    return module
+
+
+@pytest.fixture(scope="module")
+def verdict(ab_pairs):
+    return ab_pairs.verdict
 
 
 PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 100.2, 99.8, 100.1, 99.9]
@@ -71,3 +77,43 @@ def test_unresolved_when_the_parent_spreads_past_the_bound(verdict):
 
 def test_identical_runs_are_within_bound(verdict):
     assert verdict([7.0] * 10, [7.0] * 10, "lower", 0.06) == "within bound"
+
+
+DECLARED = ["saturate", "paced", "lossy_fec", "offline_ref64"]
+
+
+def test_workload_repeats(ab_pairs):
+    args = ab_pairs.parse_args(
+        ["P", "C", "--workload", "paced", "--workload", "saturate",
+         "--seed", "43"]
+    )
+    assert args.workload == ["paced", "saturate"]
+    assert (args.seed, args.pairs) == (43, 10)
+    assert str(args.parent) == "P" and str(args.change) == "C"
+    assert ab_pairs.selected_workloads(args.workload, DECLARED) == [
+        "paced", "saturate"
+    ]
+
+
+def test_all_expands_to_the_declared_workloads(ab_pairs):
+    args = ab_pairs.parse_args(
+        ["P", "C", "--workload", "all", "--seed", "1", "--pairs", "3"]
+    )
+    assert args.pairs == 3
+    assert ab_pairs.selected_workloads(args.workload, DECLARED) == DECLARED
+    # a workload named beside "all" is not run twice
+    assert ab_pairs.selected_workloads(["paced", "all"], DECLARED) == [
+        "paced", "saturate", "lossy_fec", "offline_ref64"
+    ]
+
+
+def test_workload_and_seed_are_required(ab_pairs):
+    with pytest.raises(SystemExit):
+        ab_pairs.parse_args(["P", "C", "--seed", "1"])
+    with pytest.raises(SystemExit):
+        ab_pairs.parse_args(["P", "C", "--workload", "paced"])
+
+
+def test_undeclared_workload_exits_naming_the_declared_ones(ab_pairs):
+    with pytest.raises(SystemExit, match="declares saturate, paced"):
+        ab_pairs.selected_workloads(["ward"], DECLARED)
