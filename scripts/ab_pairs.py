@@ -10,10 +10,12 @@ change's ``BENCHMARK.json`` declares.  For each workload in turn, runs
 (``S`` = ``run_seconds`` of the change's ``BENCHMARK.json``) once in
 each checkout per pair, alternating which side goes first, and prints
 every run; then one table per workload: per end-to-end metric each
-side's median and quartiles, how many pairs the change won, and a
-verdict (see :func:`verdict`) — the protocol a gain is claimed under:
-at least nine tenths of the pairs won (ties count for neither side) and
-medians further apart than the parent's own interquartile spread.
+side's median and quartiles, the largest relative difference of any
+pair, how many pairs the change won and lost, and a verdict (see
+:func:`verdict`) — the protocol a gain is claimed under: at least nine
+tenths of the pairs won (ties, pairs within :data:`TIE_RELATIVE`,
+count for neither side) and medians further apart than the parent's
+own interquartile spread.
 Stdlib only; each checkout measures itself with its own copy of the
 benchmark.
 """
@@ -58,20 +60,55 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+#: two values closer than this, relative, are a tie: a deterministic
+#: metric can move in its ninth digit with the process that computes
+#: it (the same checkout gives either value), never with the change
+TIE_RELATIVE = 1e-6
+
+
+def relative_difference(parent: float, change: float) -> float:
+    """``|change - parent|`` relative to the larger magnitude."""
+    scale = max(abs(parent), abs(change))
+    return abs(change - parent) / scale if scale else 0.0
+
+
+def wins_losses(
+    parent: list[float], change: list[float], better: str
+) -> tuple[int, int]:
+    """Pairs the change won and lost; ties (see :data:`TIE_RELATIVE`)
+    count for neither side."""
+    sign = 1 if better == "higher" else -1
+    wins = losses = 0
+    for p, c in zip(parent, change):
+        if relative_difference(p, c) < TIE_RELATIVE:
+            continue
+        if sign * (c - p) > 0:
+            wins += 1
+        else:
+            losses += 1
+    return wins, losses
+
+
 def verdict(
     parent: list[float], change: list[float], better: str, bound: float
 ) -> str:
     """Judge one metric over paired runs (``parent[i]`` with ``change[i]``).
 
-    ``gain``: the change wins at least ⌈0.9 × pairs⌉ pairs and its
-    median beats the parent's by more than the parent's interquartile
-    range.  ``worse``: its median is worse than the parent's by more
-    than ``bound`` (relative, as in ``BENCHMARK.json``).
-    ``unresolved``: the parent's own interquartile range is wider than
-    that bound, so the runs cannot tell.  ``within bound`` otherwise.
+    ``identical``: every pair is equal.  ``gain``: the change wins at
+    least ⌈0.9 × pairs⌉ pairs and its median beats the parent's by more
+    than the parent's interquartile range.  ``worse``: its median is
+    worse than the parent's by more than ``bound`` (relative, as in
+    ``BENCHMARK.json``).  ``unresolved``: the parent's own
+    interquartile range is wider than that bound, so the runs cannot
+    tell.  ``within bound`` otherwise — always, when no pair differs
+    by :data:`TIE_RELATIVE` or more.
     """
+    if parent == change:
+        return "identical"
+    if max(map(relative_difference, parent, change)) < TIE_RELATIVE:
+        return "within bound"
     sign = 1 if better == "higher" else -1
-    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    wins, _ = wins_losses(parent, change, better)
     p1, p_median, p3 = quartiles(parent)
     _, c_median, _ = quartiles(change)
     gain = sign * (c_median - p_median)
@@ -127,20 +164,19 @@ def print_table(
     print(f"\n{workload} seed {seed}, {pairs} pairs")
     print(
         f"{'metric':<24}{'parent q1 / median / q3':>36}"
-        f"{'change q1 / median / q3':>36}  wins  verdict"
+        f"{'change q1 / median / q3':>36}  max rel diff  wins  verdict"
     )
     for name, direction in better.items():
         parent = [run[name] for run in runs["parent"]]
         change = [run[name] for run in runs["change"]]
-        sign = 1 if direction == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        wins, losses = wins_losses(parent, change, direction)
+        largest = max(map(relative_difference, parent, change))
         cells = [
             " / ".join(f"{q:.4g}" for q in quartiles(side))
             for side in (parent, change)
         ]
         print(
-            f"{name:<24}{cells[0]:>36}{cells[1]:>36}"
+            f"{name:<24}{cells[0]:>36}{cells[1]:>36}{largest:>14.1e}"
             f"  {wins}-{losses} ({direction} is better)"
             f"  {verdict(parent, change, direction, bound[name])}"
         )

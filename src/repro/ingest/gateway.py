@@ -1174,7 +1174,7 @@ class IngestGateway:
         # saturated batch (solver_busy_share 0.963 vs 0.986; it was
         # 6 ms while stage 1 still walked its payloads bit by bit)
         await asyncio.sleep(0)
-        self._route(batch, out)
+        self._route(batch, out, started)
 
     def _fail_batch(self, batch: list[_PendingWindow], exc: Exception) -> None:
         """A solve died: unblock its windows so nothing deadlocks.
@@ -1203,9 +1203,17 @@ class IngestGateway:
             session.outstanding -= 1
             session.check_done()
 
-    def _route(self, batch: list[_PendingWindow], out: dict) -> None:
-        """Scatter one solved block back to its streams, in order."""
-        t_done = asyncio.get_running_loop().time()
+    def _route(
+        self, batch: list[_PendingWindow], out: dict, started: float
+    ) -> None:
+        """Scatter one solved block back to its streams, in order.
+
+        Each window's ``solve`` stage (submit to here) and ``route``
+        stage (here to its DECODED frame written) are observed; with
+        ``hold`` and ``queue`` they cover its latency, taken from the
+        same clock stamps."""
+        loop = asyncio.get_running_loop()
+        t_done = loop.time()
         # a process-pool worker records its own delta snapshot and
         # ships it home with the results; merging here is what keeps
         # the plane whole across the pool boundary
@@ -1229,6 +1237,9 @@ class IngestGateway:
             self.telemetry.observe(
                 "ingest_window_latency_seconds", latency
             )
+            self.telemetry.observe(
+                "ingest_stage_seconds", t_done - started, stage="solve"
+            )
             accounting = session.tracker.accounting
             self._send_json(
                 session,
@@ -1245,6 +1256,9 @@ class IngestGateway:
                         for name in ACK_DAMAGE_FIELDS
                     },
                 },
+            )
+            self.telemetry.observe(
+                "ingest_stage_seconds", loop.time() - t_done, stage="route"
             )
             session.quota.release()
             session.outstanding -= 1

@@ -218,6 +218,35 @@ def _stop_reasons(converged: np.ndarray) -> list[str]:
     return ["tolerance" if flag else "max_iterations" for flag in converged]
 
 
+def _check_tolerance(tolerance: float) -> None:
+    # a NaN passes ``tolerance <= 0`` and then never meets a stop rule
+    if not 0 < tolerance < math.inf:
+        raise SolverError(
+            f"tolerance must be positive and finite, got {tolerance}"
+        )
+
+
+def _checked_lams(lams: np.ndarray | float, batch: int) -> np.ndarray:
+    """``lams`` broadcast to ``(batch,)``; NaN, inf and <= 0 refused (a
+    NaN column would otherwise run to the cap and return NaN)."""
+    lams = np.broadcast_to(np.asarray(lams, dtype=np.float64), (batch,))
+    if not np.all((lams > 0) & (lams < np.inf)):
+        raise SolverError(
+            f"lams must be positive and finite, got {lams.min()}"
+        )
+    return lams
+
+
+def _compacted_history(slot: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """A two-slot iterate history whose slot 0 holds ``slot``'s live
+    columns (after a block's first stop every chunk is one step)."""
+    history = np.empty(
+        (2, slot.shape[0], int(np.count_nonzero(live))), dtype=slot.dtype
+    )
+    history[0] = slot[:, live]
+    return history
+
+
 def batched_fista(
     a: LinearOperator | np.ndarray,
     ys: np.ndarray,
@@ -258,8 +287,7 @@ def batched_fista(
     ys = check_measurement_matrix(dense, ys)
     if max_iterations < 1:
         raise SolverError(f"max_iterations must be >= 1, got {max_iterations}")
-    if tolerance <= 0:
-        raise SolverError(f"tolerance must be positive, got {tolerance}")
+    _check_tolerance(tolerance)
 
     dtype = np.float32 if ys.dtype == np.float32 else np.float64
     ys = np.asarray(ys, dtype=dtype)
@@ -267,9 +295,7 @@ def batched_fista(
     batch = ys.shape[1]
     operator = np.asarray(dense, dtype=dtype)
 
-    lams = np.broadcast_to(np.asarray(lams, dtype=np.float64), (batch,)).copy()
-    if np.any(lams <= 0):
-        raise SolverError(f"lams must be positive, got {lams.min()}")
+    lams = _checked_lams(lams, batch)
 
     if lipschitz is None:
         lipschitz = lipschitz_constant(np.asarray(dense, dtype=np.float64))
@@ -412,6 +438,15 @@ def batched_fista(
 #: band); a constant of the fast leg, not an option
 ADMM_RELAXATION = 1.6
 
+#: iterations :func:`batched_admm` runs between two evaluations of its
+#: stop rule.  Every step keeps its iterate in a ``K + 1``-deep history
+#: and each column's stop is read back from the slot where the rule
+#: first held, so ``K`` sets the cost, never the result.  Against a
+#: check every iteration, a width-1 paper-point solve runs 1.7x faster
+#: at 4 and 1.9x at 8 or 16; a width-16 block is ~3 % slower at 8 and
+#: ~12 % at 16, where more steps run past the block's first stop
+ADMM_CHECK_EVERY = 8
+
 #: ``rho = ADMM_RHO_SCALE * sqrt(lam)`` for a block whose median lambda
 #: fraction is ``lam`` — 0.30 at the paper point.  ``A``'s columns are
 #: unit-norm and ``lam_b`` is a fraction of ``||A^T y_b||_inf``, so the
@@ -479,15 +514,12 @@ def batched_admm(
     )
     if max_iterations < 1:
         raise SolverError(f"max_iterations must be >= 1, got {max_iterations}")
-    if tolerance <= 0:
-        raise SolverError(f"tolerance must be positive, got {tolerance}")
+    _check_tolerance(tolerance)
     if not 0 < rho < math.inf:
         raise SolverError(f"rho must be positive and finite, got {rho}")
     n = structure.n_coefficients
     batch = ys64.shape[1]
-    lams = np.broadcast_to(np.asarray(lams, dtype=np.float64), (batch,))
-    if np.any(lams <= 0):
-        raise SolverError(f"lams must be positive, got {lams.min()}")
+    lams = _checked_lams(lams, batch)
     if workspace is None:
         workspace = BatchWorkspace()
     p32, ridge_t64 = structure.admm_pair(rho)
@@ -504,80 +536,99 @@ def batched_admm(
     work_cut[...] = (lams / rho).astype(np.float32)
     work_floor = workspace.arena("floor", (n, batch), np.float32)
     np.negative(work_cut, out=work_floor)
-    work_z = workspace.arena("z", (n, batch), np.float32)
-    work_u = workspace.arena("u", (n, batch), np.float32)
-    work_z[...] = 0
-    work_u[...] = 0
-    buf_v = workspace.arena("v", (n, batch), np.float32)
-    buf_u = workspace.arena("u_next", (n, batch), np.float32)
-    buf_diff = workspace.arena("diff", (n, batch), np.float32)
+    # the iterate history: slot 0 holds the chunk's starting iterate,
+    # step k writes slot k + 1; ``diff`` is the steps' scratch and then
+    # the check's stacked differences
+    depth = ADMM_CHECK_EVERY + 1
+    hist_z = workspace.arena("z", (depth, n, batch), np.float32)
+    hist_u = workspace.arena("u", (depth, n, batch), np.float32)
+    buf_diff = workspace.arena("diff", (depth - 1, n, batch), np.float32)
+    hist_z[0] = 0
+    hist_u[0] = 0
+    # ||z|| of every slot, each computed at the width its iterate was
+    # made at; row 0 is carried over from the previous chunk
+    z_norms = np.zeros((depth, batch), dtype=np.float64)
     relax = np.float32(ADMM_RELAXATION)
     carry = np.float32(ADMM_RELAXATION - 1.0)
     alpha = np.zeros((n, batch), dtype=np.float32)
     order = np.arange(batch)  # original column id of each working column
     live = np.ones(batch, dtype=bool)
-    z_norms = np.zeros(batch, dtype=np.float64)  # cached ||z_k||_2
     iterations = np.zeros(batch, dtype=np.int64)
     converged = np.zeros(batch, dtype=bool)
     total_iterations = 0
+    chunk = ADMM_CHECK_EVERY
 
-    # repro-lint: hot
-    for iteration in range(1, max_iterations + 1):
-        total_iterations = iteration
+    while total_iterations < max_iterations:
+        steps = min(chunk, max_iterations - total_iterations)
+        zs, us = list(hist_z[: steps + 1]), list(hist_u[: steps + 1])
+        scratch = buf_diff[0]
 
-        np.subtract(work_z, work_u, out=buf_diff)
-        np.matmul(p32, buf_diff, out=buf_v)
-        buf_v += work_ridge  # x
-        buf_v *= relax
-        np.multiply(work_z, carry, out=buf_diff)
-        buf_v -= buf_diff
-        buf_v += work_u  # v
-        np.minimum(buf_v, work_cut, out=buf_u)
-        np.maximum(buf_u, work_floor, out=buf_u)  # u+
-        buf_v -= buf_u  # z+
+        # repro-lint: hot
+        for step in range(steps):
+            work_z, work_u = zs[step], us[step]
+            buf_v, buf_u = zs[step + 1], us[step + 1]
+            np.subtract(work_z, work_u, out=scratch)
+            np.matmul(p32, scratch, out=buf_v)
+            buf_v += work_ridge  # x
+            buf_v *= relax
+            np.multiply(work_z, carry, out=scratch)
+            buf_v -= scratch
+            buf_v += work_u  # v
+            np.minimum(buf_v, work_cut, out=buf_u)
+            np.maximum(buf_u, work_floor, out=buf_u)  # u+
+            buf_v -= buf_u  # z+
 
-        np.subtract(buf_v, work_z, out=buf_diff)
-        primal = np.sqrt(
-            np.einsum("ij,ij->j", buf_diff, buf_diff)
-        ).astype(np.float64)
-        np.subtract(buf_u, work_u, out=buf_diff)
-        dual = np.sqrt(
-            np.einsum("ij,ij->j", buf_diff, buf_diff)
-        ).astype(np.float64)
-        bound = tolerance * np.maximum(z_norms, 1.0)
-        finished = live & (primal < bound) & (dual < bound)
-
-        work_z, buf_v = buf_v, work_z
-        work_u, buf_u = buf_u, work_u
-        z_norms = np.sqrt(
-            np.einsum("ij,ij->j", work_z, work_z)
-        ).astype(np.float64)
-
-        if finished.any():
+        # the stop rule of every step at once: ||z+ - z|| and
+        # ||u+ - u|| against tolerance * max(||z||, 1)
+        old, new = slice(0, steps), slice(1, steps + 1)
+        change = buf_diff[old]
+        np.subtract(hist_z[new], hist_z[old], out=change)
+        primal = np.sqrt(np.einsum("kij,kij->kj", change, change))
+        np.subtract(hist_u[new], hist_u[old], out=change)
+        dual = np.sqrt(np.einsum("kij,kij->kj", change, change))
+        z_norms[new] = np.sqrt(
+            np.einsum("kij,kij->kj", hist_z[new], hist_z[new])
+        )
+        bound = tolerance * np.maximum(z_norms[old], 1.0)
+        finished = (primal < bound) & (dual < bound) & live
+        stopped = finished.any(axis=1)
+        if not stopped.any():
+            last = steps
+            total_iterations += steps
+        else:
+            # the block's first stop: read it back from its slot, drop
+            # the steps after it, and check every step from here on
+            last = int(stopped.argmax()) + 1
+            total_iterations += last
+            finished = finished[last - 1]
             done = order[finished]
-            alpha[:, done] = work_z[:, finished]
-            iterations[done] = iteration
+            alpha[:, done] = hist_z[last][:, finished]
+            iterations[done] = total_iterations
             converged[done] = True
             live[finished] = False
+            chunk = 1
             frozen = live.size - int(np.count_nonzero(live))
             if frozen == live.size:
                 break
-            if frozen >= (live.size + 7) // 8:  # repro-lint: disable=RL003 — compaction reallocates the working set at most log2(B) times per solve; amortized O(1) per window
+            if frozen >= (live.size + 7) // 8:
                 work_ridge = np.ascontiguousarray(work_ridge[:, live])
                 work_cut = np.ascontiguousarray(work_cut[:, live])
                 work_floor = np.ascontiguousarray(work_floor[:, live])
-                work_z = np.ascontiguousarray(work_z[:, live])
-                work_u = np.ascontiguousarray(work_u[:, live])
-                z_norms = z_norms[live].copy()
+                hist_z = _compacted_history(hist_z[last], live)
+                hist_u = _compacted_history(hist_u[last], live)
+                buf_diff = np.empty_like(hist_z[1:])
+                z_norms = np.tile(z_norms[last, live], (2, 1))
                 order = order[live]
                 live = np.ones(order.size, dtype=bool)
-                buf_v = np.empty_like(work_z)
-                buf_u = np.empty_like(work_z)
-                buf_diff = np.empty_like(work_z)
+                continue
+        # the last kept slot starts the next chunk
+        np.copyto(hist_z[0], hist_z[last])
+        np.copyto(hist_u[0], hist_u[last])
+        z_norms[0] = z_norms[last]
 
     still_running = order[live]
     if still_running.size:
-        alpha[:, still_running] = work_z[:, live]
+        alpha[:, still_running] = hist_z[0][:, live]
         iterations[still_running] = total_iterations
 
     residual_norms = np.linalg.norm(

@@ -102,7 +102,9 @@ CATALOG: dict[str, MetricSpec] = {
             "ingest_stage_seconds", HISTOGRAM,
             "time one window spent in a pipeline stage (hold: its "
             "frame's arrival to its release from a recovery hold; "
-            "queue: pool entry to solve submit)", "stage",
+            "queue: pool entry to solve submit; solve: submit to the "
+            "start of routing; route: routing start to its DECODED "
+            "frame written)", "stage",
         ),
         # -- lossy-channel accounting (repro.ingest.channel) -----------
         _spec(

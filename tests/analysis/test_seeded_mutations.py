@@ -68,6 +68,38 @@ class TestRL007SeededPromotion:
         assert any("alloc-no-dtype:batched_admm" in f.key for f in findings)
 
 
+class TestRL003SeededAllocation:
+    SOURCE = SRC / "solvers" / "batched.py"
+    STEP = "            buf_v, buf_u = zs[step + 1], us[step + 1]\n"
+    Z_PLUS = "            buf_v -= buf_u  # z+\n"
+
+    def test_pristine_step_loop_is_clean(self, tmp_path):
+        assert lint_pristine(tmp_path, self.SOURCE, "RL003") == []
+
+    def test_per_iteration_buffer_caught(self, tmp_path):
+        # batched_admm's step loop before the iterate history: a fresh
+        # output buffer per iteration instead of the next history slot
+        findings = mutate_and_lint(
+            tmp_path,
+            self.SOURCE,
+            self.STEP,
+            "            buf_v, buf_u = np.empty_like(work_z), us[step + 1]\n",
+            "RL003",
+        )
+        assert [f.key for f in findings] == ["np.empty_like"]
+
+    def test_iterate_copy_caught(self, tmp_path):
+        # keeping the new iterate by copying it out of its slot
+        findings = mutate_and_lint(
+            tmp_path,
+            self.SOURCE,
+            self.Z_PLUS,
+            self.Z_PLUS + "            work_z = buf_v.copy()\n",
+            "RL003",
+        )
+        assert [f.key for f in findings] == ["buf_v.copy"]
+
+
 class TestRL008SeededStaleGuard:
     SOURCE = SRC / "ingest" / "gateway.py"
     GUARD = (

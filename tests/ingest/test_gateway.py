@@ -1979,8 +1979,9 @@ class TestOrderingRegression:
 
             # force out-of-order completion: window 1's batch routes
             # before window 0's
-            gateway._route([pending[1]], fake_out(1))
-            gateway._route([pending[0]], fake_out(0))
+            started = asyncio.get_running_loop().time()
+            gateway._route([pending[1]], fake_out(1), started)
+            gateway._route([pending[0]], fake_out(0), started)
             assert session.result.indices == [1, 0]  # completion order
             ordered = session.result.ordered()
             assert ordered.indices == [0, 1]
@@ -2359,6 +2360,56 @@ class TestGatewayTelemetry:
         assert snap.histogram_total("ingest_solve_seconds").total >= 1
         # solve backend shipped its per-call delta into the same plane
         assert snap.counter_total("fleet_worker_tasks") >= 1
+
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_stages_add_up_to_the_window_latency(
+        self, small_config, database, lossy
+    ):
+        """hold + queue + solve is each window's latency, from the same
+        clock stamps, on a clean and on a lossy fec link; every decoded
+        window is observed routed exactly once."""
+        from repro.ingest import LossyChannel
+
+        config = small_config.replace(keyframe_interval=4)
+        record = database.load("100")
+        system = _system(config, record)
+
+        async def run():
+            gateway = IngestGateway(batch_size=4, flush_ms=50.0)
+            reader, writer = gateway.connect_local()
+            client = NodeClient(
+                system,
+                record,
+                max_packets=17,
+                interval_s=0.0,
+                lossy_channel=(
+                    LossyChannel(loss=0.1, seed=2011) if lossy else None
+                ),
+                fec=lossy,
+            )
+            await asyncio.wait_for(client.run(reader, writer), timeout=60.0)
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway
+
+        gateway = asyncio.run(run())
+        snap = gateway.telemetry.snapshot()
+        decoded = gateway.stats.windows_decoded
+        latency = snap.histogram_total("ingest_window_latency_seconds")
+        stages = {
+            stage: snap.histogram("ingest_stage_seconds", stage=stage)
+            for stage in ("hold", "queue", "solve", "route")
+        }
+        assert (stages["hold"] is not None) == lossy
+        assert latency.total == decoded
+        for stage in ("queue", "solve", "route"):
+            assert stages[stage].total == decoded, stage
+        covered = sum(
+            stages[stage].sum
+            for stage in ("hold", "queue", "solve")
+            if stages[stage] is not None
+        )
+        assert covered == pytest.approx(latency.sum, abs=1e-9)
 
     def test_stats_count_each_flush_reason(self):
         """Each of the four ``ingest_flushes`` reasons lands in its own

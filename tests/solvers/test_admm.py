@@ -17,10 +17,12 @@ import pytest
 from repro.config import SystemConfig
 from repro.core import EcgMonitorSystem
 from repro.core.batch import encode_record_windows
+from repro.ecg import SyntheticMitBih
 from repro.errors import SolverError
 from repro.metrics import prd
 from repro.sensing import SparseBinaryMatrix
 from repro.solvers import (
+    BatchWorkspace,
     StructuredOperator,
     admm_rho,
     batched_admm,
@@ -28,7 +30,13 @@ from repro.solvers import (
     batched_lambda_from_fraction,
     structured_batched_fista,
 )
-from repro.solvers.batched import ADMM_RHO_SCALE
+from repro.solvers import batched as batched_module
+from repro.solvers.batched import (
+    ADMM_CHECK_EVERY,
+    ADMM_RELAXATION,
+    ADMM_RHO_SCALE,
+    BatchedSolverResult,
+)
 from repro.solvers.sparse_apply import ADMM_PAIR_CACHE_SIZE
 from repro.wavelet import WaveletTransform
 
@@ -60,6 +68,31 @@ def saturate_block(paper_config, database):
     """The first full batch of the e2e ``saturate`` workload: eight
     paper-point windows each of records 100 and 119."""
     return _case(database, paper_config, ("100", "119"), 8)
+
+
+@pytest.fixture(scope="module")
+def compaction_case(saturate_block):
+    """An all-zero column, an easy synthetic sparse column and six real
+    windows: freezes spread over the solve and compact it repeatedly."""
+    structure = saturate_block["structure"]
+    rng = np.random.default_rng(5)
+    sparse = np.zeros(structure.n_coefficients)
+    sparse[rng.choice(sparse.size, 12, replace=False)] = (
+        rng.standard_normal(12) * 200.0
+    )
+    real = saturate_block["block"][:, 8:14]
+    return {
+        "structure": structure,
+        "block": np.concatenate(
+            [
+                np.zeros((real.shape[0], 1)),
+                (structure.dense64 @ sparse)[:, None],
+                real,
+            ],
+            axis=1,
+        ),
+        "windows": [None, None, *saturate_block["windows"][8:14]],
+    }
 
 
 def _objective(structure, block, lams, coefficients):
@@ -258,36 +291,31 @@ class TestColumnIndependence:
         np.testing.assert_array_equal(wide.iterations, again.iterations)
 
     def test_compaction_carries_every_column_array(
-        self, saturate_block, paper_config
+        self, compaction_case, paper_config
     ):
         """An all-zero column (done at iteration 1), an easy synthetic
         sparse column and real hard windows in one block: the working
         set compacts several times mid-solve, and every survivor must
         keep *its* ridge term, threshold and dual."""
-        structure = saturate_block["structure"]
-        rng = np.random.default_rng(5)
-        sparse = np.zeros(structure.n_coefficients)
-        sparse[rng.choice(sparse.size, 12, replace=False)] = (
-            rng.standard_normal(12) * 200.0
-        )
-        real = saturate_block["block"][:, 8:14]
-        case = {
-            "structure": structure,
-            "block": np.concatenate(
-                [
-                    np.zeros((real.shape[0], 1)),
-                    (structure.dense64 @ sparse)[:, None],
-                    real,
-                ],
-                axis=1,
-            ),
-            "windows": [None, None, *saturate_block["windows"][8:14]],
-        }
-        wide = _fast(case, paper_config)
+        wide = _fast(compaction_case, paper_config)
         # freezes spread out enough to compact more than once
         assert len(set(wide.iterations.tolist())) >= 4
         assert wide.iterations[0] == 1
-        _assert_columns_independent(case, paper_config, wide)
+        _assert_columns_independent(compaction_case, paper_config, wide)
+        structure, block = (
+            compaction_case["structure"],
+            compaction_case["block"],
+        )
+        _assert_matches_reference(
+            structure,
+            block,
+            batched_lambda_from_fraction(
+                structure.dense64, block, paper_config.lam
+            ),
+            admm_rho(paper_config.lam),
+            max_iterations=paper_config.max_iterations,
+            tolerance=paper_config.tolerance,
+        )
 
 
 def _structure(n=128, levels=3):
@@ -330,11 +358,283 @@ class TestResolventPair:
         np.testing.assert_array_equal(first.signals, again.signals)
 
 
+def reference_admm(structure, ys, lams, rho, max_iterations, tolerance):
+    """``batched_admm`` as it was before the chunked stop check: the
+    stop rule evaluated after every iteration, a converged column
+    snapshotted at once, 1-in-8 compaction.  The oracle the chunked
+    loop must match bit for bit."""
+    ys64 = np.asarray(ys, dtype=np.float64)
+    n = structure.n_coefficients
+    batch = ys64.shape[1]
+    lams = np.broadcast_to(np.asarray(lams, dtype=np.float64), (batch,))
+    p32, ridge_t64 = structure.admm_pair(rho)
+    work_ridge = (ridge_t64.T @ ys64).astype(np.float32)
+    work_cut = np.empty((n, batch), dtype=np.float32)
+    work_cut[...] = (lams / rho).astype(np.float32)
+    work_floor = -work_cut
+    work_z = np.zeros((n, batch), dtype=np.float32)
+    work_u = np.zeros((n, batch), dtype=np.float32)
+    buf_v = np.empty_like(work_z)
+    buf_u = np.empty_like(work_z)
+    buf_diff = np.empty_like(work_z)
+    relax = np.float32(ADMM_RELAXATION)
+    carry = np.float32(ADMM_RELAXATION - 1.0)
+    alpha = np.zeros((n, batch), dtype=np.float32)
+    order = np.arange(batch)
+    live = np.ones(batch, dtype=bool)
+    z_norms = np.zeros(batch, dtype=np.float64)
+    iterations = np.zeros(batch, dtype=np.int64)
+    converged = np.zeros(batch, dtype=bool)
+    total_iterations = 0
+    for iteration in range(1, max_iterations + 1):
+        total_iterations = iteration
+        np.subtract(work_z, work_u, out=buf_diff)
+        np.matmul(p32, buf_diff, out=buf_v)
+        buf_v += work_ridge
+        buf_v *= relax
+        np.multiply(work_z, carry, out=buf_diff)
+        buf_v -= buf_diff
+        buf_v += work_u
+        np.minimum(buf_v, work_cut, out=buf_u)
+        np.maximum(buf_u, work_floor, out=buf_u)
+        buf_v -= buf_u
+        np.subtract(buf_v, work_z, out=buf_diff)
+        primal = np.sqrt(
+            np.einsum("ij,ij->j", buf_diff, buf_diff)
+        ).astype(np.float64)
+        np.subtract(buf_u, work_u, out=buf_diff)
+        dual = np.sqrt(
+            np.einsum("ij,ij->j", buf_diff, buf_diff)
+        ).astype(np.float64)
+        bound = tolerance * np.maximum(z_norms, 1.0)
+        finished = live & (primal < bound) & (dual < bound)
+        work_z, buf_v = buf_v, work_z
+        work_u, buf_u = buf_u, work_u
+        z_norms = np.sqrt(
+            np.einsum("ij,ij->j", work_z, work_z)
+        ).astype(np.float64)
+        if finished.any():
+            done = order[finished]
+            alpha[:, done] = work_z[:, finished]
+            iterations[done] = iteration
+            converged[done] = True
+            live[finished] = False
+            frozen = live.size - int(np.count_nonzero(live))
+            if frozen == live.size:
+                break
+            if frozen >= (live.size + 7) // 8:
+                work_ridge = np.ascontiguousarray(work_ridge[:, live])
+                work_cut = np.ascontiguousarray(work_cut[:, live])
+                work_floor = np.ascontiguousarray(work_floor[:, live])
+                work_z = np.ascontiguousarray(work_z[:, live])
+                work_u = np.ascontiguousarray(work_u[:, live])
+                z_norms = z_norms[live].copy()
+                order = order[live]
+                live = np.ones(order.size, dtype=bool)
+                buf_v = np.empty_like(work_z)
+                buf_u = np.empty_like(work_z)
+                buf_diff = np.empty_like(work_z)
+    still_running = order[live]
+    alpha[:, still_running] = work_z[:, live]
+    iterations[still_running] = total_iterations
+    return alpha, iterations, converged, total_iterations
+
+
+def _assert_matches_reference(structure, ys, lams, rho, **kwargs):
+    """``batched_admm`` returns exactly what :func:`reference_admm`
+    does on this block; the chunked result for further checks."""
+    result = batched_admm(structure, ys, lams, rho, **kwargs)
+    alpha, iterations, converged, total = reference_admm(
+        structure, ys, lams, rho, **kwargs
+    )
+    np.testing.assert_array_equal(result.coefficients, alpha)
+    np.testing.assert_array_equal(result.iterations, iterations)
+    np.testing.assert_array_equal(result.converged, converged)
+    assert result.stop_reasons == [
+        "tolerance" if flag else "max_iterations" for flag in converged
+    ]
+    assert result.total_iterations == total == iterations.max()
+    return result
+
+
+@pytest.fixture(scope="module", params=[2011, 7])
+def bench_block(request, paper_config):
+    """Four paper-point windows of each bench record, one block, from
+    two synthetic corpora."""
+    database = SyntheticMitBih(duration_s=20.0, seed=request.param)
+    case = _case(database, paper_config, BENCH_RECORDS, 4)
+    structure, block = case["structure"], case["block"]
+    lams = batched_lambda_from_fraction(
+        structure.dense64, block, paper_config.lam
+    )
+    return structure, block, lams
+
+
+class TestChunkedStopCheck:
+    """The stop rule is read once per ``ADMM_CHECK_EVERY`` iterations
+    from an iterate history; every column still stops at the iteration
+    and on the iterate the per-iteration check picked."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 16])
+    def test_bit_identical_to_the_per_iteration_loop(
+        self, bench_block, paper_config, width
+    ):
+        structure, block, lams = bench_block
+        for start in range(0, block.shape[1], width):
+            columns = slice(start, start + width)
+            _assert_matches_reference(
+                structure,
+                np.ascontiguousarray(block[:, columns]),
+                lams[columns],
+                admm_rho(paper_config.lam),
+                max_iterations=paper_config.max_iterations,
+                tolerance=paper_config.tolerance,
+            )
+
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_structured_solve_unchanged(
+        self, bench_block, paper_config, width, monkeypatch
+    ):
+        """The hybrid pipeline (gate, polish, synthesis) returns the
+        same bits on the chunked loop as on the per-iteration one."""
+        structure, block, _ = bench_block
+        kwargs = dict(
+            max_iterations=paper_config.max_iterations,
+            tolerance=paper_config.tolerance,
+        )
+        blocks = [
+            np.ascontiguousarray(block[:, start : start + width])
+            for start in range(0, block.shape[1], width)
+        ]
+        chunked = [
+            structured_batched_fista(structure, ys, paper_config.lam, **kwargs)
+            for ys in blocks
+        ]
+
+        def per_iteration(structure, ys, lams, rho, workspace=None, **kw):
+            alpha, iterations, converged, total = reference_admm(
+                structure, ys, lams, rho, **kw
+            )
+            return BatchedSolverResult(
+                alpha, iterations, converged, None, total
+            )
+
+        monkeypatch.setattr(batched_module, "batched_admm", per_iteration)
+        for ys, result in zip(blocks, chunked):
+            oracle = structured_batched_fista(
+                structure, ys, paper_config.lam, **kwargs
+            )
+            for name in ("signals", "coefficients", "iterations", "converged"):
+                np.testing.assert_array_equal(
+                    getattr(result, name), getattr(oracle, name)
+                )
+
+    @pytest.mark.parametrize("cap", [1, 7, 9, 13])
+    def test_a_cap_inside_a_chunk(self, compaction_case, paper_config, cap):
+        """A cap that is not a multiple of the chunk: every column the
+        rule did not stop reports exactly the cap."""
+        structure, block = compaction_case["structure"], compaction_case["block"]
+        lams = batched_lambda_from_fraction(
+            structure.dense64, block, paper_config.lam
+        )
+        result = _assert_matches_reference(
+            structure,
+            block,
+            lams,
+            admm_rho(paper_config.lam),
+            max_iterations=cap,
+            tolerance=paper_config.tolerance,
+        )
+        assert result.converged[0] and result.iterations[0] == 1
+        assert (result.iterations[~result.converged] == cap).all()
+        assert not result.converged.all()
+
+    def test_stops_on_the_first_and_last_step_of_a_chunk(
+        self, saturate_block, paper_config
+    ):
+        """Width-1 solves whose stop falls on a chunk's first step and
+        on its last step (found by sweeping the tolerance)."""
+        structure = saturate_block["structure"]
+        ys = np.ascontiguousarray(saturate_block["block"][:, :1])
+        lams = batched_lambda_from_fraction(
+            structure.dense64, ys, paper_config.lam
+        )
+        rho = admm_rho(paper_config.lam)
+        wanted = {1, 0}
+        for tolerance in paper_config.tolerance * 1.07 ** np.arange(40):
+            result = _assert_matches_reference(
+                structure,
+                ys,
+                lams,
+                rho,
+                max_iterations=paper_config.max_iterations,
+                tolerance=float(tolerance),
+            )
+            assert result.converged[0]
+            wanted.discard(int(result.iterations[0]) % ADMM_CHECK_EVERY)
+            if not wanted:
+                break
+        assert not wanted, f"no stop on step(s) {wanted} of a chunk"
+
+    def test_repeated_same_width_solve_allocates_no_arena(
+        self, saturate_block, paper_config
+    ):
+        structure = saturate_block["structure"]
+        ys = saturate_block["block"]
+        lams = batched_lambda_from_fraction(
+            structure.dense64, ys, paper_config.lam
+        )
+        workspace = BatchWorkspace()
+        solve = lambda: batched_admm(  # noqa: E731
+            structure,
+            ys,
+            lams,
+            admm_rho(paper_config.lam),
+            max_iterations=paper_config.max_iterations,
+            tolerance=paper_config.tolerance,
+            workspace=workspace,
+        )
+        first = solve()
+        arenas = {key: id(buf) for key, buf in workspace._arenas.items()}
+        second = solve()
+        assert {key: id(buf) for key, buf in workspace._arenas.items()} == (
+            arenas
+        )
+        np.testing.assert_array_equal(first.coefficients, second.coefficients)
+        assert first.coefficients is not second.coefficients
+
+
 class TestValidation:
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
     def test_bad_rho_rejected(self, rho):
         with pytest.raises(SolverError, match="rho"):
             batched_admm(_structure(), np.ones((64, 2)), 0.1, rho)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -0.1])
+    def test_bad_lams_rejected(self, lam):
+        """A NaN weight passed ``lams <= 0`` and ran its column to the
+        cap, returning NaN coefficients (and, on the hybrid path, a
+        second full float64 solve in the polish)."""
+        structure = _structure()
+        lams = np.array([0.1, lam])
+        with pytest.raises(SolverError, match="lams"):
+            batched_admm(structure, np.ones((64, 2)), lams, 0.3)
+        with pytest.raises(SolverError, match="lams"):
+            batched_fista(structure.dense64, np.ones((64, 2)), lams)
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, 0.0, -1e-5])
+    def test_bad_tolerance_rejected(self, tolerance):
+        """A NaN tolerance passed ``tolerance <= 0``; no column ever
+        met the stop rule."""
+        structure = _structure()
+        with pytest.raises(SolverError, match="tolerance"):
+            batched_admm(
+                structure, np.ones((64, 2)), 0.1, 0.3, tolerance=tolerance
+            )
+        with pytest.raises(SolverError, match="tolerance"):
+            batched_fista(
+                structure.dense64, np.ones((64, 2)), 0.1, tolerance=tolerance
+            )
 
     @pytest.mark.parametrize("fraction", [np.nan, np.inf, 0.0])
     def test_non_finite_fraction_rejected(self, fraction):

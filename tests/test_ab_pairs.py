@@ -72,11 +72,55 @@ def test_worse_past_the_bound(verdict):
 
 def test_unresolved_when_the_parent_spreads_past_the_bound(verdict):
     noisy = [50.0, 150.0, 60.0, 140.0, 100.0, 55.0, 145.0, 100.0, 65.0, 135.0]
-    assert verdict(noisy, list(noisy), "higher", 0.25) == "unresolved"
+    assert verdict(noisy, [v + 0.5 for v in noisy], "higher", 0.25) == (
+        "unresolved"
+    )
 
 
-def test_identical_runs_are_within_bound(verdict):
-    assert verdict([7.0] * 10, [7.0] * 10, "lower", 0.06) == "within bound"
+def test_identical_runs_read_identical(verdict):
+    assert verdict([7.0] * 10, [7.0] * 10, "lower", 0.06) == "identical"
+
+
+# the saturate prd_mean_pct of one checkout, in the benchmark child and
+# in another process: equal to eight digits, never a change's doing
+PRD_CHILD = 8.959949927788653
+PRD_ELSEWHERE = 8.959949960619928
+
+
+def test_a_ninth_digit_difference_is_a_tie(ab_pairs, verdict):
+    parent, change = [PRD_CHILD] * 5, [PRD_ELSEWHERE] * 5
+    assert ab_pairs.relative_difference(PRD_CHILD, PRD_ELSEWHERE) < 1e-8
+    assert ab_pairs.wins_losses(parent, change, "lower") == (0, 0)
+    # neither gain nor worse, however tight the bound
+    assert verdict(parent, change, "lower", 0.0) == "within bound"
+    assert verdict(change, parent, "lower", 0.0) == "within bound"
+
+
+def test_a_difference_at_the_tie_threshold_counts(ab_pairs, verdict):
+    faster = [p * (1 - 2e-6) for p in PARENT]
+    assert ab_pairs.wins_losses(PARENT, faster, "lower") == (10, 0)
+    assert ab_pairs.wins_losses(PARENT, faster, "higher") == (0, 10)
+    assert ab_pairs.relative_difference(0.0, 0.0) == 0.0
+
+
+def test_table_prints_the_largest_relative_difference(ab_pairs, capsys):
+    runs = {
+        "parent": [{"prd_mean_pct": PRD_CHILD, "ack_p50_ms": 10.0}] * 3,
+        "change": [{"prd_mean_pct": PRD_ELSEWHERE, "ack_p50_ms": 10.0}] * 3,
+    }
+    ab_pairs.print_table(
+        "saturate",
+        5,
+        runs,
+        {"prd_mean_pct": "lower", "ack_p50_ms": "lower"},
+        {"prd_mean_pct": 0.1, "ack_p50_ms": 0.25},
+    )
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line for line in lines if line}
+    assert "3.7e-09  0-0" in rows["prd_mean_pct"]
+    assert rows["prd_mean_pct"].endswith("within bound")
+    assert "0.0e+00  0-0" in rows["ack_p50_ms"]
+    assert rows["ack_p50_ms"].endswith("identical")
 
 
 DECLARED = ["saturate", "paced", "lossy_fec", "offline_ref64"]
