@@ -10,9 +10,11 @@
 # repro-lint (python -m repro.analysis) statically enforces the stack's
 # invariants — event-loop blocking, lock discipline, hot-loop
 # allocations, the telemetry catalog, exception hygiene, README/CLI
-# drift, and the dataflow tier — and runs in both modes; its JSON
-# findings report lands in benchmarks/results/.  A finding is fixed or
-# carries an inline justified suppression; nothing is grandfathered.
+# drift, await atomicity, frame dispatch, and on the dataflow tier
+# precision flow and process-boundary payloads — and runs in both
+# modes; its JSON findings report lands in benchmarks/results/.  A
+# finding is fixed or carries an inline justified suppression; nothing
+# is grandfathered.
 #
 # The tier-1 command is the ROADMAP-pinned one.  It carries every
 # correctness claim of the serving stack (bit-identity, conservation,

@@ -1,4 +1,4 @@
-"""Forward value-kind lattice over the per-function CFG.
+"""Forward value-kind lattice, one syntax-directed pass per function.
 
 Every expression in an analyzed function gets a *kind* — a coarse
 abstraction of what the value is at the process/precision boundaries
@@ -21,21 +21,34 @@ element: a dict holding an ``f64-array`` value is itself an
 ``f64-array`` payload for boundary purposes — how RL009 sees an
 ndarray smuggled inside a task dict.
 
-The analysis is a forward worklist to fixpoint over
-:class:`~repro.analysis.cfg.CFG` blocks (assignments, ``astype``/
-allocator ``dtype=`` arguments, attribute loads, same-module annotated
-call returns), then one recording pass that annotates every expression
-node with its kind.  Known limits, by design (documented in
-docs/architecture.md §7): intra-procedural only — unannotated calls
-and foreign attributes fall to ``other`` (silence, not noise); a name
-bound on only one branch keeps its bound kind at the join.
+The analysis walks a function's statements in source order, carrying
+an environment of kinds (assignments, ``astype``/allocator ``dtype=``
+arguments, attribute loads, same-module annotated call returns) and
+annotating every expression node it evaluates.  The control structure
+is the syntax's own:
+
+- ``if``/``try``/``match`` run each arm on a copy of the environment
+  and :func:`join` the arms that fall through (a ``try``'s handlers
+  start from the join of the states before and after its body);
+- ``return``/``raise``/``break``/``continue`` end their path; a
+  ``break`` joins the loop's exit, a ``continue`` its back-edge;
+- a loop body runs twice, the second time on the join of the state
+  before the loop and the state the first pass left, and the loop
+  exits on the join of the state before it and the second pass's
+  end — the zero-iteration path and one trip round the back-edge.
+
+Known limits, by design (documented in docs/architecture.md §7):
+intra-procedural only — unannotated calls and foreign attributes fall
+to ``other`` (silence, not noise); a name bound on only one branch
+keeps its bound kind at the join; a kind that needs a third trip round
+a loop to change is not seen; a handler sees the states before and
+after its ``try`` body, not the ones in between.
 """
 
 from __future__ import annotations
 
 import ast
 
-from .cfg import CFG, bound_names, build_cfg, header_exprs
 from .core import dotted_name
 
 # -- the public lattice -------------------------------------------------
@@ -133,7 +146,7 @@ def _taint(kinds: list) -> str:
 
 
 def join(a: object, b: object) -> object:
-    """Lattice merge at a CFG join: equal kinds survive, arrays of
+    """Lattice merge where paths meet: equal kinds survive, arrays of
     conflicting dtype widen to ``ndarray-unknown``, and a *dangerous*
     kind (array/operator/config) survives a merge with ``other`` — a
     value that may be an ndarray on one path must still be treated as
@@ -181,14 +194,107 @@ def promote(a: str, b: str) -> str:
     return OTHER
 
 
-def _join_env(left: dict[str, str], right: dict[str, str]) -> dict[str, str]:
-    merged = dict(left)
-    for name, kind in right.items():
-        if name in merged:
-            merged[name] = join(merged[name], kind)
-        else:
-            merged[name] = kind  # bound on one branch only: keep it
+def dtype_arg(call: ast.Call, tail: str) -> ast.expr | None:
+    """A numpy call's dtype argument: ``dtype=``, or for an allocator in
+    ``ALLOC_DEFAULT_F64`` the positional one after the shape
+    (``np.zeros(shape, dtype)``; after the fill value for
+    ``np.full(shape, fill, dtype)``)."""
+    for keyword in call.keywords:
+        if keyword.arg == "dtype":
+            return keyword.value
+    if tail in ALLOC_DEFAULT_F64:
+        position = 2 if tail == "full" else 1
+        if len(call.args) > position:
+            return call.args[position]
+    return None
+
+
+def _merge(*envs: dict | None) -> dict | None:
+    """Join the environments of the paths that reach a point (``None``
+    is a path that left: return/raise/break/continue); ``None`` when
+    none does."""
+    live = [env for env in envs if env is not None]
+    if not live:
+        return None
+    merged = dict(live[0])
+    for env in live[1:]:
+        for name, kind in env.items():
+            # a name bound on one path only keeps its kind
+            merged[name] = join(merged[name], kind) if name in merged else kind
     return merged
+
+
+# -- shallow statement views --------------------------------------------
+
+
+def header_exprs(stmt: ast.stmt) -> list[ast.expr]:
+    """The expressions a statement evaluates itself (a compound
+    statement's header), excluding its body statements."""
+    if isinstance(stmt, (ast.If, ast.While, ast.Assert)):
+        return [stmt.test]
+    if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        return [stmt.iter]
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [item.context_expr for item in stmt.items]
+    if isinstance(stmt, ast.Match):
+        return [stmt.subject]
+    if isinstance(stmt, ast.Raise):
+        return [e for e in (stmt.exc, stmt.cause) if e is not None]
+    if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.Expr)):
+        return [stmt.value]
+    if isinstance(stmt, (ast.Return, ast.AnnAssign)):
+        return [stmt.value] if stmt.value is not None else []
+    if isinstance(stmt, ast.Delete):
+        return list(stmt.targets)
+    return []
+
+
+def _target_names(target: ast.expr) -> list[str]:
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        names: list[str] = []
+        for element in target.elts:
+            names.extend(_target_names(element))
+        return names
+    if isinstance(target, ast.Starred):
+        return _target_names(target.value)
+    return []
+
+
+def bound_names(stmt: ast.stmt | ast.ExceptHandler) -> list[str]:
+    """The local names a statement (shallowly) binds."""
+    if isinstance(stmt, ast.Assign):
+        return [n for target in stmt.targets for n in _target_names(target)]
+    if isinstance(stmt, (ast.AugAssign, ast.AnnAssign, ast.For, ast.AsyncFor)):
+        return _target_names(stmt.target)
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [
+            name
+            for item in stmt.items
+            if item.optional_vars is not None
+            for name in _target_names(item.optional_vars)
+        ]
+    if isinstance(stmt, ast.ExceptHandler):
+        return [stmt.name] if stmt.name else []
+    if isinstance(
+        stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    ):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return [
+            (alias.asname or alias.name).split(".")[0]
+            for alias in stmt.names
+        ]
+    return []
+
+
+def _is_wildcard(case: ast.match_case) -> bool:
+    return (
+        isinstance(case.pattern, ast.MatchAs)
+        and case.pattern.pattern is None
+        and case.guard is None
+    )
 
 
 def annotation_kind(annotation: ast.expr | None) -> str | tuple:
@@ -255,7 +361,8 @@ def module_return_kinds(tree: ast.Module) -> dict[str, object]:
 
 
 class KindAnalysis:
-    """Run the kind lattice over one function to fixpoint.
+    """Run the kind lattice over one function in one syntax-directed
+    pass.
 
     After :meth:`run`, :meth:`kind_of` answers for any expression node
     in the function body (by node identity)."""
@@ -266,10 +373,12 @@ class KindAnalysis:
         module_returns: dict[str, object] | None = None,
     ) -> None:
         self.func = func
-        self.cfg: CFG = build_cfg(func)
         self.module_returns = module_returns or {}
         self.kinds: dict[int, object] = {}
         self._seed = self._seed_env()
+        #: per enclosing loop: the environments its ``break``s and
+        #: ``continue``s leave with
+        self._loops: list[tuple[list[dict], list[dict]]] = []
 
     # ------------------------------------------------------------------
     def _seed_env(self) -> dict[str, object]:
@@ -292,39 +401,75 @@ class KindAnalysis:
         return env
 
     def run(self) -> "KindAnalysis":
-        in_envs: dict[int, dict[str, object]] = {
-            self.cfg.entry.id: dict(self._seed)
-        }
-        order = self.cfg.rpo()
-        # worklist to fixpoint (joins stabilize: the lattice is finite
-        # and join is monotone towards NDARRAY/OTHER)
-        pending = [block.id for block in order]
-        out_envs: dict[int, dict[str, object]] = {}
-        while pending:
-            bid = pending.pop(0)
-            block = self.cfg.blocks[bid]
-            env: dict[str, object] = {}
-            if bid == self.cfg.entry.id:
-                env = dict(self._seed)
-            for pred in block.preds:
-                if pred in out_envs:
-                    env = _join_env(env, out_envs[pred])
-            in_envs[bid] = dict(env)
-            for stmt in block.stmts:
-                self._transfer(stmt, env, record=False)
-            if out_envs.get(bid) != env:
-                out_envs[bid] = env
-                for succ in block.succs:
-                    if succ not in pending:
-                        pending.append(succ)
-        # recording pass: annotate every expression with its fixpoint
-        # entry environment
-        for block in order:
-            env = dict(in_envs.get(block.id, {}))
-            for stmt in block.stmts:
-                self._transfer(stmt, env, record=True)
-        self._in_envs = in_envs
+        self._body(self.func.body, dict(self._seed))
         return self
+
+    def _body(self, body: list[ast.stmt], env: dict | None) -> dict | None:
+        """Transfer ``body`` in source order; the environment after it,
+        or ``None`` when every path left it."""
+        for stmt in body:
+            if env is None:
+                env = {}  # dead code after a terminator: still annotated
+            env = self._statement(stmt, env)
+        return env
+
+    def _statement(self, stmt: ast.stmt, env: dict) -> dict | None:
+        if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+            return self._loop(stmt, env)
+        self._transfer(stmt, env, record=True)  # header-level effects
+        if isinstance(stmt, ast.If):
+            return _merge(
+                self._body(stmt.body, dict(env)),
+                self._body(stmt.orelse, dict(env)),
+            )
+        if isinstance(stmt, (ast.With, ast.AsyncWith)):
+            return self._body(stmt.body, env)
+        if isinstance(stmt, ast.Try):
+            done = self._body(stmt.body + stmt.orelse, dict(env))
+            # a handler may run before any body statement completed or
+            # after all did (mid-body states are not modeled)
+            raised = _merge(env, done)
+            arms = [done]
+            for handler in stmt.handlers:
+                entry = dict(raised)
+                self._transfer(handler, entry, record=True)
+                arms.append(self._body(handler.body, entry))
+            after = _merge(*arms)
+            if stmt.finalbody:
+                return self._body(
+                    stmt.finalbody, env if after is None else after
+                )
+            return after
+        if isinstance(stmt, ast.Match):
+            arms = [self._body(case.body, dict(env)) for case in stmt.cases]
+            if not any(_is_wildcard(case) for case in stmt.cases):
+                arms.append(env)  # no case matched
+            return _merge(*arms)
+        if isinstance(stmt, (ast.Break, ast.Continue)):
+            if self._loops:
+                breaks, continues = self._loops[-1]
+                exits = continues if isinstance(stmt, ast.Continue) else breaks
+                exits.append(env)
+            return None
+        if isinstance(stmt, (ast.Return, ast.Raise)):
+            return None
+        return env
+
+    def _loop(self, stmt, env: dict) -> dict | None:
+        """Two passes over the body, each joined with ``env``."""
+        entry = env
+        for _ in range(2):
+            head = dict(entry)
+            # the header re-runs per iteration: a while test, or a
+            # for-target rebind
+            self._transfer(stmt, head, record=True)
+            self._loops.append(([], []))
+            end = self._body(stmt.body, head)
+            breaks, continues = self._loops.pop()
+            entry = _merge(env, end, *continues)
+        exit_env = dict(entry)
+        self._transfer(stmt, exit_env, record=True)
+        return _merge(self._body(stmt.orelse, exit_env), *breaks)
 
     def kind_of(self, node: ast.AST) -> str:
         kind = self.kinds.get(id(node), OTHER)
@@ -606,16 +751,7 @@ class KindAnalysis:
 
         if root in _NUMPY_ROOTS and tail is not None:
             out = kw_kinds.get("out")
-            dtype_expr = None
-            for keyword in node.keywords:
-                if keyword.arg == "dtype":
-                    dtype_expr = keyword.value
-            if (
-                dtype_expr is None
-                and tail in ALLOC_DEFAULT_F64
-                and len(node.args) >= 2
-            ):
-                dtype_expr = node.args[1]  # np.zeros(shape, dtype)
+            dtype_expr = dtype_arg(node, tail)
             dtype = self._dtype_kind(dtype_expr, env)
             if tail in ALLOC_DEFAULT_F64:
                 if dtype is not None:

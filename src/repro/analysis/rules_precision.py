@@ -33,6 +33,7 @@ from .dataflow import (
     UFUNCS,
     _NUMPY_ROOTS,
     analyze_functions,
+    dtype_arg,
 )
 
 
@@ -112,11 +113,7 @@ class PrecisionFlowRule(Rule):
             return []
         tail = parts[1]
         if tail in ALLOC_DEFAULT_F64:
-            has_dtype = (
-                any(kw.arg == "dtype" for kw in node.keywords)
-                or len(node.args) >= 2  # np.zeros(shape, dtype)
-            )
-            if not has_dtype:
+            if dtype_arg(node, tail) is None:
                 return [
                     Finding(
                         rule=self.id,

@@ -5,8 +5,7 @@ pipeline per run:
 
 1. discover ``*.py`` files (default: ``src/`` under the root, the
    runtime the invariants protect; pass explicit paths to lint
-   anything else, e.g. the rule-test fixtures; ``--changed [REF]``
-   narrows to files changed vs a git base ref for fast PR feedback);
+   anything else, e.g. the rule-test fixtures);
 2. parse each into a :class:`~repro.analysis.core.SourceModule` and
    run every registered rule over it, then each rule's cross-module
    :meth:`~repro.analysis.core.Rule.finish` hook;
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -65,48 +63,14 @@ def _relative(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
-def changed_files(root: Path, base: str) -> set[str] | None:
-    """Repo-relative paths changed vs ``base`` (plus untracked files),
-    or None when git is unavailable — the caller falls back to the
-    full tree so ``--changed`` never silently lints nothing."""
-    commands = (
-        ["git", "diff", "--name-only", "-z", base, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard", "-z"],
-    )
-    names: set[str] = set()
-    for command in commands:
-        try:
-            result = subprocess.run(
-                command,
-                cwd=root,
-                capture_output=True,
-                text=True,
-                timeout=30,
-            )
-        except (OSError, subprocess.SubprocessError):
-            return None
-        if result.returncode != 0:
-            return None
-        names.update(n for n in result.stdout.split("\0") if n)
-    return names
-
-
 def run_lint(
     root: Path,
     paths: list[str] | None = None,
     select: set[str] | None = None,
-    only_rels: set[str] | None = None,
 ) -> tuple[list[Finding], Project, int]:
     """Run every (selected) rule; returns (findings, project,
-    suppressed-count).  Findings are sorted by file, line, rule.
-    ``only_rels`` (from ``--changed``) restricts the discovered set to
-    those repo-relative paths — a filter, not an expansion, so test
-    fixtures stay out even when they changed."""
+    suppressed-count).  Findings are sorted by file, line, rule."""
     files = discover_files(root, paths)
-    if only_rels is not None:
-        files = [
-            path for path in files if _relative(path, root) in only_rels
-        ]
     modules = [
         SourceModule(
             path, _relative(path, root), path.read_text(encoding="utf-8")
@@ -183,18 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help=(
-            "lint only files changed vs REF (default HEAD; plus "
-            "untracked files); falls back to the full tree when git "
-            "is unavailable"
-        ),
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json", "github"),
         default="text",
@@ -239,19 +191,8 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-    only_rels = None
-    if args.changed is not None:
-        only_rels = changed_files(root, args.changed)
-        if only_rels is None:
-            print(
-                "repro-lint: git unavailable; --changed falling back "
-                "to the full tree",
-                file=sys.stderr,
-            )
     try:
-        findings, _, suppressed = run_lint(
-            root, args.paths, select, only_rels
-        )
+        findings, _, suppressed = run_lint(root, args.paths, select)
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)
         return 2

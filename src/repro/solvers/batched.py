@@ -717,7 +717,6 @@ def structured_batched_fista(
     fractions: np.ndarray | float,
     max_iterations: int = 2000,
     tolerance: float = 1e-4,
-    iterate_dtype: np.dtype | type = np.float32,
     workspace: BatchWorkspace | None = None,
 ) -> HybridSolveResult:
     """Solve a measurement block against a factored ``A = Phi Psi``.
@@ -727,13 +726,11 @@ def structured_batched_fista(
     1. per-column lambdas from one float64 correlation GEMM (identical
        weights to the pure-float64 path, so the two backends optimize
        the same objective);
-    2. the iteration in ``iterate_dtype`` — float32 is the fast path,
-       :func:`batched_admm` at :func:`admm_rho` of the block's
-       fractions; float64 is the structured reference used by the
-       per-lever benches, :func:`batched_fista` at the scalar ``L``;
-    3. synthesis as a dense ``Psi`` GEMM in the iterate precision (the
-       ``Psi``-side ops stay dense — an orthonormal basis has no index
-       structure to gather);
+    2. the float32 iteration, :func:`batched_admm` at
+       :func:`admm_rho` of the block's fractions;
+    3. synthesis as a dense float32 ``Psi`` GEMM (the ``Psi``-side ops
+       stay dense — an orthonormal basis has no index structure to
+       gather);
     4. the **sparse residual gate**: ``||y - Phi s||`` per column via
        the scatter/gather kernels of
        :class:`~repro.solvers.sparse_apply.SparsePhiApply` (``n*d``
@@ -751,11 +748,6 @@ def structured_batched_fista(
     every array in the returned :class:`HybridSolveResult` is freshly
     allocated and safe to hold across subsequent solves.
     """
-    iterate_dtype = np.dtype(iterate_dtype)
-    if iterate_dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise SolverError(
-            f"iterate_dtype must be float32 or float64, got {iterate_dtype}"
-        )
     ys64 = np.asarray(
         check_measurement_matrix(structure.dense64, ys), dtype=np.float64
     )
@@ -766,39 +758,25 @@ def structured_batched_fista(
 
     lams = batched_lambda_from_fraction(structure.dense64, ys64, fractions)
 
-    if iterate_dtype == np.float32:
-        # the float32 leg may legitimately overflow to inf/NaN on a
-        # column single precision cannot represent — that is exactly
-        # what the residual gate below exists to catch, so numpy's
-        # overflow/invalid warnings are noise here
-        # repro-lint: f32
-        with np.errstate(over="ignore", invalid="ignore"):
-            fast = batched_admm(
-                structure,
-                ys64,
-                lams,
-                admm_rho(fractions),
-                max_iterations=max_iterations,
-                tolerance=tolerance,
-                workspace=workspace,
-            )
-            synth = workspace.arena("synth32", (samples, batch), np.float32)
-            np.matmul(structure.psi32, fast.coefficients, out=synth)
-        signals = synth.astype(np.float64)
-        coefficients = fast.coefficients.astype(np.float64)
-    else:
-        fast = batched_fista(
-            structure.dense64,
+    # the float32 leg may legitimately overflow to inf/NaN on a column
+    # single precision cannot represent — that is exactly what the
+    # residual gate below exists to catch, so numpy's overflow/invalid
+    # warnings are noise here
+    # repro-lint: f32
+    with np.errstate(over="ignore", invalid="ignore"):
+        fast = batched_admm(
+            structure,
             ys64,
             lams,
+            admm_rho(fractions),
             max_iterations=max_iterations,
             tolerance=tolerance,
-            lipschitz=structure.lipschitz,
-            operator_t=structure.dense64_t,
             workspace=workspace,
         )
-        coefficients = fast.coefficients
-        signals = structure.psi64 @ coefficients
+        synth = workspace.arena("synth32", (samples, batch), np.float32)
+        np.matmul(structure.psi32, fast.coefficients, out=synth)
+    signals = synth.astype(np.float64)
+    coefficients = fast.coefficients.astype(np.float64)
 
     gate_gather = workspace.arena(
         "phi_gather", (structure.phi.nnz, batch), np.float64
@@ -821,7 +799,7 @@ def structured_batched_fista(
     polished = np.zeros(batch, dtype=bool)
     total_iterations = fast.total_iterations
 
-    if iterate_dtype == np.float32 and not within.all():
+    if not within.all():
         bad = np.flatnonzero(~within)
         ys_bad = np.ascontiguousarray(ys64[:, bad])
         x0 = coefficients[:, bad]  # fancy indexing: already a copy
@@ -934,7 +912,6 @@ class BatchedFista:
         fractions: np.ndarray | float,
         max_iterations: int = 2000,
         tolerance: float = 1e-4,
-        iterate_dtype: np.dtype | type = np.float32,
     ) -> HybridSolveResult:
         """Run the hybrid-precision structured pipeline on one block.
 
@@ -954,7 +931,6 @@ class BatchedFista:
             fractions,
             max_iterations=max_iterations,
             tolerance=tolerance,
-            iterate_dtype=iterate_dtype,
             workspace=self._workspace,
         )
 

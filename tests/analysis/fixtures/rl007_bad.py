@@ -10,7 +10,9 @@ def fast_leg(psi):
     gain = iterate * np.float64(0.5)  # line 10: f32 x f64 binop
     table = np.float64(1.0)
     mixed = np.add(iterate, table)  # line 12: binary ufunc promotion
-    return gain + mixed + weights + bias
+    fill = np.full(iterate.shape, 0.5)  # line 13: 0.5 is the fill, not a dtype
+    blend = iterate + fill  # line 14: f32 x f64 binop
+    return gain + mixed + weights + bias + blend
 
 
 def hot_leg(block, steps):
@@ -19,5 +21,5 @@ def hot_leg(block, steps):
     total = np.zeros_like(block32)
     # repro-lint: hot
     for _ in range(steps):
-        total += block32 * scale  # line 22: promotion in a hot loop
+        total += block32 * scale  # line 24: promotion in a hot loop
     return total

@@ -10,7 +10,8 @@ def fast_leg(psi):
     gain = iterate * np.float32(0.5)  # f32 scalar: no promotion
     out = np.empty(iterate.shape, dtype=iterate.dtype)
     np.multiply(iterate, weights, out=out)
-    return gain + out + bias
+    half = np.full(iterate.shape, 0.5, np.float32)  # dtype after the fill
+    return gain + out + bias + half
 
 
 def polish_exit(block, steps):

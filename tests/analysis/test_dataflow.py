@@ -1,5 +1,6 @@
-"""Unit tests for the dataflow tier's engine: the CFG builder,
-reaching definitions, and the value-kind lattice/transfer functions.
+"""Unit tests for the dataflow tier's engine: the syntax-directed
+pass, its statement views, and the value-kind lattice/transfer
+functions.
 
 The rule-level behavior (RL007-RL010) is covered by the fixture tests
 in ``test_lint_rules.py``; this file pins the engine semantics those
@@ -10,12 +11,6 @@ import ast
 
 import pytest
 
-from repro.analysis.cfg import (
-    bound_names,
-    build_cfg,
-    header_exprs,
-    reaching_definitions,
-)
 from repro.analysis.dataflow import (
     CONFIG,
     F32,
@@ -27,6 +22,8 @@ from repro.analysis.dataflow import (
     KindAnalysis,
     analyze_functions,
     annotation_kind,
+    bound_names,
+    header_exprs,
     join,
     module_return_kinds,
     promote,
@@ -41,8 +38,9 @@ def first_function(source: str) -> ast.FunctionDef:
     raise AssertionError("no function in source")
 
 
-def kinds_of(source: str) -> dict[str, str]:
-    """Kinds at the function's final ``use(...)`` call, by arg name."""
+def kinds_of(source: str, marker: str = "use") -> dict[str, str]:
+    """Kinds at the function's ``use(...)`` call (or another marker
+    call), by arg name."""
     func = first_function(source)
     analysis = KindAnalysis(func).run()
     use = next(
@@ -50,7 +48,7 @@ def kinds_of(source: str) -> dict[str, str]:
         for node in ast.walk(func)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
-        and node.func.id == "use"
+        and node.func.id == marker
     )
     out: dict[str, str] = {}
     for arg in use.args:
@@ -61,108 +59,97 @@ def kinds_of(source: str) -> dict[str, str]:
     return out
 
 
-class TestCfgShape:
-    def test_branch_join(self):
-        func = first_function(
+class TestSyntaxDirectedPass:
+    def test_returning_arm_does_not_reach_the_join(self):
+        kinds = kinds_of(
+            "import numpy as np\n"
             "def f(c):\n"
+            "    x = np.zeros(4, dtype=np.float32)\n"
             "    if c:\n"
-            "        x = 1\n"
-            "    else:\n"
-            "        x = 2\n"
-            "    return x\n"
+            "        x = np.zeros(4)\n"
+            "        return x\n"
+            "    use(x)\n"
         )
-        cfg = build_cfg(func)
-        # entry -> (then | else) -> join -> exit: the return statement's
-        # block must have two predecessors
-        return_block = next(
-            b
-            for b in cfg.blocks.values()
-            if any(isinstance(s, ast.Return) for s in b.stmts)
-        )
-        assert len(return_block.preds) == 2
+        assert kinds["x"] == F32
 
-    def test_loop_back_edge(self):
-        func = first_function(
+    def test_loop_back_edge_carries_kind(self):
+        # the second pass starts from the join of the state before the
+        # loop and the first pass's end
+        kinds = kinds_of(
+            "import numpy as np\n"
             "def f(n):\n"
-            "    total = 0\n"
+            "    y = np.zeros(4, dtype=np.float32)\n"
             "    for i in range(n):\n"
-            "        total += i\n"
-            "    return total\n"
+            "        use(y)\n"
+            "        y = np.zeros(4)\n"
         )
-        cfg = build_cfg(func)
-        header = next(
-            b
-            for b in cfg.blocks.values()
-            if any(isinstance(s, ast.For) for s in b.stmts)
-        )
-        # the body block loops back to the header
-        assert header.id in {
-            succ
-            for b in cfg.blocks.values()
-            for succ in b.succs
-            if b.id != header.id and header.id in b.succs
-        }
-        body = next(
-            b
-            for b in cfg.blocks.values()
-            if any(isinstance(s, ast.AugAssign) for s in b.stmts)
-        )
-        assert header.id in body.succs
+        assert kinds["y"] == NDARRAY
 
-    def test_try_except_edges(self):
-        func = first_function(
+    def test_break_ends_its_path_and_joins_loop_exit(self):
+        source = (
+            "import numpy as np\n"
+            "def f(items):\n"
+            "    x = np.zeros(4, dtype=np.float32)\n"
+            "    for item in items:\n"
+            "        x = np.zeros(4, dtype=np.float32)\n"
+            "        if item:\n"
+            "            x = np.zeros(4)\n"
+            "            break\n"
+            "        inside(x)\n"
+            "    use(x)\n"
+        )
+        assert kinds_of(source, "inside")["x"] == F32
+        assert kinds_of(source)["x"] == NDARRAY
+
+    def test_continue_ends_its_path_and_joins_back_edge(self):
+        source = (
+            "import numpy as np\n"
+            "def f(items):\n"
+            "    y = np.zeros(4, dtype=np.float32)\n"
+            "    while items:\n"
+            "        use(y)\n"
+            "        y = np.zeros(4, dtype=np.float32)\n"
+            "        if items.pop():\n"
+            "            y = np.zeros(4)\n"
+            "            continue\n"
+            "        inside(y)\n"
+        )
+        assert kinds_of(source, "inside")["y"] == F32
+        assert kinds_of(source)["y"] == NDARRAY
+
+    def test_handler_sees_states_before_and_after_the_body(self):
+        kinds = kinds_of(
+            "import numpy as np\n"
             "def f():\n"
-            "    x = 1\n"
+            "    x = np.zeros(4, dtype=np.float32)\n"
             "    try:\n"
-            "        x = risky()\n"
+            "        x = np.zeros(4)\n"
             "    except ValueError:\n"
-            "        x = 2\n"
-            "    return x\n"
+            "        use(x)\n"
         )
-        cfg = build_cfg(func)
-        handler = next(
-            b
-            for b in cfg.blocks.values()
-            if any(
-                isinstance(s, ast.Assign)
-                and isinstance(s.value, ast.Constant)
-                and s.value.value == 2
-                for s in b.stmts
-            )
-        )
-        # conservatively reachable both before and after the try body
-        assert len(handler.preds) >= 2
+        assert kinds["x"] == NDARRAY
 
-    def test_return_terminates_path(self):
-        func = first_function(
-            "def f(c):\n"
-            "    if c:\n"
-            "        return 1\n"
-            "    return 2\n"
+    @pytest.mark.parametrize(
+        "last_case, expected", [("_", F64), ("2", NDARRAY)]
+    )
+    def test_match_falls_through_without_a_wildcard(
+        self, last_case, expected
+    ):
+        kinds = kinds_of(
+            "import numpy as np\n"
+            "def f(k):\n"
+            "    x = np.zeros(4, dtype=np.float32)\n"
+            "    match k:\n"
+            "        case 1:\n"
+            "            x = np.zeros(4)\n"
+            f"        case {last_case}:\n"
+            "            x = np.zeros(4)\n"
+            "    use(x)\n"
         )
-        cfg = build_cfg(func)
-        return_blocks = [
-            b
-            for b in cfg.blocks.values()
-            if any(isinstance(s, ast.Return) for s in b.stmts)
-        ]
-        for block in return_blocks:
-            assert block.succs == [cfg.exit.id]
-
-    def test_rpo_starts_at_entry_and_covers_all(self):
-        func = first_function(
-            "def f(n):\n"
-            "    while n:\n"
-            "        n -= 1\n"
-            "    return n\n"
-        )
-        cfg = build_cfg(func)
-        order = cfg.rpo()
-        assert order[0] is cfg.entry
-        assert {block.id for block in order} == set(cfg.blocks)
+        assert kinds["x"] == expected
 
 
-class TestCfgHelpers:
+class TestStatementViews:
     def test_header_exprs_surface_tests_not_bodies(self):
         stmt = ast.parse("if a > b:\n    c = 1\n").body[0]
         exprs = header_exprs(stmt)
@@ -182,26 +169,6 @@ class TestCfgHelpers:
     def test_bound_names(self, source, names):
         stmt = ast.parse(source).body[0]
         assert set(bound_names(stmt)) == names
-
-    def test_reaching_definitions_at_join(self):
-        func = first_function(
-            "def f(c):\n"
-            "    x = 1\n"
-            "    if c:\n"
-            "        x = 2\n"
-            "    return x\n"
-        )
-        cfg = build_cfg(func)
-        reaching = reaching_definitions(cfg)
-        return_block = next(
-            b
-            for b in cfg.blocks.values()
-            if any(isinstance(s, ast.Return) for s in b.stmts)
-        )
-        lines = {
-            line for name, line in reaching[return_block.id] if name == "x"
-        }
-        assert lines == {2, 4}  # both definitions reach the join
 
 
 class TestLattice:

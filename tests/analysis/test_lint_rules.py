@@ -278,11 +278,13 @@ class TestRL006DocsDrift:
 class TestRL007PrecisionFlow:
     def test_bad_fixture_positives(self):
         findings, _ = lint_fixture("rl007_bad.py", "RL007")
-        assert [f.line for f in findings] == [8, 9, 10, 12, 22]
+        assert [f.line for f in findings] == [8, 9, 10, 12, 13, 14, 24]
         assert {f.rule for f in findings} == {"RL007"}
         keys = {f.key for f in findings}
         assert "alloc-no-dtype:fast_leg:np.zeros" in keys
         assert "alloc-no-dtype:fast_leg:np.ones" in keys
+        # np.full's second argument is the fill value, not a dtype
+        assert "alloc-no-dtype:fast_leg:np.full" in keys
         assert "promotion:fast_leg:f32-arrayxf64-array" in keys
         assert "promotion:hot_leg:f32-arrayxf64-array" in keys
 

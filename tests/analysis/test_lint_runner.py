@@ -100,57 +100,6 @@ class TestSelectFrameworkDiagnostics:
         assert "RL000" in capsys.readouterr().out
 
 
-class TestChangedFiles:
-    def _git(self, root, *argv):
-        subprocess.run(
-            ["git", *argv],
-            cwd=root,
-            check=True,
-            capture_output=True,
-            env=dict(
-                os.environ,
-                GIT_AUTHOR_NAME="t",
-                GIT_AUTHOR_EMAIL="t@t",
-                GIT_COMMITTER_NAME="t",
-                GIT_COMMITTER_EMAIL="t@t",
-            ),
-        )
-
-    def test_changed_limits_lint_to_diffed_and_untracked(
-        self, tmp_path, capsys
-    ):
-        root = _tree(tmp_path, BAD_ASYNC)
-        clean = root / "src" / "pkg" / "clean.py"
-        clean.write_text("x = 1\n", encoding="utf-8")
-        self._git(root, "init", "-q")
-        self._git(root, "add", "-A")
-        self._git(root, "commit", "-qm", "seed")
-        # mod.py is committed clean, then clean.py gains a violation:
-        # --changed must lint only clean.py and miss mod.py's RL001
-        clean.write_text(BAD_ASYNC, encoding="utf-8")
-        untracked = root / "src" / "pkg" / "fresh.py"
-        untracked.write_text(BAD_ASYNC, encoding="utf-8")
-        assert main(["--root", str(root), "--changed", "HEAD"]) == 1
-        out = capsys.readouterr().out
-        assert "clean.py" in out
-        assert "fresh.py" in out  # untracked files count as changed
-        assert "mod.py" not in out
-
-    def test_changed_falls_back_to_full_tree_without_git(
-        self, tmp_path, capsys
-    ):
-        root = _tree(tmp_path, BAD_ASYNC)
-        env_path = os.environ.get("PATH", "")
-        os.environ["PATH"] = str(tmp_path / "empty-bin")
-        try:
-            assert main(["--root", str(root), "--changed", "HEAD"]) == 1
-        finally:
-            os.environ["PATH"] = env_path
-        captured = capsys.readouterr()
-        assert "falling back to the full tree" in captured.err
-        assert "mod.py:5: RL001" in captured.out
-
-
 class TestGithubFormat:
     def test_workflow_annotations_emitted(self, tmp_path, capsys):
         root = _tree(tmp_path, BAD_ASYNC)

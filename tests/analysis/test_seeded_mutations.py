@@ -1,5 +1,5 @@
-"""Seeded-mutation tests: re-introduce one representative historical
-bug per dataflow rule into the *real* source file and assert the rule
+"""Seeded-mutation tests: re-introduce one representative bug per
+rule (RL001–RL010) into the *real* source file and assert the rule
 catches it.
 
 Fixture tests prove the rules work on synthetic snippets; these prove
@@ -7,6 +7,7 @@ they guard the actual sites that motivated them — if a refactor moves
 or rewrites a protected site, the ``assert old in text`` trips and the
 test must be re-pointed rather than silently passing."""
 
+import shutil
 from pathlib import Path
 
 from repro.analysis import run_lint
@@ -35,6 +36,166 @@ def mutate_and_lint(
 
 def lint_pristine(tmp_path: Path, source: Path, rule: str, extra=()):
     return mutate_and_lint(tmp_path, source, "", "", rule, extra)
+
+
+class TestRL001SeededLoopSolve:
+    SOURCE = SRC / "ingest" / "gateway.py"
+    SUBMIT = (
+        "        future = asyncio.wrap_future(\n"
+        "            self._executor.submit(solve_measurement_block, task)\n"
+        "        )\n"
+    )
+
+    def test_pristine_gateway_is_clean(self, tmp_path):
+        assert lint_pristine(tmp_path, self.SOURCE, "RL001") == []
+
+    def test_solve_on_the_event_loop_caught(self, tmp_path):
+        # _dispatch solving inline instead of through the executor: every
+        # connected stream stalls for the length of a solve
+        findings = mutate_and_lint(
+            tmp_path,
+            self.SOURCE,
+            self.SUBMIT,
+            "        future = loop.create_future()\n"
+            "        future.set_result(solve_measurement_block(task))\n",
+            "RL001",
+        )
+        assert [f.key for f in findings] == ["solve_measurement_block"]
+        assert "inside async def _dispatch" in findings[0].message
+
+
+class TestRL002SeededUnguardedWrite:
+    SOURCE = SRC / "telemetry" / "core.py"
+    GUARDED = (
+        "        with self._lock:\n"
+        "            self._counters[key] = "
+        "self._counters.get(key, 0.0) + amount\n"
+    )
+
+    def test_pristine_registry_is_clean(self, tmp_path):
+        assert lint_pristine(tmp_path, self.SOURCE, "RL002") == []
+
+    def test_counter_write_outside_the_lock_caught(self, tmp_path):
+        # MetricsRegistry.inc racing absorb() from a solve thread: a
+        # lost counter update, never an exception
+        findings = mutate_and_lint(
+            tmp_path,
+            self.SOURCE,
+            self.GUARDED,
+            "        self._counters[key] = "
+            "self._counters.get(key, 0.0) + amount\n",
+            "RL002",
+        )
+        assert [f.key for f in findings] == ["MetricsRegistry._counters"]
+
+
+class TestRL004SeededCatalogDrift:
+    SOURCE = SRC / "ingest" / "gateway.py"
+    FLUSHES = '        self.telemetry.inc("ingest_flushes", reason=reason)\n'
+    CROSS = '            self.telemetry.inc("ingest_cross_stream_batches")\n'
+
+    def test_pristine_gateway_is_clean(self, tmp_path):
+        assert lint_pristine(tmp_path, self.SOURCE, "RL004") == []
+
+    def test_renamed_metric_caught(self, tmp_path):
+        findings = mutate_and_lint(
+            tmp_path,
+            self.SOURCE,
+            self.FLUSHES,
+            self.FLUSHES.replace("ingest_flushes", "ingest_flush"),
+            "RL004",
+        )
+        assert [f.key for f in findings] == ["ingest_flush"]
+
+    def test_renamed_label_caught(self, tmp_path):
+        findings = mutate_and_lint(
+            tmp_path,
+            self.SOURCE,
+            self.FLUSHES,
+            self.FLUSHES.replace("reason=reason", "trigger=reason"),
+            "RL004",
+        )
+        assert [f.key for f in findings] == ["ingest_flushes:trigger"]
+
+    def test_entry_without_call_site_caught(self, tmp_path):
+        # the cross-module direction needs the whole tree in scope: with
+        # its one call site gone, the catalog entry is dead
+        shutil.copytree(
+            SRC,
+            tmp_path / "src" / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        gateway = tmp_path / "src" / "repro" / "ingest" / "gateway.py"
+        text = gateway.read_text(encoding="utf-8")
+        assert self.CROSS in text, "mutation anchor vanished from gateway.py"
+        gateway.write_text(
+            text.replace(self.CROSS, "            pass\n", 1),
+            encoding="utf-8",
+        )
+        findings, _, _ = run_lint(tmp_path, None, {"RL004"})
+        assert [f.key for f in findings if f.rule == "RL004"] == [
+            "dead:ingest_cross_stream_batches"
+        ]
+
+
+class TestRL005SeededSwallow:
+    SOURCE = SRC / "ingest" / "federation.py"
+    REFUSAL = (
+        "        except ProtocolError as exc:\n"
+        "            # refused before routing: no gateway will ever count it\n"
+        "            self.telemetry.inc(\"ingest_sessions_errored\")\n"
+        "            self._send_error(writer, str(exc))\n"
+    )
+
+    def test_pristine_federation_is_clean(self, tmp_path):
+        assert lint_pristine(tmp_path, self.SOURCE, "RL005") == []
+
+    def test_noop_protocol_error_handler_caught(self, tmp_path):
+        # a refused HELLO neither counted nor answered: the node waits
+        # for a WELCOME that never comes
+        findings = mutate_and_lint(
+            tmp_path,
+            self.SOURCE,
+            self.REFUSAL,
+            "        except ProtocolError:\n            pass\n",
+            "RL005",
+        )
+        assert [f.key for f in findings] == ["swallow:ProtocolError"]
+
+    def test_unjustified_broad_handler_caught(self, tmp_path):
+        findings = mutate_and_lint(
+            tmp_path,
+            self.SOURCE,
+            "        except LookupError:\n",
+            "        except Exception:\n",
+            "RL005",
+        )
+        assert [f.key for f in findings] == ["broad-except"]
+
+
+class TestRL006SeededReadmeDrift:
+    ROW = (
+        "| `repro-ecg budget` | node-side timing/memory/energy table "
+        "| — |\n"
+    )
+
+    def _lint_readme(self, tmp_path: Path, readme: str) -> list:
+        cli = tmp_path / "src" / "repro" / "cli.py"
+        cli.parent.mkdir(parents=True)
+        shutil.copy(SRC / "cli.py", cli)
+        (tmp_path / "README.md").write_text(readme, encoding="utf-8")
+        findings, _, _ = run_lint(tmp_path, [str(cli)], {"RL006"})
+        return [f for f in findings if f.rule == "RL006"]
+
+    def test_pristine_readme_is_clean(self, tmp_path):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        assert self._lint_readme(tmp_path, readme) == []
+
+    def test_dropped_subcommand_row_caught(self, tmp_path):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        assert self.ROW in readme, "mutation anchor vanished from README.md"
+        findings = self._lint_readme(tmp_path, readme.replace(self.ROW, "", 1))
+        assert [f.key for f in findings] == ["subcommand:budget"]
 
 
 class TestRL007SeededPromotion:

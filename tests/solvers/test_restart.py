@@ -146,22 +146,6 @@ class TestReferenceFrozen:
         np.testing.assert_array_equal(plain.iterations, iterations)
         np.testing.assert_array_equal(plain.coefficients, textbook)
 
-        # the structured float64 lever is that same iteration
-        structured = structured_batched_fista(
-            structure,
-            case["block"],
-            paper_config.lam,
-            max_iterations=paper_config.max_iterations,
-            tolerance=paper_config.tolerance,
-            iterate_dtype=np.float64,
-        )
-        np.testing.assert_array_equal(
-            structured.coefficients, plain.coefficients
-        )
-        np.testing.assert_array_equal(
-            structured.iterations, plain.iterations
-        )
-
 
 class TestPolishLegKeepsTheReference:
     def test_overflow_column_polishes_on_the_reference(

@@ -72,7 +72,7 @@ def test_node_client_options():
 
 
 def test_hybrid_solve_options():
-    solve = ["ys", "fractions", "max_iterations", "tolerance", "iterate_dtype"]
+    solve = ["ys", "fractions", "max_iterations", "tolerance"]
     assert _parameters(BatchedFista.solve_structured) == solve
     assert _parameters(structured_batched_fista) == [
         "structure",
@@ -89,7 +89,6 @@ def test_repro_lint_flags():
         if option.startswith("--") and option != "--help"
     )
     assert flags == [
-        "--changed",
         "--format",
         "--list-rules",
         "--report",
