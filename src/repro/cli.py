@@ -29,6 +29,7 @@ from collections.abc import Sequence
 
 from .config import SystemConfig
 from .core import EcgMonitorSystem
+from .core.decoder import BACKENDS
 from .ecg import RECORD_NAMES, SyntheticMitBih
 from .experiments import (
     render_table,
@@ -140,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--precision",
-        choices=("float64", "float32", "hybrid"),
+        choices=BACKENDS,
         default="float64",
         help=(
             "decode backend: float64 (reference), float32, or hybrid — "
@@ -218,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--precision",
-        choices=("float64", "float32", "hybrid"),
+        choices=BACKENDS,
         default="float64",
         help=(
             "decode backend simulated nodes request in their handshake "

@@ -157,13 +157,6 @@ class BitReader:
             raw -= 1 << width
         return raw
 
-    def read_unary(self) -> int:
-        """Read a unary-coded value (count of ones before the first zero)."""
-        count = 0
-        while self.read_bit() == 1:
-            count += 1
-        return count
-
     def unread(self) -> tuple[int, int]:
         """The unread bits as one int, and how many of them there are.
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -240,20 +239,3 @@ def empirical_entropy_bits(samples: Sequence[int]) -> float:
     del values
     probabilities = counts / counts.sum()
     return float(-np.sum(probabilities * np.log2(probabilities)))
-
-
-def huffman_efficiency(
-    codebook: Codebook, samples: Sequence[int]
-) -> dict[str, float]:
-    """Compare codebook mean length against the source entropy."""
-    frequencies = [0] * codebook.num_symbols
-    for value in samples:
-        frequencies[codebook.symbol_for(int(value))] += 1
-    mean_bits = codebook.mean_bits_per_symbol(frequencies)
-    entropy = empirical_entropy_bits(list(samples))
-    return {
-        "mean_bits_per_symbol": mean_bits,
-        "entropy_bits_per_symbol": entropy,
-        "redundancy_bits": mean_bits - entropy,
-        "efficiency": entropy / mean_bits if mean_bits > 0 else math.nan,
-    }

@@ -14,7 +14,7 @@ target compression ratio, wavelet decomposition depth, packet rate...).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .errors import ConfigurationError
@@ -169,16 +169,6 @@ class SystemConfig:
         return self.n / self.sample_rate_hz
 
     @property
-    def packets_per_second(self) -> float:
-        """Packet production rate of the node."""
-        return 1.0 / self.packet_seconds
-
-    @property
-    def undersampling_ratio(self) -> float:
-        """``M / N``, the raw measurement-domain compression factor."""
-        return self.m / self.n
-
-    @property
     def nominal_cr_percent(self) -> float:
         """Compression ratio ignoring entropy coding, in percent.
 
@@ -203,19 +193,6 @@ class SystemConfig:
         """Return a copy with the given fields replaced (validated)."""
         return replace(self, **changes)
 
-    def max_wavelet_levels(self, filter_length: int) -> int:
-        """Deepest periodized decomposition for a given filter length."""
-        if filter_length < 2:
-            raise ConfigurationError(
-                f"filter_length must be >= 2, got {filter_length}"
-            )
-        levels = 0
-        length = self.n
-        while length >= filter_length and length % 2 == 0:
-            length //= 2
-            levels += 1
-        return max(levels, 1)
-
     @property
     def original_packet_bits(self) -> int:
         """Bits of one uncompressed packet (``b_orig``)."""
@@ -233,24 +210,3 @@ class SystemConfig:
 #: The configuration matching the paper's headline operating point
 #: (CR = 50 % nominal, d = 12, 2-second packets at 256 Hz).
 PAPER_DEFAULT = SystemConfig()
-
-
-def config_for_cr_sweep(
-    cr_values: tuple[float, ...] = (30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0),
-    base: SystemConfig | None = None,
-) -> dict[float, SystemConfig]:
-    """Build the per-CR configurations used by the evaluation sweeps."""
-    base = base if base is not None else PAPER_DEFAULT
-    configs: dict[float, SystemConfig] = {}
-    for cr in cr_values:
-        configs[float(cr)] = base.with_target_cr(cr)
-    return configs
-
-
-def db_snr_from_prd(prd_percent: float) -> float:
-    """Paper Eq. (8): ``SNR = -20 log10(0.01 PRD)``."""
-    if prd_percent <= 0:
-        raise ConfigurationError(
-            f"prd_percent must be positive, got {prd_percent}"
-        )
-    return -20.0 * math.log10(0.01 * prd_percent)

@@ -46,6 +46,9 @@ from ..wavelet import WaveletTransform
 from .packets import EncodedPacket, PacketKind, unpack_keyframe_values
 from .quantizer import MeasurementQuantizer
 
+#: The decode backends a decoder, a HELLO and ``--precision`` accept.
+BACKENDS = ("float64", "float32", "hybrid")
+
 
 class PacketPayloadDecoder:
     """Stages 1-2 of the decoder: entropy decode + redundancy re-insert.
@@ -283,7 +286,7 @@ class CSDecoder:
         codebook: Codebook | None = None,
         precision: str = "float64",
     ) -> None:
-        if precision not in ("float64", "float32", "hybrid"):
+        if precision not in BACKENDS:
             raise ConfigurationError(
                 f"precision must be 'float64', 'float32' or 'hybrid', "
                 f"got {precision!r}"

@@ -78,11 +78,3 @@ class MeasurementQuantizer:
         """
         y = check_integer_array(np.asarray(y_q), "y_q").astype(np.float64)
         return y * (self.step / math.sqrt(self.d))
-
-    def noise_std(self) -> float:
-        """Std of the quantization error on the ``Phi x`` scale.
-
-        Uniform rounding error over one step: ``step / sqrt(12)``,
-        divided by ``sqrt(d)`` like the signal itself.
-        """
-        return self.step / math.sqrt(12.0) / math.sqrt(self.d)

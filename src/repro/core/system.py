@@ -239,12 +239,3 @@ class EcgMonitorSystem:
             result.original_adu = np.concatenate(originals)
             result.reconstructed_adu = np.concatenate(reconstructed)
         return result
-
-    # ------------------------------------------------------------------
-    def roundtrip_window(self, samples_adu: np.ndarray) -> tuple[EncodedPacket, np.ndarray]:
-        """Encode and decode a single window (quickstart helper)."""
-        self.encoder.reset()
-        self.decoder.reset()
-        packet = self.encoder.encode(np.asarray(samples_adu))
-        decoded = self.decoder.decode(packet)
-        return packet, decoded.samples_adu

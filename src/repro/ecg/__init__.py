@@ -7,12 +7,9 @@ corpus with the same interface and the same signal properties that CS
 compression exploits (wavelet-domain sparsity, quasi-periodicity,
 realistic noise and rhythm disturbances):
 
-- :mod:`repro.ecg.synthesis` — the ECGSYN dynamical model (McSharry,
-  Clifford, Tarassenko & Smith 2003) with its bimodal-spectrum RR
-  process, integrated with fixed-step RK4;
 - :mod:`repro.ecg.rhythms` — a per-beat Gaussian-template engine with
   rhythm presets (normal sinus, PVCs, bigeminy, APCs, atrial
-  fibrillation, paced) used to build arrhythmia records quickly;
+  fibrillation, paced) that builds every record of the corpus;
 - :mod:`repro.ecg.noise` — baseline wander, muscle artifact, mains hum
   and electrode-motion transients;
 - :mod:`repro.ecg.records` / :mod:`repro.ecg.database` — MIT-BIH-style
@@ -28,7 +25,6 @@ Loading records, resampling and digitizing need numpy alone: the node
 -> gateway -> solve path imports no scipy.
 """
 
-from .synthesis import EcgSynParameters, WaveParameters, ecgsyn, rr_process
 from .rhythms import (
     Beat,
     BeatTemplate,
@@ -49,10 +45,6 @@ from .qrs import detect_qrs
 from .holter import HolterPlan, HolterPlanner
 
 __all__ = [
-    "EcgSynParameters",
-    "WaveParameters",
-    "ecgsyn",
-    "rr_process",
     "Beat",
     "BeatTemplate",
     "RhythmModel",

@@ -205,11 +205,3 @@ class SyntheticMitBih:
         )
         self._cache[name] = record
         return record
-
-    def load_many(self, names: tuple[str, ...] | list[str]) -> list[Record]:
-        """Load several records."""
-        return [self.load(name) for name in names]
-
-    def clear_cache(self) -> None:
-        """Drop all cached records (frees memory in long sweeps)."""
-        self._cache.clear()

@@ -10,15 +10,10 @@ does compression buy — for any record mix and compression ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from ..config import SystemConfig
 from ..errors import ConfigurationError
 from ..platforms.shimmer import ShimmerNode
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.multichannel import MultiChannelResult
-    from ..core.system import StreamResult
 
 
 @dataclass(frozen=True)
@@ -77,32 +72,6 @@ class HolterPlanner:
                 self.config, mean_packet_bits
             ),
         )
-
-    def plan_from_stream(
-        self,
-        stream: "StreamResult | MultiChannelResult",
-        duration_hours: float,
-    ) -> HolterPlan:
-        """Project a session from a *measured* stream's packet sizes.
-
-        Accepts the outcome of either the serial or the batched decode
-        engine (they produce bit-identical packets) and of single- or
-        multi-lead streaming; for a multi-lead result the radio carries
-        every lead, so the mean on-air bits per packet period is the sum
-        over leads of each lead's mean packet size.
-        """
-        per_lead = getattr(stream, "per_channel", None)
-        if per_lead is None:
-            per_lead = [stream]
-        if not per_lead or any(result.num_packets == 0 for result in per_lead):
-            raise ConfigurationError(
-                "cannot plan from a stream with zero packets"
-            )
-        mean_bits = sum(
-            sum(p.packet_bits for p in result.packets) / result.num_packets
-            for result in per_lead
-        )
-        return self.plan(duration_hours, mean_bits)
 
     def plan_uncompressed(self, duration_hours: float) -> HolterPlan:
         """The baseline: stream raw samples for the whole session."""

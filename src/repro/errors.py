@@ -41,10 +41,6 @@ class SolverError(ReproError):
     """A reconstruction solver failed (bad operator, invalid parameters)."""
 
 
-class ConvergenceWarning(RuntimeWarning):
-    """A solver exhausted its iteration budget before meeting its tolerance."""
-
-
 class PlatformModelError(ReproError, ValueError):
     """A platform cost/energy model received inconsistent parameters."""
 

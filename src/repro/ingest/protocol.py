@@ -93,6 +93,7 @@ from typing import Any
 
 from ..coding import Codebook
 from ..config import SystemConfig
+from ..core.decoder import BACKENDS
 from ..errors import CodebookError, ConfigurationError, ProtocolError
 
 #: Protocol revision spoken by this module.  v2 adds the two-tier
@@ -401,7 +402,7 @@ class Handshake:
                     f"invalid handshake codebook: {exc}"
                 ) from exc
         precision = payload.get("precision", "float64")
-        if precision not in ("float64", "float32", "hybrid"):
+        if precision not in BACKENDS:
             raise ProtocolError(
                 f"invalid handshake precision {precision!r}"
             )

@@ -3,14 +3,10 @@
 from .quality import (
     compression_ratio,
     prd,
-    prdn,
     snr_db,
     snr_from_prd,
-    rmse,
-    quality_band,
-    QUALITY_BANDS,
 )
-from .stats import SweepPoint, aggregate_points, format_series
+from .stats import SweepPoint, aggregate_points
 from .diagnostic import DiagnosticReport, HrvSummary, diagnostic_report, hrv_summary
 
 __all__ = [
@@ -20,13 +16,8 @@ __all__ = [
     "hrv_summary",
     "compression_ratio",
     "prd",
-    "prdn",
     "snr_db",
     "snr_from_prd",
-    "rmse",
-    "quality_band",
-    "QUALITY_BANDS",
     "SweepPoint",
     "aggregate_points",
-    "format_series",
 ]

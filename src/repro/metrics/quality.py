@@ -9,7 +9,6 @@ The paper (Section III) uses two metrics:
 PRD is computed on baseline-centered signals (the MIT-BIH adu offset of
 1024 carries no information and would otherwise mask the error), which
 is the convention of the ECG-compression literature the paper follows.
-Diagnostic-quality bands follow Zigel et al. (2000).
 """
 
 from __future__ import annotations
@@ -43,19 +42,6 @@ def prd(original: np.ndarray, reconstructed: np.ndarray) -> float:
     return float(np.linalg.norm(x - r)) / denominator * 100.0
 
 
-def prdn(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """Mean-normalized PRD (both signals centered on the original's mean)."""
-    x = np.asarray(original, dtype=np.float64)
-    r = np.asarray(reconstructed, dtype=np.float64)
-    check_same_length(x, r, "original/reconstructed")
-    mean = float(np.mean(x))
-    centered = x - mean
-    denominator = float(np.linalg.norm(centered))
-    if denominator == 0:
-        raise ValueError("original signal is constant; PRDN undefined")
-    return float(np.linalg.norm(x - r)) / denominator * 100.0
-
-
 def snr_from_prd(prd_percent: float) -> float:
     """Paper Eq. (8): ``SNR = -20 log10(0.01 PRD)`` in dB."""
     if prd_percent <= 0:
@@ -66,30 +52,3 @@ def snr_from_prd(prd_percent: float) -> float:
 def snr_db(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Output SNR in dB, computed through the PRD."""
     return snr_from_prd(prd(original, reconstructed))
-
-
-def rmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """Root-mean-square error in the signals' own units."""
-    x = np.asarray(original, dtype=np.float64)
-    r = np.asarray(reconstructed, dtype=np.float64)
-    check_same_length(x, r, "original/reconstructed")
-    return float(np.sqrt(np.mean((x - r) ** 2)))
-
-
-#: Diagnostic-quality bands over PRDN (Zigel et al. 2000): the "VG" and
-#: "G" marks on the paper's Figure 6 axis.
-QUALITY_BANDS: tuple[tuple[float, str], ...] = (
-    (2.0, "very good"),
-    (9.0, "good"),
-    (math.inf, "not acceptable"),
-)
-
-
-def quality_band(prdn_percent: float) -> str:
-    """Classify a PRDN value into its diagnostic-quality band."""
-    if prdn_percent < 0:
-        raise ValueError(f"prdn_percent must be >= 0, got {prdn_percent}")
-    for threshold, label in QUALITY_BANDS:
-        if prdn_percent <= threshold:
-            return label
-    raise AssertionError("unreachable: bands end at infinity")

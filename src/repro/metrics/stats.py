@@ -1,15 +1,14 @@
 """Aggregation helpers for evaluation sweeps.
 
 Every sweep in :mod:`repro.experiments` produces per-packet
-:class:`SweepPoint` rows; these helpers average them "over all data"
-(the paper's phrase for its Figure 2/6/7 y-axes) and render fixed-width
-text tables for EXPERIMENTS.md and the benchmark logs.
+:class:`SweepPoint` rows; :func:`aggregate_points` averages them
+"over all data" (the paper's phrase for its Figure 2/6/7 y-axes).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, fields
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,33 +37,3 @@ def aggregate_points(points: Sequence[SweepPoint]) -> dict[str, float]:
         "decode_seconds": float(np.mean([p.decode_seconds for p in points])),
         "count": float(len(points)),
     }
-
-
-def format_series(
-    rows: Iterable[dict[str, float]],
-    columns: Sequence[str],
-    header: str | None = None,
-    precision: int = 3,
-) -> str:
-    """Render dict rows as a fixed-width text table."""
-    rows = list(rows)
-    widths = {c: max(len(c), precision + 6) for c in columns}
-    lines = []
-    if header:
-        lines.append(header)
-    lines.append("  ".join(c.rjust(widths[c]) for c in columns))
-    for row in rows:
-        cells = []
-        for c in columns:
-            value = row.get(c, float("nan"))
-            if isinstance(value, float):
-                cells.append(f"{value:.{precision}f}".rjust(widths[c]))
-            else:
-                cells.append(str(value).rjust(widths[c]))
-        lines.append("  ".join(cells))
-    return "\n".join(lines)
-
-
-def point_fields() -> list[str]:
-    """Field names of :class:`SweepPoint` (stable CSV header order)."""
-    return [f.name for f in fields(SweepPoint)]

@@ -7,7 +7,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from ..errors import SensingError
-from ..wavelet.operator import DenseOperator
 
 
 class SensingMatrix(ABC):
@@ -47,10 +46,6 @@ class SensingMatrix(ABC):
         if x.shape != (self.n,):
             raise SensingError(f"expected signal shape ({self.n},), got {x.shape}")
         return self.matrix() @ x
-
-    def operator(self) -> DenseOperator:
-        """The matrix wrapped as a :class:`~repro.wavelet.operator.LinearOperator`."""
-        return DenseOperator(self.matrix())
 
     def describe(self) -> str:
         """Human-readable one-liner for logs and reports."""

@@ -4,7 +4,9 @@ The paper cites four families of recovery algorithms (interior-point,
 gradient projection, iterative thresholding, greedy pursuit) and adopts
 FISTA.  All of them are implemented here as baselines around a common
 interface, so the solver-comparison benchmark can reproduce the paper's
-motivation quantitatively:
+motivation quantitatively.  Every solver takes the system matrix
+``A = Phi Psi`` as a dense ``(m, n)`` ndarray, the form
+:func:`~repro.core.decoder.build_resources` builds it in:
 
 - :func:`~repro.solvers.fista.fista` — the paper's solver (Beck &
   Teboulle 2009), O(1/k^2);
@@ -24,7 +26,7 @@ vectors into an ``(m, B)`` matrix and iterates all columns with one GEMM
 pair per step, per-column convergence masking and warm starts.
 """
 
-from .base import SolverResult, as_operator
+from .base import SolverResult
 from .prox import soft_threshold, soft_threshold_branchy, soft_threshold_if_converted
 from .lipschitz import lipschitz_constant, power_iteration_norm
 from .ista import ista
@@ -46,10 +48,8 @@ from .twist import twist
 from .omp import omp
 from .gpsr import gpsr
 from .bp import basis_pursuit
-from .debias import debias
 
 __all__ = [
-    "debias",
     "DEFAULT_POLISH_CORRIDOR",
     "BatchedFista",
     "BatchedSolverResult",
@@ -63,7 +63,6 @@ __all__ = [
     "batched_lambda_from_fraction",
     "structured_batched_fista",
     "SolverResult",
-    "as_operator",
     "soft_threshold",
     "soft_threshold_branchy",
     "soft_threshold_if_converted",

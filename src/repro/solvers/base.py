@@ -1,4 +1,4 @@
-"""Shared solver plumbing: operator adaptation, results, stopping rules."""
+"""Shared solver plumbing: the system matrix, results, stopping rules."""
 
 from __future__ import annotations
 
@@ -7,17 +7,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import SolverError
-from ..wavelet.operator import DenseOperator, LinearOperator
 
 
-def as_operator(a: LinearOperator | np.ndarray) -> LinearOperator:
-    """Accept a dense matrix or a :class:`LinearOperator` uniformly."""
-    if isinstance(a, LinearOperator):
-        return a
-    array = np.asarray(a)
+def as_matrix(a: np.ndarray) -> np.ndarray:
+    """The system matrix ``A`` as float64, the serial solvers' arithmetic."""
+    array = np.asarray(a, dtype=np.float64)
     if array.ndim != 2:
         raise SolverError(f"system operator must be 2-D, got shape {array.shape}")
-    return DenseOperator(array)
+    return array
 
 
 @dataclass
@@ -54,7 +51,7 @@ class SolverResult:
         return self.objective_history[-1] if self.objective_history else float("nan")
 
 
-def check_measurements(a: LinearOperator, y: np.ndarray) -> np.ndarray:
+def check_measurements(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Validate the measurement vector against the operator shape."""
     y = np.asarray(y)
     if y.ndim != 1:

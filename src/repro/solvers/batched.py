@@ -38,15 +38,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import SolverError
-from ..wavelet.operator import LinearOperator
 from .base import SolverResult
 from .lipschitz import lipschitz_constant
 
 
-def _as_dense(a: LinearOperator | np.ndarray) -> np.ndarray:
-    """Materialize the system operator for GEMM-based iterations."""
-    if isinstance(a, LinearOperator):
-        return a.to_dense()
+def _as_dense(a: np.ndarray) -> np.ndarray:
+    """The system matrix for GEMM-based iterations, dtype kept."""
     array = np.asarray(a)
     if array.ndim != 2:
         raise SolverError(f"system operator must be 2-D, got shape {array.shape}")
@@ -72,7 +69,7 @@ def check_measurement_matrix(
 
 
 def batched_lambda_from_fraction(
-    a: LinearOperator | np.ndarray,
+    a: np.ndarray,
     ys: np.ndarray,
     fraction: float | np.ndarray,
 ) -> np.ndarray:
@@ -248,7 +245,7 @@ def _compacted_history(slot: np.ndarray, live: np.ndarray) -> np.ndarray:
 
 
 def batched_fista(
-    a: LinearOperator | np.ndarray,
+    a: np.ndarray,
     ys: np.ndarray,
     lams: np.ndarray | float,
     max_iterations: int = 2000,
@@ -858,7 +855,7 @@ class BatchedFista:
 
     def __init__(
         self,
-        a: LinearOperator | np.ndarray,
+        a: np.ndarray,
         lipschitz: float | None = None,
         structure=None,
     ) -> None:

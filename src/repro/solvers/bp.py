@@ -17,12 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SolverError
-from ..wavelet.operator import LinearOperator
-from .base import SolverResult, as_operator, check_measurements
+from .base import SolverResult, as_matrix, check_measurements
 
 
 def basis_pursuit(
-    a: LinearOperator | np.ndarray,
+    a: np.ndarray,
     y: np.ndarray,
     tolerance: float = 1e-9,
 ) -> SolverResult:
@@ -35,9 +34,8 @@ def basis_pursuit(
     """
     import scipy.optimize  # only this solver needs scipy
 
-    operator = as_operator(a)
-    y = np.asarray(check_measurements(operator, y), dtype=np.float64)
-    dense = operator.to_dense()
+    dense = as_matrix(a)
+    y = np.asarray(check_measurements(dense, y), dtype=np.float64)
     m, n = dense.shape
 
     cost = np.concatenate([np.zeros(n), np.ones(n)])

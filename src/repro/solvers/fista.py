@@ -13,9 +13,13 @@ with ``f(alpha) = ||A alpha - y||_2^2`` and ``g = lambda ||.||_1``, whose
 prox is plain soft thresholding.  Convergence of the objective is
 O(1/k^2) versus O(1/k) for ISTA.
 
-The implementation preserves the working dtype: feeding float32 data
-reproduces the iPhone's 32-bit arithmetic; float64 reproduces the Matlab
-reference (Figure 6 compares the two).
+The iterates keep the working dtype: float32 measurements give float32
+iterates, steps and thresholds, float64 the Matlab reference (Figure 6
+compares the two).  The matrix products are not 32-bit: ``A`` is rounded
+to float32 and then held in float64, so each product runs in float64
+and its result is rounded back to float32.  That is the arithmetic the
+figures 6-8 float32 leg was measured with; true float32 products would
+move those figures, so it is kept.
 """
 
 from __future__ import annotations
@@ -25,15 +29,12 @@ import math
 import numpy as np
 
 from ..errors import SolverError
-from ..wavelet.operator import LinearOperator
-from .base import SolverResult, as_operator, check_measurements, relative_change
+from .base import SolverResult, as_matrix, check_measurements, relative_change
 from .lipschitz import lipschitz_constant
 from .prox import soft_threshold
 
 
-def lambda_from_fraction(
-    a: LinearOperator | np.ndarray, y: np.ndarray, fraction: float
-) -> float:
+def lambda_from_fraction(a: np.ndarray, y: np.ndarray, fraction: float) -> float:
     """Regularization weight as a fraction of ``||A^T y||_inf``.
 
     ``lambda >= 2 ||A^T y||_inf`` makes the zero vector optimal (for the
@@ -42,15 +43,14 @@ def lambda_from_fraction(
     """
     if fraction <= 0:
         raise SolverError(f"fraction must be positive, got {fraction}")
-    operator = as_operator(a)
-    correlation = float(np.max(np.abs(operator.rmatvec(np.asarray(y)))))
+    correlation = float(np.max(np.abs(as_matrix(a).T @ np.asarray(y))))
     if correlation == 0:
         return fraction  # all-zero measurements: any positive lambda works
     return fraction * correlation
 
 
 def fista(
-    a: LinearOperator | np.ndarray,
+    a: np.ndarray,
     y: np.ndarray,
     lam: float,
     max_iterations: int = 2000,
@@ -64,7 +64,7 @@ def fista(
     Parameters
     ----------
     a:
-        System operator (dense array or matrix-free operator).
+        System matrix ``A = Phi Psi``, ``(m, n)``.
     y:
         Measurement vector.
     lam:
@@ -82,8 +82,12 @@ def fista(
         Record the objective value per iteration (costs one extra
         matvec per iteration; off in production).
     """
-    operator = as_operator(a)
-    y = check_measurements(operator, y)
+    dtype = np.float32 if np.asarray(y).dtype == np.float32 else np.float64
+    # round A to the working precision (as the batched path does), then
+    # hold it in float64: the float32 leg's products run in float64 and
+    # are rounded back below (see the module docstring)
+    matrix = as_matrix(np.asarray(a, dtype=dtype))
+    y = check_measurements(matrix, y)
     if lam <= 0:
         raise SolverError(f"lam must be positive, got {lam}")
     if max_iterations < 1:
@@ -91,17 +95,11 @@ def fista(
     if tolerance <= 0:
         raise SolverError(f"tolerance must be positive, got {tolerance}")
 
-    dtype = np.float32 if np.asarray(y).dtype == np.float32 else np.float64
-    if isinstance(a, np.ndarray) and a.dtype != dtype:
-        # a dense operator left at the wrong precision would run every
-        # matvec of the iteration at float64 and silently promote the
-        # residual (the batched path casts identically)
-        operator = as_operator(np.asarray(a, dtype=dtype))
     y = np.asarray(y, dtype=dtype)
-    n = operator.shape[1]
+    n = matrix.shape[1]
 
     if lipschitz is None:
-        lipschitz = lipschitz_constant(operator)
+        lipschitz = lipschitz_constant(matrix)
     if lipschitz <= 0:
         raise SolverError(f"lipschitz must be positive, got {lipschitz}")
     step = dtype(1.0 / lipschitz)
@@ -126,10 +124,9 @@ def fista(
 
     for iteration in range(1, max_iterations + 1):
         iterations = iteration
-        residual = np.asarray(operator.matvec(momentum), dtype=dtype) - y
-        # matrix-free operators may still compute in float64; asarray is
-        # a no-op for the (now dtype-matched) dense path
-        gradient = 2.0 * np.asarray(operator.rmatvec(residual), dtype=dtype)
+        # float64 products; the casts round them to float32 on that leg
+        residual = np.asarray(matrix @ momentum, dtype=dtype) - y
+        gradient = 2.0 * np.asarray(matrix.T @ residual, dtype=dtype)
         alpha = soft_threshold(momentum - step * gradient, threshold)
 
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
@@ -137,7 +134,7 @@ def fista(
         t_k = t_next
 
         if track_objective:
-            fit = operator.matvec(alpha) - y
+            fit = matrix @ alpha - y
             history.append(
                 float(np.dot(fit, fit) + lam * np.sum(np.abs(alpha)))
             )
@@ -149,7 +146,7 @@ def fista(
             break
         alpha_prev = alpha
 
-    final_residual = float(np.linalg.norm(operator.matvec(alpha) - y))
+    final_residual = float(np.linalg.norm(matrix @ alpha - y))
     return SolverResult(
         coefficients=alpha,
         iterations=iterations,

@@ -15,12 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SolverError
-from ..wavelet.operator import LinearOperator
-from .base import SolverResult, as_operator, check_measurements, relative_change
+from .base import SolverResult, as_matrix, check_measurements, relative_change
 
 
 def gpsr(
-    a: LinearOperator | np.ndarray,
+    a: np.ndarray,
     y: np.ndarray,
     lam: float,
     max_iterations: int = 2000,
@@ -35,14 +34,14 @@ def gpsr(
     Note the 0.5 factor in the fidelity (GPSR's native convention); the
     equivalent FISTA problem uses ``lam_fista = 2 * lam``.
     """
-    operator = as_operator(a)
-    y = np.asarray(check_measurements(operator, y), dtype=np.float64)
+    matrix = as_matrix(a)
+    y = np.asarray(check_measurements(matrix, y), dtype=np.float64)
     if lam <= 0:
         raise SolverError(f"lam must be positive, got {lam}")
     if max_iterations < 1:
         raise SolverError(f"max_iterations must be >= 1, got {max_iterations}")
 
-    n = operator.shape[1]
+    n = matrix.shape[1]
     if x0 is None:
         x = np.zeros(n)
     else:
@@ -56,11 +55,11 @@ def gpsr(
     v = np.maximum(-x, 0.0)
 
     def objective(u_: np.ndarray, v_: np.ndarray) -> float:
-        r = operator.matvec(u_ - v_) - y
+        r = matrix @ (u_ - v_) - y
         return 0.5 * float(np.dot(r, r)) + lam * float(np.sum(u_) + np.sum(v_))
 
-    residual = operator.matvec(u - v) - y
-    gradient_x = operator.rmatvec(residual)
+    residual = matrix @ (u - v) - y
+    gradient_x = matrix.T @ residual
     grad_u = gradient_x + lam
     grad_v = -gradient_x + lam
 
@@ -93,16 +92,16 @@ def gpsr(
         u, v = u_new, v_new
         current_objective = new_objective
 
-        residual = operator.matvec(u - v) - y
-        gradient_x = operator.rmatvec(residual)
+        residual = matrix @ (u - v) - y
+        gradient_x = matrix.T @ residual
         grad_u = gradient_x + lam
         grad_v = -gradient_x + lam
 
         # Barzilai–Borwein step for the next iteration:
         # step = (delta^T delta) / (delta^T B delta),  B delta computed
-        # through one operator application on (delta_u - delta_v).
+        # through one product with A on (delta_u - delta_v).
         delta_sq = float(np.dot(delta_u, delta_u) + np.dot(delta_v, delta_v))
-        a_delta = operator.matvec(delta_u - delta_v)
+        a_delta = matrix @ (delta_u - delta_v)
         curvature = float(np.dot(a_delta, a_delta))
         if curvature > 0:
             step = min(max(delta_sq / curvature, step_min), step_max)
@@ -118,7 +117,7 @@ def gpsr(
             break
 
     x = u - v
-    final_residual = float(np.linalg.norm(operator.matvec(x) - y))
+    final_residual = float(np.linalg.norm(matrix @ x - y))
     return SolverResult(
         coefficients=x,
         iterations=iterations,

@@ -1,7 +1,7 @@
 """ISTA — plain iterative shrinkage-thresholding (Daubechies et al. 2004).
 
 The paper's baseline: identical per-iteration cost to FISTA (one forward
-and one adjoint operator application plus a soft threshold) but O(1/k)
+and one adjoint product with ``A`` plus a soft threshold) but O(1/k)
 objective convergence, which the solver-comparison benchmark shows as
 "notoriously slow" exactly like Section II-B says.
 """
@@ -11,14 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SolverError
-from ..wavelet.operator import LinearOperator
-from .base import SolverResult, as_operator, check_measurements, relative_change
+from .base import SolverResult, as_matrix, check_measurements, relative_change
 from .lipschitz import lipschitz_constant
 from .prox import soft_threshold
 
 
 def ista(
-    a: LinearOperator | np.ndarray,
+    a: np.ndarray,
     y: np.ndarray,
     lam: float,
     max_iterations: int = 2000,
@@ -28,8 +27,8 @@ def ista(
     track_objective: bool = False,
 ) -> SolverResult:
     """Solve ``min ||A alpha - y||_2^2 + lam ||alpha||_1`` by ISTA."""
-    operator = as_operator(a)
-    y = check_measurements(operator, y)
+    matrix = as_matrix(a)
+    y = check_measurements(matrix, y)
     if lam <= 0:
         raise SolverError(f"lam must be positive, got {lam}")
     if max_iterations < 1:
@@ -39,10 +38,10 @@ def ista(
 
     dtype = np.float32 if np.asarray(y).dtype == np.float32 else np.float64
     y = np.asarray(y, dtype=dtype)
-    n = operator.shape[1]
+    n = matrix.shape[1]
 
     if lipschitz is None:
-        lipschitz = lipschitz_constant(operator)
+        lipschitz = lipschitz_constant(matrix)
     if lipschitz <= 0:
         raise SolverError(f"lipschitz must be positive, got {lipschitz}")
     step = dtype(1.0 / lipschitz)
@@ -64,12 +63,12 @@ def ista(
 
     for iteration in range(1, max_iterations + 1):
         iterations = iteration
-        residual = operator.matvec(alpha) - y
-        gradient = 2.0 * operator.rmatvec(residual)
+        residual = matrix @ alpha - y
+        gradient = 2.0 * (matrix.T @ residual)
         new_alpha = soft_threshold(alpha - step * gradient.astype(dtype), threshold)
 
         if track_objective:
-            fit = operator.matvec(new_alpha) - y
+            fit = matrix @ new_alpha - y
             history.append(
                 float(np.dot(fit, fit) + lam * np.sum(np.abs(new_alpha)))
             )
@@ -81,7 +80,7 @@ def ista(
             break
         alpha = new_alpha
 
-    final_residual = float(np.linalg.norm(operator.matvec(alpha) - y))
+    final_residual = float(np.linalg.norm(matrix @ alpha - y))
     return SolverResult(
         coefficients=alpha,
         iterations=iterations,

@@ -3,8 +3,9 @@
 FISTA's constant step size is ``1/L`` with ``L`` a Lipschitz constant of
 ``grad f``.  For ``f(alpha) = ||A alpha - y||_2^2`` (the paper's choice,
 without the 1/2 factor), ``L = 2 * sigma_max(A)^2``.  The spectral norm
-is estimated matrix-free by power iteration on ``A^T A``, the same
-routine an embedded decoder runs once at start-up.
+is estimated by power iteration on ``A^T A`` — two matrix-vector
+products per step, the same routine an embedded decoder runs once at
+start-up.
 """
 
 from __future__ import annotations
@@ -13,21 +14,20 @@ import numpy as np
 
 from ..errors import SolverError
 from ..utils import rng_from
-from ..wavelet.operator import LinearOperator
-from .base import as_operator
+from .base import as_matrix
 
 
 def power_iteration_norm(
-    a: LinearOperator | np.ndarray,
+    a: np.ndarray,
     iterations: int = 100,
     tolerance: float = 1e-7,
     seed: int = 7,
 ) -> float:
     """Estimate ``sigma_max(A)`` by power iteration on ``A^T A``."""
-    operator = as_operator(a)
+    matrix = as_matrix(a)
     if iterations < 1:
         raise SolverError(f"iterations must be >= 1, got {iterations}")
-    n = operator.shape[1]
+    n = matrix.shape[1]
     v = rng_from(seed, "power-iteration", n).standard_normal(n)
     norm_v = np.linalg.norm(v)
     if norm_v == 0:
@@ -36,7 +36,7 @@ def power_iteration_norm(
     previous = 0.0
     estimate = 0.0
     for _ in range(iterations):
-        w = operator.rmatvec(operator.matvec(v))
+        w = matrix.T @ (matrix @ v)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0:
             return 0.0
@@ -49,7 +49,7 @@ def power_iteration_norm(
 
 
 def lipschitz_constant(
-    a: LinearOperator | np.ndarray,
+    a: np.ndarray,
     iterations: int = 100,
     tolerance: float = 1e-7,
     safety: float = 1.02,

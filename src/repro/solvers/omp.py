@@ -12,12 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SolverError
-from ..wavelet.operator import LinearOperator
-from .base import SolverResult, as_operator, check_measurements
+from .base import SolverResult, as_matrix, check_measurements
 
 
 def omp(
-    a: LinearOperator | np.ndarray,
+    a: np.ndarray,
     y: np.ndarray,
     sparsity: int | None = None,
     residual_tolerance: float = 1e-6,
@@ -28,7 +27,7 @@ def omp(
     Parameters
     ----------
     a:
-        System operator; materialized densely (OMP needs column access).
+        System matrix ``A`` (OMP needs column access).
     y:
         Measurement vector.
     sparsity:
@@ -38,9 +37,9 @@ def omp(
     max_iterations:
         Alias cap on greedy steps (defaults to ``sparsity``).
     """
-    operator = as_operator(a)
-    y = np.asarray(check_measurements(operator, y), dtype=np.float64)
-    m, n = operator.shape
+    dense = as_matrix(a)
+    y = np.asarray(check_measurements(dense, y), dtype=np.float64)
+    m, n = dense.shape
     if sparsity is None:
         sparsity = max(1, m // 4)
     if not 0 < sparsity <= m:
@@ -48,7 +47,6 @@ def omp(
     if max_iterations is None:
         max_iterations = sparsity
 
-    dense = operator.to_dense()
     norms = np.linalg.norm(dense, axis=0)
     norms = np.where(norms == 0, 1.0, norms)
 

@@ -19,8 +19,7 @@ import math
 import numpy as np
 
 from ..errors import SolverError
-from ..wavelet.operator import LinearOperator
-from .base import SolverResult, as_operator, check_measurements, relative_change
+from .base import SolverResult, as_matrix, check_measurements, relative_change
 from .lipschitz import power_iteration_norm
 from .prox import soft_threshold
 
@@ -36,7 +35,7 @@ def twist_parameters(lam1: float) -> tuple[float, float]:
 
 
 def twist(
-    a: LinearOperator | np.ndarray,
+    a: np.ndarray,
     y: np.ndarray,
     lam: float,
     max_iterations: int = 2000,
@@ -46,18 +45,18 @@ def twist(
     track_objective: bool = False,
 ) -> SolverResult:
     """Solve ``min ||A alpha - y||_2^2 + lam ||alpha||_1`` by TwIST."""
-    operator = as_operator(a)
-    y = check_measurements(operator, y)
+    matrix = as_matrix(a)
+    y = check_measurements(matrix, y)
     if lam <= 0:
         raise SolverError(f"lam must be positive, got {lam}")
     if max_iterations < 1:
         raise SolverError(f"max_iterations must be >= 1, got {max_iterations}")
 
     dtype = np.float32 if np.asarray(y).dtype == np.float32 else np.float64
-    n = operator.shape[1]
+    n = matrix.shape[1]
 
     # Rescale the problem so ||A|| = 1 (TwIST's convergence assumption).
-    sigma = power_iteration_norm(operator)
+    sigma = power_iteration_norm(matrix)
     if sigma <= 0:
         raise SolverError("operator has zero spectral norm")
     scale = 1.0 / sigma
@@ -77,13 +76,13 @@ def twist(
     x_curr = x_prev.copy()
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        return operator.matvec(v) * scale
+        return (matrix @ v) * scale
 
     def rmatvec(v: np.ndarray) -> np.ndarray:
-        return operator.rmatvec(v) * scale
+        return (matrix.T @ v) * scale
 
     def objective(v: np.ndarray) -> float:
-        fit = operator.matvec(v) - np.asarray(y, dtype=np.float64)
+        fit = matrix @ v - np.asarray(y, dtype=np.float64)
         return float(np.dot(fit, fit) + lam * np.sum(np.abs(v)))
 
     history: list[float] = []
@@ -120,7 +119,7 @@ def twist(
             break
         x_prev, x_curr = x_curr, x_next
 
-    final_residual = float(np.linalg.norm(operator.matvec(x_curr) - np.asarray(y)))
+    final_residual = float(np.linalg.norm(matrix @ x_curr - np.asarray(y)))
     return SolverResult(
         coefficients=x_curr.astype(dtype),
         iterations=iterations,

@@ -1,10 +1,8 @@
 """Small shared helpers: validation, seeding, consistent hashing."""
 
 from .validation import (
-    check_1d,
     check_integer_array,
     check_positive,
-    check_probability,
     check_same_length,
 )
 from .hashring import HashRing
@@ -12,10 +10,8 @@ from .seeding import derive_seed, rng_from
 
 __all__ = [
     "HashRing",
-    "check_1d",
     "check_integer_array",
     "check_positive",
-    "check_probability",
     "check_same_length",
     "derive_seed",
     "rng_from",

@@ -10,16 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def check_1d(array: np.ndarray, name: str = "array") -> np.ndarray:
-    """Return ``array`` as a contiguous 1-D float64 view, or raise."""
-    arr = np.asarray(array)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    return arr
-
-
 def check_integer_array(
     array: np.ndarray,
     name: str = "array",
@@ -41,13 +31,6 @@ def check_positive(value: float, name: str = "value") -> float:
     """Require a strictly positive scalar."""
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
-    return float(value)
-
-
-def check_probability(value: float, name: str = "value") -> float:
-    """Require a scalar in the closed interval [0, 1]."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
     return float(value)
 
 

@@ -7,27 +7,15 @@ This package provides:
   construction (Haar, Daubechies extremal-phase, symlets) by spectral
   factorization of the Daubechies half-band polynomial;
 - :mod:`repro.wavelet.dwt` — multi-level periodized discrete wavelet
-  transform and its exact inverse, vectorized, matrix-free;
-- :mod:`repro.wavelet.operator` — linear-operator wrappers (``Psi``,
-  ``Psi^T`` and the composed CS system operator ``A = Phi Psi``).
+  transform and its exact inverse, vectorized, plus the dense synthesis
+  matrix ``Psi`` that the decoder folds into ``A = Phi Psi``.
 """
 
-from .filters import WaveletFilter, get_wavelet, available_wavelets
+from .filters import WaveletFilter, get_wavelet
 from .dwt import WaveletTransform
-from .operator import (
-    LinearOperator,
-    DenseOperator,
-    WaveletSynthesisOperator,
-    ComposedOperator,
-)
 
 __all__ = [
     "WaveletFilter",
     "get_wavelet",
-    "available_wavelets",
     "WaveletTransform",
-    "LinearOperator",
-    "DenseOperator",
-    "WaveletSynthesisOperator",
-    "ComposedOperator",
 ]

@@ -144,34 +144,6 @@ class WaveletTransform:
         return approx
 
     # ------------------------------------------------------------------
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Analysis of many signals at once: ``(n, B) -> (n, B)``.
-
-        Column ``b`` matches ``forward(x[:, b])`` to floating-point
-        rounding (the contraction over the filter axis may associate
-        differently than the serial matmul).
-        """
-        x = np.asarray(x)
-        if x.ndim != 2 or x.shape[0] != self.n:
-            raise ValueError(f"expected shape ({self.n}, B), got {x.shape}")
-        dtype = np.float32 if x.dtype == np.float32 else np.float64
-        h = self._h.astype(dtype)
-        g = self._g.astype(dtype)
-        approx = x.astype(dtype, copy=False)
-        details: list[np.ndarray] = []
-        for gather in self._gather:
-            # (half, filter, B) windows contracted over the filter axis
-            windows = approx[gather]
-            details.append(np.einsum("kfb,f->kb", windows, g, optimize=True))
-            approx = np.einsum("kfb,f->kb", windows, h, optimize=True)
-        out = np.empty((self.n, x.shape[1]), dtype=dtype)
-        out[: approx.shape[0]] = approx
-        position = approx.shape[0]
-        for detail in reversed(details):
-            out[position : position + detail.shape[0]] = detail
-            position += detail.shape[0]
-        return out
-
     def inverse_batch(self, coefficients: np.ndarray) -> np.ndarray:
         """Synthesis of many coefficient vectors: ``(n, B) -> (n, B)``.
 

@@ -193,14 +193,6 @@ _SUPPORTED_DB = tuple(range(1, 11))
 _SUPPORTED_SYM = tuple(range(2, 9))
 
 
-def available_wavelets() -> list[str]:
-    """Names accepted by :func:`get_wavelet`."""
-    names = ["haar"]
-    names.extend(f"db{n}" for n in _SUPPORTED_DB)
-    names.extend(f"sym{n}" for n in _SUPPORTED_SYM)
-    return names
-
-
 @lru_cache(maxsize=None)
 def get_wavelet(name: str) -> WaveletFilter:
     """Look up an orthonormal wavelet by name (``haar``, ``dbN``, ``symN``)."""

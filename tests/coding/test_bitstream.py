@@ -96,13 +96,6 @@ class TestBitReader:
         assert reader.position == 5
         assert reader.remaining == 11
 
-    def test_unary_roundtrip(self):
-        writer = BitWriter()
-        for value in (0, 3, 7, 1):
-            writer.write_unary(value)
-        reader = BitReader(writer.getvalue(), bit_length=len(writer))
-        assert [reader.read_unary() for _ in range(4)] == [0, 3, 7, 1]
-
     def test_align_to_byte_skips(self):
         reader = BitReader(b"\xff\xa5")
         reader.read_bits(3)

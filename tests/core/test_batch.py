@@ -13,7 +13,6 @@ import pytest
 
 from repro.core import EcgMonitorSystem, MultiChannelMonitor
 from repro.core.batch import window_record
-from repro.ecg.holter import HolterPlanner
 
 #: three rhythm-diverse records from the synthetic corpus
 EQUIVALENCE_RECORDS = ("100", "119", "201")
@@ -179,32 +178,7 @@ class TestTwoLeadHolterStream:
                     p_batched.prd_percent, abs=1e-9
                 )
 
-    def test_holter_plan_from_batched_stream(self, small_config, database):
-        record = database.load("100")
-        monitor = MultiChannelMonitor(small_config, channels=2)
-        result = monitor.stream(record, max_packets=4, batch_size=4)
-        planner = HolterPlanner(config=small_config)
-        plan = planner.plan_from_stream(result, duration_hours=24.0)
-        # two leads on the radio: mean bits is the sum of per-lead means
-        expected = sum(
-            sum(p.packet_bits for p in lead.packets) / lead.num_packets
-            for lead in result.per_channel
-        )
-        assert plan.mean_packet_bits == pytest.approx(expected)
-        assert plan.battery_hours > 0
-
-    def test_holter_plan_rejects_empty_stream(self, small_config):
-        from repro.core.system import StreamResult
-        from repro.errors import ConfigurationError
-
-        empty = StreamResult(record="x", channel=0, config=small_config)
-        planner = HolterPlanner(config=small_config)
-        with pytest.raises(ConfigurationError):
-            planner.plan_from_stream(empty, duration_hours=1.0)
-
-
 class TestDecoderBatchApi:
     def test_decode_batch_empty(self, small_config):
         system = EcgMonitorSystem(small_config)
         assert system.decoder.decode_batch([]) == []
-

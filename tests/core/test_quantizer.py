@@ -60,10 +60,6 @@ class TestDequantize:
         recovered = q.dequantize(q.quantize(y_int)) * math.sqrt(9)
         assert np.max(np.abs(recovered - y_int)) <= q.step / 2
 
-    def test_noise_std_formula(self):
-        q = MeasurementQuantizer(shift=4, d=12)
-        assert q.noise_std() == pytest.approx(16.0 / math.sqrt(12.0 * 12.0))
-
     @settings(max_examples=40)
     @given(st.integers(0, 8), st.integers(1, 24), st.integers(-100000, 100000))
     def test_quantization_error_bound_property(self, shift, d, value):

@@ -120,15 +120,6 @@ class TestCalibration:
 
 
 class TestRoundtripWindow:
-    def test_quickstart_helper(self, system, database, small_config):
-        from repro.ecg.resample import resample_record
-
-        record = resample_record(database.load("100"), 256.0)
-        window = record.adc.digitize(record.channel(0))[: small_config.n]
-        packet, reconstruction = system.roundtrip_window(window)
-        assert packet.total_bits < small_config.original_packet_bits
-        assert len(reconstruction) == small_config.n
-
     def test_cr_increases_with_smaller_m(self, small_config, database):
         """Fewer measurements -> higher CR, lower SNR (the Fig 2/6 axis)."""
         record = database.load("100")

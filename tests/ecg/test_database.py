@@ -35,12 +35,6 @@ class TestCorpusStructure:
     def test_caching_returns_same_object(self, database):
         assert database.load("100") is database.load("100")
 
-    def test_clear_cache(self):
-        db = SyntheticMitBih(duration_s=5.0)
-        first = db.load("100")
-        db.clear_cache()
-        assert db.load("100") is not first
-
     def test_deterministic_across_instances(self):
         a = SyntheticMitBih(duration_s=5.0, seed=1).load("100")
         b = SyntheticMitBih(duration_s=5.0, seed=1).load("100")

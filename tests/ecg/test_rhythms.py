@@ -95,6 +95,49 @@ class TestBeatSchedules:
         assert [x.r_time_s for x in a] == [y.r_time_s for y in b]
 
 
+class TestNormalSinusRr:
+    """The RR process behind every sinus record of the synthetic corpus."""
+
+    @staticmethod
+    def _rr(duration_s=120.0, seed=1, **fields) -> np.ndarray:
+        beats = NormalSinus(**fields).generate_beats(duration_s, seed=seed)
+        return np.array([b.rr_s for b in beats])
+
+    @pytest.mark.parametrize("hr_bpm", [50.0, 72.0, 110.0])
+    def test_mean_rr_matches_heart_rate(self, hr_bpm):
+        rr = self._rr(mean_hr_bpm=hr_bpm)
+        assert np.mean(rr) == pytest.approx(60.0 / hr_bpm, rel=0.02)
+
+    def test_variability_scales_with_hrv_fraction(self):
+        quiet = self._rr(hrv_fraction=0.01, seed=2)
+        wild = self._rr(hrv_fraction=0.10, seed=2)
+        assert np.std(wild) > 3.0 * np.std(quiet)
+
+    def test_physiological_bounds(self):
+        rr = self._rr(mean_hr_bpm=40.0, hrv_fraction=0.5, seed=4)
+        assert rr.min() >= 0.3 and rr.max() <= 2.0
+
+    def test_respiratory_modulation_dominates_the_tachogram(self):
+        """Sinus arrhythmia: the RR series oscillates at 0.25 Hz."""
+        beats = NormalSinus(mean_hr_bpm=60.0).generate_beats(300.0, seed=5)
+        times = np.array([b.r_time_s for b in beats])
+        rr = np.array([b.rr_s for b in beats])
+        grid = np.arange(times[0], times[-1], 1.0 / 4.0)
+        tachogram = np.interp(grid, times, rr)
+        spectrum = np.abs(np.fft.rfft(tachogram - tachogram.mean())) ** 2
+        freqs = np.fft.rfftfreq(len(grid), d=1.0 / 4.0)
+        hf = spectrum[(freqs > 0.2) & (freqs < 0.3)].sum()
+        background = spectrum[(freqs > 0.5) & (freqs < 1.0)].sum()
+        assert hf > 10.0 * background
+
+    def test_seed_changes_schedule(self):
+        assert not np.array_equal(self._rr(seed=7), self._rr(seed=8))
+
+    def test_invalid_duration(self):
+        with pytest.raises(ValueError):
+            NormalSinus().generate_beats(0.0, seed=1)
+
+
 class TestRendering:
     def test_render_length(self):
         beats = NormalSinus().generate_beats(10.0, seed=1)

@@ -8,7 +8,6 @@ import pytest
 from repro import EcgMonitorSystem, SystemConfig, SyntheticMitBih
 from repro.ecg.qrs import beat_match_rate, detect_qrs
 from repro.ecg.resample import resample_record
-from repro.metrics import quality_band
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +64,6 @@ class TestFullOperatingPoint:
         system = EcgMonitorSystem(SystemConfig())
         system.calibrate(long_record)
         result = system.stream(long_record, max_packets=8)
-        assert quality_band(result.mean_prd_percent) in ("very good", "good", "not acceptable")
         assert result.mean_prd_percent < 30.0
 
 

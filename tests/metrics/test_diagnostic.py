@@ -5,14 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ecg import ecgsyn
+from repro.ecg import SyntheticMitBih
 from repro.metrics import diagnostic_report, hrv_summary
 from repro.metrics.diagnostic import HrvSummary
 
 
 @pytest.fixture(scope="module")
 def clean_ecg():
-    return ecgsyn(30.0, fs_hz=360.0, seed=5)
+    # record 100 is normal sinus at ~60 bpm; lead 0 at 360 Hz, in mV
+    return SyntheticMitBih(duration_s=30.0).load("100").channel(0)
 
 
 class TestHrvSummary:

@@ -1,11 +1,10 @@
-"""Tests for sweep-point aggregation and table rendering."""
+"""Tests for sweep-point aggregation."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.metrics import SweepPoint, aggregate_points, format_series
-from repro.metrics.stats import point_fields
+from repro.metrics import SweepPoint, aggregate_points
 
 
 class TestAggregation:
@@ -26,23 +25,3 @@ class TestAggregation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_points([])
-
-    def test_point_fields_order(self):
-        assert point_fields()[:2] == ["record", "cr_percent"]
-
-
-class TestFormatting:
-    def test_format_series_contains_values(self):
-        rows = [{"cr": 50.0, "snr": 21.5}, {"cr": 60.0, "snr": 18.0}]
-        text = format_series(rows, columns=["cr", "snr"], header="fig")
-        assert "fig" in text
-        assert "50.000" in text
-        assert "18.000" in text
-
-    def test_missing_column_renders_nan(self):
-        text = format_series([{"a": 1.0}], columns=["a", "b"])
-        assert "nan" in text
-
-    def test_non_float_values(self):
-        text = format_series([{"a": "x"}], columns=["a"])
-        assert "x" in text

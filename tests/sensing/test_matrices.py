@@ -56,11 +56,6 @@ class TestGaussianMatrix:
         with pytest.raises(ValueError):
             phi.matrix()[0, 0] = 9.0
 
-    def test_operator_wraps_matrix(self, rng):
-        phi = GaussianMatrix(8, 32, seed=3)
-        x = rng.standard_normal(32)
-        assert np.allclose(phi.operator().matvec(x), phi.measure(x))
-
     def test_describe(self):
         assert "GaussianMatrix" in GaussianMatrix(4, 8).describe()
 

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.solvers import fista, ista, lambda_from_fraction
-from repro.wavelet import DenseOperator
+from repro.solvers import fista, ista, lambda_from_fraction, soft_threshold
 
 
 class TestInterface:
@@ -121,15 +120,6 @@ class TestRecovery:
         )
         assert warm.iterations <= cold.iterations
 
-    def test_operator_and_dense_agree(self, sparse_problem):
-        a, y = sparse_problem["system"], sparse_problem["y"]
-        lam = lambda_from_fraction(a, y, 0.01)
-        dense = fista(a, y, lam, max_iterations=200, tolerance=1e-8)
-        operator = fista(
-            DenseOperator(a), y, lam, max_iterations=200, tolerance=1e-8
-        )
-        assert np.allclose(dense.coefficients, operator.coefficients, atol=1e-10)
-
     def test_faster_than_ista(self, sparse_problem):
         """The paper's motivation: O(1/k^2) vs O(1/k)."""
         a, y = sparse_problem["system"], sparse_problem["y"]
@@ -148,9 +138,8 @@ class TestPrecision:
         assert result.coefficients.dtype == np.float32
 
     def test_float64_operator_cast_to_match_float32_y(self, sparse_problem):
-        """A float64 dense A with float32 y must run the whole solve at
-        float32 — bit-identical to passing a float32 A — rather than
-        silently promoting every matvec to float64."""
+        """A float64 dense A with float32 y is rounded to float32 first:
+        the solve is bit-identical to passing a float32 A."""
         a64 = sparse_problem["system"]
         y32 = sparse_problem["y"].astype(np.float32)
         lam = lambda_from_fraction(a64, y32, 0.01)
@@ -162,6 +151,29 @@ class TestPrecision:
         assert mixed.coefficients.dtype == np.float32
         assert mixed.iterations == pure.iterations
         assert np.array_equal(mixed.coefficients, pure.coefficients)
+
+    def test_float32_leg_products_run_in_float64(self, sparse_problem):
+        """The float32 leg holds the float32-rounded A in float64 and
+        rounds each product back to float32 (the arithmetic figs 6-8
+        were measured with), not a float32 GEMV."""
+        a32 = sparse_problem["system"].astype(np.float32)
+        y32 = sparse_problem["y"].astype(np.float32)
+        lam = lambda_from_fraction(a32, y32, 0.01)
+        lipschitz = 2.0 * np.linalg.norm(a32.astype(np.float64), 2) ** 2
+        result = fista(a32, y32, lam, max_iterations=1, lipschitz=lipschitz)
+        step = np.float32(1.0 / lipschitz)
+        threshold = np.float32(lam / lipschitz)
+        residual = -y32  # the first iterate starts from zero
+        in_float64 = np.asarray(a32.astype(np.float64).T @ residual, np.float32)
+        in_float32 = a32.T @ residual
+        assert np.array_equal(
+            result.coefficients,
+            soft_threshold(-step * (2.0 * in_float64), threshold),
+        )
+        assert not np.array_equal(
+            result.coefficients,
+            soft_threshold(-step * (2.0 * in_float32), threshold),
+        )
 
     def test_float32_matches_float64_quality(self, sparse_problem):
         """The Figure 6 claim at unit-test scale."""

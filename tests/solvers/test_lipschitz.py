@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import SolverError
 from repro.solvers import lipschitz_constant, power_iteration_norm
-from repro.wavelet import DenseOperator
 
 
 class TestPowerIteration:
@@ -19,12 +18,6 @@ class TestPowerIteration:
         matrix = rng.standard_normal((20, 40))
         expected = np.linalg.svd(matrix, compute_uv=False)[0]
         assert power_iteration_norm(matrix) == pytest.approx(expected, rel=1e-4)
-
-    def test_operator_input(self, rng):
-        matrix = rng.standard_normal((10, 15))
-        assert power_iteration_norm(DenseOperator(matrix)) == pytest.approx(
-            power_iteration_norm(matrix), rel=1e-6
-        )
 
     def test_zero_matrix(self):
         assert power_iteration_norm(np.zeros((4, 4))) == 0.0

@@ -14,8 +14,6 @@ from repro.config import (
     PACKET_SAMPLES,
     PAPER_DEFAULT,
     SystemConfig,
-    config_for_cr_sweep,
-    db_snr_from_prd,
 )
 from repro.errors import ConfigurationError
 
@@ -101,12 +99,6 @@ class TestDerivedQuantities:
     def test_packet_seconds_is_two(self):
         assert SystemConfig().packet_seconds == pytest.approx(2.0)
 
-    def test_packets_per_second(self):
-        assert SystemConfig().packets_per_second == pytest.approx(0.5)
-
-    def test_undersampling_ratio(self):
-        assert SystemConfig(m=256).undersampling_ratio == pytest.approx(0.5)
-
     def test_nominal_cr(self):
         assert SystemConfig(m=256).nominal_cr_percent == pytest.approx(50.0)
 
@@ -135,17 +127,6 @@ class TestDerivedQuantities:
     def test_replace_changes_field(self):
         assert SystemConfig().replace(d=6).d == 6
 
-    def test_max_wavelet_levels(self):
-        cfg = SystemConfig()
-        # every level's input length must stay >= the filter length:
-        # 512, 256, ..., 8 for an 8-tap filter -> 7 levels
-        assert cfg.max_wavelet_levels(8) == 7
-        assert cfg.max_wavelet_levels(2) == 9
-
-    def test_max_wavelet_levels_invalid_filter(self):
-        with pytest.raises(ConfigurationError):
-            SystemConfig().max_wavelet_levels(1)
-
     def test_summary_mentions_key_fields(self):
         text = SystemConfig().summary()
         assert "n=512" in text and "d=12" in text
@@ -155,23 +136,3 @@ class TestDerivedQuantities:
         cfg = SystemConfig().with_target_cr(cr)
         # m rounds to the nearest integer: CR error bounded by 1/n
         assert abs(cfg.nominal_cr_percent - cr) <= 100.0 / cfg.n + 1e-9
-
-
-class TestSweepHelpers:
-    def test_config_for_cr_sweep_keys(self):
-        configs = config_for_cr_sweep((30.0, 50.0))
-        assert set(configs) == {30.0, 50.0}
-        assert configs[50.0].m == 256
-
-    def test_db_snr_from_prd_matches_formula(self):
-        assert db_snr_from_prd(100.0) == pytest.approx(0.0)
-        assert db_snr_from_prd(10.0) == pytest.approx(20.0)
-        assert db_snr_from_prd(1.0) == pytest.approx(40.0)
-
-    def test_db_snr_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            db_snr_from_prd(0.0)
-
-    @given(st.floats(min_value=0.01, max_value=1000.0))
-    def test_snr_monotone_decreasing_in_prd(self, prd):
-        assert db_snr_from_prd(prd) >= db_snr_from_prd(prd * 1.5) - 1e-9

@@ -47,9 +47,6 @@ class TestHierarchy:
     def test_memory_budget_is_platform_error(self):
         assert issubclass(errors.MemoryBudgetError, errors.PlatformModelError)
 
-    def test_convergence_warning_is_warning(self):
-        assert issubclass(errors.ConvergenceWarning, RuntimeWarning)
-
     def test_single_catch_all(self):
         try:
             raise errors.PacketFormatError("boom")

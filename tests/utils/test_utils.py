@@ -8,10 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils import (
-    check_1d,
     check_integer_array,
     check_positive,
-    check_probability,
     check_same_length,
     derive_seed,
     rng_from,
@@ -19,15 +17,6 @@ from repro.utils import (
 
 
 class TestValidation:
-    def test_check_1d_accepts_vector(self):
-        assert check_1d(np.zeros(4)).shape == (4,)
-
-    def test_check_1d_rejects_matrix_and_empty(self):
-        with pytest.raises(ValueError):
-            check_1d(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            check_1d(np.array([]))
-
     def test_check_integer_array(self):
         arr = check_integer_array(np.array([1, 2, 3]), low=0, high=5)
         assert arr.dtype.kind == "i"
@@ -48,12 +37,6 @@ class TestValidation:
             check_positive(0.0)
         with pytest.raises(ValueError):
             check_positive(-1.0)
-
-    def test_check_probability(self):
-        assert check_probability(0.0) == 0.0
-        assert check_probability(1.0) == 1.0
-        with pytest.raises(ValueError):
-            check_probability(1.01)
 
     def test_check_same_length(self):
         check_same_length(np.zeros(3), np.zeros(3))
