@@ -4,7 +4,10 @@ Spins up the asyncio ingestion gateway on a real TCP port, connects
 three simulated node clients that replay synthetic MIT-BIH records at
 an accelerated sample rate, and prints what the coordinator saw: pooled
 batch composition, per-stream decode latency, and a check that the
-live reconstruction matches the offline serial decoder.
+live reconstruction matches the offline serial decoder.  The check
+fails the script (non-zero exit) when a record's iteration counts
+differ from the serial decoder's or its samples drift past
+``MAX_DRIFT_ADU``.
 
 This is the paper's deployment loop end to end — encoder on the node,
 length-prefixed packet frames on the wire, operator-keyed batched
@@ -37,9 +40,15 @@ WINDOWS = 4
 #: pacing between a node's packets — 4x faster than the true 2 s rate
 #: so the demo finishes quickly; pass None for true real time
 INTERVAL_S = 0.5
+#: the live-vs-serial bound on max |live - serial|, in adu: the pooled
+#: batched solve and the serial solve differ only by BLAS rounding
+#: (~1e-11 adu measured), and one ADC code is 1 adu
+MAX_DRIFT_ADU = 1e-6
 
 
-async def main() -> None:
+async def main() -> list[str]:
+    """Run the demo; the records whose live output left the serial
+    decoder's (an empty list when the check passed)."""
     banner("live CS-ECG ingestion: 3 nodes -> 1 gateway (TCP)")
 
     # Every node ships the paper's shared fixed sensing matrix (same
@@ -131,6 +140,7 @@ async def main() -> None:
     # session ids follow TCP accept order, which need not match the
     # node list order — pair by record name (unique in this demo)
     by_record = {result.record: result for result in gateway.results}
+    diverged = []
     for node in nodes:
         # ordered(): windows in stream order even if pooled batches
         # completed out of order on a process pool
@@ -149,7 +159,15 @@ async def main() -> None:
             f"record {result.record}: iterations identical: {same_iters}, "
             f"max |live - serial| = {drift:.2e} adu"
         )
+        if not (same_iters and drift <= MAX_DRIFT_ADU):
+            diverged.append(result.record)
+    return diverged
 
 
 if __name__ == "__main__":
-    asyncio.run(main())
+    diverged = asyncio.run(main())
+    if diverged:
+        raise SystemExit(
+            f"live output left the serial decoder on records {diverged} "
+            f"(iterations differ or drift > {MAX_DRIFT_ADU} adu)"
+        )

@@ -45,8 +45,9 @@ from .telemetry import render_result_table
 _FIGURES = ("fig2", "fig6", "fig7")
 
 #: the lossy-channel simulation flags of ``serve --simulate``; the
-#: README drift check (scripts/run_tier1.sh) greps for each of these,
-#: so the docs cannot silently fall behind the CLI
+#: README drift check (repro-lint rule RL006, ``analysis/rules_docs.py``)
+#: looks for each of these, so the docs cannot silently fall behind the
+#: CLI
 CHANNEL_FLAGS = (
     "--loss", "--reorder", "--dup", "--corrupt", "--channel-seed",
     "--fec", "--nack-budget",

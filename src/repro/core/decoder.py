@@ -37,7 +37,6 @@ from ..solvers import (
     BatchedFista,
     BatchedSolverResult,
     HybridSolveResult,
-    SolverResult,
     StructuredOperator,
     fista,
     lambda_from_fraction,
@@ -110,18 +109,15 @@ class PacketPayloadDecoder:
 
 @dataclass(frozen=True)
 class DecodedPacket:
-    """One reconstructed 2-second window plus solver diagnostics."""
+    """One reconstructed 2-second window: its samples, the solve's
+    iteration count and convergence flag, and its decode time (the
+    measurements are :meth:`PacketPayloadDecoder.measurement_block`'s)."""
 
     sequence: int
     samples_adu: np.ndarray
-    measurements: np.ndarray
-    solver: SolverResult
+    iterations: int
+    converged: bool
     decode_seconds: float
-
-    @property
-    def iterations(self) -> int:
-        """FISTA iterations spent on this packet."""
-        return self.solver.iterations
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +163,7 @@ class SolveResources:
 
 
 #: operators kept per process: a hybrid entry at the paper point is
-#: ~3.5 MB plus 2 MB per cached resolvent pair (one in a steady fleet,
+#: ~3 MB plus 2 MB per cached resolvent pair (one in a steady fleet,
 #: at most four) and a rebuild ~25 ms, so a small cap bounds what
 #: distinct (node-supplied) configs can pin at no cost to a steady fleet
 OPERATOR_CACHE_SIZE = 8
@@ -373,8 +369,8 @@ class CSDecoder:
         return DecodedPacket(
             sequence=packet.sequence,
             samples_adu=samples,
-            measurements=np.asarray(y, dtype=np.float64),
-            solver=result,
+            iterations=result.iterations,
+            converged=result.converged,
             decode_seconds=time.perf_counter() - started,
         )
 
@@ -409,8 +405,8 @@ class CSDecoder:
             DecodedPacket(
                 sequence=packet.sequence,
                 samples_adu=samples[:, column].copy(),
-                measurements=measurements[:, column],
-                solver=result.per_column(column),
+                iterations=int(result.iterations[column]),
+                converged=bool(result.converged[column]),
                 decode_seconds=per_packet_seconds,
             )
             for column, packet in enumerate(packets)

@@ -51,6 +51,19 @@ class SolverResult:
         return self.objective_history[-1] if self.objective_history else float("nan")
 
 
+def check_positive_finite(name: str, value: float | np.ndarray) -> None:
+    """Refuse a value (or any entry of an array) outside ``(0, inf)``.
+
+    A ``<= 0`` test is not enough: NaN passes it and then never meets a
+    stop rule, and an infinite Lipschitz constant makes the step
+    ``1 / L`` zero, so every column "converges" on its warm start.
+    """
+    values = np.asarray(value, dtype=np.float64)
+    if not np.all((values > 0) & (values < np.inf)):
+        shown = value if values.ndim == 0 else values.min()
+        raise SolverError(f"{name} must be positive and finite, got {shown}")
+
+
 def check_measurements(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Validate the measurement vector against the operator shape."""
     y = np.asarray(y)

@@ -33,12 +33,12 @@ previous batch's solutions when streaming chunk by chunk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import SolverError
-from .base import SolverResult
+from .base import check_positive_finite
 from .lipschitz import lipschitz_constant
 
 
@@ -84,10 +84,7 @@ def batched_lambda_from_fraction(
     ``lam`` fractions in one solve.
     """
     fraction = np.asarray(fraction, dtype=np.float64)
-    if not np.all((fraction > 0) & (fraction < np.inf)):
-        raise SolverError(
-            f"fraction must be positive and finite, got {fraction.min()}"
-        )
+    check_positive_finite("fraction", fraction)
     dense = _as_dense(a)
     ys = check_measurement_matrix(dense, ys)
     if fraction.ndim not in (0, 1) or (
@@ -178,59 +175,18 @@ class BatchedSolverResult:
         convergence mask froze it (or the shared cap was hit).
     converged:
         ``(B,)`` boolean convergence flags.
-    residual_norms:
-        ``(B,)`` final ``||A alpha_b - y_b||_2``.
-    total_iterations:
-        Iterations of the batched loop itself (``max(iterations)``).
     """
 
     coefficients: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
-    residual_norms: np.ndarray
-    total_iterations: int
-    stop_reasons: list[str] = field(default_factory=list)
-
-    @property
-    def batch_size(self) -> int:
-        """Number of columns solved."""
-        return int(self.coefficients.shape[1])
-
-    def per_column(self, column: int) -> SolverResult:
-        """Adapt one column to the serial :class:`SolverResult` shape."""
-        if not 0 <= column < self.batch_size:
-            raise IndexError(
-                f"column {column} out of range for batch {self.batch_size}"
-            )
-        return SolverResult(
-            coefficients=self.coefficients[:, column].copy(),
-            iterations=int(self.iterations[column]),
-            converged=bool(self.converged[column]),
-            stop_reason=self.stop_reasons[column],
-            residual_norm=float(self.residual_norms[column]),
-        )
-
-
-def _stop_reasons(converged: np.ndarray) -> list[str]:
-    return ["tolerance" if flag else "max_iterations" for flag in converged]
-
-
-def _check_tolerance(tolerance: float) -> None:
-    # a NaN passes ``tolerance <= 0`` and then never meets a stop rule
-    if not 0 < tolerance < math.inf:
-        raise SolverError(
-            f"tolerance must be positive and finite, got {tolerance}"
-        )
 
 
 def _checked_lams(lams: np.ndarray | float, batch: int) -> np.ndarray:
     """``lams`` broadcast to ``(batch,)``; NaN, inf and <= 0 refused (a
     NaN column would otherwise run to the cap and return NaN)."""
     lams = np.broadcast_to(np.asarray(lams, dtype=np.float64), (batch,))
-    if not np.all((lams > 0) & (lams < np.inf)):
-        raise SolverError(
-            f"lams must be positive and finite, got {lams.min()}"
-        )
+    check_positive_finite("lams", lams)
     return lams
 
 
@@ -284,7 +240,7 @@ def batched_fista(
     ys = check_measurement_matrix(dense, ys)
     if max_iterations < 1:
         raise SolverError(f"max_iterations must be >= 1, got {max_iterations}")
-    _check_tolerance(tolerance)
+    check_positive_finite("tolerance", tolerance)
 
     dtype = np.float32 if ys.dtype == np.float32 else np.float64
     ys = np.asarray(ys, dtype=dtype)
@@ -296,8 +252,7 @@ def batched_fista(
 
     if lipschitz is None:
         lipschitz = lipschitz_constant(np.asarray(dense, dtype=np.float64))
-    if lipschitz <= 0:
-        raise SolverError(f"lipschitz must be positive, got {lipschitz}")
+    check_positive_finite("lipschitz", lipschitz)
     # cast to the iterate dtype here so the loop never promotes
     step = dtype(1.0 / lipschitz)
     thresholds = (lams / lipschitz).astype(dtype)
@@ -350,14 +305,11 @@ def batched_fista(
     iterations = np.zeros(batch, dtype=np.int64)
     converged = np.zeros(batch, dtype=bool)
     t_k = 1.0
-    total_iterations = 0
     # doubling is exact, so g*(2*step) rounds identically to (2*g)*step
     two_step = dtype(2.0) * step
 
     # repro-lint: hot
     for iteration in range(1, max_iterations + 1):
-        total_iterations = iteration
-
         np.matmul(operator, work_mom, out=buf_resid)
         buf_resid -= work_y
         np.matmul(operator_t, buf_resid, out=buf_u)
@@ -416,19 +368,8 @@ def batched_fista(
     still_running = order[live]
     if still_running.size:
         alpha[:, still_running] = work_prev[:, live]
-        iterations[still_running] = total_iterations
-
-    residual_norms = np.linalg.norm(
-        operator @ alpha - ys, axis=0
-    ).astype(np.float64)
-    return BatchedSolverResult(
-        coefficients=alpha,
-        iterations=iterations,
-        converged=converged,
-        residual_norms=residual_norms,
-        total_iterations=total_iterations,
-        stop_reasons=_stop_reasons(converged),
-    )
+        iterations[still_running] = iteration
+    return BatchedSolverResult(alpha, iterations, converged)
 
 
 #: over-relaxation of the ADMM iterate (Eckstein & Bertsekas' 1.5-1.8
@@ -511,9 +452,8 @@ def batched_admm(
     )
     if max_iterations < 1:
         raise SolverError(f"max_iterations must be >= 1, got {max_iterations}")
-    _check_tolerance(tolerance)
-    if not 0 < rho < math.inf:
-        raise SolverError(f"rho must be positive and finite, got {rho}")
+    check_positive_finite("tolerance", tolerance)
+    check_positive_finite("rho", rho)
     n = structure.n_coefficients
     batch = ys64.shape[1]
     lams = _checked_lams(lams, batch)
@@ -627,18 +567,7 @@ def batched_admm(
     if still_running.size:
         alpha[:, still_running] = hist_z[0][:, live]
         iterations[still_running] = total_iterations
-
-    residual_norms = np.linalg.norm(
-        (structure.dense32 @ alpha).astype(np.float64) - ys64, axis=0
-    )
-    return BatchedSolverResult(
-        coefficients=alpha,
-        iterations=iterations,
-        converged=converged,
-        residual_norms=residual_norms,
-        total_iterations=total_iterations,
-        stop_reasons=_stop_reasons(converged),
-    )
+    return BatchedSolverResult(alpha, iterations, converged)
 
 
 #: the hybrid-precision polish gate: a column whose relative
@@ -662,50 +591,21 @@ class HybridSolveResult:
         ``(n_samples, B)`` float64 synthesized time-domain block (no dc
         offset) — the structured path owns synthesis, so callers never
         re-run the inverse transform.
-    coefficients:
-        ``(n, B)`` float64 wavelet coefficients (polished columns hold
-        their float64 re-solve).
     iterations:
         ``(B,)`` total iterations per column: the fast-path count plus,
         for polished columns, the float64 re-solve's count.
-    converged, residual_norms, total_iterations, stop_reasons:
-        As in :class:`BatchedSolverResult`; ``residual_norms`` is the
-        sparse-gate norm ``||Phi s_b - y_b||_2``.
-    rel_residuals:
-        ``(B,)`` the gate statistic ``||Phi s_b - y_b|| / ||y_b||``.
+    converged:
+        As in :class:`BatchedSolverResult`; a polished column reports
+        its float64 re-solve's flag.
     polished:
         ``(B,)`` bool — which columns left the corridor after the fast
         solve and fell back to the float64 polish.
     """
 
     signals: np.ndarray
-    coefficients: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
-    residual_norms: np.ndarray
-    rel_residuals: np.ndarray
     polished: np.ndarray
-    total_iterations: int
-    stop_reasons: list[str] = field(default_factory=list)
-
-    @property
-    def batch_size(self) -> int:
-        """Number of columns solved."""
-        return int(self.coefficients.shape[1])
-
-    def per_column(self, column: int) -> SolverResult:
-        """Adapt one column to the serial :class:`SolverResult` shape."""
-        if not 0 <= column < self.batch_size:
-            raise IndexError(
-                f"column {column} out of range for batch {self.batch_size}"
-            )
-        return SolverResult(
-            coefficients=self.coefficients[:, column].copy(),
-            iterations=int(self.iterations[column]),
-            converged=bool(self.converged[column]),
-            stop_reason=self.stop_reasons[column],
-            residual_norm=float(self.residual_norms[column]),
-        )
 
 
 def structured_batched_fista(
@@ -736,8 +636,9 @@ def structured_batched_fista(
     5. columns whose relative residual leaves
        :data:`DEFAULT_POLISH_CORRIDOR` (or is non-finite) are re-solved
        by float64 FISTA, warm-started from their float32 coefficients
-       (non-finite warm starts reset to zero), then re-synthesized and
-       re-gated.
+       (non-finite warm starts reset to zero) and re-synthesized.  A
+       polished column is not gated again: the gate exists to catch
+       what float32 broke, and the polish is the float64 reference.
 
     ``structure`` is a
     :class:`~repro.solvers.sparse_apply.StructuredOperator`.  All
@@ -773,33 +674,32 @@ def structured_batched_fista(
         synth = workspace.arena("synth32", (samples, batch), np.float32)
         np.matmul(structure.psi32, fast.coefficients, out=synth)
     signals = synth.astype(np.float64)
-    coefficients = fast.coefficients.astype(np.float64)
 
     gate_gather = workspace.arena(
         "phi_gather", (structure.phi.nnz, batch), np.float64
     )
     gate_resid = workspace.arena("phi_resid", (m, batch), np.float64)
     structure.phi.residual(signals, ys64, out=gate_resid, gather=gate_gather)
-    residual_norms = np.sqrt(np.einsum("ij,ij->j", gate_resid, gate_resid))
     y_floor = np.maximum(
         np.sqrt(np.einsum("ij,ij->j", ys64, ys64)),
         np.finfo(np.float64).tiny,
     )
-    rel_residuals = residual_norms / y_floor
+    rel_residuals = (
+        np.sqrt(np.einsum("ij,ij->j", gate_resid, gate_resid)) / y_floor
+    )
     # NaN/inf-safe: only a finite residual inside the corridor passes
     within = np.isfinite(rel_residuals) & (
         rel_residuals <= DEFAULT_POLISH_CORRIDOR
     )
 
-    iterations = fast.iterations.copy()
-    converged = fast.converged.copy()
+    # batched_admm's outputs are fresh arrays, the result's own
+    iterations, converged = fast.iterations, fast.converged
     polished = np.zeros(batch, dtype=bool)
-    total_iterations = fast.total_iterations
 
     if not within.all():
         bad = np.flatnonzero(~within)
         ys_bad = np.ascontiguousarray(ys64[:, bad])
-        x0 = coefficients[:, bad]  # fancy indexing: already a copy
+        x0 = fast.coefficients[:, bad].astype(np.float64)
         x0[~np.isfinite(x0)] = 0.0
         polish = batched_fista(
             structure.dense64,
@@ -812,28 +712,11 @@ def structured_batched_fista(
             operator_t=structure.dense64_t,
             workspace=workspace,
         )
-        coefficients[:, bad] = polish.coefficients
-        fixed = structure.psi64 @ polish.coefficients
-        signals[:, bad] = fixed
-        fixed_resid = structure.phi.residual(fixed, ys_bad)
-        residual_norms[bad] = np.linalg.norm(fixed_resid, axis=0)
-        rel_residuals[bad] = residual_norms[bad] / y_floor[bad]
+        signals[:, bad] = structure.psi64 @ polish.coefficients
         iterations[bad] += polish.iterations
         converged[bad] = polish.converged
         polished[bad] = True
-        total_iterations += polish.total_iterations
-
-    return HybridSolveResult(
-        signals=signals,
-        coefficients=coefficients,
-        iterations=iterations,
-        converged=converged,
-        residual_norms=residual_norms,
-        rel_residuals=rel_residuals,
-        polished=polished,
-        total_iterations=total_iterations,
-        stop_reasons=_stop_reasons(converged),
-    )
+    return HybridSolveResult(signals, iterations, converged, polished)
 
 
 class BatchedFista:
@@ -874,10 +757,7 @@ class BatchedFista:
             if lipschitz is not None
             else lipschitz_constant(np.asarray(self._dense, dtype=np.float64))
         )
-        if self._lipschitz <= 0:
-            raise SolverError(
-                f"lipschitz must be positive, got {self._lipschitz}"
-            )
+        check_positive_finite("lipschitz", self._lipschitz)
 
     @property
     def operator(self) -> np.ndarray:

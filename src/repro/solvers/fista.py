@@ -29,7 +29,13 @@ import math
 import numpy as np
 
 from ..errors import SolverError
-from .base import SolverResult, as_matrix, check_measurements, relative_change
+from .base import (
+    SolverResult,
+    as_matrix,
+    check_measurements,
+    check_positive_finite,
+    relative_change,
+)
 from .lipschitz import lipschitz_constant
 from .prox import soft_threshold
 
@@ -41,8 +47,7 @@ def lambda_from_fraction(a: np.ndarray, y: np.ndarray, fraction: float) -> float
     ``||A alpha - y||^2`` fidelity), so meaningful fractions live well
     below 1; the system default is 0.05.
     """
-    if fraction <= 0:
-        raise SolverError(f"fraction must be positive, got {fraction}")
+    check_positive_finite("fraction", fraction)
     correlation = float(np.max(np.abs(as_matrix(a).T @ np.asarray(y))))
     if correlation == 0:
         return fraction  # all-zero measurements: any positive lambda works
@@ -88,20 +93,17 @@ def fista(
     # are rounded back below (see the module docstring)
     matrix = as_matrix(np.asarray(a, dtype=dtype))
     y = check_measurements(matrix, y)
-    if lam <= 0:
-        raise SolverError(f"lam must be positive, got {lam}")
+    check_positive_finite("lam", lam)
     if max_iterations < 1:
         raise SolverError(f"max_iterations must be >= 1, got {max_iterations}")
-    if tolerance <= 0:
-        raise SolverError(f"tolerance must be positive, got {tolerance}")
+    check_positive_finite("tolerance", tolerance)
 
     y = np.asarray(y, dtype=dtype)
     n = matrix.shape[1]
 
     if lipschitz is None:
         lipschitz = lipschitz_constant(matrix)
-    if lipschitz <= 0:
-        raise SolverError(f"lipschitz must be positive, got {lipschitz}")
+    check_positive_finite("lipschitz", lipschitz)
     step = dtype(1.0 / lipschitz)
     threshold = dtype(lam / lipschitz)
 

@@ -15,7 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SolverError
-from .base import SolverResult, as_matrix, check_measurements, relative_change
+from .base import (
+    SolverResult,
+    as_matrix,
+    check_measurements,
+    check_positive_finite,
+    relative_change,
+)
 
 
 def gpsr(
@@ -36,8 +42,8 @@ def gpsr(
     """
     matrix = as_matrix(a)
     y = np.asarray(check_measurements(matrix, y), dtype=np.float64)
-    if lam <= 0:
-        raise SolverError(f"lam must be positive, got {lam}")
+    check_positive_finite("lam", lam)
+    check_positive_finite("tolerance", tolerance)
     if max_iterations < 1:
         raise SolverError(f"max_iterations must be >= 1, got {max_iterations}")
 

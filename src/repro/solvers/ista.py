@@ -11,7 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SolverError
-from .base import SolverResult, as_matrix, check_measurements, relative_change
+from .base import (
+    SolverResult,
+    as_matrix,
+    check_measurements,
+    check_positive_finite,
+    relative_change,
+)
 from .lipschitz import lipschitz_constant
 from .prox import soft_threshold
 
@@ -29,12 +35,10 @@ def ista(
     """Solve ``min ||A alpha - y||_2^2 + lam ||alpha||_1`` by ISTA."""
     matrix = as_matrix(a)
     y = check_measurements(matrix, y)
-    if lam <= 0:
-        raise SolverError(f"lam must be positive, got {lam}")
+    check_positive_finite("lam", lam)
     if max_iterations < 1:
         raise SolverError(f"max_iterations must be >= 1, got {max_iterations}")
-    if tolerance <= 0:
-        raise SolverError(f"tolerance must be positive, got {tolerance}")
+    check_positive_finite("tolerance", tolerance)
 
     dtype = np.float32 if np.asarray(y).dtype == np.float32 else np.float64
     y = np.asarray(y, dtype=dtype)
@@ -42,8 +46,7 @@ def ista(
 
     if lipschitz is None:
         lipschitz = lipschitz_constant(matrix)
-    if lipschitz <= 0:
-        raise SolverError(f"lipschitz must be positive, got {lipschitz}")
+    check_positive_finite("lipschitz", lipschitz)
     step = dtype(1.0 / lipschitz)
     threshold = dtype(lam / lipschitz)
 

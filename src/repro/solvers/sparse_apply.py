@@ -32,8 +32,8 @@ re-checks, diagnostics) costs ``n*d`` adds instead of an ``m*n`` GEMM,
 about 20x less work at the paper point.
 
 :class:`StructuredOperator` packages the factored view for the solver:
-the sparse ``Phi`` kernels, the dense ``Psi`` and fused dense ``A`` in
-both precisions, the float64 Lipschitz constant, and the cached
+the sparse ``Phi`` kernels, the dense ``Psi`` in both precisions, the
+fused dense ``A`` and its Lipschitz constant in float64, and the cached
 resolvent pairs the float32 ADMM leg iterates against.
 """
 
@@ -44,6 +44,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..errors import SolverError
+from .base import check_positive_finite
 from .lipschitz import lipschitz_constant
 
 #: resolvent pairs kept per operator (2 MB each at the paper point):
@@ -180,9 +181,8 @@ class StructuredOperator:
     - ``psi64``/``psi32``: the dense synthesis basis (``Psi``-side ops
       stay dense GEMM — ``Psi`` is a dense orthonormal matrix, so there
       is no structure to gather);
-    - ``dense64`` (+ contiguous transpose) / ``dense32``: the fused
-      ``A`` the float64 FISTA legs run their GEMM pair against, and
-      its float32 copy;
+    - ``dense64`` (+ contiguous transpose): the fused ``A`` the
+      float64 FISTA legs run their GEMM pair against;
     - ``lipschitz``: the float64 FISTA step constant;
     - :meth:`admm_pair`: the float32 fast leg's cached resolvent.
     """
@@ -206,16 +206,12 @@ class StructuredOperator:
             dense = matrix.product(self.psi64)
         self.dense64 = np.ascontiguousarray(dense, dtype=np.float64)
         self.dense64_t = np.ascontiguousarray(self.dense64.T)
-        self.dense32 = self.dense64.astype(np.float32)
         self.lipschitz = (
             lipschitz
             if lipschitz is not None
             else lipschitz_constant(self.dense64)
         )
-        if self.lipschitz <= 0:
-            raise SolverError(
-                f"lipschitz must be positive, got {self.lipschitz}"
-            )
+        check_positive_finite("lipschitz", self.lipschitz)
         self._admm_pairs: OrderedDict[float, tuple] = OrderedDict()
 
     @property

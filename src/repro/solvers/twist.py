@@ -19,7 +19,13 @@ import math
 import numpy as np
 
 from ..errors import SolverError
-from .base import SolverResult, as_matrix, check_measurements, relative_change
+from .base import (
+    SolverResult,
+    as_matrix,
+    check_measurements,
+    check_positive_finite,
+    relative_change,
+)
 from .lipschitz import power_iteration_norm
 from .prox import soft_threshold
 
@@ -47,8 +53,8 @@ def twist(
     """Solve ``min ||A alpha - y||_2^2 + lam ||alpha||_1`` by TwIST."""
     matrix = as_matrix(a)
     y = check_measurements(matrix, y)
-    if lam <= 0:
-        raise SolverError(f"lam must be positive, got {lam}")
+    check_positive_finite("lam", lam)
+    check_positive_finite("tolerance", tolerance)
     if max_iterations < 1:
         raise SolverError(f"max_iterations must be >= 1, got {max_iterations}")
 

@@ -206,16 +206,18 @@ class TestRL007SeededPromotion:
 
     def test_f64_promotion_in_f32_leg_caught(self, tmp_path):
         # the historical bug class: one float64 operand silently runs
-        # part of the fast leg (here batched_admm's closing residual)
-        # at double precision
+        # part of the fast leg (here the float32 Psi synthesis of the
+        # ADMM coefficients) at double precision
         findings = mutate_and_lint(
             tmp_path,
             self.SOURCE,
-            "(structure.dense32 @ alpha).astype(np.float64) - ys64",
-            "structure.dense32 @ alpha - ys64",
+            "np.matmul(structure.psi32, fast.coefficients, out=synth)",
+            "synth = structure.psi32 @ fast.coefficients.astype(np.float64)",
             "RL007",
         )
-        assert any("promotion:batched_admm" in f.key for f in findings)
+        assert any(
+            "promotion:structured_batched_fista" in f.key for f in findings
+        )
         assert any("float64 promotion" in f.message for f in findings)
 
     def test_default_dtype_alloc_in_f32_leg_caught(self, tmp_path):

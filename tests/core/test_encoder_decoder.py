@@ -129,9 +129,10 @@ class TestPacketPayloadDecoder:
         full = CSDecoder(small_config, codebook=encoder.codebook)
         block = standalone.measurement_block(packets, np.float64)
         assert block.shape == (small_config.m, 5)
+        # the full decoder's own stages 1-2, through its aliases
         for column, packet in enumerate(packets):
-            decoded = full.decode(packet)
-            np.testing.assert_allclose(decoded.measurements, block[:, column])
+            y = full.quantizer.dequantize(full._decode_payload(packet))
+            np.testing.assert_allclose(y, block[:, column])
 
     def test_decoder_aliases_delegate(self, small_config):
         from repro.coding import train_codebook
@@ -174,12 +175,12 @@ class TestDecoder:
             y_q = encoder.measure(window)
             # the codec state advances inside encode(); replicate order
             packet = encoder.encode(window)
-            decoded = decoder.decode(packet)
+            measured = decoder.payload.measurement_block([packet], np.float64)
             expected = decoder.quantizer.dequantize(y_q)
             # note: encoder.measure was called twice (measure + encode),
             # so compare against the decoder's reconstruction instead
             assert np.allclose(
-                decoded.measurements, expected, atol=decoder.quantizer.step
+                measured[:, 0], expected, atol=decoder.quantizer.step
             )
 
     def test_m_mismatch_detected(self, small_config, pair):

@@ -127,7 +127,7 @@ class TestSolverStress:
         encoder.reset()
         decoded = starved.decode(encoder.encode(windows[0]))
         assert decoded.iterations == 5
-        assert not decoded.solver.converged
+        assert not decoded.converged
         assert np.all(np.isfinite(decoded.samples_adu))
 
     def test_constant_window_handled(self, stream_setup):

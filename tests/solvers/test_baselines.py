@@ -156,6 +156,25 @@ class TestGpsr:
             gpsr(sparse_problem["system"], sparse_problem["y"], lam=0.0)
 
 
+@pytest.mark.parametrize(
+    "solver, name, value",
+    [(ista, "lam", np.nan), (ista, "lam", np.inf),
+     (ista, "tolerance", np.nan), (ista, "lipschitz", np.nan),
+     (ista, "lipschitz", np.inf),
+     (twist, "lam", np.nan), (twist, "lam", np.inf),
+     (twist, "tolerance", np.nan),
+     (gpsr, "lam", np.nan), (gpsr, "lam", np.inf),
+     (gpsr, "tolerance", np.nan)],
+)
+def test_rejects_non_finite_values(sparse_problem, solver, name, value):
+    """Each of these passed a ``<= 0`` test or none at all, then ran to
+    the iteration cap (NaN ``lam``/``lipschitz`` returning NaN) or, at an
+    infinite ``lipschitz``, "converged" on zeros with a zero step."""
+    kwargs = {"lam": 1.0, "max_iterations": 50, name: value}
+    with pytest.raises(SolverError, match=name):
+        solver(sparse_problem["system"], sparse_problem["y"], **kwargs)
+
+
 class TestBasisPursuit:
     def test_exact_recovery(self, sparse_problem):
         a, y = sparse_problem["system"], sparse_problem["y"]

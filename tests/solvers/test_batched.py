@@ -104,14 +104,10 @@ class TestSerialEquivalence:
             # column at exactly the serial stopping iteration
             assert batch.iterations[b] == serial.iterations
             assert bool(batch.converged[b]) == serial.converged
-            assert batch.stop_reasons[b] == serial.stop_reason
             np.testing.assert_allclose(
                 batch.coefficients[:, b],
                 serial.coefficients,
                 atol=1e-9,
-            )
-            assert batch.residual_norms[b] == pytest.approx(
-                serial.residual_norm, rel=1e-6
             )
 
     def test_scalar_lambda_broadcasts(self, batch_problem):
@@ -121,7 +117,7 @@ class TestSerialEquivalence:
             max_iterations=50, tolerance=1e-6,
             lipschitz=batch_problem["lipschitz"],
         )
-        assert batch.batch_size == ys.shape[1]
+        assert batch.coefficients.shape[1] == ys.shape[1]
 
     def test_single_column_batch(self, batch_problem):
         a, ys = batch_problem["a"], batch_problem["ys"]
@@ -155,16 +151,14 @@ class TestConvergenceMasking:
             lipschitz=batch_problem["lipschitz"],
         )
         assert batch.iterations[0] < batch.iterations[1:].min()
-        assert batch.total_iterations == batch.iterations.max()
 
-    def test_max_iterations_stop_reason(self, batch_problem):
+    def test_iteration_cap(self, batch_problem):
         a, ys = batch_problem["a"], batch_problem["ys"]
         batch = batched_fista(
             a, ys, 1e-6, max_iterations=5, tolerance=1e-12,
             lipschitz=batch_problem["lipschitz"],
         )
         assert not batch.converged.any()
-        assert set(batch.stop_reasons) == {"max_iterations"}
         assert (batch.iterations == 5).all()
 
 
@@ -234,18 +228,6 @@ class TestBatchedFistaClass:
             batch_problem["a"].shape[1],
             ys.shape[1],
         )
-
-    def test_per_column_adapter(self, batch_problem):
-        solver = BatchedFista(
-            batch_problem["a"], lipschitz=batch_problem["lipschitz"]
-        )
-        ys = batch_problem["ys"]
-        result = solver.solve(ys, 0.5, max_iterations=20, tolerance=1e-4)
-        one = result.per_column(0)
-        assert one.coefficients.shape == (batch_problem["a"].shape[1],)
-        assert one.iterations == int(result.iterations[0])
-        with pytest.raises(IndexError):
-            result.per_column(ys.shape[1])
 
     def test_workspace_reuse_matches_fresh_buffers(self, batch_problem):
         """Same-width solves through one workspace stay bit-identical."""

@@ -46,6 +46,20 @@ class TestInterface:
                 lipschitz=-1.0,
             )
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("lam", np.nan), ("lam", np.inf), ("tolerance", np.nan),
+         ("lipschitz", np.nan), ("lipschitz", np.inf)],
+    )
+    def test_rejects_non_finite_values(self, sparse_problem, name, value):
+        """Each of these passed its ``<= 0`` test: an infinite
+        ``lipschitz`` made the step 0 and "converged" at iteration 1 on
+        zeros, a NaN ``lam`` or ``lipschitz`` ran to the cap and
+        returned NaN, and a NaN ``tolerance`` never stopped."""
+        kwargs = {"lam": 1.0, name: value}
+        with pytest.raises(SolverError, match=name):
+            fista(sparse_problem["system"], sparse_problem["y"], **kwargs)
+
 
 class TestRecovery:
     def test_recovers_sparse_signal(self, sparse_problem):
@@ -208,4 +222,12 @@ class TestLambdaFromFraction:
         with pytest.raises(SolverError):
             lambda_from_fraction(
                 sparse_problem["system"], sparse_problem["y"], 0.0
+            )
+
+    @pytest.mark.parametrize("fraction", [np.nan, np.inf])
+    def test_rejects_non_finite_fraction(self, sparse_problem, fraction):
+        """Both passed ``fraction <= 0`` and came back as the weight."""
+        with pytest.raises(SolverError, match="fraction"):
+            lambda_from_fraction(
+                sparse_problem["system"], sparse_problem["y"], fraction
             )

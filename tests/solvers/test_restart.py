@@ -187,7 +187,7 @@ class TestPolishLegKeepsTheReference:
             **kwargs,
         )
         np.testing.assert_array_equal(
-            result.coefficients[:, hard], polish.coefficients[:, 0]
+            result.signals[:, [hard]], structure.psi64 @ polish.coefficients
         )
         assert result.iterations[hard] == (
             fast.iterations[hard] + polish.iterations[0]

@@ -6,20 +6,28 @@ options instead of re-declaring them.  These lists are the result: a
 parameter that comes back, or a new one, fails here and has to be
 argued for against the rule the audit applied — two callers or
 workloads outside ``tests/`` and ``examples/`` that need different
-values.
+values.  Beside them, the field sets stage 3 hands back are pinned the
+same way: a field comes back only with a reader outside ``tests/``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 from repro.analysis.runner import _build_parser
+from repro.core import DecodedPacket
 from repro.ingest import (
     FederationFrontDoor,
     IngestGateway,
     NodeClient,
 )
-from repro.solvers.batched import BatchedFista, structured_batched_fista
+from repro.solvers.batched import (
+    BatchedFista,
+    BatchedSolverResult,
+    HybridSolveResult,
+    structured_batched_fista,
+)
 
 
 def _parameters(function) -> list[str]:
@@ -78,6 +86,36 @@ def test_hybrid_solve_options():
         "structure",
         *solve,
         "workspace",
+    ]
+
+
+def _fields(cls) -> list[str]:
+    return [field.name for field in dataclasses.fields(cls)]
+
+
+def test_stage3_result_fields():
+    """What stage 3 hands back: fields a caller outside ``tests/`` reads
+    (samples, iterations, polish, timing), plus ``converged``, kept as a
+    test and diagnostic flag that no production path reads.  A residual,
+    a stop reason or a per-window coefficient copy that comes back has
+    to name its reader."""
+    assert _fields(BatchedSolverResult) == [
+        "coefficients",
+        "iterations",
+        "converged",
+    ]
+    assert _fields(HybridSolveResult) == [
+        "signals",
+        "iterations",
+        "converged",
+        "polished",
+    ]
+    assert _fields(DecodedPacket) == [
+        "sequence",
+        "samples_adu",
+        "iterations",
+        "converged",
+        "decode_seconds",
     ]
 
 
