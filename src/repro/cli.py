@@ -117,8 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "distinct sensing seeds across the fleet (1 = the paper's "
-            "shared fixed matrix; sharding across workers needs >= 2 "
-            "operator groups)"
+            "shared fixed matrix; workers shard within a group too)"
         ),
     )
     fleet.add_argument(
@@ -133,11 +132,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "solve batch-aligned column slices of every operator "
-            "group's pooled windows on this many processes. Falls "
-            "back to a single process — with a warning naming the "
-            "reason — when omitted/0/1, when the only group's windows "
-            "fit a single batch, or when the platform cannot start a "
-            "process pool"
+            "group's pooled windows on this many processes, each "
+            "running BLAS on one thread (default: one per usable CPU "
+            "for float64/float32, one slice per hybrid group; 0/1: a "
+            "single process). A value >= 2 falls back to a single "
+            "process — with a warning naming the reason — when the "
+            "only group's windows fit a single batch, or when the "
+            "platform cannot start a process pool"
         ),
     )
     fleet.add_argument(
@@ -193,9 +194,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "decode flushed batches on this many worker processes "
-            "(>= 2 shards within an operator group; default/0/1: "
-            "solve in-process on a thread)"
+            "decode flushed batches on this many worker processes, "
+            "each running BLAS on one thread (>= 2 shards within an "
+            "operator group; default/0/1: solve in-process on a thread)"
         ),
     )
     serve.add_argument(

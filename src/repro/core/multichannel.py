@@ -127,9 +127,10 @@ class MultiChannelMonitor:
         a full block of windows to reconstruct.  Batched decoding pools
         all leads through the fleet scheduler (:mod:`repro.fleet`):
         leads sharing a sensing operator batch *across* leads, and
-        ``fleet_workers >= 2`` solves batch-aligned slices of the
-        groups' pooled windows on a process pool.  ``fleet_workers`` only applies to the
-        fleet path, so it requires ``batch_size > 1``.
+        ``fleet_workers`` is :class:`~repro.fleet.FleetDecoder`'s
+        ``workers`` (unset: one process per usable CPU for the
+        serial-FISTA backends).  It only applies to the fleet path, so
+        it requires ``batch_size > 1``.
         """
         if record.num_channels < self.num_channels:
             raise ConfigurationError(

@@ -182,9 +182,10 @@ class EcgMonitorSystem:
         one packet encoded and decoded at a time, exactly the paper's
         real-time pipeline.  ``batch_size=B`` hands the whole record to
         the fleet engine as a one-stream fleet
-        (:class:`~repro.fleet.FleetDecoder`): vectorized sensing,
-        batched differencing and ``B`` windows per batched-FISTA
-        solve, with bit-identical packets and matching metrics.
+        (:class:`~repro.fleet.FleetDecoder`, default workers):
+        vectorized sensing, batched differencing and ``B`` windows per
+        batched-FISTA solve, with bit-identical packets and matching
+        metrics.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")

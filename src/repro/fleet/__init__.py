@@ -36,10 +36,12 @@ parent; each group's pooled column stream is cut into batch-aligned
 contiguous slices (:func:`~repro.fleet.engine.split_batches`) and every
 slice is one :func:`~repro.fleet.engine.solve_measurement_block` task
 on a :class:`~repro.fleet.executor.SolveExecutor` — called inline when
-``workers in (None, 0, 1)``, mapped over a process pool when
-``workers >= 2``, where two or more groups simply contribute more
-slices to the same map (and the paper's fleet, every node on the one
-fixed matrix, no longer serializes on one process's BLAS).  A task
+``workers in (0, 1)``, mapped over a process pool of single-BLAS-thread
+workers when ``workers >= 2`` or, with ``workers`` unset, one per
+usable CPU for the serial-FISTA backends; two or more groups simply
+contribute more slices to the same map (and the paper's fleet, every
+node on the one fixed matrix, no longer serializes on one process's
+BLAS).  A task
 serializes only scalar config fields and float measurement columns
 (kilobytes per batch); a worker rebuilds the dense operator from the
 seed once per operator group and caches it for the life of the

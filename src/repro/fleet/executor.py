@@ -7,11 +7,17 @@ the offline :class:`~repro.fleet.engine.FleetDecoder` (a blocking
 :meth:`SolveExecutor.submit` per flush, behind a
 :meth:`SolveExecutor.slot`) — run their tasks here, so the platform
 fallback, the in-flight bound and the shutdown exist once.
+
+Pool workers run BLAS on one thread (:func:`pin_blas_to_one_thread`):
+a worker per CPU is the parallelism, and a forked worker inherits its
+parent's OpenBLAS thread count, so N workers would otherwise run N
+times that many BLAS threads on N CPUs.
 """
 
 from __future__ import annotations
 
 import asyncio
+import ctypes
 import warnings
 from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
@@ -23,16 +29,69 @@ import numpy as np
 #: one, since its solver serves one caller at a time
 SOLVE_THREADS = 4
 
+#: the thread-count setter of each OpenBLAS build numpy and scipy ship:
+#: scipy-openblas wheels prefix the symbol, 64-bit-integer builds
+#: suffix it
+OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def loaded_openblas() -> list[tuple[ctypes.CDLL, str]]:
+    """Every OpenBLAS library this process has loaded, each with the
+    name of its thread-count setter; empty where none is loaded or
+    there is no ``/proc/self/maps`` to find one by."""
+    try:
+        with open("/proc/self/maps") as maps:
+            # a mapped file's path is the sixth field
+            paths = {
+                line.split(maxsplit=5)[5].rstrip("\n")
+                for line in maps
+                if "openblas" in line
+            }
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter in OPENBLAS_SETTERS:
+            if hasattr(library, setter):
+                found.append((library, setter))
+                break
+    return found
+
+
+def pin_blas_to_one_thread() -> None:
+    """Run every loaded OpenBLAS on one thread; a no-op without one.
+
+    The setting is process-global: call it only in a process of its
+    own that solves beside one peer per CPU (a pool worker, a
+    federation gateway process), never in a caller that shares its
+    process with other work.
+    """
+    for library, setter in loaded_openblas():
+        set_threads = getattr(library, setter)
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+
 
 class SolveExecutor:
     """Run solve tasks inline, on threads, or on a process pool.
 
     ``workers >= 2`` starts a process pool of that many workers, each
-    rebuilding operators from the config seed into its own
-    :func:`~repro.core.decoder.build_resources` cache.  Otherwise — or when
-    the platform cannot start a pool (no fork/spawn, no POSIX
-    semaphores), which emits one :class:`RuntimeWarning` naming the
-    error — tasks run in this process: on :data:`SOLVE_THREADS`
+    running BLAS on one thread and rebuilding operators from the config
+    seed into its own :func:`~repro.core.decoder.build_resources`
+    cache.  Otherwise — or when the platform cannot start a pool (no
+    fork/spawn, no POSIX semaphores), which emits one
+    :class:`RuntimeWarning` naming the error — tasks run in this
+    process: on :data:`SOLVE_THREADS`
     threads if ``threaded`` (an asyncio caller cannot block its loop
     on a solve), else inline in :meth:`map`.
 
@@ -50,7 +109,9 @@ class SolveExecutor:
         self._slots: dict[tuple | None, asyncio.Semaphore] = {}
         if workers is not None and workers >= 2:
             try:
-                self._pool = ProcessPoolExecutor(max_workers=workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=workers, initializer=pin_blas_to_one_thread
+                )
                 self.workers = workers
             except (ImportError, NotImplementedError, OSError, ValueError) as exc:
                 self.fallback_reason = (

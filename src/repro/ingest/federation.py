@@ -71,6 +71,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError, ProtocolError
+from ..fleet.executor import pin_blas_to_one_thread
 from ..fleet.scheduler import operator_key
 from ..telemetry import MetricsRegistry, MetricsSnapshot
 from ..utils.hashring import HashRing
@@ -115,7 +116,8 @@ HEARTBEAT_MISSES = 3
 # worker side: one gateway process behind a control pipe
 # ----------------------------------------------------------------------
 def _gateway_worker_main(conn, gateway_options: dict) -> None:
-    """Entry point of one gateway worker (process or fallback thread).
+    """Body of one gateway worker: the fallback thread's entry point,
+    and :func:`_gateway_process_main`'s once BLAS is pinned.
 
     Module-level so it pickles under every multiprocessing start
     method.  ``gateway_options`` are the gateway's constructor options
@@ -129,6 +131,15 @@ def _gateway_worker_main(conn, gateway_options: dict) -> None:
             conn.close()
         except OSError:
             pass
+
+
+def _gateway_process_main(conn, gateway_options: dict) -> None:
+    """Entry point of a gateway worker in its own process: N gateways
+    share N CPUs, so its BLAS runs on one thread.  The thread fallback
+    enters at :func:`_gateway_worker_main` instead — the setting is
+    process-global and would pin the front door's process too."""
+    pin_blas_to_one_thread()
+    _gateway_worker_main(conn, gateway_options)
 
 
 async def _gateway_worker(conn, gateway_options: dict) -> None:
@@ -429,7 +440,7 @@ class FederationFrontDoor:
         if self._use_processes:
             try:
                 runner = multiprocessing.Process(
-                    target=_gateway_worker_main,
+                    target=_gateway_process_main,
                     args=(child_conn, options),
                     daemon=True,
                 )

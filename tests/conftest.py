@@ -51,3 +51,31 @@ def record_100(database: SyntheticMitBih):
 def rng() -> np.random.Generator:
     """Deterministic per-test random generator."""
     return np.random.default_rng(12345)
+
+
+def openblas_threads() -> list[int]:
+    """Thread count of every OpenBLAS this process has loaded."""
+    from repro.fleet.executor import loaded_openblas
+
+    return [
+        getattr(library, setter.replace("_set_", "_get_"))()
+        for library, setter in loaded_openblas()
+    ]
+
+
+@pytest.fixture()
+def blas_on_two_threads():
+    """This process's OpenBLAS on 2 threads for the test, restored
+    after: a worker forked from it starts from a count it must undo.
+    Yields :func:`openblas_threads`."""
+    from repro.fleet.executor import loaded_openblas
+
+    libraries = loaded_openblas()
+    if not libraries:
+        pytest.skip("no OpenBLAS loaded in this process: nothing to pin")
+    before = openblas_threads()
+    for library, setter in libraries:
+        getattr(library, setter)(2)
+    yield openblas_threads
+    for (library, setter), count in zip(libraries, before):
+        getattr(library, setter)(count)

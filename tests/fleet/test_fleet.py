@@ -28,6 +28,19 @@ from repro.fleet import (
 )
 
 
+def _worker_blas_threads(_task: None) -> list[int]:
+    """A pool task: its worker's OpenBLAS thread counts.  Defined here
+    because a pool pickles it by reference, and a conftest function
+    cannot be looked up that way (every conftest imports as
+    ``conftest``)."""
+    from repro.fleet.executor import loaded_openblas
+
+    return [
+        getattr(library, setter.replace("_set_", "_get_"))()
+        for library, setter in loaded_openblas()
+    ]
+
+
 def _serial_reference(config, record, channel=0, max_packets=6, codebook=None):
     """A fresh serial stream of one record channel (the ground truth)."""
     system = EcgMonitorSystem(config)
@@ -251,7 +264,7 @@ class TestShardedExecutor:
             )
             for config, count, name in plan
         ]
-        inline = FleetDecoder(batch_size=2).run(tasks_of())
+        inline = FleetDecoder(batch_size=2, workers=1).run(tasks_of())
         if executor == "thread":
             # same slices, run concurrently on this process's cached
             # solvers: slices of one operator meet on its lock
@@ -261,7 +274,7 @@ class TestShardedExecutor:
                 lambda workers: SolveExecutor(threaded=True),
             )
         engine = FleetDecoder(
-            batch_size=2, workers=None if executor == "inline" else 2
+            batch_size=2, workers=1 if executor == "inline" else 2
         )
         results = engine.run(tasks_of())
         assert engine.last_num_groups == len(_SHAPES[shape])
@@ -303,7 +316,7 @@ class TestShardedExecutor:
         assert engine.last_num_groups == 2
         if engine.last_fallback_reason is None:
             assert engine.last_effective_workers == 4
-        inprocess = FleetDecoder(batch_size=2).run(tasks_of())
+        inprocess = FleetDecoder(batch_size=2, workers=1).run(tasks_of())
         for a, b in zip(inprocess, sharded):
             np.testing.assert_array_equal(
                 a.reconstructed_adu, b.reconstructed_adu
@@ -327,7 +340,7 @@ class TestShardedExecutor:
         assert engine.last_shard_mode == "columns"
         # 10 pooled windows, batch 2 -> 5 batches over 4 workers
         assert engine.last_effective_workers == 4
-        inprocess = FleetDecoder(batch_size=2).run(tasks_of())
+        inprocess = FleetDecoder(batch_size=2, workers=1).run(tasks_of())
         for a, b in zip(inprocess, sharded):
             assert [p.iterations for p in a.packets] == [
                 p.iterations for p in b.packets
@@ -410,7 +423,7 @@ class TestShardedExecutor:
         assert engine.last_shard_mode == "in-process"
         assert engine.last_effective_workers == 1
         assert "no sem_open here" in engine.last_fallback_reason
-        inline = FleetDecoder(batch_size=2).run(tasks_of())
+        inline = FleetDecoder(batch_size=2, workers=1).run(tasks_of())
         np.testing.assert_array_equal(
             results[0].reconstructed_adu, inline[0].reconstructed_adu
         )
@@ -455,13 +468,102 @@ class TestShardedExecutor:
             StreamTask(system, record, max_packets=2) for system in systems
         ]
         before = build_resources.cache_info()  # decoders built nothing
-        decode_fleet(tasks, batch_size=4)
+        decode_fleet(tasks, batch_size=4, workers=1)
         assert build_resources.cache_info().misses == before.misses + 1
-        decode_fleet(tasks, batch_size=4)
+        decode_fleet(tasks, batch_size=4, workers=1)
         systems[2].stream(record, max_packets=2)
         after = build_resources.cache_info()
         assert after.misses == before.misses + 1
         assert after.hits > before.hits
+
+
+class TestDefaultLayout:
+    """``workers`` unset: one single-BLAS-thread worker per usable CPU
+    for the serial-FISTA backends, one slice for hybrid — and the same
+    bits as ``workers=1`` either way."""
+
+    @pytest.mark.parametrize("batches", [1, 2, 3])
+    @pytest.mark.parametrize("precision", ["float64", "float32", "hybrid"])
+    def test_default_matches_in_process_bitwise(
+        self, small_config, database, monkeypatch, precision, batches
+    ):
+        import warnings
+
+        import repro.fleet.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "usable_cpus", lambda: 2)
+        tasks_of = lambda: [
+            StreamTask(
+                EcgMonitorSystem(small_config, precision=precision),
+                database.load(name),
+                max_packets=count,
+                keep_signals=True,
+            )
+            # batch 2 over 2*batches pooled windows, ragged across streams
+            for name, count in (("100", batches), ("119", batches))
+        ]
+        engine = FleetDecoder(batch_size=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # unset workers never warns
+            default = engine.run(tasks_of())
+        inline = FleetDecoder(batch_size=2, workers=1).run(tasks_of())
+        pooled = precision != "hybrid" and batches >= 2
+        assert engine.last_effective_workers == (2 if pooled else 1)
+        assert engine.last_shard_mode == (
+            "columns" if pooled else "in-process"
+        )
+        assert engine.last_fallback_reason is None
+        for a, b in zip(inline, default):
+            assert [p.iterations for p in a.packets] == [
+                p.iterations for p in b.packets
+            ]
+            np.testing.assert_array_equal(
+                a.reconstructed_adu, b.reconstructed_adu
+            )
+
+    def test_explicit_workers_pool_hybrid_too(self, small_config, database):
+        """The per-backend rule is only the default: ``workers=2`` is
+        honoured for a hybrid group."""
+        engine = FleetDecoder(batch_size=2, workers=2)
+        engine.run(
+            [
+                StreamTask(
+                    EcgMonitorSystem(small_config, precision="hybrid"),
+                    database.load("100"),
+                    max_packets=4,
+                )
+            ]
+        )
+        assert engine.last_effective_workers == 2
+        assert engine.last_shard_mode == "columns"
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        from repro.fleet.engine import usable_cpus
+
+        monkeypatch.setattr(
+            "os.sched_getaffinity", lambda pid: {0, 3, 5}, raising=False
+        )
+        assert usable_cpus() == 3
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 7)
+        assert usable_cpus() == 7
+
+    def test_pool_worker_runs_blas_on_one_thread(self, blas_on_two_threads):
+        """The oversubscription bug: a forked worker inherited its
+        parent's BLAS threads, so 2 workers ran 4 threads on 2 CPUs (a
+        96-window float64 job ran 1.4-8.7x slower than in-process on a
+        2-core Xeon)."""
+        from repro.fleet.executor import SolveExecutor
+
+        assert min(blas_on_two_threads()) >= 2
+        executor = SolveExecutor(2)
+        try:
+            assert executor.workers == 2, executor.fallback_reason
+            counts = executor.map(_worker_blas_threads, [None, None])
+        finally:
+            executor.close()
+        assert counts == [[1] * len(counts[0])] * 2
+        assert min(blas_on_two_threads()) >= 2  # the parent is untouched
 
 
 class TestOperatorCache:
@@ -590,7 +692,7 @@ class TestFleetTelemetry:
 
         record = database.load("100")
         registry = MetricsRegistry()
-        decoder = FleetDecoder(batch_size=3, telemetry=registry)
+        decoder = FleetDecoder(batch_size=3, workers=1, telemetry=registry)
         decoder.run(
             [
                 StreamTask(
@@ -617,7 +719,9 @@ class TestFleetTelemetry:
         record = database.load("100")
         for precision in ("float64", "hybrid"):
             registry = MetricsRegistry()
-            results = FleetDecoder(batch_size=3, telemetry=registry).run(
+            results = FleetDecoder(
+                batch_size=3, workers=1, telemetry=registry
+            ).run(
                 [
                     StreamTask(
                         EcgMonitorSystem(small_config, precision=precision),

@@ -465,6 +465,35 @@ class TestFailover:
         assert survivor.windows_lost == 0
 
 
+class TestBlasThreads:
+    @pytest.mark.parametrize("use_processes", [True, False])
+    def test_gateway_process_runs_blas_on_one_thread(
+        self, monkeypatch, blas_on_two_threads, use_processes
+    ):
+        """N gateway processes share N CPUs, so each runs BLAS on one
+        thread; the thread fallback shares the front door's process
+        and leaves its setting alone.  The worker body is replaced by
+        one that announces its largest BLAS thread count in the ready
+        message's port slot."""
+
+        async def announce_blas_threads(conn, gateway_options):
+            conn.send(("ready", max(blas_on_two_threads())))
+
+        monkeypatch.setattr(
+            federation_module, "_gateway_worker", announce_blas_threads
+        )
+        front_door = FederationFrontDoor(
+            gateways=1, use_processes=use_processes
+        )
+        worker = asyncio.run(front_door._spawn(0))
+        worker.runner.join(timeout=30)
+        assert not worker.runner.is_alive()
+        if use_processes and worker.in_process:
+            pytest.skip("multiprocessing unavailable; thread fallback")
+        assert worker.port == (1 if use_processes else 2)
+        assert min(blas_on_two_threads()) == 2  # the front door's own
+
+
 class TestValidation:
     def test_constructor_rejects_bad_shapes(self):
         with pytest.raises(ConfigurationError, match="gateways"):

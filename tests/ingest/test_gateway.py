@@ -629,11 +629,14 @@ class TestIdleDispatch:
         import repro.fleet.executor as executor_module
 
         # a two-worker pool in this process, so the parked wrapper is
-        # the one the workers call
+        # the one the workers call; the pool's BLAS-pin initializer is
+        # dropped, since in threads it would pin this whole process
         monkeypatch.setattr(
             executor_module,
             "ProcessPoolExecutor",
-            concurrent.futures.ThreadPoolExecutor,
+            lambda max_workers, initializer: (
+                concurrent.futures.ThreadPoolExecutor(max_workers)
+            ),
         )
         parked.remaining = 2
         record = database.load("100")
