@@ -12,10 +12,11 @@ object before any concurrency exists) is flagged at each unguarded
 write site.
 
 Writes counted: plain/augmented/annotated assignment to ``self.x``,
-and item assignment through it (``self.x[k] = v`` mutates the guarded
-structure just as surely).  Reads are deliberately not flagged —
-lock-free reads of monotonic state are a legitimate pattern and the
-signal-to-noise would collapse.
+item assignment through it (``self.x[k] = v`` mutates the guarded
+structure just as surely), and a statement whose value is an in-place
+container call on it (``self.x.append(v)``, ``w = self.x.pop()``).
+Reads are deliberately not flagged — lock-free reads of monotonic
+state are a legitimate pattern and the signal-to-noise would collapse.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ _LOCK_FACTORIES = frozenset(
     {"threading.Lock", "threading.RLock", "Lock", "RLock"}
 )
 _UNGUARDED_OK = frozenset({"__init__", "__new__", "__post_init__"})
+#: list/deque/dict/set/OrderedDict methods that mutate their receiver
+_MUTATORS = frozenset(
+    "add append appendleft clear discard extend insert move_to_end pop "
+    "popitem popleft remove setdefault update".split()
+)
 
 
 def _lock_attributes(cls: ast.ClassDef) -> set[str]:
@@ -57,6 +63,7 @@ def _lock_attributes(cls: ast.ClassDef) -> set[str]:
 
 def _write_targets(node: ast.stmt):
     """Self-attribute names written by one statement."""
+    yield from _mutated(node)
     if isinstance(node, ast.Assign):
         targets = node.targets
     elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
@@ -74,6 +81,18 @@ def _write_targets(node: ast.stmt):
             for element in target.elts:
                 if is_self_attribute(element):
                     yield element.attr
+
+
+def _mutated(node: ast.stmt):
+    """``x`` when the statement's value is ``self.x.<mutator>(...)``."""
+    call = getattr(node, "value", None)
+    if (
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr in _MUTATORS
+        and is_self_attribute(call.func.value)
+    ):
+        yield call.func.value.attr
 
 
 @register

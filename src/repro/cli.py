@@ -194,9 +194,12 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "decode flushed batches on this many worker processes, "
-            "each running BLAS on one thread (>= 2 shards within an "
-            "operator group; default/0/1: solve in-process on a thread)"
+            "solve flushed batches on this many worker processes, "
+            "each running BLAS on one thread (default: in-process, "
+            "one solve per CPU that BLAS leaves free - one at a time "
+            "unless BLAS runs on one thread, e.g. "
+            "OPENBLAS_NUM_THREADS=1 - and one per gateway with "
+            "--gateways > 1; 0/1: in-process, one at a time)"
         ),
     )
     serve.add_argument(

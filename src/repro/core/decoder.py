@@ -25,7 +25,7 @@ import functools
 import threading
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,22 +149,20 @@ def operator_key(config: SystemConfig, precision: str = "float64") -> tuple:
 class SolveResources:
     """One operator's solver + synthesis pair, as cached.
 
-    ``lock`` enforces the one-caller rule of
-    :class:`~repro.solvers.batched.BatchedFista` (it iterates in an
-    instance-level workspace): :func:`solve_block` holds it for the
-    duration of a solve, and nothing else may call ``solver.solve*``
-    on a cached instance.
+    Any number of threads may solve on it at once: the
+    :class:`~repro.solvers.batched.BatchedFista` lends each solve a
+    workspace of its own.
     """
 
     precision: str
     solver: BatchedFista
     transform: WaveletTransform
-    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 #: operators kept per process: a hybrid entry at the paper point is
 #: ~3 MB plus 2 MB per cached resolvent pair (one in a steady fleet,
-#: at most four) and a rebuild ~25 ms, so a small cap bounds what
+#: at most four) plus ~1.8 MB of arenas per concurrent width-16 solve,
+#: and a rebuild ~25 ms, so a small cap bounds what
 #: distinct (node-supplied) configs can pin at no cost to a steady fleet
 OPERATOR_CACHE_SIZE = 8
 
@@ -209,12 +207,19 @@ def build_resources(
     return SolveResources(precision, solver, transform)
 
 
+#: serializes :func:`resources_for` (``lru_cache`` takes no lock on a miss)
+_BUILD_LOCK = threading.Lock()
+
+
 def resources_for(config: SystemConfig, precision: str) -> SolveResources:
     """The cached resources of ``config``'s operator: what every
     :class:`CSDecoder`, fleet slice and gateway flush solves against,
     so an operator pays its dense build and Lipschitz estimate once
-    however many streams share it."""
-    return build_resources(*operator_key(config, precision))
+    however many streams share it.  Lookups serialize on one lock, so
+    two threads asking for an uncached operator build it once (the
+    second waits out the first's build, ~25 ms)."""
+    with _BUILD_LOCK:
+        return build_resources(*operator_key(config, precision))
 
 
 def solve_block(
@@ -232,28 +237,27 @@ def solve_block(
     path + sparse residual gate + float64 polish), which owns
     synthesis; the dense backends synthesize via the batched inverse
     transform.  Returns ``(n, B)`` float64 signals without dc offset
-    and the solver's per-column result.  Concurrent callers of one
-    cached operator serialize on its lock.
+    and the solver's per-column result.  Safe to call from several
+    threads on one cached operator.
     """
     solver = resources.solver
-    with resources.lock:
-        if resources.precision == "hybrid":
-            result = solver.solve_structured(
-                block,
-                fractions,
-                max_iterations=max_iterations,
-                tolerance=tolerance,
-            )
-            return result.signals, result
-        ys = np.asarray(block, dtype=solver.operator.dtype)
-        result = solver.solve(
-            ys,
-            solver.lambdas(ys, fractions),
+    if resources.precision == "hybrid":
+        result = solver.solve_structured(
+            block,
+            fractions,
             max_iterations=max_iterations,
             tolerance=tolerance,
         )
-        signals = resources.transform.inverse_batch(result.coefficients)
-        return np.asarray(signals, dtype=np.float64), result
+        return result.signals, result
+    ys = np.asarray(block, dtype=solver.operator.dtype)
+    result = solver.solve(
+        ys,
+        solver.lambdas(ys, fractions),
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+    )
+    signals = resources.transform.inverse_batch(result.coefficients)
+    return np.asarray(signals, dtype=np.float64), result
 
 
 class CSDecoder:

@@ -48,6 +48,7 @@ from ..core.system import StreamResult, window_metrics
 from ..errors import ConfigurationError
 from ..solvers import HybridSolveResult
 from ..telemetry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
+from . import executor
 from .executor import SolveExecutor
 from .scheduler import GroupSchedule, build_schedules, solve_key
 
@@ -247,15 +248,6 @@ def solve_measurement_block(task: dict) -> dict:
 POOLED_BY_DEFAULT = ("float64", "float32")
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the
-    platform has one, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def split_batches(num_batches: int, workers: int) -> list[tuple[int, int]]:
     """Partition ``num_batches`` solves into contiguous per-worker runs.
 
@@ -294,8 +286,8 @@ class FleetDecoder:
         process pool of (at most) that many workers; ``0`` or ``1``
         decodes in-process.  ``None`` (the default) cuts each
         serial-FISTA group (:data:`POOLED_BY_DEFAULT`) into up to
-        :func:`usable_cpus` slices and each hybrid group into one, and
-        starts a pool only if that leaves more than one slice.  Pool
+        :func:`~repro.fleet.executor.usable_cpus` slices and each
+        hybrid group into one, and starts a pool only if that leaves more than one slice.  Pool
         workers run BLAS on one thread.  A request for ``workers >= 2``
         still decodes in-process when there is nothing to split (a
         single group whose windows fit one batch) or when the platform
@@ -354,7 +346,7 @@ class FleetDecoder:
         if self.workers is not None:
             requested = [self.workers or 1] * len(schedules)
         else:
-            cpus = usable_cpus()
+            cpus = executor.usable_cpus()
             requested = [
                 cpus
                 if encoded[schedule.stream_ids[0]].precision
@@ -407,12 +399,12 @@ class FleetDecoder:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        executor = SolveExecutor(min(max(requested), len(slice_tasks)))
-        with contextlib.closing(executor):
-            slice_outputs = executor.map(solve_measurement_block, slice_tasks)
-        effective = executor.workers
-        if executor.fallback_reason is not None:
-            self.last_fallback_reason = executor.fallback_reason
+        solves = SolveExecutor(min(max(requested), len(slice_tasks)))
+        with contextlib.closing(solves):
+            slice_outputs = solves.map(solve_measurement_block, slice_tasks)
+        effective = solves.workers
+        if solves.fallback_reason is not None:
+            self.last_fallback_reason = solves.fallback_reason
 
         for (outputs, schedule, start, stop, dc_offsets), out in zip(
             slices, slice_outputs

@@ -4,9 +4,10 @@ Both callers of :func:`~repro.fleet.engine.solve_measurement_block` —
 the offline :class:`~repro.fleet.engine.FleetDecoder` (a blocking
 :meth:`SolveExecutor.map` over a run's slices) and the live
 :class:`~repro.ingest.gateway.IngestGateway` (one
-:meth:`SolveExecutor.submit` per flush, behind a
-:meth:`SolveExecutor.slot`) — run their tasks here, so the platform
-fallback, the in-flight bound and the shutdown exist once.
+:meth:`SolveExecutor.submit` per flush, behind
+:attr:`SolveExecutor.slot`) — run their tasks here, so the platform
+fallback, the in-flight bound and the shutdown exist once.  The bound
+follows one rule for threads and pools (:func:`solve_slots`).
 
 Pool workers run BLAS on one thread (:func:`pin_blas_to_one_thread`):
 a worker per CPU is the parallelism, and a forked worker inherits its
@@ -18,16 +19,12 @@ from __future__ import annotations
 
 import asyncio
 import ctypes
+import os
 import warnings
 from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
-
-#: in-process solve threads: solves on *different* cached operators
-#: overlap (BLAS releases the GIL); one operator never needs more than
-#: one, since its solver serves one caller at a time
-SOLVE_THREADS = 4
 
 #: the thread-count setter of each OpenBLAS build numpy and scipy ship:
 #: scipy-openblas wheels prefix the symbol, 64-bit-integer builds
@@ -38,6 +35,26 @@ OPENBLAS_SETTERS = (
     "openblas_set_num_threads64_",
     "openblas_set_num_threads",
 )
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def solve_slots(workers: int | None) -> int:
+    """Solves an executor for ``workers`` runs at once, one rule for
+    threads and pools: unset, one per CPU that a BLAS call leaves
+    free (an unpinned BLAS spreads one solve over them all), at least
+    one; ``0``/``1``, one; ``N >= 2``, ``N`` (processes, or threads if
+    no pool can start)."""
+    if workers is not None:
+        return max(workers, 1)
+    return max(usable_cpus() // blas_threads(), 1)
 
 
 def loaded_openblas() -> list[tuple[ctypes.CDLL, str]]:
@@ -67,6 +84,18 @@ def loaded_openblas() -> list[tuple[ctypes.CDLL, str]]:
     return found
 
 
+def blas_threads() -> int:
+    """Threads one BLAS call may use: the most any loaded OpenBLAS
+    runs, else one per usable CPU (an unknown BLAS is assumed to take
+    them all)."""
+    counts = []
+    for library, setter in loaded_openblas():
+        get_threads = getattr(library, setter.replace("_set_", "_get_"))
+        get_threads.restype = ctypes.c_int
+        counts.append(get_threads())
+    return max(counts, default=usable_cpus())
+
+
 def pin_blas_to_one_thread() -> None:
     """Run every loaded OpenBLAS on one thread; a no-op without one.
 
@@ -91,13 +120,15 @@ class SolveExecutor:
     cache.  Otherwise — or when the platform cannot start a pool (no
     fork/spawn, no POSIX semaphores), which emits one
     :class:`RuntimeWarning` naming the error — tasks run in this
-    process: on :data:`SOLVE_THREADS`
-    threads if ``threaded`` (an asyncio caller cannot block its loop
-    on a solve), else inline in :meth:`map`.
+    process: on :attr:`bound` threads if ``threaded`` (an asyncio
+    caller cannot block its loop on a solve), else inline in
+    :meth:`map`.
 
     :attr:`workers` is the number of worker processes actually in use
     (1 = in-process) and :attr:`fallback_reason` why a requested pool
-    is not, else ``None``.
+    is not, else ``None``.  :attr:`slot` holds :attr:`bound` =
+    :func:`solve_slots` permits; a live solve of any operator holds one
+    from before its task is composed until its result is routed.
     """
 
     def __init__(
@@ -105,8 +136,9 @@ class SolveExecutor:
     ) -> None:
         self.workers = 1
         self.fallback_reason: str | None = None
+        self.bound = solve_slots(workers)
+        self.slot = asyncio.Semaphore(self.bound)
         self._pool: ProcessPoolExecutor | ThreadPoolExecutor | None = None
-        self._slots: dict[tuple | None, asyncio.Semaphore] = {}
         if workers is not None and workers >= 2:
             try:
                 self._pool = ProcessPoolExecutor(
@@ -125,23 +157,8 @@ class SolveExecutor:
                 )
         if self._pool is None and threaded:
             self._pool = ThreadPoolExecutor(
-                max_workers=SOLVE_THREADS, thread_name_prefix="solve"
+                max_workers=self.bound, thread_name_prefix="solve"
             )
-
-    def slot(self, operator: tuple) -> asyncio.Semaphore:
-        """The in-flight bound a solve on ``operator`` must hold, from
-        before its task is composed until its result is routed.
-
-        Pool workers each own their solvers, so one bound of
-        ``workers`` permits is shared by all operators.  In-process,
-        solves share the cached solver of their operator, which serves
-        one caller at a time: each operator gets a single permit (a
-        second solve would only park a thread on the solver's lock).
-        """
-        key = operator if self.workers == 1 else None
-        if key not in self._slots:
-            self._slots[key] = asyncio.Semaphore(self.workers)
-        return self._slots[key]
 
     def submit(
         self,

@@ -436,6 +436,10 @@ class FederationFrontDoor:
         options = dict(
             self._gateway_options, session_id_base=index * SESSION_ID_STRIDE
         )
+        # the federation's parallelism is its gateway count, so a
+        # gateway solves one batch at a time unless it was given a pool
+        if options.get("workers") is None:
+            options["workers"] = 1
         runner = None
         if self._use_processes:
             try:

@@ -27,11 +27,10 @@ connected:
 - each flushed block is solved by the same
   :func:`~repro.fleet.engine.solve_measurement_block` the offline
   fleet maps its slices through, on the same
-  :class:`~repro.fleet.executor.SolveExecutor` — in a thread when
-  ``workers <= 1``, or across a persistent process pool when
-  ``workers >= 2``, which *is* intra-group sharding: successive
-  batches of one operator group decode concurrently on different
-  cores.
+  :class:`~repro.fleet.executor.SolveExecutor` — on threads, or on a
+  process pool when ``workers >= 2`` — up to one per CPU that BLAS
+  leaves free by default, which *is* intra-group sharding: successive
+  batches of one operator group decode concurrently.
 
 Backpressure is per stream: a session may have at most
 ``max_pending`` windows in flight; past that its read loop stops
@@ -84,7 +83,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.decoder import PacketPayloadDecoder, operator_key
+from ..core.decoder import PacketPayloadDecoder
 from ..errors import (
     ConfigurationError,
     DecodingError,
@@ -448,8 +447,6 @@ class _GroupPool:
         self.label = label  # short stable telemetry label ("g0", "g1")
         self.config = config
         self.precision = precision
-        #: the cached solver its flushes run on (shared across tolerances)
-        self.operator = operator_key(config, precision)
         self.pending: deque[_PendingWindow] = deque()
         self.event = asyncio.Event()
         self.drain_task: asyncio.Task | None = None
@@ -480,13 +477,15 @@ class IngestGateway:
         though the solver is busy and the batch is not full.  Finite
         and positive.
     workers:
-        ``None``, ``0`` or ``1`` solves on threads of this process
-        (one solve in flight per operator); ``>= 2`` dispatches
-        flushed blocks to a persistent process pool, decoding
-        successive batches of one operator group concurrently (live
-        intra-group sharding).  Also the ``idle`` trigger's bound:
-        a partial batch leaves at once only while fewer than this many
-        solves (one, in-process) are in flight gateway-wide.
+        Unset, one solve per CPU that BLAS leaves free on threads of
+        this process (one per usable CPU with BLAS on one thread, else
+        one at a time); ``0`` or ``1``, one at a time; ``>= 2``, a
+        persistent process pool of that many workers
+        (:func:`~repro.fleet.executor.solve_slots`).  The bound is
+        gateway-wide, so batches of one group may decode concurrently.
+        A partial batch leaves on ``idle`` only while fewer solves than
+        processes in use (:attr:`workers`; one in-process) are in
+        flight.
     max_pending:
         Per-stream backpressure bound: a session stops reading frames
         while this many of its windows await decoding.  Default
@@ -546,7 +545,9 @@ class IngestGateway:
         self.nack_budget = nack_budget
         self.batch_size = batch_size
         self.flush_s = flush_ms / 1000.0
+        #: processes solving (1 in-process): the ``idle`` bound
         self.workers = workers if workers else 1
+        self._requested_workers = workers
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self.max_pending = (
             max_pending if max_pending is not None else 4 * batch_size
@@ -1060,16 +1061,18 @@ class IngestGateway:
         """One flush: take a solve slot, *then* pop a batch and submit it.
 
         The slot comes first so a batch is composed as late as possible:
-        while the group's previous solve runs the drain loop waits
-        here, windows keep pooling, and the flush decision (and its
-        reason) is made against what pends when the solver is free.
+        while every slot is taken the drain loop waits here, windows
+        keep pooling, and the flush decision (and its reason) is made
+        against what pends when a slot comes free.
         The queue wait of every member — frame arrival to submit — is
         observed as ``ingest_stage_seconds{stage="queue"}``.
         """
         if self._executor is None:
-            self._executor = SolveExecutor(self.workers, threaded=True)
+            self._executor = SolveExecutor(
+                self._requested_workers, threaded=True
+            )
             self.workers = self._executor.workers  # 1 after a fallback
-        slot = self._executor.slot(group.operator)
+        slot = self._executor.slot
         await slot.acquire()
         if self._closing or self._executor is None:
             # close() may have shut the executor down while this flush

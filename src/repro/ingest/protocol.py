@@ -122,9 +122,9 @@ MAX_WINDOW_SAMPLES = 1024
 
 #: Upper bound on a handshake's solver iteration cap (the paper budgets
 #: 2000).  A column that never converges runs this many iterations
-#: under the *shared* operator's lock — seconds here, days at the
-#: 2 * 10^9 an unchecked HELLO could name, stalling every honest stream
-#: on that operator.
+#: while holding one of the gateway's shared solve slots — seconds
+#: here, days at the 2 * 10^9 an unchecked HELLO could name, stalling
+#: every honest stream behind it.
 MAX_SOLVER_ITERATIONS = 20_000
 
 #: Upper bound on a handshake's keyframe interval (the paper uses 16):

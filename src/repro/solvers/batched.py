@@ -32,7 +32,10 @@ previous batch's solutions when streaming chunk by chunk.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -727,13 +730,11 @@ class BatchedFista:
     exactly like the serial decoder's precomputation) and then solves
     arbitrary ``(m, B)`` measurement blocks.
 
-    Not reentrant: :meth:`solve` hands its instance-level
-    :class:`BatchWorkspace` to every call, so one instance serves one
-    caller at a time — concurrent solves on a shared instance would
-    scribble over each other's scratch buffers.  The cached instances
-    of :mod:`repro.core.decoder` are solved on only under their cache
-    entry's lock (``solve_block``); any other caller must own its
-    solver (or call :func:`batched_fista`, which allocates its own).
+    Threads share the instance, never its scratch: each solve takes a
+    :class:`BatchWorkspace` off a LIFO stack of free ones (a new one if
+    none is free) and puts it back when done, under a lock.  A
+    sequential caller therefore always solves in the same workspace,
+    and the stack grows only to the most solves that ever overlapped.
     """
 
     def __init__(
@@ -751,7 +752,8 @@ class BatchedFista:
             if structure is not None and structure.dense64 is self._dense
             else np.ascontiguousarray(self._dense.T)
         )
-        self._workspace = BatchWorkspace()
+        self._lock = threading.Lock()
+        self._idle = [BatchWorkspace()]  # free workspaces, LIFO
         self._lipschitz = (
             lipschitz
             if lipschitz is not None
@@ -776,8 +778,23 @@ class BatchedFista:
 
     @property
     def workspace(self) -> BatchWorkspace:
-        """The instance's arena workspace (benches inspect its reuse)."""
-        return self._workspace
+        """The workspace the next solve takes while none is running
+        (tests inspect its reuse)."""
+        return self._idle[-1]
+
+    @contextlib.contextmanager
+    def _lend(self) -> Iterator[BatchWorkspace]:
+        """Hold a free workspace for one solve."""
+        with self._lock:
+            if self._idle:
+                workspace = self._idle.pop()
+            else:
+                workspace = BatchWorkspace()
+        try:
+            yield workspace
+        finally:
+            with self._lock:
+                self._idle.append(workspace)
 
     def lambdas(self, ys: np.ndarray, fraction: float) -> np.ndarray:
         """Per-column weights for a measurement block (one GEMM)."""
@@ -802,14 +819,15 @@ class BatchedFista:
                 "solve_structured requires a StructuredOperator; "
                 "construct BatchedFista(..., structure=...)"
             )
-        return structured_batched_fista(
-            self._structure,
-            ys,
-            fractions,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-            workspace=self._workspace,
-        )
+        with self._lend() as workspace:
+            return structured_batched_fista(
+                self._structure,
+                ys,
+                fractions,
+                max_iterations=max_iterations,
+                tolerance=tolerance,
+                workspace=workspace,
+            )
 
     def solve(
         self,
@@ -820,14 +838,15 @@ class BatchedFista:
         x0: np.ndarray | None = None,
     ) -> BatchedSolverResult:
         """Run the masked batched iteration on one measurement block."""
-        return batched_fista(
-            self._dense,
-            ys,
-            lams,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-            lipschitz=self._lipschitz,
-            x0=x0,
-            operator_t=self._dense_t,
-            workspace=self._workspace,
-        )
+        with self._lend() as workspace:
+            return batched_fista(
+                self._dense,
+                ys,
+                lams,
+                max_iterations=max_iterations,
+                tolerance=tolerance,
+                lipschitz=self._lipschitz,
+                x0=x0,
+                operator_t=self._dense_t,
+                workspace=workspace,
+            )

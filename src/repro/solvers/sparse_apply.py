@@ -39,6 +39,7 @@ resolvent pairs the float32 ADMM leg iterates against.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -213,6 +214,7 @@ class StructuredOperator:
         )
         check_positive_finite("lipschitz", self.lipschitz)
         self._admm_pairs: OrderedDict[float, tuple] = OrderedDict()
+        self._lock = threading.Lock()
 
     @property
     def m(self) -> int:
@@ -239,25 +241,25 @@ class StructuredOperator:
         and ``P = I - R A`` — never the ``(n, n)`` Gram or its inverse.
         Pairs are kept least-recently-used up to
         :data:`ADMM_PAIR_CACHE_SIZE`; a rebuilt pair is bit-identical.
-        Not thread-safe: like every solve on a cached operator, called
-        under the owner's lock.
+        Read and built under a lock: concurrent first solves build one.
         """
-        pair = self._admm_pairs.get(rho)
-        if pair is not None:
-            self._admm_pairs.move_to_end(rho)
+        with self._lock:
+            pair = self._admm_pairs.get(rho)
+            if pair is not None:
+                self._admm_pairs.move_to_end(rho)
+                return pair
+            kernel = self.dense64 @ self.dense64_t
+            kernel.flat[:: self.m + 1] += rho / 2.0
+            ridge_t64 = np.linalg.solve(kernel, self.dense64)
+            del kernel
+            resolvent = ridge_t64.T @ self.dense64
+            np.negative(resolvent, out=resolvent)
+            resolvent.flat[:: self.n_coefficients + 1] += 1.0
+            pair = (resolvent.astype(np.float32), ridge_t64)
+            if len(self._admm_pairs) >= ADMM_PAIR_CACHE_SIZE:
+                self._admm_pairs.popitem(last=False)
+            self._admm_pairs[rho] = pair
             return pair
-        kernel = self.dense64 @ self.dense64_t
-        kernel.flat[:: self.m + 1] += rho / 2.0
-        ridge_t64 = np.linalg.solve(kernel, self.dense64)
-        del kernel
-        resolvent = ridge_t64.T @ self.dense64
-        np.negative(resolvent, out=resolvent)
-        resolvent.flat[:: self.n_coefficients + 1] += 1.0
-        pair = (resolvent.astype(np.float32), ridge_t64)
-        if len(self._admm_pairs) >= ADMM_PAIR_CACHE_SIZE:
-            self._admm_pairs.popitem(last=False)
-        self._admm_pairs[rho] = pair
-        return pair
 
     def synthesis(self, dtype: np.dtype | type) -> np.ndarray:
         """Dense ``Psi`` in the requested precision."""

@@ -17,6 +17,6 @@ class LeakyRegistry:
         self._counters = {}  # line 17: unguarded write -> finding
 
     def merge(self, other):
-        self._counters.update(other)  # reads/method calls: not flagged
+        self._counters.update(other)  # line 20: in-place call -> finding
         with self._lock:
             self._counters["merged"] = 1

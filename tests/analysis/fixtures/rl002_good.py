@@ -19,6 +19,14 @@ class DisciplinedRegistry:
         with self._lock:
             return dict(self._counters)
 
+    def total(self):
+        # lock-free reads, method calls included, are not writes
+        return len(self._counters) + self._counters.get("merged", 0)
+
+    def drain(self):
+        with self._lock:
+            self._counters.clear()
+
 
 class Lockless:
     """No lock owned: single-threaded state is out of scope."""

@@ -57,10 +57,10 @@ class TestRL001AsyncBlocking:
 class TestRL002LockDiscipline:
     def test_bad_fixture_positives(self):
         findings, _ = lint_fixture("rl002_bad.py", "RL002")
-        (finding,) = findings
-        assert finding.line == 17
-        assert finding.key == "LeakyRegistry._counters"
-        assert "_counters" in finding.message
+        # a rebinding and an in-place container call, both unguarded
+        assert [f.line for f in findings] == [17, 20]
+        assert {f.key for f in findings} == {"LeakyRegistry._counters"}
+        assert all("_counters" in f.message for f in findings)
 
     def test_good_fixture_clean(self):
         findings, _ = lint_fixture("rl002_good.py", "RL002")

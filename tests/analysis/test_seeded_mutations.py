@@ -89,6 +89,63 @@ class TestRL002SeededUnguardedWrite:
         assert [f.key for f in findings] == ["MetricsRegistry._counters"]
 
 
+class TestRL002SeededWorkspaceReturn:
+    SOURCE = SRC / "solvers" / "batched.py"
+    GUARDED = (
+        "        finally:\n"
+        "            with self._lock:\n"
+        "                self._idle.append(workspace)\n"
+    )
+
+    def test_pristine_solver_is_clean(self, tmp_path):
+        assert lint_pristine(tmp_path, self.SOURCE, "RL002") == []
+
+    def test_return_to_stack_outside_the_lock_caught(self, tmp_path):
+        # a solve thread handing its workspace back while another takes
+        # one: a list append racing a pop can lose the workspace or
+        # hand one out twice, and two solves then share scratch
+        findings = mutate_and_lint(
+            tmp_path,
+            self.SOURCE,
+            self.GUARDED,
+            "        finally:\n"
+            "            self._idle.append(workspace)\n",
+            "RL002",
+        )
+        assert [f.key for f in findings] == ["BatchedFista._idle"]
+
+
+class TestRL002SeededResolventCacheHit:
+    SOURCE = SRC / "solvers" / "sparse_apply.py"
+    LOCKED_HIT = (
+        "        with self._lock:\n"
+        "            pair = self._admm_pairs.get(rho)\n"
+        "            if pair is not None:\n"
+        "                self._admm_pairs.move_to_end(rho)\n"
+        "                return pair\n"
+    )
+
+    def test_pristine_structured_operator_is_clean(self, tmp_path):
+        assert lint_pristine(tmp_path, self.SOURCE, "RL002") == []
+
+    def test_cache_hit_outside_the_lock_caught(self, tmp_path):
+        # a lock-free hit path: one solve thread's move_to_end racing
+        # another's eviction (popitem) of the same rho raises KeyError
+        # mid-solve, and two first solves both build the pair
+        findings = mutate_and_lint(
+            tmp_path,
+            self.SOURCE,
+            self.LOCKED_HIT,
+            "        pair = self._admm_pairs.get(rho)\n"
+            "        if pair is not None:\n"
+            "            self._admm_pairs.move_to_end(rho)\n"
+            "            return pair\n"
+            "        with self._lock:\n",
+            "RL002",
+        )
+        assert [f.key for f in findings] == ["StructuredOperator._admm_pairs"]
+
+
 class TestRL004SeededCatalogDrift:
     SOURCE = SRC / "ingest" / "gateway.py"
     FLUSHES = '        self.telemetry.inc("ingest_flushes", reason=reason)\n'

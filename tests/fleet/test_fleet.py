@@ -489,9 +489,9 @@ class TestDefaultLayout:
     ):
         import warnings
 
-        import repro.fleet.engine as engine_module
+        import repro.fleet.executor as executor_module
 
-        monkeypatch.setattr(engine_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(executor_module, "usable_cpus", lambda: 2)
         tasks_of = lambda: [
             StreamTask(
                 EcgMonitorSystem(small_config, precision=precision),
@@ -538,7 +538,7 @@ class TestDefaultLayout:
         assert engine.last_shard_mode == "columns"
 
     def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
-        from repro.fleet.engine import usable_cpus
+        from repro.fleet.executor import usable_cpus
 
         monkeypatch.setattr(
             "os.sched_getaffinity", lambda pid: {0, 3, 5}, raising=False
@@ -547,6 +547,58 @@ class TestDefaultLayout:
         monkeypatch.delattr("os.sched_getaffinity", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 7)
         assert usable_cpus() == 7
+
+    @pytest.mark.parametrize(
+        "cpus, blas, workers, slots",
+        [
+            (2, 1, None, 2),
+            (4, 1, None, 4),
+            (2, 2, None, 1),
+            (4, 2, None, 2),
+            (1, 4, None, 1),
+            (4, 1, 0, 1),
+            (4, 1, 1, 1),
+            (4, 4, 3, 3),
+        ],
+    )
+    def test_solve_slots(self, monkeypatch, cpus, blas, workers, slots):
+        """Unset, one in-process solve per CPU a BLAS call leaves free
+        (an unpinned BLAS already spreads one solve over them all);
+        ``0``/``1`` one; ``N >= 2`` processes each pin their BLAS."""
+        import repro.fleet.executor as executor_module
+
+        monkeypatch.setattr(executor_module, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(executor_module, "blas_threads", lambda: blas)
+        assert executor_module.solve_slots(workers) == slots
+
+    def test_blas_threads_reads_openblas(self, blas_on_two_threads):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.fleet.executor import blas_threads
+
+        assert blas_threads() == max(blas_on_two_threads()) == 2
+        # what the e2e benchmark child runs under
+        pinned = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from repro.fleet.executor import blas_threads; "
+                "print(blas_threads())",
+            ],
+            env={
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": "1",
+                "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+            },
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert pinned.stdout.split() == ["1"]
 
     def test_pool_worker_runs_blas_on_one_thread(self, blas_on_two_threads):
         """The oversubscription bug: a forked worker inherited its
@@ -564,6 +616,41 @@ class TestDefaultLayout:
             executor.close()
         assert counts == [[1] * len(counts[0])] * 2
         assert min(blas_on_two_threads()) >= 2  # the parent is untouched
+
+    def test_hybrid_decode_is_blas_thread_count_invariant(
+        self, paper_config, database, blas_on_two_threads
+    ):
+        """A hybrid pool worker builds its ADMM resolvent pair on one
+        BLAS thread, an unpinned parent on several: at the paper point
+        both decode the same samples and iterations.  Each side builds
+        its operator from an empty cache, so neither inherits the
+        other's pair (pool workers fork from the parent)."""
+        from repro.core.decoder import build_resources
+
+        tasks_of = lambda: [
+            StreamTask(
+                EcgMonitorSystem(paper_config, precision="hybrid"),
+                database.load(name),
+                max_packets=8,
+                keep_signals=True,
+            )
+            for name in ("100", "119")
+        ]
+        build_resources.cache_clear()
+        pool = FleetDecoder(batch_size=4, workers=2)
+        pooled = pool.run(tasks_of())
+        assert pool.last_effective_workers == 2, pool.last_fallback_reason
+        build_resources.cache_clear()
+        assert min(blas_on_two_threads()) >= 2
+        inline = FleetDecoder(batch_size=4, workers=1).run(tasks_of())
+        build_resources.cache_clear()  # no 2-thread pair outlives the test
+        for a, b in zip(pooled, inline):
+            assert [p.iterations for p in a.packets] == [
+                p.iterations for p in b.packets
+            ]
+            np.testing.assert_array_equal(
+                a.reconstructed_adu, b.reconstructed_adu
+            )
 
 
 class TestOperatorCache:
@@ -591,13 +678,13 @@ class TestOperatorCache:
         assert resources_for(config, "hybrid") is rebuilt
 
     @pytest.mark.parametrize("precision", ["float64", "hybrid"])
-    def test_concurrent_solves_on_one_operator_serialize(
+    def test_concurrent_solves_on_one_operator_match_serial(
         self, small_config, precision
     ):
-        """One cached solver serves one caller at a time: blocks
-        solved from more threads than cores (two configs differing only
-        in ``tolerance`` — one operator key) equal their serial
-        solves exactly."""
+        """One cached solver serves many callers, each in a workspace
+        of its own: blocks solved from more threads than cores (two
+        configs differing only in ``tolerance`` — one operator key)
+        equal their serial solves exactly."""
         import dataclasses
         import sys
         from concurrent.futures import ThreadPoolExecutor

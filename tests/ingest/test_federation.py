@@ -19,7 +19,7 @@ import pytest
 from repro.core import EcgMonitorSystem
 from repro.errors import ConfigurationError
 from repro.fleet.scheduler import operator_key
-from repro.ingest import FederationFrontDoor, NodeClient
+from repro.ingest import FederationFrontDoor, IngestGateway, NodeClient
 from repro.ingest import federation as federation_module
 from repro.ingest.federation import RING_REPLICAS, RING_SEED
 from repro.utils import HashRing
@@ -216,7 +216,6 @@ class TestBitIdentity:
         a claim about the front door: pooled-batch *composition* is
         arrival-timing dependent and BLAS reduction order varies with
         block width."""
-        from repro.ingest import IngestGateway
         from repro.ingest.gateway import merge_stream_results
 
         specs = [("100", 0), ("119", 1)]
@@ -492,6 +491,42 @@ class TestBlasThreads:
             pytest.skip("multiprocessing unavailable; thread fallback")
         assert worker.port == (1 if use_processes else 2)
         assert min(blas_on_two_threads()) == 2  # the front door's own
+
+
+class TestSolveSlots:
+    @pytest.mark.parametrize("use_processes", [True, False])
+    @pytest.mark.parametrize("workers", [None, 0, 1, 2])
+    def test_each_gateway_solves_one_batch_at_a_time(
+        self, monkeypatch, use_processes, workers
+    ):
+        """The federation's parallelism is its gateway count, so with
+        ``workers`` unset each gateway (process or fallback thread)
+        keeps one solve slot, where a standalone gateway with BLAS on
+        one thread takes one per usable CPU; an explicit value is forwarded as given.  The
+        worker body announces the bound its options give in the ready
+        message's port slot."""
+
+        import repro.fleet.executor as executor_module
+
+        async def announce_solve_slots(conn, gateway_options):
+            IngestGateway(**gateway_options)  # options it accepts
+            slots = executor_module.solve_slots(gateway_options["workers"])
+            conn.send(("ready", slots))
+
+        # a standalone gateway would take 4 (a forked worker inherits
+        # it), as a gateway process with its BLAS pinned would
+        monkeypatch.setattr(executor_module, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(executor_module, "blas_threads", lambda: 1)
+        monkeypatch.setattr(
+            federation_module, "_gateway_worker", announce_solve_slots
+        )
+        front_door = FederationFrontDoor(
+            gateways=1, use_processes=use_processes, workers=workers
+        )
+        worker = asyncio.run(front_door._spawn(0))
+        worker.runner.join(timeout=30)
+        assert not worker.runner.is_alive()
+        assert worker.port == (2 if workers == 2 else 1)
 
 
 class TestValidation:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro.coding.codebook as codebook_module
+import repro.fleet.executor as executor_module
 import repro.ingest.gateway as gateway_module
 from repro.coding import Codebook, train_codebook
 from repro.core import EcgMonitorSystem
@@ -147,10 +148,24 @@ def parked(monkeypatch):
     parking.release()  # never leave a solve thread waiting
 
 
-@pytest.fixture(scope="module")
-def other_group(small_config, database):
+def _solve_threads(monkeypatch, count):
+    """An in-process gateway bound of ``count`` solves on any machine:
+    that many CPUs, BLAS on one thread."""
+    monkeypatch.setattr(executor_module, "usable_cpus", lambda: count)
+    monkeypatch.setattr(executor_module, "blas_threads", lambda: 1)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    _solve_threads(monkeypatch, 2)
+
+
+@pytest.fixture
+def other_group(small_config, database, two_cpus):
     """A calibrated node on another sensing seed, so its windows form a
-    second operator group, plus its first packet."""
+    second operator group, plus its first packet.  The gateway runs two
+    solves at once, so the group under test can still dispatch beside
+    the parked one."""
     record = database.load("119")
     system = _system(small_config.replace(seed=small_config.seed + 1), record)
     return system, record, encoded_packets(system, record, max_packets=1)[0]
@@ -672,6 +687,107 @@ class TestIdleDispatch:
             gateway.results[0],
             _serial_reference(system, record, max_packets=3),
         )
+
+    def test_in_process_full_batches_of_one_group_overlap(
+        self, small_config, database, monkeypatch, parked
+    ):
+        """In-process, two full batches of one operator group solve at
+        once (the bound is gateway-wide, not per operator), while a
+        partial batch still leaves on ``idle`` only once nothing is in
+        flight — though a slot is free for it."""
+        _solve_threads(monkeypatch, 4)
+        parked.remaining = 3
+        record = database.load("100")
+        system = _system(small_config, record)
+        packets = encoded_packets(system, record, max_packets=6)
+
+        async def run():
+            gateway = IngestGateway(batch_size=2, flush_ms=60_000.0)
+            reader, writer = gateway.connect_local()
+            writer.write(_hello(system, record))
+            writer.write(_packet(packets[0]))
+            try:
+                await parked.wait_parked(1)  # the lone first window: idle
+                for count, pair in ((2, packets[1:3]), (3, packets[3:5])):
+                    for packet in pair:
+                        writer.write(_packet(packet))
+                    await parked.wait_parked(count)
+                writer.write(_packet(packets[5]))
+                await asyncio.sleep(0.05)
+                held = [(r, len(m)) for _k, m, r in gateway.batch_log]
+                free = gateway._executor.slot._value
+                bound = gateway._executor.bound
+            finally:
+                parked.release()
+            for _ in packets:
+                await _next_decoded(reader)
+            writer.write(encode_frame(FrameKind.BYE))
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway, held, free, bound
+
+        gateway, held, free, bound = asyncio.run(run())
+        assert gateway.workers == 1 and bound == 4
+        assert held == [("idle", 1), ("full", 2), ("full", 2)]
+        assert free == 1  # the partial batch waited beside a free slot
+        assert [r for _k, _m, r in gateway.batch_log] == [
+            "idle",
+            "full",
+            "full",
+            "idle",
+        ]
+        _assert_matches_serial(
+            gateway.results[0],
+            _serial_reference(system, record, max_packets=6),
+        )
+
+    def test_distinct_operators_share_one_bound(
+        self, small_config, database, monkeypatch, parked
+    ):
+        """Solves of different operator groups draw on one in-flight
+        bound: with two slots and two parked solves, a third group's
+        deadline flush waits for a slot.  (A semaphore per operator let
+        every group run a solve, and grew by one per node-supplied
+        operator for the life of the process.)"""
+        _solve_threads(monkeypatch, 2)
+        parked.remaining = 3
+        record = database.load("100")
+        nodes = []
+        for offset in range(3):
+            system = _system(
+                small_config.replace(seed=small_config.seed + 7 + offset),
+                record,
+            )
+            nodes.append(
+                (system, encoded_packets(system, record, max_packets=1)[0])
+            )
+
+        async def run():
+            gateway = IngestGateway(batch_size=64, flush_ms=20.0)
+            links = []
+            try:
+                for count, (system, packet) in enumerate(nodes, start=1):
+                    reader, writer = gateway.connect_local()
+                    writer.write(_hello(system, record))
+                    writer.write(_packet(packet))
+                    links.append((reader, writer))
+                    if count < 3:
+                        await parked.wait_parked(count)
+                await asyncio.sleep(0.3)  # well past the third's deadline
+                held = (parked.parked, len(gateway.batch_log))
+            finally:
+                parked.release()
+            for reader, writer in links:
+                await _next_decoded(reader)
+                writer.write(encode_frame(FrameKind.BYE))
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway, held
+
+        gateway, held = asyncio.run(run())
+        assert held == (2, 2)
+        assert len(gateway._groups) == 3
+        assert [r for _k, _m, r in gateway.batch_log][-1] == "deadline"
 
     def test_unpaced_stream_still_fills_every_batch(
         self, small_config, database
@@ -1205,7 +1321,6 @@ class TestFaults:
             )
             group = SimpleNamespace(
                 key=("k",),
-                operator=("k",),
                 label="g0",
                 config=small_config,
                 precision="float64",
@@ -1214,8 +1329,7 @@ class TestFaults:
             await gateway._dispatch(group)
             executor = gateway._executor
             executor.close()
-            free = executor.slot(group.operator)._value
-            return failed, group, free == executor.workers
+            return failed, group, executor.slot._value == executor.bound
 
         failed, group, all_free = asyncio.run(run())
         assert isinstance(failed["exc"], ConfigurationError)
