@@ -4,8 +4,8 @@
 #   scripts/run_tier1.sh          # lint + tests + benchmarks + examples
 #   scripts/run_tier1.sh --fast   # lint + tests only
 #
-# Full mode takes ~195 s on a 2-core Xeon at 2.1 GHz (tests ~91 s,
-# the paper-fidelity benchmarks ~93 s).
+# Full mode takes ~255 s on a 2-core Xeon at 2.1 GHz (tests ~130 s,
+# the paper-fidelity benchmarks ~118 s).
 #
 # repro-lint (python -m repro.analysis) statically enforces the stack's
 # invariants — event-loop blocking, lock discipline, hot-loop

@@ -24,6 +24,7 @@ and exits when they finish.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Sequence
 
@@ -131,14 +132,14 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "solve batch-aligned column slices of every operator "
-            "group's pooled windows on this many processes, each "
-            "running BLAS on one thread (default: one per usable CPU "
-            "for float64/float32, one slice per hybrid group; 0/1: a "
-            "single process). A value >= 2 falls back to a single "
+            "solve every operator group's batches on this many "
+            "processes, one batch per task, each running BLAS on one "
+            "thread (default: one per usable CPU when a group is "
+            "float64/float32, a single process for hybrid only; 0/1: "
+            "a single process). A value >= 2 falls back to a single "
             "process — with a warning naming the reason — when the "
-            "only group's windows fit a single batch, or when the "
-            "platform cannot start a process pool"
+            "whole run is a single batch, or when the platform cannot "
+            "start a process pool"
         ),
     )
     fleet.add_argument(
@@ -396,6 +397,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _invalid_number(args: argparse.Namespace) -> str | None:
+    """Why a numeric flag shared by several subcommands is out of
+    range, else ``None``: checked before a subcommand builds anything,
+    so a bad value is one stderr line, not a traceback."""
+    from .errors import ConfigurationError
+
+    if hasattr(args, "cr"):
+        try:
+            SystemConfig().with_target_cr(args.cr)
+        except ConfigurationError as exc:
+            return f"--cr: {exc}"
+    duration = getattr(args, "duration", 1.0)
+    if not 0.0 < duration < math.inf:
+        return f"--duration must be finite seconds > 0, got {duration:g}"
+    for flag in ("packets", "records"):
+        if getattr(args, flag, 1) < 1:
+            return f"--{flag} must be >= 1"
+    return None
+
+
 def _cmd_quickstart(args: argparse.Namespace) -> int:
     config = SystemConfig().with_target_cr(args.cr)
     database = SyntheticMitBih(duration_s=args.duration)
@@ -434,9 +455,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     if args.streams < 1:
         print("--streams must be >= 1", file=sys.stderr)
-        return 2
-    if args.packets < 1:
-        print("--packets must be >= 1", file=sys.stderr)
         return 2
     if args.groups < 1:
         print("--groups must be >= 1", file=sys.stderr)
@@ -525,9 +543,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.simulate < 0:
         print("--simulate must be >= 0", file=sys.stderr)
-        return 2
-    if args.simulate and args.packets < 1:
-        print("--packets must be >= 1", file=sys.stderr)
         return 2
     if args.metrics_interval <= 0:
         print("--metrics-interval must be positive", file=sys.stderr)
@@ -908,6 +923,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # repro-ecg parser
         return _cmd_lint(raw[1:])
     args = _build_parser().parse_args(raw)
+    problem = _invalid_number(args)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return 2
     handlers = {
         "quickstart": _cmd_quickstart,
         "fleet": _cmd_fleet,

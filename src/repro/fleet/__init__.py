@@ -31,23 +31,23 @@ stream's :class:`~repro.core.decoder.PacketPayloadDecoder`, and decoded
 windows are routed back to their originating
 :class:`~repro.core.system.StreamResult` in order.
 
-**One layout, no-matrix-pickling workers.**  Stages 1-2 run in the
-parent; each group's pooled column stream is cut into batch-aligned
-contiguous slices (:func:`~repro.fleet.engine.split_batches`) and every
-slice is one :func:`~repro.fleet.engine.solve_measurement_block` task
-on a :class:`~repro.fleet.executor.SolveExecutor` — called inline when
+**One task per batch, no-matrix-pickling workers.**  Stages 1-2 run
+in the parent; every batch of every group's schedule is one
+:func:`~repro.fleet.engine.solve_measurement_block` task on a
+:class:`~repro.fleet.executor.SolveExecutor` — called inline when
 ``workers in (0, 1)``, mapped over a process pool of single-BLAS-thread
 workers when ``workers >= 2`` or, with ``workers`` unset, one per
-usable CPU for the serial-FISTA backends; two or more groups simply
-contribute more slices to the same map (and the paper's fleet, every
-node on the one fixed matrix, no longer serializes on one process's
-BLAS).  A task
-serializes only scalar config fields and float measurement columns
-(kilobytes per batch); a worker rebuilds the dense operator from the
-seed once per operator group and caches it for the life of the
-process, so no matrix is ever pickled in either direction; only decoded
-sample/iteration arrays come back.  The same executor and the same
-task function serve the live gateway (:mod:`repro.ingest`).
+usable CPU when a group runs a serial-FISTA backend.  A free worker
+takes the next batch, whichever group it belongs to, so two or more
+groups simply contribute more tasks to the same map (and the paper's
+fleet, every node on the one fixed matrix, no longer serializes on one
+process's BLAS).  A task serializes only scalar config fields and
+float measurement columns (kilobytes per batch); a worker rebuilds the
+dense operator from the seed once per operator group and caches it for
+the life of the process, so no matrix is ever pickled in either
+direction; only decoded sample/iteration arrays come back.  The same
+executor and the same task function serve the live gateway
+(:mod:`repro.ingest`), one flush per task.
 
 Equivalence contract: packets are produced by the unchanged integer
 encoder (bit-identical to the serial reference), and every pooled
@@ -63,7 +63,6 @@ from .engine import (
     StreamTask,
     decode_fleet,
     solve_measurement_block,
-    split_batches,
 )
 from .scheduler import (
     GroupSchedule,
@@ -77,7 +76,6 @@ __all__ = [
     "StreamTask",
     "decode_fleet",
     "solve_measurement_block",
-    "split_batches",
     "GroupSchedule",
     "build_schedules",
     "operator_key",

@@ -11,20 +11,20 @@ pipeline (the package docstring, :mod:`repro.fleet`, has the why):
   :func:`~repro.fleet.scheduler.solve_key` and each group's windows are
   pooled into cross-stream batches;
 - **decode**: stages 1-2 run per stream in the parent (stateful,
-  cheap); each group's pooled columns are cut into batch-aligned
-  slices (:func:`split_batches`) and every slice is one
+  cheap); every batch of the schedule is one
   :func:`solve_measurement_block` task on a
   :class:`~repro.fleet.executor.SolveExecutor` — inline for
-  ``workers`` 0/1, else a process pool of single-BLAS-thread workers:
-  ``workers`` of them, or with ``workers`` unset one per usable CPU
-  for the serial-FISTA backends;
+  ``workers`` 0/1, else a process pool of single-BLAS-thread workers
+  (``workers`` of them, or with ``workers`` unset one per usable CPU
+  when a group runs a serial-FISTA backend), each taking the next
+  batch as soon as it is free;
 - **route** (parent): decoded columns scatter back to their
   originating :class:`~repro.core.system.StreamResult` in order
   (:func:`_scatter_columns`, the single routing implementation).
 
-Slices are cut on the schedule's batch boundaries, so every solve keeps
-the exact column composition of the unsharded schedule and the output
-is bit-identical for any number of groups and workers.
+A task is one of the schedule's batches, so every solve has the same
+column composition however many workers there are, and the output is
+bit-identical for any number of groups and workers.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def _scatter_columns(
     """Route pooled columns ``[start, stop)`` back to their streams.
 
     ``signals``/``iterations``/``seconds`` are indexed relative to the
-    slice; the single routing implementation is what keeps the output
-    identical by construction however the columns were sliced.
+    batch; the single routing implementation is what keeps the output
+    identical by construction whichever worker solved the batch.
     """
     stream_of = schedule.stream_of[start:stop]
     index_of = schedule.index_of[start:stop]
@@ -161,7 +161,7 @@ ITERATION_BUCKETS: tuple[float, ...] = (
 
 
 def solve_measurement_block(task: dict) -> dict:
-    """Reconstruct a slice of one group's pooled measurement columns.
+    """Reconstruct one batch of a group's pooled measurement columns.
 
     The only way a measurement block becomes a reconstruction outside
     :class:`~repro.core.decoder.CSDecoder`: the caller has already run
@@ -170,63 +170,52 @@ def solve_measurement_block(task: dict) -> dict:
     per-column lambda fractions; this function fetches the group's
     operator from the process's cache
     (:func:`~repro.core.decoder.resources_for` — rebuilt from the
-    config seed on a miss, never shipped) and solves the block in
-    ``batch_size``-wide steps.  :class:`FleetDecoder` hands it
-    batch-aligned slices, so the solve widths reproduce the unsharded
-    schedule exactly; the live ingest gateway (:mod:`repro.ingest`)
-    hands it one flush at a time (``B <= batch_size``, one step).
+    config seed on a miss, never shipped) and solves the whole block
+    as one batch.  :class:`FleetDecoder` hands it one schedule batch
+    per task and the live ingest gateway (:mod:`repro.ingest`) one
+    flush.
 
     Task keys: ``config`` (scalar :class:`~repro.config.SystemConfig`
-    fields), ``precision``, ``block``, ``fractions``, ``batch_size``,
-    ``max_iterations``, ``tolerance``.  Returns ``signals`` (``(n, B)``
-    float64, no dc offset), ``iterations`` (``(B,)``), ``seconds``
-    (``(B,)`` — each column's share of its batch's wall clock) and
-    ``telemetry`` — this call's metrics delta (recorded into a
-    registry created per call, so the caller can absorb every result's
-    delta exactly once, whatever order a pool completes them in).
+    fields), ``precision``, ``block``, ``fractions``,
+    ``max_iterations``, ``tolerance``; any other key is ignored.
+    Returns ``signals`` (``(n, B)`` float64, no dc offset),
+    ``iterations`` (``(B,)``), ``seconds`` (``(B,)`` — each column's
+    share of the solve's wall clock) and ``telemetry`` — this call's
+    metrics delta (recorded into a registry created per call, so the
+    caller can absorb every result's delta exactly once, whatever
+    order a pool completes them in).
     """
     task_started = time.perf_counter()
     registry = MetricsRegistry()
     config = SystemConfig(**task["config"])
     resources = resources_for(config, task["precision"])
-    block = task["block"]
-    fractions = task["fractions"]
-    batch_size = task["batch_size"]
-    total = block.shape[1]
-    signals = np.empty((config.n, total), dtype=np.float64)
-    iterations = np.zeros(total, dtype=np.int64)
-    seconds = np.zeros(total, dtype=np.float64)
-    for start in range(0, total, batch_size):
-        stop = min(start + batch_size, total)
-        width = stop - start
-        solve_started = time.perf_counter()
-        signals[:, start:stop], result = solve_block(
-            resources,
-            block[:, start:stop],
-            fractions[start:stop],
-            task["max_iterations"],
-            task["tolerance"],
+    width = task["block"].shape[1]
+    solve_started = time.perf_counter()
+    signals, result = solve_block(
+        resources,
+        task["block"],
+        task["fractions"],
+        task["max_iterations"],
+        task["tolerance"],
+    )
+    elapsed = time.perf_counter() - solve_started
+    if isinstance(result, HybridSolveResult):
+        registry.inc("fleet_hybrid_windows", width)
+        registry.inc(
+            "fleet_polish_windows", int(np.count_nonzero(result.polished))
         )
-        elapsed = time.perf_counter() - solve_started
-        iterations[start:stop] = result.iterations
-        seconds[start:stop] = elapsed / width
-        if isinstance(result, HybridSolveResult):
-            registry.inc("fleet_hybrid_windows", width)
-            registry.inc(
-                "fleet_polish_windows", int(np.count_nonzero(result.polished))
-            )
-        registry.observe("fleet_solve_seconds", elapsed)
-        registry.observe("fleet_solve_width", width, buckets=DEFAULT_SIZE_BUCKETS)
-        for count in result.iterations:
-            registry.observe(
-                "fleet_solve_iterations", count, buckets=ITERATION_BUCKETS
-            )
+    registry.observe("fleet_solve_seconds", elapsed)
+    registry.observe("fleet_solve_width", width, buckets=DEFAULT_SIZE_BUCKETS)
+    for count in result.iterations:
+        registry.observe(
+            "fleet_solve_iterations", count, buckets=ITERATION_BUCKETS
+        )
     # the delta crosses a process boundary as a plain dict; fan-in over
     # any completion order aggregates exactly (the merge algebra of
     # :class:`~repro.telemetry.MetricsSnapshot`)
     worker = str(os.getpid())
     registry.inc("fleet_worker_tasks", worker=worker)
-    registry.inc("fleet_worker_windows", total, worker=worker)
+    registry.inc("fleet_worker_windows", width, worker=worker)
     registry.observe(
         "fleet_worker_task_seconds",
         time.perf_counter() - task_started,
@@ -234,42 +223,19 @@ def solve_measurement_block(task: dict) -> dict:
     )
     return {
         "signals": signals,
-        "iterations": iterations,
-        "seconds": seconds,
+        "iterations": result.iterations,
+        "seconds": np.full(width, elapsed / width),
         "telemetry": registry.snapshot().to_dict(),
     }
 
 
-#: backends sliced one worker per CPU when ``workers`` is unset.  On a
-#: 2-core Xeon a serial-FISTA batch of 16 solves in ~0.3-0.5 s against
-#: ~40 ms to start and join a 2-process pool; a hybrid batch solves in
-#: ~20 ms and a pool only paid off from ~480 windows, so hybrid groups
-#: keep one slice unless the caller asks for workers.
+#: backends that get a pool of one worker per CPU when ``workers`` is
+#: unset.  On a 2-core Xeon a serial-FISTA batch of 16 solves in
+#: ~0.3-0.5 s against ~40 ms to start and join a 2-process pool; a
+#: hybrid batch solves in ~20 ms and a pool only paid off from ~480
+#: windows, so a hybrid-only job decodes in-process unless the caller
+#: asks for workers.
 POOLED_BY_DEFAULT = ("float64", "float32")
-
-
-def split_batches(num_batches: int, workers: int) -> list[tuple[int, int]]:
-    """Partition ``num_batches`` solves into contiguous per-worker runs.
-
-    Returns ``(first_batch, last_batch_exclusive)`` index pairs, one
-    per non-empty worker, balanced to within one batch.  Keeping the
-    split at *batch* granularity is what preserves bit-identity: every
-    solve keeps the exact column composition of the unsharded schedule.
-    """
-    if num_batches < 1 or workers < 1:
-        raise ConfigurationError(
-            f"need num_batches >= 1 and workers >= 1, got "
-            f"{num_batches}/{workers}"
-        )
-    workers = min(workers, num_batches)
-    base, excess = divmod(num_batches, workers)
-    spans = []
-    start = 0
-    for index in range(workers):
-        stop = start + base + (1 if index < excess else 0)
-        spans.append((start, stop))
-        start = stop
-    return spans
 
 
 class FleetDecoder:
@@ -281,19 +247,18 @@ class FleetDecoder:
         Target solve width; batches are filled *across* a group's
         streams, so ragged per-stream tails merge.
     workers:
-        ``>= 2`` cuts every operator group's pooled column stream into
-        up to that many batch-aligned slices and solves them on a
-        process pool of (at most) that many workers; ``0`` or ``1``
-        decodes in-process.  ``None`` (the default) cuts each
-        serial-FISTA group (:data:`POOLED_BY_DEFAULT`) into up to
-        :func:`~repro.fleet.executor.usable_cpus` slices and each
-        hybrid group into one, and starts a pool only if that leaves more than one slice.  Pool
-        workers run BLAS on one thread.  A request for ``workers >= 2``
-        still decodes in-process when there is nothing to split (a
-        single group whose windows fit one batch) or when the platform
-        cannot start a pool; either fallback emits one
-        :class:`RuntimeWarning` naming the reason.  Unset, only the
-        platform fallback warns.
+        ``>= 2`` solves the batches of every operator group on a
+        process pool of (at most) that many workers, each taking the
+        next batch as soon as it is free; ``0`` or ``1`` decodes
+        in-process.  ``None`` (the default) starts one worker per
+        :func:`~repro.fleet.executor.usable_cpus` when any group runs
+        a serial-FISTA backend (:data:`POOLED_BY_DEFAULT`), else
+        decodes in-process.  The pool never has more workers than the
+        run has batches, and its workers run BLAS on one thread.  A
+        request for ``workers >= 2`` still decodes in-process when the
+        run is a single batch or when the platform cannot start a
+        pool; either fallback emits one :class:`RuntimeWarning` naming
+        the reason.  Unset, only the platform fallback warns.
     """
 
     def __init__(
@@ -314,7 +279,7 @@ class FleetDecoder:
         self.workers = workers
         #: the telemetry plane this decoder publishes to: run/group
         #: counters from the parent, solve histograms absorbed from
-        #: each slice's returned delta snapshot
+        #: each batch's returned delta snapshot
         self.telemetry = (
             telemetry if telemetry is not None else MetricsRegistry()
         )
@@ -341,26 +306,13 @@ class FleetDecoder:
             keys, [len(stream.packets) for stream in encoded], self.batch_size
         )
         self.last_num_groups = len(schedules)
-        # slices per group: what the caller asked for, on any backend;
-        # unset, one per usable CPU where a batch pays for a pool
-        if self.workers is not None:
-            requested = [self.workers or 1] * len(schedules)
-        else:
-            cpus = executor.usable_cpus()
-            requested = [
-                cpus
-                if encoded[schedule.stream_ids[0]].precision
-                in POOLED_BY_DEFAULT
-                else 1
-                for schedule in schedules
-            ]
 
-        # stages 1-2 (stateful, cheap) run here for every group; the
-        # pooled columns are then cut on the schedule's batch boundaries
+        # stages 1-2 (stateful, cheap) run here for every group; each of
+        # the schedule's batches is then one solve task
         decodes: list[_StreamDecode | None] = [None] * len(encoded)
-        slices: list[tuple] = []
-        slice_tasks: list[dict] = []
-        for schedule, group_workers in zip(schedules, requested):
+        routes: list[tuple] = []
+        solve_tasks: list[dict] = []
+        for schedule in schedules:
             members = [encoded[s] for s in schedule.stream_ids]
             lead = members[0]
             pooled, fractions, outputs = _pool_group_columns(
@@ -370,24 +322,29 @@ class FleetDecoder:
                 decodes[stream_id] = out
             dc_offsets = [member.dc_offset for member in members]
             config_fields = dataclasses.asdict(lead.config)
-            spans = list(schedule.batches())
-            for first, last in split_batches(len(spans), group_workers):
-                start, stop = spans[first][0], spans[last - 1][1]
-                slices.append((outputs, schedule, start, stop, dc_offsets))
-                slice_tasks.append(
+            for start, stop in schedule.batches():
+                routes.append((outputs, schedule, start, stop, dc_offsets))
+                solve_tasks.append(
                     {
                         "config": config_fields,
                         "precision": lead.precision,
                         "block": pooled[:, start:stop],
                         "fractions": fractions[start:stop],
-                        "batch_size": self.batch_size,
                         "max_iterations": lead.config.max_iterations,
                         "tolerance": lead.config.tolerance,
                     }
                 )
 
+        # what the caller asked for, on any backend; unset, one worker
+        # per usable CPU where a batch pays for a pool
+        if self.workers is not None:
+            requested = self.workers or 1
+        elif any(stream.precision in POOLED_BY_DEFAULT for stream in encoded):
+            requested = executor.usable_cpus()
+        else:
+            requested = 1
         self.last_fallback_reason = None
-        if (self.workers or 0) >= 2 and len(slice_tasks) == 1:
+        if (self.workers or 0) >= 2 and len(solve_tasks) == 1:
             self.last_fallback_reason = (
                 f"workers={self.workers} requested but the single operator "
                 f"group's {schedules[0].total_windows} window(s) fit one "
@@ -399,15 +356,15 @@ class FleetDecoder:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        solves = SolveExecutor(min(max(requested), len(slice_tasks)))
+        solves = SolveExecutor(min(requested, len(solve_tasks)))
         with contextlib.closing(solves):
-            slice_outputs = solves.map(solve_measurement_block, slice_tasks)
+            solved = solves.map(solve_measurement_block, solve_tasks)
         effective = solves.workers
         if solves.fallback_reason is not None:
             self.last_fallback_reason = solves.fallback_reason
 
         for (outputs, schedule, start, stop, dc_offsets), out in zip(
-            slices, slice_outputs
+            routes, solved
         ):
             self.telemetry.absorb(out["telemetry"])
             _scatter_columns(

@@ -2,7 +2,7 @@
 
 Both callers of :func:`~repro.fleet.engine.solve_measurement_block` —
 the offline :class:`~repro.fleet.engine.FleetDecoder` (a blocking
-:meth:`SolveExecutor.map` over a run's slices) and the live
+:meth:`SolveExecutor.map` over a run's batches) and the live
 :class:`~repro.ingest.gateway.IngestGateway` (one
 :meth:`SolveExecutor.submit` per flush, behind
 :attr:`SolveExecutor.slot`) — run their tasks here, so the platform

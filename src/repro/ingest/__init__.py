@@ -42,7 +42,7 @@ over it, and the registry feeds the persistent sinks (`serve
 
 Decoded output is bit-identical to the offline path: a flushed block
 runs the same :func:`~repro.fleet.engine.solve_measurement_block` the
-column-sharded fleet engine uses, on the same pooled columns — and
+fleet engine runs per batch, on the same pooled columns — and
 under loss, the delivered windows are bit-identical to an offline
 decode of the same surviving packet set, with the damage bounded by
 the keyframe interval and accounted per stream.

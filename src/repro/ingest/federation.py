@@ -322,10 +322,6 @@ class FederationFrontDoor:
         The front door's own registry — the roll-up target.  Workers
         always build private registries; their deltas are absorbed
         here.
-    use_processes:
-        ``False`` forces the thread fallback (used by tests on
-        platforms where multiprocessing is unavailable; failover
-        kill tests require real processes).
     **gateway_options:
         Every other keyword is an option of
         :class:`~repro.ingest.gateway.IngestGateway` (``batch_size``,
@@ -342,7 +338,6 @@ class FederationFrontDoor:
         gateways: int = 2,
         *,
         telemetry: MetricsRegistry | None = None,
-        use_processes: bool = True,
         **gateway_options,
     ) -> None:
         if gateways < 1:
@@ -371,7 +366,9 @@ class FederationFrontDoor:
         self.port: int | None = None
 
         self._gateway_options = gateway_options
-        self._use_processes = use_processes
+        #: cleared for good the first time a gateway process cannot
+        #: start; every later gateway then runs as a thread
+        self._use_processes = True
         self._workers: dict[str, _GatewayWorker] = {}
         self._server: asyncio.AbstractServer | None = None
         self._supervisor_task: asyncio.Task | None = None

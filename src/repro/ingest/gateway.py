@@ -26,7 +26,7 @@ connected:
   always decodes;
 - each flushed block is solved by the same
   :func:`~repro.fleet.engine.solve_measurement_block` the offline
-  fleet maps its slices through, on the same
+  fleet maps its batches through, on the same
   :class:`~repro.fleet.executor.SolveExecutor` — on threads, or on a
   process pool when ``workers >= 2`` — up to one per CPU that BLAS
   leaves free by default, which *is* intra-group sharding: successive
@@ -1115,7 +1115,6 @@ class IngestGateway:
             "fractions": np.asarray(
                 [w.fraction for w in batch], dtype=np.float64
             ),
-            "batch_size": count,
             "max_iterations": group.config.max_iterations,
             "tolerance": group.config.tolerance,
         }

@@ -180,7 +180,7 @@ CATALOG: dict[str, MetricSpec] = {
         ),
         _spec(
             "fleet_worker_tasks", COUNTER,
-            "shard tasks completed per worker process", "worker",
+            "one-batch solve tasks completed per worker process", "worker",
         ),
         _spec(
             "fleet_worker_windows", COUNTER,
@@ -188,15 +188,15 @@ CATALOG: dict[str, MetricSpec] = {
         ),
         _spec(
             "fleet_worker_task_seconds", HISTOGRAM,
-            "wall time of one worker shard task", "worker",
+            "wall time of one worker solve task", "worker",
         ),
         _spec(
             "fleet_solve_seconds", HISTOGRAM,
-            "wall time of one batched solve inside a shard",
+            "wall time of one batched solve",
         ),
         _spec(
             "fleet_solve_width", HISTOGRAM,
-            "columns per batched solve inside a shard",
+            "columns per batched solve",
         ),
         _spec(
             "fleet_solve_iterations", HISTOGRAM,

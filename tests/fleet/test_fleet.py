@@ -12,6 +12,8 @@ multi-process executor.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from repro.fleet import (
     operator_key,
     solve_key,
 )
+from repro.telemetry import MetricsSnapshot
 
 
 def _worker_blas_threads(_task: None) -> list[int]:
@@ -242,7 +245,7 @@ class TestShardedExecutor:
     def test_every_executor_matches_inline_bitwise(
         self, small_config, database, monkeypatch, executor, precision, shape
     ):
-        """One solve path: the same batch-aligned slices through an
+        """One solve path: the same one-batch tasks through an
         inline call, solve threads or a 2-process pool give identical
         bits — for one group, for ragged groups, and for more groups
         than workers — and the serial ``stream()`` trajectory."""
@@ -266,8 +269,8 @@ class TestShardedExecutor:
         ]
         inline = FleetDecoder(batch_size=2, workers=1).run(tasks_of())
         if executor == "thread":
-            # same slices, run concurrently on this process's cached
-            # solvers: slices of one operator meet on its lock
+            # same tasks, run concurrently on this process's cached
+            # solvers: batches of one operator meet on its lock
             monkeypatch.setattr(
                 engine_module,
                 "SolveExecutor",
@@ -301,7 +304,7 @@ class TestShardedExecutor:
             ]
 
     def test_more_workers_than_groups_are_used(self, small_config, database):
-        """Slices, not groups, are the unit of work: 2 multi-batch
+        """Batches, not groups, are the unit of work: 2 multi-batch
         groups keep 4 workers busy, bit-identical to in-process."""
         other = small_config.replace(seed=small_config.seed + 1)
         tasks_of = lambda: [
@@ -324,7 +327,7 @@ class TestShardedExecutor:
 
     def test_single_group_shards_columns(self, small_config, database):
         """One operator group shards *within* the group: the pooled
-        column stream splits into batch-aligned slices across workers,
+        column stream's batches are dealt out across workers,
         bit-identical to the in-process pooled decode."""
         record = database.load("100")
         tasks_of = lambda: [
@@ -399,7 +402,7 @@ class TestShardedExecutor:
         self, small_config, database, monkeypatch
     ):
         """A platform that cannot start a pool: one RuntimeWarning (the
-        executor's, shared with the gateway), then the same slices
+        executor's, shared with the gateway), then the same batches
         decode in-process."""
         import repro.fleet.executor as executor_module
 
@@ -428,16 +431,39 @@ class TestShardedExecutor:
             results[0].reconstructed_adu, inline[0].reconstructed_adu
         )
 
-    def test_split_batches_layout(self):
-        from repro.fleet import split_batches
-
-        assert split_batches(5, 2) == [(0, 3), (3, 5)]
-        assert split_batches(2, 4) == [(0, 1), (1, 2)]
-        assert split_batches(6, 3) == [(0, 2), (2, 4), (4, 6)]
-        with pytest.raises(ConfigurationError):
-            split_batches(0, 2)
-        with pytest.raises(ConfigurationError):
-            split_batches(3, 0)
+    def test_uneven_batches_over_workers_match_in_process(
+        self, small_config, database
+    ):
+        """One task per batch: 2 streams x 10 windows at batch 4 are 5
+        batches, which 2 or 3 workers deal out unevenly, yet samples
+        and iterations equal the in-process decode and every worker
+        count runs exactly 5 tasks."""
+        tasks_of = lambda: [
+            StreamTask(
+                EcgMonitorSystem(small_config),
+                database.load(name),
+                max_packets=10,
+                keep_signals=True,
+            )
+            for name in ("100", "119")
+        ]
+        decoded = {}
+        for workers in (1, 2, 3):
+            engine = FleetDecoder(batch_size=4, workers=workers)
+            decoded[workers] = engine.run(tasks_of())
+            snap = engine.telemetry.snapshot()
+            assert snap.counter_total("fleet_worker_tasks") == 5
+            assert snap.counter_total("fleet_worker_windows") == 20
+            if engine.last_fallback_reason is None:
+                assert engine.last_effective_workers == workers
+        for workers in (2, 3):
+            for a, b in zip(decoded[1], decoded[workers]):
+                assert [p.iterations for p in a.packets] == [
+                    p.iterations for p in b.packets
+                ]
+                np.testing.assert_array_equal(
+                    a.reconstructed_adu, b.reconstructed_adu
+                )
 
     def test_run_reports_effective_sharding(self, small_config, database):
         record = database.load("100")
@@ -449,7 +475,7 @@ class TestShardedExecutor:
         engine = FleetDecoder(batch_size=2, workers=2)
         engine.run(tasks)
         assert engine.last_num_groups == 2
-        # two single-batch groups are two slices of the one layout
+        # two single-batch groups are two tasks of the one layout
         assert engine.last_shard_mode == "columns"
         assert engine.last_effective_workers == 2
 
@@ -479,7 +505,7 @@ class TestShardedExecutor:
 
 class TestDefaultLayout:
     """``workers`` unset: one single-BLAS-thread worker per usable CPU
-    for the serial-FISTA backends, one slice for hybrid — and the same
+    for the serial-FISTA backends, in-process for hybrid — and the same
     bits as ``workers=1`` either way."""
 
     @pytest.mark.parametrize("batches", [1, 2, 3])
@@ -685,7 +711,6 @@ class TestOperatorCache:
         of its own: blocks solved from more threads than cores (two
         configs differing only in ``tolerance`` — one operator key)
         equal their serial solves exactly."""
-        import dataclasses
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -698,7 +723,6 @@ class TestOperatorCache:
                 "precision": precision,
                 "block": rng.normal(size=(config.m, 4)),
                 "fractions": np.full(4, config.lam),
-                "batch_size": 4,
                 "max_iterations": 60,
                 "tolerance": config.tolerance,
             }
@@ -719,6 +743,42 @@ class TestOperatorCache:
             sys.setswitchinterval(interval)
         for expected, got in zip(serial, threaded):
             np.testing.assert_array_equal(got, expected)
+
+
+class TestSolveTask:
+    """``solve_measurement_block`` solves its whole block as one batch;
+    a ``batch_size`` key, which the benchmark still sends, is ignored."""
+
+    @staticmethod
+    def _task(config, width, **extra):
+        rng = np.random.default_rng(38)
+        return {
+            "config": dataclasses.asdict(config),
+            "precision": "float64",
+            "block": rng.normal(size=(config.m, width)),
+            "fractions": np.full(width, config.lam),
+            "max_iterations": 60,
+            "tolerance": config.tolerance,
+            **extra,
+        }
+
+    @pytest.mark.parametrize("batch_size", [8, 2])
+    def test_batch_size_key_is_not_read(self, small_config, batch_size):
+        """With ``batch_size`` equal to the block width (the benchmark's
+        shape) or a stale smaller one, the result equals the task
+        without the key: one solve over all 8 columns."""
+        from repro.fleet.engine import solve_measurement_block
+
+        bare = solve_measurement_block(self._task(small_config, 8))
+        keyed = solve_measurement_block(
+            self._task(small_config, 8, batch_size=batch_size)
+        )
+        np.testing.assert_array_equal(keyed["signals"], bare["signals"])
+        np.testing.assert_array_equal(keyed["iterations"], bare["iterations"])
+        widths = MetricsSnapshot.from_dict(keyed["telemetry"]).histogram_total(
+            "fleet_solve_width"
+        )
+        assert (widths.total, widths.sum) == (1, 8)
 
 
 class TestFleetApi:
@@ -834,10 +894,11 @@ class TestFleetTelemetry:
     def test_worker_deltas_absorbed_across_pool(
         self, small_config, database
     ):
-        """Cross-process merge: every slice's telemetry delta lands in
+        """Cross-process merge: every batch's telemetry delta lands in
         the parent registry exactly once, whatever the completion
         order — windows are conserved for two operator groups and for
-        one group cut in two (in-process too, if no pool can start)."""
+        one group's four batches (in-process too, if no pool can
+        start)."""
         from repro.telemetry import MetricsRegistry
 
         other = small_config.replace(seed=small_config.seed + 1)

@@ -3,15 +3,18 @@
 Every test drives a real :class:`~repro.ingest.FederationFrontDoor`
 over TCP on loopback.  The functional tests (routing, bit-identity,
 telemetry roll-up) run the workers in thread mode — same code path
-minus the fork, fast and sandbox-proof — while the failover test
-requires real worker processes (you cannot kill a thread) and skips
-where multiprocessing cannot spawn.
+minus the fork, fast and sandbox-proof — by making
+``multiprocessing.Process`` fail to start, so the front door takes its
+real platform fallback and warns; the failover test requires real
+worker processes (you cannot kill a thread) and skips where
+multiprocessing cannot spawn.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -23,6 +26,28 @@ from repro.ingest import FederationFrontDoor, IngestGateway, NodeClient
 from repro.ingest import federation as federation_module
 from repro.ingest.federation import RING_REPLICAS, RING_SEED
 from repro.utils import HashRing
+
+
+class _UnstartableProcess(multiprocessing.Process):
+    """A worker process whose start fails the way it does on a
+    platform without working multiprocessing."""
+
+    def start(self):
+        raise OSError("process start blocked by the test")
+
+
+@pytest.fixture()
+def thread_gateways(monkeypatch):
+    """Every gateway the front door spawns runs as a thread: its
+    process cannot start, so the real fallback branch runs and emits
+    its one RuntimeWarning, which the test must see."""
+    monkeypatch.setattr(
+        federation_module.multiprocessing, "Process", _UnstartableProcess
+    )
+    with pytest.warns(
+        RuntimeWarning, match="falling back to in-process gateways"
+    ):
+        yield
 
 
 def _system(config, record):
@@ -100,14 +125,14 @@ def _run_threaded(front_door, clients):
 
 class TestRouting:
     def test_groups_land_together_where_the_ring_predicts(
-        self, small_config, database
+        self, small_config, database, thread_gateways
     ):
         """Same operator group => same gateway, and an offline ring
         with the same seed predicts which one."""
         specs = [("100", 0), ("101", 0), ("102", 1), ("103", 1)]
         clients = _make_clients(small_config, database, specs)
         front_door = FederationFrontDoor(
-            gateways=2, batch_size=4, flush_ms=100.0, use_processes=False
+            gateways=2, batch_size=4, flush_ms=100.0
         )
         reports, live, _ = _run_threaded(front_door, clients)
         assert all(report.error is None for report in reports)
@@ -131,11 +156,11 @@ class TestRouting:
         assert len(keys) == 2
 
     def test_thread_fallback_mode_decodes_and_cannot_be_killed(
-        self, small_config, database
+        self, small_config, database, thread_gateways
     ):
         clients = _make_clients(small_config, database, [("100", 0)])
         front_door = FederationFrontDoor(
-            gateways=2, batch_size=4, flush_ms=100.0, use_processes=False
+            gateways=2, batch_size=4, flush_ms=100.0
         )
 
         async def run():
@@ -151,7 +176,7 @@ class TestRouting:
         assert report.acked == report.sent == 4
 
     def test_silent_link_closed_at_the_handshake_deadline(
-        self, small_config, database, monkeypatch
+        self, small_config, database, monkeypatch, thread_gateways
     ):
         """A TCP link that never says HELLO is answered with an ERROR
         and closed at the handshake deadline instead of holding a
@@ -161,7 +186,7 @@ class TestRouting:
         monkeypatch.setattr(protocol, "HANDSHAKE_TIMEOUT_S", 0.2)
         clients = _make_clients(small_config, database, [("100", 0)])
         front_door = FederationFrontDoor(
-            gateways=2, batch_size=4, flush_ms=100.0, use_processes=False
+            gateways=2, batch_size=4, flush_ms=100.0
         )
 
         async def settled():
@@ -205,7 +230,7 @@ class TestRouting:
 class TestBitIdentity:
     @pytest.mark.parametrize("batch_size", [4, 1])
     def test_federated_decode_matches_serial_reference(
-        self, small_config, database, batch_size
+        self, small_config, database, batch_size, thread_gateways
     ):
         """Per-stream output through the front door equals the serial
         single-system decode (the oracle the single-gateway tests pin
@@ -224,7 +249,6 @@ class TestBitIdentity:
             gateways=2,
             batch_size=batch_size,
             flush_ms=100.0,
-            use_processes=False,
         )
         reports, _, _ = _run_threaded(front_door, clients)
         assert all(report.error is None for report in reports)
@@ -262,12 +286,12 @@ class TestBitIdentity:
 
 class TestTelemetryRollup:
     def test_front_door_registry_holds_fleet_wide_truth(
-        self, small_config, database
+        self, small_config, database, thread_gateways
     ):
         specs = [("100", 0), ("101", 1), ("102", 1)]
         clients = _make_clients(small_config, database, specs)
         front_door = FederationFrontDoor(
-            gateways=2, batch_size=4, flush_ms=100.0, use_processes=False
+            gateways=2, batch_size=4, flush_ms=100.0
         )
         reports, live, final = _run_threaded(front_door, clients)
         assert all(report.error is None for report in reports)
@@ -289,14 +313,14 @@ class TestTelemetryRollup:
         assert stats.sessions_errored == 0
 
     def test_session_id_ranges_disjoint_across_gateways(
-        self, small_config, database
+        self, small_config, database, thread_gateways
     ):
         from repro.ingest import SESSION_ID_STRIDE
 
         specs = [("100", 0), ("101", 1), ("102", 2), ("103", 3)]
         clients = _make_clients(small_config, database, specs)
         front_door = FederationFrontDoor(
-            gateways=2, batch_size=4, flush_ms=100.0, use_processes=False
+            gateways=2, batch_size=4, flush_ms=100.0
         )
         reports, _, _ = _run_threaded(front_door, clients)
         assert all(report.error is None for report in reports)
@@ -352,6 +376,18 @@ class TestFailover:
                 for client in clients
             ]
             await asyncio.sleep(0.25)
+            # kill mid-stream, not mid-handshake: a node whose HELLO is
+            # on the victim but whose WELCOME is not back fails with
+            # ProtocolError instead of reconnecting.  Every link is
+            # usually up ~50-90 ms after start, but a stalled event loop
+            # (a full garbage collection of a large test process) can
+            # push that past the 0.25 s above
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 10.0
+            while loop.time() < deadline and not all(
+                client._next_unsent >= 1 for client in clients
+            ):
+                await asyncio.sleep(0.01)
             victim = max(
                 front_door._workers.values(),
                 key=lambda worker: len(worker.sessions),
@@ -392,7 +428,7 @@ class TestFailover:
 
 
     def test_silent_worker_is_declared_dead_on_missed_heartbeats(
-        self, small_config, database, monkeypatch
+        self, small_config, database, monkeypatch, thread_gateways
     ):
         """A worker that stops answering its control pipe (alive, but
         wedged) is ruled dead after HEARTBEAT_MISSES silent beats:
@@ -429,7 +465,7 @@ class TestFailover:
             reconnect=5,
         )
         front_door = FederationFrontDoor(
-            gateways=2, batch_size=4, flush_ms=100.0, use_processes=False
+            gateways=2, batch_size=4, flush_ms=100.0
         )
 
         async def run():
@@ -465,9 +501,9 @@ class TestFailover:
 
 
 class TestBlasThreads:
-    @pytest.mark.parametrize("use_processes", [True, False])
+    @pytest.mark.parametrize("processes", [True, False])
     def test_gateway_process_runs_blas_on_one_thread(
-        self, monkeypatch, blas_on_two_threads, use_processes
+        self, request, monkeypatch, blas_on_two_threads, processes
     ):
         """N gateway processes share N CPUs, so each runs BLAS on one
         thread; the thread fallback shares the front door's process
@@ -481,23 +517,23 @@ class TestBlasThreads:
         monkeypatch.setattr(
             federation_module, "_gateway_worker", announce_blas_threads
         )
-        front_door = FederationFrontDoor(
-            gateways=1, use_processes=use_processes
-        )
+        if not processes:
+            request.getfixturevalue("thread_gateways")
+        front_door = FederationFrontDoor(gateways=1)
         worker = asyncio.run(front_door._spawn(0))
         worker.runner.join(timeout=30)
         assert not worker.runner.is_alive()
-        if use_processes and worker.in_process:
+        if processes and worker.in_process:
             pytest.skip("multiprocessing unavailable; thread fallback")
-        assert worker.port == (1 if use_processes else 2)
+        assert worker.port == (1 if processes else 2)
         assert min(blas_on_two_threads()) == 2  # the front door's own
 
 
 class TestSolveSlots:
-    @pytest.mark.parametrize("use_processes", [True, False])
+    @pytest.mark.parametrize("processes", [True, False])
     @pytest.mark.parametrize("workers", [None, 0, 1, 2])
     def test_each_gateway_solves_one_batch_at_a_time(
-        self, monkeypatch, use_processes, workers
+        self, request, monkeypatch, processes, workers
     ):
         """The federation's parallelism is its gateway count, so with
         ``workers`` unset each gateway (process or fallback thread)
@@ -520,9 +556,9 @@ class TestSolveSlots:
         monkeypatch.setattr(
             federation_module, "_gateway_worker", announce_solve_slots
         )
-        front_door = FederationFrontDoor(
-            gateways=1, use_processes=use_processes, workers=workers
-        )
+        if not processes:
+            request.getfixturevalue("thread_gateways")
+        front_door = FederationFrontDoor(gateways=1, workers=workers)
         worker = asyncio.run(front_door._spawn(0))
         worker.runner.join(timeout=30)
         assert not worker.runner.is_alive()
@@ -554,11 +590,11 @@ class TestValidation:
         for flush_ms in (float("nan"), float("inf")):
             with pytest.raises(ConfigurationError, match="finite"):
                 FederationFrontDoor(
-                    gateways=2, flush_ms=flush_ms, use_processes=False
+                    gateways=2, flush_ms=flush_ms
                 )
 
-    def test_kill_unknown_gateway_rejected(self):
-        front_door = FederationFrontDoor(gateways=2, use_processes=False)
+    def test_kill_unknown_gateway_rejected(self, thread_gateways):
+        front_door = FederationFrontDoor(gateways=2)
 
         async def run():
             await front_door.start("127.0.0.1", 0)

@@ -7,6 +7,29 @@ import pytest
 from repro.cli import main
 
 
+#: numeric flags that escaped as a traceback (exit 1) before they were
+#: validated up front; ``serve --simulate`` also had its gateway running
+_BAD_NUMBERS = [
+    *(
+        [command, "--cr", cr]
+        for command in ("quickstart", "fleet", "fig8")
+        for cr in ("100", "-5", "nan")
+    ),
+    *(
+        ["serve", "--simulate", "1", "--port", "0", "--cr", cr]
+        for cr in ("100", "-5", "nan")
+    ),
+    *(
+        [command, "--duration", duration]
+        for command in ("quickstart", "fleet", "sweep", "fig8")
+        for duration in ("0", "-1")
+    ),
+    ["quickstart", "--packets", "0"],
+    ["fig8", "--packets", "0"],
+    ["sweep", "--records", "0"],
+]
+
+
 class TestCli:
     def test_quickstart(self, capsys):
         code = main(
@@ -190,6 +213,17 @@ class TestCli:
         assert main(["serve", "--simulate", "1", "--corrupt", "-0.1"]) == 2
         # channel flags without --simulate would be silently ignored
         assert main(["serve", "--loss", "0.1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        _BAD_NUMBERS,
+        ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv),
+    )
+    def test_bad_number_exits_2_with_one_stderr_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_sweep_fig7(self, capsys):
         code = main(

@@ -55,7 +55,6 @@ def test_federation_front_door_declares_only_its_own_options():
     assert _parameters(FederationFrontDoor.__init__) == [
         "gateways",
         "telemetry",
-        "use_processes",
         "gateway_options",
     ]
     # everything else is the gateway's, forwarded untouched
