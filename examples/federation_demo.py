@@ -24,7 +24,7 @@ import dataclasses
 import warnings
 
 from repro import EcgMonitorSystem, SyntheticMitBih, SystemConfig
-from repro.fleet.scheduler import operator_key
+from repro.core.decoder import operator_key
 from repro.ingest import FederationFrontDoor, NodeClient
 
 from _common import banner

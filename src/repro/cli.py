@@ -472,7 +472,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         list(RECORD_NAMES)[i % len(RECORD_NAMES)] for i in range(args.streams)
     ]
     # --groups 1: every node ships the paper's shared fixed matrix ->
-    # one operator group, the scheduler pools all streams into joint
+    # one operator group, the engine pools all streams into joint
     # solves; --groups >= 2 spreads seeds over that many operators
     tasks = []
     for index, name in enumerate(names):
@@ -506,8 +506,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     # (and warns with the reason when a workers>=2 request fell back)
     groups = decoder.last_num_groups
     mode = (
-        f"{decoder.last_effective_workers} workers "
-        f"({decoder.last_shard_mode})"
+        f"{decoder.last_effective_workers} workers (columns)"
         if decoder.last_effective_workers > 1
         else "single process"
     )

@@ -145,6 +145,16 @@ def operator_key(config: SystemConfig, precision: str = "float64") -> tuple:
     )
 
 
+def solve_key(config: SystemConfig, precision: str = "float64") -> tuple:
+    """Operator identity plus the solver stopping parameters: the key
+    of a pooled solve, because a shared batched loop runs every column
+    with one ``max_iterations``/``tolerance`` pair."""
+    return operator_key(config, precision) + (
+        config.max_iterations,
+        config.tolerance,
+    )
+
+
 @dataclass
 class SolveResources:
     """One operator's solver + synthesis pair, as cached.

@@ -125,7 +125,7 @@ class MultiChannelMonitor:
         ``batch_size`` selects the batched decode engine; a multi-lead
         record is the natural batched workload — every lead contributes
         a full block of windows to reconstruct.  Batched decoding pools
-        all leads through the fleet scheduler (:mod:`repro.fleet`):
+        all leads through the fleet engine (:mod:`repro.fleet`):
         leads sharing a sensing operator batch *across* leads, and
         ``fleet_workers`` is :class:`~repro.fleet.FleetDecoder`'s
         ``workers`` (unset: one process per usable CPU for the

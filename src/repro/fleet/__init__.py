@@ -22,17 +22,23 @@ while a fleet of nodes shipping the paper's shared fixed matrix
 collapses into one.  Per group, a process keeps exactly one operator,
 one Lipschitz estimate, one contiguous transpose and one iteration
 workspace (the shared bounded cache behind
-:func:`~repro.core.decoder.resources_for`); batches are filled to the
-target width *across* the group's streams, so ragged per-stream tails
-merge into full-width solves.
+:func:`~repro.core.decoder.resources_for`).
+:func:`~repro.core.decoder.solve_key` adds the solver's stopping
+parameters, because a shared batched loop runs every column with one
+``max_iterations``/``tolerance`` pair.  A group's streams concatenate
+in submission order into one pooled column block, so each stream owns
+one contiguous column range of it, and batches are ``batch_size``-wide
+spans of that block: they fill *across* the group's streams, so ragged
+per-stream tails merge into full-width solves.
 Per-stream state that cannot be shared — Huffman codebook, closed-loop
 difference reference, lambda fraction, dc offset — stays with each
-stream's :class:`~repro.core.decoder.PacketPayloadDecoder`, and decoded
-windows are routed back to their originating
-:class:`~repro.core.system.StreamResult` in order.
+stream's :class:`~repro.core.decoder.PacketPayloadDecoder`; each
+batch's results land in group-wide arrays at its span, and each
+stream's :class:`~repro.core.system.StreamResult` reads its own range
+back, in order.
 
 **One task per batch, no-matrix-pickling workers.**  Stages 1-2 run
-in the parent; every batch of every group's schedule is one
+in the parent; every batch of every group is one
 :func:`~repro.fleet.engine.solve_measurement_block` task on a
 :class:`~repro.fleet.executor.SolveExecutor` — called inline when
 ``workers in (0, 1)``, mapped over a process pool of single-BLAS-thread
@@ -58,26 +64,13 @@ span streams.  ``tests/fleet/test_fleet.py`` pins this the same way
 ``tests/core/test_batch.py`` pins the single-stream engine.
 """
 
-from .engine import (
-    FleetDecoder,
-    StreamTask,
-    decode_fleet,
-    solve_measurement_block,
-)
-from .scheduler import (
-    GroupSchedule,
-    build_schedules,
-    operator_key,
-    solve_key,
-)
+from ..core.decoder import operator_key, solve_key
+from .engine import FleetDecoder, StreamTask, solve_measurement_block
 
 __all__ = [
     "FleetDecoder",
     "StreamTask",
-    "decode_fleet",
     "solve_measurement_block",
-    "GroupSchedule",
-    "build_schedules",
     "operator_key",
     "solve_key",
 ]

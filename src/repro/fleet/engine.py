@@ -7,22 +7,23 @@ pipeline (the package docstring, :mod:`repro.fleet`, has the why):
   batch-encoded by its own :class:`~repro.core.system.EcgMonitorSystem`
   — integer-exact, so the packets are bit-identical to the serial
   reference by construction;
-- **schedule**: streams are grouped by
-  :func:`~repro.fleet.scheduler.solve_key` and each group's windows are
-  pooled into cross-stream batches;
+- **group**: streams are grouped by
+  :func:`~repro.core.decoder.solve_key`, in order of each key's first
+  appearance, and each group's streams are concatenated in order into
+  one pooled ``(m, total)`` block, so every stream owns one contiguous
+  column range of it;
 - **decode**: stages 1-2 run per stream in the parent (stateful,
-  cheap); every batch of the schedule is one
+  cheap); every ``batch_size``-wide span of a pooled block is one
   :func:`solve_measurement_block` task on a
   :class:`~repro.fleet.executor.SolveExecutor` — inline for
   ``workers`` 0/1, else a process pool of single-BLAS-thread workers
   (``workers`` of them, or with ``workers`` unset one per usable CPU
   when a group runs a serial-FISTA backend), each taking the next
   batch as soon as it is free;
-- **route** (parent): decoded columns scatter back to their
-  originating :class:`~repro.core.system.StreamResult` in order
-  (:func:`_scatter_columns`, the single routing implementation).
+- **route** (parent): each batch's results land in group-wide arrays
+  at its span, and each stream reads its own range back.
 
-A task is one of the schedule's batches, so every solve has the same
+A task is one span of the pooled block, so every solve has the same
 column composition however many workers there are, and the output is
 bit-identical for any number of groups and workers.
 """
@@ -42,7 +43,7 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..core.batch import DEFAULT_BATCH_SIZE, encode_record_windows
-from ..core.decoder import resources_for, solve_block
+from ..core.decoder import resources_for, solve_block, solve_key
 from ..core.packets import EncodedPacket
 from ..core.system import StreamResult, window_metrics
 from ..errors import ConfigurationError
@@ -50,7 +51,6 @@ from ..solvers import HybridSolveResult
 from ..telemetry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from . import executor
 from .executor import SolveExecutor
-from .scheduler import GroupSchedule, build_schedules, solve_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.system import EcgMonitorSystem
@@ -80,76 +80,29 @@ class _EncodedStream:
     dc_offset: int
 
 
-@dataclass
-class _StreamDecode:
-    """Decode-phase output for one stream."""
-
-    samples_adu: np.ndarray  # (B, n) float64, dc offset applied
-    iterations: np.ndarray  # (B,) int64
-    decode_seconds: np.ndarray  # (B,) float64
-
-
 def _pool_group_columns(
-    members: Sequence[_EncodedStream], counts: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, list[_StreamDecode]]:
+    members: Sequence[_EncodedStream],
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Stages 1-2 for one group: pooled block + per-column fractions.
 
-    Streams concatenate in local group order, matching
-    :class:`~repro.fleet.scheduler.GroupSchedule`'s column layout; the
-    block stays float64 (the kernel casts to the operator's precision).
-    Also returns each stream's result buffers, ``decode_seconds``
-    seeded with the stream's per-window payload-decode time share.
+    Streams concatenate in group order, so each owns one contiguous
+    column range; the block stays float64 (the kernel casts to the
+    operator's precision).  Also returns each stream's per-window
+    share of its payload-decode time.
     """
     blocks: list[np.ndarray] = []
-    outputs: list[_StreamDecode] = []
-    for member, count in zip(members, counts):
+    shares: list[float] = []
+    for member in members:
         decoder = member.task.system.decoder.payload
         started = time.perf_counter()
         decoder.reset()
         blocks.append(decoder.measurement_block(member.packets, np.float64))
-        share = (time.perf_counter() - started) / count
-        outputs.append(
-            _StreamDecode(
-                samples_adu=np.empty((count, member.config.n)),
-                iterations=np.zeros(count, dtype=np.int64),
-                decode_seconds=np.full(count, share),
-            )
-        )
+        shares.append((time.perf_counter() - started) / len(member.packets))
     fractions = np.repeat(
         np.asarray([m.config.lam for m in members], dtype=np.float64),
-        np.asarray(counts),
+        [len(m.packets) for m in members],
     )
-    return np.concatenate(blocks, axis=1), fractions, outputs
-
-
-def _scatter_columns(
-    outputs: list[_StreamDecode],
-    schedule: GroupSchedule,
-    start: int,
-    stop: int,
-    signals: np.ndarray,
-    iterations: np.ndarray,
-    seconds: np.ndarray,
-    dc_offsets: Sequence[int],
-) -> None:
-    """Route pooled columns ``[start, stop)`` back to their streams.
-
-    ``signals``/``iterations``/``seconds`` are indexed relative to the
-    batch; the single routing implementation is what keeps the output
-    identical by construction whichever worker solved the batch.
-    """
-    stream_of = schedule.stream_of[start:stop]
-    index_of = schedule.index_of[start:stop]
-    for local in np.unique(stream_of):
-        mask = stream_of == local
-        rows = index_of[mask]
-        out = outputs[local]
-        out.samples_adu[rows] = (
-            np.asarray(signals[:, mask], dtype=np.float64).T
-            + dc_offsets[local]
-        )
-        out.iterations[rows] = iterations[mask]
-        out.decode_seconds[rows] += seconds[mask]
+    return np.concatenate(blocks, axis=1), fractions, shares
 
 
 #: ``fleet_solve_iterations`` bounds: the paper point caps at 2000, the
@@ -171,9 +124,9 @@ def solve_measurement_block(task: dict) -> dict:
     operator from the process's cache
     (:func:`~repro.core.decoder.resources_for` — rebuilt from the
     config seed on a miss, never shipped) and solves the whole block
-    as one batch.  :class:`FleetDecoder` hands it one schedule batch
-    per task and the live ingest gateway (:mod:`repro.ingest`) one
-    flush.
+    as one batch.  :class:`FleetDecoder` hands it one ``batch_size``
+    span of a group's pooled columns per task and the live ingest
+    gateway (:mod:`repro.ingest`) one flush.
 
     Task keys: ``config`` (scalar :class:`~repro.config.SystemConfig`
     fields), ``precision``, ``block``, ``fractions``,
@@ -283,14 +236,11 @@ class FleetDecoder:
         self.telemetry = (
             telemetry if telemetry is not None else MetricsRegistry()
         )
-        #: groups scheduled, worker processes actually used and whether
-        #: the most recent :meth:`run` sharded (``"columns"``) or not
-        #: (``"in-process"``, 1 worker) — the engine owns the fallback
+        #: groups and worker processes actually used by the most recent
+        #: :meth:`run` (1 = in-process) — the engine owns the fallback
         #: decision, so callers report from here instead of re-deriving
         self.last_num_groups = 0
         self.last_effective_workers = 1
-        self.last_shard_mode = "in-process"
-        self.last_fallback_reason: str | None = None
 
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[StreamTask]) -> list[StreamResult]:
@@ -299,37 +249,41 @@ class FleetDecoder:
         if not tasks:
             return []
         encoded = [self._encode(task) for task in tasks]
-        keys = [
-            solve_key(stream.config, stream.precision) for stream in encoded
-        ]
-        schedules = build_schedules(
-            keys, [len(stream.packets) for stream in encoded], self.batch_size
-        )
-        self.last_num_groups = len(schedules)
+        # task indices per solve key, in order of each key's first
+        # appearance
+        groups: dict[tuple, list[int]] = {}
+        for index, stream in enumerate(encoded):
+            key = solve_key(stream.config, stream.precision)
+            groups.setdefault(key, []).append(index)
+        self.last_num_groups = len(groups)
 
-        # stages 1-2 (stateful, cheap) run here for every group; each of
-        # the schedule's batches is then one solve task
-        decodes: list[_StreamDecode | None] = [None] * len(encoded)
-        routes: list[tuple] = []
+        # stages 1-2 (stateful, cheap) run here for every group; each
+        # batch_size-wide span of its pooled columns is one solve task,
+        # whose results land in the group's arrays at that span
+        layouts: list[tuple] = []
+        spans: list[tuple] = []
         solve_tasks: list[dict] = []
-        for schedule in schedules:
-            members = [encoded[s] for s in schedule.stream_ids]
+        for ids in groups.values():
+            members = [encoded[index] for index in ids]
             lead = members[0]
-            pooled, fractions, outputs = _pool_group_columns(
-                members, schedule.counts
+            pooled, fractions, shares = _pool_group_columns(members)
+            total = pooled.shape[1]
+            outputs = (
+                np.empty((total, lead.config.n)),  # samples, window-major
+                np.empty(total, dtype=np.int64),  # iterations
+                np.empty(total),  # solve seconds
             )
-            for stream_id, out in zip(schedule.stream_ids, outputs):
-                decodes[stream_id] = out
-            dc_offsets = [member.dc_offset for member in members]
+            layouts.append((ids, shares, outputs))
             config_fields = dataclasses.asdict(lead.config)
-            for start, stop in schedule.batches():
-                routes.append((outputs, schedule, start, stop, dc_offsets))
+            for start in range(0, total, self.batch_size):
+                span = slice(start, start + self.batch_size)
+                spans.append((outputs, span))
                 solve_tasks.append(
                     {
                         "config": config_fields,
                         "precision": lead.precision,
-                        "block": pooled[:, start:stop],
-                        "fractions": fractions[start:stop],
+                        "block": pooled[:, span],
+                        "fractions": fractions[span],
                         "max_iterations": lead.config.max_iterations,
                         "tolerance": lead.config.tolerance,
                     }
@@ -343,16 +297,13 @@ class FleetDecoder:
             requested = executor.usable_cpus()
         else:
             requested = 1
-        self.last_fallback_reason = None
+        windows = sum(len(stream.packets) for stream in encoded)
         if (self.workers or 0) >= 2 and len(solve_tasks) == 1:
-            self.last_fallback_reason = (
-                f"workers={self.workers} requested but the single operator "
-                f"group's {schedules[0].total_windows} window(s) fit one "
-                f"batch (batch_size={self.batch_size}); nothing to shard"
-            )
             warnings.warn(
                 f"fleet decode falling back to a single process: "
-                f"{self.last_fallback_reason}",
+                f"workers={self.workers} requested but the single operator "
+                f"group's {windows} window(s) fit one batch "
+                f"(batch_size={self.batch_size}); nothing to shard",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -360,44 +311,39 @@ class FleetDecoder:
         with contextlib.closing(solves):
             solved = solves.map(solve_measurement_block, solve_tasks)
         effective = solves.workers
-        if solves.fallback_reason is not None:
-            self.last_fallback_reason = solves.fallback_reason
 
-        for (outputs, schedule, start, stop, dc_offsets), out in zip(
-            routes, solved
-        ):
+        for ((samples, iterations, seconds), span), out in zip(spans, solved):
             self.telemetry.absorb(out["telemetry"])
-            _scatter_columns(
-                outputs,
-                schedule,
-                start,
-                stop,
-                out["signals"],
-                out["iterations"],
-                out["seconds"],
-                dc_offsets,
-            )
+            samples[span] = out["signals"].T
+            iterations[span] = out["iterations"]
+            seconds[span] = out["seconds"]
 
-        mode = "columns" if effective > 1 else "in-process"
-        self.last_shard_mode = mode
         self.last_effective_workers = effective
-        self.telemetry.inc("fleet_runs", mode=mode)
         self.telemetry.inc(
-            "fleet_windows_decoded",
-            sum(len(stream.packets) for stream in encoded),
+            "fleet_runs", mode="columns" if effective > 1 else "in-process"
         )
-        self.telemetry.set_gauge("fleet_groups", len(schedules))
+        self.telemetry.inc("fleet_windows_decoded", windows)
+        self.telemetry.set_gauge("fleet_groups", len(groups))
         self.telemetry.set_gauge("fleet_effective_workers", effective)
-        for index, schedule in enumerate(schedules):
+        results: list[StreamResult] = [None] * len(encoded)
+        for label, (ids, shares, outputs) in enumerate(layouts):
+            samples, iterations, seconds = outputs
             self.telemetry.inc(
-                "fleet_group_windows",
-                schedule.total_windows,
-                group=f"g{index}",
+                "fleet_group_windows", len(samples), group=f"g{label}"
             )
-        return [
-            self._assemble(stream, decode)
-            for stream, decode in zip(encoded, decodes)
-        ]
+            # each stream reads its own contiguous range back
+            stop = 0
+            for index, share in zip(ids, shares):
+                stream = encoded[index]
+                start, stop = stop, stop + len(stream.packets)
+                samples[start:stop] += stream.dc_offset
+                results[index] = self._assemble(
+                    stream,
+                    samples[start:stop],
+                    iterations[start:stop],
+                    share + seconds[start:stop],
+                )
+        return results
 
     def _encode(self, task: StreamTask) -> _EncodedStream:
         windows, packets = encode_record_windows(
@@ -417,7 +363,11 @@ class FleetDecoder:
 
     # ------------------------------------------------------------------
     def _assemble(
-        self, stream: _EncodedStream, decode: _StreamDecode
+        self,
+        stream: _EncodedStream,
+        samples_adu: np.ndarray,
+        iterations: np.ndarray,
+        decode_seconds: np.ndarray,
     ) -> StreamResult:
         task = stream.task
         result = StreamResult(
@@ -430,22 +380,13 @@ class FleetDecoder:
                 window_metrics(
                     stream.windows[index],
                     packet,
-                    decode.samples_adu[index],
-                    int(decode.iterations[index]),
-                    float(decode.decode_seconds[index]),
+                    samples_adu[index],
+                    int(iterations[index]),
+                    float(decode_seconds[index]),
                     stream.dc_offset,
                 )
             )
         if task.keep_signals:
             result.original_adu = stream.windows.astype(np.float64).reshape(-1)
-            result.reconstructed_adu = decode.samples_adu.reshape(-1)
+            result.reconstructed_adu = samples_adu.reshape(-1)
         return result
-
-
-def decode_fleet(
-    tasks: Sequence[StreamTask],
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    workers: int | None = None,
-) -> list[StreamResult]:
-    """Convenience wrapper: one-shot fleet decode of many streams."""
-    return FleetDecoder(batch_size=batch_size, workers=workers).run(tasks)

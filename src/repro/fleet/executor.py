@@ -125,8 +125,7 @@ class SolveExecutor:
     :meth:`map`.
 
     :attr:`workers` is the number of worker processes actually in use
-    (1 = in-process) and :attr:`fallback_reason` why a requested pool
-    is not, else ``None``.  :attr:`slot` holds :attr:`bound` =
+    (1 = in-process).  :attr:`slot` holds :attr:`bound` =
     :func:`solve_slots` permits; a live solve of any operator holds one
     from before its task is composed until its result is routed.
     """
@@ -135,7 +134,6 @@ class SolveExecutor:
         self, workers: int | None = None, *, threaded: bool = False
     ) -> None:
         self.workers = 1
-        self.fallback_reason: str | None = None
         self.bound = solve_slots(workers)
         self.slot = asyncio.Semaphore(self.bound)
         self._pool: ProcessPoolExecutor | ThreadPoolExecutor | None = None
@@ -146,12 +144,9 @@ class SolveExecutor:
                 )
                 self.workers = workers
             except (ImportError, NotImplementedError, OSError, ValueError) as exc:
-                self.fallback_reason = (
-                    f"process pool unavailable on this platform ({exc})"
-                )
                 warnings.warn(
                     f"solve executor falling back to in-process solves: "
-                    f"{self.fallback_reason}",
+                    f"process pool unavailable on this platform ({exc})",
                     RuntimeWarning,
                     stacklevel=3,
                 )

@@ -1,4 +1,4 @@
-"""Live ingestion: asyncio node links feeding the fleet scheduler.
+"""Live ingestion: asyncio node links feeding pooled fleet solves.
 
 The paper's deployment loop is a body-worn encoder streaming compressed
 ECG over a radio to a monitor that decodes in real time.  The offline
@@ -12,7 +12,7 @@ coordinator actually runs:
 - :mod:`~repro.ingest.gateway` — :class:`IngestGateway`, the asyncio
   server: accepts TCP or in-process links, runs the stateful decode
   stages per stream, pools measurement columns per operator group
-  (same keying as the fleet scheduler), and flushes batched solves the
+  (same keying as the offline fleet), and flushes batched solves the
   moment the solver is idle — else on batch-full / deadline /
   stream-end triggers — with per-stream backpressure;
 - :mod:`~repro.ingest.client` — :class:`NodeClient`, the node-side

@@ -14,8 +14,8 @@ The design is a routing tier, not a decode tier:
 - :class:`FederationFrontDoor` owns the public TCP listener.  It
   frame-parses exactly one frame per link — the ``HELLO`` — recovers
   the stream's *operator key* (the same
-  :func:`~repro.fleet.scheduler.operator_key` the offline fleet
-  scheduler shards by), and looks the key up on a seeded consistent
+  :func:`~repro.core.decoder.operator_key` the offline fleet groups
+  streams by), and looks the key up on a seeded consistent
   hash ring (:class:`~repro.utils.hashring.HashRing`) whose nodes are
   the gateway workers.  All streams of one operator group therefore
   land on one gateway, keeping its ``A`` precompute hot and its
@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError, ProtocolError
 from ..fleet.executor import pin_blas_to_one_thread
-from ..fleet.scheduler import operator_key
+from ..core.decoder import operator_key
 from ..telemetry import MetricsRegistry, MetricsSnapshot
 from ..utils.hashring import HashRing
 from .gateway import (

@@ -13,9 +13,11 @@ connected:
 - stages 1-2 (entropy decode, redundancy re-insertion, dequantization
   — stateful, cheap) run in the session's read loop, in arrival order;
 - the resulting measurement columns are pooled per *operator group*
-  (:func:`~repro.fleet.scheduler.solve_key`), exactly like the offline
-  fleet scheduler: batches fill across whatever streams share the
-  group, so ragged live streams merge into full-width solves;
+  (:func:`~repro.core.decoder.solve_key`), exactly like the offline
+  fleet: batches fill across whatever streams share the group, so
+  ragged live streams merge into full-width solves.  A group lives
+  while a session of it is open: the last one to finalize drops it
+  and stops its flush loop;
 - dispatch is work-conserving, the way Nagle's algorithm is: while
   fewer than ``workers`` solves are in flight a group flushes whatever
   is pending at once, so batches form only behind a busy solver.
@@ -75,6 +77,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import math
 import time
 import warnings
@@ -83,7 +86,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.decoder import PacketPayloadDecoder
+from ..core.decoder import PacketPayloadDecoder, solve_key
 from ..errors import (
     ConfigurationError,
     DecodingError,
@@ -92,7 +95,6 @@ from ..errors import (
 )
 from ..fleet.engine import solve_measurement_block
 from ..fleet.executor import SolveExecutor
-from ..fleet.scheduler import solve_key
 from ..telemetry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from .channel import (
     FrameVerdict,
@@ -844,11 +846,16 @@ class IngestGateway:
         session.meter.inc("ingest_sessions_opened")
         key = solve_key(handshake.config, handshake.precision)
         if key not in self._groups:
+            # the smallest free label: groups come and go, and a label
+            # names one ingest_queue_depth series
+            taken = {group.label for group in self._groups.values()}
             group = _GroupPool(
                 key,
                 handshake.config,
                 handshake.precision,
-                label=f"g{len(self._groups)}",
+                label=next(
+                    f"g{i}" for i in itertools.count() if f"g{i}" not in taken
+                ),
             )
             group.drain_task = asyncio.create_task(self._drain(group))
             self._groups[key] = group
@@ -996,6 +1003,15 @@ class IngestGateway:
         session.check_done()
         await session.all_done.wait()
         self._sessions.pop(session.id, None)
+        # a HELLO may name any operator: the group of the last session
+        # to leave goes with it, so groups and their flush loops stay
+        # bounded by the sessions open
+        group = session.group
+        if not group.pending and all(
+            other.group is not group for other in self._sessions.values()
+        ):
+            group.drain_task.cancel()
+            del self._groups[group.key]
         # concurrent batch solves may have completed out of order:
         # restore stream order so callers see windows as the node sent
         # them, then copy the stream's damage accounting into the

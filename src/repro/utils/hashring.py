@@ -17,8 +17,9 @@ that mapping two properties a modulo table cannot:
   scatter the same key to different gateways in the front door and
   in any offline tooling that wants to predict placement.
 
-Keys are arbitrary printable values (the fleet scheduler's operator
-key is a tuple of ints and strings); they are canonicalized through
+Keys are arbitrary printable values (an operator key,
+:func:`~repro.core.decoder.operator_key`, is a tuple of ints and
+strings); they are canonicalized through
 ``repr``, which is stable for such tuples.
 """
 

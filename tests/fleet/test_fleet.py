@@ -18,16 +18,10 @@ import numpy as np
 import pytest
 
 from repro.core import EcgMonitorSystem, MultiChannelMonitor
+from repro.core.batch import encode_record_windows
 from repro.errors import ConfigurationError
-from repro.fleet import (
-    FleetDecoder,
-    GroupSchedule,
-    StreamTask,
-    build_schedules,
-    decode_fleet,
-    operator_key,
-    solve_key,
-)
+from repro.core.decoder import operator_key, solve_key
+from repro.fleet import FleetDecoder, StreamTask
 from repro.telemetry import MetricsSnapshot
 
 
@@ -98,38 +92,149 @@ class TestOperatorKey:
         )
 
 
-class TestGroupSchedule:
-    def test_batches_span_stream_boundaries(self):
-        schedule = GroupSchedule.build([0, 1], [5, 5], batch_size=4)
-        assert schedule.total_windows == 10
-        assert schedule.num_batches == 3
-        spans = list(schedule.batches())
-        assert spans == [(0, 4), (4, 8), (8, 10)]
-        # second batch mixes the tail of stream 0 with the head of 1
-        mixed = schedule.stream_of[4:8]
-        assert set(mixed.tolist()) == {0, 1}
+def _record_solves(monkeypatch) -> list[tuple[dict, dict]]:
+    """Wrap the engine's solve task: every ``(task, result)`` a run
+    hands it lands in the returned list, in task order at
+    ``workers=1``."""
+    import repro.fleet.engine as engine_module
 
-    def test_routing_preserves_per_stream_order(self):
-        schedule = GroupSchedule.build([3, 7], [3, 2], batch_size=2)
-        for local, count in enumerate(schedule.counts):
-            rows = schedule.index_of[schedule.stream_of == local]
-            np.testing.assert_array_equal(rows, np.arange(count))
+    solve = engine_module.solve_measurement_block
+    calls = []
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            GroupSchedule.build([0], [3], batch_size=0)
-        with pytest.raises(ConfigurationError):
-            GroupSchedule.build([], [], batch_size=4)
-        with pytest.raises(ConfigurationError):
-            GroupSchedule.build([0, 1], [3, 0], batch_size=4)
+    def recorded(task):
+        out = solve(task)
+        calls.append((task, out))
+        return out
 
-    def test_build_schedules_groups_by_key(self):
-        keys = [("a",), ("b",), ("a",), ("a",)]
-        schedules = build_schedules(keys, [2, 3, 4, 1], batch_size=4)
-        assert [s.stream_ids for s in schedules] == [(0, 2, 3), (1,)]
-        assert [s.total_windows for s in schedules] == [7, 3]
-        with pytest.raises(ConfigurationError):
-            build_schedules(keys, [1, 2], batch_size=4)
+    monkeypatch.setattr(engine_module, "solve_measurement_block", recorded)
+    return calls
+
+
+def _measurements(config, record, count):
+    """A stream's ``(m, count)`` dequantized measurement block."""
+    system = EcgMonitorSystem(config)
+    _, packets = encode_record_windows(system, record, max_packets=count)
+    return system.decoder.payload.measurement_block(packets, np.float64)
+
+
+class TestGroupLayout:
+    """Each operator group's streams concatenate in order into one
+    pooled block, batches are ``batch_size`` spans of it, and each
+    stream reads its own contiguous range of the results back."""
+
+    def test_batches_span_stream_boundaries(
+        self, small_config, database, monkeypatch
+    ):
+        """2 streams x 5 windows at batch 4: widths 4, 4, 2, and the
+        middle block is stream 0's last window then stream 1's first
+        three (stream 1 at twice the lambda, so the fractions say whose
+        column is whose too)."""
+        calls = _record_solves(monkeypatch)
+        records = [database.load("100"), database.load("119")]
+        configs = [
+            small_config,
+            small_config.replace(lam=2 * small_config.lam),
+        ]
+        FleetDecoder(batch_size=4, workers=1).run(
+            [
+                StreamTask(EcgMonitorSystem(config), record, max_packets=5)
+                for config, record in zip(configs, records)
+            ]
+        )
+        assert [task["block"].shape[1] for task, _ in calls] == [4, 4, 2]
+        first, second = (
+            _measurements(config, record, 5)
+            for config, record in zip(configs, records)
+        )
+        middle = calls[1][0]
+        np.testing.assert_array_equal(
+            middle["block"], np.hstack([first[:, 4:], second[:, :3]])
+        )
+        np.testing.assert_array_equal(
+            middle["fractions"], [configs[0].lam] + 3 * [configs[1].lam]
+        )
+
+    def test_groups_by_solve_key_in_first_appearance_order(
+        self, small_config, database, monkeypatch
+    ):
+        """Streams keyed a, b, a form groups [0, 2] then [1]; b differs
+        from a only in ``tolerance``, which splits solves but not
+        operators.  Each task's block is its group's streams'
+        measurement blocks side by side."""
+        calls = _record_solves(monkeypatch)
+        relaxed = small_config.replace(tolerance=3e-4)
+        plan = [
+            (small_config, database.load("100"), 3),
+            (relaxed, database.load("119"), 2),
+            (small_config, database.load("201"), 3),
+        ]
+        engine = FleetDecoder(batch_size=8, workers=1)
+        engine.run(
+            [
+                StreamTask(EcgMonitorSystem(config), record, max_packets=count)
+                for config, record, count in plan
+            ]
+        )
+        assert engine.last_num_groups == 2
+        blocks = [_measurements(*stream) for stream in plan]
+        expected = [
+            (np.hstack([blocks[0], blocks[2]]), small_config.tolerance),
+            (blocks[1], relaxed.tolerance),
+        ]
+        assert len(calls) == len(expected)
+        for (task, _), (block, tolerance) in zip(calls, expected):
+            np.testing.assert_array_equal(task["block"], block)
+            assert task["tolerance"] == tolerance
+
+    def test_streams_read_their_own_range_in_window_order(
+        self, small_config, database, monkeypatch
+    ):
+        """Every stream's samples and iterations are its own columns of
+        the solved batches, in window order, with its dc offset added —
+        over two groups whose batches span stream boundaries."""
+        calls = _record_solves(monkeypatch)
+        other = small_config.replace(seed=small_config.seed + 1)
+        plan = [
+            (small_config, "100", 3),
+            (other, "119", 5),
+            (small_config, "201", 4),
+        ]
+        tasks = [
+            StreamTask(
+                EcgMonitorSystem(config),
+                database.load(name),
+                max_packets=count,
+                keep_signals=True,
+            )
+            for config, name, count in plan
+        ]
+        results = FleetDecoder(batch_size=2, workers=1).run(tasks)
+        # group [0, 2]: 7 windows in 4 batches, then group [1]: 3 more
+        assert len(calls) == 4 + 3
+        group_a, group_b = calls[:4], calls[4:]
+
+        def solved(group):
+            return (
+                np.hstack([out["signals"] for _, out in group]),
+                np.concatenate([out["iterations"] for _, out in group]),
+            )
+
+        signals_a, iterations_a = solved(group_a)
+        signals_b, iterations_b = solved(group_b)
+        expected = [
+            (signals_a[:, :3], iterations_a[:3]),
+            (signals_b, iterations_b),
+            (signals_a[:, 3:], iterations_a[3:]),
+        ]
+        for task, result, (signals, iterations) in zip(
+            tasks, results, expected
+        ):
+            dc_offset = task.system.encoder.dc_offset
+            np.testing.assert_array_equal(
+                result.reconstructed_adu,
+                (signals.T + dc_offset).reshape(-1),
+            )
+            assert [p.iterations for p in result.packets] == list(iterations)
 
 
 class TestCrossSourceEquivalence:
@@ -144,7 +249,7 @@ class TestCrossSourceEquivalence:
             )
             for channel, system in enumerate(monitor.systems)
         ]
-        results = decode_fleet(tasks, batch_size=3)
+        results = FleetDecoder(batch_size=3).run(tasks)
         for channel, fleet_result in enumerate(results):
             serial = _serial_reference(
                 small_config.replace(seed=small_config.seed + channel),
@@ -163,7 +268,7 @@ class TestCrossSourceEquivalence:
             for system, record in zip(systems, records)
         ]
         # batch 4 over 2x5 windows: the middle batch mixes both records
-        results = decode_fleet(tasks, batch_size=4)
+        results = FleetDecoder(batch_size=4).run(tasks)
         for record, fleet_result in zip(records, results):
             _assert_stream_equivalent(
                 fleet_result,
@@ -179,7 +284,7 @@ class TestCrossSourceEquivalence:
             StreamTask(system, record, max_packets=limit)
             for system, record, limit in zip(systems, records, limits)
         ]
-        results = decode_fleet(tasks, batch_size=3)
+        results = FleetDecoder(batch_size=3).run(tasks)
         assert [r.num_packets for r in results] == list(limits)
         for record, limit, fleet_result in zip(records, limits, results):
             _assert_stream_equivalent(
@@ -200,7 +305,7 @@ class TestCrossSourceEquivalence:
             StreamTask(system, record, max_packets=4)
             for system, record in zip(systems, records)
         ]
-        results = decode_fleet(tasks, batch_size=8)
+        results = FleetDecoder(batch_size=8).run(tasks)
         for system, record, fleet_result in zip(systems, records, results):
             serial = _serial_reference(
                 small_config,
@@ -220,7 +325,7 @@ class TestCrossSourceEquivalence:
             StreamTask(EcgMonitorSystem(cfg), record, max_packets=3)
             for cfg in (small_config, other, small_config, other)
         ]
-        results = decode_fleet(tasks, batch_size=4)
+        results = FleetDecoder(batch_size=4).run(tasks)
         ref_a = _serial_reference(small_config, record, max_packets=3)
         ref_b = _serial_reference(other, record, max_packets=3)
         for index, fleet_result in enumerate(results):
@@ -281,11 +386,9 @@ class TestShardedExecutor:
         )
         results = engine.run(tasks_of())
         assert engine.last_num_groups == len(_SHAPES[shape])
-        if executor == "process" and engine.last_fallback_reason is None:
-            assert engine.last_shard_mode == "columns"
-            assert engine.last_effective_workers == 2
-        else:
-            assert engine.last_shard_mode == "in-process"
+        assert engine.last_effective_workers == (
+            2 if executor == "process" else 1
+        )
         for (config, count, name), a, b in zip(plan, inline, results):
             assert [p.iterations for p in a.packets] == [
                 p.iterations for p in b.packets
@@ -317,8 +420,7 @@ class TestShardedExecutor:
         engine = FleetDecoder(batch_size=2, workers=4)
         sharded = engine.run(tasks_of())
         assert engine.last_num_groups == 2
-        if engine.last_fallback_reason is None:
-            assert engine.last_effective_workers == 4
+        assert engine.last_effective_workers == 4
         inprocess = FleetDecoder(batch_size=2, workers=1).run(tasks_of())
         for a, b in zip(inprocess, sharded):
             np.testing.assert_array_equal(
@@ -340,7 +442,6 @@ class TestShardedExecutor:
         engine = FleetDecoder(batch_size=2, workers=4)
         sharded = engine.run(tasks_of())
         assert engine.last_num_groups == 1
-        assert engine.last_shard_mode == "columns"
         # 10 pooled windows, batch 2 -> 5 batches over 4 workers
         assert engine.last_effective_workers == 4
         inprocess = FleetDecoder(batch_size=2, workers=1).run(tasks_of())
@@ -370,7 +471,7 @@ class TestShardedExecutor:
         ]
         engine = FleetDecoder(batch_size=2, workers=2)
         results = engine.run(tasks)
-        assert engine.last_shard_mode == "columns"
+        assert engine.last_effective_workers == 2
         for record, limit, fleet_result in zip(records, limits, results):
             _assert_stream_equivalent(
                 fleet_result,
@@ -390,9 +491,7 @@ class TestShardedExecutor:
         with pytest.warns(RuntimeWarning, match="nothing to shard"):
             results = engine.run(tasks)
         assert engine.last_num_groups == 1
-        assert engine.last_shard_mode == "in-process"
         assert engine.last_effective_workers == 1  # reported, not requested
-        assert engine.last_fallback_reason is not None
         _assert_stream_equivalent(
             results[0],
             _serial_reference(small_config, record, max_packets=2),
@@ -419,13 +518,12 @@ class TestShardedExecutor:
         ]
         engine = FleetDecoder(batch_size=2, workers=2)
         with pytest.warns(
-            RuntimeWarning, match="process pool unavailable"
+            RuntimeWarning,
+            match=r"process pool unavailable .*no sem_open here",
         ) as caught:
             results = engine.run(tasks_of())
         assert len(caught) == 1
-        assert engine.last_shard_mode == "in-process"
         assert engine.last_effective_workers == 1
-        assert "no sem_open here" in engine.last_fallback_reason
         inline = FleetDecoder(batch_size=2, workers=1).run(tasks_of())
         np.testing.assert_array_equal(
             results[0].reconstructed_adu, inline[0].reconstructed_adu
@@ -454,8 +552,7 @@ class TestShardedExecutor:
             snap = engine.telemetry.snapshot()
             assert snap.counter_total("fleet_worker_tasks") == 5
             assert snap.counter_total("fleet_worker_windows") == 20
-            if engine.last_fallback_reason is None:
-                assert engine.last_effective_workers == workers
+            assert engine.last_effective_workers == workers
         for workers in (2, 3):
             for a, b in zip(decoded[1], decoded[workers]):
                 assert [p.iterations for p in a.packets] == [
@@ -476,7 +573,6 @@ class TestShardedExecutor:
         engine.run(tasks)
         assert engine.last_num_groups == 2
         # two single-batch groups are two tasks of the one layout
-        assert engine.last_shard_mode == "columns"
         assert engine.last_effective_workers == 2
 
     def test_one_operator_build_per_key_per_process(
@@ -494,9 +590,9 @@ class TestShardedExecutor:
             StreamTask(system, record, max_packets=2) for system in systems
         ]
         before = build_resources.cache_info()  # decoders built nothing
-        decode_fleet(tasks, batch_size=4, workers=1)
+        FleetDecoder(batch_size=4, workers=1).run(tasks)
         assert build_resources.cache_info().misses == before.misses + 1
-        decode_fleet(tasks, batch_size=4, workers=1)
+        FleetDecoder(batch_size=4, workers=1).run(tasks)
         systems[2].stream(record, max_packets=2)
         after = build_resources.cache_info()
         assert after.misses == before.misses + 1
@@ -535,10 +631,6 @@ class TestDefaultLayout:
         inline = FleetDecoder(batch_size=2, workers=1).run(tasks_of())
         pooled = precision != "hybrid" and batches >= 2
         assert engine.last_effective_workers == (2 if pooled else 1)
-        assert engine.last_shard_mode == (
-            "columns" if pooled else "in-process"
-        )
-        assert engine.last_fallback_reason is None
         for a, b in zip(inline, default):
             assert [p.iterations for p in a.packets] == [
                 p.iterations for p in b.packets
@@ -561,7 +653,6 @@ class TestDefaultLayout:
             ]
         )
         assert engine.last_effective_workers == 2
-        assert engine.last_shard_mode == "columns"
 
     def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
         from repro.fleet.executor import usable_cpus
@@ -636,7 +727,7 @@ class TestDefaultLayout:
         assert min(blas_on_two_threads()) >= 2
         executor = SolveExecutor(2)
         try:
-            assert executor.workers == 2, executor.fallback_reason
+            assert executor.workers == 2
             counts = executor.map(_worker_blas_threads, [None, None])
         finally:
             executor.close()
@@ -665,7 +756,7 @@ class TestDefaultLayout:
         build_resources.cache_clear()
         pool = FleetDecoder(batch_size=4, workers=2)
         pooled = pool.run(tasks_of())
-        assert pool.last_effective_workers == 2, pool.last_fallback_reason
+        assert pool.last_effective_workers == 2
         build_resources.cache_clear()
         assert min(blas_on_two_threads()) >= 2
         inline = FleetDecoder(batch_size=4, workers=1).run(tasks_of())
@@ -808,7 +899,7 @@ class TestFleetApi:
             )
 
     def test_multichannel_stream_uses_fleet(self, small_config, database):
-        """The monitor's batched path pools leads through the scheduler."""
+        """The monitor's batched path pools leads through the fleet."""
         record = database.load("100")
         serial_monitor = MultiChannelMonitor(small_config, channels=2)
         fleet_monitor = MultiChannelMonitor(small_config, channels=2)

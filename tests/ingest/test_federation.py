@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import EcgMonitorSystem
 from repro.errors import ConfigurationError
-from repro.fleet.scheduler import operator_key
+from repro.core.decoder import operator_key
 from repro.ingest import FederationFrontDoor, IngestGateway, NodeClient
 from repro.ingest import federation as federation_module
 from repro.ingest.federation import RING_REPLICAS, RING_SEED

@@ -9,6 +9,7 @@ per-stream reference exactly like the fleet tests.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import threading
 
@@ -20,7 +21,9 @@ import repro.fleet.executor as executor_module
 import repro.ingest.gateway as gateway_module
 from repro.coding import Codebook, train_codebook
 from repro.core import EcgMonitorSystem
+from repro.core.decoder import PacketPayloadDecoder
 from repro.errors import ConfigurationError
+from repro.fleet.engine import solve_measurement_block
 from repro.ingest import (
     FrameKind,
     Handshake,
@@ -248,7 +251,7 @@ class TestPooledDecode:
             return gateway
 
         gateway = asyncio.run(run())
-        assert len(gateway._groups) == 1
+        assert len({key for key, _m, _r in gateway.batch_log}) == 1
         assert gateway.stats.cross_stream_batches >= 1
         assert gateway.stats.windows_decoded == 4
         results = sorted(gateway.results, key=lambda r: r.session_id)
@@ -285,7 +288,7 @@ class TestPooledDecode:
             return gateway
 
         gateway = asyncio.run(run())
-        assert len(gateway._groups) == 2
+        assert len({key for key, _m, _r in gateway.batch_log}) == 2
         assert gateway.stats.windows_decoded == 4
         for system, result in zip(
             systems, sorted(gateway.results, key=lambda r: r.session_id)
@@ -495,6 +498,170 @@ class TestPooledDecode:
             IngestGateway(workers=-1)
         with pytest.raises(ConfigurationError):
             IngestGateway(max_pending=0)
+
+
+def _live_drains():
+    """The gateway's flush loops still running in this event loop."""
+    return [
+        task
+        for task in asyncio.all_tasks()
+        if task.get_coro().__name__ == "_drain" and not task.done()
+    ]
+
+
+class TestGroupLifetime:
+    """A group lives while a session of it is open: a HELLO may name
+    any seed, so groups that outlived their sessions grew the gateway
+    (a group and a flush loop per seed ever seen) without bound."""
+
+    def test_sequential_distinct_seeds_leave_no_group(
+        self, small_config, database
+    ):
+        record = database.load("100")
+        systems = [
+            _system(
+                small_config.replace(seed=small_config.seed + 11 + i),
+                record,
+            )
+            for i in range(4)
+        ]
+
+        async def run():
+            gateway = IngestGateway(batch_size=2, flush_ms=50.0)
+            for system in systems:
+                client = NodeClient(
+                    system, record, max_packets=2, interval_s=0.0
+                )
+                await client.run(*gateway.connect_local())
+                await _drain_sessions(gateway)
+            await asyncio.sleep(0)  # let the cancelled loops unwind
+            left = (len(gateway._groups), len(_live_drains()))
+            await gateway.close()
+            return gateway, left
+
+        gateway, left = asyncio.run(run())
+        assert left == (0, 0)
+        assert gateway.stats.windows_decoded == 8
+        assert len({key for key, _m, _r in gateway.batch_log}) == 4
+        # one group at a time: every one took the smallest free label
+        snap = gateway.telemetry.snapshot()
+        assert snap.label_values("ingest_queue_depth", "group") == {"g0"}
+        for system, result in zip(
+            systems, sorted(gateway.results, key=lambda r: r.session_id)
+        ):
+            _assert_matches_serial(
+                result, _serial_reference(system, record, max_packets=2)
+            )
+
+    def test_new_group_takes_the_smallest_free_label(
+        self, small_config, database
+    ):
+        """g0 and g1 open, g0's session ends: the next group is g0 —
+        numbering by group count named it g1, the label of the live
+        group."""
+        record = database.load("100")
+        systems = [
+            _system(
+                small_config.replace(seed=small_config.seed + 21 + i),
+                record,
+            )
+            for i in range(3)
+        ]
+
+        async def run():
+            gateway = IngestGateway(batch_size=2, flush_ms=50.0)
+            links = [gateway.connect_local() for _ in range(2)]
+            for (_reader, writer), system in zip(links, systems):
+                writer.write(_hello(system, record))
+            await _wait_until(lambda: len(gateway._groups) == 2)
+            links[0][1].write(encode_frame(FrameKind.BYE))
+            await _wait_until(lambda: len(gateway._sessions) == 1)
+            reader, writer = gateway.connect_local()
+            writer.write(_hello(systems[2], record))
+            await _wait_until(lambda: len(gateway._sessions) == 2)
+            labels = sorted(g.label for g in gateway._groups.values())
+            for _reader, writer in (links[1], (reader, writer)):
+                writer.write(encode_frame(FrameKind.BYE))
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return labels
+
+        assert asyncio.run(run()) == ["g0", "g1"]
+
+    def test_session_joining_a_finalizing_group_decodes_bit_identically(
+        self, small_config, database, parked
+    ):
+        """Session B registers on A's key while A is finalizing (its
+        window parked in the solver): A's leaving keeps the group B is
+        using, B decodes exactly the replay of its logged batches, and
+        the group goes once B leaves too."""
+        records = [database.load("100"), database.load("119")]
+        first, second = (_system(small_config, r) for r in records)
+        packet = encoded_packets(first, records[0], max_packets=1)[0]
+
+        async def run():
+            gateway = IngestGateway(batch_size=2, flush_ms=50.0)
+            _reader, writer = gateway.connect_local()
+            writer.write(_hello(first, records[0]))
+            writer.write(_packet(packet))
+            await parked.wait_parked()
+            writer.write(encode_frame(FrameKind.BYE))
+            await _wait_until(
+                lambda: any(s.closed for s in gateway._sessions.values())
+            )
+            client = NodeClient(
+                second, records[1], max_packets=3, interval_s=0.0
+            )
+            joined = asyncio.create_task(
+                client.run(*gateway.connect_local())
+            )
+            await _wait_until(lambda: len(gateway._sessions) == 2)
+            shared = len({id(s.group) for s in gateway._sessions.values()})
+            parked.release()
+            await joined
+            await _drain_sessions(gateway)
+            left = len(gateway._groups)
+            await gateway.close()
+            return gateway, shared, left
+
+        gateway, shared, left = asyncio.run(run())
+        assert (shared, left) == (1, 0)
+        results = sorted(gateway.results, key=lambda r: r.session_id)
+        assert [r.error for r in results] == [None, None]
+        assert [r.num_windows for r in results] == [1, 3]
+        _assert_matches_serial(
+            results[0], _serial_reference(first, records[0], max_packets=1)
+        )
+        joined = results[1]
+        columns = PacketPayloadDecoder(
+            small_config, codebook=second.encoder.codebook
+        ).measurement_block(
+            encoded_packets(second, records[1], max_packets=3), np.float64
+        )
+        dc_offset = second.encoder.dc_offset
+        replayed = 0
+        for _key, members, _reason in gateway.batch_log:
+            indices = [i for sid, i in members if sid == joined.session_id]
+            if not indices:
+                continue
+            assert len(indices) == len(members)
+            out = solve_measurement_block(
+                {
+                    "config": dataclasses.asdict(small_config),
+                    "precision": "float64",
+                    "block": columns[:, indices],
+                    "fractions": np.full(len(indices), small_config.lam),
+                    "max_iterations": small_config.max_iterations,
+                    "tolerance": small_config.tolerance,
+                }
+            )
+            for column, index in enumerate(indices):
+                np.testing.assert_array_equal(
+                    joined.samples_adu[index],
+                    out["signals"][:, column] + dc_offset,
+                )
+                replayed += 1
+        assert replayed == 3
 
 
 class TestIdleDispatch:
@@ -786,7 +953,7 @@ class TestIdleDispatch:
 
         gateway, held = asyncio.run(run())
         assert held == (2, 2)
-        assert len(gateway._groups) == 3
+        assert len({key for key, _m, _r in gateway.batch_log}) == 3
         assert [r for _k, _m, r in gateway.batch_log][-1] == "deadline"
 
     def test_unpaced_stream_still_fills_every_batch(

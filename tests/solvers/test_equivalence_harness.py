@@ -42,7 +42,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.core import EcgMonitorSystem
 from repro.errors import SolverError
-from repro.fleet import StreamTask, decode_fleet
+from repro.fleet import FleetDecoder, StreamTask
 from repro.fleet.engine import solve_measurement_block
 from repro.sensing import SparseBinaryMatrix
 from repro.solvers import (
@@ -461,13 +461,12 @@ class TestFleetEquivalence:
         for precision in ("float64", "hybrid"):
             system = EcgMonitorSystem(config, precision=precision)
             system.calibrate(record)
-            (results[precision],) = decode_fleet(
+            (results[precision],) = FleetDecoder(batch_size=4).run(
                 [
                     StreamTask(
                         system, record, max_packets=4, keep_signals=True
                     )
-                ],
-                batch_size=4,
+                ]
             )
         pure, hybrid = results["float64"], results["hybrid"]
         assert [p.sequence for p in pure.packets] == [
