@@ -2,7 +2,9 @@
 
 A zero-dependency (stdlib ``ast``/``tokenize``) lint framework plus
 the project-specific rules that machine-check the conventions the
-stack's correctness rests on:
+stack's correctness rests on.  A rule is kept only for a bug class
+the tier-1 tests cannot see — one that moves cost, concurrency or a
+name but leaves every decoded bit alone:
 
 ========  ==================  ============================================
 rule id   name                invariant
@@ -18,6 +20,13 @@ RL004     telemetry-catalog   every metric name/kind/label is declared in
 RL005     exception-hygiene   broad excepts are justified; load-bearing
                               errors are never silently swallowed
 RL006     docs-drift          README tracks the CLI surface
+RL008     await-atomicity     shared state is re-validated after an
+                              ``await`` before it is acted on
+RL009     process-boundary    every process-pool dispatch carries a
+                              justified ``disable``; no closure is
+                              submitted
+RL010     frame-dispatch      every ``FrameKind`` dispatch handles all
+                              members or has a default arm
 ========  ==================  ============================================
 
 Run it as ``repro-ecg lint`` or ``python -m repro.analysis``; see

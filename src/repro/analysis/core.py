@@ -26,11 +26,7 @@ Vocabulary
 - a hot region is a ``for``/``while`` loop marked ``# repro-lint: hot``
   (on the loop line or the line above, or on the enclosing ``def``
   line to mark every loop in the function) — the regions RL003 holds
-  to the no-allocation discipline;
-- an f32 region is a statement or ``def`` marked ``# repro-lint: f32``
-  (same placement rules) — the float32 legs of the solver stack, where
-  RL007 holds every operand flow to the no-float64-promotion
-  discipline.
+  to the no-allocation discipline.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from pathlib import Path
 FRAMEWORK_RULE = "RL000"
 
 _DIRECTIVE = re.compile(
-    r"#\s*repro-lint:\s*(?P<kind>disable|hot|f32)"
+    r"#\s*repro-lint:\s*(?P<kind>disable|hot)"
     r"(?:=(?P<rules>[A-Za-z0-9_,]+))?(?P<reason>.*)$"
 )
 
@@ -63,6 +59,9 @@ class Finding:
     #: line-independent fingerprint detail (attribute name, metric
     #: name, call name, ...) — stable across unrelated edits
     key: str
+    #: False for a finding no ``disable`` may clear (a bug, not a
+    #: judgement call)
+    suppressible: bool = True
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
@@ -115,13 +114,9 @@ class SourceModule:
         self.hot_marks: set[int] = {
             line for kind, line, _, _ in directives if kind == "hot"
         }
-        self.f32_marks: set[int] = {
-            line for kind, line, _, _ in directives if kind == "f32"
-        }
         self.suppressions: list[Suppression] = self._resolve_suppressions()
         self._hot_spans: list[tuple[int, int]] | None = None
         self._hot_while_headers: set[int] = set()
-        self._f32_spans: list[tuple[int, int]] | None = None
 
     # -- suppressions --------------------------------------------------
     def _resolve_suppressions(self) -> list[Suppression]:
@@ -198,7 +193,7 @@ class SourceModule:
         return findings
 
     def suppressed(self, finding: Finding) -> bool:
-        if finding.rule == FRAMEWORK_RULE:
+        if finding.rule == FRAMEWORK_RULE or not finding.suppressible:
             return False
         return any(s.covers(finding) for s in self.suppressions)
 
@@ -241,36 +236,6 @@ class SourceModule:
         spans = self.hot_spans()
         return lineno in self._hot_while_headers or any(
             start < lineno <= end for start, end in spans
-        )
-
-    # -- f32 regions ---------------------------------------------------
-    def f32_spans(self) -> list[tuple[int, int]]:
-        """Line spans of every statement governed by an ``f32`` marker.
-
-        A marker on (or above) a ``def`` line covers the whole
-        function; on any other statement it covers that statement's
-        span — the scope RL007 holds to the float32 discipline."""
-        if self._f32_spans is not None:
-            return self._f32_spans
-        spans: list[tuple[int, int]] = []
-        if self.f32_marks:
-            for node in ast.walk(self.tree):
-                lineno = getattr(node, "lineno", None)
-                if (
-                    isinstance(node, ast.stmt)
-                    and lineno is not None
-                    and self._f32_marked(lineno)
-                ):
-                    spans.append((lineno, node.end_lineno or lineno))
-        self._f32_spans = spans
-        return spans
-
-    def _f32_marked(self, lineno: int) -> bool:
-        return lineno in self.f32_marks or (lineno - 1) in self.f32_marks
-
-    def in_f32_span(self, lineno: int) -> bool:
-        return any(
-            start <= lineno <= end for start, end in self.f32_spans()
         )
 
 

@@ -18,6 +18,5 @@ from . import (  # noqa: F401 — imported for their registration side effect
     rules_docs,
     rules_exceptions,
     rules_lock,
-    rules_precision,
     rules_telemetry,
 )

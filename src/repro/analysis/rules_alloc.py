@@ -13,6 +13,9 @@ to a numpy allocator or a ``.copy()`` is a finding.
 Intentional allocations (the batched solver's working-set compaction,
 which is amortized and *shrinks* the arrays) carry a justified
 ``disable=RL003`` suppression on their enclosing statement.
+
+Tier-1 cannot see this bug class: an allocation added to a loop that
+keeps its data flow changes no bit, only the cost of every solve.
 """
 
 from __future__ import annotations

@@ -8,6 +8,12 @@ being read, flush deadlines slip, and nothing crashes.  The convention
 blocking primitive or a solver entry point inside an ``async def``
 body is a finding.
 
+Tier-1 cannot see this bug class while the blocking call is short: a
+``time.sleep(0)`` in place of the ``await asyncio.sleep(0)`` that
+hands a solve thread the GIL changes no decoded bit and no batch a
+test pins, only every stream's latency.  (A whole solve run inline
+blocks long enough to stop cross-stream batching, which tier-1 sees.)
+
 Passing the callable *by reference* to an executor is naturally clean
 (``loop.run_in_executor(None, solve_measurement_block, task)`` has no
 call node for the solver).  Lambda bodies are skipped — in async code

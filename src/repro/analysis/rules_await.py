@@ -25,6 +25,12 @@ path-sensitive — a loop's header re-test *is* seen as a read before
 the awaits in its body, so the common ``while cond: await`` shape
 stays silent.  Intentional cross-await patterns carry a justified
 ``disable=RL008``.
+
+Tier-1 cannot see this bug class outside the one interleaving a test
+forces (a ``close()`` landing during ``_dispatch``'s slot wait): a
+stale guard misbehaves only when another task runs in the window its
+``await`` opens, such as a second ``close()`` while the first awaits
+its listener.
 """
 
 from __future__ import annotations

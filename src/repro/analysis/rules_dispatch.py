@@ -14,6 +14,10 @@ raise``), not a dispatch, and stays exempt.  The enum's members are
 read from the ``class FrameKind`` definition wherever it appears in
 the linted tree (cross-module, via the rule's ``finish`` hook); when
 no definition is in view the rule stays silent rather than guessing.
+
+Tier-1 cannot see this bug class where no test sends the dropped kind:
+a dispatch that names today's members and nothing else behaves exactly
+like one with a default arm until the next frame kind lands.
 """
 
 from __future__ import annotations

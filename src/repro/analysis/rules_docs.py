@@ -24,6 +24,9 @@ stdlib interpreter (CI's lint job installs nothing).
 The rule runs only when the lint root actually contains the repo's
 ``README.md`` and CLI module — fixture trees used by rule tests are
 exempt by construction.
+
+Tier-1 cannot see this bug class: no test reads the README, so a
+dropped subcommand row or flag leaves every test green.
 """
 
 from __future__ import annotations

@@ -12,6 +12,10 @@ Two failure modes this rule exists for:
   (``ProtocolError`` — a node speaking garbage; ``TelemetryError`` — a
   corrupted metrics plane) and does nothing at all.  Dropping these on
   the floor turns a diagnosable wire bug into silent data loss.
+
+Tier-1 cannot see the first: a handler widened to ``except Exception``
+behaves exactly like the narrow one on every failure a test drives,
+and differs only on the programming error it will hide later.
 """
 
 from __future__ import annotations

@@ -17,6 +17,10 @@ structure just as surely), and a statement whose value is an in-place
 container call on it (``self.x.append(v)``, ``w = self.x.pop()``).
 Reads are deliberately not flagged — lock-free reads of monotonic
 state are a legitimate pattern and the signal-to-noise would collapse.
+
+Tier-1 cannot see this bug class: an unguarded write loses an update
+or hands one workspace to two solves only under a thread interleaving
+no test forces, and every single-threaded run decodes the same bits.
 """
 
 from __future__ import annotations

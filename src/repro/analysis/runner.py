@@ -126,8 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "repro-lint: static invariant checks for the decode stack "
             "(event-loop blocking, lock discipline, hot-loop "
             "allocations, telemetry catalog, exception hygiene, "
-            "docs drift, precision flow, await atomicity, process "
-            "boundaries, frame-dispatch exhaustiveness)"
+            "docs drift, await atomicity, process-pool dispatch "
+            "sites, frame-dispatch exhaustiveness)"
         ),
     )
     parser.add_argument(

@@ -103,7 +103,7 @@ class Codebook:
         """Rebuild a codebook from :meth:`to_json` output."""
         try:
             data = json.loads(payload)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CodebookError(f"malformed codebook payload: {exc}") from exc
         return cls.from_payload(data)
 
@@ -127,7 +127,7 @@ class Codebook:
                     f"{HUFFMAN_SYMBOLS}-symbol cap"
                 )
             lengths = [int(x) for x in raw]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CodebookError(f"malformed codebook payload: {exc}") from exc
         # the code tables are sized by the longest codeword
         if max(lengths, default=0) > HUFFMAN_MAX_CODE_BITS:

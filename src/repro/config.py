@@ -142,9 +142,11 @@ class SystemConfig:
             raise ConfigurationError(
                 f"tolerance must be positive and finite, got {self.tolerance}"
             )
-        if self.sample_rate_hz <= 0:
+        # a node's declared cadence sets its link's idle deadline
+        if not 0 < self.sample_rate_hz < math.inf:
             raise ConfigurationError(
-                f"sample_rate_hz must be positive, got {self.sample_rate_hz}"
+                f"sample_rate_hz must be positive and finite, got "
+                f"{self.sample_rate_hz}"
             )
         if not 1 <= self.adc_bits <= 16:
             raise ConfigurationError(

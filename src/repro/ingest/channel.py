@@ -497,7 +497,7 @@ class StreamRecovery:
 
         Returns admission events; afterwards the caller should keep
         reading retransmits while :attr:`holding` (bounded by its own
-        deadline) and finally call :meth:`close`.  A fec-off stream
+        deadline) and finally call :meth:`give_up`.  A fec-off stream
         charges the tail immediately, exactly as before.
         """
         self._declared = declared
@@ -518,10 +518,6 @@ class StreamRecovery:
                     break
                 self._note_missing(nxt)
         return self._nack(self._not_nacked(self._missing))
-
-    def close(self) -> list[tuple[FrameVerdict, EncodedPacket | None]]:
-        """Final flush at link end: give up whatever is still open."""
-        return self.give_up()
 
     # -- recovery internals ----------------------------------------------
     def give_up(self) -> list[tuple[FrameVerdict, EncodedPacket | None]]:
@@ -768,7 +764,7 @@ def replay_survivors(
         else:
             _decode(recovery.on_packet(body))
     _decode(recovery.bye(windows_sent))
-    _decode(recovery.close())
+    _decode(recovery.give_up())
     return accepted, tracker.accounting
 
 

@@ -125,6 +125,15 @@ DEFAULT_FLUSH_MS = 250.0
 #: round trips of any link the 2 s window budget tolerates.
 NACK_DEADLINE_S = 1.0
 
+#: how many of its own window periods (``n / sample_rate_hz``, 2 s at
+#: the paper's point) a link may stay silent between ``HELLO`` and
+#: ``BYE``.  A node samples without pause, so even a true-rate link is
+#: never quiet for longer than one period; a link silent for this many
+#: is dead and is finalized as a mid-stream error (its pooled windows
+#: still decode).  Only time spent waiting on the node counts, never
+#: time the session spends parked on its own backpressure quota.
+IDLE_DEADLINE_WINDOWS = 5
+
 #: the :class:`~repro.ingest.channel.LossAccounting` counters every
 #: result/stats view carries, each an ``ingest_<name>`` counter family
 DAMAGE_COUNTERS = tuple(f.name for f in dataclasses.fields(LossAccounting))
@@ -174,6 +183,53 @@ class _LoopbackWriter:
 
     def get_extra_info(self, name: str, default=None):
         return default
+
+
+class _IdleWatchdog:
+    """The mid-stream idle deadline of one link, O(1) per frame.
+
+    :meth:`reading` before each frame read starts the clock and
+    :meth:`stop` after it stops it, so only the node's silence counts.
+    One ``call_at`` timer backs it and is re-armed lazily: when it
+    fires before the latest deadline it re-arms for that deadline, and
+    once the deadline passes mid-read it fails the link's reader with
+    a :class:`~repro.errors.ProtocolError`.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader, timeout_s: float) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._reader = reader
+        self._timeout_s = timeout_s
+        self._deadline: float | None = None
+        self._timer: asyncio.TimerHandle | None = None
+
+    def reading(self) -> None:
+        self._deadline = self._loop.time() + self._timeout_s
+        if self._timer is None:
+            self._timer = self._loop.call_at(self._deadline, self._fire)
+
+    def stop(self) -> None:
+        self._deadline = None
+
+    def cancel(self) -> None:
+        self._deadline = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _fire(self) -> None:
+        self._timer = None
+        if self._deadline is None:
+            return  # not reading: the next read re-arms
+        if self._loop.time() < self._deadline:
+            self._timer = self._loop.call_at(self._deadline, self._fire)
+            return
+        self._reader.set_exception(
+            ProtocolError(
+                f"link silent for {self._timeout_s:g} s "
+                f"({IDLE_DEADLINE_WINDOWS} window periods) after HELLO"
+            )
+        )
 
 
 @dataclass
@@ -733,6 +789,7 @@ class IngestGateway:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
         session: _Session | None = None
+        watchdog: _IdleWatchdog | None = None
         try:
             body = await read_hello(reader)
             if body is None:
@@ -747,8 +804,14 @@ class IngestGateway:
                 {"protocol": handshake.protocol, "stream_id": session.id},
             )
             await writer.drain()
+            watchdog = _IdleWatchdog(
+                reader,
+                IDLE_DEADLINE_WINDOWS * handshake.config.packet_seconds,
+            )
             while True:
+                watchdog.reading()
                 frame = await read_frame(reader)
+                watchdog.stop()
                 if frame is None:
                     break  # mid-stream disconnect (no BYE)
                 kind, body = frame
@@ -766,7 +829,11 @@ class IngestGateway:
                         if declared is not None:
                             try:
                                 declared = int(declared)
-                            except (TypeError, ValueError) as exc:
+                            except (
+                                TypeError,
+                                ValueError,
+                                OverflowError,
+                            ) as exc:
                                 raise ProtocolError(
                                     f"invalid BYE window count "
                                     f"{declared!r}"
@@ -801,6 +868,8 @@ class IngestGateway:
         except (ConnectionError, asyncio.CancelledError):
             pass  # dropped link or gateway shutdown: finalize below
         finally:
+            if watchdog is not None:
+                watchdog.cancel()
             if session is not None:
                 # mark before the first await: from here the task is on
                 # its stream-end path (waiting for its own drain flush
@@ -990,7 +1059,7 @@ class IngestGateway:
         # is given up, its held frames admitted through the plain
         # resync path (idempotent; a no-op for fec-off sessions)
         try:
-            await self._admit_events(session, session.recovery.close())
+            await self._admit_events(session, session.recovery.give_up())
         except (DecodingError, PacketFormatError) as exc:
             if session.result.error is None:
                 session.result.error = str(exc)

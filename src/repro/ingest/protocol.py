@@ -131,13 +131,18 @@ MAX_SOLVER_ITERATIONS = 20_000
 #: recovery holds up to ``HOLD_CAP_EPOCHS * keyframe_interval`` frames.
 MAX_KEYFRAME_INTERVAL = 1024
 
+#: Upper bound on a ``HELLO`` body.  A handshake is the config's
+#: scalars plus at most ``HUFFMAN_SYMBOLS`` canonical code lengths, a
+#: few kB of JSON; a larger one is refused before it is parsed.
+MAX_HELLO_BYTES = 64 * 1024
+
 #: How long a front door waits for a link's first frame.  A node sends
 #: its ``HELLO`` the moment it connects, so a link still silent (or
 #: still dribbling a partial frame) after this long is half-open or
 #: hostile: it is answered with an ``ERROR`` and closed instead of
-#: holding a connection task for the life of the process.  Only the
-#: handshake is bounded — mid-stream a paced node is legitimately
-#: silent for the whole 2 s between windows.
+#: holding a connection task for the life of the process.  Mid-stream
+#: silence has its own deadline, a multiple of the window period the
+#: HELLO declares (:data:`~repro.ingest.gateway.IDLE_DEADLINE_WINDOWS`).
 HANDSHAKE_TIMEOUT_S = 10.0
 
 #: the running damage accounting every ``DECODED`` ack carries:
@@ -185,7 +190,9 @@ def decode_json_body(body: bytes) -> dict[str, Any]:
     """Parse a JSON frame body into a dict, with protocol-level errors."""
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an integer literal
+        # past Python's digit limit; RecursionError, deep nesting
         raise ProtocolError(f"malformed JSON frame body: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError(
@@ -238,8 +245,9 @@ async def read_hello(reader: asyncio.StreamReader) -> bytes | None:
     the peer hung up before sending anything.
 
     Raises :class:`~repro.errors.ProtocolError` when the whole frame
-    has not arrived within :data:`HANDSHAKE_TIMEOUT_S` of the call, or
-    when it is not a ``HELLO`` (plus everything :func:`read_frame`
+    has not arrived within :data:`HANDSHAKE_TIMEOUT_S` of the call,
+    when it is not a ``HELLO`` or when its body is longer than
+    :data:`MAX_HELLO_BYTES` (plus everything :func:`read_frame`
     raises).
     """
     try:
@@ -256,6 +264,11 @@ async def read_hello(reader: asyncio.StreamReader) -> bytes | None:
     if kind is not FrameKind.HELLO:
         raise ProtocolError(
             f"expected HELLO as the first frame, got {kind.name}"
+        )
+    if len(body) > MAX_HELLO_BYTES:
+        raise ProtocolError(
+            f"HELLO of {len(body)} bytes exceeds the "
+            f"{MAX_HELLO_BYTES}-byte cap"
         )
     return body
 
@@ -380,7 +393,13 @@ class Handshake:
             record = str(payload["record"])
             channel = int(payload["channel"])
             config = SystemConfig(**payload["config"])
-        except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+        except (
+            KeyError,
+            TypeError,
+            ValueError,
+            OverflowError,
+            ConfigurationError,
+        ) as exc:
             raise ProtocolError(f"invalid handshake config: {exc}") from exc
         for name, cap in (
             ("n", MAX_WINDOW_SAMPLES),
@@ -411,7 +430,7 @@ class Handshake:
         fec = bool(payload.get("fec", False)) if version >= 2 else False
         try:
             resume = int(payload.get("resume", 0))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"invalid handshake resume: {exc}") from exc
         if not 0 <= resume < 1 << 16:
             raise ProtocolError(

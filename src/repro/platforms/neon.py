@@ -96,7 +96,6 @@ def leftover_strategy_cycles(
     raise PlatformModelError(f"unknown strategy {strategy}")
 
 
-# repro-lint: f32
 def simulate_leftover_strategies(
     a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> dict[LeftoverStrategy, np.ndarray]:

@@ -414,7 +414,6 @@ def admm_rho(fractions: np.ndarray | float) -> float:
     return ADMM_RHO_SCALE * math.sqrt(float(median))
 
 
-# repro-lint: f32
 def batched_admm(
     structure,
     ys: np.ndarray,
@@ -663,7 +662,6 @@ def structured_batched_fista(
     # single precision cannot represent — that is exactly what the
     # residual gate below exists to catch, so numpy's overflow/invalid
     # warnings are noise here
-    # repro-lint: f32
     with np.errstate(over="ignore", invalid="ignore"):
         fast = batched_admm(
             structure,

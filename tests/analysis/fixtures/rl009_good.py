@@ -11,7 +11,7 @@ def ship_rebuild_material(group, packets, seed):
         "wire": [packet.to_bytes() for packet in packets],
     }
     pool = ProcessPoolExecutor(max_workers=2)
-    return pool.submit(solve, task)  # config/seed material: fine
+    return pool.submit(solve, task)  # repro-lint: disable=RL009 — config, codebook, seed and wire bytes: workers rebuild the operator
 
 
 async def thread_executor_exempt(loop, block64):
@@ -26,4 +26,4 @@ async def default_executor_exempt(loop, block64):
 
 def module_level_fn(tasks):
     pool = ProcessPoolExecutor()
-    return pool.map(solve, tasks)  # module-level callable, opaque args
+    return pool.map(solve, tasks)  # repro-lint: disable=RL009 — module-level callable; tasks are seeds

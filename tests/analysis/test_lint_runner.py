@@ -62,6 +62,35 @@ class TestExitCodes:
             assert rule_id in out
 
 
+class TestRuleTables:
+    """The rule tables a reader sees name exactly the registered rules."""
+
+    @staticmethod
+    def _registered():
+        from repro.analysis import FRAMEWORK_RULE, all_rules
+
+        return set(all_rules()), FRAMEWORK_RULE
+
+    def test_package_docstring_lists_the_registered_rules(self):
+        import re
+
+        import repro.analysis
+
+        registered, _ = self._registered()
+        named = set(re.findall(r"^(RL\d{3})\s", repro.analysis.__doc__, re.M))
+        assert named == registered
+
+    def test_architecture_table_lists_the_registered_rules(self):
+        import re
+
+        registered, framework = self._registered()
+        text = (REPO_ROOT / "docs" / "architecture.md").read_text(
+            encoding="utf-8"
+        )
+        named = set(re.findall(r"^\| (RL\d{3}) \|", text, re.M))
+        assert named == registered | {framework}
+
+
 class TestReports:
     def test_json_report_written(self, tmp_path, capsys):
         root = _tree(tmp_path, BAD_ASYNC)

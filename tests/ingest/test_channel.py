@@ -643,7 +643,7 @@ class TestStreamRecovery:
         log = []
         for _, body in link.stats.delivered_frames:
             log += self._pump(payload, recovery.on_packet(body))
-        log += self._pump(payload, recovery.close())
+        log += self._pump(payload, recovery.give_up())
         assert not recovery.holding
         # the dropped frame is redelivered long after the give-up
         late = self._pump(payload, recovery.on_packet(packets[1].to_bytes()))
@@ -690,7 +690,7 @@ class TestStreamRecovery:
         for index in (0, 3, 1, 4, 5):
             log += pump(recovery.on_packet(packets[index].to_bytes()))
         assert log == [(FrameVerdict.ACCEPT, 0)]
-        log = pump(recovery.bye(len(packets))) + pump(recovery.close())
+        log = pump(recovery.bye(len(packets))) + pump(recovery.give_up())
         assert log == [
             (FrameVerdict.ACCEPT, 1),
             (FrameVerdict.RESYNC_SKIP, 3),

@@ -1692,8 +1692,11 @@ class TestFaults:
         frame cap: 65,536 of them (a complete code) used to open a
         session after ~90 ms of table building on the event loop, and
         250,000 were refused by the Kraft check only after ~110 ms.
-        Both are refused at the alphabet cap, no session opens for
-        them, and a healthy stream sharing the loop completes."""
+        Both HELLOs (192 KiB and 732 KiB) are refused at the HELLO
+        size cap before they are parsed (``Handshake.from_body`` still
+        refuses such a codebook at the alphabet cap:
+        ``tests/ingest/test_protocol.py``), no session opens for them,
+        and a healthy stream sharing the loop completes."""
         record = database.load("100")
         system = _system(small_config, record)
         bomb = Handshake(
@@ -1727,12 +1730,164 @@ class TestFaults:
         kind, body = frame
         assert kind is FrameKind.ERROR
         error = json.loads(body)["error"]
-        assert "invalid handshake codebook" in error
-        assert "512-symbol cap" in error
+        assert "65536-byte cap" in error
         assert gateway.stats.sessions_errored == 1
         assert gateway.stats.sessions_opened == 1
         assert report.error is None and report.acked == 2
         assert gateway.stats.windows_decoded == 2
+
+
+def _fast_cadence(config, period_s=0.02):
+    """``config`` declaring a window period of ``period_s``: the idle
+    deadline is ``IDLE_DEADLINE_WINDOWS`` of them.  The sample rate
+    only sets the node's cadence; the operator and every decoded bit
+    are those of ``config``."""
+    return config.replace(sample_rate_hz=round(config.n / period_s))
+
+
+class TestIdleDeadline:
+    """A link silent between HELLO and BYE for ``IDLE_DEADLINE_WINDOWS``
+    of its own declared window periods used to hold its session, its
+    pooled windows and its recovery ring forever."""
+
+    def test_link_quiet_after_hello_is_closed_at_the_deadline(
+        self, small_config, database
+    ):
+        record = database.load("100")
+        system = _system(small_config, record)
+        config = _fast_cadence(small_config)
+        deadline_s = (
+            gateway_module.IDLE_DEADLINE_WINDOWS * config.packet_seconds
+        )
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            gateway = IngestGateway()
+            reader, writer = gateway.connect_local()
+            writer.write(
+                Handshake(
+                    record=record.name,
+                    channel=0,
+                    config=config,
+                    codebook=system.encoder.codebook,
+                ).to_frame()
+            )
+            welcome = await read_frame(reader)
+            quiet_from = loop.time()
+            frames = [
+                await asyncio.wait_for(read_frame(reader), 30.0)
+                for _ in range(2)
+            ]
+            elapsed = loop.time() - quiet_from
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway, welcome, frames, elapsed
+
+        gateway, welcome, ((kind, body), eof), elapsed = asyncio.run(run())
+        assert welcome[0] is FrameKind.WELCOME
+        assert kind is FrameKind.ERROR
+        assert "silent for 0.1 s" in json.loads(body)["error"]
+        assert eof is None  # the gateway hung up
+        assert deadline_s <= elapsed < deadline_s + 1.0
+        assert gateway.stats.sessions_errored == 1
+        (result,) = gateway.results
+        assert "silent" in result.error
+        assert not result.clean_close
+
+    def test_link_quiet_after_packets_decodes_its_pooled_windows(
+        self, small_config, database, parked
+    ):
+        """The windows a dead link left in the pool still decode, through
+        the mid-stream-disconnect drain: one solve is parked, so the
+        later two are pooled when the link goes quiet."""
+        record = database.load("100")
+        system = _system(small_config, record)
+        packets = encoded_packets(system, record, max_packets=3)
+
+        async def run():
+            gateway = IngestGateway(batch_size=64, flush_ms=60_000.0)
+            reader, writer = gateway.connect_local()
+            writer.write(
+                Handshake(
+                    record=record.name,
+                    channel=0,
+                    config=_fast_cadence(small_config),
+                    codebook=system.encoder.codebook,
+                ).to_frame()
+            )
+            for packet in packets:
+                writer.write(_packet(packet))
+            await parked.wait_parked()
+            frames = []
+            while True:
+                frame = await asyncio.wait_for(read_frame(reader), 30.0)
+                if frame is None:
+                    break
+                frames.append(frame)
+                if frame[0] is FrameKind.ERROR:
+                    # the session is finalizing: let its windows go
+                    parked.release()
+            await _drain_sessions(gateway)
+            await gateway.close()
+            return gateway, frames
+
+        gateway, frames = asyncio.run(run())
+        kinds = [kind for kind, _ in frames]
+        assert kinds.count(FrameKind.ERROR) == 1
+        assert kinds.count(FrameKind.DECODED) == 3
+        assert gateway.stats.sessions_errored == 1
+        result = gateway.results[0]
+        assert "silent" in result.error
+        _assert_matches_serial(
+            result, _serial_reference(system, record, max_packets=3)
+        )
+
+    def test_session_parked_on_its_own_quota_is_not_timed_out(
+        self, small_config, database, parked
+    ):
+        """Only the node's silence counts: a session whose read loop
+        waits on its own backpressure quota for many deadlines is not
+        the node's fault, and ends cleanly once the solver frees."""
+        record = database.load("100")
+        system = _system(small_config, record)
+        packets = encoded_packets(system, record, max_packets=4)
+        config = _fast_cadence(small_config)
+        deadline_s = (
+            gateway_module.IDLE_DEADLINE_WINDOWS * config.packet_seconds
+        )
+
+        async def run():
+            gateway = IngestGateway(
+                batch_size=64, flush_ms=60_000.0, max_pending=2
+            )
+            reader, writer = gateway.connect_local()
+            writer.write(
+                Handshake(
+                    record=record.name,
+                    channel=0,
+                    config=config,
+                    codebook=system.encoder.codebook,
+                ).to_frame()
+            )
+            for packet in packets:
+                writer.write(_packet(packet))
+            writer.write(
+                encode_json_frame(FrameKind.BYE, {"windows": len(packets)})
+            )
+            await parked.wait_parked()
+            # window 0 solving (parked), window 1 pooled, frame 2
+            # waiting on the quota: five deadlines pass
+            await asyncio.sleep(5 * deadline_s)
+            parked.release()
+            await asyncio.wait_for(_drain_sessions(gateway), 30.0)
+            await gateway.close()
+            return gateway
+
+        gateway = asyncio.run(run())
+        assert gateway.stats.sessions_errored == 0
+        (result,) = gateway.results
+        assert result.error is None and result.clean_close
+        assert result.num_windows == 4
 
 
 class TestDefaultCodebookHello:

@@ -280,7 +280,7 @@ class RecoveryModel(RuleBasedStateMachine):
     @rule()
     def close(self):
         """The post-``BYE`` deadline: give up whatever is still open."""
-        self._run("close", self.recovery.close)
+        self._run("close", self.recovery.give_up)
 
     # -- invariants ----------------------------------------------------------
     @invariant()
@@ -296,7 +296,7 @@ class RecoveryModel(RuleBasedStateMachine):
     def teardown(self):
         if not self.ended:
             self.bye(parity_lost=False)
-        self._run("close", self.recovery.close)
+        self._run("close", self.recovery.give_up)
         assert not self.recovery.holding
         accounting = self.tracker.accounting
         assert (

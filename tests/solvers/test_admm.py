@@ -616,6 +616,33 @@ class TestChunkedStopCheck:
         np.testing.assert_array_equal(first.coefficients, second.coefficients)
         assert first.coefficients is not second.coefficients
 
+    def test_fast_leg_synthesizes_into_its_float32_arena(
+        self, saturate_block, paper_config
+    ):
+        """The hybrid solve's ``Psi`` synthesis runs in float32, in the
+        workspace's ``synth32`` arena: an unpolished column's signal is
+        that arena's column widened to float64, bit for bit."""
+        structure = saturate_block["structure"]
+        ys = saturate_block["block"]
+        workspace = BatchWorkspace()
+        result = structured_batched_fista(
+            structure,
+            ys,
+            paper_config.lam,
+            max_iterations=paper_config.max_iterations,
+            tolerance=paper_config.tolerance,
+            workspace=workspace,
+        )
+        assert ("synth32", np.dtype(np.float32)) in workspace._arenas
+        synth = workspace.arena(
+            "synth32", result.signals.shape, np.float32
+        )
+        kept = ~result.polished
+        assert kept.any()
+        np.testing.assert_array_equal(
+            synth[:, kept].astype(np.float64), result.signals[:, kept]
+        )
+
 
 class TestValidation:
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])

@@ -67,13 +67,16 @@ def paper_blocks(paper_config, database):
 def _scalar_clock_fista(operator, ys, lams, lipschitz, cap, tolerance):
     """The kernel as it was with one scalar ``t_k`` for the whole
     batch — same operation order, same freeze-and-compact schedule —
-    kept here as the textbook ``batched_fista`` must reproduce."""
+    kept here as the textbook ``batched_fista`` must reproduce, in
+    the dtype of ``ys`` (every scalar cast to it, the stop rule's
+    norms read in float64)."""
+    dtype = ys.dtype.type
     n, batch = operator.shape[1], ys.shape[1]
     operator_t = np.ascontiguousarray(operator.T)
-    two_step = 2.0 * (1.0 / lipschitz)
-    alpha = np.zeros((n, batch))
+    two_step = dtype(2.0) * dtype(1.0 / lipschitz)
+    alpha = np.zeros((n, batch), dtype=dtype)
     iterations = np.zeros(batch, dtype=np.int64)
-    y, thr = ys.copy(), lams / lipschitz
+    y, thr = ys.copy(), (lams / lipschitz).astype(dtype)
     prev, mom = alpha.copy(), alpha.copy()
     order, live = np.arange(batch), np.ones(batch, dtype=bool)
     prev_norms = np.zeros(batch)
@@ -89,13 +92,15 @@ def _scalar_clock_fista(operator, ys, lams, lipschitz, cap, tolerance):
         new *= u
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
         diff = new - prev
-        mom = diff * ((t_k - 1.0) / t_next)
+        mom = diff * dtype((t_k - 1.0) / t_next)
         mom += new
         t_k = t_next
-        change = np.sqrt(np.einsum("ij,ij->j", diff, diff))
+        change = np.sqrt(np.einsum("ij,ij->j", diff, diff)).astype(np.float64)
         finished = live & (change / np.maximum(prev_norms, 1.0) < tolerance)
         prev = new
-        prev_norms = np.sqrt(np.einsum("ij,ij->j", prev, prev))
+        prev_norms = np.sqrt(np.einsum("ij,ij->j", prev, prev)).astype(
+            np.float64
+        )
         if finished.any():
             alpha[:, order[finished]] = prev[:, finished]
             iterations[order[finished]] = iteration
@@ -143,6 +148,35 @@ class TestReferenceFrozen:
             paper_config.max_iterations,
             paper_config.tolerance,
         )
+        np.testing.assert_array_equal(plain.iterations, iterations)
+        np.testing.assert_array_equal(plain.coefficients, textbook)
+
+    def test_float32_backend_is_the_textbook_iteration_in_float32(
+        self, paper_blocks, paper_config
+    ):
+        """The ``float32`` backend's loop stays float32: one float64
+        scalar or buffer in it changes bits the textbook pins."""
+        case = paper_blocks["100"]
+        structure = case["structure"]
+        dense32 = structure.dense64.astype(np.float32)
+        block32 = case["block"].astype(np.float32)
+        plain = batched_fista(
+            dense32,
+            block32,
+            case["lams"],
+            max_iterations=paper_config.max_iterations,
+            tolerance=paper_config.tolerance,
+            lipschitz=structure.lipschitz,
+        )
+        textbook, iterations = _scalar_clock_fista(
+            dense32,
+            block32,
+            case["lams"],
+            structure.lipschitz,
+            paper_config.max_iterations,
+            paper_config.tolerance,
+        )
+        assert plain.coefficients.dtype == np.float32
         np.testing.assert_array_equal(plain.iterations, iterations)
         np.testing.assert_array_equal(plain.coefficients, textbook)
 
