@@ -72,18 +72,6 @@ class BitWriter:
         )
         self._bit_position = width & 7
 
-    def write_signed(self, value: int, width: int) -> None:
-        """Append a two's-complement signed integer of the given width."""
-        if width < 1:
-            raise BitstreamError(f"signed width must be >= 1, got {width}")
-        low = -(1 << (width - 1))
-        high = (1 << (width - 1)) - 1
-        if not low <= value <= high:
-            raise BitstreamError(
-                f"value {value} does not fit in {width} signed bits"
-            )
-        self.write_bits(value & ((1 << width) - 1), width)
-
     def write_unary(self, value: int) -> None:
         """Append ``value`` ones followed by a terminating zero."""
         if value < 0:
@@ -91,10 +79,6 @@ class BitWriter:
         for _ in range(value):
             self.write_bit(1)
         self.write_bit(0)
-
-    def align_to_byte(self) -> None:
-        """Pad with zero bits up to the next byte boundary."""
-        self._bit_position = 0  # the open byte's unused bits are already zero
 
     def getvalue(self) -> bytes:
         """Return the buffer contents, zero-padded to a whole byte."""
@@ -147,16 +131,6 @@ class BitReader:
             (1 << width) - 1
         )
 
-    def read_signed(self, width: int) -> int:
-        """Read a two's-complement signed integer of the given width."""
-        if width < 1:
-            raise BitstreamError(f"signed width must be >= 1, got {width}")
-        raw = self.read_bits(width)
-        sign_bit = 1 << (width - 1)
-        if raw & sign_bit:
-            raw -= 1 << width
-        return raw
-
     def unread(self) -> tuple[int, int]:
         """The unread bits as one int, and how many of them there are.
 
@@ -174,12 +148,3 @@ class BitReader:
                 f"cannot skip {width} bits: {self.remaining} remain"
             )
         self._position += width
-
-    def align_to_byte(self) -> None:
-        """Skip forward to the next byte boundary."""
-        offset = self._position & 7
-        if offset:
-            skip = 8 - offset
-            if skip > self.remaining:
-                raise BitstreamError("cannot align: past end of bitstream")
-            self._position += skip

@@ -99,15 +99,6 @@ class Codebook:
         return json.dumps({"offset": self.offset, "lengths": self.code.lengths})
 
     @classmethod
-    def from_json(cls, payload: str) -> "Codebook":
-        """Rebuild a codebook from :meth:`to_json` output."""
-        try:
-            data = json.loads(payload)
-        except (ValueError, RecursionError) as exc:
-            raise CodebookError(f"malformed codebook payload: {exc}") from exc
-        return cls.from_payload(data)
-
-    @classmethod
     def from_payload(cls, data) -> "Codebook":
         """Rebuild a codebook from :meth:`to_json`'s decoded object.
 

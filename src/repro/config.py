@@ -14,7 +14,7 @@ target compression ratio, wavelet decomposition depth, packet rate...).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from .errors import ConfigurationError
@@ -116,6 +116,16 @@ class SystemConfig:
     seed: int = 2011
 
     def __post_init__(self) -> None:
+        # a node-supplied config arrives as JSON: 1.5, Infinity, NaN and
+        # true are refused before any range check compares them
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is int or (name == "levels" and value is None):
+                continue
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
         if not _is_power_of_two(self.n):
             raise ConfigurationError(f"n must be a power of two, got {self.n}")
         if not 0 < self.m <= self.n:
@@ -143,10 +153,9 @@ class SystemConfig:
                 f"tolerance must be positive and finite, got {self.tolerance}"
             )
         # a node's declared cadence sets its link's idle deadline
-        if not 0 < self.sample_rate_hz < math.inf:
+        if self.sample_rate_hz <= 0:
             raise ConfigurationError(
-                f"sample_rate_hz must be positive and finite, got "
-                f"{self.sample_rate_hz}"
+                f"sample_rate_hz must be positive, got {self.sample_rate_hz}"
             )
         if not 1 <= self.adc_bits <= 16:
             raise ConfigurationError(
@@ -208,6 +217,11 @@ class SystemConfig:
             f"lam={self.lam}, nominal_cr={self.nominal_cr_percent:.1f}%)"
         )
 
+
+#: the fields declared ``int`` (``levels`` may also be ``None``)
+_INT_FIELDS = tuple(
+    spec.name for spec in fields(SystemConfig) if spec.type.startswith("int")
+)
 
 #: The configuration matching the paper's headline operating point
 #: (CR = 50 % nominal, d = 12, 2-second packets at 256 Hz).

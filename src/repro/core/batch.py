@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: default reconstruction block width; past ~32 columns the GEMM pair
 #: dominates per-iteration cost and the speedup saturates (see the
-#: width table in ``docs/architecture.md`` §2b)
+#: GEMM widths in ``docs/architecture.md`` §2)
 DEFAULT_BATCH_SIZE = 32
 
 

@@ -425,7 +425,3 @@ class CSDecoder:
             )
             for column, packet in enumerate(packets)
         ]
-
-    def decode_bytes(self, wire: bytes) -> DecodedPacket:
-        """Parse a wire packet (with CRC check) and decode it."""
-        return self.decode(EncodedPacket.from_bytes(wire))

@@ -121,15 +121,6 @@ class StreamResult:
         self._require_packets("mean_decode_seconds")
         return float(np.mean([p.decode_seconds for p in self.packets]))
 
-    def whole_signal_prd(self) -> float:
-        """PRD over the concatenated stream (DC-centered)."""
-        if self.original_adu is None or self.reconstructed_adu is None:
-            raise ValueError("stream was run without keep_signals=True")
-        offset = 1 << (self.config.adc_bits - 1)
-        return prd(
-            self.original_adu - offset, self.reconstructed_adu - offset
-        )
-
 
 class EcgMonitorSystem:
     """A matched CS encoder/decoder pair operating on ECG records."""

@@ -94,8 +94,3 @@ class HolterPlanner:
     def fits_sd_card(self, plan: HolterPlan) -> bool:
         """Whether the session's data volume fits local storage."""
         return plan.data_volume_mb <= self.sd_card_mb
-
-    def max_session_days(self, mean_packet_bits: float) -> float:
-        """Longest battery-limited session at a given packet size."""
-        plan = self.plan(24.0, mean_packet_bits)
-        return plan.battery_hours / 24.0

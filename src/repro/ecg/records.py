@@ -47,12 +47,6 @@ class AdcSpec:
         ).astype(np.int64) + self.zero_offset
         return np.clip(adu, 0, self.levels - 1)
 
-    def to_millivolts(self, adu: np.ndarray) -> np.ndarray:
-        """Integer adu -> mV."""
-        return (
-            np.asarray(adu, dtype=np.float64) - self.zero_offset
-        ) / self.gain_adu_per_mv
-
 
 @dataclass(frozen=True)
 class Annotation:
@@ -108,10 +102,6 @@ class Record:
         if not 0 <= index < self.num_channels:
             raise IndexError(f"channel {index} out of range")
         return self.signals_mv[index]
-
-    def digitized(self, channel: int = 0) -> np.ndarray:
-        """One lead as integer adu through the record's ADC."""
-        return self.adc.digitize(self.channel(channel))
 
     def beat_samples(self, symbols: tuple[str, ...] | None = None) -> np.ndarray:
         """Annotation sample indices, optionally filtered by symbol."""

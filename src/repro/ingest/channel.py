@@ -138,11 +138,6 @@ class LossAccounting:
     frames_late_retransmit: int = 0
 
     @property
-    def windows_damaged(self) -> int:
-        """Total windows this stream did not decode (lost + resynced)."""
-        return self.windows_lost + self.windows_resynced
-
-    @property
     def windows_recovered(self) -> int:
         """Windows that would have been damaged but were recovered."""
         return self.windows_recovered_parity + self.windows_recovered_retransmit
@@ -730,11 +725,14 @@ def replay_survivors(
     ``delivered`` items are either raw ``PACKET`` bodies (``bytes``,
     the classic :attr:`LinkStats.delivered` view) or ``(kind, body)``
     pairs from :attr:`LinkStats.delivered_frames` — the latter is what
-    carries ``PARITY`` frames into a ``fec=True`` replay.  NACK
-    retransmissions need no side channel here: a retransmitted copy
-    appears in the recorded stream as an ordinary delivery, and the
-    machine treats any arrival of a wanted sequence as a fill.  The
-    budget must match the live gateway's so both give up identically.
+    carries ``PARITY`` frames into a ``fec=True`` replay, and the
+    ``BYE`` at the position it arrived, where the replay calls
+    :meth:`StreamRecovery.bye` (a log without one calls it after the
+    last frame).  NACK retransmissions need no side channel here: a
+    retransmitted copy appears in the recorded stream as an ordinary
+    delivery, and the machine treats any arrival of a wanted sequence
+    as a fill, before or after the ``BYE``.  The budget must match the
+    live gateway's so both give up identically.
     """
     payload = PacketPayloadDecoder(config, codebook=codebook)
     tracker = SequenceTracker()
@@ -754,6 +752,7 @@ def replay_survivors(
                     )
                 )
 
+    bye_seen = False
     for item in delivered:
         if isinstance(item, (bytes, bytearray)):
             kind, body = FrameKind.PACKET, bytes(item)
@@ -761,9 +760,13 @@ def replay_survivors(
             kind, body = FrameKind(item[0]), bytes(item[1])
         if kind is FrameKind.PARITY:
             _decode(recovery.on_parity(body))
+        elif kind is FrameKind.BYE:
+            _decode(recovery.bye(windows_sent))
+            bye_seen = True
         else:
             _decode(recovery.on_packet(body))
-    _decode(recovery.bye(windows_sent))
+    if not bye_seen:
+        _decode(recovery.bye(windows_sent))
     _decode(recovery.give_up())
     return accepted, tracker.accounting
 
@@ -792,39 +795,12 @@ class LinkStats:
     #: the surviving packet set an offline replay consumes
     delivered: list[bytes] = field(default_factory=list)
     #: post-impairment ``(frame kind, body)`` pairs in delivery order,
-    #: including PARITY frames — the input of a ``fec=True``
-    #: :func:`replay_survivors`
+    #: including PARITY frames and the BYE — the input of a
+    #: ``fec=True`` :func:`replay_survivors`
     delivered_frames: list[tuple[int, bytes]] = field(default_factory=list)
     #: per-PACKET fate in sender order (``"delivered"``/``"dropped"``/
-    #: ``"corrupted"``) — the run-length view behind ``burst_events``
+    #: ``"corrupted"``)
     fate_log: list[str] = field(default_factory=list)
-
-    @property
-    def loss_events(self) -> int:
-        """Events that can each damage up to ``keyframe_interval``
-        windows: outright drops plus CRC-corrupting flips."""
-        return self.frames_dropped + self.frames_corrupted
-
-    @property
-    def burst_events(self) -> int:
-        """Loss events with consecutive drops collapsed into one.
-
-        A burst of k back-to-back drops costs at most ``k`` lost
-        windows plus *one* resync run to the next keyframe — not k of
-        them — so the tight damage bound is ``loss_events +
-        burst_events * (keyframe_interval - 1)``, charging each burst
-        one resync epoch instead of one per dropped frame.
-        """
-        bursts = 0
-        in_burst = False
-        for fate in self.fate_log:
-            if fate in ("dropped", "corrupted"):
-                if not in_burst:
-                    bursts += 1
-                in_burst = True
-            else:
-                in_burst = False
-        return bursts
 
 
 @dataclass(frozen=True)
@@ -943,14 +919,8 @@ class LossyLink:
         self._release_held()
         self._writer.close()
 
-    def is_closing(self) -> bool:
-        return self._writer.is_closing()
-
     async def wait_closed(self) -> None:
         await self._writer.wait_closed()
-
-    def get_extra_info(self, name: str, default=None):
-        return self._writer.get_extra_info(name, default)
 
     # -- framing ---------------------------------------------------------
     def _pump(self) -> None:
@@ -964,14 +934,20 @@ class LossyLink:
                 return
             frame = bytes(self._buffer[:end])
             del self._buffer[:end]
-            if length >= 1 and frame[_FRAME_PREFIX] == int(FrameKind.PACKET):
+            kind = frame[_FRAME_PREFIX] if length >= 1 else None
+            if kind == int(FrameKind.PACKET):
                 self._impair(frame)
-            elif length >= 1 and frame[_FRAME_PREFIX] == int(FrameKind.PARITY):
+            elif kind == int(FrameKind.PARITY):
                 self._impair_parity(frame)
             else:
                 # control frame: preserve order relative to the data
                 # frames it followed, then pass through untouched
                 self._release_held()
+                if kind == int(FrameKind.BYE):
+                    # where the stream ended, for the offline replay
+                    self.stats.delivered_frames.append(
+                        (kind, frame[_FRAME_PREFIX + 1 :])
+                    )
                 self._writer.write(frame)
 
     # -- impairment ------------------------------------------------------

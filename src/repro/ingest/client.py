@@ -86,13 +86,6 @@ class NodeReport:
     reconnects: int = 0
 
     @property
-    def overhead_ratio(self) -> float:
-        """Recovery bytes as a fraction of the baseline packet bytes."""
-        if not self.packet_bytes:
-            return 0.0
-        return (self.parity_bytes + self.retransmit_bytes) / self.packet_bytes
-
-    @property
     def max_gateway_latency_ms(self) -> float | None:
         """Worst per-window decode latency the gateway reported, or
         ``None`` when no window was ever acked — "no data" must not

@@ -175,14 +175,8 @@ class _LoopbackWriter:
             self._closed = True
             self._peer.feed_eof()
 
-    def is_closing(self) -> bool:
-        return self._closed
-
     async def wait_closed(self) -> None:
         return None
-
-    def get_extra_info(self, name: str, default=None):
-        return default
 
 
 class _IdleWatchdog:

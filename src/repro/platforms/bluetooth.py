@@ -42,10 +42,6 @@ class BluetoothLink:
             raise PlatformModelError(f"bits must be >= 0, got {bits}")
         return bits / self.throughput_bps
 
-    def tx_energy_mj(self, bits: float) -> float:
-        """Energy above idle spent transmitting ``bits``, in millijoules."""
-        return self.airtime_s(bits) * (self.tx_power_mw - self.idle_power_mw)
-
     def average_power_mw(self, bits_per_second: float) -> float:
         """Average radio power for a sustained bit rate (idle + TX duty)."""
         if bits_per_second < 0:
@@ -54,11 +50,3 @@ class BluetoothLink:
             )
         duty = min(1.0, bits_per_second / self.throughput_bps)
         return self.idle_power_mw + duty * (self.tx_power_mw - self.idle_power_mw)
-
-    def fits_realtime(self, bits_per_packet: float, packet_period_s: float) -> bool:
-        """Whether a packet transmits within its production period."""
-        if packet_period_s <= 0:
-            raise PlatformModelError(
-                f"packet_period_s must be positive, got {packet_period_s}"
-            )
-        return self.airtime_s(bits_per_packet) < packet_period_s

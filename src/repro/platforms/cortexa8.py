@@ -39,7 +39,7 @@ from .kernels import (
     prox_counts,
     sparse_matvec_float_counts,
 )
-from .neon import VECTOR_WIDTH, NeonCosts, if_conversion_cycles
+from .neon import VECTOR_WIDTH, NeonCosts
 
 
 class DecodePipeline(enum.Enum):
@@ -210,9 +210,3 @@ class CortexA8Model:
         scalar = self.decode_time_s(config, iterations, DecodePipeline.SCALAR_VFP)
         neon = self.decode_time_s(config, iterations, DecodePipeline.NEON_OPTIMIZED)
         return scalar / neon
-
-    def prox_speedup(self, n: int) -> float:
-        """Figure 4 micro-kernel: branchy scalar vs if-converted NEON."""
-        return if_conversion_cycles(n, vectorized=False, costs=self.costs) / (
-            if_conversion_cycles(n, vectorized=True, costs=self.costs)
-        )

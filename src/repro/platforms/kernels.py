@@ -65,12 +65,6 @@ class KernelCounts:
             scaled[f.name] = getattr(self, f.name) * factor
         return KernelCounts(name=name or f"{self.name}x{factor}", **scaled)
 
-    def total_ops(self) -> int:
-        """Sum of all op counts (rough complexity indicator)."""
-        return sum(
-            getattr(self, f.name) for f in fields(self) if f.name != "name"
-        )
-
 
 @dataclass(frozen=True)
 class KernelReport:
@@ -79,10 +73,6 @@ class KernelReport:
     name: str
     cycles: float
     seconds: float
-
-    def milliseconds(self) -> float:
-        """Convenience accessor."""
-        return 1000.0 * self.seconds
 
 
 # ----------------------------------------------------------------------
@@ -265,18 +255,6 @@ def momentum_counts(config: SystemConfig) -> KernelCounts:
         loads=2 * config.n + config.m,
         stores=config.n + config.m,
         branches=(config.n + config.m) // 4,
-    )
-
-
-def fista_iteration_counts(config: SystemConfig, filter_length: int = 8) -> KernelCounts:
-    """One full FISTA iteration: A v, A^T r, prox, momentum."""
-    return (
-        idwt_counts(config, filter_length)
-        + sparse_matvec_float_counts(config)
-        + sparse_matvec_float_counts(config)
-        + dwt_counts(config, filter_length)
-        + prox_counts(config)
-        + momentum_counts(config)
     )
 
 

@@ -74,17 +74,6 @@ class MemoryMap:
             and self.flash_bytes() <= self.flash_budget_bytes
         )
 
-    def check(self) -> None:
-        """Raise :class:`MemoryBudgetError` when over budget."""
-        if self.ram_bytes() > self.ram_budget_bytes:
-            raise MemoryBudgetError(
-                f"RAM over budget: {self.ram_bytes()} > {self.ram_budget_bytes} B"
-            )
-        if self.flash_bytes() > self.flash_budget_bytes:
-            raise MemoryBudgetError(
-                f"flash over budget: {self.flash_bytes()} > {self.flash_budget_bytes} B"
-            )
-
     def render(self) -> str:
         """Fixed-width textual map for reports."""
         lines = [f"{'allocation':<28} {'region':<6} {'bytes':>8}"]

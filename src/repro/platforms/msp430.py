@@ -120,15 +120,6 @@ class Msp430Model:
             config.packet_seconds
         )
 
-    def encode_energy_mj(
-        self, config: SystemConfig, mean_bits_per_symbol: float = 6.0
-    ) -> float:
-        """Active-mode energy per encoded packet, in millijoules."""
-        return (
-            self.encode_packet_time_s(config, mean_bits_per_symbol)
-            * self.active_power_mw
-        )
-
     # ------------------------------------------------------------------
     def approach_time_s(
         self, config: SystemConfig, approach: SensingApproach

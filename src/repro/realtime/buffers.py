@@ -21,7 +21,7 @@ class SampleRingBuffer:
             )
         self.capacity = int(capacity_samples)
         self.strict = bool(strict)
-        self._occupancy = 0
+        self.occupancy = 0
         self.total_written = 0
         self.total_read = 0
         self.overruns = 0
@@ -30,16 +30,10 @@ class SampleRingBuffer:
         self._min_after_start = self.capacity
         self._started = False
 
-    # ------------------------------------------------------------------
-    @property
-    def occupancy(self) -> int:
-        """Samples currently buffered."""
-        return self._occupancy
-
     @property
     def free(self) -> int:
         """Remaining capacity."""
-        return self.capacity - self._occupancy
+        return self.capacity - self.occupancy
 
     @property
     def started(self) -> bool:
@@ -65,7 +59,7 @@ class SampleRingBuffer:
             raise ValueError(
                 f"sample_rate_hz must be positive, got {sample_rate_hz}"
             )
-        return self._occupancy / sample_rate_hz
+        return self.occupancy / sample_rate_hz
 
     # ------------------------------------------------------------------
     def write(self, count: int) -> int:
@@ -83,9 +77,9 @@ class SampleRingBuffer:
                 raise BufferOverrunError(
                     f"ring buffer overflow: writing {count}, free {self.free}"
                 )
-        self._occupancy += accepted
+        self.occupancy += accepted
         self.total_written += accepted
-        self.max_occupancy = max(self.max_occupancy, self._occupancy)
+        self.max_occupancy = max(self.max_occupancy, self.occupancy)
         return accepted
 
     def read(self, count: int) -> int:
@@ -100,14 +94,14 @@ class SampleRingBuffer:
             raise ValueError(f"count must be >= 0, got {count}")
         if not self._started:
             self._started = True
-        available = min(count, self._occupancy)
+        available = min(count, self.occupancy)
         if available < count:
             self.underruns += 1
             if self.strict:
                 raise BufferUnderrunError(
-                    f"ring buffer underrun: reading {count}, have {self._occupancy}"
+                    f"ring buffer underrun: reading {count}, have {self.occupancy}"
                 )
-        self._occupancy -= available
+        self.occupancy -= available
         self.total_read += available
-        self._min_after_start = min(self._min_after_start, self._occupancy)
+        self._min_after_start = min(self._min_after_start, self.occupancy)
         return available

@@ -33,22 +33,11 @@ class Simulator:
         self._queue: list[Event] = []
         self._counter = itertools.count()
         self._now = 0.0
-        self._processed = 0
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def processed_events(self) -> int:
-        """Number of events executed so far."""
-        return self._processed
-
-    @property
-    def pending_events(self) -> int:
-        """Number of events still queued."""
-        return len(self._queue)
 
     # ------------------------------------------------------------------
     def schedule_at(self, time: float, action: Action) -> None:
@@ -90,7 +79,6 @@ class Simulator:
             event = heapq.heappop(self._queue)
             self._now = event.time
             event.action(self)
-            self._processed += 1
             executed += 1
             if executed > max_events:
                 raise RealTimeError(

@@ -30,8 +30,6 @@ from .rng import (
 from .properties import (
     mutual_coherence,
     column_norms,
-    empirical_rip_constant,
-    row_weights,
 )
 
 __all__ = [
@@ -48,6 +46,4 @@ __all__ = [
     "CltGaussian",
     "mutual_coherence",
     "column_norms",
-    "empirical_rip_constant",
-    "row_weights",
 ]

@@ -46,7 +46,3 @@ class SensingMatrix(ABC):
         if x.shape != (self.n,):
             raise SensingError(f"expected signal shape ({self.n},), got {x.shape}")
         return self.matrix() @ x
-
-    def describe(self) -> str:
-        """Human-readable one-liner for logs and reports."""
-        return f"{type(self).__name__}(m={self.m}, n={self.n})"

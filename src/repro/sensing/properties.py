@@ -1,17 +1,13 @@
-"""Diagnostics on sensing matrices: coherence and empirical RIP.
+"""Diagnostics on sensing matrices: column norms and mutual coherence.
 
 The paper justifies sparse binary sensing through the RIP-p theory of
-Berinde et al.; these utilities let the test-suite and the sensing
-ablation verify the practical proxies — bounded mutual coherence, tight
-empirical isometry constants on random sparse vectors, and balanced row
-weights.
+Berinde et al.; the sensing ablation reports bounded mutual coherence
+as the practical proxy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ..utils import rng_from
 
 
 def column_norms(matrix: np.ndarray) -> np.ndarray:
@@ -27,41 +23,3 @@ def mutual_coherence(matrix: np.ndarray) -> float:
     gram = (a / norms).T @ (a / norms)
     np.fill_diagonal(gram, 0.0)
     return float(np.max(np.abs(gram)))
-
-
-def row_weights(matrix: np.ndarray) -> np.ndarray:
-    """Number of nonzero entries in each row."""
-    return np.count_nonzero(np.asarray(matrix) != 0, axis=1)
-
-
-def empirical_rip_constant(
-    matrix: np.ndarray,
-    sparsity: int,
-    trials: int = 200,
-    seed: int = 0,
-    norm_order: float = 2.0,
-) -> float:
-    """Empirical isometry constant over random S-sparse unit vectors.
-
-    Returns the maximum observed ``| ||Phi v||_p / ||v||_p - 1 |`` over
-    ``trials`` random ``sparsity``-sparse vectors with Gaussian nonzero
-    values.  With ``norm_order=1`` this probes the RIP-p (p=1) flavor
-    relevant to sparse binary matrices.
-    """
-    a = np.asarray(matrix, dtype=np.float64)
-    n = a.shape[1]
-    if not 0 < sparsity <= n:
-        raise ValueError(f"sparsity must be in (0, {n}], got {sparsity}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = rng_from(seed, "rip", sparsity, trials)
-    worst = 0.0
-    for _ in range(trials):
-        support = rng.choice(n, size=sparsity, replace=False)
-        v = np.zeros(n)
-        v[support] = rng.standard_normal(sparsity)
-        numerator = np.linalg.norm(a @ v, ord=norm_order)
-        denominator = np.linalg.norm(v, ord=norm_order)
-        if denominator > 0:
-            worst = max(worst, abs(numerator / denominator - 1.0))
-    return worst

@@ -48,7 +48,7 @@ class QuantizedGaussianMatrix(SensingMatrix):
         if generator == "box-muller":
             source = FixedPointGaussian(seed=child_seed, scale=self.QUANT_SCALE)
             self._ops_per_draw = source.ops_per_draw
-            self._quantized = source.draw_matrix(m, n)
+            quantized = source.draw_matrix(m, n)
         elif generator == "clt":
             source = CltGaussian(seed=child_seed)
             self._ops_per_draw = source.ops_per_draw
@@ -56,27 +56,17 @@ class QuantizedGaussianMatrix(SensingMatrix):
             for i in range(m):
                 for j in range(n):
                     values[i, j] = source.next_q7(self.QUANT_SCALE)
-            self._quantized = values
+            quantized = values
         else:
             raise SensingError(
                 f"generator must be 'box-muller' or 'clt', got {generator!r}"
             )
         # Dense float view: int8 value * scale gives a ~N(0,1) entry;
         # normalize by sqrt(n) to match the N(0, 1/n) convention.
-        self._matrix = self._quantized.astype(np.float64) * (
+        self._matrix = quantized.astype(np.float64) * (
             self.QUANT_SCALE / np.sqrt(self.n)
         )
         self._matrix.setflags(write=False)
-
-    @property
-    def quantized_entries(self) -> np.ndarray:
-        """The raw int8 entry matrix (what the node works with)."""
-        return self._quantized
-
-    @property
-    def draws_required(self) -> int:
-        """Gaussian draws needed to build the full matrix."""
-        return self.m * self.n
 
     @property
     def ops_per_draw(self) -> int:

@@ -98,10 +98,6 @@ class XorShift32:
             if value < limit:
                 return value % bound
 
-    def next_float(self) -> float:
-        """Uniform float in ``(0, 1]`` (never exactly zero)."""
-        return (self.next_u32() + 1) / 4294967296.0
-
 
 class GaloisLfsr16:
     """16-bit Galois LFSR with maximal-length taps ``0xB400``.

@@ -79,7 +79,8 @@ class SparseBinaryMatrix(SensingMatrix):
         self.d = int(d)
         self.seed = int(seed)
 
-        rows = self._rows_per_column = draw_rows(
+        #: ``(n, d)`` array: the row indices of each column's ones
+        rows = self.rows_per_column = draw_rows(
             self.m, self.n, self.d, self.seed
         )
         # a stable sort of the column-major draw by row lists each row's
@@ -98,11 +99,6 @@ class SparseBinaryMatrix(SensingMatrix):
 
     # ------------------------------------------------------------------
     @property
-    def rows_per_column(self) -> np.ndarray:
-        """``(n, d)`` array: the row indices of each column's ones."""
-        return self._rows_per_column
-
-    @property
     def indptr(self) -> np.ndarray:
         """CSR row pointers: row ``i`` is ``indptr[i]:indptr[i + 1]``."""
         return self._indptr
@@ -120,7 +116,7 @@ class SparseBinaryMatrix(SensingMatrix):
     def matrix(self) -> np.ndarray:
         dense = np.zeros((self.m, self.n))
         columns = np.repeat(np.arange(self.n), self.d)
-        dense[self._rows_per_column.ravel(), columns] = self.scale
+        dense[self.rows_per_column.ravel(), columns] = self.scale
         return dense
 
     def sparse(self):
@@ -179,7 +175,7 @@ class SparseBinaryMatrix(SensingMatrix):
         accumulator = np.zeros(self.m, dtype=np.int64)
         np.add.at(
             accumulator,
-            self._rows_per_column.ravel(),
+            self.rows_per_column.ravel(),
             np.repeat(x.astype(np.int64), self.d),
         )
         if accumulator.max(initial=0) > 2**31 - 1 or accumulator.min(initial=0) < -(2**31):
@@ -215,9 +211,3 @@ class SparseBinaryMatrix(SensingMatrix):
         """Row-index storage: ``n*d`` indices of ``ceil(log2 m)`` bits."""
         index_bits = max(1, math.ceil(math.log2(self.m)))
         return self.n * self.d * index_bits
-
-    def describe(self) -> str:
-        return (
-            f"SparseBinaryMatrix(m={self.m}, n={self.n}, d={self.d}, "
-            f"storage={self.storage_bits() // 8} B)"
-        )

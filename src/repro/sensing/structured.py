@@ -54,7 +54,8 @@ class LfsrCirculantMatrix(SensingMatrix):
         )
         if master.sum() == 0:
             master[0] = 1  # degenerate draw: force a nonzero row
-        self._master = master
+        #: the LFSR-generated master bit row
+        self.master_row = master
         self._stride = max(1, n // m)
 
         ones_per_row = int(master.sum())
@@ -67,11 +68,6 @@ class LfsrCirculantMatrix(SensingMatrix):
             rows[i] = np.roll(master, i * self._stride)
         self._matrix = rows * self._scale
         self._matrix.setflags(write=False)
-
-    @property
-    def master_row(self) -> np.ndarray:
-        """The LFSR-generated master bit row."""
-        return self._master
 
     @property
     def stride(self) -> int:
@@ -88,7 +84,7 @@ class LfsrCirculantMatrix(SensingMatrix):
             raise SensingError(f"expected signal shape ({self.n},), got {x.shape}")
         if not np.issubdtype(x.dtype, np.integer):
             raise SensingError("integer path requires an integer signal")
-        pattern = self._master.astype(np.int64)
+        pattern = self.master_row.astype(np.int64)
         out = np.empty(self.m, dtype=np.int64)
         values = x.astype(np.int64)
         for i in range(self.m):

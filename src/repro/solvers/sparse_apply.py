@@ -4,17 +4,11 @@ The paper's ``Phi`` has exactly ``d`` nonzeros per column, all equal to
 ``1/sqrt(d)`` — applying it (or its transpose) is an index gather plus a
 segmented sum, not a GEMM.  This module turns the CSR structure already
 living in :class:`~repro.sensing.sparse_binary.SparseBinaryMatrix` into
-two allocation-free batched kernels:
+an allocation-free batched kernel: ``apply`` computes ``Phi @ S`` for an
+``(n, B)`` signal block via one ``np.take`` gather and one
+``np.add.reduceat`` segmented reduction over the CSR row segments.
 
-- ``apply``: ``Phi @ S`` for an ``(n, B)`` signal block via one
-  ``np.take`` gather and one ``np.add.reduceat`` segmented reduction
-  over the CSR row segments;
-- ``apply_transpose``: ``Phi^T @ R`` for an ``(m, B)`` residual block
-  via the fixed-degree layout — every transpose row has exactly ``d``
-  entries (``rows_per_column``), so a ``d``-step gather/accumulate loop
-  with ``out=`` buffers does it without any indptr bookkeeping.
-
-Both kernels sum the *unscaled* 0/1 pattern first and multiply by the
+The kernel sums the *unscaled* 0/1 pattern first and multiplies by the
 common ``1/sqrt(d)`` once at the end.  That ordering is a numerical
 contract the equivalence harness relies on: for integer-valued inputs
 the pattern sums are exact in any association order, so the gather path
@@ -55,7 +49,7 @@ ADMM_PAIR_CACHE_SIZE = 4
 
 
 class SparsePhiApply:
-    """Batched ``Phi``/``Phi^T`` products from the CSR index structure.
+    """Batched ``Phi`` products from the CSR index structure.
 
     All kernels accept preallocated ``out``/``gather`` buffers (see
     :meth:`~repro.solvers.batched.BatchWorkspace.arena`) so steady-state
@@ -88,11 +82,6 @@ class SparsePhiApply:
             indptr[: self.reduce_rows], dtype=np.intp
         )
         self.empty_rows = np.flatnonzero(indptr[:-1] == indptr[1:])
-        # transpose layout: row j of Phi^T has exactly the d entries
-        # rows_per_column[j]; one contiguous (n, d) gather table
-        self.transpose_index = np.ascontiguousarray(
-            matrix.rows_per_column, dtype=np.intp
-        )
 
     # ------------------------------------------------------------------
     def _check(self, block: np.ndarray, rows: int, label: str) -> np.ndarray:
@@ -129,35 +118,6 @@ class SparsePhiApply:
         if self.empty_rows.size:
             out[self.empty_rows] = 0
         out *= signals.dtype.type(self.scale)
-        return out
-
-    def apply_transpose(
-        self,
-        resid: np.ndarray,
-        out: np.ndarray | None = None,
-        gather: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``Phi^T @ resid`` for an ``(m, B)`` block -> ``(n, B)``."""
-        resid = self._check(resid, self.m, "resid")
-        width = resid.shape[1]
-        if out is None:
-            out = np.empty((self.n, width), dtype=resid.dtype)
-        if gather is None:
-            gather = np.empty((self.n, width), dtype=resid.dtype)
-        else:
-            gather = gather.reshape(-1)[: self.n * width].reshape(
-                self.n, width
-            )
-        # fixed-degree accumulation: d gathers, each adding one of the
-        # d pattern entries of every transpose row at once
-        # repro-lint: hot
-        for k in range(self.d):
-            np.take(resid, self.transpose_index[:, k], axis=0, out=gather)
-            if k == 0:
-                out[...] = gather
-            else:
-                out += gather
-        out *= resid.dtype.type(self.scale)
         return out
 
     def residual(

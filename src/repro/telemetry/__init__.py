@@ -9,9 +9,8 @@ merge associatively across process-pool workers.
 
 Two persistent sinks (:mod:`~repro.telemetry.sinks`) give a
 long-running ``serve`` memory beyond stdout: a bounded JSONL ring file
-that replays to the final snapshot after a crash, and the Prometheus
-text exposition served over HTTP by
-:class:`~repro.telemetry.exposition.MetricsServer`.  The shared table
+of timestamped snapshots, and the Prometheus text exposition served
+over HTTP by :class:`~repro.telemetry.exposition.MetricsServer`.  The shared table
 views (:mod:`~repro.telemetry.views`) render any snapshot — and any
 CLI result table — with ``n/a`` handling in exactly one place.
 """
@@ -42,11 +41,7 @@ _LAZY_EXPORTS = {
     "scrape_local": "exposition",
     "RING_SCHEMA": "sinks",
     "JsonlRingSink": "sinks",
-    "exposition_matches_snapshot": "sinks",
-    "iter_ring_records": "sinks",
-    "parse_prometheus": "sinks",
     "render_prometheus": "sinks",
-    "replay_ring": "sinks",
     "na": "views",
     "render_result_table": "views",
     "render_snapshot_table": "views",

@@ -385,10 +385,6 @@ class MetricsSnapshot:
                         found.add(value)
         return found
 
-    def gauge_value(self, name: str, **labels: object) -> float | None:
-        pair = self.gauges.get((name, label_key(labels)))
-        return None if pair is None else pair[1]
-
     def histogram(
         self, name: str, **labels: object
     ) -> HistogramSnapshot | None:

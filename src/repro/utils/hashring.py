@@ -128,15 +128,3 @@ class HashRing:
 
     def __contains__(self, node: object) -> bool:
         return node in self._nodes
-
-    def segment_share(self) -> dict[str, float]:
-        """Fraction of the key space each node owns (sums to 1.0)."""
-        if not self._points:
-            return {}
-        span = 1 << (_POINT_BYTES * 8)
-        share: dict[str, float] = {node: 0.0 for node in self._nodes}
-        previous = self._points[-1] - span
-        for point, owner in zip(self._points, self._owners):
-            share[owner] += (point - previous) / span
-            previous = point
-        return share

@@ -80,24 +80,6 @@ class WaveletTransform:
             length //= 2
 
     # ------------------------------------------------------------------
-    @property
-    def coefficient_length(self) -> int:
-        """Length of the coefficient vector (equals ``n``)."""
-        return self.n
-
-    def band_slices(self) -> dict[str, slice]:
-        """Coefficient layout: approximation band then details, coarse first."""
-        slices: dict[str, slice] = {}
-        coarse = self.n >> self.levels
-        slices["a"] = slice(0, coarse)
-        start = coarse
-        for level in range(self.levels, 0, -1):
-            width = self.n >> level
-            slices[f"d{level}"] = slice(start, start + width)
-            start += width
-        return slices
-
-    # ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Analysis transform: signal -> wavelet coefficients (``Psi^T x``)."""
         x = np.asarray(x)

@@ -45,11 +45,6 @@ class WaveletFilter:
         """Filter length ``L`` (``2N`` for ``N`` vanishing moments)."""
         return len(self.h)
 
-    @property
-    def vanishing_moments(self) -> int:
-        """Number of vanishing moments of the wavelet."""
-        return len(self.h) // 2
-
     def lowpass(self) -> np.ndarray:
         """Scaling (low-pass) filter as a float64 array."""
         return np.asarray(self.h, dtype=np.float64)

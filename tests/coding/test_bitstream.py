@@ -51,28 +51,6 @@ class TestBitWriter:
         with pytest.raises(BitstreamError):
             BitWriter().write_bit(2)
 
-    def test_signed_range_limits(self):
-        writer = BitWriter()
-        writer.write_signed(-256, 9)
-        writer.write_signed(255, 9)
-        with pytest.raises(BitstreamError):
-            writer.write_signed(256, 9)
-        with pytest.raises(BitstreamError):
-            writer.write_signed(-257, 9)
-
-    def test_align_to_byte_pads_zeros(self):
-        writer = BitWriter()
-        writer.write_bit(1)
-        writer.align_to_byte()
-        assert len(writer) == 8
-        assert writer.getvalue() == b"\x80"
-
-    def test_align_on_boundary_is_noop(self):
-        writer = BitWriter()
-        writer.write_bits(0xFF, 8)
-        writer.align_to_byte()
-        assert len(writer) == 8
-
 
 class TestBitReader:
     def test_read_bits_roundtrip(self):
@@ -95,12 +73,6 @@ class TestBitReader:
         reader.read_bits(5)
         assert reader.position == 5
         assert reader.remaining == 11
-
-    def test_align_to_byte_skips(self):
-        reader = BitReader(b"\xff\xa5")
-        reader.read_bits(3)
-        reader.align_to_byte()
-        assert reader.read_bits(8) == 0xA5
 
     def test_negative_width_rejected(self):
         with pytest.raises(BitstreamError):
@@ -131,14 +103,6 @@ class TestRoundtripProperties:
         reader = BitReader(writer.getvalue(), bit_length=len(writer))
         for width, value in fields:
             assert reader.read_bits(width) == value
-
-    @given(st.lists(st.integers(-256, 255), max_size=100))
-    def test_signed_9bit_roundtrip(self, values):
-        writer = BitWriter()
-        for value in values:
-            writer.write_signed(value, 9)
-        reader = BitReader(writer.getvalue(), bit_length=len(writer))
-        assert [reader.read_signed(9) for _ in values] == values
 
     @given(st.binary(max_size=64))
     def test_bytes_roundtrip_through_bits(self, data):

@@ -104,30 +104,30 @@ class TestStorageModel:
 class TestSerialization:
     def test_json_roundtrip(self):
         codebook = train_codebook()
-        clone = Codebook.from_json(codebook.to_json())
+        clone = Codebook.from_payload(json.loads(codebook.to_json()))
         assert clone.offset == codebook.offset
         assert clone.code.lengths == codebook.code.lengths
 
-    def test_malformed_json_rejected(self):
+    def test_malformed_payload_rejected(self):
         with pytest.raises(CodebookError):
-            Codebook.from_json("{not json")
+            Codebook.from_payload("{not json")
         with pytest.raises(CodebookError):
-            Codebook.from_json('{"offset": 0}')
+            Codebook.from_payload({"offset": 0})
 
     def test_payload_codeword_lengths_capped(self):
-        """``from_json`` is the wire entry: lengths past the paper's
+        """``from_payload`` is the wire entry: lengths past the paper's
         16-bit cap are refused there; building an unbounded code
         offline (the length-limit ablation) is not."""
-        at_cap = json.dumps({"offset": 0, "lengths": [1, 2, 16]})
-        assert Codebook.from_json(at_cap).code.max_length == 16
+        at_cap = {"offset": 0, "lengths": [1, 2, 16]}
+        assert Codebook.from_payload(at_cap).code.max_length == 16
         with pytest.raises(CodebookError, match="16-bit cap"):
-            Codebook.from_json(json.dumps({"offset": 0, "lengths": [1, 2, 17]}))
+            Codebook.from_payload({"offset": 0, "lengths": [1, 2, 17]})
         unbounded = HuffmanCode([1, 2, 40])
         assert unbounded.max_length == 40
 
     def test_roundtripped_codebook_decodes(self):
         codebook = train_codebook()
-        clone = Codebook.from_json(codebook.to_json())
+        clone = Codebook.from_payload(json.loads(codebook.to_json()))
         message = [-5, 0, 3, 255, -256]
         writer = codebook.code.encode(
             [codebook.symbol_for(v) for v in message]

@@ -204,14 +204,6 @@ _WRITES = st.one_of(
             st.just(width),
         )
     ),
-    st.integers(1, 40).flatmap(
-        lambda width: st.tuples(
-            st.just("signed"),
-            st.integers(-(1 << (width - 1)), (1 << (width - 1)) - 1),
-            st.just(width),
-        )
-    ),
-    st.tuples(st.just("align")),
     st.tuples(st.just("symbols"), st.lists(st.integers(0, 15), max_size=12)),
 )
 
@@ -232,14 +224,6 @@ class TestWriterMatchesBitwise:
             elif op == "bits":
                 fast.write_bits(*args)
                 write_bits_bitwise(slow, *args)
-            elif op == "signed":
-                value, width = args
-                fast.write_signed(value, width)
-                write_bits_bitwise(slow, value & ((1 << width) - 1), width)
-            elif op == "align":
-                fast.align_to_byte()
-                while len(slow) & 7:
-                    slow.write_bit(0)
             else:
                 code.encode(args[0], fast)
                 for symbol in args[0]:
@@ -354,7 +338,8 @@ class TestRecordRoundTrip:
     def test_wire_and_measurements_identical_to_reference(self, trained):
         config = SystemConfig(keyframe_interval=8)
         record = SyntheticMitBih(duration_s=120.0, seed=2011).load("100")
-        samples = record.digitized(0)[: 84 * config.n].reshape(-1, config.n)
+        samples = record.adc.digitize(record.channel(0))
+        samples = samples[: 84 * config.n].reshape(-1, config.n)
         windows, calibration = samples[:28].copy(), samples[28:]
         # full-scale steps between windows: rail-valued (and clipped)
         # differences, the codebook's longest codewords

@@ -204,14 +204,6 @@ class TestDecoder:
         with pytest.raises(DecodingError):
             fresh.decode(diff_packet)
 
-    def test_decode_bytes_roundtrip(self, pair, windows):
-        encoder, decoder = pair
-        encoder.reset()
-        decoder.reset()
-        packet = encoder.encode(windows[0])
-        decoded = decoder.decode_bytes(packet.to_bytes())
-        assert decoded.sequence == packet.sequence
-
     def test_lipschitz_precomputed_and_positive(self, pair):
         _, decoder = pair
         assert decoder.resources.solver.lipschitz > 0.0

@@ -103,5 +103,5 @@ class TestSignalQuality:
     def test_signals_fit_adc_range(self, database):
         for name in ("100", "203", "228"):
             record = database.load(name)
-            adu = record.digitized(0)
+            adu = record.adc.digitize(record.channel(0))
             assert adu.min() > 0 and adu.max() < 2047  # no rail clipping

@@ -41,11 +41,6 @@ class TestHolterPlanner:
         plan = planner.plan(5 * 24.0, 3072.0)
         assert planner.fits_sd_card(plan)
 
-    def test_max_session_days_consistent(self, planner):
-        days = planner.max_session_days(3072.0)
-        plan = planner.plan(24.0, 3072.0)
-        assert days == pytest.approx(plan.battery_days)
-
     def test_battery_days_property(self, planner):
         plan = planner.plan(24.0, 3072.0)
         assert plan.battery_days == pytest.approx(plan.battery_hours / 24.0)
@@ -59,6 +54,6 @@ class TestHolterPlanner:
             planner.plan_uncompressed(0.0)
 
     def test_more_compression_more_days(self, planner):
-        aggressive = planner.max_session_days(1024.0)
-        mild = planner.max_session_days(4096.0)
+        aggressive = planner.plan(24.0, 1024.0).battery_days
+        mild = planner.plan(24.0, 4096.0).battery_days
         assert aggressive > mild

@@ -22,7 +22,8 @@ class TestAdcSpec:
     def test_digitize_roundtrip_within_lsb(self, rng):
         adc = AdcSpec()
         millivolts = rng.uniform(-4.5, 4.5, size=200)
-        recovered = adc.to_millivolts(adc.digitize(millivolts))
+        adu = adc.digitize(millivolts)
+        recovered = (adu - adc.zero_offset) / adc.gain_adu_per_mv
         assert np.max(np.abs(recovered - millivolts)) <= 0.5 / adc.gain_adu_per_mv + 1e-12
 
     def test_saturation_at_rails(self):
@@ -89,6 +90,6 @@ class TestRecord:
 
     def test_digitized_channel(self):
         record = self._record()
-        adu = record.digitized(0)
+        adu = record.adc.digitize(record.channel(0))
         assert adu.dtype == np.int64
         assert np.all(adu == 1024)  # zero millivolts

@@ -17,6 +17,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from telemetry_oracle import gauge_value
+
 from repro.core import EcgMonitorSystem, MultiChannelMonitor
 from repro.core.batch import encode_record_windows
 from repro.errors import ConfigurationError
@@ -941,7 +943,7 @@ class TestFleetTelemetry:
         snap = registry.snapshot()
         assert snap.counter_value("fleet_runs", mode="in-process") == 1
         assert snap.counter_total("fleet_windows_decoded") == 4
-        assert snap.gauge_value("fleet_groups") == 1
+        assert gauge_value(snap, "fleet_groups") == 1
         assert snap.counter_value("fleet_group_windows", group="g0") == 4
 
     def test_inprocess_run_publishes_the_iteration_budget(

@@ -57,6 +57,23 @@ class _SinkWriter:
         pass
 
 
+def _damaged(accounting) -> int:
+    """Windows a stream did not decode (lost + resynced)."""
+    return accounting.windows_lost + accounting.windows_resynced
+
+
+def _loss_events(stats) -> int:
+    """Events that can each damage up to ``keyframe_interval`` windows:
+    outright drops plus CRC-corrupting flips."""
+    return stats.frames_dropped + stats.frames_corrupted
+
+
+def _burst_events(stats) -> int:
+    """Loss events with runs of adjacent losses collapsed into one."""
+    lost = [fate in ("dropped", "corrupted") for fate in stats.fate_log]
+    return sum(now and not before for before, now in zip([False] + lost, lost))
+
+
 def _packet_frames(system, record, count):
     packets = encoded_packets(system, record, max_packets=count)
     return packets, [
@@ -161,7 +178,7 @@ class TestAdmitPacket:
             )
             assert verdict is FrameVerdict.ACCEPT
             payload.decode_payload(parsed)
-        assert tracker.accounting.windows_damaged == 0
+        assert _damaged(tracker.accounting) == 0
 
     def test_corrupt_frame_triggers_resync(self, stream):
         system, record = stream
@@ -282,7 +299,7 @@ class TestStreamRecovery:
             ]
         # parity is inert on a fec-off stream
         assert recovery.on_parity(b"\x00\x00\x00\x01") == []
-        assert tracker.accounting.windows_damaged == 0
+        assert _damaged(tracker.accounting) == 0
         assert not recovery.holding
 
     def test_parity_recovers_single_loss_without_nack(self, stream):
@@ -572,7 +589,7 @@ class TestStreamRecovery:
                 )
         assert sorted(decoded) == list(range(len(packets)))
         accounting = recovery.tracker.accounting
-        assert accounting.windows_damaged == 0
+        assert _damaged(accounting) == 0
         assert accounting.windows_recovered_retransmit == 2 * epochs
         assert recovery.nacks_sent == 2 * epochs
         assert not recovery.holding
@@ -602,7 +619,7 @@ class TestStreamRecovery:
         feed(19, 23)
         assert sorted(decoded) == list(range(27))
         accounting = recovery.tracker.accounting
-        assert accounting.windows_damaged == 0
+        assert _damaged(accounting) == 0
         assert accounting.windows_recovered_retransmit == 3
         assert not recovery.holding
 
@@ -700,7 +717,7 @@ class TestStreamRecovery:
         accounting = recovery.tracker.accounting
         assert accounting.windows_lost == 1
         assert accounting.windows_resynced == 1
-        assert len(decoded) + accounting.windows_damaged == len(packets)
+        assert len(decoded) + _damaged(accounting) == len(packets)
         for sequence, y_q in decoded.items():
             np.testing.assert_array_equal(y_q, reference[sequence])
 
@@ -733,7 +750,7 @@ class TestStreamRecovery:
         ]
         accounting = recovery.tracker.accounting
         assert accounting.windows_lost == 2
-        assert len(decoded) + accounting.windows_damaged == total
+        assert len(decoded) + _damaged(accounting) == total
         for sequence, y_q in decoded.items():
             np.testing.assert_array_equal(y_q, reference[sequence])
 
@@ -749,7 +766,7 @@ class TestLossyLink:
             link.write(frame)
         assert bytes(sink.data) == b"".join(frames)
         assert link.stats.frames_delivered == 4
-        assert link.stats.loss_events == 0
+        assert _loss_events(link.stats) == 0
 
     def test_partial_writes_reassemble_frames(self, stream):
         """Byte-at-a-time writes must still split on frame boundaries
@@ -884,8 +901,8 @@ class TestLossyLink:
             "dropped",
             "delivered",
         ]
-        assert link.stats.loss_events == 3
-        assert link.stats.burst_events == 2  # {1,2} collapse to one
+        assert _loss_events(link.stats) == 3
+        assert _burst_events(link.stats) == 2  # {1,2} collapse to one
 
     def test_parity_frames_impaired_separately(self, stream):
         """PARITY frames ride the same link (loss + forced epoch drops)
@@ -948,10 +965,10 @@ class TestReplaySurvivors:
             # a reordered frame can open a (transient) gap too: every
             # impairment event costs at most one keyframe interval
             events = (
-                link.stats.loss_events + link.stats.frames_reordered
+                _loss_events(link.stats) + link.stats.frames_reordered
             )
             assert (
-                accounting.windows_damaged
+                _damaged(accounting)
                 <= events * system.config.keyframe_interval
             ), f"seed {seed} exceeded the per-event damage bound"
 
@@ -972,16 +989,16 @@ class TestReplaySurvivors:
                 link.stats.delivered,
                 windows_sent=len(packets),
             )
-            assert len(accepted) + accounting.windows_damaged == len(
+            assert len(accepted) + _damaged(accounting) == len(
                 packets
             ), f"seed {seed} violated conservation"
-            bound = link.stats.loss_events + link.stats.burst_events * (
+            bound = _loss_events(link.stats) + _burst_events(link.stats) * (
                 interval - 1
             )
-            assert accounting.windows_damaged <= bound, (
-                f"seed {seed}: damage {accounting.windows_damaged} exceeds "
-                f"{link.stats.loss_events} loss events + "
-                f"{link.stats.burst_events} bursts x (interval - 1)"
+            assert _damaged(accounting) <= bound, (
+                f"seed {seed}: damage {_damaged(accounting)} exceeds "
+                f"{_loss_events(link.stats)} loss events + "
+                f"{_burst_events(link.stats)} bursts x (interval - 1)"
             )
 
     def test_lossy_reordering_link_never_kills_a_fec_stream(
@@ -1013,7 +1030,7 @@ class TestReplaySurvivors:
                 windows_sent=len(packets),
                 fec=True,
             )
-            assert len(accepted) + accounting.windows_damaged == len(
+            assert len(accepted) + _damaged(accounting) == len(
                 packets
             ), f"seed {seed} violated conservation"
             for sequence, column in accepted:
@@ -1085,7 +1102,7 @@ class TestReplaySurvivors:
             fec=True,
         )
         assert [seq for seq, _ in accepted] == list(range(total))
-        assert accounting.windows_damaged == 0
+        assert _damaged(accounting) == 0
         assert accounting.windows_recovered == 0
 
     def test_clean_channel_accepts_everything(self, stream):
@@ -1099,7 +1116,7 @@ class TestReplaySurvivors:
             windows_sent=total,
         )
         assert [seq for seq, _ in accepted] == list(range(total))
-        assert accounting.windows_damaged == 0
+        assert _damaged(accounting) == 0
         # columns equal a straight stage-1/2 decode
         payload = PacketPayloadDecoder(
             system.config, codebook=system.encoder.codebook
@@ -1109,25 +1126,17 @@ class TestReplaySurvivors:
             np.testing.assert_array_equal(column, reference[:, index])
 
 
-def test_give_up_scenario_live_matches_replay(paper_config):
-    """Regression, the scenario the e2e benchmark found: a give-up with
-    an already-accepted packet at the head of the abandoned run used to
-    end the link in a ``DecodingError``, live and in
-    :func:`replay_survivors` alike.  Rebuilt deterministically: 20 and
-    22 are dropped, 20 is NACKed and its retransmit fills, and the NACK
-    22 needs would overspend a 1-NACK budget, so recovery gives up with
-    20 (and 21) at the head of the held run.  Now it costs one keyframe
-    resync and both sides keep identical books."""
+def _live_fec_run(config, windows, channel, budget):
+    """One paced fec link through a live gateway: its ordered result,
+    the client's link, and the codebook it encoded with."""
     import asyncio
 
     from repro.core import EcgMonitorSystem
     from repro.ecg import SyntheticMitBih
     from repro.ingest import IngestGateway, NodeClient
 
-    windows = 48
-    budget = 1
     record = SyntheticMitBih(duration_s=2.0 * windows + 4.0).load("100")
-    system = EcgMonitorSystem(paper_config, precision="hybrid")
+    system = EcgMonitorSystem(config, precision="hybrid")
     system.calibrate(record)
 
     async def run():
@@ -1140,7 +1149,7 @@ def test_give_up_scenario_live_matches_replay(paper_config):
             record,
             max_packets=windows,
             interval_s=0.02,  # paced: NACKs are answered between sends
-            lossy_channel=LossyChannel(drop_sequences=(20, 22), seed=2011),
+            lossy_channel=channel,
             fec=True,
         )
         await asyncio.wait_for(client.run(reader, writer), timeout=60.0)
@@ -1152,18 +1161,15 @@ def test_give_up_scenario_live_matches_replay(paper_config):
         return gateway.results[0].ordered(), client.last_link
 
     result, link = asyncio.run(run())
-    assert result.error is None
-    assert result.nacks_sent == budget
-    # the retransmitted 20 and 21 left the held run ahead of the
-    # abandoned 22; 23-31 waited out the chain to the keyframe at 32
-    assert {20, 21} <= set(result.sequences)
-    assert result.windows_lost == 1  # recovery did give up
-    assert result.windows_resynced == 9
-    assert result.num_windows + result.windows_damaged == windows
+    return result, link, system.encoder.codebook
 
+
+def _assert_replay_matches_live(
+    config, codebook, result, link, windows, budget
+):
     accepted, accounting = replay_survivors(
-        paper_config,
-        system.encoder.codebook,
+        config,
+        codebook,
         link.stats.delivered_frames,
         windows_sent=windows,
         fec=True,
@@ -1179,6 +1185,68 @@ def test_give_up_scenario_live_matches_replay(paper_config):
     assert (
         result.windows_recovered_retransmit
         == accounting.windows_recovered_retransmit
+    )
+
+
+def test_give_up_scenario_live_matches_replay(paper_config):
+    """Regression, the scenario the e2e benchmark found: a give-up with
+    an already-accepted packet at the head of the abandoned run used to
+    end the link in a ``DecodingError``, live and in
+    :func:`replay_survivors` alike.  Rebuilt deterministically: 20 and
+    22 are dropped, 20 is NACKed and its retransmit fills, and the NACK
+    22 needs would overspend a 1-NACK budget, so recovery gives up with
+    20 (and 21) at the head of the held run.  Now it costs one keyframe
+    resync and both sides keep identical books."""
+    windows, budget = 48, 1
+    result, link, codebook = _live_fec_run(
+        paper_config,
+        windows,
+        LossyChannel(drop_sequences=(20, 22), seed=2011),
+        budget,
+    )
+    assert result.error is None
+    assert result.nacks_sent == budget
+    # the retransmitted 20 and 21 left the held run ahead of the
+    # abandoned 22; 23-31 waited out the chain to the keyframe at 32
+    assert {20, 21} <= set(result.sequences)
+    assert result.windows_lost == 1  # recovery did give up
+    assert result.windows_resynced == 9
+    assert result.num_windows + _damaged(result) == windows
+    _assert_replay_matches_live(
+        paper_config, codebook, result, link, windows, budget
+    )
+
+
+def test_retransmit_after_bye_counts_alike_live_and_in_replay(paper_config):
+    """Regression: the last window and its epoch's parity are lost, so
+    only the ``BYE`` reveals the gap and the NACKed copy arrives after
+    the ``BYE``.  Live that is a retransmit fill.  The link now records
+    where the ``BYE`` fell and :func:`replay_survivors` calls ``bye()``
+    there; it used to call it after every recorded frame, so the copy
+    replayed as a plain in-order admit and the replay read
+    ``windows_recovered_retransmit`` 0."""
+    windows, budget = 32, 8
+    interval = paper_config.keyframe_interval
+    final_epoch = windows - interval + 1  # first difference after it
+    result, link, codebook = _live_fec_run(
+        paper_config,
+        windows,
+        LossyChannel(
+            drop_sequences=(windows - 1,),
+            drop_parity_epochs=(final_epoch,),
+            seed=2011,
+        ),
+        budget,
+    )
+    assert result.error is None
+    assert link.stats.parity_dropped == 1
+    kinds = [kind for kind, _ in link.stats.delivered_frames]
+    bye = kinds.index(int(FrameKind.BYE))
+    assert kinds[bye + 1 :] == [int(FrameKind.PACKET)]  # the retransmit
+    assert result.sequences == list(range(windows))
+    assert result.windows_recovered_retransmit == 1
+    _assert_replay_matches_live(
+        paper_config, codebook, result, link, windows, budget
     )
 
 

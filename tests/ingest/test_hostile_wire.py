@@ -10,7 +10,7 @@ codeword-length bomb, an alphabet bomb) were stalls, not crashes, so
 the ticker is what catches their kind.
 
 The byte fuzzers below drive :func:`read_frame`,
-:meth:`Handshake.from_body` and :meth:`Codebook.from_json` with
+:meth:`Handshake.from_body` and :meth:`Codebook.from_payload` with
 derandomized Hypothesis input: each returns, or raises its own
 protocol-level error, and never anything else.
 """
@@ -60,6 +60,11 @@ def _json_hello(**fields):
     return encode_json_frame(FrameKind.HELLO, payload)
 
 
+def _config_hello(**fields):
+    """A HELLO whose config has ``fields`` overridden."""
+    return _json_hello(config=dict(_hello_payload()["config"], **fields))
+
+
 def _raw_hello(text: str):
     return encode_frame(FrameKind.HELLO, text.encode())
 
@@ -92,13 +97,12 @@ HOSTILE = {
         _json_hello(codebook={"offset": float("inf"), "lengths": [1, 1]}),
         False,
     ),
-    "nan-sample-rate": (
-        _json_hello(
-            config=dict(
-                _hello_payload()["config"], sample_rate_hz=float("nan")
-            )
-        ),
-        False,
+    "nan-sample-rate": (_config_hello(sample_rate_hz=float("nan")), False),
+    "fractional-seed": (_config_hello(seed=1.5), False),
+    "infinite-seed": (_config_hello(seed=float("inf")), False),
+    "fractional-d": (_config_hello(d=12.5), False),
+    "boolean-keyframe-interval": (
+        _config_hello(keyframe_interval=True), False
     ),
     "packet-flood-before-hello": (
         encode_frame(FrameKind.PACKET, b"\x00" * 64) * 200, False
@@ -205,17 +209,21 @@ def test_unparsable_number_is_a_protocol_error(name):
     assert "invalid" in error or "malformed" in error
 
 
-def test_nan_sample_rate_is_refused_at_the_handshake():
-    """A link's idle deadline is a multiple of its declared window
-    period: a NaN sample rate would put a NaN deadline on the event
-    loop's timer heap."""
-    frames, gateway, _, _ = asyncio.run(
-        _serve_hostile(*HOSTILE["nan-sample-rate"])
-    )
+@pytest.mark.parametrize(
+    "name, field",
+    [("nan-sample-rate", "sample_rate_hz"), ("fractional-seed", "seed"),
+     ("infinite-seed", "seed"), ("fractional-d", "d"),
+     ("boolean-keyframe-interval", "keyframe_interval")],
+)
+def test_non_integral_config_is_refused_at_the_handshake(name, field):
+    """A value where ``SystemConfig`` declares an int is refused before a
+    session or an operator group exists.  A NaN sample rate would put a
+    NaN idle deadline on the event loop's timer heap; a fractional or
+    infinite seed used to open a session and a group, and only the
+    group's first solve failed."""
+    frames, gateway, _, _ = asyncio.run(_serve_hostile(*HOSTILE[name]))
     ((kind, body),) = frames
-    assert "sample_rate_hz must be positive and finite" in (
-        json.loads(body)["error"]
-    )
+    assert f"{field} must be an integer" in json.loads(body)["error"]
     assert gateway.stats.sessions_opened == 0
 
 
@@ -311,23 +319,23 @@ def test_handshake_from_raw_bytes_fuzz(body):
 
 @settings(max_examples=300, derandomize=True)
 @given(
-    text=st.one_of(
-        st.text(max_size=64),
-        _json_values.map(json.dumps),
+    payload=st.one_of(
+        _json_values,
         st.fixed_dictionaries(
             {"offset": _json_values, "lengths": st.lists(_json_values,
                                                          max_size=8)}
-        ).map(json.dumps),
+        ),
         st.fixed_dictionaries(
             {
                 "offset": st.integers(-(10**6), 10**6),
                 "lengths": st.lists(st.integers(-3, 40), max_size=12),
             }
-        ).map(json.dumps),
+        ),
     )
 )
-def test_codebook_from_json_fuzz(text):
+def test_codebook_from_payload_fuzz(payload):
+    """The HELLO's decoded ``codebook`` value, whatever JSON it is."""
     try:
-        Codebook.from_json(text)
+        Codebook.from_payload(payload)
     except CodebookError:
         pass

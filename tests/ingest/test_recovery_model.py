@@ -25,10 +25,11 @@ At stream end: ``decoded + lost + resynced == declared``, and the live
 verdicts and accounting equal a ``replay_survivors(fec=True)`` run over
 the same delivered frames.
 
-Retransmits are answered only before ``BYE``.  A recorded delivery
-carries no ``BYE`` marker, so :func:`replay_survivors` plays every frame
-ahead of the ``BYE`` trigger; a post-``BYE`` answer is the gateway's
-deadline path, covered by ``test_gateway.py``.
+Retransmits are answered before and after ``BYE``, until the post-``BYE``
+deadline gives the open gap up.  The recorded delivery carries the
+``BYE`` where it arrived, as :class:`LossyLink` records it, so
+:func:`replay_survivors` reveals the tail gap at the same point the live
+machine did and a retransmit that fills it counts alike on both sides.
 
 Time box: ``max_examples`` x ``stateful_step_count`` below keeps the
 model at ~5 s of the tier-1 run on a 2-core 2.1 GHz Xeon.
@@ -37,6 +38,7 @@ model at ~5 s of the tier-1 run on a 2-core 2.1 GHz Xeon.
 from __future__ import annotations
 
 import functools
+import json
 
 import numpy as np
 from hypothesis import settings
@@ -140,6 +142,7 @@ class RecoveryModel(RuleBasedStateMachine):
         self.hold_nacks = 0
         self.trigger: str | None = None
         self.ended = False
+        self.closed = False
 
     # -- the node and its radio ---------------------------------------------
     def _air(self, kind: FrameKind, body: bytes, fate: str) -> None:
@@ -260,7 +263,7 @@ class RecoveryModel(RuleBasedStateMachine):
         self.sent += 1
         self._air(FrameKind.PACKET, body, fate)
 
-    @precondition(lambda self: not self.ended and self.owed)
+    @precondition(lambda self: not self.closed and self.owed)
     @rule(lost=st.lists(st.booleans(), min_size=1, max_size=4))
     def answer_nacks(self, lost):
         owed, self.owed = self.owed, []
@@ -274,12 +277,15 @@ class RecoveryModel(RuleBasedStateMachine):
         self._parity(parity_lost)
         self._flush_air()  # a control frame never overtakes data
         self.ended = True
+        body = json.dumps({"windows": self.sent}).encode()
+        self.delivered.append((int(FrameKind.BYE), body))
         self._run("bye", self.recovery.bye, self.sent)
 
     @precondition(lambda self: self.ended)
     @rule()
     def close(self):
         """The post-``BYE`` deadline: give up whatever is still open."""
+        self.closed = True
         self._run("close", self.recovery.give_up)
 
     # -- invariants ----------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import EcgMonitorSystem, SystemConfig, SyntheticMitBih
+from repro.core import EncodedPacket
 from repro.ecg.qrs import beat_match_rate, detect_qrs
 from repro.ecg.resample import resample_record
 
@@ -44,7 +45,8 @@ class TestFullOperatingPoint:
         for index in range(4):
             window = samples[index * config.n : (index + 1) * config.n]
             packet = system.encoder.encode(window)
-            decoded = system.decoder.decode_bytes(packet.to_bytes())
+            wire = EncodedPacket.from_bytes(packet.to_bytes())
+            decoded = system.decoder.decode(wire)
             assert decoded.sequence == index
 
     def test_diagnostic_beats_preserved(self, long_record):

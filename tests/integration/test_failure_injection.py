@@ -36,7 +36,7 @@ class TestCorruption:
         wire = bytearray(encoder.encode(windows[0]).to_bytes())
         wire[15] ^= 0x40
         with pytest.raises(PacketFormatError):
-            decoder.decode_bytes(bytes(wire))
+            decoder.decode(EncodedPacket.from_bytes(bytes(wire)))
 
     def test_truncated_wire_rejected(self, stream_setup):
         _, encoder, decoder, windows = stream_setup
@@ -45,7 +45,7 @@ class TestCorruption:
         wire = encoder.encode(windows[0]).to_bytes()
         for cut in (1, 5, len(wire) // 2):
             with pytest.raises(PacketFormatError):
-                decoder.decode_bytes(wire[:-cut])
+                decoder.decode(EncodedPacket.from_bytes(wire[:-cut]))
 
     def test_corrupted_huffman_payload_detected(self, stream_setup):
         """Bypass the CRC and hand the decoder garbage Huffman bits."""

@@ -164,10 +164,6 @@ class TestIfConversion:
         with pytest.raises(PlatformModelError):
             if_conversion_cycles(-1, True)
 
-    def test_prox_speedup_exposed_on_model(self, paper_config):
-        cpu = CortexA8Model()
-        assert cpu.prox_speedup(paper_config.n) > 4.0
-
 
 class TestLoopNest:
     """Figure 5: outer-loop vectorization of the two-filter bank."""

@@ -11,7 +11,6 @@ from repro.platforms.kernels import (
     dense_matvec_counts,
     dwt_counts,
     encoder_packet_counts,
-    fista_iteration_counts,
     gaussian_generation_counts,
     huffman_decode_counts,
     huffman_encode_counts,
@@ -42,9 +41,6 @@ class TestKernelCounts:
     def test_scaled_negative_rejected(self):
         with pytest.raises(ValueError):
             KernelCounts().scaled(-1)
-
-    def test_total_ops(self):
-        assert KernelCounts(int_ops=3, loads=2).total_ops() == 5
 
 
 class TestEncoderKernels:
@@ -110,14 +106,6 @@ class TestDecoderKernels:
 
     def test_prox_counts(self, paper_config):
         assert prox_counts(paper_config).float_ops == 4 * 512
-
-    def test_fista_iteration_composes_all_kernels(self, paper_config):
-        iteration = fista_iteration_counts(paper_config)
-        minimum = (
-            2 * idwt_counts(paper_config).float_macs
-        )
-        assert iteration.float_macs == minimum
-        assert iteration.float_ops >= 2 * 512 * 12
 
     def test_huffman_decode_counts(self, paper_config):
         counts = huffman_decode_counts(paper_config, 6.0)

@@ -89,11 +89,6 @@ class TestModelMechanics:
         model = Msp430Model()
         report = model.report(quantize_counts(paper_config))
         assert report.seconds == pytest.approx(report.cycles / 8e6)
-        assert report.milliseconds() == pytest.approx(report.seconds * 1e3)
-
-    def test_encode_energy_positive(self, paper_config):
-        model = Msp430Model()
-        assert model.encode_energy_mj(paper_config) > 0.0
 
     def test_encode_time_scales_with_d(self, paper_config):
         model = Msp430Model()

@@ -22,12 +22,6 @@ class TestBluetoothLink:
         link = BluetoothLink(throughput_bps=60_000.0)
         assert link.airtime_s(6_000) == pytest.approx(0.1)
 
-    def test_tx_energy(self):
-        link = BluetoothLink(
-            throughput_bps=60_000.0, tx_power_mw=90.0, idle_power_mw=3.0
-        )
-        assert link.tx_energy_mj(60_000) == pytest.approx(87.0)
-
     def test_average_power_interpolates(self):
         link = BluetoothLink(
             throughput_bps=60_000.0, tx_power_mw=90.0, idle_power_mw=3.0
@@ -40,11 +34,6 @@ class TestBluetoothLink:
         link = BluetoothLink(throughput_bps=60_000.0, tx_power_mw=90.0)
         assert link.average_power_mw(120_000.0) == pytest.approx(90.0)
 
-    def test_fits_realtime(self, paper_config):
-        link = BluetoothLink()
-        assert link.fits_realtime(3072, paper_config.packet_seconds)
-        assert not link.fits_realtime(10**7, paper_config.packet_seconds)
-
     def test_validation(self):
         with pytest.raises(PlatformModelError):
             BluetoothLink(throughput_bps=0.0)
@@ -52,8 +41,6 @@ class TestBluetoothLink:
             BluetoothLink().airtime_s(-1)
         with pytest.raises(PlatformModelError):
             BluetoothLink().average_power_mw(-1)
-        with pytest.raises(PlatformModelError):
-            BluetoothLink().fits_realtime(100, 0.0)
 
 
 class TestBattery:

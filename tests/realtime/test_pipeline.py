@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from telemetry_oracle import gauge_value
+
 from repro.config import SystemConfig
 from repro.errors import RealTimeError
 from repro.platforms.cortexa8 import DecodePipeline
@@ -234,13 +236,13 @@ class TestPipelineTelemetry:
         )
         report = MonitorPipeline(config, telemetry=registry).run()
         snap = registry.snapshot()
-        assert snap.gauge_value(
-            "realtime_utilization_percent", processor="phone"
+        assert gauge_value(
+            snap, "realtime_utilization_percent", processor="phone"
         ) == pytest.approx(report.phone_cpu_percent)
-        assert snap.gauge_value(
-            "realtime_utilization_percent", processor="node"
+        assert gauge_value(
+            snap, "realtime_utilization_percent", processor="node"
         ) == pytest.approx(report.node_cpu_percent)
-        assert snap.gauge_value("realtime_deadline_misses") == float(
+        assert gauge_value(snap, "realtime_deadline_misses") == float(
             report.decode_deadline_misses
         )
         hist = snap.histogram_total("realtime_end_to_end_latency_seconds")

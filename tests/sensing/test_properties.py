@@ -1,4 +1,4 @@
-"""Tests for sensing-matrix diagnostics (coherence, empirical RIP)."""
+"""Tests for sensing-matrix diagnostics (column norms, coherence)."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ from repro.sensing import (
     GaussianMatrix,
     SparseBinaryMatrix,
     column_norms,
-    empirical_rip_constant,
     mutual_coherence,
-    row_weights,
 )
 
 
@@ -43,50 +41,3 @@ class TestColumnAndRowStats:
         matrix = np.array([[3.0, 0.0], [4.0, 2.0]])
         assert np.allclose(column_norms(matrix), [5.0, 2.0])
 
-    def test_row_weights_sparse_binary(self):
-        phi = SparseBinaryMatrix(64, 128, d=8, seed=1)
-        weights = row_weights(phi.matrix())
-        assert weights.sum() == 128 * 8
-        # reasonably balanced: no starving rows at this density
-        assert weights.min() >= 1
-
-
-class TestEmpiricalRip:
-    def test_orthonormal_matrix_is_perfect_isometry(self):
-        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((32, 32)))
-        delta = empirical_rip_constant(q, sparsity=4, trials=50)
-        assert delta < 1e-10
-
-    def test_gaussian_matrix_small_constant(self):
-        phi = GaussianMatrix(128, 256, seed=3)
-        delta = empirical_rip_constant(phi.matrix(), sparsity=8, trials=100)
-        assert delta < 0.6
-
-    def test_sparse_binary_l1_isometry(self):
-        """RIP-p (p=1) flavor: after the 1/d normalization (unit l1
-        column norms), sparse vectors keep their l1 norm up to the small
-        loss caused by row collisions (Berinde et al. 2008)."""
-        import math
-
-        phi = SparseBinaryMatrix(256, 512, d=12, seed=1)
-        unit_l1_columns = phi.matrix() / math.sqrt(12)  # entries 1/d
-        delta = empirical_rip_constant(
-            unit_l1_columns, sparsity=8, trials=100, norm_order=1
-        )
-        assert delta < 0.35
-
-    def test_invalid_sparsity(self):
-        with pytest.raises(ValueError):
-            empirical_rip_constant(np.eye(4), sparsity=0)
-        with pytest.raises(ValueError):
-            empirical_rip_constant(np.eye(4), sparsity=5)
-
-    def test_invalid_trials(self):
-        with pytest.raises(ValueError):
-            empirical_rip_constant(np.eye(4), sparsity=1, trials=0)
-
-    def test_deterministic_by_seed(self):
-        phi = GaussianMatrix(32, 64, seed=1).matrix()
-        a = empirical_rip_constant(phi, sparsity=4, trials=20, seed=7)
-        b = empirical_rip_constant(phi, sparsity=4, trials=20, seed=7)
-        assert a == b

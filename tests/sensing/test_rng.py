@@ -69,12 +69,6 @@ class TestXorShift32:
         counts = np.bincount(values, minlength=16)
         assert counts.min() > 800  # ~1000 expected per bin
 
-    def test_float_in_unit_interval(self):
-        gen = XorShift32(seed=11)
-        for _ in range(1000):
-            value = gen.next_float()
-            assert 0.0 < value <= 1.0
-
     @given(st.integers(1, 2**32 - 1))
     def test_reproducible_from_any_seed(self, seed):
         a, b = XorShift32(seed), XorShift32(seed)

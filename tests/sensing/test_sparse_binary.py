@@ -93,9 +93,6 @@ class TestMeasurement:
         phi = SparseBinaryMatrix(256, 512, d=12)
         assert phi.storage_bits() == 512 * 12 * 8  # 8-bit indices for m=256
 
-    def test_describe_mentions_d(self):
-        assert "d=12" in SparseBinaryMatrix(256, 512, d=12).describe()
-
     @settings(deadline=None, max_examples=20)
     @given(st.integers(2, 8), st.integers(0, 1000))
     def test_integer_and_float_paths_consistent(self, d, seed):

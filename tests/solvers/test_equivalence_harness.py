@@ -1,12 +1,12 @@
 """Cross-stack equivalence harness for the raw-speed solver pass.
 
-The sparse ``Phi`` scatter/gather kernels and the float32/float64
+The sparse ``Phi`` gather kernel and the float32/float64
 hybrid pipeline are *performance* levers — this module is the property
 harness that pins them to the dense-GEMM float64 reference at every
 layer they thread through:
 
-- **kernel level** (seed sweep): ``SparsePhiApply.apply`` /
-  ``apply_transpose`` against the materialized pattern GEMM, across
+- **kernel level** (seed sweep): ``SparsePhiApply.apply`` against
+  the materialized pattern GEMM, across
   >= 8 sensing seeds x 4 shapes x widths including ``B = 1`` and
   ragged tails.  For integer-valued float64 inputs the agreement is
   **bit-identical** — both sides sum the exact 0/1 pattern and apply
@@ -90,20 +90,25 @@ class TestSparseApplyKernels:
             reference = (pattern @ signals) * matrix.scale
             assert np.array_equal(phi.apply(signals), reference)
 
-    def test_apply_transpose_bit_identical_on_integer_float64(
-        self, seed, shape
-    ):
+    def test_residual_bit_identical_on_integer_float64(self, seed, shape):
+        """The polish gate's input ``Phi @ S - Y``, into the buffers the
+        gate passes: on integer-valued float64 inputs, bit for bit the
+        dense pattern GEMM, scaled, minus ``Y``."""
         m, n, d = shape
         matrix = SparseBinaryMatrix(m, n, d=d, seed=seed)
         phi = SparsePhiApply(matrix)
         pattern = _pattern(matrix)
         rng = np.random.default_rng(2000 + seed)
         for width in WIDTHS:
-            resid = rng.integers(
-                -2048, 2048, size=(m, width)
-            ).astype(np.float64)
-            reference = (pattern.T @ resid) * matrix.scale
-            assert np.array_equal(phi.apply_transpose(resid), reference)
+            signals = rng.integers(-2048, 2048, size=(n, width))
+            ys = rng.integers(-2048, 2048, size=(m, width)).astype(np.float64)
+            signals = signals.astype(np.float64)
+            out = np.empty((m, width))
+            gather = np.empty((phi.nnz, width))
+            got = phi.residual(signals, ys, out=out, gather=gather)
+            assert got is out
+            reference = (pattern @ signals) * matrix.scale - ys
+            assert np.array_equal(got, reference)
 
     def test_apply_float64_real_inputs_ulp_tight(self, seed, shape):
         """General float inputs: every output is a d-term sum, so the
@@ -116,10 +121,6 @@ class TestSparseApplyKernels:
         signals = rng.standard_normal((n, 5))
         np.testing.assert_allclose(
             phi.apply(signals), csr @ signals, rtol=0, atol=1e-12
-        )
-        resid = rng.standard_normal((m, 5))
-        np.testing.assert_allclose(
-            phi.apply_transpose(resid), csr.T @ resid, rtol=0, atol=1e-12
         )
 
     def test_apply_float32_atol_bounded(self, seed, shape):
@@ -135,13 +136,6 @@ class TestSparseApplyKernels:
         assert out.dtype == np.float32
         reference = (pattern @ signals32.astype(np.float64)) * matrix.scale
         np.testing.assert_allclose(out, reference, rtol=0, atol=1e-4)
-        resid32 = rng.standard_normal((m, 4)).astype(np.float32)
-        out_t = phi.apply_transpose(resid32)
-        assert out_t.dtype == np.float32
-        reference_t = (
-            pattern.T @ resid32.astype(np.float64)
-        ) * matrix.scale
-        np.testing.assert_allclose(out_t, reference_t, rtol=0, atol=1e-4)
 
 
 class TestSparseApplyBuffers:
@@ -157,19 +151,6 @@ class TestSparseApplyBuffers:
         result = phi.apply(signals, out=out, gather=gather)
         assert result is out
         np.testing.assert_array_equal(result, phi.apply(signals))
-
-    def test_transpose_gather_reuses_oversized_flat_buffer(self):
-        """The transpose reshapes whatever scratch it is handed — an
-        arena sized for the forward gather works for both kernels."""
-        matrix = SparseBinaryMatrix(64, 128, d=8, seed=3)
-        phi = SparsePhiApply(matrix)
-        rng = np.random.default_rng(10)
-        resid = rng.standard_normal((64, 4))
-        big = np.empty(phi.nnz * 4)
-        np.testing.assert_array_equal(
-            phi.apply_transpose(resid, gather=big),
-            phi.apply_transpose(resid),
-        )
 
     def test_residual_is_apply_minus_ys(self):
         matrix = SparseBinaryMatrix(64, 128, d=8, seed=3)
@@ -198,8 +179,6 @@ class TestSparseApplyBuffers:
         phi = SparsePhiApply(matrix)
         with pytest.raises(SolverError):
             phi.apply(np.zeros((64, 2)))
-        with pytest.raises(SolverError):
-            phi.apply_transpose(np.zeros((128, 2)))
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import re
 
+from telemetry_oracle import exposition_matches_snapshot
+
 from repro.telemetry import (
     CATALOG,
     COUNTER,
@@ -9,7 +11,6 @@ from repro.telemetry import (
     HISTOGRAM,
     LABEL_NAMES,
     MetricsRegistry,
-    exposition_matches_snapshot,
     render_prometheus,
     spec_for,
 )

@@ -3,23 +3,22 @@
 from __future__ import annotations
 
 import asyncio
-import json
 
-import pytest
+from telemetry_oracle import (
+    exposition_matches_snapshot,
+    last_ring_snapshot,
+    parse_prometheus,
+    ring_records,
+)
 
-from repro.errors import TelemetryError
 from repro.telemetry import (
     JsonlRingSink,
     MetricsRegistry,
     MetricsServer,
     MetricsSnapshot,
-    exposition_matches_snapshot,
-    iter_ring_records,
-    parse_prometheus,
     render_prometheus,
     render_result_table,
     render_snapshot_table,
-    replay_ring,
     scrape_local,
 )
 
@@ -43,7 +42,7 @@ class TestJsonlRing:
         registry.inc("ingest_windows_decoded", 5, stream="100:0")
         final = registry.snapshot()
         sink.append(final)
-        assert replay_ring(sink.path) == final
+        assert last_ring_snapshot(sink.path) == final
 
     def test_ring_stays_bounded_and_keeps_newest(self, tmp_path):
         registry = MetricsRegistry()
@@ -51,38 +50,11 @@ class TestJsonlRing:
         for index in range(20):
             registry.inc("ticks")
             sink.append(registry.snapshot(), timestamp=float(index))
-        records = iter_ring_records(sink.path)
+        records = ring_records(sink.path)
         assert len(records) <= 2 * sink.max_records
         # newest record survived compaction and replays exactly
         assert records[-1]["unix_time"] == 19.0
-        assert replay_ring(sink.path) == registry.snapshot()
-
-    def test_torn_final_line_falls_back_to_previous_record(self, tmp_path):
-        registry = _busy_registry()
-        sink = JsonlRingSink(tmp_path / "metrics.jsonl")
-        good = registry.snapshot()
-        sink.append(good)
-        with sink.path.open("a", encoding="utf-8") as handle:
-            handle.write('{"schema": 1, "unix_time": 1.0, "snap')  # crash
-        assert replay_ring(sink.path) == good
-
-    def test_missing_file_replays_empty(self, tmp_path):
-        assert replay_ring(tmp_path / "never.jsonl") == MetricsSnapshot.empty()
-
-    def test_corrupt_interior_line_raises(self, tmp_path):
-        path = tmp_path / "metrics.jsonl"
-        sink = JsonlRingSink(path)
-        sink.append(MetricsSnapshot.empty())
-        lines = path.read_text().splitlines()
-        path.write_text("garbage\n" + lines[0] + "\n")
-        with pytest.raises(TelemetryError):
-            iter_ring_records(path)
-
-    def test_unknown_schema_rejected(self, tmp_path):
-        path = tmp_path / "metrics.jsonl"
-        path.write_text(json.dumps({"schema": 99, "snapshot": {}}) + "\n")
-        with pytest.raises(TelemetryError):
-            replay_ring(path)
+        assert last_ring_snapshot(sink.path) == registry.snapshot()
 
     def test_reopened_sink_continues_counting(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
@@ -92,7 +64,7 @@ class TestJsonlRing:
         again = JsonlRingSink(path, max_records=2)
         for _ in range(3):
             again.append(MetricsSnapshot.empty())
-        assert len(iter_ring_records(path)) <= 4
+        assert len(ring_records(path)) <= 4
 
 
 class TestPrometheusExposition:

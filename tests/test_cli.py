@@ -158,7 +158,7 @@ class TestCli:
         """--metrics-file/--metrics-port wire the telemetry plane: the
         run exits cleanly, prints the flush summary, and the ring file
         replays to a snapshot with the decoded windows accounted."""
-        from repro.telemetry import replay_ring
+        from telemetry_oracle import last_ring_snapshot
 
         ring = tmp_path / "metrics.jsonl"
         code = main(
@@ -179,7 +179,7 @@ class TestCli:
         assert code == 0
         assert "metrics exposition on http://" in captured
         assert "idle)" in captured  # flush summary names the idle trigger
-        snapshot = replay_ring(ring)
+        snapshot = last_ring_snapshot(ring)
         assert snapshot.counter_total("ingest_windows_decoded") == 4
 
     def test_serve_rejects_bad_metrics_interval(self, capsys):

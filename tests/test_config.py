@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -93,6 +95,40 @@ class TestSystemConfigValidation:
     def test_original_bits_below_adc_bits_rejected(self):
         with pytest.raises(ConfigurationError):
             SystemConfig(adc_bits=12, original_sample_bits=11)
+
+
+#: every field ``SystemConfig`` declares as an int
+INT_FIELDS = (
+    "n", "m", "d", "levels", "max_iterations", "sample_rate_hz",
+    "adc_bits", "original_sample_bits", "keyframe_interval", "seed",
+)
+
+
+class TestIntegralFields:
+    """A HELLO's config is JSON: a float, a non-finite number or a bool
+    where an int belongs is refused before any range check sees it."""
+
+    def test_the_declared_int_fields(self):
+        declared = {
+            spec.name
+            for spec in dataclasses.fields(SystemConfig)
+            if spec.type.startswith("int")
+        }
+        assert declared == set(INT_FIELDS)
+
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    @pytest.mark.parametrize(
+        "value", [1.5, math.inf, math.nan, True],
+        ids=["fraction", "infinity", "nan", "bool"],
+    )
+    def test_non_integral_value_refused(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an"):
+            SystemConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_numpy_integer_accepted(self, field):
+        value = getattr(PAPER_DEFAULT, field)
+        assert getattr(SystemConfig(**{field: np.int64(value)}), field) == value
 
 
 class TestDerivedQuantities:

@@ -1,4 +1,4 @@
-"""Every module under ``src/repro`` is reachable from an entry point.
+"""Every module and def under ``src/repro`` is reachable from an entry point.
 
 The entry points are the console script (``repro.cli``), repro-lint
 (``python -m repro.analysis``) and every file under ``examples/``,
@@ -8,6 +8,15 @@ package ``__init__``'s re-exports (including a PEP 562
 ``_LAZY_EXPORTS`` map) to the module that defines ``name``, so a
 package re-exporting a module does not by itself keep it alive: a
 module that only the tests import is dead code and fails here.
+
+Below modules, every function, method, property and class is checked
+by name: a def is live when code in ``src/``, ``examples/``,
+``benchmarks/`` or ``scripts/`` outside a ``test_*.py`` file names it
+(as a bare name or an attribute) outside the def's own body.  Imports,
+``__all__`` and ``_LAZY_EXPORTS`` strings are not uses, so a re-export
+alone keeps nothing alive.  Matching is by the bare name, so it can
+only err towards keeping a def: two defs that share a name keep each
+other.
 """
 
 from __future__ import annotations
@@ -141,6 +150,105 @@ def reachable_modules() -> set[str]:
     return reached
 
 
+#: decorator -> why every def it decorates is live although none is named
+ROOT_DECORATORS = {
+    "register": "repro-lint runs every rule class its registry holds",
+}
+
+#: ``module.qualname`` -> why the def stays although only tests name it
+DEF_EXCEPTIONS = {
+    # reference implementations the tests hold the table-driven hot
+    # paths to, bit for bit
+    "repro.coding.huffman.HuffmanCode.decode_symbol": "bit-serial tree "
+    "walk the table-driven Huffman decoder is compared against",
+    "repro.coding.huffman.huffman_code_lengths": "unconstrained Huffman "
+    "optimum the length-limited package-merge code is compared against",
+    # the paper's fig-8 display-thread model
+    "repro.platforms.iphone.IPhoneModel.display_pixel_rate_hz": "the "
+    "paper's display thread draws about one pixel per ECG sample",
+    "repro.platforms.iphone.IPhoneModel.buffer_requirement_s": "the "
+    "paper's 6 s shared buffer (2 s read + 2 s write + 2 s display)",
+    # readers ROADMAP items 5 and 12 name
+    "repro.ecg.records.Record.beat_samples": "annotated beat positions "
+    "the diagnostic checks of ROADMAP item 5 read",
+    "repro.coding.codebook.empirical_entropy_bits": "the entropy floor "
+    "ROADMAP item 12 compares the coded stream against",
+    # what the e2e smoke test, under benchmarks/, reaches
+    "repro.ingest.gateway.IngestGateway.connect_local": "the socket-free "
+    "link the gateway, hostile-wire and e2e smoke tests run on",
+    "repro.ingest.client.encoded_packets": "the offline packet reference "
+    "the e2e smoke and the gateway tests compare the wire against",
+}
+
+
+def _defs(tree: ast.Module, module: str) -> dict[str, ast.AST]:
+    """``module.qualname`` -> node of every module- and class-level def
+    (functions nested in functions belong to their enclosing def)."""
+    found = {}
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                found[f"{prefix}.{child.name}"] = child
+                if isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}.{child.name}")
+
+    visit(tree, module)
+    return found
+
+
+def _decorator_name(node: ast.expr) -> str:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def unreached_defs(
+    modules: dict[str, ast.Module], naming: list[ast.Module]
+) -> set[str]:
+    """Defs of ``modules`` that no tree in ``naming`` names outside the
+    def's own body (``modules`` are among the naming trees)."""
+    uses: dict[str, list[ast.AST]] = {}
+    for tree in naming:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+    unreached = set()
+    for module, tree in modules.items():
+        for qualname, node in _defs(tree, module).items():
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue  # the data model calls it
+            if any(
+                _decorator_name(d) in ROOT_DECORATORS
+                for d in node.decorator_list
+            ):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if all(id(use) in inside for use in uses.get(node.name, ())):
+                unreached.add(qualname)
+    return unreached
+
+
+def unreached_source_defs() -> set[str]:
+    modules = {name: _parse(path) for name, path in MODULES.items()}
+    naming = list(modules.values())
+    for directory in ENTRY_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            if not path.name.startswith("test_"):  # benchmarks/e2e's smoke
+                naming.append(_parse(path))
+    return unreached_defs(modules, naming)
+
+
+def _in_allowed_module(qualname: str) -> bool:
+    return any(qualname.startswith(f"{m}.") for m in TEST_ONLY_ALLOWED)
+
+
 def test_every_module_is_reachable_from_an_entry_point():
     unreached = set(MODULES) - reachable_modules() - set(TEST_ONLY_ALLOWED)
     assert not unreached, (
@@ -152,6 +260,60 @@ def test_every_module_is_reachable_from_an_entry_point():
 def test_allowed_exceptions_are_still_unreached():
     # once item 5 wires an exception in, it leaves the list
     assert not set(TEST_ONLY_ALLOWED) & reachable_modules()
+
+
+def test_every_def_is_named_outside_the_tests():
+    unreached = {
+        name
+        for name in unreached_source_defs() - set(DEF_EXCEPTIONS)
+        if not _in_allowed_module(name)
+    }
+    assert not unreached, (
+        "defs that only tests name (delete them, or name the reason in "
+        f"DEF_EXCEPTIONS): {sorted(unreached)}"
+    )
+
+
+def test_def_exceptions_are_still_unreached():
+    # an exception that gains a caller, or whose def is gone, leaves the list
+    assert set(DEF_EXCEPTIONS) <= unreached_source_defs()
+
+
+class TestDefScan:
+    """The def-level scan on small synthetic trees."""
+
+    @staticmethod
+    def _scan(source: str, *naming: str) -> set[str]:
+        tree = ast.parse(source)
+        return unreached_defs(
+            {"m": tree}, [tree, *(ast.parse(s) for s in naming)]
+        )
+
+    def test_orphan_function_and_method_are_flagged(self):
+        source = (
+            "def used(): return 1\n"
+            "def orphan(): return used()\n"
+            "class C:\n"
+            "    def kept(self): return 2\n"
+            "    def dropped(self): return self.kept()\n"
+        )
+        assert self._scan(source, "m.C().dropped") == {"m.orphan"}
+
+    def test_a_def_naming_itself_stays_unreached(self):
+        source = "def fact(n): return 1 if n < 2 else n * fact(n - 1)\n"
+        assert self._scan(source) == {"m.fact"}
+
+    def test_import_and_all_strings_are_not_uses(self):
+        source = "def f(): pass\n__all__ = ['f']\n"
+        assert self._scan(source, "from m import f") == {"m.f"}
+
+    def test_dunders_and_registered_classes_are_roots(self):
+        source = (
+            "@register\n"
+            "class Rule:\n"
+            "    def __repr__(self): return 'r'\n"
+        )
+        assert self._scan(source) == set()
 
 
 class TestResolver:

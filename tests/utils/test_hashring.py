@@ -101,23 +101,18 @@ class TestMembership:
 
 
 class TestBalance:
-    def test_segment_share_sums_to_one(self):
-        share = HashRing(NODES, seed=2011, replicas=64).segment_share()
-        assert sum(share.values()) == pytest.approx(1.0)
-        assert set(share) == set(NODES)
 
     def test_shares_reasonably_balanced(self):
         # 64 virtual points per node keep the worst node within ~2x of
         # fair share; a modulo table would be perfectly fair but lose
         # the minimal-remap property TestMembership pins
-        share = HashRing(NODES, seed=2011, replicas=64).segment_share()
-        for node, fraction in share.items():
+        ring = HashRing(NODES, seed=2011, replicas=64)
+        owners = [ring.lookup(k) for k in _keys(4000)]
+        for node in NODES:
+            fraction = owners.count(node) / len(owners)
             assert 0.10 < fraction < 0.50, (node, fraction)
 
     def test_keys_actually_spread(self):
         ring = HashRing(NODES, seed=2011, replicas=64)
         owners = {ring.lookup(k) for k in _keys(400)}
         assert owners == set(NODES)
-
-    def test_empty_ring_share(self):
-        assert HashRing().segment_share() == {}

@@ -83,11 +83,6 @@ class TestDefiningProperties:
         for power in range(moments):
             assert np.dot(g, n**power) == pytest.approx(0.0, abs=1e-6)
 
-    @pytest.mark.parametrize("name", ["db4", "sym4"])
-    def test_filter_length_is_twice_moments(self, name):
-        w = get_wavelet(name)
-        assert w.length == 2 * w.vanishing_moments
-
     def test_symlet_more_symmetric_than_db(self):
         """The symlet selection must not be *less* linear-phase than db."""
         from repro.wavelet.filters import _phase_nonlinearity
