@@ -60,7 +60,6 @@ async def main() -> None:
                 interval_s=INTERVAL_S,
                 fec=True,          # retransmit ring: zero-loss failover
                 reconnect=5,       # survive the gateway kill below
-                backoff_base_s=0.05,
             )
         )
 

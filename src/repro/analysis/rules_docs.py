@@ -1,4 +1,4 @@
-"""RL006: README must track the CLI (subcommands and serve flags).
+"""RL006: README must track the CLI (subcommands and flags).
 
 PR 3 introduced this check as shell greps in ``scripts/run_tier1.sh``;
 moving it into the linter makes it unit-testable, gives it file:line
@@ -12,8 +12,9 @@ The drift contract, unchanged from the shell version:
 - every argparse subcommand registered in ``cli.py`` (an
   ``add_parser("name", ...)`` call) appears in README.md as
   ``repro-ecg <name>``;
-- every flag in the ``CHANNEL_FLAGS`` and ``TELEMETRY_FLAGS`` tuples
-  of ``cli.py`` appears verbatim in README.md.
+- every ``--flag`` string passed to an ``add_argument(...)`` call in
+  ``cli.py`` appears verbatim in README.md, so a new flag is checked
+  the moment it is declared.
 
 The CLI surface is read by *parsing* the ``cli.py`` that lives under
 ``project.root`` — never by importing the installed :mod:`repro.cli` —
@@ -36,15 +37,6 @@ from pathlib import Path
 
 from .core import Finding, Project, Rule, register
 
-#: the module-level tuples in cli.py whose flags the README must list
-FLAG_TUPLES = (
-    "CHANNEL_FLAGS",
-    "TELEMETRY_FLAGS",
-    "PRECISION_FLAGS",
-    "FEDERATION_FLAGS",
-)
-
-
 def readme_drift(
     readme_text: str,
     subcommands: list[str],
@@ -66,47 +58,36 @@ def readme_drift(
 
 
 def cli_surface(cli_path: Path) -> tuple[list[str], list[str]]:
-    """``(subcommands, drift-checked flags)`` parsed out of ``cli_path``.
+    """``(subcommands, flags)`` parsed out of ``cli_path``.
 
     Static by design: an ``add_parser("<name>", ...)`` call declares a
-    subcommand; an assignment of a tuple/list of string literals to a
-    name in :data:`FLAG_TUPLES` declares drift-checked flags.
+    subcommand, and every ``"--flag"`` string argument of an
+    ``add_argument(...)`` call declares a flag (first-seen order, each
+    once: ``fleet`` and ``serve`` share several).
     """
     tree = ast.parse(cli_path.read_text(encoding="utf-8"), str(cli_path))
-    subcommands = []
+    subcommands: list[str] = []
+    flags: list[str] = []
     for node in ast.walk(tree):
-        if (
+        if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "add_parser"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
         ):
-            subcommands.append(node.args[0].value)
-    flags = []
-    for name in FLAG_TUPLES:
-        flags.extend(_string_tuple(tree, name))
+            continue
+        names = [
+            arg.value
+            for arg in node.args
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+        ]
+        if node.func.attr == "add_parser" and names[:1]:
+            subcommands.append(names[0])
+        elif node.func.attr == "add_argument":
+            flags.extend(
+                name
+                for name in names
+                if name.startswith("--") and name not in flags
+            )
     return subcommands, flags
-
-
-def _string_tuple(tree: ast.Module, name: str) -> list[str]:
-    """String literals of a module-level ``name = ("...", ...)``."""
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        if not any(
-            isinstance(t, ast.Name) and t.id == name for t in node.targets
-        ):
-            continue
-        if isinstance(node.value, (ast.Tuple, ast.List)):
-            return [
-                element.value
-                for element in node.value.elts
-                if isinstance(element, ast.Constant)
-                and isinstance(element.value, str)
-            ]
-    return []
 
 
 @register
@@ -115,7 +96,7 @@ class DocsDriftRule(Rule):
     name = "docs-drift"
     summary = (
         "README.md must list every repro-ecg subcommand and every "
-        "drift-checked serve flag"
+        "flag cli.py declares"
     )
 
     def finish(self, project: Project) -> list[Finding]:

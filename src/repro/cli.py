@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .config import SystemConfig
 from .core import EcgMonitorSystem
@@ -44,28 +44,6 @@ from .experiments import (
 from .telemetry import render_result_table
 
 _FIGURES = ("fig2", "fig6", "fig7")
-
-#: the lossy-channel simulation flags of ``serve --simulate``; the
-#: README drift check (repro-lint rule RL006, ``analysis/rules_docs.py``)
-#: looks for each of these, so the docs cannot silently fall behind the
-#: CLI
-CHANNEL_FLAGS = (
-    "--loss", "--reorder", "--dup", "--corrupt", "--channel-seed",
-    "--fec", "--nack-budget",
-)
-
-#: the telemetry flags of ``serve``; drift-checked against README
-#: exactly like CHANNEL_FLAGS
-TELEMETRY_FLAGS = ("--metrics-file", "--metrics-port")
-
-#: the decode-backend flags shared by ``fleet`` and ``serve``
-#: (``--simulate`` nodes request the backend in their handshake);
-#: drift-checked against README exactly like CHANNEL_FLAGS
-PRECISION_FLAGS = ("--precision",)
-
-#: the multi-gateway federation flags of ``serve``; drift-checked
-#: against README exactly like CHANNEL_FLAGS
-FEDERATION_FLAGS = ("--gateways", "--groups")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -344,12 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="probability one payload bit is flipped (CRC-detectable)",
     )
     channel.add_argument(
-        "--channel-seed",
-        type=int,
-        default=2011,
-        help="seed of the impairment RNG (per-node offsets applied)",
-    )
-    channel.add_argument(
         "--fec",
         action="store_true",
         help=(
@@ -357,16 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "frame per keyframe epoch (single-loss repair, zero "
             "round trips) and answer gateway NACKs with "
             "retransmissions for multi-loss epochs"
-        ),
-    )
-    channel.add_argument(
-        "--nack-budget",
-        type=int,
-        default=8,
-        help=(
-            "per-hold cap on NACKed sequences (re-NACKs included) "
-            "before the gateway falls back to keyframe resync "
-            "(with --fec)"
         ),
     )
 
@@ -397,23 +359,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _invalid_number(args: argparse.Namespace) -> str | None:
-    """Why a numeric flag shared by several subcommands is out of
-    range, else ``None``: checked before a subcommand builds anything,
-    so a bad value is one stderr line, not a traceback."""
-    from .errors import ConfigurationError
+def _at_least(low: int) -> tuple[Callable[[float], bool], str]:
+    return (lambda value: value >= low), f">= {low}"
 
-    if hasattr(args, "cr"):
-        try:
-            SystemConfig().with_target_cr(args.cr)
-        except ConfigurationError as exc:
-            return f"--cr: {exc}"
-    duration = getattr(args, "duration", 1.0)
-    if not 0.0 < duration < math.inf:
-        return f"--duration must be finite seconds > 0, got {duration:g}"
-    for flag in ("packets", "records"):
-        if getattr(args, flag, 1) < 1:
-            return f"--{flag} must be >= 1"
+
+_FINITE_POSITIVE = (lambda value: 0.0 < value < math.inf), "finite and > 0"
+_PROBABILITY = (lambda value: 0.0 <= value <= 1.0), "a probability in [0, 1]"
+_PORT = (lambda value: 0 <= value <= 65535), "a port in [0, 65535]"
+
+#: the valid range of every numeric flag, by argparse ``dest``; checked
+#: before dispatch, so a bad value is one stderr line and exit 2, never
+#: a traceback or a half-started gateway.  An omitted optional flag
+#: (``None``) is not checked.
+RANGES: dict[str, tuple[Callable[[float], bool], str]] = {
+    "cr": ((lambda value: 0.0 <= value < 100.0), "a percent in [0, 100)"),
+    "duration": _FINITE_POSITIVE,
+    "packets": _at_least(1),
+    "records": _at_least(1),
+    "streams": _at_least(1),
+    "groups": _at_least(1),
+    "gateways": _at_least(1),
+    "batch_size": _at_least(1),
+    "fleet_workers": _at_least(0),
+    "simulate": _at_least(0),
+    "port": _PORT,
+    "metrics_port": _PORT,
+    "flush_ms": _FINITE_POSITIVE,
+    "interval_ms": (
+        (lambda value: 0.0 <= value < math.inf),
+        "finite and >= 0",
+    ),
+    "metrics_interval": _FINITE_POSITIVE,
+    "loss": _PROBABILITY,
+    "reorder": _PROBABILITY,
+    "dup": _PROBABILITY,
+    "corrupt": _PROBABILITY,
+}
+
+
+def _out_of_range(args: argparse.Namespace) -> str | None:
+    """The first numeric flag outside its :data:`RANGES` entry, as
+    one message, else ``None``."""
+    for dest, (valid, requirement) in RANGES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not valid(value):
+            flag = "--" + dest.replace("_", "-")
+            return f"{flag} must be {requirement}, got {value:g}"
     return None
 
 
@@ -451,21 +442,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     from .fleet import FleetDecoder, StreamTask
 
-    from .errors import ConfigurationError
-
-    if args.streams < 1:
-        print("--streams must be >= 1", file=sys.stderr)
-        return 2
-    if args.groups < 1:
-        print("--groups must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        decoder = FleetDecoder(
-            batch_size=args.batch_size, workers=args.fleet_workers
-        )
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    decoder = FleetDecoder(
+        batch_size=args.batch_size, workers=args.fleet_workers
+    )
     base = SystemConfig().with_target_cr(args.cr)
     database = SyntheticMitBih(duration_s=args.duration)
     names = [
@@ -529,296 +508,127 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import dataclasses
 
-    from .errors import ConfigurationError
-    from .ingest import (
-        FederationFrontDoor,
-        IngestGateway,
-        LossyChannel,
-        NodeClient,
+    from .ingest import FederationFrontDoor, IngestGateway, LossyChannel
+    from .ingest.simulate import node_rows, simulated_nodes
+    from .telemetry import (
+        JsonlRingSink,
+        MetricsRegistry,
+        published,
+        render_snapshot_table,
     )
-    from .telemetry import JsonlRingSink, MetricsRegistry, MetricsServer
 
-    if args.simulate < 0:
-        print("--simulate must be >= 0", file=sys.stderr)
-        return 2
-    if args.metrics_interval <= 0:
-        print("--metrics-interval must be positive", file=sys.stderr)
-        return 2
-    if args.gateways < 1:
-        print("--gateways must be >= 1", file=sys.stderr)
-        return 2
-    if args.groups < 1:
-        print("--groups must be >= 1", file=sys.stderr)
-        return 2
-    if args.groups > 1 and not args.simulate:
+    channel = LossyChannel(
+        loss=args.loss,
+        reorder=args.reorder,
+        duplicate=args.dup,
+        corrupt=args.corrupt,
+    )
+    if not args.simulate and (args.groups > 1 or channel.impairs):
+        # a plain serve would silently ignore them
         print(
-            "--groups spreads the *simulated* nodes across operator "
-            "groups and needs --simulate N",
+            "--groups/--loss/--reorder/--dup/--corrupt shape the "
+            "*simulated* nodes and need --simulate N",
             file=sys.stderr,
         )
         return 2
+    if args.simulate > len(RECORD_NAMES):
+        # stream identity is record:channel, so once the corpus wraps
+        # the per-stream series merge the nodes sharing a record
+        print(
+            f"note: {args.simulate} nodes over a {len(RECORD_NAMES)}-record "
+            f"corpus: per-stream telemetry merges nodes sharing a record "
+            f"(per-session rows stay exact)",
+            file=sys.stderr,
+        )
     registry = MetricsRegistry()
     options = dict(
         batch_size=args.batch_size,
         flush_ms=args.flush_ms,
         workers=args.fleet_workers,
         telemetry=registry,
-        nack_budget=args.nack_budget,
     )
-    try:
-        if args.gateways > 1:
-            # N-process scale-out: the front door owns the public port
-            # and routes each node link by operator key to one of N
-            # supervised gateway worker processes, each built from the
-            # same gateway options
-            gateway = FederationFrontDoor(gateways=args.gateways, **options)
-        else:
-            gateway = IngestGateway(**options)
-        # validates the --loss/--reorder/--dup/--corrupt probabilities
-        channel_template = LossyChannel(
-            loss=args.loss,
-            reorder=args.reorder,
-            duplicate=args.dup,
-            corrupt=args.corrupt,
-            seed=args.channel_seed,
-        )
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if channel_template.impairs and not args.simulate:
-        print(
-            "--loss/--reorder/--dup/--corrupt impair the *simulated* "
-            "node links and need --simulate N; a plain serve would "
-            "silently ignore them",
-            file=sys.stderr,
-        )
-        return 2
+    if args.gateways > 1:
+        # the front door owns the public port and routes each node
+        # link by operator key to one of N gateway worker processes
+        gateway = FederationFrontDoor(gateways=args.gateways, **options)
+    else:
+        gateway = IngestGateway(**options)
+    nodes = simulated_nodes(
+        args.simulate,
+        packets=args.packets,
+        cr=args.cr,
+        precision=args.precision,
+        groups=args.groups,
+        interval_s=args.interval_ms / 1000.0,
+        channel=channel,
+        fec=args.fec,
+        telemetry=registry,
+    )
     ring = (
         JsonlRingSink(args.metrics_file)
         if args.metrics_file is not None
         else None
     )
+    batching = f"batch {args.batch_size}, flush {args.flush_ms:.0f} ms"
 
-    async def _open_sinks() -> tuple[MetricsServer | None, asyncio.Task | None]:
-        """Start the scrape endpoint and the periodic ring appender."""
-        server = None
-        if args.metrics_port is not None:
-            server = MetricsServer(registry)
-            port = await server.start(args.host, args.metrics_port)
-            print(f"metrics exposition on http://{args.host}:{port}/metrics")
-        appender = None
-        if ring is not None:
-
-            async def _append_loop() -> None:
-                loop = asyncio.get_running_loop()
-                while True:
-                    await asyncio.sleep(args.metrics_interval)
-                    # snapshot on the loop (cheap, lock-guarded), but
-                    # write — and possibly compact — off it: file I/O
-                    # must not stall frame reads or flush deadlines
-                    snapshot = registry.snapshot()
-                    await loop.run_in_executor(None, ring.append, snapshot)
-
-            appender = asyncio.create_task(_append_loop())
-            print(f"metrics ring file: {ring.path}")
-        return server, appender
-
-    async def _close_sinks(server, appender) -> None:
-        if appender is not None:
-            appender.cancel()
+    async def _run() -> list:
+        port = await gateway.start(args.host, args.port)
+        async with published(
+            registry,
+            args.host,
+            port=args.metrics_port,
+            ring=ring,
+            interval_s=args.metrics_interval,
+        ) as metrics_port:
+            if metrics_port is not None:
+                print(
+                    f"metrics exposition on "
+                    f"http://{args.host}:{metrics_port}/metrics"
+                )
+            if ring is not None:
+                print(f"metrics ring file: {ring.path}")
             try:
-                await appender
-            except asyncio.CancelledError:
-                pass
-        if ring is not None:
-            ring.append(registry.snapshot())  # final state survives exit
-        if server is not None:
-            await server.close()
-
-    async def _serve_forever() -> int:
-        port = await gateway.start(args.host, args.port)
-        server, appender = await _open_sinks()
-        if args.gateways > 1:
-            mode = f"{args.gateways}-gateway federation"
-        else:
-            workers = gateway.workers
-            mode = (
-                f"{workers} worker processes" if workers > 1 else "in-process"
-            )
-        print(
-            f"ingest gateway listening on {args.host}:{port} "
-            f"(batch {args.batch_size}, flush {args.flush_ms:.0f} ms, "
-            f"{mode} decode); Ctrl-C to stop"
-        )
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await gateway.close()
-            await _close_sinks(server, appender)
-        return 0
-
-    async def _simulate() -> int:
-        port = await gateway.start(args.host, args.port)
-        server, appender = await _open_sinks()
-        base = SystemConfig().with_target_cr(args.cr)
-        duration = args.packets * base.packet_seconds + 4.0
-        database = SyntheticMitBih(duration_s=duration)
-        clients = []
-        if args.simulate > len(RECORD_NAMES):
-            # stream identity is record:channel — once the corpus
-            # wraps, two concurrent nodes share an identity and the
-            # per-stream telemetry/merged views aggregate them as one
-            print(
-                f"note: {args.simulate} nodes over a {len(RECORD_NAMES)}"
-                f"-record corpus: stream identities repeat, so "
-                f"per-stream telemetry merges the nodes sharing a "
-                f"record (per-session rows stay exact)",
-                file=sys.stderr,
-            )
-        # by default every simulated node ships the paper's shared
-        # fixed matrix -> one operator group, batches fill across all
-        # of them; --groups K rotates the sensing seed so the nodes
-        # split into K operator groups (and, with --gateways, the ring
-        # spreads those groups across the federation)
-        for index in range(args.simulate):
-            record = database.load(
-                list(RECORD_NAMES)[index % len(RECORD_NAMES)]
-            )
-            config = base
-            if args.groups > 1:
-                config = dataclasses.replace(
-                    base, seed=base.seed + (index % args.groups)
+                if not nodes:
+                    print(
+                        f"ingest gateway listening on {args.host}:{port} "
+                        f"({batching}); Ctrl-C to stop"
+                    )
+                    await asyncio.Event().wait()
+                return await asyncio.gather(
+                    *[node.run_tcp(args.host, port) for node in nodes],
+                    return_exceptions=True,
                 )
-            system = EcgMonitorSystem(config, precision=args.precision)
-            system.calibrate(record)
-            lossy = None
-            if channel_template.impairs:
-                # distinct per-node seeds so the nodes' impairment
-                # patterns decorrelate, deterministically
-                lossy = dataclasses.replace(
-                    channel_template, seed=args.channel_seed + index
-                )
-            clients.append(
-                NodeClient(
-                    system,
-                    record,
-                    max_packets=args.packets,
-                    interval_s=args.interval_ms / 1000.0,
-                    lossy_channel=lossy,
-                    telemetry=registry,
-                    fec=args.fec,
-                )
-            )
-        try:
-            outcomes = await asyncio.gather(
-                *[client.run_tcp(args.host, port) for client in clients],
-                return_exceptions=True,
-            )
-        finally:
-            await gateway.close()
-            await _close_sinks(server, appender)
-        failures = [o for o in outcomes if isinstance(o, BaseException)]
-        for failure in failures:
-            print(f"node client failed: {failure}", file=sys.stderr)
-        reports = [o for o in outcomes if not isinstance(o, BaseException)]
-        if not reports:
-            return 1
-        # damage columns come from the gateway's per-stream results
-        # (authoritative: the node-side ack view misses damage after
-        # the last DECODED ack, e.g. a BYE-declared tail gap).  The
-        # WELCOME-assigned stream id pairs them exactly, even when
-        # several nodes stream the same record.
-        results_by_session = {
-            result.session_id: result for result in gateway.results
-        }
-        rows = []
-        for index, report in enumerate(reports):
-            result = results_by_session.get(report.stream_id, report)
-            rows.append(
-                {
-                    "stream": index,
-                    "record": report.record,
-                    "sent": report.sent,
-                    "decoded": report.acked,
-                    "lost": result.windows_lost,
-                    "recovered": getattr(result, "windows_recovered", 0),
-                    "resynced": result.windows_resynced,
-                    "corrupt": result.frames_corrupt,
-                    "dup": result.frames_duplicate,
-                    # None (no window ever decoded) renders as n/a via
-                    # the shared table helper — never as a perfect 0.0
-                    "max_latency_ms": report.max_gateway_latency_ms,
-                    "mean_iters": (
-                        sum(report.iterations)
-                        / max(len(report.iterations), 1)
-                    ),
-                }
-            )
-        stats = gateway.stats
-        title = (
-            f"live gateway: {args.simulate} nodes over TCP, "
-            f"batch {args.batch_size}, flush {args.flush_ms:.0f} ms"
-        )
-        if args.gateways > 1:
-            title += f", {args.gateways}-gateway federation"
-        if args.groups > 1:
-            title += f", {args.groups} operator groups"
-        if channel_template.impairs:
-            title += (
-                f", channel loss={args.loss:g} reorder={args.reorder:g} "
-                f"dup={args.dup:g} corrupt={args.corrupt:g}"
-            )
-        if args.fec:
-            title += f", fec on (nack budget {args.nack_budget})"
-        print(render_result_table(rows, title=title))
-        print(
-            f"{stats.windows_decoded} windows in {stats.batches} pooled "
-            f"batches ({stats.cross_stream_batches} spanning streams; "
-            f"flushes: {stats.flushes_full} full, "
-            f"{stats.flushes_deadline} deadline, "
-            f"{stats.flushes_drain} drain, "
-            f"{stats.flushes_idle} idle)"
-        )
-        print(
-            f"channel damage: {stats.windows_lost} windows lost, "
-            f"{stats.windows_resynced} resynced, "
-            f"{stats.frames_corrupt} corrupt frames, "
-            f"{stats.frames_duplicate} duplicate/stale frames dropped"
-        )
-        if args.fec:
-            recovered = (
-                stats.windows_recovered_parity
-                + stats.windows_recovered_retransmit
-            )
-            print(
-                f"recovery: {recovered} windows recovered "
-                f"({stats.windows_recovered_parity} parity, "
-                f"{stats.windows_recovered_retransmit} retransmit), "
-                f"{stats.nacks_sent} sequences NACKed, "
-                f"{stats.frames_late_retransmit} late retransmits dropped"
-            )
-        if args.gateways > 1:
-            fed = gateway.federation_stats()
-            per_gateway = ", ".join(
-                f"{gid}: {count}"
-                for gid, count in sorted(fed.streams_by_gateway.items())
-            )
-            print(
-                f"federation: {fed.streams_routed} stream(s) routed "
-                f"across {fed.gateways} gateways ({per_gateway}); "
-                f"{fed.reroutes} reroute(s)"
-            )
-        if failures or any(report.error for report in reports):
-            return 1
-        return 0
+            finally:
+                await gateway.close()
 
     try:
-        return asyncio.run(_simulate() if args.simulate else _serve_forever())
+        outcomes = asyncio.run(_run())
     except KeyboardInterrupt:
         print("gateway stopped")
         return 0
+    failures = [o for o in outcomes if isinstance(o, BaseException)]
+    for failure in failures:
+        print(f"node client failed: {failure}", file=sys.stderr)
+    reports = [o for o in outcomes if not isinstance(o, BaseException)]
+    if not reports:
+        return 1
+    title = f"live gateway: {args.simulate} nodes over TCP, {batching}"
+    if args.gateways > 1:
+        title += f", {args.gateways}-gateway federation"
+    if args.groups > 1:
+        title += f", {args.groups} operator groups"
+    if channel.impairs:
+        title += (
+            f", channel loss={args.loss:g} reorder={args.reorder:g} "
+            f"dup={args.dup:g} corrupt={args.corrupt:g}"
+        )
+    if args.fec:
+        title += ", fec on"
+    rows = node_rows(reports, gateway.results)
+    print(render_result_table(rows, title=title))
+    print(render_snapshot_table(registry.snapshot(), title="telemetry"))
+    return 1 if failures or any(report.error for report in reports) else 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -922,7 +732,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # repro-ecg parser
         return _cmd_lint(raw[1:])
     args = _build_parser().parse_args(raw)
-    problem = _invalid_number(args)
+    problem = _out_of_range(args)
     if problem is not None:
         print(problem, file=sys.stderr)
         return 2

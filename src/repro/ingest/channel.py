@@ -308,6 +308,14 @@ HOLD_CAP_EPOCHS = 4
 #: and the node retransmits — plain reorders.
 NACK_AFTER_FRAMES = 3
 
+#: NACKs one recovery hold may spend, re-NACKs included, before its gap
+#: falls back to keyframe resync; the live gateway's budget for every
+#: fec session.  Fixed: at ``NACK_AFTER_FRAMES`` frames per NACK, 8
+#: NACKs give a gap ~24 frames to fill, inside the
+#: ``HOLD_CAP_EPOCHS * keyframe_interval`` hold cap at the paper point,
+#: and no caller outside the tests ever set another value
+NACK_BUDGET = 8
+
 #: how a held gap got filled (the tier that recovered the window)
 _VIA_PARITY = "parity"
 _VIA_RETRANSMIT = "retransmit"
@@ -363,7 +371,7 @@ class StreamRecovery:
         payload: PacketPayloadDecoder,
         *,
         fec: bool = False,
-        nack_budget: int = 8,
+        nack_budget: int = NACK_BUDGET,
         on_nack: Callable[[list[int]], None] | None = None,
     ) -> None:
         self.tracker = tracker
@@ -713,7 +721,7 @@ def replay_survivors(
     dtype: type = np.float64,
     windows_sent: int | None = None,
     fec: bool = False,
-    nack_budget: int = 8,
+    nack_budget: int = NACK_BUDGET,
 ) -> tuple[list[tuple[int, np.ndarray]], LossAccounting]:
     """Offline stage-2 reference over a delivered frame sequence.
 
@@ -1061,6 +1069,7 @@ __all__ = [
     "LossyChannel",
     "LossyLink",
     "NACK_AFTER_FRAMES",
+    "NACK_BUDGET",
     "ResyncAnchor",
     "SequenceTracker",
     "StreamRecovery",

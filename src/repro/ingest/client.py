@@ -34,11 +34,13 @@ from .protocol import (
     read_frame,
 )
 
-#: reconnect backoff shape: delays double from ``backoff_base_s`` up to
-#: the cap, each stretched by up to this fraction of seeded jitter so
-#: nodes orphaned by one gateway death do not re-dial in lockstep.
-#: Fixed: the cap is one window period, and ``backoff_seed`` is what
-#: decorrelates a fleet.
+#: reconnect backoff shape: delays double from the base up to the cap,
+#: each stretched by up to this fraction of jitter so nodes orphaned by
+#: one gateway death do not re-dial in lockstep.  Fixed: the base is
+#: the one every caller used, the cap is one window period, and the
+#: jitter is seeded by the node's stream key (``record:channel``), so
+#: a fleet decorrelates and every node's schedule replays exactly.
+BACKOFF_BASE_S = 0.05
 BACKOFF_CAP_S = 2.0
 BACKOFF_JITTER = 0.25
 
@@ -135,9 +137,9 @@ class NodeClient:
         Maximum times :meth:`run_tcp` re-dials after a mid-stream
         connection loss (``0``, the default, keeps the old
         fail-fast behavior).  Each retry backs off exponentially
-        from ``backoff_base_s``, capped at :data:`BACKOFF_CAP_S`, with
-        up to :data:`BACKOFF_JITTER` (fractional) jitter seeded by
-        ``backoff_seed``.  A resumed session
+        from :data:`BACKOFF_BASE_S`, capped at :data:`BACKOFF_CAP_S`,
+        with up to :data:`BACKOFF_JITTER` (fractional) jitter seeded
+        by the stream key.  A resumed session
         declares ``resume`` in its HELLO (the next sequence it will
         carry) so the receiving gateway baselines its loss
         accounting there; an fec node additionally replays from its
@@ -157,8 +159,6 @@ class NodeClient:
         telemetry: MetricsRegistry | None = None,
         fec: bool = False,
         reconnect: int = 0,
-        backoff_base_s: float = 0.05,
-        backoff_seed: int | None = None,
     ) -> None:
         self.system = system
         self.record = record
@@ -181,8 +181,7 @@ class NodeClient:
         self._ring_cap = HOLD_CAP_EPOCHS * system.config.keyframe_interval
         self._ring_keyframes = HOLD_CAP_EPOCHS
         self.reconnect = int(reconnect)
-        self.backoff_base_s = float(backoff_base_s)
-        self._backoff_rng = random.Random(backoff_seed)
+        self._backoff_rng = random.Random(f"{record.name}:{channel}")
         #: packets encoded once per client, so every (re)connected
         #: session replays byte-identical frames
         self._packets: list[EncodedPacket] | None = None
@@ -217,7 +216,7 @@ class NodeClient:
         """Delay before reconnect ``attempt`` (1-based): capped
         exponential growth plus seeded proportional jitter."""
         base = min(
-            BACKOFF_CAP_S, self.backoff_base_s * (2 ** max(attempt - 1, 0))
+            BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** max(attempt - 1, 0))
         )
         return base * (1.0 + BACKOFF_JITTER * self._backoff_rng.random())
 

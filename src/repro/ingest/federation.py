@@ -325,12 +325,10 @@ class FederationFrontDoor:
     **gateway_options:
         Every other keyword is an option of
         :class:`~repro.ingest.gateway.IngestGateway` (``batch_size``,
-        ``flush_ms``, ``workers``, ``max_pending``, ``nack_budget``),
-        documented and
-        validated there and forwarded to each worker's gateway
-        untouched.  ``telemetry`` and ``session_id_base`` are the
-        front door's to assign (a private registry and a disjoint id
-        range per worker).
+        ``flush_ms``, ``workers``), documented and validated there and
+        forwarded to each worker's gateway untouched.  ``telemetry``
+        and ``session_id_base`` are the front door's to assign (a
+        private registry and a disjoint id range per worker).
     """
 
     def __init__(

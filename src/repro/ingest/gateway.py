@@ -35,11 +35,11 @@ connected:
   batches of one operator group decode concurrently.
 
 Backpressure is per stream: a session may have at most
-``max_pending`` windows in flight; past that its read loop stops
-pulling frames, which on TCP propagates to the node's socket.  The
-quota is acquired *before* any per-frame work (CRC parse, entropy
-decode, dequantization), so a flooding node cannot buy unbounded
-gateway CPU ahead of its backpressure bound.  One slow stream
+``PENDING_BATCHES * batch_size`` windows in flight; past that its read
+loop stops pulling frames, which on TCP propagates to the node's
+socket.  The quota is acquired *before* any per-frame work (CRC parse,
+entropy decode, dequantization), so a flooding node cannot buy
+unbounded gateway CPU ahead of its backpressure bound.  One slow stream
 therefore cannot grow the gateway's memory unboundedly or starve its
 group-mates.
 
@@ -97,6 +97,7 @@ from ..fleet.engine import solve_measurement_block
 from ..fleet.executor import SolveExecutor
 from ..telemetry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from .channel import (
+    NACK_BUDGET,
     FrameVerdict,
     LossAccounting,
     SequenceTracker,
@@ -124,6 +125,14 @@ DEFAULT_FLUSH_MS = 250.0
 #: accounting then give up identically), and one second covers several
 #: round trips of any link the 2 s window budget tolerates.
 NACK_DEADLINE_S = 1.0
+
+#: per-stream backpressure bound, in batches: a session stops reading
+#: frames while ``PENDING_BATCHES * batch_size`` of its windows await
+#: decoding.  Fixed: the bound has to be finite, and more than one
+#: batch so a lone saturating stream still fills full-width batches
+#: while its previous one solves; nothing outside the tests ever set
+#: another value
+PENDING_BATCHES = 4
 
 #: how many of its own window periods (``n / sample_rate_hz``, 2 s at
 #: the paper's point) a link may stay silent between ``HELLO`` and
@@ -538,22 +547,11 @@ class IngestGateway:
         A partial batch leaves on ``idle`` only while fewer solves than
         processes in use (:attr:`workers`; one in-process) are in
         flight.
-    max_pending:
-        Per-stream backpressure bound: a session stops reading frames
-        while this many of its windows await decoding.  Default
-        ``4 * batch_size``.
     telemetry:
         The :class:`~repro.telemetry.MetricsRegistry` every event is
         published to; a private registry is created when omitted.
         :attr:`stats` and each stream's damage accounting are read
         models over this registry.
-    nack_budget:
-        Per-hold tier-2 budget: at most this many sequences (re-NACKs
-        included) are NACKed for retransmission while one recovery
-        hold is open; a gap that would exceed it falls back to
-        keyframe resync immediately.  It refills when the hold closes.
-        After ``BYE`` the link stays open :data:`NACK_DEADLINE_S` for
-        retransmissions still owed.
     session_id_base:
         First session id this gateway assigns.  A federation front
         door gives each gateway a disjoint range so stream ids stay
@@ -565,9 +563,7 @@ class IngestGateway:
         batch_size: int = 32,
         flush_ms: float = DEFAULT_FLUSH_MS,
         workers: int | None = None,
-        max_pending: int | None = None,
         telemetry: MetricsRegistry | None = None,
-        nack_budget: int = 8,
         session_id_base: int = 0,
     ) -> None:
         if batch_size < 1:
@@ -582,28 +578,18 @@ class IngestGateway:
             )
         if workers is not None and workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        if max_pending is not None and max_pending < 1:
-            raise ConfigurationError(
-                f"max_pending must be >= 1, got {max_pending}"
-            )
-        if nack_budget < 0:
-            raise ConfigurationError(
-                f"nack_budget must be >= 0, got {nack_budget}"
-            )
         if session_id_base < 0:
             raise ConfigurationError(
                 f"session_id_base must be >= 0, got {session_id_base}"
             )
-        self.nack_budget = nack_budget
         self.batch_size = batch_size
         self.flush_s = flush_ms / 1000.0
         #: processes solving (1 in-process): the ``idle`` bound
         self.workers = workers if workers else 1
         self._requested_workers = workers
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
-        self.max_pending = (
-            max_pending if max_pending is not None else 4 * batch_size
-        )
+        #: per-stream backpressure bound (windows in flight)
+        self.max_pending = PENDING_BATCHES * batch_size
         #: completed stream results, in session-open order
         self.results: list[IngestStreamResult] = []
         #: per-flush composition log: ``(group_key, [(session_id,
@@ -897,7 +883,7 @@ class IngestGateway:
             session.tracker,
             session.payload,
             fec=handshake.fec,
-            nack_budget=self.nack_budget,
+            nack_budget=NACK_BUDGET,
             # NACKs ride the existing best-effort ack channel, sent
             # from the read loop — never from the solve path
             on_nack=lambda sequences, s=session: self._send_json(
@@ -1207,7 +1193,7 @@ class IngestGateway:
         )
         self._inflight += 1
         solve = asyncio.create_task(
-            self._route_async(batch, future, slot, started)
+            self._route_async(batch, task, future, slot, started)
         )
         self._solve_tasks.add(solve)
         solve.add_done_callback(self._solve_tasks.discard)
@@ -1222,15 +1208,26 @@ class IngestGateway:
     async def _route_async(
         self,
         batch: list[_PendingWindow],
+        task: dict,
         future: asyncio.Future,
         slot: asyncio.Semaphore,
         started: float,
     ) -> None:
         """Await one submitted solve, free its solver, and scatter its
-        results."""
+        results.  A failed solve is submitted once more: a worker that
+        died mid-solve then costs no window (the task is pure, so the
+        retry's result is the one the first attempt would have
+        returned), while a failure that repeats drops the batch."""
         error = None
         try:
-            out = await future
+            try:
+                out = await future
+            except Exception:  # repro-lint: disable=RL005 — any failure gets one retry; a second one reaches _fail_batch below
+                if self._executor is None:
+                    raise  # close() already shut the executor down
+                out = await asyncio.wrap_future(
+                    self._executor.submit(solve_measurement_block, task)
+                )
         except Exception as exc:  # repro-lint: disable=RL005 — waiting sessions must unblock on any solve failure; _fail_batch propagates the error
             error = exc
         finally:
@@ -1411,6 +1408,7 @@ def gateway_stats_from(telemetry: MetricsRegistry) -> GatewayStats:
 __all__ = [
     "DEFAULT_FLUSH_MS",
     "NACK_DEADLINE_S",
+    "PENDING_BATCHES",
     "GatewayStats",
     "IngestGateway",
     "IngestStreamResult",

@@ -38,6 +38,7 @@ _LAZY_EXPORTS = {
     "MetricsSnapshot": "core",
     "label_key": "core",
     "MetricsServer": "exposition",
+    "published": "exposition",
     "scrape_local": "exposition",
     "RING_SCHEMA": "sinks",
     "JsonlRingSink": "sinks",

@@ -12,10 +12,11 @@ surface at zero.
 from __future__ import annotations
 
 import asyncio
-from collections.abc import Callable
+import contextlib
+from collections.abc import AsyncIterator, Callable
 
 from .core import MetricsRegistry, MetricsSnapshot
-from .sinks import render_prometheus
+from .sinks import JsonlRingSink, render_prometheus
 
 
 class MetricsServer:
@@ -78,6 +79,50 @@ class MetricsServer:
                 await writer.wait_closed()
             except (ConnectionError, RuntimeError):
                 pass
+
+
+@contextlib.asynccontextmanager
+async def published(
+    registry: MetricsRegistry,
+    host: str,
+    port: int | None = None,
+    ring: JsonlRingSink | None = None,
+    interval_s: float = 5.0,
+) -> AsyncIterator[int | None]:
+    """Publish ``registry`` while the block runs: the exposition on
+    ``port`` (``0`` = OS-assigned; yields the bound port, ``None``
+    without one), and a snapshot appended to ``ring`` every
+    ``interval_s`` plus a last one on exit, so the final state
+    survives the process."""
+    server = None
+    if port is not None:
+        server = MetricsServer(registry)
+        port = await server.start(host, port)
+
+    async def _append_loop() -> None:
+        loop = asyncio.get_running_loop()
+        while True:
+            await asyncio.sleep(interval_s)
+            # snapshot on the loop (cheap, lock-guarded), but write —
+            # and possibly compact — off it: file I/O must not stall
+            # frame reads or flush deadlines
+            snapshot = registry.snapshot()
+            await loop.run_in_executor(None, ring.append, snapshot)
+
+    appender = (
+        asyncio.create_task(_append_loop()) if ring is not None else None
+    )
+    try:
+        yield port
+    finally:
+        if appender is not None:
+            appender.cancel()
+            await asyncio.gather(appender, return_exceptions=True)
+            await asyncio.get_running_loop().run_in_executor(
+                None, ring.append, registry.snapshot()
+            )
+        if server is not None:
+            await server.close()
 
 
 async def scrape_local(port: int, host: str = "127.0.0.1") -> str:

@@ -237,20 +237,24 @@ class TestRL006DocsDrift:
     def test_cli_surface_parsed_from_file(self, tmp_path):
         cli = tmp_path / "cli.py"
         cli.write_text(
-            "CHANNEL_FLAGS = ('--loss', '--reorder')\n"
-            "TELEMETRY_FLAGS = ('--adaptive',)\n"
-            "\n"
-            "\n"
             "def _build_parser():\n"
             "    sub = parser.add_subparsers()\n"
-            "    sub.add_parser('serve', help='run the gateway')\n"
+            "    serve = sub.add_parser('serve', help='run the gateway')\n"
+            "    serve.add_argument('--loss', type=float)\n"
+            "    serve.add_argument('-r', '--reorder', help='--not-a-flag')\n"
             "    ghost = sub.add_parser(\n"
             "        'ghost', help='multi-line call form'\n"
-            "    )\n",
+            "    )\n"
+            "    ghost.add_argument('positional')\n"
+            "    ghost.add_argument(\n"
+            "        '--adaptive', action='store_true'\n"
+            "    )\n"
+            "    ghost.add_argument('--loss', type=float)  # shared flag\n",
             encoding="utf-8",
         )
         subcommands, flags = cli_surface(cli)
         assert subcommands == ["serve", "ghost"]
+        # every add_argument flag, once, whatever its group or keywords
         assert flags == ["--loss", "--reorder", "--adaptive"]
 
     def test_surface_comes_from_lint_root_not_interpreter(self, tmp_path):
@@ -260,11 +264,9 @@ class TestRL006DocsDrift:
         pkg = tmp_path / "src" / "repro"
         pkg.mkdir(parents=True)
         (pkg / "cli.py").write_text(
-            "CHANNEL_FLAGS = ('--spooky',)\n"
-            "\n"
-            "\n"
             "def _build_parser():\n"
-            "    sub.add_parser('ghost', help='only in this tree')\n",
+            "    ghost = sub.add_parser('ghost', help='only in this tree')\n"
+            "    ghost.add_argument('--spooky')\n",
             encoding="utf-8",
         )
         (tmp_path / "README.md").write_text("no CLI reference here\n")

@@ -32,7 +32,7 @@ from repro.ingest import (
     encoded_packets,
     replay_survivors,
 )
-from repro.ingest.channel import sequence_delta
+from repro.ingest.channel import NACK_BUDGET, sequence_delta
 
 
 class _SinkWriter:
@@ -1126,7 +1126,7 @@ class TestReplaySurvivors:
             np.testing.assert_array_equal(column, reference[:, index])
 
 
-def _live_fec_run(config, windows, channel, budget):
+def _live_fec_run(config, windows, channel):
     """One paced fec link through a live gateway: its ordered result,
     the client's link, and the codebook it encoded with."""
     import asyncio
@@ -1140,9 +1140,7 @@ def _live_fec_run(config, windows, channel, budget):
     system.calibrate(record)
 
     async def run():
-        gateway = IngestGateway(
-            batch_size=16, flush_ms=50.0, nack_budget=budget
-        )
+        gateway = IngestGateway(batch_size=16, flush_ms=50.0)
         reader, writer = gateway.connect_local()
         client = NodeClient(
             system,
@@ -1188,7 +1186,7 @@ def _assert_replay_matches_live(
     )
 
 
-def test_give_up_scenario_live_matches_replay(paper_config):
+def test_give_up_scenario_live_matches_replay(paper_config, monkeypatch):
     """Regression, the scenario the e2e benchmark found: a give-up with
     an already-accepted packet at the head of the abandoned run used to
     end the link in a ``DecodingError``, live and in
@@ -1197,12 +1195,14 @@ def test_give_up_scenario_live_matches_replay(paper_config):
     22 needs would overspend a 1-NACK budget, so recovery gives up with
     20 (and 21) at the head of the held run.  Now it costs one keyframe
     resync and both sides keep identical books."""
+    import repro.ingest.gateway as gateway_module
+
     windows, budget = 48, 1
+    monkeypatch.setattr(gateway_module, "NACK_BUDGET", budget)
     result, link, codebook = _live_fec_run(
         paper_config,
         windows,
         LossyChannel(drop_sequences=(20, 22), seed=2011),
-        budget,
     )
     assert result.error is None
     assert result.nacks_sent == budget
@@ -1225,7 +1225,7 @@ def test_retransmit_after_bye_counts_alike_live_and_in_replay(paper_config):
     there; it used to call it after every recorded frame, so the copy
     replayed as a plain in-order admit and the replay read
     ``windows_recovered_retransmit`` 0."""
-    windows, budget = 32, 8
+    windows, budget = 32, NACK_BUDGET
     interval = paper_config.keyframe_interval
     final_epoch = windows - interval + 1  # first difference after it
     result, link, codebook = _live_fec_run(
@@ -1236,7 +1236,6 @@ def test_retransmit_after_bye_counts_alike_live_and_in_replay(paper_config):
             drop_parity_epochs=(final_epoch,),
             seed=2011,
         ),
-        budget,
     )
     assert result.error is None
     assert link.stats.parity_dropped == 1

@@ -101,8 +101,6 @@ def _make_clients(
                 interval_s=interval_s,
                 fec=fec,
                 reconnect=reconnect,
-                backoff_base_s=0.05,
-                backoff_seed=2011,
             )
         )
     return clients
@@ -576,8 +574,8 @@ class TestValidation:
         failures, and not by a second copy of the checks."""
         with pytest.raises(ConfigurationError, match="batch_size"):
             FederationFrontDoor(gateways=2, batch_size=0)
-        with pytest.raises(ConfigurationError, match="nack_budget"):
-            FederationFrontDoor(gateways=2, nack_budget=-1)
+        with pytest.raises(ConfigurationError, match="flush_ms"):
+            FederationFrontDoor(gateways=2, flush_ms=float("nan"))
         with pytest.raises(TypeError, match="workers_per_gateway"):
             FederationFrontDoor(gateways=2, workers_per_gateway=2)
         # the id range is the front door's to assign

@@ -9,9 +9,12 @@ per-stream reference exactly like the fleet tests.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import dataclasses
+import itertools
 import json
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -501,8 +504,10 @@ class TestPooledDecode:
                 IngestGateway(flush_ms=flush_ms)
         with pytest.raises(ConfigurationError):
             IngestGateway(workers=-1)
-        with pytest.raises(ConfigurationError):
-            IngestGateway(max_pending=0)
+        # the backpressure bound is a fixed number of batches
+        assert IngestGateway(batch_size=8).max_pending == (
+            gateway_module.PENDING_BATCHES * 8
+        )
 
 
 def _live_drains():
@@ -1025,18 +1030,21 @@ class TestIdleDispatch:
     def test_failed_solve_still_wakes_other_groups(
         self, small_config, database, monkeypatch, other_group
     ):
-        """A solve that dies frees the solver like one that returns:
-        group B's window, pooled behind group A's failing solve, leaves
-        on ``idle`` as soon as A fails, and no solve stays counted as
-        in flight."""
+        """A solve that dies, and dies again on its retry, frees the
+        solver like one that returns: group B's window, pooled behind
+        group A's failing solve, leaves on ``idle`` as soon as A's
+        retry fails, and no solve stays counted as in flight."""
         original = gateway_module.solve_measurement_block
         gate = threading.Event()
         entered = threading.Event()
+        calls = itertools.count()
 
         def failing_first_solve(task):
-            if not entered.is_set():
+            call = next(calls)
+            if call == 0:
                 entered.set()
                 gate.wait(PARK_TIMEOUT_S)
+            if call < 2:  # A's solve and its retry
                 raise RuntimeError("kaboom")
             return original(task)
 
@@ -1439,11 +1447,11 @@ class TestFaults:
 
     def test_solve_failure_releases_the_slot(self):
         """Whatever the executor (thread or process pool), a failed
-        solve takes one path: _route_async's broad except (carrying a
-        justified repro-lint RL005 suppression) must catch ANY failure
-        the future raises, fail the batch, and release the executor
-        slot — a leaked slot would wedge every later flush of that
-        operator at the semaphore."""
+        solve takes one path: _route_async's broad excepts (carrying
+        justified repro-lint RL005 suppressions) must catch ANY failure
+        the future and its retry raise, fail the batch, and release the
+        executor slot — a leaked slot would wedge every later flush of
+        that operator at the semaphore."""
 
         async def run():
             gateway = IngestGateway(batch_size=2, flush_ms=100.0)
@@ -1453,10 +1461,14 @@ class TestFaults:
             gateway._fail_batch = lambda batch, exc: failed.update(
                 batch=batch, exc=exc
             )
-            future = asyncio.get_running_loop().create_future()
-            future.set_exception(RuntimeError("pool kaboom"))
+            dead = concurrent.futures.Future()
+            dead.set_exception(RuntimeError("pool kaboom"))
+            # the retry dies as well
+            gateway._executor = SimpleNamespace(submit=lambda fn, task: dead)
             batch = [object(), object()]
-            await gateway._route_async(batch, future, slot, 0.0)
+            await gateway._route_async(
+                batch, {}, asyncio.wrap_future(dead), slot, 0.0
+            )
             return failed, slot.locked()
 
         failed, still_locked = asyncio.run(run())
@@ -1862,9 +1874,8 @@ class TestIdleDeadline:
         )
 
         async def run():
-            gateway = IngestGateway(
-                batch_size=64, flush_ms=60_000.0, max_pending=2
-            )
+            gateway = IngestGateway(batch_size=64, flush_ms=60_000.0)
+            gateway.max_pending = 2
             reader, writer = gateway.connect_local()
             writer.write(
                 Handshake(
@@ -2160,11 +2171,11 @@ class TestLossResilience:
         self, small_config, database, monkeypatch
     ):
         """A fec node says BYE with a gap open and never answers the
-        NACK (nor hangs up): the post-BYE grace window times out, the
+        NACK (nor hangs up): the node sees that one NACK, then the
+        gateway hang up once the post-BYE grace window has run out; the
         gap is given up and charged, and the session completes."""
-        from repro.ingest import gateway as gateway_module
-
-        monkeypatch.setattr(gateway_module, "NACK_DEADLINE_S", 0.05)
+        deadline_s = 0.05
+        monkeypatch.setattr(gateway_module, "NACK_DEADLINE_S", deadline_s)
         config = small_config.replace(keyframe_interval=4)
         record = database.load("100")
         system = _system(config, record)
@@ -2187,15 +2198,24 @@ class TestLossResilience:
                     encode_frame(FrameKind.PACKET, packets[index].to_bytes())
                 )
             writer.write(encode_json_frame(FrameKind.BYE, {"windows": 4}))
-            await asyncio.sleep(0.02)  # let the session task start
-            # the link stays open: only the deadline can end the wait
+            loop = asyncio.get_running_loop()
+            bye_at = loop.time()
+            # the node reads without answering, until the gateway hangs up
+            kinds = []
+            while (
+                frame := await asyncio.wait_for(read_frame(reader), 5.0)
+            ) is not None:
+                kinds.append(frame[0])
+            hung_up_after = loop.time() - bye_at
             await asyncio.wait_for(_drain_sessions(gateway), 5.0)
-            still_open = not writer._closed
             await gateway.close()
-            return gateway, still_open
+            return gateway, kinds, hung_up_after
 
-        gateway, still_open = asyncio.run(run())
-        assert still_open
+        gateway, kinds, hung_up_after = asyncio.run(run())
+        assert kinds.count(FrameKind.NACK) == 1
+        after_nack = kinds[kinds.index(FrameKind.NACK) + 1:]
+        assert set(after_nack) <= {FrameKind.DECODED}  # then only EOF
+        assert hung_up_after >= deadline_s
         result = gateway.results[0]
         assert result.clean_close and result.error is None
         assert result.nacks_sent == 1
@@ -2510,16 +2530,15 @@ class TestBackpressure:
     def test_quota_bounds_batch_contributions(
         self, small_config, database
     ):
-        """With max_pending=2 no flush can hold more than 2 windows of
+        """With a quota of 2 no flush can hold more than 2 windows of
         one stream, yet partial flushes keep the stream live end to
         end."""
         record = database.load("100")
         system = _system(small_config, record)
 
         async def run():
-            gateway = IngestGateway(
-                batch_size=64, flush_ms=40.0, max_pending=2
-            )
+            gateway = IngestGateway(batch_size=64, flush_ms=40.0)
+            gateway.max_pending = 2
             reader, writer = gateway.connect_local()
             client = NodeClient(
                 system, record, max_packets=6, interval_s=0.0
@@ -2545,7 +2564,7 @@ class TestBackpressure:
     ):
         """Regression: stages 1-2 must run *behind* the quota, so a
         flooding node cannot buy unbounded gateway CPU — with
-        max_pending=1 and nothing flushing (another group's solve
+        a quota of 1 and nothing flushing (another group's solve
         holds the solver), exactly one frame may be parsed, and a
         disconnect that cancels the quota wait leaks neither permits
         nor outstanding counts."""
@@ -2568,9 +2587,8 @@ class TestBackpressure:
         packets = encoded_packets(system, record, max_packets=3)
 
         async def run():
-            gateway = IngestGateway(
-                batch_size=64, flush_ms=60_000.0, max_pending=1
-            )
+            gateway = IngestGateway(batch_size=64, flush_ms=60_000.0)
+            gateway.max_pending = 1
             await _occupy_solver(gateway, parked, other_group)
             parsed["count"] = 0  # the busy group's own frame
             reader, writer = gateway.connect_local()
@@ -3018,34 +3036,31 @@ class TestNodeReconnect:
         # jitter off: the bare doubling-then-capped schedule
         monkeypatch.setattr(client_module, "BACKOFF_JITTER", 0.0)
         record = database.load("100")
-        client = NodeClient(
-            _system(small_config, record), record, backoff_base_s=0.05
-        )
+        client = NodeClient(_system(small_config, record), record)
         delays = [client.backoff_delay(attempt) for attempt in range(1, 9)]
         assert delays[:6] == pytest.approx(
             [0.05, 0.1, 0.2, 0.4, 0.8, 1.6]
         )
         assert delays[6] == delays[7] == pytest.approx(2.0)  # capped
 
-    def test_backoff_jitter_bounded_and_seeded(
+    def test_backoff_jitter_bounded_and_seeded_by_stream_key(
         self, small_config, database
     ):
-        record = database.load("100")
-
-        def make():
-            return NodeClient(
-                _system(small_config, record),
-                record,
-                backoff_base_s=0.1,
-                backoff_seed=7,
+        def delays(name, channel=0):
+            record = database.load(name)
+            client = NodeClient(
+                _system(small_config, record), record, channel=channel
             )
+            return [client.backoff_delay(k) for k in range(1, 6)]
 
-        a, b = make(), make()
-        delays_a = [a.backoff_delay(k) for k in range(1, 6)]
-        delays_b = [b.backoff_delay(k) for k in range(1, 6)]
-        assert delays_a == delays_b  # seeded: a fleet can be replayed
+        delays_a = delays("100")
+        # seeded by record:channel, so a fleet can be replayed ...
+        assert delays_a == delays("100")
+        # ... and its nodes do not re-dial in lockstep
+        assert delays_a != delays("101")
+        assert delays_a != delays("100", channel=1)
         for attempt, delay in enumerate(delays_a, start=1):
-            base = min(2.0, 0.1 * 2 ** (attempt - 1))
+            base = min(2.0, 0.05 * 2 ** (attempt - 1))
             assert base <= delay <= base * 1.25
 
     def test_mid_stream_cut_reconnects_and_resumes(
@@ -3069,8 +3084,6 @@ class TestNodeReconnect:
                 interval_s=0.05,
                 fec=True,
                 reconnect=3,
-                backoff_base_s=0.02,
-                backoff_seed=2011,
             )
             session = asyncio.ensure_future(
                 client.run_tcp("127.0.0.1", port)

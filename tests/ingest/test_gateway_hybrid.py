@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import EcgMonitorSystem
 from repro.fleet.engine import solve_measurement_block
+from repro.ingest.channel import NACK_BUDGET
 from repro.ingest import (
     IngestGateway,
     LossyChannel,
@@ -31,7 +32,6 @@ from repro.ingest import (
 )
 
 WINDOWS = 9
-NACK_BUDGET = 8
 
 
 async def _drain(gateway):
@@ -53,9 +53,7 @@ def test_live_gateway_matches_offline_replay(
     channel = LossyChannel(drop_sequences=(2,), seed=7)
 
     async def run():
-        gateway = IngestGateway(
-            batch_size=4, flush_ms=50.0, nack_budget=NACK_BUDGET
-        )
+        gateway = IngestGateway(batch_size=4, flush_ms=50.0)
         reader, writer = gateway.connect_local()
         client = NodeClient(
             system,
@@ -93,7 +91,7 @@ def test_live_gateway_matches_offline_replay(
         delivered,
         windows_sent=WINDOWS,
         fec=fec,
-        nack_budget=NACK_BUDGET,
+        nack_budget=NACK_BUDGET,  # the live gateway's
     )
     assert result.sequences == [seq for seq, _ in accepted]
     assert result.windows_lost == accounting.windows_lost

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -129,12 +131,16 @@ class TestCli:
         assert code == 0
         assert "live gateway: 2 nodes over TCP" in captured
         assert "max_latency_ms" in captured
-        assert "4 windows" in captured  # 2 nodes x 2 windows, all decoded
+        # 2 nodes x 2 windows, all decoded: one latency sample each
+        assert re.search(
+            r"ingest_window_latency_seconds \|\s+- \| histogram \|\s+4 \|",
+            captured,
+        )
 
     def test_serve_simulate_with_lossy_channel(self, capsys):
         """The --loss knob drives the simulator: the run survives the
-        impaired channel, and the table/summary report the damage
-        accounting instead of silently under-decoding."""
+        impaired channel, and the table and telemetry view report the
+        damage accounting instead of silently under-decoding."""
         code = main(
             [
                 "serve",
@@ -145,18 +151,18 @@ class TestCli:
                 "--flush-ms", "100",
                 "--interval-ms", "10",
                 "--loss", "0.25",
-                "--channel-seed", "3",
             ]
         )
         captured = capsys.readouterr().out
         assert code == 0
         assert "channel loss=0.25" in captured
         assert "lost" in captured and "resynced" in captured
-        assert "channel damage:" in captured
+        assert "fate=dropped" in captured
+        assert "ingest_windows_lost" in captured
 
     def test_serve_simulate_with_telemetry(self, capsys, tmp_path):
         """--metrics-file/--metrics-port wire the telemetry plane: the
-        run exits cleanly, prints the flush summary, and the ring file
+        run exits cleanly, prints the telemetry view, and the ring file
         replays to a snapshot with the decoded windows accounted."""
         from telemetry_oracle import last_ring_snapshot
 
@@ -178,7 +184,7 @@ class TestCli:
         captured = capsys.readouterr().out
         assert code == 0
         assert "metrics exposition on http://" in captured
-        assert "idle)" in captured  # flush summary names the idle trigger
+        assert "ingest_flushes" in captured  # the view lists the flushes
         snapshot = last_ring_snapshot(ring)
         assert snapshot.counter_total("ingest_windows_decoded") == 4
 

@@ -8,14 +8,18 @@ argued for against the rule the audit applied — two callers or
 workloads outside ``tests/`` and ``examples/`` that need different
 values.  Beside them, the field sets stage 3 hands back are pinned the
 same way: a field comes back only with a reader outside ``tests/``.
+So are the flags of ``repro-ecg serve`` and ``repro-ecg fleet``: a
+value that only a test sets is a module constant, not a flag.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import inspect
 
 from repro.analysis.runner import _build_parser
+from repro.cli import _build_parser as _build_cli_parser
 from repro.core import DecodedPacket
 from repro.ingest import (
     FederationFrontDoor,
@@ -43,9 +47,7 @@ def test_ingest_gateway_options():
         "batch_size",
         "flush_ms",
         "workers",
-        "max_pending",
         "telemetry",
-        "nack_budget",
         "session_id_base",
     ]
 
@@ -73,8 +75,6 @@ def test_node_client_options():
         "telemetry",
         "fec",
         "reconnect",
-        "backoff_base_s",
-        "backoff_seed",
     ]
 
 
@@ -118,14 +118,64 @@ def test_stage3_result_fields():
     ]
 
 
-def test_repro_lint_flags():
-    flags = sorted(
+def _long_flags(parser: argparse.ArgumentParser) -> list[str]:
+    return sorted(
         option
-        for action in _build_parser()._actions
+        for action in parser._actions
         for option in action.option_strings
         if option.startswith("--") and option != "--help"
     )
-    assert flags == [
+
+
+def _subcommand_flags(name: str) -> list[str]:
+    subparsers = next(
+        action
+        for action in _build_cli_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return _long_flags(subparsers.choices[name])
+
+
+def test_serve_flags():
+    assert _subcommand_flags("serve") == [
+        "--batch-size",
+        "--corrupt",
+        "--cr",
+        "--dup",
+        "--fec",
+        "--fleet-workers",
+        "--flush-ms",
+        "--gateways",
+        "--groups",
+        "--host",
+        "--interval-ms",
+        "--loss",
+        "--metrics-file",
+        "--metrics-interval",
+        "--metrics-port",
+        "--packets",
+        "--port",
+        "--precision",
+        "--reorder",
+        "--simulate",
+    ]
+
+
+def test_fleet_flags():
+    assert _subcommand_flags("fleet") == [
+        "--batch-size",
+        "--cr",
+        "--duration",
+        "--fleet-workers",
+        "--groups",
+        "--packets",
+        "--precision",
+        "--streams",
+    ]
+
+
+def test_repro_lint_flags():
+    assert _long_flags(_build_parser()) == [
         "--format",
         "--list-rules",
         "--report",
