@@ -32,6 +32,7 @@ from .config import SystemConfig
 from .core import EcgMonitorSystem
 from .core.decoder import BACKENDS
 from .ecg import RECORD_NAMES, SyntheticMitBih
+from .errors import ConfigurationError
 from .experiments import (
     render_table,
     run_encoder_budget,
@@ -364,36 +365,30 @@ def _at_least(low: int) -> tuple[Callable[[float], bool], str]:
 
 
 _FINITE_POSITIVE = (lambda value: 0.0 < value < math.inf), "finite and > 0"
-_PROBABILITY = (lambda value: 0.0 <= value <= 1.0), "a probability in [0, 1]"
 _PORT = (lambda value: 0 <= value <= 65535), "a port in [0, 65535]"
 
-#: the valid range of every numeric flag, by argparse ``dest``; checked
-#: before dispatch, so a bad value is one stderr line and exit 2, never
-#: a traceback or a half-started gateway.  An omitted optional flag
-#: (``None``) is not checked.
+#: the valid range of every numeric flag no library code checks, by
+#: argparse ``dest``; checked before dispatch, so a bad value is one
+#: stderr line and exit 2, never a traceback or a half-started
+#: gateway.  An omitted optional flag (``None``) is not checked.  The
+#: rest (``--cr``, ``--batch-size``, ``--flush-ms``, ``--fleet-workers``,
+#: ``--gateways``, the channel rates) are checked by the constructor
+#: that owns them, whose :class:`ConfigurationError` :func:`main` turns
+#: into the same one line and exit 2.
 RANGES: dict[str, tuple[Callable[[float], bool], str]] = {
-    "cr": ((lambda value: 0.0 <= value < 100.0), "a percent in [0, 100)"),
     "duration": _FINITE_POSITIVE,
     "packets": _at_least(1),
     "records": _at_least(1),
     "streams": _at_least(1),
     "groups": _at_least(1),
-    "gateways": _at_least(1),
-    "batch_size": _at_least(1),
-    "fleet_workers": _at_least(0),
     "simulate": _at_least(0),
     "port": _PORT,
     "metrics_port": _PORT,
-    "flush_ms": _FINITE_POSITIVE,
     "interval_ms": (
         (lambda value: 0.0 <= value < math.inf),
         "finite and >= 0",
     ),
     "metrics_interval": _FINITE_POSITIVE,
-    "loss": _PROBABILITY,
-    "reorder": _PROBABILITY,
-    "dup": _PROBABILITY,
-    "corrupt": _PROBABILITY,
 }
 
 
@@ -532,15 +527,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.simulate > len(RECORD_NAMES):
-        # stream identity is record:channel, so once the corpus wraps
-        # the per-stream series merge the nodes sharing a record
-        print(
-            f"note: {args.simulate} nodes over a {len(RECORD_NAMES)}-record "
-            f"corpus: per-stream telemetry merges nodes sharing a record "
-            f"(per-session rows stay exact)",
-            file=sys.stderr,
-        )
     registry = MetricsRegistry()
     options = dict(
         batch_size=args.batch_size,
@@ -548,12 +534,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.fleet_workers,
         telemetry=registry,
     )
-    if args.gateways > 1:
+    if args.gateways != 1:
         # the front door owns the public port and routes each node
         # link by operator key to one of N gateway worker processes
+        # (and refuses a count below 1)
         gateway = FederationFrontDoor(gateways=args.gateways, **options)
+        mode = f"{args.gateways}-gateway federation"
     else:
         gateway = IngestGateway(**options)
+        mode = (
+            f"{gateway.workers} worker processes"
+            if gateway.workers > 1
+            else "in-process"
+        )
     nodes = simulated_nodes(
         args.simulate,
         packets=args.packets,
@@ -565,6 +558,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fec=args.fec,
         telemetry=registry,
     )
+    if args.simulate > len(RECORD_NAMES):
+        # stream identity is record:channel, so once the corpus wraps
+        # the per-stream series merge the nodes sharing a record
+        print(
+            f"note: {args.simulate} nodes over a {len(RECORD_NAMES)}-record "
+            f"corpus: per-stream telemetry merges nodes sharing a record "
+            f"(per-session rows stay exact)",
+            file=sys.stderr,
+        )
     ring = (
         JsonlRingSink(args.metrics_file)
         if args.metrics_file is not None
@@ -592,7 +594,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 if not nodes:
                     print(
                         f"ingest gateway listening on {args.host}:{port} "
-                        f"({batching}); Ctrl-C to stop"
+                        f"({batching}, {mode} decode); Ctrl-C to stop"
                     )
                     await asyncio.Event().wait()
                 return await asyncio.gather(
@@ -746,7 +748,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "simd": _cmd_simd,
         "records": _cmd_records,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ConfigurationError as exc:
+        # a library range check: one stderr line, never a traceback
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from ..coding import Codebook
 from ..config import SystemConfig
 from ..ecg.records import Record
 from ..ecg.resample import resample_record
+from ..errors import ConfigurationError
 from ..metrics import compression_ratio, prd, snr_from_prd
 from .decoder import CSDecoder
 from .encoder import CSEncoder
@@ -179,7 +180,9 @@ class EcgMonitorSystem:
         metrics.
         """
         if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+            raise ConfigurationError(
+                f"batch_size must be >= 1, got {batch_size}"
+            )
         if max_packets is not None and max_packets < 1:
             raise ValueError(
                 f"max_packets={max_packets} requests no windows; "

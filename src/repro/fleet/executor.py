@@ -22,7 +22,12 @@ import ctypes
 import os
 import warnings
 from collections.abc import Callable, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 
 import numpy as np
 
@@ -138,12 +143,11 @@ class SolveExecutor:
         self.slot = asyncio.Semaphore(self.bound)
         self._pool: ProcessPoolExecutor | ThreadPoolExecutor | None = None
         if workers is not None and workers >= 2:
+            self.workers = workers
             try:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=workers, initializer=pin_blas_to_one_thread
-                )
-                self.workers = workers
+                self._pool = self._new_pool()
             except (ImportError, NotImplementedError, OSError, ValueError) as exc:
+                self.workers = 1
                 warnings.warn(
                     f"solve executor falling back to in-process solves: "
                     f"process pool unavailable on this platform ({exc})",
@@ -151,9 +155,16 @@ class SolveExecutor:
                     stacklevel=3,
                 )
         if self._pool is None and threaded:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.bound, thread_name_prefix="solve"
+            self._pool = self._new_pool()
+
+    def _new_pool(self) -> ProcessPoolExecutor | ThreadPoolExecutor:
+        if self.workers >= 2:
+            return ProcessPoolExecutor(
+                max_workers=self.workers, initializer=pin_blas_to_one_thread
             )
+        return ThreadPoolExecutor(
+            max_workers=self.bound, thread_name_prefix="solve"
+        )
 
     def submit(
         self,
@@ -161,8 +172,22 @@ class SolveExecutor:
         task: dict[str, np.ndarray | dict | str | float],
     ) -> Future:
         """Start ``fn(task)`` on the pool (threads or processes — an
-        inline executor only maps); the caller reads the future."""
-        return self._pool.submit(fn, task)  # repro-lint: disable=RL009 — the one designed hand-off: stages 1-2 ran in the caller, so a task ships scalar config fields plus pooled, dequantized measurement columns (kilobytes per batch), never an operator; workers rebuild A from the config seed
+        inline executor only maps); the caller reads the future.
+
+        A worker process that dies breaks its whole pool: every future
+        it holds fails, and every later submit raises, with
+        :class:`~concurrent.futures.process.BrokenProcessPool`.  The
+        first submit that meets a broken pool replaces it with a fresh
+        one of the same size, so one death does not end the executor.
+        """
+        try:
+            return self._pool.submit(fn, task)  # repro-lint: disable=RL009 — the one designed hand-off: stages 1-2 ran in the caller, so a task ships scalar config fields plus pooled, dequantized measurement columns (kilobytes per batch), never an operator; workers rebuild A from the config seed
+        except BrokenExecutor:
+            self._pool.shutdown(wait=False)
+            self._pool = self._new_pool()
+            # a fresh pool has no worker to lose before its first
+            # submit, so this recurses at most once
+            return self.submit(fn, task)
 
     def map(self, fn: Callable[[dict], dict], tasks: Sequence[dict]) -> list:
         """``[fn(task) for task in tasks]``, in task order, blocking."""

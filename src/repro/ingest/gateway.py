@@ -82,6 +82,7 @@ import math
 import time
 import warnings
 from collections import deque
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -1214,17 +1215,16 @@ class IngestGateway:
         started: float,
     ) -> None:
         """Await one submitted solve, free its solver, and scatter its
-        results.  A failed solve is submitted once more: a worker that
-        died mid-solve then costs no window (the task is pure, so the
-        retry's result is the one the first attempt would have
-        returned), while a failure that repeats drops the batch."""
+        results.  A solve lost to a broken process pool (a worker died
+        and failed every solve the pool held, this one's task through
+        no fault of its own) is submitted once more, to the fresh pool
+        the executor starts; any other failure, or a second one, drops
+        the batch."""
         error = None
         try:
             try:
                 out = await future
-            except Exception:  # repro-lint: disable=RL005 — any failure gets one retry; a second one reaches _fail_batch below
-                if self._executor is None:
-                    raise  # close() already shut the executor down
+            except BrokenExecutor:
                 out = await asyncio.wrap_future(
                     self._executor.submit(solve_measurement_block, task)
                 )

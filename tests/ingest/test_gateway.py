@@ -9,12 +9,9 @@ per-stream reference exactly like the fleet tests.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import dataclasses
-import itertools
 import json
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1030,21 +1027,18 @@ class TestIdleDispatch:
     def test_failed_solve_still_wakes_other_groups(
         self, small_config, database, monkeypatch, other_group
     ):
-        """A solve that dies, and dies again on its retry, frees the
-        solver like one that returns: group B's window, pooled behind
-        group A's failing solve, leaves on ``idle`` as soon as A's
-        retry fails, and no solve stays counted as in flight."""
+        """A solve that dies frees the solver like one that returns:
+        group B's window, pooled behind group A's failing solve, leaves
+        on ``idle`` as soon as A fails, and no solve stays counted as
+        in flight."""
         original = gateway_module.solve_measurement_block
         gate = threading.Event()
         entered = threading.Event()
-        calls = itertools.count()
 
         def failing_first_solve(task):
-            call = next(calls)
-            if call == 0:
+            if not entered.is_set():
                 entered.set()
                 gate.wait(PARK_TIMEOUT_S)
-            if call < 2:  # A's solve and its retry
                 raise RuntimeError("kaboom")
             return original(task)
 
@@ -1447,11 +1441,11 @@ class TestFaults:
 
     def test_solve_failure_releases_the_slot(self):
         """Whatever the executor (thread or process pool), a failed
-        solve takes one path: _route_async's broad excepts (carrying
-        justified repro-lint RL005 suppressions) must catch ANY failure
-        the future and its retry raise, fail the batch, and release the
-        executor slot — a leaked slot would wedge every later flush of
-        that operator at the semaphore."""
+        solve takes one path: _route_async's broad except (carrying a
+        justified repro-lint RL005 suppression) must catch ANY failure
+        the future raises, fail the batch, and release the executor
+        slot — a leaked slot would wedge every later flush of that
+        operator at the semaphore."""
 
         async def run():
             gateway = IngestGateway(batch_size=2, flush_ms=100.0)
@@ -1461,14 +1455,10 @@ class TestFaults:
             gateway._fail_batch = lambda batch, exc: failed.update(
                 batch=batch, exc=exc
             )
-            dead = concurrent.futures.Future()
-            dead.set_exception(RuntimeError("pool kaboom"))
-            # the retry dies as well
-            gateway._executor = SimpleNamespace(submit=lambda fn, task: dead)
+            future = asyncio.get_running_loop().create_future()
+            future.set_exception(RuntimeError("pool kaboom"))
             batch = [object(), object()]
-            await gateway._route_async(
-                batch, {}, asyncio.wrap_future(dead), slot, 0.0
-            )
+            await gateway._route_async(batch, {}, future, slot, 0.0)
             return failed, slot.locked()
 
         failed, still_locked = asyncio.run(run())

@@ -3,33 +3,43 @@
 A test-only shim in :class:`~repro.ingest.channel.LossyChannel`'s
 idiom: every solve attempt the gateway submits draws one fate from a
 seeded RNG, keyed by ``(seed, batch, attempt)``, so any failure replays
-from its seed.
+from its seed.  The shim wraps each pool the executor starts, and a
+fate fails the way a ``ProcessPoolExecutor`` does:
 
 - ``ok``: the solve runs as usual;
-- ``die``: the worker dies mid-solve — the solve runs, but its future
-  raises instead of returning;
+- ``die``: the worker dies mid-solve — its pool breaks, so this solve
+  and every other the pool still holds fail with
+  :class:`~concurrent.futures.process.BrokenProcessPool`, and so does
+  every later submit to that pool;
 - ``late``: the result is held back and only arrives once
   :meth:`IngestGateway.close` has begun.
 
 Under every fate the gateway must keep its books: each window a node
 sent is decoded, charged as lost or resynced, or a member of a batch
-whose solve died on every attempt — exactly one of them
+whose solve failed on every attempt — exactly one of them
 (conservation); nothing is pending once ``close()`` returns; and a
-victim stream loses at most ``keyframe_interval`` windows.
+death costs no window unless a batch meets two of them.
+
+``test_a_killed_pool_worker_costs_no_window`` checks the same path on
+a real process pool whose worker exits mid-solve.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import os
 import random
 import threading
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 import repro.fleet.executor as executor_module
+import repro.ingest.gateway as gateway_module
 from repro.core import EcgMonitorSystem
+from repro.fleet.engine import solve_measurement_block
 from repro.ingest import (
     FrameKind,
     Handshake,
@@ -51,12 +61,55 @@ TIME_BOX_S = 60.0
 FATES = ("ok", "die", "late")
 
 
-class _FaultySubmit:
-    """Replaces ``SolveExecutor.submit``: one seeded fate per attempt.
+class _FaultyPool:
+    """A thread pool that breaks the way a process pool does."""
 
-    The gateway retries a failed solve with the same task object, so a
-    task's first submit numbers its batch (the gateway's ``batch_log``
-    order) and each further submit is another attempt of that batch.
+    def __init__(self, shim: "_FaultySubmit", pool) -> None:
+        self.shim = shim
+        self.pool = pool
+        self.broken = False
+        #: futures handed out and not yet settled
+        self.unsettled: set[concurrent.futures.Future] = set()
+
+    def submit(self, fn, task):
+        with self.shim.lock:
+            if self.broken:
+                raise BrokenProcessPool("a worker died; the pool is broken")
+        return self.shim.submit(self, fn, task)
+
+    def die(self) -> None:
+        """A worker died: fail everything this pool still holds, and
+        refuse every later submit."""
+        with self.shim.lock:
+            self.broken = True
+            victims, self.unsettled = self.unsettled, set()
+        for seen in victims:
+            seen.set_exception(BrokenProcessPool("a worker died mid-solve"))
+
+    def settle(self, seen, solved) -> None:
+        """Hand a finished solve's outcome to the gateway's future,
+        unless the pool broke first."""
+        with self.shim.lock:
+            if seen not in self.unsettled:
+                return
+            self.unsettled.discard(seen)
+        if solved.exception() is not None:
+            seen.set_exception(solved.exception())
+        else:
+            seen.set_result(solved.result())
+
+    def shutdown(self, wait: bool = True) -> None:
+        self.pool.shutdown(wait=wait)
+
+
+class _FaultySubmit:
+    """One seeded fate per solve attempt, over every pool the executor
+    starts.
+
+    After a ``die`` the gateway submits the same task object once more,
+    so a task's first submit numbers its batch (the gateway's
+    ``batch_log`` order) and a further submit is another attempt of
+    that batch.
     """
 
     def __init__(self, seed: int, weights=(0.6, 0.2, 0.2), script=None):
@@ -65,13 +118,20 @@ class _FaultySubmit:
         #: fates by batch, overriding the draw (a scripted scenario)
         self.script = script or {}
         self.tasks: list[dict] = []
-        #: the fate of every attempt, by batch
+        #: the fate, and the future the gateway got, of every attempt,
+        #: by batch
         self.fates: list[list[str]] = []
-        self.futures: list[concurrent.futures.Future] = []
-        self._held: list[tuple[concurrent.futures.Future, ...]] = []
+        self.attempts: list[list[concurrent.futures.Future]] = []
+        self.pools: list[_FaultyPool] = []
+        self._held: list[tuple[_FaultyPool, ...]] = []
         self._released = False
-        self._lock = threading.Lock()
-        self._submit = executor_module.SolveExecutor.submit
+        self.lock = threading.Lock()
+        self._new_pool = executor_module.SolveExecutor._new_pool
+
+    def new_pool(self, executor) -> _FaultyPool:
+        pool = _FaultyPool(self, self._new_pool(executor))
+        self.pools.append(pool)
+        return pool
 
     def _fate(self, batch: int, attempt: int) -> str:
         if batch in self.script:
@@ -79,7 +139,7 @@ class _FaultySubmit:
         rng = random.Random(f"{self.seed}:{batch}:{attempt}")
         return rng.choices(FATES, self.weights)[0]
 
-    def __call__(self, executor, fn, task):
+    def submit(self, pool: _FaultyPool, fn, task):
         batch = next(
             (i for i, seen in enumerate(self.tasks) if seen is task), None
         )
@@ -87,54 +147,86 @@ class _FaultySubmit:
             batch = len(self.tasks)
             self.tasks.append(task)
             self.fates.append([])
+            self.attempts.append([])
         fate = self._fate(batch, len(self.fates[batch]))
-        self.fates[batch].append(fate)
-        solved = self._submit(executor, fn, task)
-        if fate == "ok":
-            self.futures.append(solved)
-            return solved
         seen: concurrent.futures.Future = concurrent.futures.Future()
-        self.futures.append(seen)
+        self.fates[batch].append(fate)
+        self.attempts[batch].append(seen)
+        with self.lock:
+            pool.unsettled.add(seen)
         if fate == "die":
-            solved.add_done_callback(
-                lambda _: seen.set_exception(
-                    RuntimeError("solve worker died mid-solve")
-                )
-            )
+            # the worker that picks the task up dies with it
+            pool.pool.submit(pool.die)
             return seen
-        with self._lock:
-            if not self._released:
-                self._held.append((solved, seen))
-                return seen
-        solved.add_done_callback(lambda done: _deliver(done, seen))
+        solved = pool.pool.submit(fn, task)
+        if fate == "late":
+            with self.lock:
+                if not self._released:
+                    self._held.append((pool, seen, solved))
+                    return seen
+        solved.add_done_callback(lambda done: pool.settle(seen, done))
         return seen
 
     def release_late(self) -> None:
         """Let every held result through; later ``late`` solves are
         delivered as they finish."""
-        with self._lock:
+        with self.lock:
             self._released = True
             held, self._held = self._held, []
-        for solved, seen in held:
+        for pool, seen, solved in held:
             solved.add_done_callback(
-                lambda done, seen=seen: _deliver(done, seen)
+                lambda done, pool=pool, seen=seen: pool.settle(seen, done)
             )
 
 
-def _deliver(solved, seen) -> None:
-    if solved.exception() is not None:
-        seen.set_exception(solved.exception())
-    else:
-        seen.set_result(solved.result())
+def _nodes(config, database):
+    nodes = []
+    for name in STREAMS:
+        record = database.load(name)
+        system = EcgMonitorSystem(config, precision="hybrid")
+        system.calibrate(record)
+        nodes.append((system, record))
+    return nodes
+
+
+async def _flood(gateway, nodes, config):
+    """Three nodes flood the gateway with their whole records, say
+    ``BYE``, and the gateway is closed once every window has pooled."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + TIME_BOX_S
+    for system, record in nodes:
+        _, writer = gateway.connect_local()
+        writer.write(
+            Handshake(
+                record=record.name,
+                channel=0,
+                config=config,
+                codebook=system.encoder.codebook,
+                precision="hybrid",
+            ).to_frame()
+        )
+        for packet in encoded_packets(system, record, max_packets=WINDOWS):
+            writer.write(encode_frame(FrameKind.PACKET, packet.to_bytes()))
+        writer.write(encode_json_frame(FrameKind.BYE, {"windows": WINDOWS}))
+    # every window pooled; a held late solve keeps its slot, so some
+    # may still wait for one until close() lets them go
+    while sum(len(members) for _, members, _ in gateway.batch_log) + sum(
+        len(group.pending) for group in gateway._groups.values()
+    ) < len(STREAMS) * WINDOWS:
+        assert loop.time() < deadline, "windows stuck"
+        await asyncio.sleep(0.01)
+    await asyncio.wait_for(gateway.close(), deadline - loop.time())
+    return gateway
 
 
 def _run(shim, batch_size, config, database, monkeypatch):
-    """Three nodes flood one gateway with their whole records, say
-    ``BYE``, and the gateway is closed once every window has pooled."""
+    # two solves in flight on any machine, so a death can take another
+    # solve down with it
+    monkeypatch.setattr(executor_module, "solve_slots", lambda workers: 2)
     monkeypatch.setattr(
         executor_module.SolveExecutor,
-        "submit",
-        lambda executor, fn, task: shim(executor, fn, task),
+        "_new_pool",
+        lambda executor: shim.new_pool(executor),
     )
     close = IngestGateway.close
 
@@ -144,56 +236,27 @@ def _run(shim, batch_size, config, database, monkeypatch):
         await close(gateway, **kwargs)
 
     monkeypatch.setattr(IngestGateway, "close", closing)
-    nodes = []
-    for name in STREAMS:
-        record = database.load(name)
-        system = EcgMonitorSystem(config, precision="hybrid")
-        system.calibrate(record)
-        nodes.append((system, record))
-
-    async def run():
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + TIME_BOX_S
-        gateway = IngestGateway(batch_size=batch_size, flush_ms=50.0)
-        for system, record in nodes:
-            _, writer = gateway.connect_local()
-            writer.write(
-                Handshake(
-                    record=record.name,
-                    channel=0,
-                    config=config,
-                    codebook=system.encoder.codebook,
-                    precision="hybrid",
-                ).to_frame()
-            )
-            for packet in encoded_packets(system, record, max_packets=WINDOWS):
-                writer.write(encode_frame(FrameKind.PACKET, packet.to_bytes()))
-            writer.write(
-                encode_json_frame(FrameKind.BYE, {"windows": WINDOWS})
-            )
-        # every window pooled; a held late solve keeps its slot, so
-        # some may still wait for one until close() lets them go
-        while sum(
-            len(members) for _, members, _ in gateway.batch_log
-        ) + sum(
-            len(group.pending) for group in gateway._groups.values()
-        ) < len(STREAMS) * WINDOWS:
-            assert loop.time() < deadline, "windows stuck"
-            await asyncio.sleep(0.01)
-        await asyncio.wait_for(gateway.close(), deadline - loop.time())
-        return gateway
-
-    return asyncio.run(run())
+    gateway = IngestGateway(batch_size=batch_size, flush_ms=50.0)
+    return asyncio.run(_flood(gateway, _nodes(config, database), config))
 
 
-def _check_books(gateway, shim, keyframe_interval):
-    """Conservation, nothing pending, and the damage bound; returns
-    the windows each session lost to dead batches."""
-    assert len(shim.fates) == len(gateway.batch_log)
+def _failed(future: concurrent.futures.Future) -> bool:
+    return future.exception() is not None
+
+
+def _check_books(gateway, shim):
+    """Conservation and nothing pending; returns the windows each
+    session lost to dead batches."""
+    assert len(shim.attempts) == len(gateway.batch_log)
     dead_windows = set()
-    for fates, (_, members, _) in zip(shim.fates, gateway.batch_log):
-        if fates[-1] == "die":  # the gateway retries once, then drops
-            assert fates == ["die", "die"]
+    for attempts, (_, members, _) in zip(shim.attempts, gateway.batch_log):
+        # only a broken pool earns a second attempt, and only one
+        assert len(attempts) <= 2
+        if len(attempts) == 2:
+            assert isinstance(attempts[0].exception(), BrokenProcessPool)
+        if _failed(attempts[-1]):
+            # a death costs no window unless the retry meets one too
+            assert len(attempts) == 2
             dead_windows.update(members)
     died = Counter(session for session, _ in dead_windows)
     by_session = {result.session_id: result for result in gateway.results}
@@ -210,10 +273,11 @@ def _check_books(gateway, shim, keyframe_interval):
             + result.windows_resynced
             == WINDOWS
         ), session
-        assert died[session] <= keyframe_interval, (session, died)
         assert (result.error is None) == (session not in died)
     # nothing pending after close()
-    assert all(future.done() for future in shim.futures)
+    assert all(
+        future.done() for attempts in shim.attempts for future in attempts
+    )
     assert not gateway._solve_tasks and gateway._inflight == 0
     assert not gateway._sessions and not gateway._groups
     assert not gateway._conn_tasks
@@ -230,36 +294,101 @@ def test_every_fate_keeps_the_books(
 ):
     shim = _FaultySubmit(seed)
     gateway = _run(shim, batch_size, small_config, database, monkeypatch)
-    _check_books(gateway, shim, small_config.keyframe_interval)
+    died = _check_books(gateway, shim)
 
 
 def test_a_worker_death_mid_solve_costs_no_window(
     small_config, database, monkeypatch
 ):
-    """Regression: a worker that died mid-solve dropped its whole
-    batch and errored every session in it — here 28 windows, 20 of
-    them one stream's, more than a keyframe epoch (as seed 3 at batch
-    32 did).  The gateway now submits a failed solve once more, and
-    the retry returns what the first attempt would have."""
+    """Regression: a worker death broke the pool for good — the solve
+    it held and every later submit failed, the drain loop died on its
+    next submit, and every window after the death waited out close().
+    The executor now starts a fresh pool and the gateway submits the
+    lost solve to it once more."""
     shim = _FaultySubmit(0, script={1: ["die", "ok"]}, weights=(1, 0, 0))
     gateway = _run(shim, 32, small_config, database, monkeypatch)
     assert shim.fates[1] == ["die", "ok"]
-    assert _check_books(gateway, shim, small_config.keyframe_interval) == {}
+    assert len(shim.pools) == 2
+    assert _check_books(gateway, shim) == {}
     assert all(
         result.num_windows == WINDOWS and result.error is None
         for result in gateway.results
     )
 
 
+def test_a_death_fails_every_solve_its_pool_holds(
+    small_config, database, monkeypatch
+):
+    """A worker death breaks the whole pool, so a solve still held by
+    it fails too, through no fault of its own; it gets the same one
+    retry on the fresh pool and costs no window either."""
+    shim = _FaultySubmit(
+        0, script={0: ["late", "ok"], 1: ["die", "ok"]}, weights=(1, 0, 0)
+    )
+    gateway = _run(shim, 16, small_config, database, monkeypatch)
+    assert shim.fates[:2] == [["late", "ok"], ["die", "ok"]]
+    assert isinstance(shim.attempts[0][0].exception(), BrokenProcessPool)
+    assert _check_books(gateway, shim) == {}
+
+
 def test_a_solve_that_dies_twice_drops_only_its_batch(
     small_config, database, monkeypatch
 ):
     """The retry is one attempt, not a loop: a batch whose solve dies
-    again is dropped and its sessions errored, and every other window
-    still decodes."""
+    again is dropped and its sessions errored — with it any solve the
+    second death took down on its retry — and every other window still
+    decodes."""
     shim = _FaultySubmit(0, script={0: ["die", "die"]}, weights=(1, 0, 0))
     with pytest.warns(RuntimeWarning, match="dropped a batch"):
         gateway = _run(shim, 16, small_config, database, monkeypatch)
-    died = _check_books(gateway, shim, small_config.keyframe_interval)
-    (_, members, _) = gateway.batch_log[0]
-    assert sum(died.values()) == len(members) >= 1
+    died = _check_books(gateway, shim)
+    dropped = [
+        members
+        for attempts, (_, members, _) in zip(shim.attempts, gateway.batch_log)
+        if _failed(attempts[-1])
+    ]
+    assert dropped[0] == gateway.batch_log[0][1]
+    assert sum(died.values()) == sum(map(len, dropped))
+    assert sum(died.values()) < len(STREAMS) * WINDOWS
+
+
+#: names the flag file whose first claimant kills its pool worker
+_DIE_FLAG = "REPRO_TEST_SOLVE_DIE_FLAG"
+
+
+def _solve_or_die(task):
+    """``solve_measurement_block``, except that the first worker to
+    claim the flag file exits mid-solve, as a killed process would."""
+    try:
+        os.unlink(os.environ[_DIE_FLAG])
+    except FileNotFoundError:
+        return solve_measurement_block(task)
+    os._exit(1)
+
+
+def test_a_killed_pool_worker_costs_no_window(
+    small_config, database, monkeypatch, tmp_path
+):
+    """The shim's ``die`` fate against the real thing: a process-pool
+    worker exits mid-solve, the pool breaks, and still every window of
+    every stream decodes."""
+    flag = tmp_path / "die"
+    flag.touch()
+    monkeypatch.setenv(_DIE_FLAG, str(flag))
+    monkeypatch.setattr(gateway_module, "solve_measurement_block", _solve_or_die)
+    pools = []
+    new_pool = executor_module.SolveExecutor._new_pool
+
+    def counted(executor):
+        pools.append(new_pool(executor))
+        return pools[-1]
+
+    monkeypatch.setattr(executor_module.SolveExecutor, "_new_pool", counted)
+    gateway = IngestGateway(batch_size=16, flush_ms=50.0, workers=2)
+    asyncio.run(_flood(gateway, _nodes(small_config, database), small_config))
+    assert not flag.exists()  # a worker did die
+    assert len(pools) == 2  # ... and the executor replaced its pool
+    assert all(
+        result.num_windows == WINDOWS and result.error is None
+        for result in gateway.results
+    )
