@@ -18,6 +18,7 @@ from repro import SyntheticMitBih, SystemConfig
 from repro.core import MultiChannelMonitor
 from repro.ecg import HolterPlanner
 from repro.experiments import render_table
+from repro.metrics import compression_ratio
 
 from _common import banner
 
@@ -30,7 +31,7 @@ def main() -> None:
 
     monitor = MultiChannelMonitor(config, channels=2)
     monitor.calibrate(record)
-    result = monitor.stream(record, max_packets=10)
+    leads = monitor.stream(record, max_packets=10)
 
     rows = [
         {
@@ -40,20 +41,29 @@ def main() -> None:
             "snr_db": stream.mean_snr_db,
             "iterations": stream.mean_iterations,
         }
-        for index, stream in enumerate(result.per_channel)
+        for index, stream in enumerate(leads)
     ]
     print(render_table(rows, title=f"record 208 ({record.rhythm}), both leads"))
+    # the node's radio carries the sum of every lead's packets
+    total_bits = sum(p.packet_bits for lead in leads for p in lead.packets)
+    original_bits = sum(
+        lead.config.original_packet_bits * lead.num_packets for lead in leads
+    )
+    cr = compression_ratio(original_bits, total_bits)
+    worst_prd = max(lead.mean_prd_percent for lead in leads)
+    # the combined stream ends with its longest lead
+    seconds = max(
+        lead.config.packet_seconds * lead.num_packets for lead in leads
+    )
     print(
-        f"\ncombined stream: CR {result.compression_ratio_percent:.1f} %, "
-        f"worst-lead PRD {result.worst_channel_prd_percent:.2f} %, "
-        f"radio rate {result.bits_per_second():.0f} bps"
+        f"\ncombined stream: CR {cr:.1f} %, "
+        f"worst-lead PRD {worst_prd:.2f} %, "
+        f"radio rate {total_bits / seconds:.0f} bps"
     )
 
     banner("multi-day session planning (per lead)")
     planner = HolterPlanner(config=config)
-    mean_bits = result.total_bits / (
-        result.num_channels * result.per_channel[0].num_packets
-    )
+    mean_bits = total_bits / sum(lead.num_packets for lead in leads)
     plans = []
     for days in (1, 3, 5):
         plan = planner.plan(days * 24.0, mean_bits)

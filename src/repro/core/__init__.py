@@ -24,7 +24,7 @@ from .packets import EncodedPacket, PacketKind, crc16_ccitt
 from .encoder import CSEncoder, EncoderStats
 from .decoder import CSDecoder, DecodedPacket, PacketPayloadDecoder
 from .system import EcgMonitorSystem, StreamResult, PacketResult
-from .multichannel import MultiChannelMonitor, MultiChannelResult
+from .multichannel import MultiChannelMonitor
 from .batch import (
     DEFAULT_BATCH_SIZE,
     encode_record_windows,
@@ -48,5 +48,4 @@ __all__ = [
     "StreamResult",
     "PacketResult",
     "MultiChannelMonitor",
-    "MultiChannelResult",
 ]

@@ -25,7 +25,6 @@ from ..errors import ProtocolError
 from ..telemetry import NULL_METER, MetricsRegistry
 from .channel import HOLD_CAP_EPOCHS, LossyChannel, LossyLink
 from .protocol import (
-    ACK_DAMAGE_FIELDS,
     FrameKind,
     Handshake,
     decode_json_body,
@@ -62,14 +61,6 @@ class NodeReport:
     gateway_latencies_ms: list[float] = field(default_factory=list)
     #: per-window FISTA iterations reported in the DECODED acks
     iterations: list[int] = field(default_factory=list)
-    #: gateway damage accounting as of the last DECODED ack (the
-    #: node's view of its channel; the gateway's IngestStreamResult is
-    #: authoritative and also covers post-last-ack damage)
-    windows_lost: int = 0
-    windows_resynced: int = 0
-    frames_corrupt: int = 0
-    frames_duplicate: int = 0
-    windows_recovered: int = 0
     #: wire bytes of first-transmission PACKET frames (prefix + kind +
     #: body) — the fec-off baseline cost of the stream
     packet_bytes: int = 0
@@ -496,9 +487,6 @@ class NodeClient:
                     float(payload.get("latency_ms", 0.0))
                 )
                 report.iterations.append(int(payload.get("iterations", 0)))
-                # running damage counters (session-cumulative)
-                for name in ACK_DAMAGE_FIELDS:
-                    setattr(report, name, int(payload.get(name, 0)))
             elif kind is FrameKind.NACK:
                 self._retransmit(writer, decode_json_body(body), report)
                 await writer.drain()

@@ -106,7 +106,6 @@ from .channel import (
     header_sequence,
 )
 from .protocol import (
-    ACK_DAMAGE_FIELDS,
     FrameKind,
     Handshake,
     decode_json_body,
@@ -150,14 +149,7 @@ DAMAGE_COUNTERS = tuple(f.name for f in dataclasses.fields(LossAccounting))
 
 #: the positional per-window lists of :class:`IngestStreamResult`, row
 #: ``i`` of each describing the same decoded window
-WINDOW_LISTS = (
-    "indices",
-    "sequences",
-    "iterations",
-    "decode_seconds",
-    "latencies_s",
-    "samples_adu",
-)
+WINDOW_LISTS = ("indices", "sequences", "iterations", "samples_adu")
 
 
 class _LoopbackWriter:
@@ -267,6 +259,10 @@ class IngestStreamResult(LossAccounting):
     also counted lost) is the inherited
     :class:`~repro.ingest.channel.LossAccounting` field set, copied
     from the session's tracker at stream end.
+
+    A window's latency is not kept here: it goes to the node in the
+    window's ``DECODED`` ack and into ``ingest_window_latency_seconds``;
+    its solve time is in ``ingest_solve_seconds``.
     """
 
     session_id: int
@@ -296,8 +292,6 @@ class IngestStreamResult(LossAccounting):
     indices: list[int] = field(default_factory=list)
     sequences: list[int] = field(default_factory=list)
     iterations: list[int] = field(default_factory=list)
-    decode_seconds: list[float] = field(default_factory=list)
-    latencies_s: list[float] = field(default_factory=list)
     samples_adu: list[np.ndarray] = field(default_factory=list)
     #: NACK frames' worth of sequences requested from the node
     nacks_sent: int = 0
@@ -314,17 +308,10 @@ class IngestStreamResult(LossAccounting):
         Stable across reconnects — the telemetry plane labels every
         per-stream series with this key, so a node that drops its link
         and returns lands back in the *same* series instead of forking
-        a second one, and :meth:`IngestGateway.merged_results`
-        aggregates its sessions under this key.
+        a second one, and :func:`merge_stream_results` aggregates its
+        sessions under this key.
         """
         return f"{self.record}:{self.channel}"
-
-    @property
-    def max_latency_s(self) -> float | None:
-        """Worst frame-arrival-to-reconstruction latency observed, or
-        ``None`` when no window was ever decoded (distinct from a true
-        0.0 — "no data" must not read as "perfect latency")."""
-        return max(self.latencies_s, default=None)
 
     def ordered(self) -> "IngestStreamResult":
         """Normalize the per-window lists to stream (window) order.
@@ -591,7 +578,8 @@ class IngestGateway:
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         #: per-stream backpressure bound (windows in flight)
         self.max_pending = PENDING_BATCHES * batch_size
-        #: completed stream results, in session-open order
+        #: completed stream results, in stream-end (completion) order;
+        #: :func:`merge_stream_results` orders a stream's sessions
         self.results: list[IngestStreamResult] = []
         #: per-flush composition log: ``(group_key, [(session_id,
         #: window_index), ...], reason)`` — lets tests and the bench
@@ -626,19 +614,6 @@ class IngestGateway:
         """The aggregate :class:`GatewayStats` view, materialized from
         the telemetry registry on access."""
         return gateway_stats_from(self.telemetry)
-
-    def merged_results(self) -> dict[str, IngestStreamResult]:
-        """Completed results aggregated per stream identity.
-
-        A node that reconnects opens a new *session*, but it is still
-        the same *stream* (``record:channel``); counting its sessions
-        as two streams — and reading only the newest session's
-        counters — silently dropped the first session's damage
-        accounting.  See :func:`merge_stream_results` (the same merge
-        a federation front door applies across gateways).
-        """
-        return merge_stream_results(self.results)
-
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1189,9 +1164,15 @@ class IngestGateway:
         started = loop.time()
         # solve_measurement_block is looked up in this module at every
         # dispatch, so a tracer (or a test) can wrap it here
-        future = asyncio.wrap_future(
-            self._executor.submit(solve_measurement_block, task)
-        )
+        try:
+            future = asyncio.wrap_future(
+                self._executor.submit(solve_measurement_block, task)
+            )
+        except Exception as exc:  # repro-lint: disable=RL005 — a raising submit (a pool that cannot start, a task it refuses) must fail only this batch, not kill the group's drain loop with the batch's windows and the slot still held
+            slot.release()
+            self._fail_batch(batch, exc)
+            self._wake_groups()
+            return
         self._inflight += 1
         solve = asyncio.create_task(
             self._route_async(batch, task, future, slot, started)
@@ -1233,11 +1214,7 @@ class IngestGateway:
         finally:
             slot.release()
             self._inflight -= 1
-            # a solver came free: every group holding windows re-plans
-            # now (the idle trigger), not only the one this batch left
-            for group in self._groups.values():
-                if group.pending:
-                    group.event.set()
+            self._wake_groups()
         if error is not None:
             self._fail_batch(batch, error)
             return
@@ -1253,6 +1230,13 @@ class IngestGateway:
         # 6 ms while stage 1 still walked its payloads bit by bit)
         await asyncio.sleep(0)
         self._route(batch, out, started)
+
+    def _wake_groups(self) -> None:
+        """A solver came free: every group holding windows re-plans now
+        (the idle trigger), not only the one whose batch left."""
+        for group in self._groups.values():
+            if group.pending:
+                group.event.set()
 
     def _fail_batch(self, batch: list[_PendingWindow], exc: Exception) -> None:
         """A solve died: unblock its windows so nothing deadlocks.
@@ -1302,14 +1286,11 @@ class IngestGateway:
             session = window.session
             samples = out["signals"][:, column] + session.dc_offset
             iterations = int(out["iterations"][column])
-            seconds = float(out["seconds"][column])
             latency = t_done - window.t_submit + window.held_s
             result = session.result
             result.indices.append(window.index)
             result.sequences.append(window.sequence)
             result.iterations.append(iterations)
-            result.decode_seconds.append(seconds)
-            result.latencies_s.append(latency)
             result.samples_adu.append(samples)
             session.meter.inc("ingest_windows_decoded")
             self.telemetry.observe(
@@ -1318,7 +1299,6 @@ class IngestGateway:
             self.telemetry.observe(
                 "ingest_stage_seconds", t_done - started, stage="solve"
             )
-            accounting = session.tracker.accounting
             self._send_json(
                 session,
                 FrameKind.DECODED,
@@ -1326,13 +1306,6 @@ class IngestGateway:
                     "sequence": window.sequence,
                     "iterations": iterations,
                     "latency_ms": 1000.0 * latency,
-                    # running damage accounting, so a node (and the
-                    # serve --simulate table) sees channel losses
-                    # without a side channel
-                    **{
-                        name: getattr(accounting, name)
-                        for name in ACK_DAMAGE_FIELDS
-                    },
                 },
             )
             self.telemetry.observe(

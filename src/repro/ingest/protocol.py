@@ -59,13 +59,15 @@ Gateway -> node frames
     Handshake accepted; JSON body echoes the protocol version and the
     gateway-assigned stream id.
 ``DECODED``
-    One window left the solver: JSON with the packet ``sequence``,
-    FISTA ``iterations``, the gateway-side ``latency_ms`` from frame
-    arrival to reconstruction, and the session's running
-    lossy-channel accounting (``windows_lost``, ``windows_resynced``,
-    ``frames_corrupt``, ``frames_duplicate``).  Lets a node (or the
-    bench harness) observe end-to-end decode latency and channel
-    damage without a side channel.
+    One window left the solver: JSON ``{"sequence", "iterations",
+    "latency_ms"}`` — the packet sequence, the solver iterations and
+    the gateway-side latency from frame arrival to reconstruction.
+    Lets a node (or the bench harness) observe end-to-end decode
+    latency without a side channel.  Channel damage is the
+    coordinator's to account (the stream's result and the
+    ``ingest_*`` counters), not the node's: the ack carries none.  A
+    node reads ack keys with defaults, so a peer that sends more or
+    fewer keys still interoperates.
 ``NACK``
     Tier-2 recovery (protocol v2): JSON ``{"sequences": [...]}``
     naming packet sequences the gateway still needs — sent over the
@@ -144,16 +146,6 @@ MAX_HELLO_BYTES = 64 * 1024
 #: silence has its own deadline, a multiple of the window period the
 #: HELLO declares (:data:`~repro.ingest.gateway.IDLE_DEADLINE_WINDOWS`).
 HANDSHAKE_TIMEOUT_S = 10.0
-
-#: the running damage accounting every ``DECODED`` ack carries:
-#: :class:`~repro.ingest.channel.LossAccounting` attributes by name
-ACK_DAMAGE_FIELDS = (
-    "windows_lost",
-    "windows_resynced",
-    "frames_corrupt",
-    "frames_duplicate",
-    "windows_recovered",
-)
 
 _LENGTH_BYTES = 4
 

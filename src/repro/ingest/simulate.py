@@ -71,29 +71,39 @@ def simulated_nodes(
     return nodes
 
 
+#: the damage columns of a :func:`node_rows` row, each read off the
+#: stream's gateway result
+DAMAGE_COLUMNS = (
+    ("lost", "windows_lost"),
+    ("recovered", "windows_recovered"),
+    ("resynced", "windows_resynced"),
+    ("corrupt", "frames_corrupt"),
+    ("dup", "frames_duplicate"),
+)
+
+
 def node_rows(
     reports: Sequence[NodeReport], results: Sequence
 ) -> list[dict[str, object]]:
     """One row per node.  The damage columns come from the gateway's
-    per-stream results (authoritative: the node's ack view misses
-    damage after its last DECODED ack, e.g. a BYE-declared tail gap),
-    paired by the WELCOME-assigned stream id, which stays exact when
-    several nodes stream the same record."""
+    per-stream result, paired by the WELCOME-assigned stream id, which
+    stays exact when several nodes stream the same record.  A node with
+    no gateway result (refused at the handshake, or abandoned at close)
+    has no damage on record: its columns render as n/a, never as 0."""
     by_session = {result.session_id: result for result in results}
     rows = []
     for index, report in enumerate(reports):
-        result = by_session.get(report.stream_id, report)
+        result = by_session.get(report.stream_id)
         rows.append(
             {
                 "stream": index,
                 "record": report.record,
                 "sent": report.sent,
                 "decoded": report.acked,
-                "lost": result.windows_lost,
-                "recovered": result.windows_recovered,
-                "resynced": result.windows_resynced,
-                "corrupt": result.frames_corrupt,
-                "dup": result.frames_duplicate,
+                **{
+                    column: None if result is None else getattr(result, name)
+                    for column, name in DAMAGE_COLUMNS
+                },
                 # None (no window ever decoded) renders as n/a, never
                 # as a perfect 0.0
                 "max_latency_ms": report.max_gateway_latency_ms,

@@ -40,9 +40,10 @@ def lint_pristine(tmp_path: Path, source: Path, rule: str, extra=()):
 class TestRL001SeededLoopSolve:
     SOURCE = SRC / "ingest" / "gateway.py"
     SUBMIT = (
-        "        future = asyncio.wrap_future(\n"
-        "            self._executor.submit(solve_measurement_block, task)\n"
-        "        )\n"
+        "            future = asyncio.wrap_future(\n"
+        "                self._executor.submit("
+        "solve_measurement_block, task)\n"
+        "            )\n"
     )
 
     def test_pristine_gateway_is_clean(self, tmp_path):
@@ -55,8 +56,8 @@ class TestRL001SeededLoopSolve:
             tmp_path,
             self.SOURCE,
             self.SUBMIT,
-            "        future = loop.create_future()\n"
-            "        future.set_result(solve_measurement_block(task))\n",
+            "            future = loop.create_future()\n"
+            "            future.set_result(solve_measurement_block(task))\n",
             "RL001",
         )
         assert [f.key for f in findings] == ["solve_measurement_block"]

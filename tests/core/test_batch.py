@@ -164,11 +164,9 @@ class TestTwoLeadHolterStream:
         batched_monitor = MultiChannelMonitor(small_config, channels=2)
         serial = serial_monitor.stream(record, max_packets=4)
         batched = batched_monitor.stream(record, max_packets=4, batch_size=4)
-        assert serial.num_channels == batched.num_channels == 2
-        assert serial.total_bits == batched.total_bits
-        for lead_serial, lead_batched in zip(
-            serial.per_channel, batched.per_channel
-        ):
+        assert len(serial) == len(batched) == 2
+        for lead_serial, lead_batched in zip(serial, batched):
+            assert lead_serial.num_packets == lead_batched.num_packets == 4
             for p_serial, p_batched in zip(
                 lead_serial.packets, lead_batched.packets
             ):

@@ -891,15 +891,6 @@ class TestFleetApi:
         with pytest.raises(ValueError, match="max_packets"):
             FleetDecoder(batch_size=2).run([task])
 
-    def test_multichannel_fleet_workers_needs_batching(
-        self, small_config, database
-    ):
-        monitor = MultiChannelMonitor(small_config, channels=2)
-        with pytest.raises(ConfigurationError, match="batch_size"):
-            monitor.stream(
-                database.load("100"), max_packets=2, fleet_workers=2
-            )
-
     def test_multichannel_stream_uses_fleet(self, small_config, database):
         """The monitor's batched path pools leads through the fleet."""
         record = database.load("100")
@@ -907,21 +898,9 @@ class TestFleetApi:
         fleet_monitor = MultiChannelMonitor(small_config, channels=2)
         serial = serial_monitor.stream(record, max_packets=4)
         pooled = fleet_monitor.stream(record, max_packets=4, batch_size=4)
-        assert pooled.num_channels == serial.num_channels == 2
-        assert pooled.total_bits == serial.total_bits
-        for lead_serial, lead_pooled in zip(
-            serial.per_channel, pooled.per_channel
-        ):
+        assert len(pooled) == len(serial) == 2
+        for lead_serial, lead_pooled in zip(serial, pooled):
             _assert_stream_equivalent(lead_pooled, lead_serial)
-
-    def test_multichannel_fleet_workers_param(self, small_config, database):
-        record = database.load("100")
-        monitor = MultiChannelMonitor(small_config, channels=2)
-        result = monitor.stream(
-            record, max_packets=3, batch_size=3, fleet_workers=2
-        )
-        assert result.num_channels == 2
-        assert all(r.num_packets == 3 for r in result.per_channel)
 
 
 class TestFleetTelemetry:

@@ -32,6 +32,7 @@ from repro.ingest import (
     encode_frame,
     encode_json_frame,
     encoded_packets,
+    merge_stream_results,
     read_frame,
 )
 
@@ -2264,11 +2265,9 @@ class TestLossResilience:
         )
         assert hold.total == 1  # only 3 waited behind the gap
         assert hold.sum > 0.9 * hold_s
-        latency = dict(zip(result.sequences, result.latencies_s))
-        assert latency[3] >= hold.sum
-        assert acks[3] == pytest.approx(1000.0 * latency[3])
+        assert acks[3] >= 1000.0 * hold.sum
         # the retransmit itself was never held
-        assert latency[2] < hold.sum
+        assert acks[2] < 1000.0 * hold.sum
 
     def _run_lossy_client(
         self, system, record, channel, windows=9, fec=False
@@ -2316,7 +2315,6 @@ class TestLossResilience:
         assert result.windows_lost == 2
         assert result.windows_resynced == 4
         assert report.acked == result.num_windows
-        assert report.windows_lost == 2
         self._assert_replay_agrees(system, result, link, windows=9)
 
     def _assert_replay_agrees(self, system, result, link, windows):
@@ -2402,7 +2400,7 @@ class TestOrderingRegression:
     ):
         """Process-pool solves can complete out of order; the ordered()
         accessor (and finalize) must restore window order across every
-        positional list so samples_adu/latencies_s stay aligned."""
+        positional list so samples_adu/iterations stay aligned."""
         record = database.load("100")
         system = _system(small_config, record)
         packets = encoded_packets(system, record, max_packets=2)
@@ -2491,7 +2489,6 @@ class TestNoDataReporting:
         gateway = asyncio.run(run())
         assert gateway.stats.windows_decoded == 0
         assert gateway.stats.max_latency_s is None
-        assert gateway.results[0].max_latency_s is None
         report = NodeReport(record=record.name, channel=0)
         assert report.max_gateway_latency_ms is None
 
@@ -2514,6 +2511,23 @@ class TestNoDataReporting:
         gateway, report = asyncio.run(run())
         assert gateway.stats.max_latency_s > 0.0
         assert report.max_gateway_latency_ms > 0.0
+
+    def test_node_without_a_gateway_result_shows_no_damage(self):
+        """A node the gateway holds no result for (refused at the
+        handshake) has no damage on record: ``serve``'s table shows
+        n/a in its damage columns, not a clean 0."""
+        from repro.ingest import NodeReport
+        from repro.ingest.simulate import node_rows
+        from repro.telemetry import render_result_table
+
+        refused = NodeReport(record="100", channel=0, error="refused")
+        (row,) = node_rows([refused], [])
+        damage = ("lost", "recovered", "resynced", "corrupt", "dup")
+        assert [row[column] for column in damage] == [None] * len(damage)
+        cells = render_result_table([row]).splitlines()[-1].split("|")
+        columns = list(row)
+        for column in damage:
+            assert cells[columns.index(column)].strip() == "n/a"
 
 
 class TestBackpressure:
@@ -2720,7 +2734,7 @@ class TestStreamReconnect:
         # the fix: one stream identity, not two
         assert stats.streams == 1
 
-        merged = gateway.merged_results()
+        merged = merge_stream_results(gateway.results)
         assert set(merged) == {f"{record.name}:0"}
         stream = merged[f"{record.name}:0"]
         # both sessions' windows and BOTH sessions' damage counters:
@@ -2774,7 +2788,7 @@ class TestStreamReconnect:
 
         gateway = asyncio.run(run())
         assert gateway.stats.streams == 2
-        assert set(gateway.merged_results()) == {
+        assert set(merge_stream_results(gateway.results)) == {
             f"{records[0].name}:0",
             f"{records[1].name}:0",
         }

@@ -12,7 +12,9 @@ fate fails the way a ``ProcessPoolExecutor`` does:
   :class:`~concurrent.futures.process.BrokenProcessPool`, and so does
   every later submit to that pool;
 - ``late``: the result is held back and only arrives once
-  :meth:`IngestGateway.close` has begun.
+  :meth:`IngestGateway.close` has begun;
+- ``raise`` (scripted only, never drawn): ``submit`` itself raises a
+  ``TypeError``, as a pool that refuses a task does.
 
 Under every fate the gateway must keep its books: each window a node
 sent is decoded, charged as lost or resynced, or a member of a batch
@@ -47,6 +49,7 @@ from repro.ingest import (
     encode_frame,
     encode_json_frame,
     encoded_packets,
+    read_frame,
 )
 
 #: streams per run, and the windows each streams (the whole record):
@@ -152,6 +155,10 @@ class _FaultySubmit:
         seen: concurrent.futures.Future = concurrent.futures.Future()
         self.fates[batch].append(fate)
         self.attempts[batch].append(seen)
+        if fate == "raise":
+            # the pool refuses the task before any worker sees it
+            seen.set_exception(TypeError("the pool refused the task"))
+            raise seen.exception()
         with self.lock:
             pool.unsettled.add(seen)
         if fate == "die":
@@ -189,25 +196,32 @@ def _nodes(config, database):
     return nodes
 
 
+def _send_record(gateway, system, record, config):
+    """Open a link and write one node's whole record and its ``BYE``;
+    returns the node's reader."""
+    reader, writer = gateway.connect_local()
+    writer.write(
+        Handshake(
+            record=record.name,
+            channel=0,
+            config=config,
+            codebook=system.encoder.codebook,
+            precision="hybrid",
+        ).to_frame()
+    )
+    for packet in encoded_packets(system, record, max_packets=WINDOWS):
+        writer.write(encode_frame(FrameKind.PACKET, packet.to_bytes()))
+    writer.write(encode_json_frame(FrameKind.BYE, {"windows": WINDOWS}))
+    return reader
+
+
 async def _flood(gateway, nodes, config):
     """Three nodes flood the gateway with their whole records, say
     ``BYE``, and the gateway is closed once every window has pooled."""
     loop = asyncio.get_running_loop()
     deadline = loop.time() + TIME_BOX_S
     for system, record in nodes:
-        _, writer = gateway.connect_local()
-        writer.write(
-            Handshake(
-                record=record.name,
-                channel=0,
-                config=config,
-                codebook=system.encoder.codebook,
-                precision="hybrid",
-            ).to_frame()
-        )
-        for packet in encoded_packets(system, record, max_packets=WINDOWS):
-            writer.write(encode_frame(FrameKind.PACKET, packet.to_bytes()))
-        writer.write(encode_json_frame(FrameKind.BYE, {"windows": WINDOWS}))
+        _send_record(gateway, system, record, config)
     # every window pooled; a held late solve keeps its slot, so some
     # may still wait for one until close() lets them go
     while sum(len(members) for _, members, _ in gateway.batch_log) + sum(
@@ -219,7 +233,8 @@ async def _flood(gateway, nodes, config):
     return gateway
 
 
-def _run(shim, batch_size, config, database, monkeypatch):
+def _install(shim, monkeypatch):
+    """Route every pool the executor starts through ``shim``."""
     # two solves in flight on any machine, so a death can take another
     # solve down with it
     monkeypatch.setattr(executor_module, "solve_slots", lambda workers: 2)
@@ -236,6 +251,10 @@ def _run(shim, batch_size, config, database, monkeypatch):
         await close(gateway, **kwargs)
 
     monkeypatch.setattr(IngestGateway, "close", closing)
+
+
+def _run(shim, batch_size, config, database, monkeypatch):
+    _install(shim, monkeypatch)
     gateway = IngestGateway(batch_size=batch_size, flush_ms=50.0)
     return asyncio.run(_flood(gateway, _nodes(config, database), config))
 
@@ -274,7 +293,12 @@ def _check_books(gateway, shim):
             == WINDOWS
         ), session
         assert (result.error is None) == (session not in died)
-    # nothing pending after close()
+    _check_nothing_pending(gateway, shim)
+    return died
+
+
+def _check_nothing_pending(gateway, shim):
+    """Nothing is pending once ``close()`` has returned."""
     assert all(
         future.done() for attempts in shim.attempts for future in attempts
     )
@@ -282,7 +306,6 @@ def _check_books(gateway, shim):
     assert not gateway._sessions and not gateway._groups
     assert not gateway._conn_tasks
     assert gateway._executor is None
-    return died
 
 
 #: the widths a gateway runs at: ``serve``'s default, and the
@@ -350,6 +373,61 @@ def test_a_solve_that_dies_twice_drops_only_its_batch(
     assert dropped[0] == gateway.batch_log[0][1]
     assert sum(died.values()) == sum(map(len, dropped))
     assert sum(died.values()) < len(STREAMS) * WINDOWS
+
+
+def test_a_submit_that_raises_fails_only_its_batch(
+    small_config, database, monkeypatch
+):
+    """Regression: ``_dispatch`` submitted outside any ``try``, so a
+    submit that raised anything but a broken pool killed the group's
+    drain loop with the popped batch's windows outstanding and its
+    solve slot held: the group never flushed again, and ``close()``
+    waited out its drain.  Now the batch fails alone: each of its
+    sessions gets one ERROR, and a session opened after it decodes
+    every window."""
+    shim = _FaultySubmit(0, script={0: ["raise"]}, weights=(1, 0, 0))
+    _install(shim, monkeypatch)
+    first, *later = _nodes(small_config, database)
+
+    async def stream(gateway, node):
+        """The kinds of every frame the gateway sends one node's whole
+        record back, until it hangs up."""
+        reader = _send_record(gateway, *node, small_config)
+        kinds = []
+        while (frame := await read_frame(reader)) is not None:
+            kinds.append(frame[0])
+        return kinds
+
+    async def run():
+        gateway = IngestGateway(batch_size=16, flush_ms=50.0)
+        # the first stream ends before the others open
+        kinds = [await stream(gateway, first)]
+        kinds += await asyncio.gather(*(stream(gateway, n) for n in later))
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        await gateway.close()
+        return gateway, kinds, loop.time() - started
+
+    with pytest.warns(RuntimeWarning, match="dropped a batch"):
+        gateway, kinds, closing_s = asyncio.run(
+            asyncio.wait_for(run(), TIME_BOX_S)
+        )
+    assert shim.fates[0] == ["raise"]
+    dead = gateway.batch_log[0][1]
+    by_record = {result.record: result for result in gateway.results}
+    assert {session for session, _ in dead} == {by_record["100"].session_id}
+    for name, frames in zip(STREAMS, kinds):
+        result = by_record[name]
+        errors = frames.count(FrameKind.ERROR)
+        if name == "100":
+            assert errors == 1
+            assert result.error.startswith("decode failed")
+            assert result.num_windows == WINDOWS - len(dead)
+        else:
+            assert errors == 0 and result.error is None
+            assert result.num_windows == WINDOWS
+    assert closing_s < 5.0  # the default drain is 30 s
+    _check_nothing_pending(gateway, shim)
 
 
 #: names the flag file whose first claimant kills its pool worker

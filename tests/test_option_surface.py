@@ -6,8 +6,9 @@ options instead of re-declaring them.  These lists are the result: a
 parameter that comes back, or a new one, fails here and has to be
 argued for against the rule the audit applied — two callers or
 workloads outside ``tests/`` and ``examples/`` that need different
-values.  Beside them, the field sets stage 3 hands back are pinned the
-same way: a field comes back only with a reader outside ``tests/``.
+values.  Beside them, the field sets stage 3 and a stream hand back
+are pinned the same way: a field comes back only with a reader outside
+``tests/``, and a fact is kept in one record.
 So are the flags of ``repro-ecg serve`` and ``repro-ecg fleet``: a
 value that only a test sets is a module constant, not a flag.
 """
@@ -15,17 +16,32 @@ value that only a test sets is a module constant, not a flag.
 from __future__ import annotations
 
 import argparse
+import asyncio
 import dataclasses
 import inspect
+import json
 
 from repro.analysis.runner import _build_parser
 from repro.cli import _build_parser as _build_cli_parser
-from repro.core import DecodedPacket
+from repro.core import (
+    DecodedPacket,
+    EcgMonitorSystem,
+    MultiChannelMonitor,
+    StreamResult,
+)
 from repro.ingest import (
     FederationFrontDoor,
+    FrameKind,
+    Handshake,
     IngestGateway,
+    IngestStreamResult,
     NodeClient,
+    NodeReport,
+    encode_frame,
+    encoded_packets,
+    read_frame,
 )
+from repro.ingest.gateway import WINDOW_LISTS
 from repro.solvers.batched import (
     BatchedFista,
     BatchedSolverResult,
@@ -116,6 +132,117 @@ def test_stage3_result_fields():
         "converged",
         "decode_seconds",
     ]
+
+
+def _decoded_ack(config, record) -> dict:
+    """The body of the one ``DECODED`` ack a one-window loopback
+    stream gets back."""
+    system = EcgMonitorSystem(config)
+    system.calibrate(record)
+
+    async def run():
+        gateway = IngestGateway(batch_size=1)
+        reader, writer = gateway.connect_local()
+        writer.write(
+            Handshake(
+                record=record.name,
+                channel=0,
+                config=config,
+                codebook=system.encoder.codebook,
+            ).to_frame()
+        )
+        (packet,) = encoded_packets(system, record, max_packets=1)
+        writer.write(encode_frame(FrameKind.PACKET, packet.to_bytes()))
+        writer.write(encode_frame(FrameKind.BYE))
+        acks = []
+        while (frame := await read_frame(reader)) is not None:
+            if frame[0] is FrameKind.DECODED:
+                acks.append(json.loads(frame[1]))
+        await gateway.close()
+        return acks
+
+    (ack,) = asyncio.run(run())
+    return ack
+
+
+def test_stream_result_fields(small_config, database):
+    """What a stream hands back, one record per fact.  A window's
+    latency is in its ``DECODED`` ack and the
+    ``ingest_window_latency_seconds`` histogram, its solve time in
+    ``ingest_solve_seconds``, and channel damage in the gateway's
+    result and ``ingest_*`` counters, so none of them is copied into
+    another record.  Fields that no code outside ``tests/`` reads stay
+    for a reason:
+
+    - ``IngestStreamResult.clean_close``: the only record that a
+      stream ended without a ``BYE``;
+    - ``StreamResult.original_adu``: the reference signal the
+      diagnostic tests of ROADMAP item 5 build on;
+    - ``NodeReport``'s wire-byte counters (``packet_bytes``,
+      ``parity_bytes``, ``retransmit_bytes``, ``retransmits_sent``,
+      ``retransmit_misses``): the node's own count of what it put on
+      the air, which no other record in the program holds.
+    """
+    assert _fields(IngestStreamResult) == [
+        # inherited LossAccounting
+        "windows_lost",
+        "windows_resynced",
+        "frames_corrupt",
+        "frames_duplicate",
+        "windows_recovered_parity",
+        "windows_recovered_retransmit",
+        "frames_late_retransmit",
+        "session_id",
+        "record",
+        "channel",
+        "clean_close",
+        "error",
+        "opened_unix",
+        "resumed",
+        "indices",
+        "sequences",
+        "iterations",
+        "samples_adu",
+        "nacks_sent",
+    ]
+    assert WINDOW_LISTS == (
+        "indices",
+        "sequences",
+        "iterations",
+        "samples_adu",
+    )
+    assert _fields(StreamResult) == [
+        "record",
+        "channel",
+        "config",
+        "packets",
+        "original_adu",
+        "reconstructed_adu",
+    ]
+    assert _fields(NodeReport) == [
+        "record",
+        "channel",
+        "stream_id",
+        "sent",
+        "acked",
+        "error",
+        "gateway_latencies_ms",
+        "iterations",
+        "packet_bytes",
+        "parity_bytes",
+        "retransmit_bytes",
+        "retransmits_sent",
+        "retransmit_misses",
+        "reconnects",
+    ]
+    assert _parameters(MultiChannelMonitor.stream) == [
+        "record",
+        "max_packets",
+        "keep_signals",
+        "batch_size",
+    ]
+    ack = _decoded_ack(small_config, database.load("100"))
+    assert set(ack) == {"sequence", "iterations", "latency_ms"}
 
 
 def _long_flags(parser: argparse.ArgumentParser) -> list[str]:
