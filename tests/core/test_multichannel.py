@@ -33,6 +33,31 @@ class TestMultiChannel:
         assert len(result) == 2
         assert all(r.num_packets == 3 for r in result)
 
+    def test_aggregate_metrics(self, monitor, database):
+        """Each lead's result carries the metrics a caller aggregates
+        into the combined stream's figures."""
+        leads = monitor.stream(database.load("100"), max_packets=3)
+        for lead in leads:
+            assert 0.0 < lead.compression_ratio_percent < 100.0
+            assert lead.mean_prd_percent > 0.0
+            assert lead.mean_iterations > 0
+        total_bits = sum(p.packet_bits for lead in leads for p in lead.packets)
+        original_bits = sum(
+            lead.config.original_packet_bits * lead.num_packets
+            for lead in leads
+        )
+        assert 0 < total_bits < original_bits
+
+    @pytest.mark.parametrize("batch_size", [None, 2])
+    def test_leads_come_back_in_lead_order(
+        self, monitor, database, batch_size
+    ):
+        leads = monitor.stream(
+            database.load("100"), max_packets=2, batch_size=batch_size
+        )
+        assert [lead.channel for lead in leads] == [0, 1]
+        assert all(lead.record == "100" for lead in leads)
+
     def test_calibrate_trains_each_lead(self, small_config, database):
         monitor = MultiChannelMonitor(small_config, channels=2)
         record = database.load("106")
@@ -54,3 +79,15 @@ class TestMultiChannel:
         monitor = MultiChannelMonitor(small_config, channels=2)
         with pytest.raises(ConfigurationError):
             monitor.stream(single)
+
+    def test_radio_rate_doubles_with_leads(self, small_config, database):
+        record = database.load("100")
+        mono = MultiChannelMonitor(small_config, channels=1)
+        stereo = MultiChannelMonitor(small_config, channels=2)
+
+        def radio_bits(leads):
+            return sum(p.packet_bits for lead in leads for p in lead.packets)
+
+        mono_bits = radio_bits(mono.stream(record, max_packets=3))
+        stereo_bits = radio_bits(stereo.stream(record, max_packets=3))
+        assert stereo_bits > 1.5 * mono_bits
