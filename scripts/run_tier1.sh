@@ -10,8 +10,9 @@
 # repro-lint (python -m repro.analysis) statically enforces the stack's
 # invariants — event-loop blocking, lock discipline, hot-loop
 # allocations, the telemetry catalog, exception hygiene, README/CLI
-# drift, await atomicity, process-pool dispatch sites and frame
-# dispatch — and runs in both
+# drift in both directions (a declared flag the README omits, a flag
+# its CLI reference names that no parser declares), await atomicity,
+# process-pool dispatch sites and frame dispatch — and runs in both
 # modes; its JSON findings report lands in benchmarks/results/.  A
 # finding is fixed or carries an inline justified suppression; nothing
 # is grandfathered.

@@ -19,7 +19,8 @@ RL004     telemetry-catalog   every metric name/kind/label is declared in
                               :mod:`repro.telemetry.catalog`
 RL005     exception-hygiene   broad excepts are justified; load-bearing
                               errors are never silently swallowed
-RL006     docs-drift          README tracks the CLI surface
+RL006     docs-drift          README tracks the CLI surface, and names
+                              no flag the parsers lack
 RL008     await-atomicity     shared state is re-validated after an
                               ``await`` before it is acted on
 RL009     process-boundary    every process-pool dispatch carries a

@@ -13,8 +13,13 @@ The drift contract, unchanged from the shell version:
   ``add_parser("name", ...)`` call) appears in README.md as
   ``repro-ecg <name>``;
 - every ``--flag`` string passed to an ``add_argument(...)`` call in
-  ``cli.py`` appears verbatim in README.md, so a new flag is checked
-  the moment it is declared.
+  ``cli.py`` or ``analysis/runner.py`` (the ``repro-ecg lint``
+  parser) appears verbatim in README.md, so a new flag is checked the
+  moment it is declared;
+- and the other way round: every ``--flag`` that README's
+  ``## CLI reference`` section names is declared by one of those
+  ``add_argument(...)`` calls, so a note about a deleted flag fails
+  instead of sending a reader to ``unrecognized arguments``.
 
 The CLI surface is read by *parsing* the ``cli.py`` that lives under
 ``project.root`` — never by importing the installed :mod:`repro.cli` —
@@ -33,16 +38,37 @@ dropped subcommand row or flag leaves every test green.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 from .core import Finding, Project, Rule, register
+
+#: a ``--flag`` token in README text (not a ``---`` rule or ``a--b``)
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def reference_flags(readme_text: str) -> dict[str, int]:
+    """Each ``--flag`` README's ``## CLI reference`` section names (up
+    to the next ``## `` heading), with the line of its first mention."""
+    found: dict[str, int] = {}
+    inside = False
+    for number, line in enumerate(readme_text.splitlines(), 1):
+        if line.startswith("## "):
+            inside = line.strip() == "## CLI reference"
+        elif inside:
+            for flag in _FLAG.findall(line):
+                found.setdefault(flag, number)
+    return found
+
 
 def readme_drift(
     readme_text: str,
     subcommands: list[str],
     flags: list[str],
 ) -> list[tuple[str, str]]:
-    """Pure drift check: ``(kind, missing-item)`` pairs.
+    """Pure drift check: ``(kind, item)`` pairs — a ``subcommand`` or
+    ``flag`` README misses, or an ``undeclared`` flag its CLI
+    reference names that no parser declares.
 
     Split out of the rule so tests can pin the matching semantics
     without building a repo tree.
@@ -54,6 +80,10 @@ def readme_drift(
     for flag in flags:
         if flag not in readme_text:
             gaps.append(("flag", flag))
+    declared = {*flags, "--help"}  # argparse adds --help by itself
+    for flag in reference_flags(readme_text):
+        if flag not in declared:
+            gaps.append(("undeclared", flag))
     return gaps
 
 
@@ -96,7 +126,7 @@ class DocsDriftRule(Rule):
     name = "docs-drift"
     summary = (
         "README.md must list every repro-ecg subcommand and every "
-        "flag cli.py declares"
+        "flag cli.py declares, and name no flag that none declares"
     )
 
     def finish(self, project: Project) -> list[Finding]:
@@ -105,23 +135,37 @@ class DocsDriftRule(Rule):
         if not readme.exists() or not cli_module.exists():
             return []
         subcommands, flags = cli_surface(cli_module)
+        lint_parser = project.root / "src" / "repro" / "analysis" / "runner.py"
+        declared = list(flags)
+        if lint_parser.exists():
+            declared += cli_surface(lint_parser)[1]
         text = readme.read_text(encoding="utf-8")
         findings = []
-        for kind, missing in readme_drift(text, subcommands, flags):
-            what = (
-                f"repro-ecg {missing}" if kind == "subcommand" else missing
-            )
+        for kind, item in readme_drift(text, subcommands, declared):
+            if kind == "undeclared":
+                line = reference_flags(text)[item]
+                message = (
+                    f"README.md's CLI reference names '{item}', which no "
+                    f"add_argument in cli.py or analysis/runner.py "
+                    f"declares (reword the note or declare the flag)"
+                )
+            else:
+                what = (
+                    f"repro-ecg {item}" if kind == "subcommand" else item
+                )
+                line = 1
+                message = (
+                    f"README.md does not mention '{what}' "
+                    f"({kind} exists in repro-ecg --help; update "
+                    f"the CLI reference)"
+                )
             findings.append(
                 Finding(
                     rule=self.id,
                     path="README.md",
-                    line=1,
-                    message=(
-                        f"README.md does not mention '{what}' "
-                        f"({kind} exists in repro-ecg --help; update "
-                        f"the CLI reference)"
-                    ),
-                    key=f"{kind}:{missing}",
+                    line=line,
+                    message=message,
+                    key=f"{kind}:{item}",
                 )
             )
         return findings

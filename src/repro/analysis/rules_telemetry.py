@@ -10,8 +10,8 @@ This rule pins every literal-named ``.inc(...)`` / ``.set_gauge(...)``
 - the metric name must be declared;
 - the instrument kind must match (``inc`` on a gauge is a bug);
 - explicit label kwargs must be within the declared label set;
-- meter bindings (``registry.meter(...)``, ``meter.child(...)``) may
-  only bind declared label names;
+- meter bindings (``registry.meter(...)``) may only bind declared
+  label names;
 - and, cross-module, a catalog entry no call site references is dead
   and flagged — the catalog cannot drift in either direction.
 
@@ -37,7 +37,6 @@ from .core import Finding, Project, Rule, SourceModule, register
 #: kwargs of the instrument methods that are not labels
 _NON_LABEL_KWARGS = frozenset({"amount", "value", "buckets"})
 
-_BINDING_METHODS = frozenset({"meter", "child"})
 
 #: the module defining the instruments: its forwarding shims
 #: (``Meter.inc`` -> ``registry.inc``) take the name as a variable and
@@ -71,7 +70,7 @@ class TelemetryCatalogRule(Rule):
                 findings.extend(
                     self._check_instrument_call(node, method, module, used)
                 )
-            elif method in _BINDING_METHODS and node.keywords:
+            elif method == "meter" and node.keywords:
                 findings.extend(self._check_binding(node, module))
         return findings
 

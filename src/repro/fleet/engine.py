@@ -138,7 +138,6 @@ def solve_measurement_block(task: dict) -> dict:
     caller can absorb every result's delta exactly once, whatever
     order a pool completes them in).
     """
-    task_started = time.perf_counter()
     registry = MetricsRegistry()
     config = SystemConfig(**task["config"])
     resources = resources_for(config, task["precision"])
@@ -157,8 +156,16 @@ def solve_measurement_block(task: dict) -> dict:
         registry.inc(
             "fleet_polish_windows", int(np.count_nonzero(result.polished))
         )
-    registry.observe("fleet_solve_seconds", elapsed)
-    registry.observe("fleet_solve_width", width, buckets=DEFAULT_SIZE_BUCKETS)
+    # the solving process's pid labels the solve: per worker, the
+    # width histogram's count is its solves and its sum its windows
+    worker = str(os.getpid())
+    registry.observe("fleet_solve_seconds", elapsed, worker=worker)
+    registry.observe(
+        "fleet_solve_width",
+        width,
+        buckets=DEFAULT_SIZE_BUCKETS,
+        worker=worker,
+    )
     for count in result.iterations:
         registry.observe(
             "fleet_solve_iterations", count, buckets=ITERATION_BUCKETS
@@ -166,14 +173,6 @@ def solve_measurement_block(task: dict) -> dict:
     # the delta crosses a process boundary as a plain dict; fan-in over
     # any completion order aggregates exactly (the merge algebra of
     # :class:`~repro.telemetry.MetricsSnapshot`)
-    worker = str(os.getpid())
-    registry.inc("fleet_worker_tasks", worker=worker)
-    registry.inc("fleet_worker_windows", width, worker=worker)
-    registry.observe(
-        "fleet_worker_task_seconds",
-        time.perf_counter() - task_started,
-        worker=worker,
-    )
     return {
         "signals": signals,
         "iterations": result.iterations,
@@ -218,7 +217,6 @@ class FleetDecoder:
         self,
         batch_size: int = DEFAULT_BATCH_SIZE,
         workers: int | None = None,
-        telemetry: MetricsRegistry | None = None,
     ) -> None:
         if batch_size < 1:
             raise ConfigurationError(
@@ -230,12 +228,9 @@ class FleetDecoder:
             )
         self.batch_size = batch_size
         self.workers = workers
-        #: the telemetry plane this decoder publishes to: run/group
-        #: counters from the parent, solve histograms absorbed from
-        #: each batch's returned delta snapshot
-        self.telemetry = (
-            telemetry if telemetry is not None else MetricsRegistry()
-        )
+        #: the solve series of every run, absorbed from each batch's
+        #: returned delta snapshot
+        self.telemetry = MetricsRegistry()
         #: groups and worker processes actually used by the most recent
         #: :meth:`run` (1 = in-process) — the engine owns the fallback
         #: decision, so callers report from here instead of re-deriving
@@ -297,8 +292,8 @@ class FleetDecoder:
             requested = executor.usable_cpus()
         else:
             requested = 1
-        windows = sum(len(stream.packets) for stream in encoded)
         if (self.workers or 0) >= 2 and len(solve_tasks) == 1:
+            windows = sum(len(stream.packets) for stream in encoded)
             warnings.warn(
                 f"fleet decode falling back to a single process: "
                 f"workers={self.workers} requested but the single operator "
@@ -310,7 +305,7 @@ class FleetDecoder:
         solves = SolveExecutor(min(requested, len(solve_tasks)))
         with contextlib.closing(solves):
             solved = solves.map(solve_measurement_block, solve_tasks)
-        effective = solves.workers
+        self.last_effective_workers = solves.workers
 
         for ((samples, iterations, seconds), span), out in zip(spans, solved):
             self.telemetry.absorb(out["telemetry"])
@@ -318,19 +313,9 @@ class FleetDecoder:
             iterations[span] = out["iterations"]
             seconds[span] = out["seconds"]
 
-        self.last_effective_workers = effective
-        self.telemetry.inc(
-            "fleet_runs", mode="columns" if effective > 1 else "in-process"
-        )
-        self.telemetry.inc("fleet_windows_decoded", windows)
-        self.telemetry.set_gauge("fleet_groups", len(groups))
-        self.telemetry.set_gauge("fleet_effective_workers", effective)
         results: list[StreamResult] = [None] * len(encoded)
-        for label, (ids, shares, outputs) in enumerate(layouts):
+        for ids, shares, outputs in layouts:
             samples, iterations, seconds = outputs
-            self.telemetry.inc(
-                "fleet_group_windows", len(samples), group=f"g{label}"
-            )
             # each stream reads its own contiguous range back
             stop = 0
             for index, share in zip(ids, shares):

@@ -730,11 +730,11 @@ def replay_survivors(
     both times) and returns the accepted windows as ``(sequence,
     dequantized measurement column)`` pairs plus the accounting.
 
-    ``delivered`` items are either raw ``PACKET`` bodies (``bytes``,
-    the classic :attr:`LinkStats.delivered` view) or ``(kind, body)``
-    pairs from :attr:`LinkStats.delivered_frames` — the latter is what
-    carries ``PARITY`` frames into a ``fec=True`` replay, and the
-    ``BYE`` at the position it arrived, where the replay calls
+    ``delivered`` items are either raw ``PACKET`` bodies (``bytes``:
+    a clean link's packets) or ``(kind, body)`` pairs from
+    :attr:`LinkStats.delivered_frames` — the latter is what carries
+    ``PARITY`` frames into a ``fec=True`` replay, and the ``BYE`` at
+    the position it arrived, where the replay calls
     :meth:`StreamRecovery.bye` (a log without one calls it after the
     last frame).  NACK retransmissions need no side channel here: a
     retransmitted copy appears in the recorded stream as an ordinary
@@ -799,12 +799,9 @@ class LinkStats:
     parity_dropped: int = 0
     #: sequence numbers of dropped frames (pre-impairment header read)
     dropped_sequences: list[int] = field(default_factory=list)
-    #: the exact post-impairment PACKET bodies, in delivery order —
-    #: the surviving packet set an offline replay consumes
-    delivered: list[bytes] = field(default_factory=list)
-    #: post-impairment ``(frame kind, body)`` pairs in delivery order,
-    #: including PARITY frames and the BYE — the input of a
-    #: ``fec=True`` :func:`replay_survivors`
+    #: the exact post-impairment ``(frame kind, body)`` pairs in
+    #: delivery order, PACKETs, PARITY frames and the BYE alike — the
+    #: surviving frame set :func:`replay_survivors` consumes
     delivered_frames: list[tuple[int, bytes]] = field(default_factory=list)
     #: per-PACKET fate in sender order (``"delivered"``/``"dropped"``/
     #: ``"corrupted"``)
@@ -1029,10 +1026,7 @@ class LossyLink:
         body = frame[_FRAME_PREFIX + 1 :]
         self.stats.delivered_frames.append((kind, body))
         if kind == int(FrameKind.PACKET):
-            # the bytes-only view stays PACKET-only so existing
-            # (fec-off) replays keep consuming it unchanged
             self.stats.frames_delivered += 1
-            self.stats.delivered.append(body)
             self.meter.inc("link_frames", fate="delivered")
         else:
             self.meter.inc("link_frames", fate="parity_delivered")

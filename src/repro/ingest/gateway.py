@@ -96,7 +96,7 @@ from ..errors import (
 )
 from ..fleet.engine import solve_measurement_block
 from ..fleet.executor import SolveExecutor
-from ..telemetry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
+from ..telemetry import MetricsRegistry
 from .channel import (
     NACK_BUDGET,
     FrameVerdict,
@@ -262,7 +262,7 @@ class IngestStreamResult(LossAccounting):
 
     A window's latency is not kept here: it goes to the node in the
     window's ``DECODED`` ack and into ``ingest_window_latency_seconds``;
-    its solve time is in ``ingest_solve_seconds``.
+    its solve time is in ``ingest_stage_seconds{stage="solve"}``.
     """
 
     session_id: int
@@ -1135,11 +1135,6 @@ class IngestGateway:
         count = min(self.batch_size, len(group.pending))
         batch = [group.pending.popleft() for _ in range(count)]
         self.telemetry.inc("ingest_flushes", reason=reason)
-        self.telemetry.observe(
-            "ingest_flush_width",
-            count,
-            buckets=DEFAULT_SIZE_BUCKETS,
-        )
         self.telemetry.set_gauge(
             "ingest_queue_depth", len(group.pending), group=group.label
         )
@@ -1159,8 +1154,8 @@ class IngestGateway:
             "max_iterations": group.config.max_iterations,
             "tolerance": group.config.tolerance,
         }
-        # stamped after the slot wait: ingest_solve_seconds measures
-        # the solve, not executor contention
+        # stamped after the slot wait: the solve stage measures the
+        # solve, not executor contention
         started = loop.time()
         # solve_measurement_block is looked up in this module at every
         # dispatch, so a tracer (or a test) can wrap it here
@@ -1218,8 +1213,6 @@ class IngestGateway:
         if error is not None:
             self._fail_batch(batch, error)
             return
-        solve_seconds = asyncio.get_running_loop().time() - started
-        self.telemetry.observe("ingest_solve_seconds", solve_seconds)
         # one loop turn before routing: the drain loop (woken by the
         # slot) submits the next batch first and the loop's select()
         # hands that solve the GIL.  Routing first wakes the read

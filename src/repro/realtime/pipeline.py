@@ -30,25 +30,15 @@ from ..platforms.bluetooth import BluetoothLink
 from ..platforms.cortexa8 import DecodePipeline
 from ..platforms.iphone import IPhoneModel
 from ..platforms.msp430 import Msp430Model
-from ..telemetry import NULL_METER, Meter, MetricsRegistry
 from .buffers import SampleRingBuffer
 from .events import Simulator
 
 
 class Processor:
-    """A single-threaded CPU: jobs serialize, busy time accumulates.
+    """A single-threaded CPU: jobs serialize, busy time accumulates."""
 
-    Every submitted job is also published to the processor's telemetry
-    :class:`~repro.telemetry.Meter` (``realtime_jobs`` /
-    ``realtime_busy_seconds``, labeled by processor name), so the
-    utilization the pipeline reports is readable off the same plane as
-    the gateway's and fleet's counters; the attribute ledger remains
-    the local view the report is computed from.
-    """
-
-    def __init__(self, name: str, meter: Meter = NULL_METER) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.meter = meter.child(processor=name) if meter.active else meter
         self._free_at = 0.0
         self.busy_seconds = 0.0
         self.jobs = 0
@@ -61,8 +51,6 @@ class Processor:
         self._free_at = start + duration
         self.busy_seconds += duration
         self.jobs += 1
-        self.meter.inc("realtime_jobs")
-        self.meter.inc("realtime_busy_seconds", duration)
         return self._free_at
 
     def utilization(self, elapsed: float) -> float:
@@ -144,16 +132,11 @@ class MonitorPipeline:
         node_model: Msp430Model | None = None,
         phone_model: IPhoneModel | None = None,
         radio: BluetoothLink | None = None,
-        telemetry: MetricsRegistry | None = None,
     ) -> None:
         self.config = config
         self.node_model = node_model if node_model is not None else Msp430Model()
         self.phone_model = phone_model if phone_model is not None else IPhoneModel()
         self.radio = radio if radio is not None else BluetoothLink()
-        #: optional telemetry plane: processor job ledgers stream into
-        #: it live, and :meth:`run` publishes the report's utilization
-        #: gauges so the realtime surface reads like every other one
-        self.telemetry = telemetry
 
     # ------------------------------------------------------------------
     def run(self) -> PipelineReport:
@@ -161,13 +144,8 @@ class MonitorPipeline:
         cfg = self.config
         system = cfg.system
         sim = Simulator()
-        meter = (
-            self.telemetry.meter()
-            if self.telemetry is not None
-            else NULL_METER
-        )
-        node_cpu = Processor("node", meter=meter)
-        phone_cpu = Processor("phone", meter=meter)
+        node_cpu = Processor("node")
+        phone_cpu = Processor("phone")
         buffer = SampleRingBuffer(
             int(round(cfg.buffer_seconds * system.sample_rate_hz)), strict=False
         )
@@ -262,17 +240,6 @@ class MonitorPipeline:
         decode_busy = phone_cpu.busy_seconds - state["display_busy"]
         decode_percent = 100.0 * max(decode_busy, 0.0) / elapsed
         latencies = state["latencies"]
-        for cpu in (node_cpu, phone_cpu):
-            meter.set_gauge(
-                "realtime_utilization_percent",
-                100.0 * cpu.utilization(elapsed),
-                processor=cpu.name,
-            )
-        meter.set_gauge(
-            "realtime_deadline_misses", state["deadline_misses"]
-        )
-        for latency in latencies:
-            meter.observe("realtime_end_to_end_latency_seconds", latency)
         return PipelineReport(
             duration_s=elapsed,
             packets_encoded=state["encoded"],

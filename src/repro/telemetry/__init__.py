@@ -1,11 +1,11 @@
 """The unified telemetry plane of the decode stack.
 
-One process-wide metrics core (:mod:`~repro.telemetry.core`) replaces
-the five accounting islands that grew up around the pipeline — gateway
-stats, per-stream ingest results, lossy-link/loss accounting, fleet
-scheduler counters and the realtime processor ledger — with labeled
-counters, gauges and percentile-capable histograms whose snapshots
-merge associatively across process-pool workers.
+One process-wide metrics core (:mod:`~repro.telemetry.core`) carries
+what the serving stack counts — gateway sessions and flushes,
+lossy-link and recovery accounting, the solve series each pool worker
+ships home — as labeled counters, gauges and percentile-capable
+histograms whose snapshots merge associatively across process-pool
+workers.
 
 Two persistent sinks (:mod:`~repro.telemetry.sinks`) give a
 long-running ``serve`` memory beyond stdout: a bounded JSONL ring file

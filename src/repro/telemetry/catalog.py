@@ -15,7 +15,10 @@ human description.  Two consumers keep the catalog honest:
   declared metric's description as its ``# HELP`` line.
 
 Adding a metric is therefore a two-line change: declare it here, then
-use it — the lint tells you if you forgot either half.
+use it — the lint tells you if you forgot either half.  A family earns
+its place with a fact no other series, result or attribute holds: a
+count another series' histogram already carries, or a run's shape the
+caller already reads off the object, is not declared twice.
 """
 
 from __future__ import annotations
@@ -87,14 +90,6 @@ CATALOG: dict[str, MetricSpec] = {
             "group",
         ),
         _spec(
-            "ingest_flush_width", HISTOGRAM,
-            "distribution of flushed batch widths",
-        ),
-        _spec(
-            "ingest_solve_seconds", HISTOGRAM,
-            "wall time of one pooled batch solve",
-        ),
-        _spec(
             "ingest_window_latency_seconds", HISTOGRAM,
             "frame arrival to reconstruction, per window",
         ),
@@ -159,44 +154,14 @@ CATALOG: dict[str, MetricSpec] = {
         ),
         # -- fleet decode engine (repro.fleet.engine) ------------------
         _spec(
-            "fleet_runs", COUNTER,
-            "fleet decode runs by shard mode (in-process/columns)", "mode",
-        ),
-        _spec(
-            "fleet_windows_decoded", COUNTER,
-            "windows decoded across all streams of a run",
-        ),
-        _spec(
-            "fleet_groups", GAUGE,
-            "operator groups in the latest run's schedule",
-        ),
-        _spec(
-            "fleet_effective_workers", GAUGE,
-            "worker processes the latest run actually used",
-        ),
-        _spec(
-            "fleet_group_windows", COUNTER,
-            "windows pooled per operator group", "group",
-        ),
-        _spec(
-            "fleet_worker_tasks", COUNTER,
-            "one-batch solve tasks completed per worker process", "worker",
-        ),
-        _spec(
-            "fleet_worker_windows", COUNTER,
-            "windows decoded per worker process", "worker",
-        ),
-        _spec(
-            "fleet_worker_task_seconds", HISTOGRAM,
-            "wall time of one worker solve task", "worker",
-        ),
-        _spec(
             "fleet_solve_seconds", HISTOGRAM,
-            "wall time of one batched solve",
+            "wall time of one batched solve, per solving process",
+            "worker",
         ),
         _spec(
             "fleet_solve_width", HISTOGRAM,
-            "columns per batched solve",
+            "columns per batched solve, per solving process (count: "
+            "its solves; sum: its windows)", "worker",
         ),
         _spec(
             "fleet_solve_iterations", HISTOGRAM,
@@ -226,35 +191,11 @@ CATALOG: dict[str, MetricSpec] = {
             "federation_streams", COUNTER,
             "node connections routed by operator key", "gateway",
         ),
-        # -- realtime pipeline simulator (repro.realtime) --------------
-        _spec(
-            "realtime_jobs", COUNTER,
-            "jobs submitted to a simulated processor", "processor",
-        ),
-        _spec(
-            "realtime_busy_seconds", COUNTER,
-            "busy time accumulated by a simulated processor",
-            "processor",
-        ),
-        _spec(
-            "realtime_utilization_percent", GAUGE,
-            "busy percentage of a simulated processor over the run",
-            "processor",
-        ),
-        _spec(
-            "realtime_deadline_misses", GAUGE,
-            "windows that missed the display deadline in the run",
-        ),
-        _spec(
-            "realtime_end_to_end_latency_seconds", HISTOGRAM,
-            "sample-acquired to displayed latency in the simulator",
-        ),
     )
 }
 
 #: the label vocabulary: every label name any metric may use — bound
-#: meters (``registry.meter(...)`` / ``meter.child(...)``) must draw
-#: from this set
+#: meters (``registry.meter(...)``) must draw from this set
 LABEL_NAMES: frozenset[str] = frozenset(
     name for spec in CATALOG.values() for name in spec.labels
 )

@@ -1,11 +1,10 @@
 """Process-wide metrics core: counters, gauges, histograms, snapshots.
 
-Before this module, every layer of the decode stack kept its own
-ad-hoc accounting (``GatewayStats``, ``LinkStats``, fleet counters,
-the realtime ``Processor`` ledger) with no shared vocabulary, no
-persistence, and no way to aggregate across the process-pool workers a
-sharded decode spans.  The telemetry plane replaces those islands with
-one registry of three primitive instruments:
+The serving stack (the ingest gateway, its recovery layer, the solve
+engine and the federation front door) publishes into one registry of
+three primitive instruments, so a fact has one vocabulary, survives in
+the persistent sinks and aggregates across the process-pool workers a
+sharded decode spans:
 
 - :class:`Counter` — monotonically increasing totals (windows decoded,
   frames dropped, flushes per reason);
@@ -18,7 +17,8 @@ one registry of three primitive instruments:
 Every instrument is labeled (``stream="100:0"``, ``group="g0"``,
 ``worker="1234"``), so one metric name covers a fleet of series and a
 reconnecting stream lands back in *its own* series instead of forking
-a new one.
+a new one.  A series holds a fact that no other series or result
+holds.
 
 Snapshots are the unit of transport: :meth:`MetricsRegistry.snapshot`
 captures the registry as an immutable :class:`MetricsSnapshot` which
@@ -450,8 +450,8 @@ class MetricsSnapshot:
 class MetricsRegistry:
     """The live, thread-safe home of every metric in one process.
 
-    One registry serves a whole process (the gateway's event loop, the
-    solve threads it dispatches, the realtime simulator): a single lock
+    One registry serves a whole process (the gateway's event loop and
+    the solve threads it dispatches): a single lock
     guards the three instrument maps, which is plenty at the event
     rates involved (per flush / per window, not per FISTA iteration).
     Worker processes use private registries and ship snapshots back —
@@ -582,15 +582,6 @@ class Meter:
     ) -> None:
         self.registry = registry
         self.labels = dict(labels or {})
-
-    @property
-    def active(self) -> bool:
-        """Whether events reach a real registry."""
-        return self.registry is not None
-
-    def child(self, **labels: object) -> "Meter":
-        """A meter with additional static labels."""
-        return Meter(self.registry, {**self.labels, **labels})
 
     def inc(self, name: str, amount: float = 1.0, **labels: object) -> None:
         if self.registry is not None:

@@ -277,6 +277,51 @@ class TestRL006DocsDrift:
         }
 
 
+    def test_reference_flag_no_parser_declares_reported(self):
+        text = (
+            "intro names --outside-the-section\n"
+            "## CLI reference\n"
+            "| `repro-ecg serve` | `--loss --fec` |\n"
+            "- `--nack-budget` caps requests; see `repro-ecg --help`\n"
+            "## Layout\n"
+            "--also-outside\n"
+        )
+        gaps = readme_drift(text, ["serve"], ["--loss", "--fec"])
+        assert gaps == [("undeclared", "--nack-budget")]
+
+    def test_stale_reference_flags_found_in_a_tree(self, tmp_path):
+        """A note naming a flag that neither parser declares is one
+        finding at its README line; the lint parser's flags count as
+        declared."""
+        pkg = tmp_path / "src" / "repro"
+        (pkg / "analysis").mkdir(parents=True)
+        (pkg / "cli.py").write_text(
+            "def _build_parser():\n"
+            "    serve = sub.add_parser('serve')\n"
+            "    serve.add_argument('--loss', type=float)\n",
+            encoding="utf-8",
+        )
+        (pkg / "analysis" / "runner.py").write_text(
+            "def _build_parser():\n"
+            "    parser.add_argument('--root', default='.')\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "README.md").write_text(
+            "# demo\n"
+            "## CLI reference\n"
+            "| `repro-ecg serve` | `--loss` |\n"
+            "`repro-ecg lint --root .` checks this table.\n"
+            "- `--channel-seed` makes the damage reproducible\n"
+            "- `--nack-budget` caps NACKs; `--channel-seed` again\n",
+            encoding="utf-8",
+        )
+        findings, _, _ = run_lint(tmp_path, None, {"RL006"})
+        assert [(f.key, f.line) for f in findings] == [
+            ("undeclared:--channel-seed", 5),
+            ("undeclared:--nack-budget", 6),
+        ]
+
+
 class TestRL008AwaitAtomicity:
     def test_bad_fixture_positives(self):
         findings, _ = lint_fixture("rl008_bad.py", "RL008")

@@ -240,6 +240,11 @@ class TestRL006SeededReadmeDrift:
         cli = tmp_path / "src" / "repro" / "cli.py"
         cli.parent.mkdir(parents=True)
         shutil.copy(SRC / "cli.py", cli)
+        # the lint parser declares the `repro-ecg lint` flags
+        (cli.parent / "analysis").mkdir()
+        shutil.copy(
+            SRC / "analysis" / "runner.py", cli.parent / "analysis"
+        )
         (tmp_path / "README.md").write_text(readme, encoding="utf-8")
         findings, _, _ = run_lint(tmp_path, [str(cli)], {"RL006"})
         return [f for f in findings if f.rule == "RL006"]
@@ -253,6 +258,17 @@ class TestRL006SeededReadmeDrift:
         assert self.ROW in readme, "mutation anchor vanished from README.md"
         findings = self._lint_readme(tmp_path, readme.replace(self.ROW, "", 1))
         assert [f.key for f in findings] == ["subcommand:budget"]
+
+    def test_note_naming_a_deleted_flag_caught(self, tmp_path):
+        # the stale note this README carried after `serve` lost the flag
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        anchor = "- `lint --format github` emits"
+        assert anchor in readme, "mutation anchor vanished from README.md"
+        stale = "- `--nack-budget` caps the NACKs per recovery hold.\n"
+        findings = self._lint_readme(
+            tmp_path, readme.replace(anchor, stale + anchor, 1)
+        )
+        assert [f.key for f in findings] == ["undeclared:--nack-budget"]
 
 
 class TestRL003SeededAllocation:

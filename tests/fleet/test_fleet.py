@@ -17,8 +17,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from telemetry_oracle import gauge_value
-
 from repro.core import EcgMonitorSystem, MultiChannelMonitor
 from repro.core.batch import encode_record_windows
 from repro.errors import ConfigurationError
@@ -551,9 +549,10 @@ class TestShardedExecutor:
         for workers in (1, 2, 3):
             engine = FleetDecoder(batch_size=4, workers=workers)
             decoded[workers] = engine.run(tasks_of())
-            snap = engine.telemetry.snapshot()
-            assert snap.counter_total("fleet_worker_tasks") == 5
-            assert snap.counter_total("fleet_worker_windows") == 20
+            widths = engine.telemetry.snapshot().histogram_total(
+                "fleet_solve_width"
+            )
+            assert (widths.total, widths.sum) == (5, 20)
             assert engine.last_effective_workers == workers
         for workers in (2, 3):
             for a, b in zip(decoded[1], decoded[workers]):
@@ -906,25 +905,6 @@ class TestFleetApi:
 class TestFleetTelemetry:
     """The fleet surface publishes through the unified telemetry plane."""
 
-    def test_inprocess_run_publishes_counters(self, small_config, database):
-        from repro.telemetry import MetricsRegistry
-
-        record = database.load("100")
-        registry = MetricsRegistry()
-        decoder = FleetDecoder(batch_size=3, workers=1, telemetry=registry)
-        decoder.run(
-            [
-                StreamTask(
-                    EcgMonitorSystem(small_config), record, max_packets=4
-                )
-            ]
-        )
-        snap = registry.snapshot()
-        assert snap.counter_value("fleet_runs", mode="in-process") == 1
-        assert snap.counter_total("fleet_windows_decoded") == 4
-        assert gauge_value(snap, "fleet_groups") == 1
-        assert snap.counter_value("fleet_group_windows", group="g0") == 4
-
     def test_inprocess_run_publishes_the_iteration_budget(
         self, small_config, database
     ):
@@ -933,14 +913,10 @@ class TestFleetTelemetry:
         per window and one solve/width observation per batch on every
         backend; hybrid/polish counters only where the hybrid legs
         ran."""
-        from repro.telemetry import MetricsRegistry
-
         record = database.load("100")
         for precision in ("float64", "hybrid"):
-            registry = MetricsRegistry()
-            results = FleetDecoder(
-                batch_size=3, workers=1, telemetry=registry
-            ).run(
+            decoder = FleetDecoder(batch_size=3, workers=1)
+            results = decoder.run(
                 [
                     StreamTask(
                         EcgMonitorSystem(small_config, precision=precision),
@@ -949,7 +925,7 @@ class TestFleetTelemetry:
                     )
                 ]
             )
-            snap = registry.snapshot()
+            snap = decoder.telemetry.snapshot()
             budget = snap.histogram_total("fleet_solve_iterations")
             assert budget.total == 4
             assert budget.sum == sum(p.iterations for p in results[0].packets)
@@ -971,8 +947,6 @@ class TestFleetTelemetry:
         order — windows are conserved for two operator groups and for
         one group's four batches (in-process too, if no pool can
         start)."""
-        from repro.telemetry import MetricsRegistry
-
         other = small_config.replace(seed=small_config.seed + 1)
         records = [database.load("100"), database.load("119")]
 
@@ -980,20 +954,18 @@ class TestFleetTelemetry:
             ((small_config, other), 3),
             ((small_config, small_config), 2),
         ):
-            registry = MetricsRegistry()
-            decoder = FleetDecoder(
-                batch_size=batch_size, workers=2, telemetry=registry
-            )
+            decoder = FleetDecoder(batch_size=batch_size, workers=2)
             decoder.run(
                 [
                     StreamTask(EcgMonitorSystem(cfg), record, max_packets=4)
                     for cfg, record in zip(configs, records)
                 ]
             )
-            snap = registry.snapshot()
-            assert snap.counter_total("fleet_worker_windows") == 8
-            assert snap.counter_total("fleet_windows_decoded") == 8
-            assert snap.counter_total("fleet_worker_tasks") >= 2
-            assert snap.label_values("fleet_worker_tasks", "worker")
+            snap = decoder.telemetry.snapshot()
+            widths = snap.histogram_total("fleet_solve_width")
+            # two groups of 4 at batch 3, or one group of 8 at batch 2:
+            # four solves either way
+            assert (widths.total, widths.sum) == (4, 8)
+            assert snap.label_values("fleet_solve_width", "worker")
             hist = snap.histogram_total("fleet_solve_seconds")
             assert hist is not None and hist.total >= 2

@@ -62,6 +62,15 @@ def _damaged(accounting) -> int:
     return accounting.windows_lost + accounting.windows_resynced
 
 
+def _packet_bodies(stats) -> list[bytes]:
+    """The PACKET bodies a link delivered, in delivery order."""
+    return [
+        body
+        for kind, body in stats.delivered_frames
+        if kind == int(FrameKind.PACKET)
+    ]
+
+
 def _loss_events(stats) -> int:
     """Events that can each damage up to ``keyframe_interval`` windows:
     outright drops plus CRC-corrupting flips."""
@@ -791,7 +800,7 @@ class TestLossyLink:
         assert link.stats.dropped_sequences == [1, 3]
         delivered = [
             EncodedPacket.from_bytes(body).sequence
-            for body in link.stats.delivered
+            for body in _packet_bodies(link.stats)
         ]
         assert delivered == [0, 2, 4]
 
@@ -806,7 +815,7 @@ class TestLossyLink:
         assert link.stats.frames_delivered == 6
         sequences = [
             EncodedPacket.from_bytes(body).sequence
-            for body in link.stats.delivered
+            for body in _packet_bodies(link.stats)
         ]
         assert sequences == [0, 0, 1, 1, 2, 2]
 
@@ -818,7 +827,7 @@ class TestLossyLink:
         for frame in frames:
             link.write(frame)
         assert link.stats.frames_corrupted == 2
-        for original, body in zip(packets, link.stats.delivered):
+        for original, body in zip(packets, _packet_bodies(link.stats)):
             clean = original.to_bytes()
             assert len(body) == len(clean)
             diff_bits = sum(
@@ -916,10 +925,8 @@ class TestLossyLink:
             link.write(frame)
         assert link.stats.parity_seen == 2
         assert link.stats.parity_dropped == 1
-        # the classic bytes view stays PACKET-only ...
-        assert len(link.stats.delivered) == len(packets)
         assert len(link.stats.fate_log) == len(packets)
-        # ... while delivered_frames carries the surviving parity
+        # delivered_frames carries the packets and the surviving parity
         kinds = [kind for kind, _ in link.stats.delivered_frames]
         assert kinds.count(int(FrameKind.PARITY)) == 1
         assert kinds.count(int(FrameKind.PACKET)) == len(packets)
@@ -953,7 +960,7 @@ class TestReplaySurvivors:
             accepted, accounting = replay_survivors(
                 system.config,
                 system.encoder.codebook,
-                link.stats.delivered,
+                _packet_bodies(link.stats),
                 windows_sent=total,
             )
             assert (
@@ -986,7 +993,7 @@ class TestReplaySurvivors:
             accepted, accounting = replay_survivors(
                 system.config,
                 system.encoder.codebook,
-                link.stats.delivered,
+                _packet_bodies(link.stats),
                 windows_sent=len(packets),
             )
             assert len(accepted) + _damaged(accounting) == len(
@@ -1065,7 +1072,7 @@ class TestReplaySurvivors:
             without, acc_off = replay_survivors(
                 system.config,
                 system.encoder.codebook,
-                link.stats.delivered,
+                _packet_bodies(link.stats),
                 windows_sent=total,
             )
             assert (

@@ -25,6 +25,7 @@ from repro.core import EcgMonitorSystem
 from repro.fleet.engine import solve_measurement_block
 from repro.ingest.channel import NACK_BUDGET
 from repro.ingest import (
+    FrameKind,
     IngestGateway,
     LossyChannel,
     NodeClient,
@@ -82,9 +83,11 @@ def test_live_gateway_matches_offline_replay(
         assert result.windows_resynced > 0
 
     # the offline survivor replay reconstructs the same accepted set
-    delivered = (
-        link.stats.delivered_frames if fec else link.stats.delivered
-    )
+    delivered = [
+        (kind, body)
+        for kind, body in link.stats.delivered_frames
+        if fec or kind == int(FrameKind.PACKET)
+    ]
     accepted, accounting = replay_survivors(
         config,
         system.encoder.codebook,

@@ -1,4 +1,10 @@
-"""The metric catalog: shape invariants and the HELP-line exposition."""
+"""The metric catalog: shape invariants and the HELP-line exposition.
+
+The family list is pinned: each family carries a fact that no other
+series, result or attribute holds.  A family comes back only with such
+a fact, never as a second copy of one (a count another histogram
+already carries, a run's shape the caller reads off the object).
+"""
 
 import re
 
@@ -17,8 +23,45 @@ from repro.telemetry import (
 
 _PROM_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
+#: every family the stack publishes, with its label names
+PINNED_FAMILIES = {
+    "ingest_sessions_opened": {"stream"},
+    "ingest_sessions_completed": {"stream"},
+    "ingest_sessions_errored": {"stream"},
+    "ingest_windows_decoded": {"stream"},
+    "ingest_flushes": {"reason"},
+    "ingest_cross_stream_batches": set(),
+    "ingest_queue_depth": {"group"},
+    "ingest_window_latency_seconds": set(),
+    "ingest_stage_seconds": {"stage"},
+    "ingest_windows_lost": {"stream"},
+    "ingest_windows_resynced": {"stream"},
+    "ingest_frames_corrupt": {"stream"},
+    "ingest_frames_duplicate": {"stream"},
+    "ingest_windows_recovered_parity": {"stream"},
+    "ingest_windows_recovered_retransmit": {"stream"},
+    "ingest_frames_late_retransmit": {"stream"},
+    "ingest_nacks_sent": {"stream"},
+    "ingest_parity_frames": {"stream"},
+    "link_frames": {"fate", "stream"},
+    "fleet_solve_seconds": {"worker"},
+    "fleet_solve_width": {"worker"},
+    "fleet_solve_iterations": set(),
+    "fleet_hybrid_windows": set(),
+    "fleet_polish_windows": set(),
+    "federation_gateways": set(),
+    "federation_reroutes": {"gateway"},
+    "federation_streams": {"gateway"},
+}
+
 
 class TestCatalogShape:
+    def test_families_and_labels_are_pinned(self):
+        assert len(CATALOG) == 27
+        assert {
+            name: set(spec.labels) for name, spec in CATALOG.items()
+        } == PINNED_FAMILIES
+
     def test_every_entry_well_formed(self):
         for name, spec in CATALOG.items():
             assert spec.name == name
@@ -90,7 +133,7 @@ class TestHelpExposition:
         registry = MetricsRegistry()
         meter = registry.meter(stream="s1")
         meter.inc("ingest_windows_decoded", amount=3)
-        meter.observe("ingest_solve_seconds", 0.25)
+        registry.observe("ingest_stage_seconds", 0.25, stage="solve")
         registry.set_gauge("ingest_queue_depth", 2, group="g0")
         snapshot = registry.snapshot()
         text = render_prometheus(snapshot)

@@ -41,7 +41,9 @@ from repro.ingest import (
     encoded_packets,
     read_frame,
 )
+from repro.fleet import FleetDecoder
 from repro.ingest.gateway import WINDOW_LISTS
+from repro.realtime import MonitorPipeline, Processor
 from repro.solvers.batched import (
     BatchedFista,
     BatchedSolverResult,
@@ -92,6 +94,24 @@ def test_node_client_options():
         "fec",
         "reconnect",
     ]
+
+
+def test_fleet_decoder_options():
+    """The decoder publishes to its own ``telemetry`` registry, which
+    its caller reads; no caller outside ``tests/`` passes one in."""
+    assert _parameters(FleetDecoder.__init__) == ["batch_size", "workers"]
+
+
+def test_realtime_pipeline_options():
+    """The fig-8 simulator reports through ``PipelineReport`` and the
+    processors' own ledgers; it publishes no telemetry series."""
+    assert _parameters(MonitorPipeline.__init__) == [
+        "config",
+        "node_model",
+        "phone_model",
+        "radio",
+    ]
+    assert _parameters(Processor.__init__) == ["name"]
 
 
 def test_hybrid_solve_options():
@@ -169,7 +189,7 @@ def test_stream_result_fields(small_config, database):
     """What a stream hands back, one record per fact.  A window's
     latency is in its ``DECODED`` ack and the
     ``ingest_window_latency_seconds`` histogram, its solve time in
-    ``ingest_solve_seconds``, and channel damage in the gateway's
+    ``ingest_stage_seconds{stage="solve"}``, and channel damage in the gateway's
     result and ``ingest_*`` counters, so none of them is copied into
     another record.  Fields that no code outside ``tests/`` reads stay
     for a reason:
