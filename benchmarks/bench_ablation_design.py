@@ -1,7 +1,7 @@
 """Design-choice ablations: wavelet basis, decomposition depth, quantizer.
 
-These back the defaults DESIGN.md commits to (db4, 5 levels, shift 4)
-with measurements:
+These back the codec defaults (``SystemConfig``: db4, 5 levels; the
+quantizer's shift 4) with measurements:
 
 - wavelet family sweep: db4-class bases capture ECG energy in fewer
   coefficients than Haar, which shows up directly as reconstruction SNR;

@@ -25,7 +25,7 @@ import warnings
 
 from repro import EcgMonitorSystem, SyntheticMitBih, SystemConfig
 from repro.core.decoder import operator_key
-from repro.ingest import FederationFrontDoor, NodeClient
+from repro.ingest import FederationFrontDoor, NodeClient, merge_stream_results
 
 from _common import banner
 
@@ -118,17 +118,27 @@ async def main() -> None:
         )
 
     banner("fleet-wide roll-up (monoid merge of per-gateway deltas)")
-    final = front_door.federation_stats()
-    print(f"gateways:        {final.gateways} started, "
-          f"{final.gateways_alive} alive at close")
-    print(f"streams routed:  {final.streams_routed} "
-          f"(by gateway: {final.streams_by_gateway})")
-    print(f"reroutes:        {final.reroutes}")
-    print(f"windows decoded: {final.windows_decoded}, "
-          f"lost: {final.windows_lost}")
+    # the front door's registry holds its own routing series and every
+    # gateway's ingest_* totals, complete once close() has pulled them
+    final = front_door.telemetry.snapshot()
+    _, alive = final.gauges[("federation_gateways", ())]
+    routed = {
+        gateway_id: int(
+            final.counter_value("federation_streams", gateway=gateway_id)
+        )
+        for gateway_id in sorted(
+            final.label_values("federation_streams", "gateway")
+        )
+    }
+    print(f"gateways:        {front_door.gateways} started, "
+          f"{int(alive)} alive at close")
+    print(f"streams routed:  {sum(routed.values())} (by gateway: {routed})")
+    print(f"reroutes:        {int(final.counter_total('federation_reroutes'))}")
+    print(f"windows decoded: {int(final.counter_total('ingest_windows_decoded'))}, "
+          f"lost: {int(final.counter_total('ingest_windows_lost'))}")
 
     banner("per-stream outcome after the merge")
-    merged = front_door.merged_results()
+    merged = merge_stream_results(front_door.results)
     for client in clients:
         result = merged[f"{client.record.name}:0"]
         print(

@@ -103,16 +103,22 @@ async def main() -> list[str]:
         )
 
     banner("what the coordinator did")
-    stats = gateway.stats
-    print(f"pooled batches:        {stats.batches} "
-          f"({stats.cross_stream_batches} spanning streams)")
-    print(f"flush triggers:        {stats.flushes_full} full, "
-          f"{stats.flushes_deadline} deadline, {stats.flushes_drain} drain, "
-          f"{stats.flushes_idle} idle")
+    snap = registry.snapshot()
+    flushes = {
+        reason: int(snap.counter_value("ingest_flushes", reason=reason))
+        for reason in ("full", "deadline", "drain", "idle")
+    }
+    cross = int(snap.counter_total("ingest_cross_stream_batches"))
+    print(f"pooled batches:        {int(snap.counter_total('ingest_flushes'))} "
+          f"({cross} spanning streams)")
+    print(f"flush triggers:        {flushes['full']} full, "
+          f"{flushes['deadline']} deadline, {flushes['drain']} drain, "
+          f"{flushes['idle']} idle")
+    latency = snap.histogram_total("ingest_window_latency_seconds")
     worst = (
         "n/a (no window decoded)"
-        if stats.max_latency_s is None
-        else f"{1000 * stats.max_latency_s:.0f} ms"
+        if latency is None
+        else f"{1000 * latency.max:.0f} ms"
     )
     print(f"worst decode latency:  {worst} "
           f"(real-time budget: {1000 * config.packet_seconds:.0f} ms)")
@@ -123,7 +129,7 @@ async def main() -> list[str]:
     banner("the telemetry plane (one registry, every surface)")
     print(
         render_snapshot_table(
-            registry.snapshot(),
+            snap,
             title="ingest metrics (counters, gauges, histograms)",
             prefix="ingest_",
         )

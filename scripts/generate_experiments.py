@@ -45,7 +45,7 @@ def main() -> int:
         + f"; {PACKETS} packets each; seed 2011).  Absolute values differ\n"
         "from the paper (different ECG realizations, simulated platforms);\n"
         "the *shapes* and the calibrated anchors are the reproduction\n"
-        "targets.  See DESIGN.md for the calibration methodology.",
+        "targets.",
         file=out,
     )
 

@@ -20,11 +20,10 @@ forwarding shims, histogram internals) are out of static reach and
 skipped; the catalog's completeness is still guaranteed by every
 *entry point* call site carrying a literal.
 
-Tier-1 cannot see this bug class where no test reads the series: the
-flush and cross-stream counters feed ``GatewayStats`` and a renamed one
-fails a stats assertion, but a renamed gauge or label that no view
-asserts on leaves every test green while the series it feeds goes
-dark.
+Tier-1 cannot see this bug class where no test reads the series: a
+renamed flush or cross-stream counter fails a test that reads it from
+the registry, but a renamed gauge or label that no test asserts on
+leaves every test green while the series it feeds goes dark.
 """
 
 from __future__ import annotations

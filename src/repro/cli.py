@@ -42,7 +42,6 @@ from .experiments import (
     run_fig8,
     run_simd_ablation,
 )
-from .telemetry import render_result_table
 
 _FIGURES = ("fig2", "fig6", "fig7")
 
@@ -486,7 +485,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     total_windows = sum(r.num_packets for r in results)
     print(
-        render_result_table(
+        render_table(
             rows,
             title=(
                 f"fleet decode: {args.streams} streams, {groups} operator "
@@ -628,7 +627,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.fec:
         title += ", fec on"
     rows = node_rows(reports, gateway.results)
-    print(render_result_table(rows, title=title))
+    print(render_table(rows, title=title))
     print(render_snapshot_table(registry.snapshot(), title="telemetry"))
     return 1 if failures or any(report.error for report in reports) else 0
 

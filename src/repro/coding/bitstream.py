@@ -103,11 +103,6 @@ class BitReader:
         self._position = 0
 
     @property
-    def position(self) -> int:
-        """Number of bits consumed so far."""
-        return self._position
-
-    @property
     def remaining(self) -> int:
         """Number of bits still available."""
         return self._bit_length - self._position

@@ -173,11 +173,6 @@ class HuffmanCode:
         return list(self._lengths)
 
     @property
-    def max_length(self) -> int:
-        """Longest codeword length in bits."""
-        return self._max_length
-
-    @property
     def num_symbols(self) -> int:
         """Size of the symbol alphabet (including absent symbols)."""
         return len(self._lengths)

@@ -60,11 +60,6 @@ class DifferentialCodec:
         self.last_batch_clip_counts = np.zeros(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    @property
-    def packet_index(self) -> int:
-        """Number of packets processed since the last :meth:`reset`."""
-        return self._packet_index
-
     def reset(self) -> None:
         """Drop all state; the next packet becomes a keyframe."""
         self._reference = None

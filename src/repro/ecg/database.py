@@ -128,11 +128,6 @@ class SyntheticMitBih:
         self._cache: dict[str, Record] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def names(self) -> tuple[str, ...]:
-        """All 48 record names."""
-        return RECORD_NAMES
-
     def subset(self, count: int, stride: int = 5) -> tuple[str, ...]:
         """A deterministic spread of ``count`` record names.
 

@@ -6,6 +6,9 @@ from collections.abc import Mapping, Sequence
 
 
 def _format_cell(value: object, precision: int) -> str:
+    if value is None:
+        # "no data" must read as such, never as a perfect 0.0
+        return "n/a"
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
@@ -19,7 +22,8 @@ def render_table(
     title: str | None = None,
     precision: int = 3,
 ) -> str:
-    """Render dict rows as an aligned text table (markdown-compatible)."""
+    """Render dict rows as an aligned text table (markdown-compatible);
+    a ``None`` cell renders as ``n/a``."""
     if not rows:
         raise ValueError("rows must be non-empty")
     if columns is None:

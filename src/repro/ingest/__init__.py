@@ -35,10 +35,10 @@ coordinator actually runs:
 
 Every gateway event — sessions, flushes, solve and window latencies,
 channel damage — publishes through one
-:class:`~repro.telemetry.MetricsRegistry`; the stat dataclasses
-(:class:`GatewayStats`, :class:`IngestStreamResult`) are read models
-over it, and the registry feeds the persistent sinks (`serve
---metrics-file` / ``--metrics-port``).
+:class:`~repro.telemetry.MetricsRegistry`, the one aggregate view of
+the counts: the tests, the examples and the persistent sinks (`serve
+--metrics-file` / ``--metrics-port``) all read it.  Per stream,
+:class:`IngestStreamResult` holds what one session decoded and lost.
 
 Decoded output is bit-identical to the offline path: a flushed block
 runs the same :func:`~repro.fleet.engine.solve_measurement_block` the
@@ -63,14 +63,9 @@ from .channel import (
     replay_survivors,
 )
 from .client import NodeClient, NodeReport, encoded_packets
-from .federation import (
-    SESSION_ID_STRIDE,
-    FederationFrontDoor,
-    FederationStats,
-)
+from .federation import SESSION_ID_STRIDE, FederationFrontDoor
 from .gateway import (
     DEFAULT_FLUSH_MS,
-    GatewayStats,
     IngestGateway,
     IngestStreamResult,
     merge_stream_results,
@@ -78,7 +73,6 @@ from .gateway import (
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     FrameKind,
     Handshake,
     encode_frame,
@@ -89,10 +83,8 @@ from .protocol import (
 __all__ = [
     "DEFAULT_FLUSH_MS",
     "FederationFrontDoor",
-    "FederationStats",
     "FrameKind",
     "FrameVerdict",
-    "GatewayStats",
     "HOLD_CAP_EPOCHS",
     "Handshake",
     "IngestGateway",
@@ -108,7 +100,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ResyncAnchor",
     "SESSION_ID_STRIDE",
-    "SUPPORTED_VERSIONS",
     "SequenceTracker",
     "StreamRecovery",
     "admit_packet",

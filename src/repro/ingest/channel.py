@@ -109,9 +109,9 @@ class LossAccounting:
     """Per-stream damage counters of the gap-recovery state machine.
 
     The one declaration of the damage vocabulary: the gateway's
-    per-stream result and aggregate stats views inherit these fields
-    (keyword-only, so a subclass may lead with required fields of its
-    own) instead of re-typing them.
+    per-stream result inherits these fields (keyword-only, so a
+    subclass may lead with required fields of its own), and each is
+    also an ``ingest_<name>`` counter family.
     """
 
     #: windows that never arrived (sequence gaps, including the tail
@@ -326,9 +326,8 @@ class StreamRecovery:
 
     Sits between the wire and :func:`admit_packet`.  With ``fec`` off
     every ``PACKET`` body flows straight through the plain admission
-    path — bit-identical to a v1 stream.  With ``fec`` on, a sequence
-    gap *holds* subsequent frames un-admitted (and un-charged) while
-    the tiers try to close it:
+    path.  With ``fec`` on, a sequence gap *holds* subsequent frames
+    un-admitted (and un-charged) while the tiers try to close it:
 
     1. the epoch's ``PARITY`` frame XOR-reconstructs a single missing
        body locally (CRC-validated, zero round trips);
@@ -788,15 +787,6 @@ def replay_survivors(
 class LinkStats:
     """Ground truth of what one :class:`LossyLink` did to its frames."""
 
-    frames_seen: int = 0
-    frames_dropped: int = 0
-    frames_reordered: int = 0
-    frames_duplicated: int = 0
-    frames_corrupted: int = 0
-    frames_delivered: int = 0
-    #: PARITY frames that entered the link / were dropped by it
-    parity_seen: int = 0
-    parity_dropped: int = 0
     #: sequence numbers of dropped frames (pre-impairment header read)
     dropped_sequences: list[int] = field(default_factory=list)
     #: the exact post-impairment ``(frame kind, body)`` pairs in
@@ -901,9 +891,9 @@ class LossyLink:
         self._writer = writer
         self.channel = channel
         self.stats = LinkStats()
-        #: telemetry mirror of the frame-fate counters: every fate is
-        #: published as ``link_frames{fate=...}`` alongside the
-        #: :class:`LinkStats` ground-truth view
+        #: where the frame-fate counts go: every fate is published as
+        #: ``link_frames{fate=...}``; :class:`LinkStats` keeps only the
+        #: per-frame records no counter holds
         self.meter = meter
         self._rng = np.random.default_rng(channel.seed)
         self._buffer = bytearray()
@@ -957,14 +947,12 @@ class LossyLink:
 
     # -- impairment ------------------------------------------------------
     def _impair(self, frame: bytes) -> None:
-        self.stats.frames_seen += 1
         self.meter.inc("link_frames", fate="seen")
         sequence = header_sequence(frame[_FRAME_PREFIX + 1 :])
         forced = sequence in self._forced_drops
         if forced:
             self._forced_drops.discard(sequence)
         if forced or self._rng.random() < self.channel.loss:
-            self.stats.frames_dropped += 1
             self.stats.dropped_sequences.append(sequence)
             self.stats.fate_log.append("dropped")
             self.meter.inc("link_frames", fate="dropped")
@@ -972,18 +960,15 @@ class LossyLink:
             return
         if self.channel.corrupt and self._rng.random() < self.channel.corrupt:
             frame = self._flip_one_bit(frame)
-            self.stats.frames_corrupted += 1
             self.stats.fate_log.append("corrupted")
             self.meter.inc("link_frames", fate="corrupted")
         else:
             self.stats.fate_log.append("delivered")
         if self.channel.duplicate and self._rng.random() < self.channel.duplicate:
-            self.stats.frames_duplicated += 1
             self.meter.inc("link_frames", fate="duplicated")
             self._deliver(frame)
         if self.channel.reorder and self._rng.random() < self.channel.reorder:
             delay = int(self._rng.integers(1, self.channel.reorder_window + 1))
-            self.stats.frames_reordered += 1
             self.meter.inc("link_frames", fate="reordered")
             self._held.append([delay, frame])
             return
@@ -993,7 +978,6 @@ class LossyLink:
         """PARITY frames roll only the loss dice (plus forced drops):
         the redundancy itself rides the same radio, but corrupting or
         reordering it would test the parity *parser*, not recovery."""
-        self.stats.parity_seen += 1
         self.meter.inc("link_frames", fate="parity_seen")
         body = frame[_FRAME_PREFIX + 1 :]
         base = int.from_bytes(body[0:2], "big") if len(body) >= 2 else -1
@@ -1001,7 +985,6 @@ class LossyLink:
         if forced:
             self._forced_parity_drops.discard(base)
         if forced or self._rng.random() < self.channel.loss:
-            self.stats.parity_dropped += 1
             self.meter.inc("link_frames", fate="parity_dropped")
             self._tick_held()
             return
@@ -1026,7 +1009,6 @@ class LossyLink:
         body = frame[_FRAME_PREFIX + 1 :]
         self.stats.delivered_frames.append((kind, body))
         if kind == int(FrameKind.PACKET):
-            self.stats.frames_delivered += 1
             self.meter.inc("link_frames", fate="delivered")
         else:
             self.meter.inc("link_frames", fate="parity_delivered")

@@ -122,8 +122,8 @@ class NodeClient:
         cost), keep a retransmit ring of recent packets with
         keyframes pinned, and answer the gateway's ``NACK`` frames
         with retransmissions — which also pass the lossy link, like
-        any real retransmission would.  Off (the default), the wire
-        bytes are identical to a v1 node.
+        any real retransmission would.  Off (the default), the node
+        sends no ``PARITY`` frame and keeps no retransmit ring.
     reconnect:
         Maximum times :meth:`run_tcp` re-dials after a mid-stream
         connection loss (``0``, the default, keeps the old

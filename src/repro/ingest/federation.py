@@ -56,10 +56,12 @@ the supervisor periodically pulls
 control pipe and :meth:`~repro.telemetry.MetricsRegistry.absorb`-s
 them into the front door's registry — the same associative monoid
 merge the in-gateway process pool already uses, now one level up.
-:meth:`FederationFrontDoor.federation_stats` and
-:meth:`FederationFrontDoor.merged_results` are read models over the
-rolled-up registry and the collected
-:class:`~repro.ingest.gateway.IngestStreamResult` lists.
+The front door's registry is the fleet's one view of the counts: the
+``ingest_*`` totals of every gateway, and ``federation_gateways``,
+``federation_streams{gateway}`` and ``federation_reroutes`` of its
+own.  The collected :class:`~repro.ingest.gateway.IngestStreamResult`
+lists merge per stream through
+:func:`~repro.ingest.gateway.merge_stream_results`.
 """
 
 from __future__ import annotations
@@ -75,13 +77,7 @@ from ..fleet.executor import pin_blas_to_one_thread
 from ..core.decoder import operator_key
 from ..telemetry import MetricsRegistry, MetricsSnapshot
 from ..utils.hashring import HashRing
-from .gateway import (
-    GatewayStats,
-    IngestGateway,
-    IngestStreamResult,
-    gateway_stats_from,
-    merge_stream_results,
-)
+from .gateway import IngestGateway, IngestStreamResult
 from .protocol import FrameKind, Handshake, encode_frame, encode_json_frame, read_hello
 
 #: session-id range width per gateway: gateway ``i`` numbers its
@@ -291,22 +287,6 @@ class _ProxySession:
                 writer.close()
         except (ConnectionError, OSError, RuntimeError):
             pass
-
-
-@dataclass
-class FederationStats:
-    """Read model over the front door's rolled-up registry."""
-
-    gateways: int  #: workers started
-    gateways_alive: int  #: workers currently alive
-    streams_routed: int  #: node links routed by operator key
-    reroutes: int  #: live links cut by a gateway death
-    #: links routed per gateway id (placement balance view)
-    streams_by_gateway: dict[str, int]
-    #: rolled-up ingest totals (fresh up to the last stats pull)
-    sessions_opened: int
-    windows_decoded: int
-    windows_lost: int
 
 
 class FederationFrontDoor:
@@ -731,52 +711,8 @@ class FederationFrontDoor:
         except (ConnectionError, RuntimeError):
             pass
 
-    # ------------------------------------------------------------------
-    # read models
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> GatewayStats:
-        """The fleet-wide :class:`~repro.ingest.gateway.GatewayStats`
-        aggregate, materialized from the rolled-up registry — the
-        same read model a single gateway exposes, summed across
-        workers by the monoid merge (fresh up to the last stats
-        pull; complete after :meth:`close`)."""
-        return gateway_stats_from(self.telemetry)
-
-    def federation_stats(self) -> FederationStats:
-        """The roll-up view (fresh up to the supervisor's last stats
-        pull; complete after :meth:`close`)."""
-        snap = self.telemetry.snapshot()
-        return FederationStats(
-            gateways=len(self._workers) or self.gateways,
-            gateways_alive=len(self._alive_workers()),
-            streams_routed=int(snap.counter_total("federation_streams")),
-            reroutes=int(snap.counter_total("federation_reroutes")),
-            streams_by_gateway={
-                gid: int(
-                    snap.counter_value("federation_streams", gateway=gid)
-                )
-                for gid in self._workers
-            },
-            sessions_opened=int(
-                snap.counter_total("ingest_sessions_opened")
-            ),
-            windows_decoded=int(
-                snap.counter_total("ingest_windows_decoded")
-            ),
-            windows_lost=int(snap.counter_total("ingest_windows_lost")),
-        )
-
-    def merged_results(self) -> dict[str, IngestStreamResult]:
-        """Collected stream results merged per stream identity — the
-        same :func:`~repro.ingest.gateway.merge_stream_results` a
-        single gateway applies to its own reconnects, here across
-        gateway id ranges."""
-        return merge_stream_results(self.results)
-
 
 __all__ = [
     "SESSION_ID_STRIDE",
     "FederationFrontDoor",
-    "FederationStats",
 ]

@@ -50,8 +50,8 @@ counted and discarded, and a sequence gap puts stage 2 into a *resync*
 state that discards difference packets until the next keyframe
 re-anchors the cumulative chain — so one loss event damages at most
 ``keyframe_interval`` windows, and every damaged window is accounted
-in :class:`IngestStreamResult` / :class:`GatewayStats` rather than
-silently corrupting the reconstruction.
+in :class:`IngestStreamResult` and the ``ingest_*`` counters rather
+than silently corrupting the reconstruction.
 
 Sessions that negotiate ``fec`` (protocol v2) run the two-tier
 :class:`~repro.ingest.channel.StreamRecovery` front-end instead of
@@ -106,6 +106,7 @@ from .channel import (
     header_sequence,
 )
 from .protocol import (
+    PROTOCOL_VERSION,
     FrameKind,
     Handshake,
     decode_json_body,
@@ -144,7 +145,7 @@ PENDING_BATCHES = 4
 IDLE_DEADLINE_WINDOWS = 5
 
 #: the :class:`~repro.ingest.channel.LossAccounting` counters every
-#: result/stats view carries, each an ``ingest_<name>`` counter family
+#: stream result carries, each also an ``ingest_<name>`` counter family
 DAMAGE_COUNTERS = tuple(f.name for f in dataclasses.fields(LossAccounting))
 
 #: the positional per-window lists of :class:`IngestStreamResult`, row
@@ -389,46 +390,6 @@ def merge_stream_results(
     return merged
 
 
-@dataclass
-class GatewayStats(LossAccounting):
-    """Aggregate view of one gateway's lifetime.
-
-    Since the telemetry refactor this dataclass is a *read model*: the
-    gateway publishes every event to its
-    :class:`~repro.telemetry.MetricsRegistry` and
-    :attr:`IngestGateway.stats` materializes this view from a registry
-    snapshot on access.  The field vocabulary (and the tests that read
-    it) are unchanged; the counters now also persist through the
-    metrics sinks and merge across process-pool workers.
-
-    ``streams`` counts distinct stream identities (``record:channel``)
-    rather than sessions: a reconnecting stream id contributes one
-    stream however many sessions it opened (``sessions_opened`` keeps
-    counting sessions).  The inherited
-    :class:`~repro.ingest.channel.LossAccounting` fields are the
-    lossy-channel damage and two-tier recovery outcomes summed across
-    all sessions.
-    """
-
-    sessions_opened: int = 0
-    sessions_completed: int = 0
-    sessions_errored: int = 0
-    #: distinct stream identities served (a reconnect is not a new one)
-    streams: int = 0
-    windows_decoded: int = 0
-    batches: int = 0
-    flushes_full: int = 0
-    flushes_deadline: int = 0
-    flushes_drain: int = 0
-    #: partial batches taken at once by an idle solver
-    flushes_idle: int = 0
-    cross_stream_batches: int = 0
-    nacks_sent: int = 0
-    #: ``None`` until the first window decodes — "no data yet" must
-    #: not be reported as a perfect 0.0 latency
-    max_latency_s: float | None = None
-
-
 class _Session:
     """Gateway-side state of one connected node link."""
 
@@ -607,15 +568,6 @@ class IngestGateway:
         self.port: int | None = None
 
     # ------------------------------------------------------------------
-    # telemetry read models
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> GatewayStats:
-        """The aggregate :class:`GatewayStats` view, materialized from
-        the telemetry registry on access."""
-        return gateway_stats_from(self.telemetry)
-
-    # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
@@ -755,9 +707,7 @@ class IngestGateway:
             self._send_json(
                 session,
                 FrameKind.WELCOME,
-                # echo the version the node actually speaks, so a v1
-                # node is never promised v2 frames
-                {"protocol": handshake.protocol, "stream_id": session.id},
+                {"protocol": PROTOCOL_VERSION, "stream_id": session.id},
             )
             await writer.drain()
             watchdog = _IdleWatchdog(
@@ -1336,48 +1286,11 @@ class IngestGateway:
             pass
 
 
-def gateway_stats_from(telemetry: MetricsRegistry) -> GatewayStats:
-    """Materialize the :class:`GatewayStats` read model from any
-    registry holding the ingest metric families — a live gateway's
-    own registry, or a federation front door's roll-up of its
-    workers' snapshot deltas (the counters merge associatively, so
-    the aggregate view is exact either way)."""
-    snap = telemetry.snapshot()
-
-    def total(name: str) -> int:
-        return int(snap.counter_total(name))
-
-    def flushes(reason: str) -> int:
-        return int(snap.counter_value("ingest_flushes", reason=reason))
-
-    latency = snap.histogram_total("ingest_window_latency_seconds")
-    return GatewayStats(
-        sessions_opened=total("ingest_sessions_opened"),
-        sessions_completed=total("ingest_sessions_completed"),
-        sessions_errored=total("ingest_sessions_errored"),
-        streams=len(snap.label_values("ingest_sessions_opened", "stream")),
-        windows_decoded=total("ingest_windows_decoded"),
-        batches=total("ingest_flushes"),
-        flushes_full=flushes("full"),
-        flushes_deadline=flushes("deadline"),
-        flushes_drain=flushes("drain"),
-        flushes_idle=flushes("idle"),
-        cross_stream_batches=total("ingest_cross_stream_batches"),
-        nacks_sent=total("ingest_nacks_sent"),
-        **{name: total(f"ingest_{name}") for name in DAMAGE_COUNTERS},
-        max_latency_s=(
-            latency.max if latency is not None and latency.total else None
-        ),
-    )
-
-
 __all__ = [
     "DEFAULT_FLUSH_MS",
     "NACK_DEADLINE_S",
     "PENDING_BATCHES",
-    "GatewayStats",
     "IngestGateway",
     "IngestStreamResult",
-    "gateway_stats_from",
     "merge_stream_results",
 ]

@@ -20,11 +20,11 @@ Node -> gateway frames
     the full scalar codec configuration (the
     :class:`~repro.config.SystemConfig` fields — including the sensing
     seed the gateway needs to rebuild ``Phi``) and the node's trained
-    Huffman codebook (canonical lengths only).  An unsupported
-    ``protocol`` version or malformed config is answered with an
-    ``ERROR`` frame and the link is closed — and so is a link whose
-    ``HELLO`` has not arrived :data:`HANDSHAKE_TIMEOUT_S` after it
-    connected.
+    Huffman codebook (canonical lengths only).  A ``protocol`` version
+    other than :data:`PROTOCOL_VERSION` or a malformed config is
+    answered with an ``ERROR`` frame and the link is closed — and so
+    is a link whose ``HELLO`` has not arrived
+    :data:`HANDSHAKE_TIMEOUT_S` after it connected.
 ``PACKET``
     One encoded 2-second window, as the exact on-air bytes of
     :meth:`~repro.core.packets.EncodedPacket.to_bytes` (sync byte,
@@ -35,7 +35,7 @@ Node -> gateway frames
     from the sequence alone (see :mod:`repro.ingest.channel`); a
     corrupt-CRC frame is counted and discarded, not a link error.
 ``PARITY``
-    Tier-1 recovery (protocol v2, nodes with ``fec`` enabled): one
+    Tier-1 recovery (nodes with ``fec`` enabled): one
     XOR-parity frame per keyframe epoch, folded over the epoch's
     packet bodies padded to the longest (see :mod:`repro.coding.fec`).
     Sent after the epoch's last packet, before the next keyframe (and
@@ -47,7 +47,7 @@ Node -> gateway frames
     windows, finishes decoding, and closes the link.  The body may be
     empty, or a JSON object ``{"windows": N}`` declaring how many
     windows the node sent — this lets the gateway account a *trailing*
-    loss, which no later packet would otherwise reveal.  A v2 node
+    loss, which no later packet would otherwise reveal.  An fec node
     keeps the link open after ``BYE`` and keeps answering ``NACK``
     frames until the gateway closes, so even a trailing loss can be
     retransmitted.
@@ -56,8 +56,8 @@ Gateway -> node frames
 ======================
 
 ``WELCOME``
-    Handshake accepted; JSON body echoes the protocol version and the
-    gateway-assigned stream id.
+    Handshake accepted; JSON body carries :data:`PROTOCOL_VERSION` and
+    the gateway-assigned stream id.
 ``DECODED``
     One window left the solver: JSON ``{"sequence", "iterations",
     "latency_ms"}`` — the packet sequence, the solver iterations and
@@ -69,12 +69,13 @@ Gateway -> node frames
     node reads ack keys with defaults, so a peer that sends more or
     fewer keys still interoperates.
 ``NACK``
-    Tier-2 recovery (protocol v2): JSON ``{"sequences": [...]}``
+    Tier-2 recovery: JSON ``{"sequences": [...]}``
     naming packet sequences the gateway still needs — sent over the
     existing ack channel when a gap exceeds what parity can cover
     (>= 2 losses in one epoch, or a lost packet whose parity is also
     gone).  The node retransmits whichever of them its retransmit
-    ring still holds.  Never sent to a v1 node.
+    ring still holds.  Sent only on a link whose ``HELLO`` declared
+    ``fec``.
 ``ERROR``
     JSON ``{"error": reason}``; the gateway closes the link after
     sending it.
@@ -98,16 +99,11 @@ from ..config import SystemConfig
 from ..core.decoder import BACKENDS
 from ..errors import CodebookError, ConfigurationError, ProtocolError
 
-#: Protocol revision spoken by this module.  v2 adds the two-tier
-#: recovery layer (``PARITY`` epochs + ``NACK`` retransmission); codec
-#: semantics (packet format, codebook serialization, config fields)
-#: are unchanged from v1, so a gateway gracefully downgrades a v1
-#: handshake to the plain keyframe-resync path instead of refusing it.
+#: The one protocol revision this module speaks and accepts (v2 added
+#: the two-tier recovery layer: ``PARITY`` epochs + ``NACK``
+#: retransmission); a ``HELLO`` naming any other version is refused
+#: with an ``ERROR`` frame.
 PROTOCOL_VERSION = 2
-
-#: handshake versions the gateway accepts; anything else is refused
-#: with an ``ERROR`` frame (codec semantics are pinned per revision)
-SUPPORTED_VERSIONS = (1, 2)
 
 #: Upper bound on one frame's length prefix.  A 2-second window at the
 #: paper's operating point is ~1 kB on the wire and a handshake is a
@@ -288,19 +284,14 @@ class Handshake:
         Decode precision the node requests (``"float64"``/``"float32"``).
     fec:
         Whether the node emits per-epoch ``PARITY`` frames and answers
-        ``NACK`` retransmission requests (protocol v2 only).  The
-        gateway engages its hold-and-recover admission path only for
-        sessions that declare this — a v1 (or fec-off v2) stream runs
-        the plain keyframe-resync path, bit-identically to before.
-    protocol:
-        The protocol revision this handshake speaks.  Defaults to the
-        current :data:`PROTOCOL_VERSION`; :meth:`from_body` preserves
-        the version a v1 node actually sent so the gateway knows not
-        to send it v2 frames.
+        ``NACK`` retransmission requests.  The gateway engages its
+        hold-and-recover admission path only for sessions that
+        declare this — an fec-off stream runs the plain
+        keyframe-resync path.
     resume:
         Sequence number of the first ``PACKET`` this session will
         carry (mod 2^16).  ``0`` — the default, and the only value a
-        fresh stream sends — leaves the v1 wire byte-identical.  A
+        fresh stream sends — is left off the wire.  A
         node reconnecting mid-stream (after a connection reset or a
         federation gateway failover) sets it to the next sequence it
         will transmit, so the receiving gateway baselines its
@@ -329,14 +320,13 @@ class Handshake:
     codebook: Codebook | None = None
     precision: str = "float64"
     fec: bool = False
-    protocol: int = PROTOCOL_VERSION
     resume: int = 0
     resumed: bool = False
 
     def to_payload(self) -> dict[str, Any]:
         """Build the JSON-safe ``HELLO`` body (includes the version)."""
         payload = {
-            "protocol": int(self.protocol),
+            "protocol": PROTOCOL_VERSION,
             "record": self.record,
             "channel": int(self.channel),
             "config": dataclasses.asdict(self.config),
@@ -346,9 +336,8 @@ class Handshake:
                 else json.loads(self.codebook.to_json())
             ),
             "precision": self.precision,
+            "fec": bool(self.fec),
         }
-        if self.protocol >= 2:
-            payload["fec"] = bool(self.fec)
         if self.resume:
             payload["resume"] = int(self.resume)
         if self.resumed:
@@ -363,9 +352,10 @@ class Handshake:
     def from_body(cls, body: bytes) -> "Handshake":
         """Parse and validate a ``HELLO`` body.
 
-        Raises :class:`~repro.errors.ProtocolError` on an unsupported
-        protocol version, a malformed or invalid codec config, a
-        window longer than :data:`MAX_WINDOW_SAMPLES`, an iteration cap
+        Raises :class:`~repro.errors.ProtocolError` on a protocol
+        version other than :data:`PROTOCOL_VERSION`, a malformed or
+        invalid codec config, a window longer than
+        :data:`MAX_WINDOW_SAMPLES`, an iteration cap
         above :data:`MAX_SOLVER_ITERATIONS`, a keyframe interval above
         :data:`MAX_KEYFRAME_INTERVAL`, a bad codebook table (one with a
         codeword longer than ``config.HUFFMAN_MAX_CODE_BITS`` included:
@@ -375,11 +365,10 @@ class Handshake:
         """
         payload = decode_json_body(body)
         version = payload.get("protocol")
-        if version not in SUPPORTED_VERSIONS:
+        if version != PROTOCOL_VERSION:
             raise ProtocolError(
                 f"unsupported protocol version {version!r} "
-                f"(gateway speaks {PROTOCOL_VERSION}, accepts "
-                f"{list(SUPPORTED_VERSIONS)})"
+                f"(gateway speaks {PROTOCOL_VERSION})"
             )
         try:
             record = str(payload["record"])
@@ -417,9 +406,7 @@ class Handshake:
             raise ProtocolError(
                 f"invalid handshake precision {precision!r}"
             )
-        # graceful downgrade: a v1 node knows nothing of PARITY/NACK,
-        # so fec is forced off regardless of any stray field
-        fec = bool(payload.get("fec", False)) if version >= 2 else False
+        fec = bool(payload.get("fec", False))
         try:
             resume = int(payload.get("resume", 0))
         except (TypeError, ValueError, OverflowError) as exc:
@@ -436,7 +423,6 @@ class Handshake:
             codebook=codebook,
             precision=precision,
             fec=fec,
-            protocol=int(version),
             resume=resume,
             # a declared resume point always means continuation; the
             # explicit flag covers the resume == 0 replay case

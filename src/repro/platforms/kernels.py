@@ -54,17 +54,6 @@ class KernelCounts:
             merged[f.name] = getattr(self, f.name) + getattr(other, f.name)
         return KernelCounts(name=f"{self.name}+{other.name}", **merged)
 
-    def scaled(self, factor: int, name: str | None = None) -> "KernelCounts":
-        """Counts repeated ``factor`` times (e.g. per-iteration -> per-solve)."""
-        if factor < 0:
-            raise ValueError(f"factor must be >= 0, got {factor}")
-        scaled = {}
-        for f in fields(self):
-            if f.name == "name":
-                continue
-            scaled[f.name] = getattr(self, f.name) * factor
-        return KernelCounts(name=name or f"{self.name}x{factor}", **scaled)
-
 
 @dataclass(frozen=True)
 class KernelReport:

@@ -36,11 +36,6 @@ class SampleRingBuffer:
         return self.capacity - self.occupancy
 
     @property
-    def started(self) -> bool:
-        """Whether the consumer has performed its first read."""
-        return self._started
-
-    @property
     def min_occupancy_after_start(self) -> int:
         """Lowest occupancy seen since the consumer's first read.
 

@@ -37,8 +37,7 @@ from .events import Simulator
 class Processor:
     """A single-threaded CPU: jobs serialize, busy time accumulates."""
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    def __init__(self) -> None:
         self._free_at = 0.0
         self.busy_seconds = 0.0
         self.jobs = 0
@@ -144,8 +143,8 @@ class MonitorPipeline:
         cfg = self.config
         system = cfg.system
         sim = Simulator()
-        node_cpu = Processor("node")
-        phone_cpu = Processor("phone")
+        node_cpu = Processor()
+        phone_cpu = Processor()
         buffer = SampleRingBuffer(
             int(round(cfg.buffer_seconds * system.sample_rate_hz)), strict=False
         )

@@ -69,11 +69,6 @@ class LfsrCirculantMatrix(SensingMatrix):
         self._matrix = rows * self._scale
         self._matrix.setflags(write=False)
 
-    @property
-    def stride(self) -> int:
-        """Cyclic shift between consecutive rows."""
-        return self._stride
-
     def matrix(self) -> np.ndarray:
         return self._matrix
 

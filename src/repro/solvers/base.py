@@ -45,11 +45,6 @@ class SolverResult:
     residual_norm: float
     objective_history: list[float] = field(default_factory=list)
 
-    @property
-    def objective(self) -> float:
-        """Final objective value (``nan`` if no history was tracked)."""
-        return self.objective_history[-1] if self.objective_history else float("nan")
-
 
 def check_positive_finite(name: str, value: float | np.ndarray) -> None:
     """Refuse a value (or any entry of an array) outside ``(0, inf)``.

@@ -774,12 +774,6 @@ class BatchedFista:
         """The bound factored operator (``None`` on plain instances)."""
         return self._structure
 
-    @property
-    def workspace(self) -> BatchWorkspace:
-        """The workspace the next solve takes while none is running
-        (tests inspect its reuse)."""
-        return self._idle[-1]
-
     @contextlib.contextmanager
     def _lend(self) -> Iterator[BatchWorkspace]:
         """Hold a free workspace for one solve."""

@@ -221,6 +221,3 @@ class StructuredOperator:
             self._admm_pairs[rho] = pair
             return pair
 
-    def synthesis(self, dtype: np.dtype | type) -> np.ndarray:
-        """Dense ``Psi`` in the requested precision."""
-        return self.psi32 if np.dtype(dtype) == np.float32 else self.psi64

@@ -11,8 +11,8 @@ Two persistent sinks (:mod:`~repro.telemetry.sinks`) give a
 long-running ``serve`` memory beyond stdout: a bounded JSONL ring file
 of timestamped snapshots, and the Prometheus text exposition served
 over HTTP by :class:`~repro.telemetry.exposition.MetricsServer`.  The shared table
-views (:mod:`~repro.telemetry.views`) render any snapshot — and any
-CLI result table — with ``n/a`` handling in exactly one place.
+views (:mod:`~repro.telemetry.views`) render any snapshot through the
+one table renderer every CLI result table uses.
 """
 
 from importlib import import_module
@@ -43,8 +43,6 @@ _LAZY_EXPORTS = {
     "RING_SCHEMA": "sinks",
     "JsonlRingSink": "sinks",
     "render_prometheus": "sinks",
-    "na": "views",
-    "render_result_table": "views",
     "render_snapshot_table": "views",
     "snapshot_rows": "views",
 }

@@ -385,11 +385,6 @@ class MetricsSnapshot:
                         found.add(value)
         return found
 
-    def histogram(
-        self, name: str, **labels: object
-    ) -> HistogramSnapshot | None:
-        return self.histograms.get((name, label_key(labels)))
-
     def histogram_total(self, name: str) -> HistogramSnapshot | None:
         """Merge of every series of one histogram metric."""
         merged: HistogramSnapshot | None = None
@@ -549,7 +544,7 @@ class MetricsRegistry:
                     self._histograms[key] = histogram
                 histogram.absorb(snap)
 
-    # -- convenience reads (used by thin stat views) -------------------
+    # -- convenience reads (the same queries as the snapshot's) -------
     def counter_value(self, name: str, **labels: object) -> float:
         with self._lock:
             return self._counters.get((name, label_key(labels)), 0.0)

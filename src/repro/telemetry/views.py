@@ -1,48 +1,15 @@
-"""Human-facing views of telemetry: tables with uniform n/a handling.
+"""Human-facing views of telemetry.
 
-The CLI used to hand-roll each subcommand's result table (``fleet``
-and ``serve --simulate`` each built their own aligned rows, each with
-its own idea of how to print a missing latency).  These helpers are
-the one shared path:
-
-- :func:`na` / :func:`render_result_table` — dict-rows in,
-  aligned text out, with ``None`` rendered as ``n/a`` in exactly one
-  place ("no data" must never masquerade as a perfect 0.0);
-- :func:`snapshot_rows` / :func:`render_snapshot_table` — render *any*
-  :class:`~repro.telemetry.core.MetricsSnapshot` as a table, so every
-  telemetry-backed surface gets a uniform printout for free.
+:func:`snapshot_rows` / :func:`render_snapshot_table` render *any*
+:class:`~repro.telemetry.core.MetricsSnapshot` as a table through the
+one table renderer, :func:`~repro.experiments.reporting.render_table`,
+so every telemetry-backed surface gets a uniform printout.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-
 from ..experiments.reporting import render_table
 from .core import MetricsSnapshot
-
-
-def na(value: object) -> object:
-    """Render-missing marker: ``None`` becomes ``"n/a"``.
-
-    The single place "no data" turns into text — a latency column with
-    no decoded window must read as no-data, never as 0.0 ms.
-    """
-    return "n/a" if value is None else value
-
-
-def render_result_table(
-    rows: Sequence[Mapping[str, object]],
-    columns: Sequence[str] | None = None,
-    title: str | None = None,
-    precision: int = 3,
-) -> str:
-    """Aligned text table of dict rows with uniform ``n/a`` cells."""
-    cleaned = [
-        {key: na(value) for key, value in row.items()} for row in rows
-    ]
-    return render_table(
-        cleaned, columns=columns, title=title, precision=precision
-    )
 
 
 def snapshot_rows(
@@ -113,12 +80,10 @@ def render_snapshot_table(
     rows = snapshot_rows(snapshot, prefix=prefix)
     if not rows:
         return (title + "\n" if title else "") + "(no telemetry recorded)"
-    return render_result_table(rows, title=title, precision=precision)
+    return render_table(rows, title=title, precision=precision)
 
 
 __all__ = [
-    "na",
-    "render_result_table",
     "render_snapshot_table",
     "snapshot_rows",
 ]

@@ -119,10 +119,6 @@ class HashRing:
 
     # -- introspection -----------------------------------------------
 
-    @property
-    def nodes(self) -> frozenset[str]:
-        return frozenset(self._nodes)
-
     def __len__(self) -> int:
         return len(self._nodes)
 

@@ -67,11 +67,10 @@ class TestBitReader:
         with pytest.raises(BitstreamError):
             BitReader(b"\xff", bit_length=9)
 
-    def test_position_and_remaining(self):
+    def test_remaining(self):
         reader = BitReader(b"\xff\x00")
         assert reader.remaining == 16
         reader.read_bits(5)
-        assert reader.position == 5
         assert reader.remaining == 11
 
     def test_negative_width_rejected(self):

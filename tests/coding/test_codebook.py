@@ -33,7 +33,7 @@ class TestTraining:
 
     def test_length_cap_respected(self):
         codebook = train_codebook(max_length=12)
-        assert codebook.code.max_length <= 12
+        assert max(codebook.code.lengths) <= 12
 
     def test_training_on_samples_shortens_frequent_symbols(self):
         samples = [0] * 10_000 + [100] * 10
@@ -119,11 +119,11 @@ class TestSerialization:
         16-bit cap are refused there; building an unbounded code
         offline (the length-limit ablation) is not."""
         at_cap = {"offset": 0, "lengths": [1, 2, 16]}
-        assert Codebook.from_payload(at_cap).code.max_length == 16
+        assert max(Codebook.from_payload(at_cap).code.lengths) == 16
         with pytest.raises(CodebookError, match="16-bit cap"):
             Codebook.from_payload({"offset": 0, "lengths": [1, 2, 17]})
         unbounded = HuffmanCode([1, 2, 40])
-        assert unbounded.max_length == 40
+        assert max(unbounded.lengths) == 40
 
     def test_roundtripped_codebook_decodes(self):
         codebook = train_codebook()

@@ -35,11 +35,15 @@ class TestBasics:
         assert kinds == [True, False, False, True, False, False, True]
 
     def test_reset_forces_keyframe(self):
-        codec = DifferentialCodec()
+        codec = DifferentialCodec(keyframe_interval=3)
+        codec.encode(np.array([1]))
         codec.encode(np.array([1]))
         codec.reset()
         assert codec.encode(np.array([2]))[0] is True
-        assert codec.packet_index == 1
+        # the packet count restarted with it: the next keyframe is one
+        # full interval after the reset, not after the first packet
+        kinds = [codec.encode(np.array([i]))[0] for i in range(3)]
+        assert kinds == [False, False, True]
 
     def test_length_change_rejected(self):
         codec = DifferentialCodec()

@@ -139,7 +139,7 @@ class TestTableDecodeMatchesWalk:
         got = outcome(lambda: code.decode(fast, count))
         want = outcome(lambda: decode_walk(code, slow, count))
         assert got == want
-        assert fast.position == slow.position
+        assert fast.remaining == slow.remaining
 
     @pytest.mark.parametrize("max_length", [1, 5, 12, 13, 16, 40])
     def test_codewords_on_both_sides_of_the_table_width(self, max_length):
@@ -158,14 +158,14 @@ class TestTableDecodeMatchesWalk:
         reader = BitReader(b"\xc0", bit_length=2)  # "11": no codeword yet
         with pytest.raises(BitstreamError):
             code.decode(reader, 1)
-        assert reader.position == 2
+        assert reader.remaining == 0  # both bits consumed
 
     def test_prefix_no_codeword_owns(self):
         code = HuffmanCode([2, 2, 2])  # 00, 01, 10 — "11" is a hole
         reader = BitReader(b"\x3f", bit_length=8)  # 00 11 11 11
         with pytest.raises(DecodingError):
             code.decode(reader, 2)
-        assert reader.position == 4
+        assert reader.remaining == 4  # the hole's two bits consumed
 
     def test_padding_bits_past_bit_length_are_never_read(self):
         code = HuffmanCode([1, 2, 2])  # 0, 10, 11
@@ -257,7 +257,7 @@ class TestWriterMatchesBitwise:
             )
         )
         assert outcome(lambda: fast.read_bits(width)) == want
-        assert fast.position == slow.position
+        assert fast.remaining == slow.remaining
 
 
 # ----------------------------------------------------------------------

@@ -132,8 +132,8 @@ def test_sequential_caller_keeps_one_workspace(
     for block in _blocks(small_config, 3):
         _solve(resources, small_config, block)
     assert workspaces_used
-    assert {id(w) for w in workspaces_used} == {id(resources.solver.workspace)}
-    assert resources.solver._idle == [resources.solver.workspace]
+    (idle,) = resources.solver._idle
+    assert {id(w) for w in workspaces_used} == {id(idle)}
 
 
 def test_fresh_hybrid_operator_builds_one_resolvent_pair(

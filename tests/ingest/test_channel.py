@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from telemetry_oracle import fate_count
 
 from repro.coding.fec import encode_parity_body
 from repro.core.decoder import PacketPayloadDecoder
@@ -33,6 +34,7 @@ from repro.ingest import (
     replay_survivors,
 )
 from repro.ingest.channel import NACK_BUDGET, sequence_delta
+from repro.telemetry import MetricsRegistry
 
 
 class _SinkWriter:
@@ -74,7 +76,13 @@ def _packet_bodies(stats) -> list[bytes]:
 def _loss_events(stats) -> int:
     """Events that can each damage up to ``keyframe_interval`` windows:
     outright drops plus CRC-corrupting flips."""
-    return stats.frames_dropped + stats.frames_corrupted
+    return sum(fate in ("dropped", "corrupted") for fate in stats.fate_log)
+
+
+def _metered(channel, sink):
+    """``channel`` over ``sink``, its frame fates metered into a fresh
+    registry."""
+    return channel.wrap(sink, meter=MetricsRegistry().meter())
 
 
 def _burst_events(stats) -> int:
@@ -774,7 +782,7 @@ class TestLossyLink:
         for frame in frames:
             link.write(frame)
         assert bytes(sink.data) == b"".join(frames)
-        assert link.stats.frames_delivered == 4
+        assert len(_packet_bodies(link.stats)) == 4
         assert _loss_events(link.stats) == 0
 
     def test_partial_writes_reassemble_frames(self, stream):
@@ -796,7 +804,7 @@ class TestLossyLink:
         link = LossyChannel(drop_sequences=(1, 3), seed=0).wrap(sink)
         for frame in frames:
             link.write(frame)
-        assert link.stats.frames_dropped == 2
+        assert link.stats.fate_log.count("dropped") == 2
         assert link.stats.dropped_sequences == [1, 3]
         delivered = [
             EncodedPacket.from_bytes(body).sequence
@@ -808,11 +816,11 @@ class TestLossyLink:
         system, record = stream
         _, frames = _packet_frames(system, record, 3)
         sink = _SinkWriter()
-        link = LossyChannel(duplicate=1.0, seed=0).wrap(sink)
+        link = _metered(LossyChannel(duplicate=1.0, seed=0), sink)
         for frame in frames:
             link.write(frame)
-        assert link.stats.frames_duplicated == 3
-        assert link.stats.frames_delivered == 6
+        assert fate_count(link, "duplicated") == 3
+        assert len(_packet_bodies(link.stats)) == 6
         sequences = [
             EncodedPacket.from_bytes(body).sequence
             for body in _packet_bodies(link.stats)
@@ -826,7 +834,7 @@ class TestLossyLink:
         link = LossyChannel(corrupt=1.0, seed=3).wrap(sink)
         for frame in frames:
             link.write(frame)
-        assert link.stats.frames_corrupted == 2
+        assert link.stats.fate_log.count("corrupted") == 2
         for original, body in zip(packets, _packet_bodies(link.stats)):
             clean = original.to_bytes()
             assert len(body) == len(clean)
@@ -848,9 +856,9 @@ class TestLossyLink:
         displaced = None
         for seed in range(32):
             sink = _SinkWriter()
-            link = LossyChannel(
-                reorder=0.5, reorder_window=2, seed=seed
-            ).wrap(sink)
+            link = _metered(
+                LossyChannel(reorder=0.5, reorder_window=2, seed=seed), sink
+            )
             for frame in frames:
                 link.write(frame)
             link.write(encode_frame(FrameKind.BYE))
@@ -865,7 +873,7 @@ class TestLossyLink:
             ]
             assert sorted(sequences) == list(range(8))
             if sequences != list(range(8)):
-                displaced = (seed, sequences, link.stats.frames_reordered)
+                displaced = (seed, sequences, fate_count(link, "reordered"))
                 break
         assert displaced is not None, "no seed in 0..31 ever reordered"
         assert displaced[2] >= 1
@@ -882,7 +890,7 @@ class TestLossyLink:
             for frame in frames:
                 link.write(frame)
             link.write(encode_frame(FrameKind.BYE))
-            outcomes.append((bytes(sink.data), link.stats.frames_dropped))
+            outcomes.append((bytes(sink.data), link.stats.fate_log))
         assert outcomes[0] == outcomes[1]
 
     def test_rate_validation(self):
@@ -920,11 +928,13 @@ class TestLossyLink:
         interval = system.config.keyframe_interval
         packets, _ = _packet_frames(system, record, 2 * interval)
         sink = _SinkWriter()
-        link = LossyChannel(drop_parity_epochs=(interval,), seed=0).wrap(sink)
+        link = _metered(
+            LossyChannel(drop_parity_epochs=(interval,), seed=0), sink
+        )
         for frame in _frames_with_parity(packets, interval):
             link.write(frame)
-        assert link.stats.parity_seen == 2
-        assert link.stats.parity_dropped == 1
+        assert fate_count(link, "parity_seen") == 2
+        assert fate_count(link, "parity_dropped") == 1
         assert len(link.stats.fate_log) == len(packets)
         # delivered_frames carries the packets and the surviving parity
         kinds = [kind for kind, _ in link.stats.delivered_frames]
@@ -947,13 +957,16 @@ class TestReplaySurvivors:
         _, frames = _packet_frames(system, record, total)
         for seed in range(8):
             sink = _SinkWriter()
-            link = LossyChannel(
-                loss=0.2,
-                reorder=0.15,
-                duplicate=0.15,
-                corrupt=0.1,
-                seed=seed,
-            ).wrap(sink)
+            link = _metered(
+                LossyChannel(
+                    loss=0.2,
+                    reorder=0.15,
+                    duplicate=0.15,
+                    corrupt=0.1,
+                    seed=seed,
+                ),
+                sink,
+            )
             for frame in frames:
                 link.write(frame)
             link.write(encode_frame(FrameKind.BYE))
@@ -971,9 +984,7 @@ class TestReplaySurvivors:
             ), f"seed {seed} violated conservation"
             # a reordered frame can open a (transient) gap too: every
             # impairment event costs at most one keyframe interval
-            events = (
-                _loss_events(link.stats) + link.stats.frames_reordered
-            )
+            events = _loss_events(link.stats) + fate_count(link, "reordered")
             assert (
                 _damaged(accounting)
                 <= events * system.config.keyframe_interval
@@ -1155,6 +1166,8 @@ def _live_fec_run(config, windows, channel):
             max_packets=windows,
             interval_s=0.02,  # paced: NACKs are answered between sends
             lossy_channel=channel,
+            # the link meters its frame fates into this registry
+            telemetry=MetricsRegistry(),
             fec=True,
         )
         await asyncio.wait_for(client.run(reader, writer), timeout=60.0)
@@ -1245,7 +1258,7 @@ def test_retransmit_after_bye_counts_alike_live_and_in_replay(paper_config):
         ),
     )
     assert result.error is None
-    assert link.stats.parity_dropped == 1
+    assert fate_count(link, "parity_dropped") == 1
     kinds = [kind for kind, _ in link.stats.delivered_frames]
     bye = kinds.index(int(FrameKind.BYE))
     assert kinds[bye + 1 :] == [int(FrameKind.PACKET)]  # the retransmit

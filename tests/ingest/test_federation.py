@@ -18,11 +18,17 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from telemetry_oracle import gauge_value
 
 from repro.core import EcgMonitorSystem
 from repro.errors import ConfigurationError
 from repro.core.decoder import operator_key
-from repro.ingest import FederationFrontDoor, IngestGateway, NodeClient
+from repro.ingest import (
+    FederationFrontDoor,
+    IngestGateway,
+    NodeClient,
+    merge_stream_results,
+)
 from repro.ingest import federation as federation_module
 from repro.ingest.federation import RING_REPLICAS, RING_SEED
 from repro.utils import HashRing
@@ -107,16 +113,17 @@ def _make_clients(
 
 
 def _run_threaded(front_door, clients):
-    """Start, stream every client, close; returns (reports, stats)."""
+    """Start, stream every client, close; returns (reports, the front
+    door's snapshot before close, its snapshot after)."""
 
     async def run():
         port = await front_door.start("127.0.0.1", 0)
         reports = await asyncio.gather(
             *[client.run_tcp("127.0.0.1", port) for client in clients]
         )
-        live = front_door.federation_stats()
+        live = front_door.telemetry.snapshot()
         await front_door.close()
-        return reports, live, front_door.federation_stats()
+        return reports, live, front_door.telemetry.snapshot()
 
     return asyncio.run(run())
 
@@ -132,7 +139,7 @@ class TestRouting:
         front_door = FederationFrontDoor(
             gateways=2, batch_size=4, flush_ms=100.0
         )
-        reports, live, _ = _run_threaded(front_door, clients)
+        reports, _, _ = _run_threaded(front_door, clients)
         assert all(report.error is None for report in reports)
 
         oracle = HashRing(
@@ -220,7 +227,7 @@ class TestRouting:
         assert b"no HELLO within 0.2 s" in body
         assert eof is None  # the front door hung up
         assert elapsed < 1.0  # closed at the deadline, not some time later
-        assert front_door.stats.sessions_errored == 1
+        assert front_door.telemetry.counter_total("ingest_sessions_errored") == 1
         assert report.error is None
         assert report.acked == report.sent == 4
 
@@ -239,8 +246,6 @@ class TestBitIdentity:
         a claim about the front door: pooled-batch *composition* is
         arrival-timing dependent and BLAS reduction order varies with
         block width."""
-        from repro.ingest.gateway import merge_stream_results
-
         specs = [("100", 0), ("119", 1)]
         clients = _make_clients(small_config, database, specs)
         front_door = FederationFrontDoor(
@@ -251,7 +256,7 @@ class TestBitIdentity:
         reports, _, _ = _run_threaded(front_door, clients)
         assert all(report.error is None for report in reports)
 
-        merged = front_door.merged_results()
+        merged = merge_stream_results(front_door.results)
         assert set(merged) == {"100:0", "119:0"}
         for client in clients:
             result = merged[f"{client.record.name}:0"]
@@ -294,21 +299,22 @@ class TestTelemetryRollup:
         reports, live, final = _run_threaded(front_door, clients)
         assert all(report.error is None for report in reports)
 
-        assert live.gateways == 2
-        assert live.gateways_alive == 2
-        assert final.gateways_alive == 0  # after close
-        assert final.streams_routed == 3
-        assert final.reroutes == 0
-        assert sum(final.streams_by_gateway.values()) == 3
-        assert final.sessions_opened == 3
-        assert final.windows_decoded == 3 * 4
-        assert final.windows_lost == 0
-        # the GatewayStats read model materializes from the same
-        # registry the sinks would export
-        stats = front_door.stats
-        assert stats.windows_decoded == 12
-        assert stats.sessions_completed == 3
-        assert stats.sessions_errored == 0
+        assert len(front_door._workers) == 2
+        assert gauge_value(live, "federation_gateways") == 2
+        assert gauge_value(final, "federation_gateways") == 0  # after close
+        assert final.counter_total("federation_streams") == 3
+        assert final.counter_total("federation_reroutes") == 0
+        assert sum(
+            final.counter_value("federation_streams", gateway=gateway_id)
+            for gateway_id in front_door._workers
+        ) == 3
+        # every gateway's ingest totals, rolled up into the registry
+        # the sinks would export
+        assert final.counter_total("ingest_sessions_opened") == 3
+        assert final.counter_total("ingest_windows_decoded") == 3 * 4
+        assert final.counter_total("ingest_windows_lost") == 0
+        assert final.counter_total("ingest_sessions_completed") == 3
+        assert final.counter_total("ingest_sessions_errored") == 0
 
     def test_session_id_ranges_disjoint_across_gateways(
         self, small_config, database, thread_gateways
@@ -402,10 +408,10 @@ class TestFailover:
         keyframe_interval = small_config.keyframe_interval
         assert all(report.error is None for report in reports)
         assert any(report.reconnects >= 1 for report in reports)
-        final = front_door.federation_stats()
-        assert final.reroutes >= 1
-        assert final.windows_lost == 0
-        merged = front_door.merged_results()
+        final = front_door.telemetry.snapshot()
+        assert final.counter_total("federation_reroutes") >= 1
+        assert final.counter_total("ingest_windows_lost") == 0
+        merged = merge_stream_results(front_door.results)
         for client, report in zip(clients, reports):
             result = merged[f"{client.record.name}:0"]
             # the hard damage bound from ISSUE.md: a gateway death
@@ -479,7 +485,7 @@ class TestFailover:
             assert victim.sessions, "no gateway had a live session yet"
             victim.conn = SilentPipe(victim.conn)
             report = await asyncio.wait_for(stream, 20.0)
-            live = front_door.federation_stats()
+            live = front_door.telemetry.snapshot()
             in_ring = victim.gateway_id in front_door.ring
             await front_door.close()
             return report, victim, live, in_ring
@@ -487,13 +493,13 @@ class TestFailover:
         with pytest.warns(RuntimeWarning, match="heartbeat lost"):
             report, victim, live, in_ring = asyncio.run(run())
         assert not victim.alive and not in_ring
-        assert live.gateways_alive == 1
+        assert gauge_value(live, "federation_gateways") == 1
         assert not victim.sessions  # its links were cut
         assert report.error is None
         assert report.reconnects >= 1
-        assert front_door.federation_stats().reroutes == 1
+        assert front_door.telemetry.counter_total("federation_reroutes") == 1
         # the survivor decoded the replayed tail from the fec anchor
-        survivor = front_door.merged_results()["100:0"]
+        survivor = merge_stream_results(front_door.results)["100:0"]
         assert survivor.sequences[-1] == 15
         assert survivor.windows_lost == 0
 

@@ -178,7 +178,7 @@ def test_hostile_input_ends_in_one_error(name):
     assert kinds[-1] is FrameKind.ERROR
     assert set(kinds) <= {FrameKind.WELCOME, FrameKind.ERROR}
     assert "error" in json.loads(frames[-1][1])
-    assert gateway.stats.sessions_errored == 1
+    assert gateway.telemetry.counter_total("ingest_sessions_errored") == 1
     assert connection.exception() is None
     assert worst < MAX_TICK_LATENESS_S
 
@@ -190,7 +190,7 @@ def test_megabyte_hello_is_refused_before_it_is_parsed():
     ((kind, body),) = frames
     error = json.loads(body)["error"]
     assert f"exceeds the {MAX_HELLO_BYTES}-byte cap" in error
-    assert gateway.stats.sessions_opened == 0
+    assert gateway.telemetry.counter_total("ingest_sessions_opened") == 0
 
 
 @pytest.mark.parametrize(
@@ -224,7 +224,7 @@ def test_non_integral_config_is_refused_at_the_handshake(name, field):
     frames, gateway, _, _ = asyncio.run(_serve_hostile(*HOSTILE[name]))
     ((kind, body),) = frames
     assert f"{field} must be an integer" in json.loads(body)["error"]
-    assert gateway.stats.sessions_opened == 0
+    assert gateway.telemetry.counter_total("ingest_sessions_opened") == 0
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.config import SystemConfig
 from repro.platforms.kernels import (
     KernelCounts,
@@ -33,14 +31,6 @@ class TestKernelCounts:
         assert merged.loads == 2
         assert merged.stores == 1
 
-    def test_scaled(self):
-        counts = KernelCounts(int_ops=4, branches=2).scaled(10)
-        assert counts.int_ops == 40
-        assert counts.branches == 20
-
-    def test_scaled_negative_rejected(self):
-        with pytest.raises(ValueError):
-            KernelCounts().scaled(-1)
 
 
 class TestEncoderKernels:

@@ -23,7 +23,7 @@ def _run(iterations=700, bits=3072, duration=120.0, **kwargs):
 
 class TestProcessor:
     def test_jobs_serialize(self):
-        cpu = Processor("test")
+        cpu = Processor()
         first = cpu.submit(0.0, 1.0)
         second = cpu.submit(0.5, 1.0)  # queued behind the first
         assert first == 1.0
@@ -31,7 +31,7 @@ class TestProcessor:
         assert cpu.jobs == 2
 
     def test_idle_gap_not_counted_busy(self):
-        cpu = Processor("test")
+        cpu = Processor()
         cpu.submit(0.0, 1.0)
         cpu.submit(5.0, 1.0)
         assert cpu.busy_seconds == 2.0
@@ -40,13 +40,13 @@ class TestProcessor:
     def test_overload_not_clamped(self):
         """Regression: utilization above 1.0 must be reported, not
         silently clamped — it is the CPU-overload signal."""
-        cpu = Processor("test")
+        cpu = Processor()
         for start in range(10):
             cpu.submit(float(start), 1.5)  # 15 s of work in 10 s
         assert cpu.utilization(10.0) == pytest.approx(1.5)
 
     def test_validation(self):
-        cpu = Processor("test")
+        cpu = Processor()
         with pytest.raises(RealTimeError):
             cpu.submit(0.0, -1.0)
         with pytest.raises(RealTimeError):

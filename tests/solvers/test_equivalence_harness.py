@@ -343,14 +343,14 @@ class TestStructuredSolver:
         )
         arenas = {
             key: id(buf)
-            for key, buf in solver.workspace._arenas.items()
+            for key, buf in solver._idle[-1]._arenas.items()
         }
         second = solver.solve_structured(
             ys, FRACTION, max_iterations=MAX_ITERATIONS, tolerance=TOLERANCE
         )
         after = {
             key: id(buf)
-            for key, buf in solver.workspace._arenas.items()
+            for key, buf in solver._idle[-1]._arenas.items()
         }
         assert arenas == after  # no arena grew or was replaced
         # outputs are freshly allocated, never arena views

@@ -98,7 +98,6 @@ class TestRecovery:
         history = result.objective_history
         # FISTA is not monotone per-step, but start -> end must descend
         assert history[-1] < history[0]
-        assert result.objective == history[-1]
 
     def test_large_lambda_gives_zero(self, sparse_problem):
         """lambda >= 2||A^T y||_inf makes 0 the optimum."""

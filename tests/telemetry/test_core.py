@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from telemetry_oracle import gauge_value
+from telemetry_oracle import gauge_value, histogram
 
 from repro.errors import TelemetryError
 from repro.telemetry import (
@@ -55,7 +55,7 @@ class TestInstruments:
         registry = MetricsRegistry()
         for value in (0.002, 0.004, 0.03, 0.4, 1.2):
             registry.observe("latency", value)
-        hist = registry.snapshot().histogram("latency")
+        hist = histogram(registry.snapshot(), "latency")
         assert hist.total == 5
         assert hist.min == pytest.approx(0.002)
         assert hist.max == pytest.approx(1.2)
@@ -75,9 +75,9 @@ class TestInstruments:
     def test_empty_histogram_queries(self):
         registry = MetricsRegistry()
         registry.observe("latency", 0.1)
-        hist = registry.snapshot().histogram("latency")
+        hist = histogram(registry.snapshot(), "latency")
         assert hist.percentile(50) == pytest.approx(0.1)
-        assert registry.snapshot().histogram("missing") is None
+        assert histogram(registry.snapshot(), "missing") is None
         assert registry.snapshot().histogram_total("missing") is None
 
     def test_meter_binds_static_labels(self):
@@ -149,10 +149,10 @@ class TestSnapshotMergeAlgebra:
             reg_all.observe("latency", value)
         merged = reg_a.snapshot().merge(reg_b.snapshot())
         direct = reg_all.snapshot()
-        assert merged.histogram("latency") == direct.histogram("latency")
+        assert histogram(merged, "latency") == histogram(direct, "latency")
         for q in (0, 10, 50, 90, 95, 99, 100):
-            assert merged.histogram("latency").percentile(q) == pytest.approx(
-                direct.histogram("latency").percentile(q), abs=0.0
+            assert histogram(merged, "latency").percentile(q) == pytest.approx(
+                histogram(direct, "latency").percentile(q), abs=0.0
             )
 
     def test_mismatched_histogram_buckets_refuse_to_merge(self):

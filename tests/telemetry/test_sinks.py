@@ -11,13 +11,13 @@ from telemetry_oracle import (
     ring_records,
 )
 
+from repro.experiments import render_table
 from repro.telemetry import (
     JsonlRingSink,
     MetricsRegistry,
     MetricsServer,
     MetricsSnapshot,
     render_prometheus,
-    render_result_table,
     render_snapshot_table,
     scrape_local,
 )
@@ -165,7 +165,7 @@ class TestMetricsServer:
 
 class TestViews:
     def test_result_table_renders_none_as_na_once(self):
-        text = render_result_table(
+        text = render_table(
             [{"stream": 0, "max_latency_ms": None, "prd": 1.25}],
             title="t",
         )

@@ -13,6 +13,8 @@ from __future__ import annotations
 import asyncio
 import os
 
+from telemetry_oracle import histogram
+
 from repro.core import EcgMonitorSystem
 from repro.fleet import FleetDecoder, StreamTask
 from repro.ingest import IngestGateway, NodeClient
@@ -20,7 +22,7 @@ from repro.ingest import IngestGateway, NodeClient
 
 def _per_worker(snap, name):
     return {
-        worker: snap.histogram(name, worker=worker)
+        worker: histogram(snap, name, worker=worker)
         for worker in snap.label_values(name, "worker")
     }
 

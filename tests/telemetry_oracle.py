@@ -1,4 +1,5 @@
-"""Test-side readers of what the telemetry sinks write.
+"""Test-side readers of what the telemetry sinks write, and of single
+series the program itself never looks up one by one.
 
 The serving stack only writes its two formats: the JSONL ring of
 :class:`~repro.telemetry.JsonlRingSink` and the Prometheus text of
@@ -87,3 +88,17 @@ def gauge_value(snapshot: MetricsSnapshot, name: str, **labels) -> float | None:
     """One labeled gauge series of a snapshot (``None`` when never set)."""
     pair = snapshot.gauges.get((name, label_key(labels)))
     return None if pair is None else pair[1]
+
+
+def histogram(snapshot: MetricsSnapshot, name: str, **labels):
+    """One labeled histogram series of a snapshot (``None`` when never
+    observed)."""
+    return snapshot.histograms.get((name, label_key(labels)))
+
+
+def fate_count(link, fate: str) -> float:
+    """Frames of one fate a lossy link metered into its registry
+    (``link_frames``)."""
+    return link.meter.registry.counter_value(
+        "link_frames", fate=fate, **link.meter.labels
+    )

@@ -192,16 +192,15 @@ class TestCli:
         assert main(["serve", "--metrics-interval", "0"]) == 2
 
     def test_latency_cell_reports_no_data_distinctly(self):
-        # the per-command cell formatters were deduplicated into the
-        # telemetry views; n/a handling lives in exactly one place now
-        from repro.telemetry import na, render_result_table
+        # every CLI table goes through the one renderer, which turns
+        # "no data" into n/a in exactly one place
+        from repro.experiments import render_table
 
-        assert na(None) == "n/a"
-        assert na(12.5) == 12.5
-        table = render_result_table(
-            [{"stream": 0, "max_latency_ms": None}], title="t"
+        table = render_table(
+            [{"stream": 0, "max_latency_ms": None, "prd": 12.5}], title="t"
         )
         assert "n/a" in table and "None" not in table
+        assert "12.500" in table
 
     def test_serve_invalid_parameters_exit_cleanly(self, capsys):
         assert main(["serve", "--simulate", "-1"]) == 2

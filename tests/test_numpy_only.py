@@ -62,12 +62,12 @@ async def live():
         *gateway.connect_local()
     )
     await gateway.close()
-    return report, gateway.stats
+    return report, gateway.telemetry.counter_total("ingest_windows_decoded")
 
 
-report, stats = asyncio.run(live())
+report, decoded = asyncio.run(live())
 assert report.error is None and report.acked == WINDOWS, report
-assert stats.windows_decoded == WINDOWS
+assert decoded == WINDOWS
 # a lazily loaded numpy package costs its import on first use; the
 # gateway's first solve must not pay for numpy.ma (np.median loads it)
 assert "numpy.ma" not in sys.modules

@@ -21,6 +21,7 @@ import dataclasses
 import inspect
 import json
 
+import repro.ingest
 from repro.analysis.runner import _build_parser
 from repro.cli import _build_parser as _build_cli_parser
 from repro.core import (
@@ -35,6 +36,7 @@ from repro.ingest import (
     Handshake,
     IngestGateway,
     IngestStreamResult,
+    LinkStats,
     NodeClient,
     NodeReport,
     encode_frame,
@@ -111,7 +113,7 @@ def test_realtime_pipeline_options():
         "phone_model",
         "radio",
     ]
-    assert _parameters(Processor.__init__) == ["name"]
+    assert _parameters(Processor.__init__) == []
 
 
 def test_hybrid_solve_options():
@@ -152,6 +154,39 @@ def test_stage3_result_fields():
         "converged",
         "decode_seconds",
     ]
+
+
+def test_handshake_and_link_fields():
+    """The wire speaks one protocol version, so a ``HELLO`` carries no
+    version field of its own; a lossy link keeps only the per-frame
+    records no ``link_frames{fate}`` counter holds."""
+    assert _fields(Handshake) == [
+        "record",
+        "channel",
+        "config",
+        "codebook",
+        "precision",
+        "fec",
+        "resume",
+        "resumed",
+    ]
+    assert _fields(LinkStats) == [
+        "dropped_sequences",
+        "delivered_frames",
+        "fate_log",
+    ]
+
+
+def test_ingest_exports_no_aggregate_read_model():
+    """The registry is the one aggregate view of the counts."""
+    gone = {
+        "GatewayStats",
+        "FederationStats",
+        "gateway_stats_from",
+        "SUPPORTED_VERSIONS",
+    }
+    assert not gone & set(repro.ingest.__all__)
+    assert not any(hasattr(repro.ingest, name) for name in gone)
 
 
 def _decoded_ack(config, record) -> dict:

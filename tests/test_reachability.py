@@ -11,12 +11,15 @@ module that only the tests import is dead code and fails here.
 
 Below modules, every function, method, property and class is checked
 by name: a def is live when code in ``src/``, ``examples/``,
-``benchmarks/`` or ``scripts/`` outside a ``test_*.py`` file names it
-(as a bare name or an attribute) outside the def's own body.  Imports,
-``__all__`` and ``_LAZY_EXPORTS`` strings are not uses, so a re-export
-alone keeps nothing alive.  Matching is by the bare name, so it can
-only err towards keeping a def: two defs that share a name keep each
-other.
+``benchmarks/`` or ``scripts/`` outside a ``test_*.py`` file loads it
+(as a bare name or an attribute) outside the def's own body.  Only a
+load is a use: an assignment target is not, and neither is a bare name
+that the enclosing function binds itself (a parameter, an assignment
+or loop target, a nested def) or that the module assigns at top level,
+since such a name is a local, not the def.  Imports, ``__all__`` and
+``_LAZY_EXPORTS`` strings are not uses, so a re-export alone keeps
+nothing alive.  Attributes match by the bare name, so they can only
+err towards keeping a def: two defs that share a name keep each other.
 """
 
 from __future__ import annotations
@@ -173,6 +176,8 @@ DEF_EXCEPTIONS = {
     "the diagnostic checks of ROADMAP item 5 read",
     "repro.coding.codebook.empirical_entropy_bits": "the entropy floor "
     "ROADMAP item 12 compares the coded stream against",
+    "repro.coding.codebook.Codebook.mean_bits_per_symbol": "the coded "
+    "rate ROADMAP item 12 sets against that entropy floor",
     # what the e2e smoke test, under benchmarks/, reaches
     "repro.ingest.gateway.IngestGateway.connect_local": "the socket-free "
     "link the gateway, hostile-wire and e2e smoke tests run on",
@@ -207,6 +212,76 @@ def _decorator_name(node: ast.expr) -> str:
     return node.id if isinstance(node, ast.Name) else ""
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound_names(scope: ast.AST) -> set[str]:
+    """Names a function binds itself: its parameters, its assignment,
+    loop and comprehension targets, its ``except ... as`` names and its
+    nested defs — not the names its nested functions bind."""
+    args = scope.args
+    bound = {
+        arg.arg
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                    args.vararg, args.kwarg)
+        if arg is not None
+    }
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (*_SCOPES, ast.ClassDef)):
+            if not isinstance(node, ast.Lambda):
+                bound.add(node.name)
+            continue  # its body is its own scope
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _module_assigned(tree: ast.Module) -> set[str]:
+    """Names a module's top-level statements assign (imports and defs
+    are not assignments: a load of them may name a def)."""
+    assigned: set[str] = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (
+                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            )
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        assigned.add(node.id)
+    return assigned
+
+
+def _uses(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """``(name, node)`` of every load in ``tree`` that may name a def:
+    attribute loads, and name loads that no enclosing function binds
+    and the module does not assign."""
+    found: list[tuple[str, ast.AST]] = []
+    module_assigned = _module_assigned(tree)
+
+    def visit(node: ast.AST, bound: frozenset[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                if child.id not in bound and child.id not in module_assigned:
+                    found.append((child.id, child))
+            elif isinstance(child, ast.Attribute) and isinstance(
+                child.ctx, ast.Load
+            ):
+                found.append((child.attr, child))
+            inner = bound
+            if isinstance(child, _SCOPES):
+                inner = bound | _bound_names(child)
+            visit(child, inner)
+
+    visit(tree, frozenset())
+    return found
+
+
 def unreached_defs(
     modules: dict[str, ast.Module], naming: list[ast.Module]
 ) -> set[str]:
@@ -214,11 +289,8 @@ def unreached_defs(
     def's own body (``modules`` are among the naming trees)."""
     uses: dict[str, list[ast.AST]] = {}
     for tree in naming:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                uses.setdefault(node.id, []).append(node)
-            elif isinstance(node, ast.Attribute):
-                uses.setdefault(node.attr, []).append(node)
+        for name, node in _uses(tree):
+            uses.setdefault(name, []).append(node)
     unreached = set()
     for module, tree in modules.items():
         for qualname, node in _defs(tree, module).items():
@@ -306,6 +378,29 @@ class TestDefScan:
     def test_import_and_all_strings_are_not_uses(self):
         source = "def f(): pass\n__all__ = ['f']\n"
         assert self._scan(source, "from m import f") == {"m.f"}
+
+    def test_a_same_named_local_is_not_a_use(self):
+        source = (
+            "class Reader:\n"
+            "    @property\n"
+            "    def position(self): return 0\n"
+            "def orphan(): pass\n"
+            "def kept(): pass\n"
+        )
+        naming = (
+            "def walk(position):\n"  # a parameter ...
+            "    return position + 1\n"
+            "def step():\n"
+            "    orphan = 3\n"  # ... a local ...
+            "    return orphan\n"
+            "def store(reader):\n"
+            "    reader.position = 4\n"  # ... and a store are no uses
+            "kept(), Reader()\n"
+        )
+        assert self._scan(source, naming) == {
+            "m.Reader.position",
+            "m.orphan",
+        }
 
     def test_dunders_and_registered_classes_are_roots(self):
         source = (

@@ -89,7 +89,8 @@ class TestMembership:
         assert "gw1" in ring
         ring.remove("gw1")
         assert "gw1" not in ring
-        assert ring.nodes == frozenset({"gw0", "gw2", "gw3"})
+        assert len(ring) == 3
+        assert all(node in ring for node in ("gw0", "gw2", "gw3"))
 
     def test_empty_ring_lookup_raises(self):
         with pytest.raises(LookupError, match="empty"):
