@@ -14,7 +14,8 @@ RL001     async-blocking      no blocking IO/sleep or direct solver calls
 RL002     lock-discipline     attributes guarded by a ``threading.Lock``
                               are never written outside it
 RL003     hot-loop-alloc      ``# repro-lint: hot`` loops allocate no
-                              arrays (BatchWorkspace arena discipline)
+                              arrays (scratch is allocated per solve,
+                              before the loop)
 RL004     telemetry-catalog   every metric name/kind/label is declared in
                               :mod:`repro.telemetry.catalog`
 RL005     exception-hygiene   broad excepts are justified; load-bearing

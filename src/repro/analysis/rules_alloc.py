@@ -3,8 +3,7 @@
 The batched FISTA loop is the multiplier under every throughput number
 in the stack — gateway, fleet and federation all sit on it.  Its
 discipline (one GEMM pair per iteration, elementwise math in
-preallocated :class:`~repro.solvers.batched.BatchWorkspace` buffers)
-is worth nothing if a later edit quietly drops an ``np.zeros`` into
+buffers the solve allocates once, before its loop) is worth nothing if a later edit quietly drops an ``np.zeros`` into
 the loop: correctness tests still pass, the ROADMAP raw-speed pass
 just got slower.  This rule freezes the discipline: inside any loop
 marked ``# repro-lint: hot`` (see :mod:`repro.analysis.core`), a call
@@ -57,7 +56,7 @@ class HotLoopAllocRule(Rule):
     name = "hot-loop-alloc"
     summary = (
         "loops marked '# repro-lint: hot' must not allocate arrays "
-        "(np.zeros/empty/..., .copy()); use the BatchWorkspace arena"
+        "(np.zeros/empty/..., .copy()); allocate before the loop"
     )
 
     def check_module(
@@ -81,7 +80,7 @@ class HotLoopAllocRule(Rule):
                     line=node.lineno,
                     message=(
                         f"allocation {called}() inside a hot loop; "
-                        f"preallocate outside the loop (BatchWorkspace) "
+                        f"preallocate outside the loop "
                         f"or justify with a disable=RL003 suppression"
                     ),
                     key=called,

@@ -3,11 +3,12 @@
 PR 7 added PARITY and NACK to the wire protocol by *hand-auditing*
 every ``if kind is FrameKind...`` chain in the stack — the exact kind
 of sweep that misses one site the next time a frame kind lands.  This
-rule automates it: a dispatch over :class:`FrameKind` (an ``elif``
-chain of ``== / is / in`` tests against ``FrameKind`` members, or a
-``match`` over them) must either handle every member of the enum or
-carry an explicit default (a final ``else:`` / ``case _:``), so an
-unhandled kind is a deliberate, visible decision — not a silent drop.
+rule automates it: a dispatch over
+:class:`~repro.ingest.protocol.FrameKind` (an ``elif`` chain of
+``== / is / in`` tests against ``FrameKind`` members, or a ``match``
+over them) must either handle every member of the enum or carry an
+explicit default (a final ``else:`` / ``case _:``), so an unhandled
+kind is a deliberate, visible decision — not a silent drop.
 
 A *single* ``if`` with no ``else`` is a guard (``if kind is ERROR:
 raise``), not a dispatch, and stays exempt.  The enum's members are

@@ -160,8 +160,8 @@ class SolveResources:
     """One operator's solver + synthesis pair, as cached.
 
     Any number of threads may solve on it at once: the
-    :class:`~repro.solvers.batched.BatchedFista` lends each solve a
-    workspace of its own.
+    :class:`~repro.solvers.batched.BatchedFista` holds only read-only
+    state, and each solve allocates its own scratch.
     """
 
     precision: str
@@ -171,8 +171,7 @@ class SolveResources:
 
 #: operators kept per process: a hybrid entry at the paper point is
 #: ~3 MB plus 2 MB per cached resolvent pair (one in a steady fleet,
-#: at most four) plus ~1.8 MB of arenas per concurrent width-16 solve,
-#: and a rebuild ~25 ms, so a small cap bounds what
+#: at most four), and a rebuild ~25 ms, so a small cap bounds what
 #: distinct (node-supplied) configs can pin at no cost to a steady fleet
 OPERATOR_CACHE_SIZE = 8
 
@@ -321,15 +320,6 @@ class CSDecoder:
     @codebook.setter
     def codebook(self, value: Codebook) -> None:
         self.payload.codebook = value
-
-    @property
-    def codec(self) -> DifferentialCodec:
-        """Stateful inter-packet difference decoder."""
-        return self.payload.codec
-
-    @codec.setter
-    def codec(self, value: DifferentialCodec) -> None:
-        self.payload.codec = value
 
     @property
     def quantizer(self) -> MeasurementQuantizer:

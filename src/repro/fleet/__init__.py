@@ -20,9 +20,9 @@ sensing seeds put each lead of a
 :class:`~repro.core.multichannel.MultiChannelMonitor` in its own group,
 while a fleet of nodes shipping the paper's shared fixed matrix
 collapses into one.  Per group, a process keeps exactly one operator,
-one Lipschitz estimate, one contiguous transpose and one iteration
-workspace (the shared bounded cache behind
-:func:`~repro.core.decoder.resources_for`).
+one Lipschitz estimate and one contiguous transpose (the shared
+bounded cache behind :func:`~repro.core.decoder.resources_for`); each
+solve allocates its own iteration scratch.
 :func:`~repro.core.decoder.solve_key` adds the solver's stopping
 parameters, because a shared batched loop runs every column with one
 ``max_iterations``/``tolerance`` pair.  A group's streams concatenate

@@ -499,8 +499,8 @@ class IngestGateway:
     telemetry:
         The :class:`~repro.telemetry.MetricsRegistry` every event is
         published to; a private registry is created when omitted.
-        :attr:`stats` and each stream's damage accounting are read
-        models over this registry.
+        Callers read the gateway's counts from its
+        :meth:`~repro.telemetry.MetricsRegistry.snapshot`.
     session_id_base:
         First session id this gateway assigns.  A federation front
         door gives each gateway a disjoint range so stream ids stay

@@ -23,7 +23,7 @@ motivation quantitatively.  Every solver takes the system matrix
 :mod:`repro.solvers.batched` scales the adopted FISTA to many windows
 at once: :class:`~repro.solvers.batched.BatchedFista` stacks measurement
 vectors into an ``(m, B)`` matrix and iterates all columns with one GEMM
-pair per step, per-column convergence masking and warm starts.
+pair per step and per-column convergence masking.
 """
 
 from .base import SolverResult
@@ -35,7 +35,6 @@ from .batched import (
     DEFAULT_POLISH_CORRIDOR,
     BatchedFista,
     BatchedSolverResult,
-    BatchWorkspace,
     HybridSolveResult,
     admm_rho,
     batched_admm,
@@ -53,7 +52,6 @@ __all__ = [
     "DEFAULT_POLISH_CORRIDOR",
     "BatchedFista",
     "BatchedSolverResult",
-    "BatchWorkspace",
     "HybridSolveResult",
     "SparsePhiApply",
     "StructuredOperator",

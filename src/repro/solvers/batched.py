@@ -21,21 +21,19 @@ in the BLAS kernels.
 The hybrid backend's float32 fast leg does not run that iteration at
 all: the operator is fixed per stream group and small, so
 :func:`batched_admm` solves the same lasso by over-relaxed ADMM against
-a cached ``(2 A^T A + rho I)^-1`` (see :meth:`~repro.solvers.
-sparse_apply.StructuredOperator.admm_pair`) — one ``(n, n)`` GEMM per
-iteration and about a quarter of FISTA's iterations on real ECG
-windows, with the same per-column freeze-and-compact layout.
+a cached ``(2 A^T A + rho I)^-1`` (see
+:meth:`~repro.solvers.sparse_apply.StructuredOperator.admm_pair`) — one
+``(n, n)`` GEMM per iteration and about a quarter of FISTA's iterations
+on real ECG windows, with the same per-column freeze-and-compact
+layout.
 
-Warm starts are supported through ``x0`` of shape ``(n, B)`` — e.g. the
-previous batch's solutions when streaming chunk by chunk.
+Each solve allocates its own scratch: only the operator, its
+transpose, the Lipschitz constant and the resolvent cache outlive it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import threading
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,70 +98,6 @@ def batched_lambda_from_fraction(
     return np.where(correlation == 0, fraction, fraction * correlation)
 
 
-class BatchWorkspace:
-    """Reusable per-(kind, dtype) arenas for batched solves.
-
-    A fleet scheduler feeds a :class:`BatchedFista` a long sequence of
-    measurement blocks; reallocating the per-iteration scratch arrays
-    for every block is measurable overhead at small operator sizes.
-    The workspace keeps one flat grow-only arena per ``(kind, dtype)``
-    pair and hands out contiguous reshaped views into it:
-
-    - a repeated request with the same shape and dtype returns the
-      *same* view objects (steady-state serve allocates nothing);
-    - a narrower request reuses the arena through a smaller view;
-    - a different **dtype** gets its own arena — the hybrid-precision
-      path alternates float32 iterate batches with float64 polish
-      re-solves on one workspace, and each precision must keep its own
-      correctly-typed buffers rather than thrash a single slot (or,
-      worse, hand a stale-dtype buffer to the solver).
-
-    Arenas are plain scratch: every kernel fully overwrites its buffer
-    before reading it, so views may alias across requests of the same
-    kind.  Buffers handed out here must never escape a solve — results
-    returned to callers are always freshly allocated.
-    """
-
-    def __init__(self) -> None:
-        #: flat backing store per (kind, dtype); grows, never shrinks
-        self._arenas: dict[tuple[str, np.dtype], np.ndarray] = {}
-        #: cached reshaped views keyed by ((kind, dtype), shape) so a
-        #: repeated same-signature request returns identical objects
-        self._views: dict[tuple, np.ndarray] = {}
-
-    def arena(
-        self, kind: str, shape: tuple[int, ...], dtype: np.dtype | type
-    ) -> np.ndarray:
-        """A contiguous ``shape`` view into the ``(kind, dtype)`` arena."""
-        key = (kind, np.dtype(dtype))
-        size = 1
-        for extent in shape:
-            size *= int(extent)
-        flat = self._arenas.get(key)
-        if flat is None or flat.size < size:
-            flat = np.empty(max(size, 1), dtype=dtype)
-            self._arenas[key] = flat
-            for stale in [k for k in self._views if k[0] == key]:
-                del self._views[stale]
-        view_key = (key, tuple(shape))
-        view = self._views.get(view_key)
-        if view is None:
-            view = flat[:size].reshape(shape)
-            self._views[view_key] = view
-        return view
-
-    def buffers(
-        self, m: int, n: int, width: int, dtype: np.dtype
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(resid (m,B), u (n,B), alpha (n,B), diff (n,B))``."""
-        return (
-            self.arena("resid", (m, width), dtype),
-            self.arena("u", (n, width), dtype),
-            self.arena("alpha", (n, width), dtype),
-            self.arena("diff", (n, width), dtype),
-        )
-
-
 @dataclass
 class BatchedSolverResult:
     """Per-column outcome of one batched reconstruction.
@@ -212,7 +146,6 @@ def batched_fista(
     lipschitz: float | None = None,
     x0: np.ndarray | None = None,
     operator_t: np.ndarray | None = None,
-    workspace: BatchWorkspace | None = None,
 ) -> BatchedSolverResult:
     """Solve ``min ||A alpha_b - y_b||^2 + lam_b ||alpha_b||_1`` for all b.
 
@@ -228,16 +161,12 @@ def batched_fista(
         As in :func:`~repro.solvers.fista.fista`; the Lipschitz constant
         is shared (same operator for every column).
     x0:
-        Warm start, shape ``(n, B)`` — e.g. the previous chunk's
-        coefficients when decoding a stream in consecutive batches.
+        Warm start, shape ``(n, B)`` — the hybrid polish starts from
+        the float32 leg's coefficients.
     operator_t:
         Precomputed C-contiguous transpose of the operator (a reusable
         :class:`BatchedFista` caches it); computed here when omitted or
         when its dtype does not match the solve.
-    workspace:
-        Optional :class:`BatchWorkspace` providing the per-iteration
-        scratch buffers; a reusable :class:`BatchedFista` passes its own
-        so a stream of same-width solves allocates them once.
     """
     dense = _as_dense(a)
     ys = check_measurement_matrix(dense, ys)
@@ -295,15 +224,10 @@ def batched_fista(
     # the strided .T view at these small GEMM sizes
     if operator_t is None or operator_t.dtype != dtype:
         operator_t = np.ascontiguousarray(operator.T)
-    if workspace is not None:
-        buf_resid, buf_u, buf_alpha, buf_diff = workspace.buffers(
-            m, n, batch, dtype
-        )
-    else:
-        buf_resid = np.empty((m, batch), dtype=dtype)
-        buf_u = np.empty((n, batch), dtype=dtype)
-        buf_alpha = np.empty((n, batch), dtype=dtype)
-        buf_diff = np.empty((n, batch), dtype=dtype)
+    buf_resid = np.empty((m, batch), dtype=dtype)
+    buf_u = np.empty((n, batch), dtype=dtype)
+    buf_alpha = np.empty((n, batch), dtype=dtype)
+    buf_diff = np.empty((n, batch), dtype=dtype)
 
     iterations = np.zeros(batch, dtype=np.int64)
     converged = np.zeros(batch, dtype=bool)
@@ -421,7 +345,6 @@ def batched_admm(
     rho: float,
     max_iterations: int = 2000,
     tolerance: float = 1e-4,
-    workspace: BatchWorkspace | None = None,
 ) -> BatchedSolverResult:
     """:func:`batched_fista`'s lasso by over-relaxed ADMM, in float32.
 
@@ -459,29 +382,27 @@ def batched_admm(
     n = structure.n_coefficients
     batch = ys64.shape[1]
     lams = _checked_lams(lams, batch)
-    if workspace is None:
-        workspace = BatchWorkspace()
     p32, ridge_t64 = structure.admm_pair(rho)
 
     # the one float64 step: the ridge term, once per block
-    ridge64 = workspace.arena("ridge", (n, batch), np.float64)
+    ridge64 = np.empty((n, batch), dtype=np.float64)
     np.matmul(ridge_t64.T, ys64, out=ridge64)
     # working-set layout as in batched_fista: whole contiguous arrays,
     # a converged column snapshotted at once and compacted away when
     # >= 1/8 of the working set is frozen
-    work_ridge = workspace.arena("ridge", (n, batch), np.float32)
+    work_ridge = np.empty((n, batch), dtype=np.float32)
     np.copyto(work_ridge, ridge64)
-    work_cut = workspace.arena("cut", (n, batch), np.float32)
+    work_cut = np.empty((n, batch), dtype=np.float32)
     work_cut[...] = (lams / rho).astype(np.float32)
-    work_floor = workspace.arena("floor", (n, batch), np.float32)
+    work_floor = np.empty((n, batch), dtype=np.float32)
     np.negative(work_cut, out=work_floor)
     # the iterate history: slot 0 holds the chunk's starting iterate,
     # step k writes slot k + 1; ``diff`` is the steps' scratch and then
     # the check's stacked differences
     depth = ADMM_CHECK_EVERY + 1
-    hist_z = workspace.arena("z", (depth, n, batch), np.float32)
-    hist_u = workspace.arena("u", (depth, n, batch), np.float32)
-    buf_diff = workspace.arena("diff", (depth - 1, n, batch), np.float32)
+    hist_z = np.empty((depth, n, batch), dtype=np.float32)
+    hist_u = np.empty((depth, n, batch), dtype=np.float32)
+    buf_diff = np.empty((depth - 1, n, batch), dtype=np.float32)
     hist_z[0] = 0
     hist_u[0] = 0
     # ||z|| of every slot, each computed at the width its iterate was
@@ -616,7 +537,6 @@ def structured_batched_fista(
     fractions: np.ndarray | float,
     max_iterations: int = 2000,
     tolerance: float = 1e-4,
-    workspace: BatchWorkspace | None = None,
 ) -> HybridSolveResult:
     """Solve a measurement block against a factored ``A = Phi Psi``.
 
@@ -643,17 +563,14 @@ def structured_batched_fista(
        what float32 broke, and the polish is the float64 reference.
 
     ``structure`` is a
-    :class:`~repro.solvers.sparse_apply.StructuredOperator`.  All
-    scratch comes from ``workspace`` arenas (both dtypes coexist);
-    every array in the returned :class:`HybridSolveResult` is freshly
-    allocated and safe to hold across subsequent solves.
+    :class:`~repro.solvers.sparse_apply.StructuredOperator`; every
+    array in the returned :class:`HybridSolveResult` belongs to this
+    solve alone.
     """
     ys64 = np.asarray(
         check_measurement_matrix(structure.dense64, ys), dtype=np.float64
     )
-    if workspace is None:
-        workspace = BatchWorkspace()
-    m, batch = ys64.shape
+    batch = ys64.shape[1]
     samples = structure.n_samples
 
     lams = batched_lambda_from_fraction(structure.dense64, ys64, fractions)
@@ -670,17 +587,12 @@ def structured_batched_fista(
             admm_rho(fractions),
             max_iterations=max_iterations,
             tolerance=tolerance,
-            workspace=workspace,
         )
-        synth = workspace.arena("synth32", (samples, batch), np.float32)
+        synth = np.empty((samples, batch), dtype=np.float32)
         np.matmul(structure.psi32, fast.coefficients, out=synth)
     signals = synth.astype(np.float64)
 
-    gate_gather = workspace.arena(
-        "phi_gather", (structure.phi.nnz, batch), np.float64
-    )
-    gate_resid = workspace.arena("phi_resid", (m, batch), np.float64)
-    structure.phi.residual(signals, ys64, out=gate_resid, gather=gate_gather)
+    gate_resid = structure.phi.residual(signals, ys64)
     y_floor = np.maximum(
         np.sqrt(np.einsum("ij,ij->j", ys64, ys64)),
         np.finfo(np.float64).tiny,
@@ -711,7 +623,6 @@ def structured_batched_fista(
             lipschitz=structure.lipschitz,
             x0=x0,
             operator_t=structure.dense64_t,
-            workspace=workspace,
         )
         signals[:, bad] = structure.psi64 @ polish.coefficients
         iterations[bad] += polish.iterations
@@ -728,11 +639,8 @@ class BatchedFista:
     exactly like the serial decoder's precomputation) and then solves
     arbitrary ``(m, B)`` measurement blocks.
 
-    Threads share the instance, never its scratch: each solve takes a
-    :class:`BatchWorkspace` off a LIFO stack of free ones (a new one if
-    none is free) and puts it back when done, under a lock.  A
-    sequential caller therefore always solves in the same workspace,
-    and the stack grows only to the most solves that ever overlapped.
+    Threads share the instance: it holds only read-only state, and each
+    solve allocates its own scratch.
     """
 
     def __init__(
@@ -750,8 +658,6 @@ class BatchedFista:
             if structure is not None and structure.dense64 is self._dense
             else np.ascontiguousarray(self._dense.T)
         )
-        self._lock = threading.Lock()
-        self._idle = [BatchWorkspace()]  # free workspaces, LIFO
         self._lipschitz = (
             lipschitz
             if lipschitz is not None
@@ -774,20 +680,6 @@ class BatchedFista:
         """The bound factored operator (``None`` on plain instances)."""
         return self._structure
 
-    @contextlib.contextmanager
-    def _lend(self) -> Iterator[BatchWorkspace]:
-        """Hold a free workspace for one solve."""
-        with self._lock:
-            if self._idle:
-                workspace = self._idle.pop()
-            else:
-                workspace = BatchWorkspace()
-        try:
-            yield workspace
-        finally:
-            with self._lock:
-                self._idle.append(workspace)
-
     def lambdas(self, ys: np.ndarray, fraction: float) -> np.ndarray:
         """Per-column weights for a measurement block (one GEMM)."""
         return batched_lambda_from_fraction(self._dense, ys, fraction)
@@ -802,24 +694,20 @@ class BatchedFista:
         """Run the hybrid-precision structured pipeline on one block.
 
         Requires a :class:`~repro.solvers.sparse_apply.StructuredOperator`
-        bound at construction; shares this instance's workspace arenas,
-        so alternating float32 fast solves and float64 polish re-solves
-        reuse their respective per-dtype buffers across batches.
+        bound at construction.
         """
         if self._structure is None:
             raise SolverError(
                 "solve_structured requires a StructuredOperator; "
                 "construct BatchedFista(..., structure=...)"
             )
-        with self._lend() as workspace:
-            return structured_batched_fista(
-                self._structure,
-                ys,
-                fractions,
-                max_iterations=max_iterations,
-                tolerance=tolerance,
-                workspace=workspace,
-            )
+        return structured_batched_fista(
+            self._structure,
+            ys,
+            fractions,
+            max_iterations=max_iterations,
+            tolerance=tolerance,
+        )
 
     def solve(
         self,
@@ -827,18 +715,14 @@ class BatchedFista:
         lams: np.ndarray | float,
         max_iterations: int = 2000,
         tolerance: float = 1e-4,
-        x0: np.ndarray | None = None,
     ) -> BatchedSolverResult:
         """Run the masked batched iteration on one measurement block."""
-        with self._lend() as workspace:
-            return batched_fista(
-                self._dense,
-                ys,
-                lams,
-                max_iterations=max_iterations,
-                tolerance=tolerance,
-                lipschitz=self._lipschitz,
-                x0=x0,
-                operator_t=self._dense_t,
-                workspace=workspace,
-            )
+        return batched_fista(
+            self._dense,
+            ys,
+            lams,
+            max_iterations=max_iterations,
+            tolerance=tolerance,
+            lipschitz=self._lipschitz,
+            operator_t=self._dense_t,
+        )

@@ -4,7 +4,7 @@ The paper's ``Phi`` has exactly ``d`` nonzeros per column, all equal to
 ``1/sqrt(d)`` — applying it (or its transpose) is an index gather plus a
 segmented sum, not a GEMM.  This module turns the CSR structure already
 living in :class:`~repro.sensing.sparse_binary.SparseBinaryMatrix` into
-an allocation-free batched kernel: ``apply`` computes ``Phi @ S`` for an
+a batched kernel: ``apply`` computes ``Phi @ S`` for an
 ``(n, B)`` signal block via one ``np.take`` gather and one
 ``np.add.reduceat`` segmented reduction over the CSR row segments.
 
@@ -49,13 +49,7 @@ ADMM_PAIR_CACHE_SIZE = 4
 
 
 class SparsePhiApply:
-    """Batched ``Phi`` products from the CSR index structure.
-
-    All kernels accept preallocated ``out``/``gather`` buffers (see
-    :meth:`~repro.solvers.batched.BatchWorkspace.arena`) so steady-state
-    callers allocate nothing per batch; buffers are allocated on the
-    fly when omitted (convenience paths, tests).
-    """
+    """Batched ``Phi`` products from the CSR index structure."""
 
     def __init__(self, matrix) -> None:
         self.m, self.n = matrix.shape
@@ -92,19 +86,12 @@ class SparsePhiApply:
             )
         return block
 
-    def apply(
-        self,
-        signals: np.ndarray,
-        out: np.ndarray | None = None,
-        gather: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def apply(self, signals: np.ndarray) -> np.ndarray:
         """``Phi @ signals`` for an ``(n, B)`` block -> ``(m, B)``."""
         signals = self._check(signals, self.n, "signals")
         width = signals.shape[1]
-        if gather is None:
-            gather = np.empty((self.nnz, width), dtype=signals.dtype)
-        if out is None:
-            out = np.empty((self.m, width), dtype=signals.dtype)
+        gather = np.empty((self.nnz, width), dtype=signals.dtype)
+        out = np.empty((self.m, width), dtype=signals.dtype)
         np.take(signals, self.gather_index, axis=0, out=gather)
         if self.reduce_rows:
             np.add.reduceat(
@@ -120,15 +107,9 @@ class SparsePhiApply:
         out *= signals.dtype.type(self.scale)
         return out
 
-    def residual(
-        self,
-        signals: np.ndarray,
-        ys: np.ndarray,
-        out: np.ndarray | None = None,
-        gather: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def residual(self, signals: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """``Phi @ signals - ys`` -> ``(m, B)`` (the polish gate's input)."""
-        out = self.apply(signals, out=out, gather=gather)
+        out = self.apply(signals)
         out -= ys
         return out
 

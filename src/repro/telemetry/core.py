@@ -1,18 +1,19 @@
 """Process-wide metrics core: counters, gauges, histograms, snapshots.
 
 The serving stack (the ingest gateway, its recovery layer, the solve
-engine and the federation front door) publishes into one registry of
-three primitive instruments, so a fact has one vocabulary, survives in
-the persistent sinks and aggregates across the process-pool workers a
-sharded decode spans:
+engine and the federation front door) publishes into one
+:class:`MetricsRegistry` of three primitive instrument kinds, so a fact
+has one vocabulary, survives in the persistent sinks and aggregates
+across the process-pool workers a sharded decode spans:
 
-- :class:`Counter` — monotonically increasing totals (windows decoded,
-  frames dropped, flushes per reason);
-- :class:`Gauge` — last-written level signals (queue depth, live
-  gateway count), carrying an update *version* so merges are
-  order-independent;
-- :class:`Histogram` — fixed-bucket latency/size distributions with
-  percentile queries that survive merging exactly (bucket counts add).
+- counters (:meth:`MetricsRegistry.inc`) — monotonically increasing
+  totals (windows decoded, frames dropped, flushes per reason);
+- gauges (:meth:`MetricsRegistry.set_gauge`) — last-written level
+  signals (queue depth, live gateway count), carrying an update
+  *version* so merges are order-independent;
+- histograms (:meth:`MetricsRegistry.observe`) — fixed-bucket
+  latency/size distributions with percentile queries that survive
+  merging exactly (bucket counts add; see :class:`HistogramSnapshot`).
 
 Every instrument is labeled (``stream="100:0"``, ``group="g0"``,
 ``worker="1234"``), so one metric name covers a fleet of series and a
@@ -544,11 +545,7 @@ class MetricsRegistry:
                     self._histograms[key] = histogram
                 histogram.absorb(snap)
 
-    # -- convenience reads (the same queries as the snapshot's) -------
-    def counter_value(self, name: str, **labels: object) -> float:
-        with self._lock:
-            return self._counters.get((name, label_key(labels)), 0.0)
-
+    # -- convenience read (the same query as the snapshot's) ---------
     def counter_total(self, name: str) -> float:
         with self._lock:
             return sum(

@@ -3,7 +3,7 @@ import numpy as np
 
 
 def iterate(operator, y, steps):
-    buf = np.zeros(y.shape)  # preallocated arena, outside the loop
+    buf = np.zeros(y.shape)  # preallocated, outside the loop
     out = np.zeros(operator.shape[1])
     # repro-lint: hot
     for _ in range(steps):

@@ -89,32 +89,6 @@ class TestRL002SeededUnguardedWrite:
         assert [f.key for f in findings] == ["MetricsRegistry._counters"]
 
 
-class TestRL002SeededWorkspaceReturn:
-    SOURCE = SRC / "solvers" / "batched.py"
-    GUARDED = (
-        "        finally:\n"
-        "            with self._lock:\n"
-        "                self._idle.append(workspace)\n"
-    )
-
-    def test_pristine_solver_is_clean(self, tmp_path):
-        assert lint_pristine(tmp_path, self.SOURCE, "RL002") == []
-
-    def test_return_to_stack_outside_the_lock_caught(self, tmp_path):
-        # a solve thread handing its workspace back while another takes
-        # one: a list append racing a pop can lose the workspace or
-        # hand one out twice, and two solves then share scratch
-        findings = mutate_and_lint(
-            tmp_path,
-            self.SOURCE,
-            self.GUARDED,
-            "        finally:\n"
-            "            self._idle.append(workspace)\n",
-            "RL002",
-        )
-        assert [f.key for f in findings] == ["BatchedFista._idle"]
-
-
 class TestRL002SeededResolventCacheHit:
     SOURCE = SRC / "solvers" / "sparse_apply.py"
     LOCKED_HIT = (

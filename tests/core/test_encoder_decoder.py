@@ -140,7 +140,6 @@ class TestPacketPayloadDecoder:
 
         decoder = CSDecoder(small_config)
         assert decoder.codebook is decoder.payload.codebook
-        assert decoder.codec is decoder.payload.codec
         assert decoder.quantizer is decoder.payload.quantizer
         replacement = train_codebook()
         decoder.codebook = replacement

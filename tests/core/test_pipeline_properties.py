@@ -65,7 +65,7 @@ class TestWireInvariants:
             y_q_decoder = decoder._decode_payload(packet)
             # both sides must hold identical DPCM references afterwards
             assert np.array_equal(
-                encoder.codec._reference, decoder.codec._reference
+                encoder.codec._reference, decoder.payload.codec._reference
             )
             del reference_codec_state
             reference_codec_state = y_q_decoder

@@ -3,11 +3,10 @@
 The gateway may run several solves in-process, so two threads may call
 :func:`~repro.core.decoder.solve_block` on the same cached
 :class:`~repro.core.decoder.SolveResources` at once.  Each solve
-borrows a free workspace from the solver's stack, the hybrid
-operator's resolvent cache is read and built under its own lock, and
-the operator cache builds an uncached operator once however many
-threads ask for it.  These tests pin that the overlap changes no bit,
-and that a sequential caller keeps the one workspace it always had.
+allocates its own scratch, the hybrid operator's resolvent cache is
+read and built under its own lock, and the operator cache builds an
+uncached operator once however many threads ask for it.  These tests
+pin that the overlap changes no bit.
 """
 
 from __future__ import annotations
@@ -26,12 +25,11 @@ from repro.core.decoder import (
     resources_for,
     solve_block,
 )
-from repro.solvers import BatchWorkspace
 
 
 def _fresh(config, precision):
     """An operator of its own, built past the process cache, so its
-    workspace stack and resolvent cache start fresh."""
+    resolvent cache starts fresh."""
     return build_resources.__wrapped__(*operator_key(config, precision))
 
 
@@ -82,28 +80,13 @@ def _overlapped(calls):
     return results
 
 
-@pytest.fixture
-def workspaces_used(monkeypatch):
-    """Every workspace a solve draws an arena from, in call order."""
-    used = []
-    arena = BatchWorkspace.arena
-
-    def spy(self, *args, **kwargs):
-        used.append(self)
-        return arena(self, *args, **kwargs)
-
-    monkeypatch.setattr(BatchWorkspace, "arena", spy)
-    return used
-
-
 @pytest.mark.parametrize("precision", ["float64", "hybrid"])
 def test_two_threads_on_one_operator_match_sequential_solves(
-    small_config, precision, workspaces_used
+    small_config, precision
 ):
     resources = _fresh(small_config, precision)
     blocks = _blocks(small_config, 6)
     sequential = [_solve(resources, small_config, block) for block in blocks]
-    workspaces_used.clear()
     threaded = []
     for first, second in zip(blocks[::2], blocks[1::2]):
         threaded.extend(
@@ -119,21 +102,6 @@ def test_two_threads_on_one_operator_match_sequential_solves(
     ):
         np.testing.assert_array_equal(got_signals, signals)
         np.testing.assert_array_equal(got_iterations, iterations)
-    # the stack grew to the overlap, no further
-    assert len({id(w) for w in workspaces_used}) <= 2
-    assert 1 <= len(resources.solver._idle) <= 2
-
-
-@pytest.mark.parametrize("precision", ["float64", "hybrid"])
-def test_sequential_caller_keeps_one_workspace(
-    small_config, precision, workspaces_used
-):
-    resources = _fresh(small_config, precision)
-    for block in _blocks(small_config, 3):
-        _solve(resources, small_config, block)
-    assert workspaces_used
-    (idle,) = resources.solver._idle
-    assert {id(w) for w in workspaces_used} == {id(idle)}
 
 
 def test_fresh_hybrid_operator_builds_one_resolvent_pair(

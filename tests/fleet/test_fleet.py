@@ -799,7 +799,7 @@ class TestOperatorCache:
     def test_concurrent_solves_on_one_operator_match_serial(
         self, small_config, precision
     ):
-        """One cached solver serves many callers, each in a workspace
+        """One cached solver serves many callers, each solve in scratch
         of its own: blocks solved from more threads than cores (two
         configs differing only in ``tolerance`` — one operator key)
         equal their serial solves exactly."""

@@ -335,7 +335,7 @@ class TestPooledDecode:
 
         gateway, decoded, still_parked = asyncio.run(run())
         assert still_parked
-        assert gateway.telemetry.counter_value(
+        assert gateway.telemetry.snapshot().counter_value(
             "ingest_flushes", reason="deadline"
         ) >= 1
         assert {reason for reason, _ in _flushes_of(gateway, record)} == {
@@ -384,11 +384,10 @@ class TestPooledDecode:
     ):
         """Regression: two streams on one sensing matrix that differ
         only in ``tolerance`` land in two solve groups (each with its
-        own drain loop) but on ONE cached solver, whose workspace
-        serves one caller at a time.  Their flushes used to run
-        concurrently on the solve threads and scribble over each
-        other's iterates; every delivered window must equal the serial
-        replay of its logged batch."""
+        own drain loop) but on ONE cached solver.  Their flushes used
+        to run concurrently on the solve threads and scribble over
+        each other's iterates in its shared scratch; every delivered
+        window must equal the serial replay of its logged batch."""
         import dataclasses
 
         from repro.core.decoder import PacketPayloadDecoder
@@ -705,7 +704,7 @@ class TestIdleDispatch:
         # the 60 s deadline
         assert decoded["latency_ms"] < 10_000.0
         assert [r for _k, _m, r in gateway.batch_log] == ["idle"]
-        assert gateway.telemetry.counter_value("ingest_flushes", reason="idle") == 1
+        assert gateway.telemetry.snapshot().counter_value("ingest_flushes", reason="idle") == 1
 
     def test_windows_behind_a_parked_solve_leave_as_one_batch(
         self, small_config, database, parked
@@ -1193,7 +1192,7 @@ class TestFaults:
             return gateway
 
         gateway = asyncio.run(run())
-        assert gateway.telemetry.counter_value("ingest_flushes", reason="drain") >= 1
+        assert gateway.telemetry.snapshot().counter_value("ingest_flushes", reason="drain") >= 1
         assert _flushes_of(gateway, record) == [("drain", 2)]
         assert len(gateway.results) == 2
         result = _result_of(gateway, record)
@@ -1392,7 +1391,7 @@ class TestFaults:
         gateway, flushed_early = asyncio.run(run())
         assert flushed_early == []  # ghost close triggered no flush
         assert _flushes_of(gateway, record) == [("full", 2)]
-        assert gateway.telemetry.counter_value("ingest_flushes", reason="full") == 1
+        assert gateway.telemetry.snapshot().counter_value("ingest_flushes", reason="full") == 1
         assert sorted(  # ghost, keeper
             r.num_windows for r in gateway.results if r.record == record.name
         ) == [0, 2]

@@ -23,7 +23,6 @@ from repro.metrics import prd
 from repro.sensing import SparseBinaryMatrix
 from repro.solvers import (
     BatchedFista,
-    BatchWorkspace,
     StructuredOperator,
     admm_rho,
     batched_admm,
@@ -527,7 +526,7 @@ class TestChunkedStopCheck:
             for ys in blocks
         ]
 
-        def per_iteration(structure, ys, lams, rho, workspace=None, **kw):
+        def per_iteration(structure, ys, lams, rho, **kw):
             return BatchedSolverResult(
                 *reference_admm(structure, ys, lams, rho, **kw)
             )
@@ -589,58 +588,33 @@ class TestChunkedStopCheck:
                 break
         assert not wanted, f"no stop on step(s) {wanted} of a chunk"
 
-    def test_repeated_same_width_solve_allocates_no_arena(
+    def test_fast_leg_synthesizes_in_float32(
         self, saturate_block, paper_config
     ):
+        """The hybrid solve's ``Psi`` synthesis runs in float32: an
+        unpolished column's signal is the float32 product of ``psi32``
+        and the fast leg's coefficients, widened to float64, bit for
+        bit."""
         structure = saturate_block["structure"]
         ys = saturate_block["block"]
+        kwargs = dict(
+            max_iterations=paper_config.max_iterations,
+            tolerance=paper_config.tolerance,
+        )
+        result = structured_batched_fista(
+            structure, ys, paper_config.lam, **kwargs
+        )
         lams = batched_lambda_from_fraction(
             structure.dense64, ys, paper_config.lam
         )
-        workspace = BatchWorkspace()
-        solve = lambda: batched_admm(  # noqa: E731
-            structure,
-            ys,
-            lams,
-            admm_rho(paper_config.lam),
-            max_iterations=paper_config.max_iterations,
-            tolerance=paper_config.tolerance,
-            workspace=workspace,
+        fast = batched_admm(
+            structure, ys, lams, admm_rho(paper_config.lam), **kwargs
         )
-        first = solve()
-        arenas = {key: id(buf) for key, buf in workspace._arenas.items()}
-        second = solve()
-        assert {key: id(buf) for key, buf in workspace._arenas.items()} == (
-            arenas
-        )
-        np.testing.assert_array_equal(first.coefficients, second.coefficients)
-        assert first.coefficients is not second.coefficients
-
-    def test_fast_leg_synthesizes_into_its_float32_arena(
-        self, saturate_block, paper_config
-    ):
-        """The hybrid solve's ``Psi`` synthesis runs in float32, in the
-        workspace's ``synth32`` arena: an unpolished column's signal is
-        that arena's column widened to float64, bit for bit."""
-        structure = saturate_block["structure"]
-        ys = saturate_block["block"]
-        workspace = BatchWorkspace()
-        result = structured_batched_fista(
-            structure,
-            ys,
-            paper_config.lam,
-            max_iterations=paper_config.max_iterations,
-            tolerance=paper_config.tolerance,
-            workspace=workspace,
-        )
-        assert ("synth32", np.dtype(np.float32)) in workspace._arenas
-        synth = workspace.arena(
-            "synth32", result.signals.shape, np.float32
-        )
+        synth = (structure.psi32 @ fast.coefficients).astype(np.float64)
         kept = ~result.polished
         assert kept.any()
         np.testing.assert_array_equal(
-            synth[:, kept].astype(np.float64), result.signals[:, kept]
+            synth[:, kept], result.signals[:, kept]
         )
 
 

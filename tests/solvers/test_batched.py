@@ -8,7 +8,6 @@ import pytest
 from repro.errors import SolverError
 from repro.solvers import (
     BatchedFista,
-    BatchWorkspace,
     batched_fista,
     batched_lambda_from_fraction,
     fista,
@@ -229,36 +228,7 @@ class TestBatchedFistaClass:
             ys.shape[1],
         )
 
-    def test_workspace_reuse_matches_fresh_buffers(self, batch_problem):
-        """Same-width solves through one workspace stay bit-identical."""
-        a, ys = batch_problem["a"], batch_problem["ys"]
-        lams = batched_lambda_from_fraction(a, ys, 0.05)
-        workspace = BatchWorkspace()
-        kwargs = dict(
-            max_iterations=200,
-            tolerance=1e-4,
-            lipschitz=batch_problem["lipschitz"],
-        )
-        fresh = batched_fista(a, ys, lams, **kwargs)
-        first = batched_fista(a, ys, lams, workspace=workspace, **kwargs)
-        # a second pass reuses dirty buffers; results must not change
-        second = batched_fista(a, ys, lams, workspace=workspace, **kwargs)
-        np.testing.assert_array_equal(fresh.coefficients, first.coefficients)
-        np.testing.assert_array_equal(first.coefficients, second.coefficients)
-        np.testing.assert_array_equal(first.iterations, second.iterations)
-
-    def test_workspace_reallocates_on_width_change(self, batch_problem):
-        workspace = BatchWorkspace()
-        a = batch_problem["a"]
-        m, n = a.shape
-        wide = workspace.buffers(m, n, 6, np.float64)
-        assert wide[0].shape == (m, 6)
-        same = workspace.buffers(m, n, 6, np.float64)
-        assert all(x is y for x, y in zip(wide, same))
-        narrow = workspace.buffers(m, n, 2, np.float64)
-        assert narrow[0].shape == (m, 2)
-
-    def test_solver_class_reuses_its_workspace(self, batch_problem):
+    def test_repeated_solves_give_the_same_bits(self, batch_problem):
         solver = BatchedFista(
             batch_problem["a"], lipschitz=batch_problem["lipschitz"]
         )
@@ -268,73 +238,6 @@ class TestBatchedFistaClass:
         np.testing.assert_array_equal(
             first.coefficients, second.coefficients
         )
-
-    def test_workspace_dtype_alternation_never_hands_stale_buffers(
-        self, batch_problem
-    ):
-        """Regression: alternating float32/float64 solves through one
-        workspace must key arenas by dtype — a float64 request right
-        after a float32 one (the hybrid fast-then-polish cadence) gets
-        float64 buffers, never a reinterpreted stale-dtype view."""
-        workspace = BatchWorkspace()
-        a = batch_problem["a"]
-        m, n = a.shape
-        wide64 = workspace.buffers(m, n, 4, np.float64)
-        wide32 = workspace.buffers(m, n, 4, np.float32)
-        assert all(b.dtype == np.float64 for b in wide64)
-        assert all(b.dtype == np.float32 for b in wide32)
-        # the float32 grab must not have recycled the float64 storage
-        assert not any(
-            b32.base is b64.base for b32, b64 in zip(wide32, wide64)
-        )
-        # returning to either dtype reuses its own arenas exactly
-        again64 = workspace.buffers(m, n, 4, np.float64)
-        again32 = workspace.buffers(m, n, 4, np.float32)
-        assert all(x is y for x, y in zip(wide64, again64))
-        assert all(x is y for x, y in zip(wide32, again32))
-
-    def test_workspace_growth_invalidates_cached_views(self):
-        """Growing an arena must drop that key's cached views — a view
-        of the old (orphaned) storage would silently decouple from
-        later writes through the new arena."""
-        workspace = BatchWorkspace()
-        small = workspace.arena("u", (4, 2), np.float64)
-        grown = workspace.arena("u", (8, 2), np.float64)
-        refetched = workspace.arena("u", (4, 2), np.float64)
-        assert refetched is not small
-        assert refetched.base is grown.base
-
-    def test_alternating_precision_solves_match_fresh_solvers(
-        self, batch_problem
-    ):
-        """The hybrid cadence end to end: one solver instance running
-        float32 / float64 / float32 blocks back to back produces the
-        same bits as fresh single-use solvers."""
-        a64 = np.asarray(batch_problem["a"], dtype=np.float64)
-        a32 = a64.astype(np.float32)
-        ys64 = np.asarray(batch_problem["ys"], dtype=np.float64)
-        ys32 = ys64.astype(np.float32)
-        lams = batched_lambda_from_fraction(a64, ys64, 0.05)
-        workspace = BatchWorkspace()
-        kwargs = dict(max_iterations=200, tolerance=1e-4)
-        lip = batch_problem["lipschitz"]
-        sequence = [
-            (a32, ys32, np.float32),
-            (a64, ys64, np.float64),
-            (a32, ys32, np.float32),
-        ]
-        for a, ys, dtype in sequence:
-            shared = batched_fista(
-                a, ys, lams, lipschitz=lip, workspace=workspace, **kwargs
-            )
-            fresh = batched_fista(a, ys, lams, lipschitz=lip, **kwargs)
-            assert shared.coefficients.dtype == dtype
-            np.testing.assert_array_equal(
-                shared.coefficients, fresh.coefficients
-            )
-            np.testing.assert_array_equal(
-                shared.iterations, fresh.iterations
-            )
 
     def test_float32_batch_keeps_dtype(self, batch_problem):
         solver = BatchedFista(

@@ -60,7 +60,7 @@ from repro.wavelet import WaveletTransform
 SEEDS = tuple(range(8))
 #: (m, n, d) — the last shape is square with d=1, so some CSR rows
 #: come out empty (the reduceat clamp path; pinned deterministically
-#: in TestSparseApplyBuffers.test_empty_rows_covered_by_sweep)
+#: in TestSparseApplyChecks.test_empty_rows_covered_by_sweep)
 SHAPES = ((64, 128, 8), (96, 192, 12), (32, 80, 6), (64, 64, 1))
 WIDTHS = (1, 3, 8)
 
@@ -91,9 +91,9 @@ class TestSparseApplyKernels:
             assert np.array_equal(phi.apply(signals), reference)
 
     def test_residual_bit_identical_on_integer_float64(self, seed, shape):
-        """The polish gate's input ``Phi @ S - Y``, into the buffers the
-        gate passes: on integer-valued float64 inputs, bit for bit the
-        dense pattern GEMM, scaled, minus ``Y``."""
+        """The polish gate's input ``Phi @ S - Y``: on integer-valued
+        float64 inputs, bit for bit the dense pattern GEMM, scaled,
+        minus ``Y``."""
         m, n, d = shape
         matrix = SparseBinaryMatrix(m, n, d=d, seed=seed)
         phi = SparsePhiApply(matrix)
@@ -103,10 +103,7 @@ class TestSparseApplyKernels:
             signals = rng.integers(-2048, 2048, size=(n, width))
             ys = rng.integers(-2048, 2048, size=(m, width)).astype(np.float64)
             signals = signals.astype(np.float64)
-            out = np.empty((m, width))
-            gather = np.empty((phi.nnz, width))
-            got = phi.residual(signals, ys, out=out, gather=gather)
-            assert got is out
+            got = phi.residual(signals, ys)
             reference = (pattern @ signals) * matrix.scale - ys
             assert np.array_equal(got, reference)
 
@@ -138,19 +135,8 @@ class TestSparseApplyKernels:
         np.testing.assert_allclose(out, reference, rtol=0, atol=1e-4)
 
 
-class TestSparseApplyBuffers:
-    """Preallocated out/gather buffers and the residual convenience."""
-
-    def test_supplied_buffers_are_used_and_returned(self):
-        matrix = SparseBinaryMatrix(64, 128, d=8, seed=3)
-        phi = SparsePhiApply(matrix)
-        rng = np.random.default_rng(9)
-        signals = rng.standard_normal((128, 4))
-        out = np.empty((64, 4))
-        gather = np.empty((phi.nnz, 4))
-        result = phi.apply(signals, out=out, gather=gather)
-        assert result is out
-        np.testing.assert_array_equal(result, phi.apply(signals))
+class TestSparseApplyChecks:
+    """The residual convenience, empty rows and shape checks."""
 
     def test_residual_is_apply_minus_ys(self):
         matrix = SparseBinaryMatrix(64, 128, d=8, seed=3)
@@ -325,37 +311,6 @@ class TestStructuredSolver:
             rtol=1e-10,
             atol=1e-6 * float(np.abs(pure_signals).max()),
         )
-
-    def test_workspace_arenas_steady_state(self, structured_problem):
-        """Repeated solves through one workspace allocate nothing new:
-        the arena map reaches a fixed point after the first call."""
-        from repro.solvers import BatchedFista
-
-        structure = structured_problem["structure"]
-        ys = structured_problem["ys"]
-        solver = BatchedFista(
-            structure.dense64,
-            lipschitz=structure.lipschitz,
-            structure=structure,
-        )
-        first = solver.solve_structured(
-            ys, FRACTION, max_iterations=MAX_ITERATIONS, tolerance=TOLERANCE
-        )
-        arenas = {
-            key: id(buf)
-            for key, buf in solver._idle[-1]._arenas.items()
-        }
-        second = solver.solve_structured(
-            ys, FRACTION, max_iterations=MAX_ITERATIONS, tolerance=TOLERANCE
-        )
-        after = {
-            key: id(buf)
-            for key, buf in solver._idle[-1]._arenas.items()
-        }
-        assert arenas == after  # no arena grew or was replaced
-        # outputs are freshly allocated, never arena views
-        assert first.signals is not second.signals
-        np.testing.assert_array_equal(first.signals, second.signals)
 
 
 # ----------------------------------------------------------------------

@@ -64,7 +64,7 @@ class TestWireForms:
         coordinator = MetricsRegistry()
         coordinator.absorb(_worker_registry(0, 3).snapshot().to_dict())
         assert (
-            coordinator.counter_value(
+            coordinator.snapshot().counter_value(
                 "ingest_windows_decoded", gateway="gw0"
             )
             == 3
@@ -223,7 +223,7 @@ class TestRealProcessBoundary:
         coordinator = MetricsRegistry()
         coordinator.absorb(payload)
         assert (
-            coordinator.counter_value(
+            coordinator.snapshot().counter_value(
                 "ingest_windows_decoded", gateway="gw0"
             )
             == 6

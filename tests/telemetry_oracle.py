@@ -99,6 +99,6 @@ def histogram(snapshot: MetricsSnapshot, name: str, **labels):
 def fate_count(link, fate: str) -> float:
     """Frames of one fate a lossy link metered into its registry
     (``link_frames``)."""
-    return link.meter.registry.counter_value(
+    return link.meter.registry.snapshot().counter_value(
         "link_frames", fate=fate, **link.meter.labels
     )

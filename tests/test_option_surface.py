@@ -50,8 +50,11 @@ from repro.solvers.batched import (
     BatchedFista,
     BatchedSolverResult,
     HybridSolveResult,
+    batched_admm,
+    batched_fista,
     structured_batched_fista,
 )
+from repro.solvers.sparse_apply import SparsePhiApply
 
 
 def _parameters(function) -> list[str]:
@@ -119,11 +122,33 @@ def test_realtime_pipeline_options():
 def test_hybrid_solve_options():
     solve = ["ys", "fractions", "max_iterations", "tolerance"]
     assert _parameters(BatchedFista.solve_structured) == solve
-    assert _parameters(structured_batched_fista) == [
-        "structure",
-        *solve,
-        "workspace",
+    assert _parameters(structured_batched_fista) == ["structure", *solve]
+
+
+def test_batched_solve_options():
+    """Each solve allocates its own scratch, so no solve or ``Phi``
+    kernel takes a caller's buffers; only the hybrid polish warm-starts
+    a solve, through ``batched_fista``'s ``x0``."""
+    stop = ["max_iterations", "tolerance"]
+    assert _parameters(BatchedFista.solve) == ["ys", "lams", *stop]
+    assert _parameters(batched_fista) == [
+        "a",
+        "ys",
+        "lams",
+        *stop,
+        "lipschitz",
+        "x0",
+        "operator_t",
     ]
+    assert _parameters(batched_admm) == [
+        "structure",
+        "ys",
+        "lams",
+        "rho",
+        *stop,
+    ]
+    assert _parameters(SparsePhiApply.apply) == ["signals"]
+    assert _parameters(SparsePhiApply.residual) == ["signals", "ys"]
 
 
 def _fields(cls) -> list[str]:
