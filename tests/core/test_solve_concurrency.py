@@ -104,6 +104,22 @@ def test_two_threads_on_one_operator_match_sequential_solves(
         np.testing.assert_array_equal(got_iterations, iterations)
 
 
+@pytest.mark.parametrize("precision", ["float64", "hybrid"])
+def test_sequential_solves_match_lone_solves(small_config, precision):
+    """Nothing a solve leaves on the operator moves a later solve's
+    bits: back-to-back solves on one operator give each block the bits
+    an operator of its own gives it."""
+    resources = _fresh(small_config, precision)
+    blocks = _blocks(small_config, 3)
+    sequential = [_solve(resources, small_config, block) for block in blocks]
+    for block, (signals, iterations) in zip(blocks, sequential):
+        alone_signals, alone_iterations = _solve(
+            _fresh(small_config, precision), small_config, block
+        )
+        np.testing.assert_array_equal(signals, alone_signals)
+        np.testing.assert_array_equal(iterations, alone_iterations)
+
+
 def test_fresh_hybrid_operator_builds_one_resolvent_pair(
     small_config, monkeypatch
 ):

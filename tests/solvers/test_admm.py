@@ -588,6 +588,29 @@ class TestChunkedStopCheck:
                 break
         assert not wanted, f"no stop on step(s) {wanted} of a chunk"
 
+    def test_repeated_same_width_solve_gives_the_same_bits(
+        self, saturate_block, paper_config
+    ):
+        structure = saturate_block["structure"]
+        ys = saturate_block["block"]
+        lams = batched_lambda_from_fraction(
+            structure.dense64, ys, paper_config.lam
+        )
+        first, second = (
+            batched_admm(
+                structure,
+                ys,
+                lams,
+                admm_rho(paper_config.lam),
+                max_iterations=paper_config.max_iterations,
+                tolerance=paper_config.tolerance,
+            )
+            for _ in range(2)
+        )
+        np.testing.assert_array_equal(first.coefficients, second.coefficients)
+        np.testing.assert_array_equal(first.iterations, second.iterations)
+        assert first.coefficients is not second.coefficients
+
     def test_fast_leg_synthesizes_in_float32(
         self, saturate_block, paper_config
     ):

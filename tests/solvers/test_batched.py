@@ -239,6 +239,100 @@ class TestBatchedFistaClass:
             first.coefficients, second.coefficients
         )
 
+    def test_class_solve_matches_the_function(self, batch_problem):
+        """The reusable solver's cached transpose changes no bit: its
+        solve equals :func:`batched_fista` on the bare operator."""
+        a, ys = batch_problem["a"], batch_problem["ys"]
+        lams = batched_lambda_from_fraction(a, ys, 0.05)
+        kwargs = dict(max_iterations=200, tolerance=1e-4)
+        solver = BatchedFista(a, lipschitz=batch_problem["lipschitz"])
+        cached = solver.solve(ys, lams, **kwargs)
+        bare = batched_fista(
+            a, ys, lams, lipschitz=batch_problem["lipschitz"], **kwargs
+        )
+        np.testing.assert_array_equal(cached.coefficients, bare.coefficients)
+        np.testing.assert_array_equal(cached.iterations, bare.iterations)
+
+    def test_width_changes_between_solves_match_fresh_solvers(
+        self, batch_problem
+    ):
+        """One solver fed wide, narrow, then wide blocks gives each
+        block the bits a solver of its own gives it."""
+        a, ys = batch_problem["a"], batch_problem["ys"]
+        lip = batch_problem["lipschitz"]
+        shared = BatchedFista(a, lipschitz=lip)
+        for block in (ys, ys[:, :2], ys):
+            got = shared.solve(block, 0.5, max_iterations=60, tolerance=1e-4)
+            alone = BatchedFista(a, lipschitz=lip).solve(
+                block, 0.5, max_iterations=60, tolerance=1e-4
+            )
+            assert got.coefficients.shape == (a.shape[1], block.shape[1])
+            np.testing.assert_array_equal(
+                got.coefficients, alone.coefficients
+            )
+            np.testing.assert_array_equal(got.iterations, alone.iterations)
+
+    def test_alternating_precision_solves_match_lone_solves(
+        self, batch_problem
+    ):
+        """The hybrid cadence end to end: float32 / float64 / float32
+        blocks run back to back give the bits each gives run alone."""
+        a64 = np.asarray(batch_problem["a"], dtype=np.float64)
+        ys64 = np.asarray(batch_problem["ys"], dtype=np.float64)
+        lams = batched_lambda_from_fraction(a64, ys64, 0.05)
+        kwargs = dict(
+            max_iterations=200,
+            tolerance=1e-4,
+            lipschitz=batch_problem["lipschitz"],
+        )
+        legs = {
+            np.float32: (a64.astype(np.float32), ys64.astype(np.float32)),
+            np.float64: (a64, ys64),
+        }
+        alone = {
+            dtype: batched_fista(a, ys, lams, **kwargs)
+            for dtype, (a, ys) in legs.items()
+        }
+        for dtype in (np.float32, np.float64, np.float32):
+            a, ys = legs[dtype]
+            got = batched_fista(a, ys, lams, **kwargs)
+            assert got.coefficients.dtype == dtype
+            np.testing.assert_array_equal(
+                got.coefficients, alone[dtype].coefficients
+            )
+            np.testing.assert_array_equal(
+                got.iterations, alone[dtype].iterations
+            )
+
+    def test_earlier_result_survives_a_later_solve(self, batch_problem):
+        """A result owns its arrays: a later solve on the same solver
+        writes none of them."""
+        solver = BatchedFista(
+            batch_problem["a"], lipschitz=batch_problem["lipschitz"]
+        )
+        ys = batch_problem["ys"]
+        first = solver.solve(ys, 0.5, max_iterations=30, tolerance=1e-4)
+        kept = (first.coefficients.copy(), first.iterations.copy())
+        solver.solve(-2.0 * ys, 0.5, max_iterations=30, tolerance=1e-4)
+        np.testing.assert_array_equal(first.coefficients, kept[0])
+        np.testing.assert_array_equal(first.iterations, kept[1])
+
+    def test_solve_leaves_the_solver_unchanged(self, batch_problem):
+        """The solver holds only read-only state: a solve rebinds no
+        attribute and writes neither the operator nor its transpose."""
+        solver = BatchedFista(
+            batch_problem["a"], lipschitz=batch_problem["lipschitz"]
+        )
+        before = {key: id(value) for key, value in vars(solver).items()}
+        operator = solver.operator.copy()
+        transpose = solver._dense_t.copy()
+        solver.solve(batch_problem["ys"], 0.5, max_iterations=30)
+        assert {key: id(value) for key, value in vars(solver).items()} == (
+            before
+        )
+        np.testing.assert_array_equal(solver.operator, operator)
+        np.testing.assert_array_equal(solver._dense_t, transpose)
+
     def test_float32_batch_keeps_dtype(self, batch_problem):
         solver = BatchedFista(
             np.asarray(batch_problem["a"], dtype=np.float32)

@@ -148,6 +148,23 @@ class TestSparseApplyChecks:
             phi.residual(signals, ys), phi.apply(signals) - ys
         )
 
+    def test_each_call_returns_arrays_of_its_own(self):
+        """``apply`` and ``residual`` hand back fresh arrays: a later
+        call writes none of an earlier call's results."""
+        matrix = SparseBinaryMatrix(64, 128, d=8, seed=3)
+        phi = SparsePhiApply(matrix)
+        rng = np.random.default_rng(13)
+        signals = rng.standard_normal((128, 4))
+        ys = rng.standard_normal((64, 4))
+        applied = phi.apply(signals)
+        residual = phi.residual(signals, ys)
+        kept = (applied.copy(), residual.copy())
+        phi.apply(-signals)
+        phi.residual(-signals, -ys)
+        assert applied is not residual
+        np.testing.assert_array_equal(applied, kept[0])
+        np.testing.assert_array_equal(residual, kept[1])
+
     def test_empty_rows_covered_by_sweep(self):
         """The d=1 square shape of the seed sweep really exercises the
         empty-row clamp: at least one swept matrix has empty rows."""
@@ -311,6 +328,32 @@ class TestStructuredSolver:
             rtol=1e-10,
             atol=1e-6 * float(np.abs(pure_signals).max()),
         )
+
+    def test_repeated_structured_solves_give_the_same_bits(
+        self, structured_problem
+    ):
+        """Two solves through one bound solver give the same bits, each
+        in arrays of its own."""
+        from repro.solvers import BatchedFista
+
+        structure = structured_problem["structure"]
+        ys = structured_problem["ys"]
+        solver = BatchedFista(
+            structure.dense64,
+            lipschitz=structure.lipschitz,
+            structure=structure,
+        )
+        first, second = (
+            solver.solve_structured(
+                ys, FRACTION, max_iterations=MAX_ITERATIONS,
+                tolerance=TOLERANCE,
+            )
+            for _ in range(2)
+        )
+        assert first.signals is not second.signals
+        np.testing.assert_array_equal(first.signals, second.signals)
+        np.testing.assert_array_equal(first.iterations, second.iterations)
+        np.testing.assert_array_equal(first.polished, second.polished)
 
 
 # ----------------------------------------------------------------------
